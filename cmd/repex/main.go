@@ -66,16 +66,12 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"repro/internal/analysis"
-	"repro/internal/bench"
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/engines"
-	"repro/internal/respace"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -113,7 +109,7 @@ func main() {
 		}
 		ov.targetAcceptance = &ta
 	}
-	if err := run(*simPath, *resPath, *resumePath, *ckptPath, *ckptEvery, *listen, *tracePath, ov); err != nil {
+	if _, err := run(context.Background(), *simPath, *resPath, *resumePath, *ckptPath, *ckptEvery, *listen, *tracePath, ov); err != nil {
 		slog.Error("run failed", "error", err)
 		os.Exit(1)
 	}
@@ -160,18 +156,22 @@ func parseTargetAcceptance(arg string) (config.TargetAcceptance, error) {
 	return ta, nil
 }
 
-func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, tracePath string, ov overrides) error {
+// run is a one-run client of the lifecycle object repexd hosts: files
+// and flag overrides become a config.Launch, serve.NewRun assembles it
+// (docs/architecture.md, "Run assembly"); what is left here is the
+// listener, the wait and the stdout summary.
+func run(ctx context.Context, simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, tracePath string, ov overrides) (*serve.Run, error) {
 	simData, err := os.ReadFile(simPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resData, err := os.ReadFile(resPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	simFile, err := config.ParseSimulation(simData)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ov.trigger != "" {
 		simFile.Trigger = ov.trigger
@@ -182,13 +182,9 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 	if ov.windowEvents != 0 {
 		simFile.WindowEvents = ov.windowEvents
 	}
-	spec, err := simFile.ToSpec()
-	if err != nil {
-		return err
-	}
 	resFile, err := config.DecodeResource(resData)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ov.preemptNotice >= 0 {
 		resFile.PreemptNoticeSec = ov.preemptNotice
@@ -196,26 +192,29 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 	if ov.noChaos {
 		resFile.Chaos = nil
 	}
-	machine, pilotSpec, err := resFile.Resolve()
-	if err != nil {
-		return err
-	}
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
-		if err != nil {
-			return fmt.Errorf("resume checkpoint %s: %v (is the path right? run without -resume to start fresh)",
-				resumePath, err)
-		}
-		snap, err := core.DecodeSnapshot(data)
-		if err != nil {
-			return fmt.Errorf("resume checkpoint %s is not a usable snapshot (empty, truncated or corrupt): %v",
-				resumePath, err)
-		}
-		spec.Resume = snap
-		fmt.Printf("resuming %q from snapshot at exchange event %d\n", spec.Name, snap.Events)
+	launch := &config.Launch{Sim: simFile, Res: resFile, Resume: resumePath, Checkpoint: ckptPath}
+	if ckptPath != "" {
+		launch.CheckpointEvery = max(ckptEvery, 1)
 	}
 	if listen == "" && simFile.Serve != nil {
 		listen = simFile.Serve.Listen
+	}
+
+	// SIGINT/SIGTERM cancels through the dispatcher's context path: the
+	// run stops at the next exchange boundary, drains its in-flight
+	// segments and (with -checkpoint) leaves a resumable final snapshot.
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	r, err := serve.NewRun(ctx, launch, listen != "", tracePath != "", 0)
+	if errors.Is(err, serve.ErrResume) {
+		err = fmt.Errorf("%w (is the path right? run without -resume to start fresh)", err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	spec := r.Spec()
+	if spec.Resume != nil {
+		fmt.Printf("resuming %q from snapshot at exchange event %d\n", spec.Name, spec.Resume.Events)
 	}
 	// window_events parameterizes the feedback controller and the
 	// collector's rolling statistics; with neither in play it is dead
@@ -225,191 +224,65 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 		listen == "" && ckptPath == "" {
 		slog.Warn("window_events is set but nothing consumes it (no feedback trigger, no -listen, no -checkpoint)")
 	}
-
-	// The flight recorder rides along whenever someone can read it: the
-	// -trace file at exit, or GET /trace on the live server. Recording
-	// is bounded and touches neither the RNG nor the virtual clock, so
-	// the traced run is bit-identical to an untraced one.
-	var tracer *trace.Recorder
-	if tracePath != "" || listen != "" {
-		tracer = trace.New(0)
-		spec.Tracer = tracer
-	}
 	if tracePath != "" {
-		defer func() {
-			data, err := tracer.ExportJSON()
-			if err == nil {
-				err = ckpt.WriteAtomic(tracePath, data)
-			}
-			if err != nil {
-				slog.Error("writing trace", "path", tracePath, "error", err)
-				return
-			}
-			slog.Info("trace written", "path", tracePath,
-				"spans", tracer.Recorded(), "dropped", tracer.Dropped())
-		}()
+		defer writeTrace(tracePath, spec.Tracer)
 	}
-
-	// The event bus and collector power the live endpoints, the
-	// checkpoint-embedded statistics and the respace planner's measured
-	// acceptance profile; without any consumer the run stays bus-free.
-	var col *analysis.Collector
-	if listen != "" || ckptPath != "" || spec.Respace != nil {
-		spec.Bus = core.NewBus()
-		colCfg := analysis.ConfigFromSpec(spec)
-		colCfg.WindowEvents = simFile.WindowEvents
-		col = analysis.New(colCfg)
-		col.Attach(spec.Bus, analysis.RunBuffer(spec))
-		if spec.Resume != nil {
-			if len(spec.Resume.Analysis) > 0 {
-				if err := col.Restore(spec.Resume.Analysis); err != nil {
-					return fmt.Errorf("resume checkpoint %s: %v", resumePath, err)
-				}
-			} else {
-				// No collector ran before the snapshot: continue the
-				// event clock and slot baseline from the checkpoint so
-				// walks are not measured against the fresh-run identity.
-				if err := col.SeedResume(spec.Resume); err != nil {
-					return fmt.Errorf("resume checkpoint %s: %v", resumePath, err)
-				}
-				slog.Warn("checkpoint carries no analysis state; statistics cover the resumed portion only")
-			}
-		}
-	}
-	// The respace planner re-fits saturated ladders from the collector's
-	// measured per-pair acceptance; ToSpec left the field nil because
-	// the collector did not exist yet.
-	if spec.Respace != nil {
-		spec.Respace.Planner = respace.NewPlanner(col)
-	}
-
-	triggerName := spec.TriggerName()
-	feedback, _ := spec.Trigger.(*core.FeedbackTrigger)
-
-	var state atomic.Value // core.RunState names: "pending" ... "cancelled"
-	state.Store("pending")
-	// The constructed simulation, stored by OnStart: the status closure
-	// and the final summary read its mutex-guarded respace accessors.
-	var simPtr atomic.Pointer[core.Simulation]
-	var runFailure atomic.Value
-	runFailure.Store("")
-	var server *serve.Server
 	if listen != "" {
-		server = serve.New(col, func() serve.RunStatus {
-			st := serve.RunStatus{
-				Name:            spec.Name,
-				Engine:          simFile.Engine,
-				Trigger:         triggerName,
-				State:           state.Load().(string),
-				Replicas:        spec.Replicas(),
-				Cores:           pilotSpec.Cores,
-				CyclesTarget:    spec.Cycles,
-				ExchangeWorkers: spec.ExchangeWorkers,
-				HistoryTail:     spec.HistoryTail,
-				BusPublished:    spec.Bus.Published(),
-				Error:           runFailure.Load().(string),
-			}
-			if feedback != nil {
-				// ControllerStatus is mutex-guarded inside the trigger,
-				// so the live scrape is race-free against the dispatcher.
-				st.Feedback = feedback.ControllerStatus()
-			}
-			if rs := spec.Respace; rs != nil {
-				respaceSt := &serve.RespaceStatus{
-					Enabled:    true,
-					AfterSteps: rs.AfterSteps,
-					MaxRefits:  rs.MaxRefits,
-				}
-				if sim := simPtr.Load(); sim != nil {
-					respaceSt.Refits = sim.RefitCounts()
-					respaceSt.Ladders = sim.LadderValues()
-					respaceSt.History = sim.RespaceHistory()
-				}
-				st.Respace = respaceSt
-			}
-			return st
-		})
-		server.SetTracer(tracer)
+		server := r.Server()
 		if simFile.Serve != nil && simFile.Serve.Pprof {
 			server.EnablePprof()
 		}
 		addr, err := server.Start(listen)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		defer server.Close()
 		fmt.Printf("status server listening on http://%s (/status /stats /metrics /healthz /trace)\n", addr)
 	}
 
-	if ckptPath != "" {
-		if ckptEvery < 1 {
-			ckptEvery = 1
-		}
-		spec.SnapshotEvery = ckptEvery
-		spec.OnSnapshot = func(sn *core.Snapshot) {
-			if col != nil {
-				if data, err := col.EncodeState(); err == nil {
-					sn.Analysis = data
-				} else {
-					slog.Error("encoding analysis state", "error", err)
-				}
+	r.Start(slog.Default())
+	<-r.Done()
+	report, err := r.Result()
+	if err != nil {
+		// A failed or cancelled run must exit non-zero promptly even with
+		// a listener active — unattended invocations (cron, CI) would
+		// otherwise hang on a signal that never comes.
+		if errors.Is(err, core.ErrRunCancelled) {
+			if report != nil {
+				fmt.Print(report.String())
 			}
-			data, err := sn.Encode()
-			if err != nil {
-				slog.Error("encoding checkpoint", "error", err)
-				return
-			}
-			if err := ckpt.WriteAtomic(ckptPath, data); err != nil {
-				slog.Error("writing checkpoint", "path", ckptPath, "error", err)
+			if ckptPath != "" {
+				fmt.Printf("cancelled; resume with -resume %s\n", ckptPath)
 			}
 		}
+		return r, err
 	}
-	// SIGINT/SIGTERM cancels through the dispatcher's context path: the
-	// run stops at the next exchange boundary, drains its in-flight
-	// segments and (with -checkpoint) leaves a resumable final snapshot.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	report, err := bench.Run(bench.RunParams{
-		Spec:          spec,
-		Cluster:       machine,
-		PilotCores:    pilotSpec.Cores,
-		PilotWalltime: pilotSpec.Walltime,
-		Pilots:        pilotSpec.Pilots,
-		Chaos:         pilotSpec.Chaos,
-		NewEngine: func(seed int64) core.Engine {
-			return engines.NewNamedVirtual(simFile.Engine, simFile.Atoms, seed)
-		},
-		Seed:    spec.Seed,
-		Context: ctx,
-		OnStart: func(sim *core.Simulation) {
-			simPtr.Store(sim)
-			state.Store("running")
-		},
-	})
-	if errors.Is(err, core.ErrRunCancelled) {
-		state.Store("cancelled")
-		if report != nil {
-			fmt.Print(report.String())
-		}
-		if ckptPath != "" {
-			fmt.Printf("cancelled; resume with -resume %s\n", ckptPath)
-		}
-		if server != nil {
-			_ = server.Close()
-		}
-		return err
+	printSummary(r, report)
+	if listen != "" {
+		fmt.Println("run finished; still serving — interrupt (Ctrl-C) to exit")
+		<-ctx.Done()
+	}
+	return r, nil
+}
+
+// writeTrace exports the flight recorder's span timeline as Chrome
+// trace-event JSON (the -trace flag, at exit).
+func writeTrace(path string, tracer *trace.Recorder) {
+	data, err := tracer.ExportJSON()
+	if err == nil {
+		err = ckpt.WriteAtomic(path, data)
 	}
 	if err != nil {
-		// A failed run must exit non-zero promptly even with a listener
-		// active — unattended invocations (cron, CI) would otherwise
-		// hang on a signal that never comes.
-		state.Store("failed")
-		runFailure.Store(err.Error())
-		if server != nil {
-			_ = server.Close()
-		}
-		return err
+		slog.Error("writing trace", "path", path, "error", err)
+		return
 	}
-	state.Store("completed")
+	slog.Info("trace written", "path", path,
+		"spans", tracer.Recorded(), "dropped", tracer.Dropped())
+}
+
+// printSummary writes the completed run's report to stdout.
+func printSummary(r *serve.Run, report *core.Report) {
+	spec := r.Spec()
 	fmt.Print(report.String())
 	d := report.Decompose()
 	fmt.Printf("Eq.1 decomposition per cycle: T_MD=%.1fs T_EX=%.1fs T_data=%.2fs T_RepEx=%.2fs T_RP=%.2fs\n",
@@ -419,7 +292,7 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 		fmt.Printf("  dim %d (%s): MD %.1fs, exchange %.1fs, acceptance %.1f%%\n",
 			dim, spec.Dims[dim].Type, tmd, tex, 100*report.AcceptanceRatioByDim(dim))
 	}
-	if col != nil {
+	if col := r.Collector(); col != nil {
 		stats := col.Snapshot()
 		fmt.Printf("mixing: %d round trips (mean %.1f events), %.0f%% of replicas traversed the full ladder\n",
 			stats.RoundTrips, stats.MeanRoundTripEvents, 100*stats.FullTraversalFraction)
@@ -442,29 +315,20 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 				"dropped", stats.BusDropped)
 		}
 	}
-	if feedback != nil {
-		for _, ds := range feedback.ControllerStatus() {
-			fmt.Printf("  feedback dim %d: target %.2f, measured %.2f over %d outcomes, window %.1fs, min-ready %d\n",
-				ds.Dim, ds.Target, ds.Measured, ds.Outcomes, ds.Window, ds.MinReady)
-			if ds.Saturated {
-				fmt.Printf("    SATURATED: target unreachable at the window clamp — revisit the dim-%d ladder spacing\n", ds.Dim)
-			}
+	st := r.Status()
+	for _, ds := range st.Feedback {
+		fmt.Printf("  feedback dim %d: target %.2f, measured %.2f over %d outcomes, window %.1fs, min-ready %d\n",
+			ds.Dim, ds.Target, ds.Measured, ds.Outcomes, ds.Window, ds.MinReady)
+		if ds.Saturated {
+			fmt.Printf("    SATURATED: target unreachable at the window clamp — revisit the dim-%d ladder spacing\n", ds.Dim)
 		}
 	}
-	if sim := simPtr.Load(); sim != nil {
-		for _, rec := range sim.RespaceHistory() {
+	if st.Respace != nil {
+		for _, rec := range st.Respace.History {
 			fmt.Printf("  RESPACED dim %d (refit %d) at event %d: %s -> %s\n",
 				rec.Dim, rec.Refit, rec.Event, fmtLadder(rec.Old), fmtLadder(rec.New))
 		}
 	}
-	if server != nil {
-		fmt.Println("run finished; still serving — interrupt (Ctrl-C) to exit")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		_ = server.Close()
-	}
-	return nil
 }
 
 // fmtLadder renders a value ladder compactly for the final summary,

@@ -1,0 +1,142 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/serve"
+)
+
+// The tests call run in-process on the shipped configs, so the path a
+// user's `repex -sim ... -res ...` takes is the path under test.
+
+func shipped(name string) string { return filepath.Join("..", "..", "configs", name) }
+
+// noOverrides is the flag state of a bare invocation.
+var noOverrides = overrides{preemptNotice: -1}
+
+// runChaos runs the committed chaos pair the way the CI chaos-soak lane
+// invokes the binary, with stdout silenced.
+func runChaos(t *testing.T, ctx context.Context, resume, ckpt string) (*serve.Run, error) {
+	t.Helper()
+	stdout := os.Stdout
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = null
+	defer func() {
+		os.Stdout = stdout
+		null.Close()
+	}()
+	return run(ctx, shipped("chaos_sim_small.json"), shipped("chaos_small.json"),
+		resume, ckpt, 1, "", "", noOverrides)
+}
+
+func mustReport(t *testing.T, r *serve.Run) *core.Report {
+	t.Helper()
+	rep, err := r.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+func fingerprint(t *testing.T, r *serve.Run) string {
+	t.Helper()
+	rep := mustReport(t, r)
+	return fmt.Sprintf("%d %016x", rep.SlotRows, rep.SlotFingerprint)
+}
+
+// TestRunReproducesChaosGolden: the binary's own assembly path yields
+// the committed golden slot fingerprint, and a run nobody observes
+// stays bus-free and tracer-free.
+func TestRunReproducesChaosGolden(t *testing.T) {
+	r, err := runChaos(t, context.Background(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(shipped("chaos_small.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(t, r), strings.TrimSpace(string(golden)); got != want {
+		t.Fatalf("cmd/repex diverged from configs/chaos_small.golden: got %q, want %q", got, want)
+	}
+	if spec := r.Spec(); spec.Bus != nil || spec.Tracer != nil || r.Collector() != nil {
+		t.Fatalf("unobserved run attached observers: bus=%v tracer=%v collector=%v",
+			spec.Bus != nil, spec.Tracer != nil, r.Collector() != nil)
+	}
+}
+
+// TestRunCancelResume: a context cancelled before the first boundary
+// stops the run there with a checkpoint on disk, and -resume from it
+// completes with the uninterrupted run's slot history.
+func TestRunCancelResume(t *testing.T) {
+	full, err := runChaos(t, context.Background(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "snap.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled, err := runChaos(t, ctx, "", ckpt)
+	if !errors.Is(err, core.ErrRunCancelled) {
+		t.Fatalf("cancelled run returned %v, want ErrRunCancelled", err)
+	}
+	if st := cancelled.State(); st != core.RunCancelled {
+		t.Fatalf("state %v, want cancelled", st)
+	}
+	if part, _ := cancelled.Result(); part == nil || part.ExchangeEvents >= mustReport(t, full).ExchangeEvents {
+		t.Fatalf("cancelled run did not stop early: %+v", part)
+	}
+	resumed, err := runChaos(t, context.Background(), ckpt, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Spec().Resume == nil {
+		t.Fatal("resumed run carries no snapshot")
+	}
+	if got, want := fingerprint(t, resumed), fingerprint(t, full); got != want {
+		t.Fatalf("cancel+resume history %q differs from uninterrupted %q", got, want)
+	}
+}
+
+// TestRunBadResumeFailsFast: a missing, empty or truncated -resume file
+// is rejected before anything runs, naming the path and how to recover.
+func TestRunBadResumeFailsFast(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if _, err := runChaos(t, context.Background(), "", good); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{"missing.json": nil, "empty.json": {}, "truncated.json": data[:len(data)/2]}
+	for name, content := range cases {
+		path := filepath.Join(dir, name)
+		if content != nil {
+			if err := os.WriteFile(path, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := runChaos(t, context.Background(), path, "")
+		if err == nil || r != nil {
+			t.Fatalf("%s: run started (err %v)", name, err)
+		}
+		if !errors.Is(err, serve.ErrResume) {
+			t.Errorf("%s: %v is not a resume error", name, err)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "run without -resume to start fresh") {
+			t.Errorf("%s: error %q must name the path and the way out", name, err)
+		}
+	}
+}

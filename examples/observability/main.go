@@ -55,7 +55,8 @@ func main() {
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
 
 	// 3. Serve it. Port 0 picks a free port; cmd/repex's -listen flag
-	// does the same wiring. The HTTP handlers run concurrently with the
+	// gets this wiring from serve.NewRun (docs/architecture.md, "Run
+	// assembly"). The HTTP handlers run concurrently with the
 	// simulation, so anything the status closure reads must be
 	// thread-safe — hence the atomic state value.
 	var state atomic.Value

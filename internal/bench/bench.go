@@ -12,7 +12,9 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/pilot"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -47,9 +49,37 @@ type RunParams struct {
 	// completion); see core.Simulation.RunContext.
 	Context context.Context
 	// OnStart, when set, receives the constructed simulation right
-	// before it runs (cmd/repex uses it to flip its live status
-	// endpoint to "running" once the replica set exists).
+	// before it runs (serve.Run uses it to flip its status to "running"
+	// once the replica set exists).
 	OnStart func(*core.Simulation)
+}
+
+// LaunchParams is the one Launch→RunParams mapping: the simulation
+// block becomes the spec and the named virtual engine, the resource
+// block the machine, pilots, walltime and chaos plan. cmd/repex, repexd
+// and the shipped-config tests all run what it returns, adding Context
+// and OnStart. Specs are stateful, so every call builds a fresh one.
+func LaunchParams(l *config.Launch) (RunParams, error) {
+	spec, err := l.Sim.ToSpec()
+	if err != nil {
+		return RunParams{}, err
+	}
+	machine, ps, err := l.Res.Resolve()
+	if err != nil {
+		return RunParams{}, err
+	}
+	return RunParams{
+		Spec:          spec,
+		Cluster:       machine,
+		PilotCores:    ps.Cores,
+		PilotWalltime: ps.Walltime,
+		Pilots:        ps.Pilots,
+		Chaos:         ps.Chaos,
+		NewEngine: func(seed int64) core.Engine {
+			return engines.NewNamedVirtual(l.Sim.Engine, l.Sim.Atoms, seed)
+		},
+		Seed: spec.Seed,
+	}, nil
 }
 
 // Run executes a simulation to completion in virtual time. On a run

@@ -16,46 +16,42 @@ import (
 	"repro/internal/respace"
 )
 
+// shippedParams loads a committed simulation/resource pair through
+// LaunchParams, the mapping cmd/repex and repexd run. Specs are
+// stateful, so every call rebuilds everything from the files.
+func shippedParams(t *testing.T, simName, resName string) RunParams {
+	t.Helper()
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "..", "configs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	simFile, err := config.ParseSimulation(read(simName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resFile, err := config.DecodeResource(read(resName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := LaunchParams(&config.Launch{Sim: simFile, Res: resFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // chaosParams loads the committed chaos configs (the pair the CI
-// chaos-soak lane runs) into fresh RunParams. Specs are stateful, so
-// every call rebuilds everything from the files.
+// chaos-soak lane runs) into fresh RunParams.
 func chaosParams(t *testing.T) RunParams {
 	t.Helper()
-	simData, err := os.ReadFile(filepath.Join("..", "..", "configs", "chaos_sim_small.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	simFile, err := config.ParseSimulation(simData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := simFile.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resData, err := os.ReadFile(filepath.Join("..", "..", "configs", "chaos_small.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine, ps, err := config.ParseResource(resData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Chaos.Empty() {
+	p := shippedParams(t, "chaos_sim_small.json", "chaos_small.json")
+	if p.Chaos.Empty() {
 		t.Fatal("configs/chaos_small.json carries no chaos plan")
 	}
-	return RunParams{
-		Spec:          spec,
-		Cluster:       machine,
-		PilotCores:    ps.Cores,
-		PilotWalltime: ps.Walltime,
-		Pilots:        ps.Pilots,
-		Chaos:         ps.Chaos,
-		NewEngine: func(seed int64) core.Engine {
-			return engines.NewNamedVirtual(simFile.Engine, simFile.Atoms, seed)
-		},
-		Seed: spec.Seed,
-	}
+	return p
 }
 
 // checkChaosReport asserts the invariants the chaos lane gates on:

@@ -8,57 +8,27 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/engines"
 	"repro/internal/respace"
 )
 
 // respaceSmallParams loads the committed respace walkthrough config
 // (the pair the respace smoke runs) with the collector-backed planner
-// wired exactly the way cmd/repex wires it.
+// wired the way serve.NewRun wires it (bench cannot import serve).
 func respaceSmallParams(t *testing.T) (RunParams, **core.Simulation) {
 	t.Helper()
-	simData, err := os.ReadFile(filepath.Join("..", "..", "configs", "respace_small.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	simFile, err := config.ParseSimulation(simData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := simFile.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := shippedParams(t, "respace_small.json", "small_cluster_16.json")
+	spec := p.Spec
 	if spec.Respace == nil {
 		t.Fatal("configs/respace_small.json does not enable respacing")
-	}
-	resData, err := os.ReadFile(filepath.Join("..", "..", "configs", "small_cluster_16.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine, ps, err := config.ParseResource(resData)
-	if err != nil {
-		t.Fatal(err)
 	}
 	spec.Bus = core.NewBus()
 	col := analysis.New(analysis.ConfigFromSpec(spec))
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
 	spec.Respace.Planner = respace.NewPlanner(col)
 	simPtr := new(*core.Simulation)
-	return RunParams{
-		Spec:          spec,
-		Cluster:       machine,
-		PilotCores:    ps.Cores,
-		PilotWalltime: ps.Walltime,
-		Pilots:        ps.Pilots,
-		NewEngine: func(seed int64) core.Engine {
-			return engines.NewNamedVirtual(simFile.Engine, simFile.Atoms, seed)
-		},
-		Seed:    spec.Seed,
-		OnStart: func(s *core.Simulation) { *simPtr = s },
-	}, simPtr
+	p.OnStart = func(s *core.Simulation) { *simPtr = s }
+	return p, simPtr
 }
 
 // TestRespaceSmallGolden locks the committed respace walkthrough to its

@@ -8,12 +8,12 @@ import (
 	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/engines"
 )
 
 // End-to-end tests of the shipped example configuration files: parse
-// them, run the simulation they describe on the virtual cluster and
-// check the outcome, exactly as cmd/repex does.
+// them, run the simulation they describe on the virtual cluster through
+// bench.LaunchParams — the mapping cmd/repex and repexd run — and check
+// the outcome.
 
 func readConfig(t *testing.T, name string) []byte {
 	t.Helper()
@@ -30,22 +30,15 @@ func runConfig(t *testing.T, simName, resName string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := simFile.ToSpec()
+	resFile, err := config.DecodeResource(readConfig(t, resName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine, pl, err := config.ParseResource(readConfig(t, resName))
+	params, err := bench.LaunchParams(&config.Launch{Sim: simFile, Res: resFile})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := bench.Run(bench.RunParams{
-		Spec:          spec,
-		Cluster:       machine,
-		PilotCores:    pl.Cores,
-		PilotWalltime: pl.Walltime,
-		NewEngine:     func(s int64) core.Engine { return engines.NewAmberVirtual(simFile.Atoms, s) },
-		Seed:          spec.Seed,
-	})
+	rep, err := bench.Run(params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,144 +12,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/bench"
-	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/engines"
 	"repro/internal/pilot"
-	"repro/internal/respace"
-	"repro/internal/trace"
 )
 
 // ErrMaxRuns rejects a launch while the configured number of active
 // (non-terminal) runs is already reached.
 var ErrMaxRuns = errors.New("serve: active-run limit reached")
-
-// ErrRunNotFound reports an unknown run id.
-var ErrRunNotFound = errors.New("serve: no such run")
-
-// Run is one registry-owned simulation: its own event bus, collector
-// and per-run endpoints, executing on its own goroutine so many runs
-// share one process (and one core pool) without sharing any state.
-type Run struct {
-	// ID is the registry-assigned identifier ("r1", "r2", ...).
-	ID string
-
-	spec   *core.Spec
-	bus    *core.Bus
-	col    *analysis.Collector
-	srv    *Server
-	engine string
-	cores  int
-	cancel context.CancelFunc
-	// done closes when the run goroutine has finished and report/err
-	// carry the outcome.
-	done chan struct{}
-
-	mu     sync.Mutex
-	state  core.RunState
-	report *core.Report
-	err    error
-	// sim is the constructed simulation once the run goroutine reaches
-	// OnStart; status surfaces read its respace accessors (which are
-	// themselves mutex-guarded against the dispatcher).
-	sim *core.Simulation
-}
-
-// State returns the run's lifecycle state.
-func (r *Run) State() core.RunState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
-}
-
-// Done closes when the run reaches a terminal state.
-func (r *Run) Done() <-chan struct{} { return r.done }
-
-// Result returns the run's final report and error; the report may be
-// the partial report of a failed or cancelled run, and both are nil/nil
-// until Done closes.
-func (r *Run) Result() (*core.Report, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.report, r.err
-}
-
-// Cancel requests cancellation; the dispatcher honours it at the next
-// fired exchange boundary (idempotent, safe after completion).
-func (r *Run) Cancel() { r.cancel() }
-
-// baseStatus is the run's status-source for its Server: the static
-// configuration plus the lifecycle state (the Server merges in the
-// collector's live counters).
-func (r *Run) baseStatus() RunStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := RunStatus{
-		ID:              r.ID,
-		Name:            r.spec.Name,
-		Engine:          r.engine,
-		Trigger:         r.spec.TriggerName(),
-		State:           r.state.String(),
-		Replicas:        r.spec.Replicas(),
-		Cores:           r.cores,
-		CyclesTarget:    r.spec.Cycles,
-		ExchangeWorkers: r.spec.ExchangeWorkers,
-		HistoryTail:     r.spec.HistoryTail,
-		BusPublished:    r.bus.Published(),
-	}
-	if fb, ok := r.spec.Trigger.(*core.FeedbackTrigger); ok {
-		st.Feedback = fb.ControllerStatus()
-	}
-	if rs := r.spec.Respace; rs != nil {
-		respaceSt := &RespaceStatus{
-			Enabled:    true,
-			AfterSteps: rs.AfterSteps,
-			MaxRefits:  rs.MaxRefits,
-		}
-		if r.sim != nil {
-			respaceSt.Refits = r.sim.RefitCounts()
-			respaceSt.Ladders = r.sim.LadderValues()
-			respaceSt.History = r.sim.RespaceHistory()
-		}
-		st.Respace = respaceSt
-	}
-	if r.err != nil && !errors.Is(r.err, core.ErrRunCancelled) {
-		st.Error = r.err.Error()
-	}
-	return st
-}
-
-// fullStatus merges the base status with the collector's counters, the
-// same view /runs/{id}/status serves.
-func (r *Run) fullStatus() RunStatus {
-	stats := r.srv.snapshot(false)
-	return r.srv.runStatusFrom(&stats)
-}
-
-// view renders the run as one contribution to an aggregate metrics
-// exposition.
-func (r *Run) view() runView {
-	stats := r.srv.snapshot(false)
-	return runView{run: r.ID, stats: stats, st: r.srv.runStatusFrom(&stats)}
-}
-
-func (r *Run) finish(report *core.Report, err error) {
-	r.mu.Lock()
-	r.report, r.err = report, err
-	switch {
-	case err == nil:
-		r.state = core.RunCompleted
-	case errors.Is(err, core.ErrRunCancelled):
-		r.state = core.RunCancelled
-	default:
-		r.state = core.RunFailed
-	}
-	r.mu.Unlock()
-	close(r.done)
-}
 
 // Registry is the multi-run control plane behind repexd: it launches
 // runs from posted configs, admits them against one process-wide core
@@ -243,54 +113,18 @@ func (g *Registry) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // Pool exposes the shared admission pool (nil when unbounded).
 func (g *Registry) Pool() *pilot.Pool { return g.pool }
 
-// Launch starts one run from a validated launch request. It performs
-// all fallible setup (spec construction, checkpoint load, collector
-// restore) before admission, so a rejected or failed launch never
-// consumes pool cores. Admission errors wrap pilot.ErrPoolExhausted or
-// ErrMaxRuns.
+// Launch starts one run from a validated launch request. All fallible
+// setup happens in NewRun before admission, so a rejected or failed
+// launch never consumes pool cores. Registry runs are always served, so
+// each carries its own bus, collector and flight recorder and events
+// from concurrent runs can never reach another run's view. Admission
+// errors wrap pilot.ErrPoolExhausted or ErrMaxRuns.
 func (g *Registry) Launch(l *config.Launch) (*Run, error) {
-	spec, err := l.Sim.ToSpec()
+	run, err := NewRun(context.Background(), l, true, false, g.traceEvents)
 	if err != nil {
 		return nil, err
 	}
-	machine, ps, err := l.Res.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if l.Resume != "" {
-		data, err := ckpt.Load(l.Resume)
-		if err != nil {
-			return nil, err
-		}
-		snap, err := core.DecodeSnapshot(data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: resume checkpoint %s: %v", l.Resume, err)
-		}
-		spec.Resume = snap
-	}
-
-	// Per-run bus and collector: the registry always attaches them so
-	// /runs/{id}/stats, /metrics and /events work for every run, and so
-	// events from concurrent runs can never reach another run's view.
-	spec.Bus = core.NewBus()
-	colCfg := analysis.ConfigFromSpec(spec)
-	colCfg.WindowEvents = l.Sim.WindowEvents
-	col := analysis.New(colCfg)
-	col.Attach(spec.Bus, analysis.RunBuffer(spec))
-	// The respace planner reads this run's collector; ToSpec left the
-	// field nil because the collector did not exist yet.
-	if spec.Respace != nil {
-		spec.Respace.Planner = respace.NewPlanner(col)
-	}
-	if spec.Resume != nil {
-		if len(spec.Resume.Analysis) > 0 {
-			if err := col.Restore(spec.Resume.Analysis); err != nil {
-				return nil, fmt.Errorf("serve: resume checkpoint %s: %v", l.Resume, err)
-			}
-		} else if err := col.SeedResume(spec.Resume); err != nil {
-			return nil, fmt.Errorf("serve: resume checkpoint %s: %v", l.Resume, err)
-		}
-	}
+	spec, cores := run.Spec(), run.params.PilotCores
 
 	g.mu.Lock()
 	if g.maxRuns > 0 {
@@ -305,90 +139,31 @@ func (g *Registry) Launch(l *config.Launch) (*Run, error) {
 			return nil, fmt.Errorf("%w: %d active", ErrMaxRuns, active)
 		}
 	}
-	if err := g.pool.Acquire(ps.Cores); err != nil {
+	if err := g.pool.Acquire(cores); err != nil {
 		g.mu.Unlock()
 		return nil, err
 	}
 	g.nextID++
-	id := fmt.Sprintf("r%d", g.nextID)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	run := &Run{
-		ID:     id,
-		spec:   spec,
-		bus:    spec.Bus,
-		col:    col,
-		engine: l.Sim.Engine,
-		cores:  ps.Cores,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		state:  core.RunPending,
-	}
-	// Per-run flight recorder: bounded and drop-oldest like the bus, so
-	// it is safe to attach unconditionally; /runs/{id}/trace serves it.
-	rec := trace.New(g.traceEvents)
-	spec.Tracer = rec
-	run.srv = New(col, run.baseStatus)
-	run.srv.SetRunLabel(id)
-	run.srv.SetTracer(rec)
-	g.runs[id] = run
+	run.ID = fmt.Sprintf("r%d", g.nextID)
+	run.srv.SetRunLabel(run.ID)
+	g.runs[run.ID] = run
 	g.order = append(g.order, run)
 	g.wg.Add(1)
 	g.mu.Unlock()
 
-	if l.Checkpoint != "" {
-		path := l.Checkpoint
-		spec.SnapshotEvery = l.CheckpointEvery
-		// With CheckpointEvery 0 the dispatcher writes no periodic
-		// snapshots, but a cancellation still delivers its final
-		// boundary snapshot here.
-		spec.OnSnapshot = func(sn *core.Snapshot) {
-			if data, err := col.EncodeState(); err == nil {
-				sn.Analysis = data
-			} else {
-				g.log.Error("encoding analysis state", "run", id, "error", err)
-			}
-			data, err := sn.Encode()
-			if err == nil {
-				err = ckpt.WriteAtomic(path, data)
-			}
-			if err != nil {
-				g.log.Error("checkpoint write failed", "run", id, "error", err)
-			}
-		}
-	}
-
-	atoms, engine := l.Sim.Atoms, l.Sim.Engine
-	g.log.Info("run launched", "run", id, "name", spec.Name,
-		"engine", engine, "trigger", spec.TriggerName(),
-		"replicas", spec.Replicas(), "cores", ps.Cores)
+	log := g.log.With("run", run.ID)
+	log.Info("run launched", "name", spec.Name,
+		"engine", run.engine, "trigger", spec.TriggerName(),
+		"replicas", spec.Replicas(), "cores", cores)
+	run.Start(log)
 	go func() {
 		defer g.wg.Done()
-		defer g.pool.Release(ps.Cores)
-		report, err := bench.Run(bench.RunParams{
-			Spec:          spec,
-			Cluster:       machine,
-			PilotCores:    ps.Cores,
-			PilotWalltime: ps.Walltime,
-			Pilots:        ps.Pilots,
-			Chaos:         ps.Chaos,
-			NewEngine: func(seed int64) core.Engine {
-				return engines.NewNamedVirtual(engine, atoms, seed)
-			},
-			Seed:    spec.Seed,
-			Context: ctx,
-			OnStart: func(sim *core.Simulation) {
-				run.mu.Lock()
-				run.state = core.RunRunning
-				run.sim = sim
-				run.mu.Unlock()
-			},
-		})
-		run.finish(report, err)
-		if err != nil && !errors.Is(err, core.ErrRunCancelled) {
-			g.log.Error("run failed", "run", id, "error", err)
+		<-run.done
+		g.pool.Release(cores)
+		if _, err := run.Result(); err != nil && !errors.Is(err, core.ErrRunCancelled) {
+			log.Error("run failed", "error", err)
 		} else {
-			g.log.Info("run finished", "run", id, "state", run.State().String())
+			log.Info("run finished", "state", run.State().String())
 		}
 	}()
 	return run, nil
@@ -407,16 +182,6 @@ func (g *Registry) List() []*Run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return append([]*Run(nil), g.order...)
-}
-
-// Cancel requests cancellation of one run.
-func (g *Registry) Cancel(id string) error {
-	r, ok := g.Get(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrRunNotFound, id)
-	}
-	r.Cancel()
-	return nil
 }
 
 // CancelAll requests cancellation of every non-terminal run (the
@@ -468,7 +233,7 @@ func (g *Registry) handleDaemonStatus(w http.ResponseWriter, _ *http.Request) {
 		PoolCoresUsed:  g.pool.Used(),
 	}
 	for _, r := range runs {
-		st := r.fullStatus()
+		st := r.Status()
 		if !r.State().Terminal() {
 			ds.ActiveRuns++
 		}
@@ -499,14 +264,14 @@ func (g *Registry) handleLaunch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, run.fullStatus())
+	writeJSON(w, run.Status())
 }
 
 func (g *Registry) handleList(w http.ResponseWriter, _ *http.Request) {
 	runs := g.List()
 	out := make([]RunStatus, 0, len(runs))
 	for _, r := range runs {
-		out = append(out, r.fullStatus())
+		out = append(out, r.Status())
 	}
 	writeJSON(w, out)
 }
@@ -520,7 +285,7 @@ func (g *Registry) handleCancel(w http.ResponseWriter, req *http.Request) {
 	g.log.Info("cancellation requested", "run", run.ID)
 	run.Cancel()
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, run.fullStatus())
+	writeJSON(w, run.Status())
 }
 
 // PoolPatch is the PATCH /pool request body: the pool's new total core
@@ -615,8 +380,8 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	sub := run.bus.Subscribe(1 << 12)
-	defer run.bus.Unsubscribe(sub)
+	sub := run.Spec().Bus.Subscribe(1 << 12)
+	defer run.Spec().Bus.Unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)

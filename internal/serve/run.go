@@ -1,0 +1,261 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"sync"
+
+	"repro/internal/analysis"
+	"repro/internal/bench"
+	"repro/internal/ckpt"
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/respace"
+	"repro/internal/trace"
+)
+
+// ErrResume wraps every failure to load, decode or restore a launch's
+// resume checkpoint, so front ends can add their own recovery hint.
+var ErrResume = errors.New("serve: resume checkpoint")
+
+// Run is one assembled simulation and its lifecycle: its own spec,
+// observers and per-run Server, executing on its own goroutine, so many
+// runs share one process (and, under the registry, one core pool)
+// without sharing any state. cmd/repex drives exactly one.
+type Run struct {
+	// ID is the registry-assigned identifier ("r1", "r2", ...); empty
+	// for the single run of cmd/repex.
+	ID string
+
+	params bench.RunParams
+	col    *analysis.Collector
+	srv    *Server
+	engine string
+	log    *slog.Logger
+	cancel context.CancelFunc
+	// done closes when the run goroutine has finished and report/err
+	// carry the outcome.
+	done chan struct{}
+
+	mu     sync.Mutex
+	state  core.RunState
+	report *core.Report
+	err    error
+	// sim is the constructed simulation once the run goroutine reaches
+	// OnStart; status surfaces read its respace accessors (which are
+	// themselves mutex-guarded against the dispatcher).
+	sim *core.Simulation
+}
+
+// NewRun does all the fallible assembly of a launch and returns the run
+// pending, so the registry admits it only once nothing can fail any
+// more; ctx cancels the started run at its next exchange boundary.
+// served says the caller will expose the run's Server, traced that it
+// wants the recorder's timeline afterwards (cmd/repex's -listen and
+// -trace); traceEvents sizes the recorder (0: its default depth).
+//
+// Observers attach by one rule. The bus and collector power the live
+// endpoints, the checkpoint-embedded statistics and the respace
+// planner's measured acceptance profile, so they attach iff the run is
+// served, checkpointed or respacing; without a consumer the run stays
+// bus-free. The flight recorder attaches iff someone can read it; it is
+// bounded and touches neither the RNG nor the virtual clock, so a
+// traced run is bit-identical to an untraced one.
+func NewRun(ctx context.Context, l *config.Launch, served, traced bool, traceEvents int) (*Run, error) {
+	params, err := bench.LaunchParams(l)
+	if err != nil {
+		return nil, err
+	}
+	spec := params.Spec
+	if l.Resume != "" {
+		// ckpt.Load's own message already names the path.
+		data, err := ckpt.Load(l.Resume)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrResume, err)
+		}
+		if spec.Resume, err = core.DecodeSnapshot(data); err != nil {
+			return nil, fmt.Errorf("%w %s: %v", ErrResume, l.Resume, err)
+		}
+	}
+	r := &Run{params: params, engine: l.Sim.Engine,
+		done: make(chan struct{}), state: core.RunPending}
+
+	if served || l.Checkpoint != "" || spec.Respace != nil {
+		spec.Bus = core.NewBus()
+		colCfg := analysis.ConfigFromSpec(spec)
+		colCfg.WindowEvents = l.Sim.WindowEvents
+		r.col = analysis.New(colCfg)
+		r.col.Attach(spec.Bus, analysis.RunBuffer(spec))
+		if snap := spec.Resume; snap != nil {
+			var err error
+			if len(snap.Analysis) > 0 {
+				err = r.col.Restore(snap.Analysis)
+			} else {
+				// No collector ran before the snapshot: continue the
+				// event clock and slot baseline from the checkpoint so
+				// walks are not measured against the fresh-run identity.
+				err = r.col.SeedResume(snap)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%w %s: %v", ErrResume, l.Resume, err)
+			}
+		}
+	}
+	// The respace planner re-fits saturated ladders from the collector's
+	// measured per-pair acceptance; ToSpec left the field nil because
+	// the collector did not exist yet.
+	if spec.Respace != nil {
+		spec.Respace.Planner = respace.NewPlanner(r.col)
+	}
+	if served || traced {
+		spec.Tracer = trace.New(traceEvents)
+	}
+	if l.Checkpoint != "" {
+		// With CheckpointEvery 0 the dispatcher writes no periodic
+		// snapshots, but a cancellation still delivers its final
+		// boundary snapshot here.
+		spec.SnapshotEvery = l.CheckpointEvery
+		spec.OnSnapshot = func(sn *core.Snapshot) { r.writeCheckpoint(l.Checkpoint, sn) }
+	}
+	r.srv = New(r.col, r.baseStatus)
+	r.srv.SetTracer(spec.Tracer)
+	r.params.OnStart = func(sim *core.Simulation) {
+		r.mu.Lock()
+		r.state = core.RunRunning
+		r.sim = sim
+		r.mu.Unlock()
+	}
+	r.params.Context, r.cancel = context.WithCancel(ctx)
+	return r, nil
+}
+
+// writeCheckpoint is the OnSnapshot hook: it embeds the collector's
+// state so a resumed run's statistics continue.
+func (r *Run) writeCheckpoint(path string, sn *core.Snapshot) {
+	if data, err := r.col.EncodeState(); err == nil {
+		sn.Analysis = data
+	} else {
+		r.log.Error("encoding analysis state", "error", err)
+	}
+	data, err := sn.Encode()
+	if err == nil {
+		err = ckpt.WriteAtomic(path, data)
+	}
+	if err != nil {
+		r.log.Error("checkpoint write failed", "path", path, "error", err)
+	}
+}
+
+// Start launches the run goroutine, once; log receives the run's
+// diagnostics (the registry passes a logger carrying run=<id>).
+func (r *Run) Start(log *slog.Logger) {
+	r.log = log
+	if snap := r.params.Spec.Resume; snap != nil && r.col != nil && len(snap.Analysis) == 0 {
+		log.Warn("checkpoint carries no analysis state; statistics cover the resumed portion only")
+	}
+	go func() { r.finish(bench.Run(r.params)) }()
+}
+
+// State returns the run's lifecycle state.
+func (r *Run) State() core.RunState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state
+}
+
+// Done closes when the run reaches a terminal state.
+func (r *Run) Done() <-chan struct{} { return r.done }
+
+// Result returns the run's final report and error; the report may be
+// the partial report of a failed or cancelled run, and both are nil/nil
+// until Done closes.
+func (r *Run) Result() (*core.Report, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.report, r.err
+}
+
+// Cancel requests cancellation; the dispatcher honours it at the next
+// fired exchange boundary (idempotent, safe after completion).
+func (r *Run) Cancel() { r.cancel() }
+
+// Spec returns the assembled spec; read-only once the run has started.
+func (r *Run) Spec() *core.Spec { return r.params.Spec }
+
+// Collector returns the run's collector, nil for a bus-free run.
+func (r *Run) Collector() *analysis.Collector { return r.col }
+
+// Server returns the run's endpoints; Start a listener on it to serve.
+func (r *Run) Server() *Server { return r.srv }
+
+// baseStatus is the run's status-source for its Server: the static
+// configuration plus the lifecycle state (the Server merges in the
+// collector's live counters).
+func (r *Run) baseStatus() RunStatus {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	spec := r.params.Spec
+	st := RunStatus{
+		ID:              r.ID,
+		Name:            spec.Name,
+		Engine:          r.engine,
+		Trigger:         spec.TriggerName(),
+		State:           r.state.String(),
+		Replicas:        spec.Replicas(),
+		Cores:           r.params.PilotCores,
+		CyclesTarget:    spec.Cycles,
+		ExchangeWorkers: spec.ExchangeWorkers,
+		HistoryTail:     spec.HistoryTail,
+		BusPublished:    spec.Bus.Published(),
+	}
+	if fb, ok := spec.Trigger.(*core.FeedbackTrigger); ok {
+		// ControllerStatus is mutex-guarded inside the trigger, so the
+		// live scrape is race-free against the dispatcher.
+		st.Feedback = fb.ControllerStatus()
+	}
+	if rs := spec.Respace; rs != nil {
+		respaceSt := &RespaceStatus{
+			Enabled:    true,
+			AfterSteps: rs.AfterSteps,
+			MaxRefits:  rs.MaxRefits,
+		}
+		if r.sim != nil {
+			respaceSt.Refits = r.sim.RefitCounts()
+			respaceSt.Ladders = r.sim.LadderValues()
+			respaceSt.History = r.sim.RespaceHistory()
+		}
+		st.Respace = respaceSt
+	}
+	if r.err != nil && !errors.Is(r.err, core.ErrRunCancelled) {
+		st.Error = r.err.Error()
+	}
+	return st
+}
+
+// Status merges the base status with the collector's counters, the same
+// view /status serves.
+func (r *Run) Status() RunStatus { return r.view().st }
+
+// view renders the run as one contribution to an aggregate metrics
+// exposition.
+func (r *Run) view() runView {
+	stats := r.srv.snapshot(false)
+	return runView{run: r.ID, stats: stats, st: r.srv.runStatusFrom(&stats)}
+}
+
+func (r *Run) finish(report *core.Report, err error) {
+	r.mu.Lock()
+	r.report, r.err = report, err
+	switch {
+	case err == nil:
+		r.state = core.RunCompleted
+	case errors.Is(err, core.ErrRunCancelled):
+		r.state = core.RunCancelled
+	default:
+		r.state = core.RunFailed
+	}
+	r.mu.Unlock()
+	close(r.done)
+}

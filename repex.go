@@ -35,14 +35,13 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
 	"repro/internal/localexec"
 	"repro/internal/md"
-	"repro/internal/pilot"
-	"repro/internal/sim"
 )
 
 // Version identifies this reproduction release.
@@ -271,44 +270,25 @@ const (
 // milliseconds while preserving queueing, batching (Execution Mode II),
 // overhead and failure behaviour.
 func RunVirtual(spec *Spec, machine cluster.Config, pilotCores int, kind VirtualEngineKind, atoms int, seed int64) (*Report, error) {
-	var newEng func(int64) core.Engine
 	switch kind {
-	case AmberSander:
-		newEng = func(s int64) core.Engine { return engines.NewAmberVirtual(atoms, s) }
-	case AmberPmemd:
-		newEng = func(s int64) core.Engine { return engines.NewPmemdVirtual(atoms, s) }
-	case NAMD:
-		newEng = func(s int64) core.Engine { return engines.NewNAMDVirtual(atoms, s) }
+	case AmberSander, AmberPmemd, NAMD:
 	default:
 		return nil, fmt.Errorf("repex: unknown virtual engine kind %q", kind)
 	}
-	env := sim.NewEnv()
-	cl, err := cluster.New(env, machine, seed+1)
+	// Unbounded walltime and a single pilot here; bounded pilots with
+	// failover, multi-pilot splits and chaos plans are the other fields
+	// of bench.RunParams, set from the cmd/repex resource file.
+	report, err := bench.Run(bench.RunParams{
+		Spec:       spec,
+		Cluster:    machine,
+		PilotCores: pilotCores,
+		NewEngine: func(s int64) core.Engine {
+			return engines.NewNamedVirtual(string(kind), atoms, s)
+		},
+		Seed: seed,
+	})
 	if err != nil {
 		return nil, err
-	}
-	eng := newEng(seed + 2)
-	var report *core.Report
-	var runErr error
-	env.Go("emm", func(p *sim.Proc) {
-		// Unbounded walltime here; bounded pilots with failover are
-		// exposed through internal/bench.RunParams.PilotWalltime and the
-		// cmd/repex resource file.
-		rt, err := pilot.NewFailoverRuntime(cl, pilot.Description{Cores: pilotCores}, p)
-		if err != nil {
-			runErr = err
-			return
-		}
-		simu, err := core.New(spec, eng, rt)
-		if err != nil {
-			runErr = err
-			return
-		}
-		report, runErr = simu.Run()
-	})
-	env.Run()
-	if runErr != nil {
-		return nil, runErr
 	}
 	return report, nil
 }

@@ -2,6 +2,10 @@ package repex
 
 import (
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/engines"
 )
 
 func TestRunLocalTREMD(t *testing.T) {
@@ -112,5 +116,38 @@ func TestRunVirtualUnknownEngine(t *testing.T) {
 func TestVersion(t *testing.T) {
 	if Version == "" {
 		t.Fatal("empty version")
+	}
+}
+
+// TestRunVirtualMatchesBenchRun: RunVirtual is bench.Run with the kind's
+// engine, a single unbounded pilot and the same seeds — one spec per
+// kind yields the identical slot history.
+func TestRunVirtualMatchesBenchRun(t *testing.T) {
+	newSpec := func() *Spec {
+		return &Spec{
+			Name:            "api-parity",
+			Dims:            []Dimension{{Type: Temperature, Values: GeometricTemperatures(280, 360, 8)}},
+			CoresPerReplica: 1, StepsPerCycle: 2000, Cycles: 3, Seed: 9,
+		}
+	}
+	kinds := map[VirtualEngineKind]func(int64) core.Engine{
+		AmberSander: func(s int64) core.Engine { return engines.NewAmberVirtual(2881, s) },
+		AmberPmemd:  func(s int64) core.Engine { return engines.NewPmemdVirtual(2881, s) },
+		NAMD:        func(s int64) core.Engine { return engines.NewNAMDVirtual(2881, s) },
+	}
+	for kind, newEngine := range kinds {
+		got, err := RunVirtual(newSpec(), Small(1, 8), 8, kind, 2881, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bench.Run(bench.RunParams{Spec: newSpec(), Cluster: Small(1, 8),
+			PilotCores: 8, NewEngine: newEngine, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SlotFingerprint != want.SlotFingerprint || got.SlotRows != want.SlotRows || got.Engine != want.Engine {
+			t.Errorf("%s: RunVirtual %s %d rows %016x, bench.Run %s %d rows %016x", kind,
+				got.Engine, got.SlotRows, got.SlotFingerprint, want.Engine, want.SlotRows, want.SlotFingerprint)
+		}
 	}
 }
