@@ -20,13 +20,17 @@
 // runner class changes. The GOMAXPROCS suffix (-8) is stripped from
 // benchmark names so a baseline survives runner core-count changes.
 //
-// Alongside the absolute-ns medians, the baseline may carry
-// machine-independent ratio gates ("ratios": [{"num": ..., "den": ...,
-// "max": 1.05}]): the median ratio of two benchmarks from the same run
-// must stay below the bound. Ratios survive runner upgrades without
-// baseline churn (e.g. the observability bus may cost at most 5% over
-// the bare dispatcher, on any hardware) and are carried over verbatim
-// by -write.
+// Alongside the absolute-ns medians, the baseline may carry pair gates
+// over two benchmarks from the same run ("ratios": [{"num": ..., "den":
+// ..., "max": 2}, {"num": ..., "den": ..., "max_delta": 1500}]). "max"
+// bounds the ratio of the medians and is machine-independent: it
+// survives runner upgrades without baseline churn (4096 replicas may
+// cost at most 2x per completion what 256 do, on any hardware).
+// "max_delta" bounds the difference of the medians, in the baseline's
+// metric: the form for "B is A plus a fixed cost" (the observability bus
+// over the bare dispatcher), where a ratio would silently loosen or
+// tighten whenever A itself gets faster or slower. Pair gates are
+// carried over verbatim by -write.
 package main
 
 import (
@@ -53,22 +57,26 @@ type Baseline struct {
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to
 	// the median metric value.
 	Benchmarks map[string]float64 `json:"benchmarks"`
-	// Ratios are machine-independent companion gates: unlike the
-	// absolute medians above (runner-class specific, churned by
-	// hardware changes), a ratio of two benchmarks measured in the same
-	// run survives runner upgrades. -write carries them over verbatim.
-	Ratios []RatioGate `json:"ratios,omitempty"`
+	// Ratios are companion gates over pairs of benchmarks measured in
+	// the same run: unlike the absolute medians above (runner-class
+	// specific, churned by hardware changes) they compare the run with
+	// itself. -write carries them over verbatim.
+	Ratios []PairGate `json:"ratios,omitempty"`
 }
 
-// RatioGate bounds the median ratio of two benchmarks from the same
-// run: median(Num)/median(Den) must stay below Max.
-type RatioGate struct {
+// PairGate bounds one benchmark against another from the same run, by
+// ratio (Max), by difference (MaxDelta), or both; a gate with neither
+// bound fails, so a typo cannot pass silently.
+type PairGate struct {
 	// Num and Den are benchmark names (GOMAXPROCS suffix stripped).
 	Num string `json:"num"`
 	Den string `json:"den"`
-	// Max is the exclusive upper bound on the ratio (e.g. 1.05: the
-	// numerator may cost at most 5% more than the denominator).
-	Max float64 `json:"max"`
+	// Max is the exclusive upper bound on median(Num)/median(Den) (e.g.
+	// 2: the numerator may cost less than twice the denominator).
+	Max float64 `json:"max,omitempty"`
+	// MaxDelta is the inclusive upper bound on median(Num)-median(Den),
+	// in the baseline's metric (e.g. 1500 ns/completion).
+	MaxDelta float64 `json:"max_delta,omitempty"`
 }
 
 // testEvent is the subset of `go test -json` events we consume.
@@ -203,27 +211,42 @@ func gate(base *Baseline, cur map[string][]float64, threshold float64) (report [
 	return append(report, rr...), append(failed, rf...)
 }
 
-// gateRatios checks the machine-independent ratio gates against the
-// run's medians. A gate whose members are missing from the run fails,
-// like a missing absolute benchmark: a silently unmeasured ratio is
-// not a pass.
-func gateRatios(gates []RatioGate, cur map[string][]float64) (report []string, failed []string) {
+// gateRatios checks the pair gates against the run's medians. A gate
+// whose members are missing from the run fails, like a missing absolute
+// benchmark: a silently unmeasured pair is not a pass.
+func gateRatios(gates []PairGate, cur map[string][]float64) (report []string, failed []string) {
 	for _, g := range gates {
 		label := g.Num + "/" + g.Den
 		num, okN := cur[g.Num]
 		den, okD := cur[g.Den]
 		if !okN || !okD || len(num) == 0 || len(den) == 0 {
-			report = append(report, fmt.Sprintf("FAIL %-44s ratio gate member missing from this run", label))
+			report = append(report, fmt.Sprintf("FAIL %-44s pair gate member missing from this run", label))
 			failed = append(failed, label)
 			continue
 		}
-		ratio := median(num) / median(den)
-		verdict := "ok  "
-		if ratio >= g.Max {
-			verdict = "FAIL"
+		if g.Max == 0 && g.MaxDelta == 0 {
+			report = append(report, fmt.Sprintf("FAIL %-44s pair gate has neither max nor max_delta", label))
 			failed = append(failed, label)
+			continue
 		}
-		report = append(report, fmt.Sprintf("%s %-44s ratio %6.3f  (bound < %.3f)", verdict, label, ratio, g.Max))
+		n, d := median(num), median(den)
+		if g.Max != 0 {
+			verdict := "ok  "
+			if n/d >= g.Max {
+				verdict = "FAIL"
+				failed = append(failed, label)
+			}
+			report = append(report, fmt.Sprintf("%s %-44s ratio %6.3f  (bound < %.3f)", verdict, label, n/d, g.Max))
+		}
+		if g.MaxDelta != 0 {
+			label := g.Num + " - " + g.Den
+			verdict := "ok  "
+			if n-d > g.MaxDelta {
+				verdict = "FAIL"
+				failed = append(failed, label)
+			}
+			report = append(report, fmt.Sprintf("%s %-44s delta %+9.1f  (bound <= %.1f)", verdict, label, n-d, g.MaxDelta))
+		}
 	}
 	return report, failed
 }
@@ -303,8 +326,8 @@ func run() error {
 			base.Benchmarks[name] = median(vs)
 		}
 		// Regenerating absolute medians (machine-specific) must not drop
-		// the ratio gates (machine-independent): carry them over from
-		// the baseline being replaced.
+		// the pair gates: carry them over from the baseline being
+		// replaced.
 		var prev Baseline
 		if old, err := os.ReadFile(*writePath); err == nil {
 			if json.Unmarshal(old, &prev) == nil {

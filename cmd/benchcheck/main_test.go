@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -146,7 +147,7 @@ const ratioStream = `{"Action":"output","Package":"repro","Output":"BenchmarkDis
 func TestRatioGate(t *testing.T) {
 	cur := parse(t, ratioStream, "ns/completion")
 
-	base := &Baseline{Ratios: []RatioGate{
+	base := &Baseline{Ratios: []PairGate{
 		{Num: "BenchmarkDispatcherBus/64/window", Den: "BenchmarkDispatcher/64/window", Max: 1.05},
 	}}
 	report, failed := gate(base, cur, 0.15)
@@ -155,7 +156,7 @@ func TestRatioGate(t *testing.T) {
 	}
 
 	base.Ratios = append(base.Ratios,
-		RatioGate{Num: "BenchmarkDispatcherBus/256/window", Den: "BenchmarkDispatcher/256/window", Max: 1.05})
+		PairGate{Num: "BenchmarkDispatcherBus/256/window", Den: "BenchmarkDispatcher/256/window", Max: 1.05})
 	_, failed = gate(base, cur, 0.15)
 	if len(failed) != 1 || !strings.Contains(failed[0], "256") {
 		t.Fatalf("30%% bus overhead passed the 1.05 ratio gate: failed=%v", failed)
@@ -170,9 +171,74 @@ func TestRatioGate(t *testing.T) {
 	}
 
 	// Members missing from the run fail, like missing benchmarks.
-	base.Ratios = []RatioGate{{Num: "BenchmarkNope", Den: "BenchmarkDispatcher/64/window", Max: 1.05}}
+	base.Ratios = []PairGate{{Num: "BenchmarkNope", Den: "BenchmarkDispatcher/64/window", Max: 1.05}}
 	_, failed = gate(base, cur, 0.15)
 	if len(failed) != 1 {
 		t.Fatalf("missing ratio member passed: failed=%v", failed)
+	}
+}
+
+// TestDeltaGate: max_delta bounds median(num)-median(den) in the
+// baseline's metric, inclusively; it combines with max on one gate, and
+// a gate with no bound at all fails instead of passing vacuously.
+func TestDeltaGate(t *testing.T) {
+	cur := parse(t, ratioStream, "ns/completion")
+	// 64: bus 10400 over dispatcher 10000 = +400. 256: 13000 - 10000 = +3000.
+	base := &Baseline{Ratios: []PairGate{
+		{Num: "BenchmarkDispatcherBus/64/window", Den: "BenchmarkDispatcher/64/window", MaxDelta: 400},
+	}}
+	report, failed := gate(base, cur, 0.15)
+	if len(failed) != 0 {
+		t.Fatalf("+400 failed a max_delta of 400 (inclusive): %v", report)
+	}
+	if !strings.Contains(strings.Join(report, "\n"), "delta") {
+		t.Fatalf("report does not show the measured delta: %v", report)
+	}
+
+	base.Ratios[0].MaxDelta = 399
+	if _, failed = gate(base, cur, 0.15); len(failed) != 1 {
+		t.Fatalf("+400 passed a max_delta of 399: failed=%v", failed)
+	}
+
+	// Both bounds on one gate are checked independently: ratio 1.3 passes
+	// max 1.5, delta +3000 fails max_delta 2000.
+	base.Ratios = []PairGate{{Num: "BenchmarkDispatcherBus/256/window", Den: "BenchmarkDispatcher/256/window", Max: 1.5, MaxDelta: 2000}}
+	if _, failed = gate(base, cur, 0.15); len(failed) != 1 || !strings.Contains(failed[0], " - ") {
+		t.Fatalf("want only the delta half to fail: failed=%v", failed)
+	}
+
+	// A numerator cheaper than its denominator has a negative delta and
+	// passes any positive bound.
+	base.Ratios = []PairGate{{Num: "BenchmarkDispatcher/64/window", Den: "BenchmarkDispatcherBus/64/window", MaxDelta: 1}}
+	if _, failed = gate(base, cur, 0.15); len(failed) != 0 {
+		t.Fatalf("negative delta failed: %v", failed)
+	}
+
+	base.Ratios = []PairGate{{Num: "BenchmarkDispatcherBus/64/window", Den: "BenchmarkDispatcher/64/window"}}
+	if _, failed = gate(base, cur, 0.15); len(failed) != 1 {
+		t.Fatalf("gate without a bound passed: failed=%v", failed)
+	}
+}
+
+// TestPairGatesRoundTripJSON: both gate forms survive the marshal a
+// -write performs when it carries them into the fresh baseline.
+func TestPairGatesRoundTripJSON(t *testing.T) {
+	in := Baseline{Metric: "ns/completion", Ratios: []PairGate{
+		{Num: "a", Den: "b", Max: 2},
+		{Num: "c", Den: "d", MaxDelta: 1500},
+	}}
+	data, err := json.Marshal(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"max_delta":1500`) || strings.Contains(string(data), `"max_delta":0`) {
+		t.Fatalf("unexpected encoding: %s", data)
+	}
+	var out Baseline
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Ratios) != 2 || out.Ratios[0] != in.Ratios[0] || out.Ratios[1] != in.Ratios[1] {
+		t.Fatalf("round trip changed the gates: %+v", out.Ratios)
 	}
 }

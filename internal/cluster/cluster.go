@@ -269,25 +269,88 @@ func lognormal(rng *rand.Rand, sigma float64) float64 {
 	return math.Exp(x)
 }
 
+// Staging is one in-progress staging operation: n metadata operations,
+// each serialized through the metadata server, then one aggregate
+// transfer of the byte volume. It is a resumable state machine so that a
+// stepped process can embed it and drive it across wakeups; the zero
+// value is ready for Begin and may be reused once Step has reported done.
+type Staging struct {
+	c      *Cluster
+	nfiles int
+	bytes  int64
+	left   int // metadata operations not yet started
+	start  float64
+	state  stagingState
+}
+
+type stagingState uint8
+
+const (
+	stagingNext     stagingState = iota // start the next metadata op or the transfer
+	stagingQueued                       // waiting for the metadata server
+	stagingMeta                         // holding the metadata server for MetaLatency
+	stagingTransfer                     // transfer under way
+)
+
+// Begin arms s for nfiles metadata operations and bytes of transfer
+// starting now. Nothing happens until the first Step.
+func (s *Staging) Begin(c *Cluster, nfiles int, bytes int64) {
+	nfiles, bytes = max(nfiles, 0), max(bytes, 0)
+	*s = Staging{c: c, nfiles: nfiles, bytes: bytes, left: nfiles, start: c.env.Now()}
+}
+
+// Step advances the operation as far as it can go at the current virtual
+// time on behalf of p. It reports true once staging is complete;
+// otherwise it has registered p's next wakeup (a metadata-server grant or
+// a timer) and must be called again when p wakes.
+func (s *Staging) Step(p *sim.Proc) (done bool) {
+	c := s.c
+	for {
+		switch s.state {
+		case stagingNext:
+			if s.left > 0 {
+				s.left--
+				s.state = stagingQueued
+				c.mds.Request(p, 1, false)
+				continue
+			}
+			s.state = stagingTransfer
+			if s.bytes > 0 {
+				p.WakeIn(float64(s.bytes) / c.cfg.FS.Bandwidth)
+				return false
+			}
+		case stagingQueued:
+			if !p.Granted() {
+				return false
+			}
+			s.state = stagingMeta
+			p.WakeIn(c.cfg.FS.MetaLatency)
+			return false
+		case stagingMeta:
+			c.mds.Release(1)
+			s.state = stagingNext
+		case stagingTransfer:
+			c.filesStaged += s.nfiles
+			c.bytesStaged += s.bytes
+			return true
+		}
+	}
+}
+
+// Elapsed returns the virtual time since Begin; after Step reported done
+// and before the process moves on, the duration of the whole operation.
+func (s *Staging) Elapsed() float64 { return s.c.env.Now() - s.start }
+
 // StageFiles performs n metadata operations and one aggregate transfer of
 // the given byte volume through the shared filesystem, blocking the
 // calling process. It returns the elapsed virtual time.
 func (c *Cluster) StageFiles(p *sim.Proc, nfiles int, bytes int64) float64 {
-	if nfiles <= 0 && bytes <= 0 {
-		return 0
+	var s Staging
+	s.Begin(c, nfiles, bytes)
+	for !s.Step(p) {
+		p.Park()
 	}
-	start := p.Now()
-	for i := 0; i < nfiles; i++ {
-		c.mds.Acquire(p, 1)
-		p.Sleep(c.cfg.FS.MetaLatency)
-		c.mds.Release(1)
-	}
-	if bytes > 0 {
-		p.Sleep(float64(bytes) / c.cfg.FS.Bandwidth)
-	}
-	c.filesStaged += nfiles
-	c.bytesStaged += bytes
-	return p.Now() - start
+	return s.Elapsed()
 }
 
 // TaskFails draws whether a task fails under the configured probability.

@@ -310,3 +310,34 @@ func TestChaosEventValidation(t *testing.T) {
 		t.Error("plan with a bad event validated")
 	}
 }
+
+func TestGrownPilotRunsUnitWiderThanNominal(t *testing.T) {
+	// MultiRuntime routes by the pilot's current size, so a pilot grown
+	// past its launch size must accept what routing sends it: a task
+	// wider than Description.Cores but within Cores(). SubmitUnit used to
+	// panic on the nominal size, taking the whole process down.
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, elasticConfig(), 1)
+	pl, _ := Launch(cl, Description{Cores: 8})
+	var res task.Result
+	e.Go("orchestrator", func(p *sim.Proc) {
+		m, err := NewMultiRuntime(p, pl)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(1)
+		if got := pl.Resize(+8); got != 8 {
+			t.Errorf("Resize(+8) applied %d", got)
+			return
+		}
+		res = m.Await(m.Submit(&task.Spec{Name: "wide", Kind: task.MD, Cores: 12, Duration: 10}))
+	})
+	e.Run()
+	if res.Err != nil {
+		t.Fatalf("12-core task on a pilot grown to 16 failed: %v", res.Err)
+	}
+	if math.Abs(res.Finished-11) > 1e-9 {
+		t.Fatalf("wide task finished at %v, want 11", res.Finished)
+	}
+}

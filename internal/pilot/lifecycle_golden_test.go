@@ -28,7 +28,9 @@ func noisyConfig() cluster.Config {
 }
 
 // lifecycleScenario builds a workload on a fresh environment; it returns
-// the units whose results are hashed (in submission order) and the pilot.
+// the pilot, its machine and an accessor for the units whose results are
+// hashed, in submission order (driver processes submit more while the
+// environment runs).
 type lifecycleScenario struct {
 	name string
 	run  func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit)
@@ -43,23 +45,20 @@ func mdSpec(i, cores int, dur float64) *task.Spec {
 }
 
 func lifecycleScenarios() []lifecycleScenario {
-	// collect wraps a slice that driver processes append to while the
-	// environment runs.
-	type bag struct{ units []*Unit }
 	return []lifecycleScenario{
 		{"mode1", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			cl := cluster.MustNew(e, noisyConfig(), 11)
 			pl, _ := Launch(cl, Description{Cores: 16})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 16; i++ {
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 1, 30+float64(i)*0.37)))
+				us = append(us, pl.SubmitUnit(mdSpec(i, 1, 30+float64(i)*0.37)))
 			}
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"mode2_wave", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			cl := cluster.MustNew(e, noisyConfig(), 12)
 			pl, _ := Launch(cl, Description{Cores: 8})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 40; i++ {
 				s := mdSpec(i, 1+i%3, 20+float64(i%7)*1.13)
 				if i%5 == 4 {
@@ -70,44 +69,44 @@ func lifecycleScenarios() []lifecycleScenario {
 					s.InFiles, s.OutFiles = 1, 0
 					s.OutBytes = 0
 				}
-				b.units = append(b.units, pl.SubmitUnit(s))
+				us = append(us, pl.SubmitUnit(s))
 			}
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"failures", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			cfg := noisyConfig()
 			cfg.FailureProb = 0.3
 			cl := cluster.MustNew(e, cfg, 13)
 			pl, _ := Launch(cl, Description{Cores: 6})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 30; i++ {
 				s := mdSpec(i, 1, 15+float64(i%4)*2.9)
 				s.CanFail = i%6 != 0
-				b.units = append(b.units, pl.SubmitUnit(s))
+				us = append(us, pl.SubmitUnit(s))
 			}
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"walltime", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			// Expiry lands while the second wave executes and the third is
 			// still queued for cores.
 			cl := cluster.MustNew(e, noisyConfig(), 14)
 			pl, _ := Launch(cl, Description{Cores: 4, Walltime: 41.7})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 12; i++ {
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 1, 22+float64(i)*0.21)))
+				us = append(us, pl.SubmitUnit(mdSpec(i, 1, 22+float64(i)*0.21)))
 			}
 			e.Go("late", func(p *sim.Proc) {
 				p.Sleep(80) // after expiry: fails fast
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(99, 1, 5)))
+				us = append(us, pl.SubmitUnit(mdSpec(99, 1, 5)))
 			})
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"lose_cores", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			cl := cluster.MustNew(e, noisyConfig(), 15)
 			pl, _ := Launch(cl, Description{Cores: 8})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 14; i++ {
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 1+i%2, 40+float64(i)*0.53)))
+				us = append(us, pl.SubmitUnit(mdSpec(i, 1+i%2, 40+float64(i)*0.53)))
 			}
 			e.Go("fault", func(p *sim.Proc) {
 				p.Sleep(31.9)
@@ -115,60 +114,60 @@ func lifecycleScenarios() []lifecycleScenario {
 				p.Sleep(44.4)
 				pl.LoseCores(2)
 			})
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"preempt_notice", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			cl := cluster.MustNew(e, noisyConfig(), 16)
 			pl, _ := Launch(cl, Description{Cores: 6, Walltime: 500})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 18; i++ {
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 1, 12+float64(i%6)*4.7)))
+				us = append(us, pl.SubmitUnit(mdSpec(i, 1, 12+float64(i%6)*4.7)))
 			}
 			e.Go("spot", func(p *sim.Proc) {
 				p.Sleep(30.2)
 				pl.Preempt(17.5)
 				p.Sleep(3)
 				// Refused: the pilot is draining.
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(98, 1, 1)))
+				us = append(us, pl.SubmitUnit(mdSpec(98, 1, 1)))
 			})
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"shrink_aborts_wide", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			cl := cluster.MustNew(e, noisyConfig(), 17)
 			pl, _ := Launch(cl, Description{Cores: 8})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 6; i++ {
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 2, 35+float64(i)*1.9)))
+				us = append(us, pl.SubmitUnit(mdSpec(i, 2, 35+float64(i)*1.9)))
 			}
-			b.units = append(b.units, pl.SubmitUnit(mdSpec(6, 7, 10))) // queued, wide
-			b.units = append(b.units, pl.SubmitUnit(mdSpec(7, 1, 10))) // queued behind it
+			us = append(us, pl.SubmitUnit(mdSpec(6, 7, 10))) // queued, wide
+			us = append(us, pl.SubmitUnit(mdSpec(7, 1, 10))) // queued behind it
 			e.Go("resize", func(p *sim.Proc) {
 				p.Sleep(25.1)
 				pl.Resize(-3) // 8 -> 5: the 7-core unit can never run
 				p.Sleep(30)
 				pl.Resize(+2)
 				// Wider than the pilot is now: fails in the lifecycle.
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(8, 8, 4)))
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(9, 3, 4)))
+				us = append(us, pl.SubmitUnit(mdSpec(8, 8, 4)))
+				us = append(us, pl.SubmitUnit(mdSpec(9, 3, 4)))
 			})
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 		{"submit_before_active", func(e *sim.Env) (*Pilot, *cluster.Cluster, func() []*Unit) {
 			// Half the units wait out the batch queue, the other half
 			// arrive in a trickle around and after activation.
 			cl := cluster.MustNew(e, noisyConfig(), 18)
 			pl, _ := Launch(cl, Description{Cores: 5})
-			b := &bag{}
+			var us []*Unit
 			for i := 0; i < 8; i++ {
-				b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 1, 9+float64(i)*0.77)))
+				us = append(us, pl.SubmitUnit(mdSpec(i, 1, 9+float64(i)*0.77)))
 			}
 			e.Go("trickle", func(p *sim.Proc) {
 				for i := 8; i < 16; i++ {
 					p.Sleep(1.9)
-					b.units = append(b.units, pl.SubmitUnit(mdSpec(i, 1+i%2, 6+float64(i)*0.31)))
+					us = append(us, pl.SubmitUnit(mdSpec(i, 1+i%2, 6+float64(i)*0.31)))
 				}
 			})
-			return pl, cl, func() []*Unit { return b.units }
+			return pl, cl, func() []*Unit { return us }
 		}},
 	}
 }

@@ -115,6 +115,7 @@ type Description struct {
 type Pilot struct {
 	env      *sim.Env
 	cl       *cluster.Cluster
+	cfg      cluster.Config
 	desc     Description
 	cores    *sim.Resource
 	launcher *sim.Resource
@@ -134,9 +135,11 @@ type Pilot struct {
 	// draining is set by a preemption notice: no new submissions, units
 	// already in flight run until the notice window closes.
 	draining bool
-	// running lists units currently holding cores, oldest first; node
-	// loss kills from the tail (newest first).
-	running []*Unit
+	// oldest/newest are the ends of the intrusive list (Unit.older/newer)
+	// of units currently holding cores: expiry walks it oldest first, node
+	// loss kills from the newest end, and a finishing unit unlinks itself
+	// in O(1).
+	oldest, newest *Unit
 	// events buffers resource lifecycle changes until a runtime drains
 	// them (task.ResourceReporter).
 	events []task.ResourceEvent
@@ -147,26 +150,44 @@ type Pilot struct {
 	unitsExpired   int
 }
 
-// Unit is a submitted compute unit; it implements task.Handle.
+// Unit is a submitted compute unit; it implements task.Handle. A unit is
+// one allocation: it embeds its stepped simulation process, its latches
+// and the scratch its lifecycle carries between wakeups.
 type Unit struct {
+	pl    *Pilot
 	spec  *task.Spec
 	state State
 	res   task.Result
-	done  *sim.Completion
+	done  sim.Completion
 	// interrupt fires to kill this unit mid-flight, carrying the cause
-	// (walltime expiry, preemption deadline, node loss). Awaiting it
+	// (walltime expiry, preemption deadline, node loss). Waiting on it
 	// with a timeout is the unit's execution sleep: for an unmolested
-	// unit it schedules exactly the one timeout event a plain Sleep
+	// unit it schedules exactly the one timeout event a plain sleep
 	// would, so elastic pilots cost nothing on the happy path.
-	interrupt *sim.Completion
-	// onDone, when set, is invoked by the unit's lifecycle process right
-	// after the unit reaches DONE or FAILED; the runtimes use it to feed
-	// their completion streams (one callback per completion: O(1)).
+	interrupt sim.Completion
+	// onDone, when set, is invoked by the unit's lifecycle right after
+	// the unit reaches DONE or FAILED; the runtimes use it to feed their
+	// completion streams (one callback per completion: O(1)).
 	onDone func(*Unit)
+
+	// Lifecycle state (see step): the process, where it resumes, and
+	// what it remembers across wakeups.
+	proc    sim.Proc
+	phase   unitPhase
+	staging cluster.Staging
+	mark    float64 // start of the interval being measured (t0, t1, t2 in turn)
+	gap     float64 // this unit's launcher hold time
+	failing bool    // fault injection chose this unit: it dies at half its duration
+
+	// older/newer link the pilot's list of units holding cores.
+	older, newer *Unit
 }
 
 // Done reports whether the unit reached DONE or FAILED.
 func (u *Unit) Done() bool { return u.done.Done() }
+
+// Name returns the name of the unit's simulation process.
+func (u *Unit) Name() string { return "unit:" + u.spec.Name }
 
 // Result returns the unit's record; valid once Done is true.
 func (u *Unit) Result() task.Result { return u.res }
@@ -197,6 +218,7 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 	pl := &Pilot{
 		env:      env,
 		cl:       cl,
+		cfg:      cl.Config(),
 		desc:     desc,
 		curCores: desc.Cores,
 		cores:    sim.NewResource(env, desc.Cores),
@@ -258,7 +280,7 @@ func (pl *Pilot) expire(err error) {
 	if pl.expiry != nil && !pl.expiry.Done() {
 		pl.expiry.Complete(err)
 	}
-	for _, u := range pl.running {
+	for u := pl.oldest; u != nil; u = u.newer {
 		if !u.interrupt.Done() {
 			u.interrupt.Complete(err)
 		}
@@ -293,8 +315,7 @@ func (pl *Pilot) LoseCores(n int) int {
 	// InUse only drops when the interrupted unit processes wake and
 	// release, so track the excess locally.
 	excess := pl.cores.InUse() - pl.curCores
-	for i := len(pl.running) - 1; i >= 0 && excess > 0; i-- {
-		u := pl.running[i]
+	for u := pl.newest; u != nil && excess > 0; u = u.older {
 		if u.interrupt.Done() {
 			continue
 		}
@@ -413,51 +434,45 @@ func (pl *Pilot) UnitsExpired() int { return pl.unitsExpired }
 
 // SubmitUnit schedules a compute unit on the pilot. It returns
 // immediately; the unit runs through its lifecycle as resources permit.
+// A unit wider than the pilot ever was is a caller bug and panics; one
+// merely wider than the pilot is now fails with ErrNoCapacity.
 func (pl *Pilot) SubmitUnit(spec *task.Spec) *Unit {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("pilot: invalid task spec: %v", err))
 	}
-	if spec.Cores > pl.desc.Cores {
+	if widest := max(pl.desc.Cores, pl.curCores); spec.Cores > widest {
 		panic(fmt.Sprintf("pilot: task %q wants %d cores, pilot has %d",
-			spec.Name, spec.Cores, pl.desc.Cores))
+			spec.Name, spec.Cores, widest))
 	}
-	u := &Unit{
-		spec:      spec,
-		state:     StateNew,
-		done:      sim.NewCompletion(pl.env),
-		interrupt: sim.NewCompletion(pl.env),
-	}
+	u := &Unit{pl: pl, spec: spec, state: StateNew}
+	u.done.Init(pl.env)
+	u.interrupt.Init(pl.env)
 	u.res.Spec = spec
+	u.res.Submitted = pl.env.Now()
 	pl.unitsSubmitted++
-	pl.env.Go("unit:"+spec.Name, func(p *sim.Proc) { pl.runUnit(p, u) })
+	pl.env.Spawn(&u.proc, (*unitStepper)(u))
 	return u
 }
 
-// failUnit completes a unit as FAILED with the given error.
-func (pl *Pilot) failUnit(p *sim.Proc, u *Unit, err error) {
+// failUnit completes a unit as FAILED with the given error and ends its
+// process.
+func (pl *Pilot) failUnit(u *Unit, err error) {
 	u.state = StateFailed
 	u.res.Err = err
-	u.res.Finished = p.Now()
 	pl.unitsFailed++
 	if errors.Is(err, task.ErrResourceLost) {
 		pl.unitsExpired++
 	}
-	u.done.Complete(err)
-	u.notifyDone()
+	pl.finishUnit(u, err)
 }
 
-// sleepOrInterrupt sleeps d virtual seconds on the unit's own
-// interrupt latch, returning the kill cause if the unit is interrupted
-// first (walltime, preemption deadline or node loss) and nil if the
-// sleep completes.
-func (pl *Pilot) sleepOrInterrupt(p *sim.Proc, u *Unit, d float64) error {
-	if u.interrupt.Done() {
-		return u.interrupt.Err()
-	}
-	if u.interrupt.AwaitTimeout(p, d) {
-		return u.interrupt.Err()
-	}
-	return nil
+// finishUnit stamps the finish time, fires the unit's completion and
+// stream callback, and ends its process.
+func (pl *Pilot) finishUnit(u *Unit, err error) {
+	u.res.Finished = pl.env.Now()
+	u.done.Complete(err)
+	u.notifyDone()
+	u.proc.Exit()
 }
 
 // killErr returns the error a unit holding cores should fail with right
@@ -472,128 +487,220 @@ func (pl *Pilot) killErr(u *Unit) error {
 	return nil
 }
 
-// releaseUnit returns the unit's cores and removes it from the running
-// list (idempotent on the list: expire/LoseCores may already have
-// dropped interest in it).
-func (pl *Pilot) releaseUnit(u *Unit) {
-	pl.cores.Release(u.spec.Cores)
-	for i, r := range pl.running {
-		if r == u {
-			pl.running = append(pl.running[:i], pl.running[i+1:]...)
-			break
-		}
+// holdCores appends a unit that was just granted cores to the list of
+// units holding them.
+func (pl *Pilot) holdCores(u *Unit) {
+	u.older = pl.newest
+	if pl.newest != nil {
+		pl.newest.newer = u
+	} else {
+		pl.oldest = u
 	}
+	pl.newest = u
 }
 
-// runUnit drives one unit through its lifecycle on process p.
-func (pl *Pilot) runUnit(p *sim.Proc, u *Unit) {
-	cfg := pl.cl.Config()
-	u.res.Submitted = p.Now()
-
-	// The unit cannot progress before the pilot is active.
-	if err := pl.active.Await(p); err != nil {
-		pl.failUnit(p, u, err)
-		return
+// releaseUnit returns the unit's cores and unlinks it from the list of
+// units holding them.
+func (pl *Pilot) releaseUnit(u *Unit) {
+	pl.cores.Release(u.spec.Cores)
+	if u.older != nil {
+		u.older.newer = u.newer
+	} else {
+		pl.oldest = u.newer
 	}
-	if pl.expired {
-		pl.failUnit(p, u, pl.expireErr)
-		return
+	if u.newer != nil {
+		u.newer.older = u.older
+	} else {
+		pl.newest = u.older
 	}
-	if pl.draining {
-		// A pilot under preemption notice accepts no new work.
-		pl.failUnit(p, u, ErrPilotPreempted)
-		return
-	}
+	u.older, u.newer = nil, nil
+}
 
-	// STAGING_IN: input files through the shared filesystem.
-	u.state = StateStagingIn
-	u.res.StageIn = pl.cl.StageFiles(p, u.spec.InFiles, u.spec.InBytes)
+// unitPhase is where a unit's lifecycle resumes on its next wakeup.
+type unitPhase uint8
 
-	// SCHEDULING: wait for cores within the pilot. A unit that was still
-	// queued when the pilot terminated dies with it (other units'
-	// failures release their cores, so queued waiters always wake); a
-	// unit wider than the post-shrink capacity is aborted rather than
-	// left queued forever.
-	u.state = StateScheduling
-	t0 := p.Now()
-	if !pl.cores.AcquireAbortable(p, u.spec.Cores) {
-		u.res.CoreWait = p.Now() - t0
-		err := ErrNoCapacity
-		if pl.expired {
-			err = pl.expireErr
+const (
+	unitAwaitPilot  unitPhase = iota // from submission until the pilot is active
+	unitStagingIn                    // STAGING_IN under way
+	unitAwaitCores                   // SCHEDULING: queued for cores
+	unitAwaitLaunch                  // queued for the agent's serialized launcher
+	unitLaunchGap                    // holding the launcher for the gap
+	unitLaunchDelay                  // fixed launch latency
+	unitExecuting                    // EXECUTING: timer racing the interrupt latch
+	unitStagingOut                   // STAGING_OUT under way
+)
+
+// unitStepper is Unit as the kernel sees it, keeping the stepper methods
+// out of Unit's exported method set.
+type unitStepper Unit
+
+func (s *unitStepper) ProcName() string { return (*Unit)(s).Name() }
+
+func (s *unitStepper) Step(p *sim.Proc) { (*Unit)(s).step(p) }
+
+// step drives the unit through its lifecycle: the kernel calls it on
+// every wakeup of the unit's process. Each case either registers the
+// next wakeup and returns, or falls through the loop into the next phase
+// at the same virtual instant.
+func (u *Unit) step(p *sim.Proc) {
+	pl := u.pl
+	for {
+		switch u.phase {
+		case unitAwaitPilot:
+			// The unit cannot progress before the pilot is active.
+			if !pl.active.Done() {
+				pl.active.Enrol(p)
+				return
+			}
+			switch {
+			case pl.active.Err() != nil:
+				pl.failUnit(u, pl.active.Err())
+				return
+			case pl.expired:
+				pl.failUnit(u, pl.expireErr)
+				return
+			case pl.draining:
+				// A pilot under preemption notice accepts no new work.
+				pl.failUnit(u, ErrPilotPreempted)
+				return
+			}
+			// STAGING_IN: input files through the shared filesystem.
+			u.state = StateStagingIn
+			u.staging.Begin(pl.cl, u.spec.InFiles, u.spec.InBytes)
+			u.phase = unitStagingIn
+
+		case unitStagingIn:
+			if !u.staging.Step(p) {
+				return
+			}
+			u.res.StageIn = u.staging.Elapsed()
+			// SCHEDULING: wait for cores within the pilot. A unit that was
+			// still queued when the pilot terminated dies with it (other
+			// units' failures release their cores, so queued waiters
+			// always wake); a unit wider than the post-shrink capacity is
+			// aborted rather than left queued forever.
+			u.state = StateScheduling
+			u.mark = p.Now()
+			u.phase = unitAwaitCores
+			pl.cores.Request(p, u.spec.Cores, true)
+
+		case unitAwaitCores:
+			if !p.Granted() && !p.Aborted() {
+				return
+			}
+			u.res.CoreWait = p.Now() - u.mark
+			if p.Aborted() {
+				err := ErrNoCapacity
+				if pl.expired {
+					err = pl.expireErr
+				}
+				pl.failUnit(u, err)
+				return
+			}
+			if pl.expired {
+				pl.cores.Release(u.spec.Cores)
+				pl.failUnit(u, pl.expireErr)
+				return
+			}
+			pl.holdCores(u)
+			// Launch: serialized through the agent launcher, plus fixed
+			// latency. Units that had to wait for cores (second and later
+			// waves in Execution Mode II) pay the wave penalty *inside*
+			// the serialized launcher, modelling RADICAL-Pilot 0.35's MPI
+			// task re-scheduling issue: its wall-clock cost grows with
+			// the number of re-scheduled tasks, which is what produces
+			// the paper's Figure 11b efficiency dip in Mode II and the
+			// uptick once cores = replicas.
+			u.mark = p.Now()
+			u.gap = pl.cfg.LaunchGap
+			if u.res.CoreWait > 1e-9 && u.spec.Kind == task.MD {
+				// Only the main MD workload is affected: the issue was
+				// with re-scheduling the wide MPI task waves of the
+				// simulation phase, not the short bookkeeping tasks.
+				u.gap += pl.cfg.WavePenalty
+			}
+			u.phase = unitAwaitLaunch
+			pl.launcher.Request(p, 1, false)
+
+		case unitAwaitLaunch:
+			if !p.Granted() {
+				return
+			}
+			u.phase = unitLaunchGap
+			p.WakeIn(u.gap)
+			return
+
+		case unitLaunchGap:
+			pl.launcher.Release(1)
+			u.phase = unitLaunchDelay
+			p.WakeIn(pl.cfg.LaunchLatency)
+			return
+
+		case unitLaunchDelay:
+			u.res.Launch = p.Now() - u.mark
+			if err := pl.killErr(u); err != nil {
+				pl.releaseUnit(u)
+				pl.failUnit(u, err)
+				return
+			}
+			// EXECUTING: sleep d on the unit's own interrupt latch. A
+			// unit chosen by fault injection fails partway through the
+			// run (unless the pilot's termination or a node loss kills
+			// it first).
+			u.state = StateExecuting
+			d := pl.cl.ScaleDuration(u.spec.Duration)
+			u.failing = u.spec.CanFail && pl.cl.TaskFails()
+			if u.failing {
+				d /= 2
+			} else {
+				u.mark = p.Now()
+			}
+			u.phase = unitExecuting
+			if !u.interrupt.Done() {
+				// Completion.AwaitTimeout's arithmetic, to the bit: the
+				// timer is set for (now+d)-now, which is not d.
+				deadline := p.Now() + d
+				if remain := deadline - p.Now(); remain >= 0 {
+					u.interrupt.Enrol(p)
+					p.WakeIn(remain)
+					return
+				}
+			}
+
+		case unitExecuting:
+			var err error
+			if u.interrupt.Done() {
+				err = u.interrupt.Err()
+			}
+			if u.failing {
+				u.res.Exec = p.Now() - u.mark - u.res.Launch
+				if err == nil {
+					err = ErrTaskFailed
+				}
+			} else {
+				u.res.Exec = p.Now() - u.mark
+			}
+			pl.releaseUnit(u)
+			if err != nil {
+				pl.failUnit(u, err)
+				return
+			}
+			// STAGING_OUT.
+			u.state = StateStagingOut
+			u.staging.Begin(pl.cl, u.spec.OutFiles, u.spec.OutBytes)
+			u.phase = unitStagingOut
+
+		case unitStagingOut:
+			if !u.staging.Step(p) {
+				return
+			}
+			u.res.StageOut = u.staging.Elapsed()
+			u.state = StateDone
+			pl.unitsDone++
+			pl.finishUnit(u, nil)
+			return
 		}
-		pl.failUnit(p, u, err)
-		return
 	}
-	u.res.CoreWait = p.Now() - t0
-	if pl.expired {
-		pl.cores.Release(u.spec.Cores)
-		pl.failUnit(p, u, pl.expireErr)
-		return
-	}
-	pl.running = append(pl.running, u)
-
-	// Launch: serialized through the agent launcher, plus fixed latency.
-	// Units that had to wait for cores (second and later waves in
-	// Execution Mode II) pay the wave penalty *inside* the serialized
-	// launcher, modelling RADICAL-Pilot 0.35's MPI task re-scheduling
-	// issue: its wall-clock cost grows with the number of re-scheduled
-	// tasks, which is what produces the paper's Figure 11b efficiency
-	// dip in Mode II and the uptick once cores = replicas.
-	t1 := p.Now()
-	gap := cfg.LaunchGap
-	if u.res.CoreWait > 1e-9 && u.spec.Kind == task.MD {
-		// Only the main MD workload is affected: the issue was with
-		// re-scheduling the wide MPI task waves of the simulation
-		// phase, not the short bookkeeping tasks.
-		gap += cfg.WavePenalty
-	}
-	pl.launcher.Acquire(p, 1)
-	p.Sleep(gap)
-	pl.launcher.Release(1)
-	p.Sleep(cfg.LaunchLatency)
-	u.res.Launch = p.Now() - t1
-	if err := pl.killErr(u); err != nil {
-		pl.releaseUnit(u)
-		pl.failUnit(p, u, err)
-		return
-	}
-
-	// EXECUTING.
-	u.state = StateExecuting
-	d := pl.cl.ScaleDuration(u.spec.Duration)
-	failed := u.spec.CanFail && pl.cl.TaskFails()
-	if failed {
-		// Fail partway through the run (unless the pilot's termination
-		// or a node loss kills the unit first).
-		ierr := pl.sleepOrInterrupt(p, u, d/2)
-		u.res.Exec = p.Now() - t1 - u.res.Launch
-		pl.releaseUnit(u)
-		err := ErrTaskFailed
-		if ierr != nil {
-			err = ierr
-		}
-		pl.failUnit(p, u, err)
-		return
-	}
-	t2 := p.Now()
-	ierr := pl.sleepOrInterrupt(p, u, d)
-	u.res.Exec = p.Now() - t2
-	pl.releaseUnit(u)
-	if ierr != nil {
-		pl.failUnit(p, u, ierr)
-		return
-	}
-
-	// STAGING_OUT.
-	u.state = StateStagingOut
-	u.res.StageOut = pl.cl.StageFiles(p, u.spec.OutFiles, u.spec.OutBytes)
-
-	u.state = StateDone
-	u.res.Finished = p.Now()
-	pl.unitsDone++
-	u.done.Complete(nil)
-	u.notifyDone()
 }
 
 // ---------------------------------------------------------------------------
@@ -607,10 +714,14 @@ type unitStream struct {
 	proc     *sim.Proc
 	arrivals *sim.Signal
 	queue    []*Unit
+	// deliver is enqueue bound once, so watching a unit allocates nothing.
+	deliver func(*Unit)
 }
 
 func newUnitStream(proc *sim.Proc) *unitStream {
-	return &unitStream{proc: proc, arrivals: sim.NewSignal(proc.Env())}
+	s := &unitStream{proc: proc, arrivals: sim.NewSignal(proc.Env())}
+	s.deliver = s.enqueue
+	return s
 }
 
 // watch registers a unit for stream delivery on completion, composing
@@ -623,7 +734,7 @@ func (s *unitStream) watch(u *Unit) {
 		}
 		return
 	}
-	u.onDone = s.enqueue
+	u.onDone = s.deliver
 }
 
 func (s *unitStream) enqueue(u *Unit) {

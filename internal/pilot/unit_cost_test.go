@@ -1,0 +1,83 @@
+package pilot
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/task"
+)
+
+// A unit is a stepped process on the simulation kernel, not a goroutine:
+// thousands in flight at once leave the goroutine count where it was.
+func TestUnitsDoNotSpawnGoroutines(t *testing.T) {
+	const units = 4096
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, cluster.Stampede(), 1)
+	pl, err := Launch(cl, Description{Cores: units})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntil(cl.Config().QueueWait + 1) // the pilot is active and idle
+	before := runtime.NumGoroutine()
+	spec := &task.Spec{Name: "md", Kind: task.MD, Cores: 1, Duration: 100, InFiles: 3, InBytes: 4096, OutFiles: 2, OutBytes: 4096}
+	for i := 0; i < units; i++ {
+		pl.SubmitUnit(spec)
+	}
+	peak := runtime.NumGoroutine()
+	e.RunUntil(e.Now() + 60) // every unit is executing (Mode I)
+	if inUse := pl.CoresInUse(); inUse != units {
+		t.Fatalf("%d cores in use mid-run, want %d", inUse, units)
+	}
+	if g := runtime.NumGoroutine(); g > peak {
+		peak = g
+	}
+	e.Run()
+	if _, done, failed := pl.Counters(); done != units || failed != 0 {
+		t.Fatalf("done %d failed %d, want %d 0", done, failed, units)
+	}
+	if peak > before+2 {
+		t.Fatalf("goroutines went from %d to %d with %d units in flight", before, peak, units)
+	}
+}
+
+// One unit's whole lifecycle, submission to DONE with staging both ways,
+// costs a handful of allocations: the unit itself plus waiter-list growth.
+func TestUnitLifecycleAllocations(t *testing.T) {
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, cluster.SuperMIC(), 1)
+	pl, err := Launch(cl, Description{Cores: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run() // activate
+	spec := &task.Spec{Name: "md", Kind: task.MD, Cores: 1, Duration: 10, InFiles: 3, InBytes: 4096, OutFiles: 2, OutBytes: 4096}
+	var last *Unit
+	allocs := testing.AllocsPerRun(200, func() {
+		last = pl.SubmitUnit(spec)
+		e.Run()
+	})
+	if last.State() != StateDone {
+		t.Fatalf("unit ended %v, want DONE", last.State())
+	}
+	if allocs > 5 {
+		t.Fatalf("%.1f allocations per unit lifecycle, want <= 5", allocs)
+	}
+	t.Logf("%.1f allocations per unit lifecycle", allocs)
+}
+
+// The "unit:<name>" process name is built on demand, for the kernel's
+// trace hook and Name, never per submission.
+func TestUnitProcessNameReachesTraceHook(t *testing.T) {
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, quietConfig(), 1)
+	pl, _ := Launch(cl, Description{Cores: 1})
+	seen := false
+	e.SetTrace(func(_ float64, name string) { seen = seen || name == "unit:md-7" })
+	u := pl.SubmitUnit(&task.Spec{Name: "md-7", Cores: 1, Duration: 1})
+	e.Run()
+	if !seen || u.Name() != "unit:md-7" {
+		t.Fatalf("trace hook saw unit:md-7 = %v, Name() = %q", seen, u.Name())
+	}
+}

@@ -8,14 +8,37 @@
 // hours of wall time run in milliseconds while preserving ordering,
 // contention and queueing behaviour.
 //
-// Processes are goroutines that run one at a time, hand-shaking with the
-// kernel: at any instant either the kernel or exactly one process is
-// active, which makes the simulation fully deterministic for a fixed seed
-// and spawn order.
+// There is one kernel, one Proc type and one event heap, and two ways to
+// drive a Proc:
+//
+//   - A goroutine process (Env.Go, Env.GoAt) runs ordinary blocking code:
+//     Sleep, Signal.Wait, Resource.Acquire, Completion.Await park the
+//     goroutine and hand control back to the kernel over a channel pair.
+//     At any instant either the kernel or exactly one process is active.
+//     Use it for the few long-lived processes whose logic reads best as
+//     straight-line code (an orchestrator, a watchdog, a fault driver);
+//     each wakeup costs two channel hand-offs.
+//
+//   - A stepped process (Env.Spawn) has no goroutine: the kernel calls its
+//     Stepper inline on every wakeup, and the stepper registers its next
+//     wakeup with the non-blocking forms (Proc.WakeIn, Signal.Enrol,
+//     Completion.Enrol, Resource.Request), reads the outcome flags
+//     (Proc.Notified, Granted, Aborted) on the wakeup after, and ends with
+//     Proc.Exit. The Proc lives in caller-owned storage, so a process and
+//     all its state are one allocation. Use it where there are many
+//     short-lived processes (one per compute unit); a wakeup is a method
+//     call.
+//
+// The blocking forms are "register with the non-blocking form, then park
+// until flagged", so queueing, grant, abort and broadcast logic exists
+// once and both kinds of process contend on the same FIFO queues. Event
+// order is (t, seq) with seq drawn in schedule-call order; a stepped
+// process makes the same calls in the same order as the blocking code it
+// replaces, which makes a simulation fully deterministic for a fixed seed
+// and spawn order whichever way its processes are driven.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -24,11 +47,17 @@ import (
 // usable; create one with NewEnv.
 type Env struct {
 	now    float64
-	events eventHeap
+	events []event // binary min-heap on (t, seq)
 	seq    int64
-	yield  chan struct{}
-	nlive  int
-	trace  func(t float64, msg string)
+	// slots maps event.slot to the live process occupying it. Events name
+	// their process by slot, not by pointer, so the heap holds no pointers:
+	// sifting it costs no GC write barriers and the collector never scans
+	// it. free lists vacated slots for reuse.
+	slots []slot
+	free  []int32
+	yield chan struct{}
+	nlive int
+	trace func(t float64, msg string)
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
@@ -42,23 +71,45 @@ func (e *Env) Now() float64 { return e.now }
 // SetTrace installs a trace hook invoked on process wakeups; nil disables.
 func (e *Env) SetTrace(fn func(t float64, msg string)) { e.trace = fn }
 
-// Proc is a cooperative simulation process. All blocking methods
-// (Sleep, Signal.Wait, Resource.Acquire, ...) must be called from the
-// goroutine running the process body.
+// Stepper is the body of a stepped process: the kernel calls Step inline
+// on every wakeup of the process, starting with the one at spawn time.
+// Step must not call a blocking form; it registers the next wakeup with a
+// non-blocking one and returns, or calls Proc.Exit.
+type Stepper interface {
+	Step(p *Proc)
+	// ProcName names the process for Proc.Name and the trace hook. It is
+	// called lazily, so a stepper may build the string on demand.
+	ProcName() string
+}
+
+// Proc is a cooperative simulation process, driven either by a goroutine
+// (Env.Go: the blocking methods must be called from the goroutine running
+// the process body) or by a Stepper (Env.Spawn: non-blocking forms only).
 type Proc struct {
 	env  *Env
 	name string
-	// resume is the kernel -> process hand-off channel.
-	resume chan struct{}
+	// resume is the kernel -> process hand-off channel of a goroutine
+	// process; nil for a stepped one.
+	resume  chan struct{}
+	stepper Stepper
 	// gen is the wakeup generation; events scheduled for an earlier
 	// generation are stale and are dropped by the kernel. This is what
 	// lets a process wait on "signal OR timeout" without double-resume.
 	gen  int64
+	slot int32
 	dead bool
+	// Outcome flags of the wait the process last registered. A process
+	// waits on one thing at a time, so one set per process suffices.
+	notified, granted, aborted bool
 }
 
 // Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.stepper != nil {
+		return p.stepper.ProcName()
+	}
+	return p.name
+}
 
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
@@ -66,30 +117,84 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
 
+// Notified reports whether the signal or completion the process last
+// enrolled on had fired by the time it woke (false: its timeout did).
+func (p *Proc) Notified() bool { return p.notified }
+
+// Granted reports whether the process's last Resource.Request holds its
+// units.
+func (p *Proc) Granted() bool { return p.granted }
+
+// Aborted reports whether the process's last abortable Resource.Request
+// was refused: wider than the capacity at request time or after a shrink.
+func (p *Proc) Aborted() bool { return p.aborted }
+
 type event struct {
-	t   float64
-	seq int64
+	t    float64
+	seq  int64
+	gen  int64
+	slot int32
+}
+
+// slot is one entry of the process table. gen outlives the occupant: a
+// process moving in starts above every generation its predecessors used,
+// so their leftover events can never match it.
+type slot struct {
 	p   *Proc
 	gen int64
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+
+// push inserts ev into the heap.
+func (e *Env) push(ev event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (e *Env) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // schedule arranges for p to be resumed at time t with its current
@@ -99,43 +204,66 @@ func (e *Env) schedule(p *Proc, t float64) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{t: t, seq: e.seq, p: p, gen: p.gen})
+	e.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot})
 }
 
-// Go spawns a new process that starts at the current virtual time.
-// It may be called before Run or from inside another process.
+// Go spawns a new goroutine process that starts at the current virtual
+// time. It may be called before Run or from inside another process.
 //
 // fn must return normally: terminating the goroutine without returning
 // (runtime.Goexit, e.g. via testing.T.Fatal) leaves the kernel waiting
 // for a yield that never comes.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+	return e.GoAt(name, e.now, fn)
+}
+
+// GoAt spawns a goroutine process that starts at absolute virtual time t
+// (clamped to now if in the past).
+func (e *Env) GoAt(name string, t float64, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	e.nlive++
+	e.admit(p)
 	go func() {
 		<-p.resume // wait until the kernel first schedules us
 		fn(p)
-		p.dead = true
-		e.nlive--
-		e.yield <- struct{}{}
-	}()
-	e.schedule(p, e.now)
-	return p
-}
-
-// GoAt spawns a process that starts at absolute virtual time t (clamped to
-// now if in the past).
-func (e *Env) GoAt(name string, t float64, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	e.nlive++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		e.nlive--
+		p.Exit()
 		e.yield <- struct{}{}
 	}()
 	e.schedule(p, t)
 	return p
+}
+
+// Spawn starts a stepped process on caller-owned storage p (typically a
+// field of the stepper itself): s.Step(p) is first called at the current
+// virtual time, in spawn order with everything else scheduled for now.
+func (e *Env) Spawn(p *Proc, s Stepper) {
+	*p = Proc{env: e, stepper: s}
+	e.admit(p)
+	e.schedule(p, e.now)
+}
+
+// admit gives a new process a slot in the process table.
+func (e *Env) admit(p *Proc) {
+	e.nlive++
+	if n := len(e.free); n > 0 {
+		p.slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		p.slot = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	sl := &e.slots[p.slot]
+	sl.p = p
+	p.gen = sl.gen
+}
+
+// Exit ends a stepped process: pending wakeups become stale and queued
+// resource requests are skipped. Step must return right after.
+func (p *Proc) Exit() {
+	e := p.env
+	p.dead = true
+	e.nlive--
+	e.slots[p.slot] = slot{gen: p.gen + 1}
+	e.free = append(e.free, p.slot)
 }
 
 // Run executes events until none remain.
@@ -145,21 +273,25 @@ func (e *Env) Run() { e.RunUntil(math.Inf(1)) }
 // later events queued. The clock ends at min(t, last event time).
 func (e *Env) RunUntil(t float64) {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
-		if ev.t > t {
-			heap.Push(&e.events, ev)
+		if e.events[0].t > t {
 			e.now = t
 			return
 		}
-		if ev.p.dead || ev.gen != ev.p.gen {
-			continue // stale wakeup
+		ev := e.pop()
+		p := e.slots[ev.slot].p
+		if p == nil || ev.gen != p.gen {
+			continue // stale wakeup: the process moved on, or is gone
 		}
 		e.now = ev.t
 		if e.trace != nil {
-			e.trace(e.now, ev.p.name)
+			e.trace(e.now, p.Name())
 		}
-		ev.p.gen++
-		ev.p.resume <- struct{}{}
+		p.gen++
+		if p.stepper != nil {
+			p.stepper.Step(p)
+			continue
+		}
+		p.resume <- struct{}{}
 		<-e.yield
 	}
 }
@@ -170,20 +302,32 @@ func (e *Env) Pending() int { return len(e.events) }
 // Live reports the number of live (spawned, not finished) processes.
 func (e *Env) Live() int { return e.nlive }
 
-// block yields control to the kernel and waits to be resumed.
-func (p *Proc) block() {
+// Park yields control to the kernel until the process's next wakeup. It
+// is the blocking half of every blocking form: register a wakeup with a
+// non-blocking form, then Park. Goroutine processes only.
+func (p *Proc) Park() {
+	if p.stepper != nil {
+		panic("sim: blocking call from stepped process " + p.Name())
+	}
 	p.env.yield <- struct{}{}
 	<-p.resume
+}
+
+// WakeIn schedules a wakeup of the process d virtual seconds from now
+// and returns (the non-blocking form of Sleep). Negative d is treated as
+// zero. The wakeup is dropped if anything else wakes the process first.
+func (p *Proc) WakeIn(d float64) {
+	if d < 0 {
+		d = 0
+	}
+	p.env.schedule(p, p.env.now+d)
 }
 
 // Sleep suspends the process for d virtual seconds. Negative d is treated
 // as zero (yield to same-time events already queued).
 func (p *Proc) Sleep(d float64) {
-	if d < 0 {
-		d = 0
-	}
-	p.env.schedule(p, p.env.now+d)
-	p.block()
+	p.WakeIn(d)
+	p.Park()
 }
 
 // Yield reschedules the process at the current time, letting other
@@ -201,44 +345,53 @@ type Signal struct {
 }
 
 type sigWaiter struct {
-	p        *Proc
-	gen      int64
-	notified *bool
+	p   *Proc
+	gen int64
 }
 
 // NewSignal returns a new Signal bound to env.
 func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
+// Enrol registers p to be woken by the next Signal or Broadcast and
+// returns (the non-blocking form of Wait). p.Notified() is false until
+// the signal fires; a process woken by anything else first (a WakeIn
+// timeout) is skipped by the signal.
+func (s *Signal) Enrol(p *Proc) {
+	p.notified = false
+	s.waiters = append(s.waiters, sigWaiter{p: p, gen: p.gen})
+}
+
 // Wait blocks the calling process until Signal or Broadcast is invoked.
 func (s *Signal) Wait(p *Proc) {
-	ok := false
-	s.waiters = append(s.waiters, sigWaiter{p: p, gen: p.gen, notified: &ok})
-	p.block()
+	s.Enrol(p)
+	p.Park()
 }
 
 // WaitTimeout blocks until the signal fires or d virtual seconds elapse.
 // It reports whether the signal fired (true) or the timeout expired
 // (false).
 func (s *Signal) WaitTimeout(p *Proc, d float64) bool {
-	if d < 0 {
-		d = 0
+	s.Enrol(p)
+	p.WakeIn(d) // timeout event, same generation
+	p.Park()
+	return p.notified
+}
+
+// wake notifies one waiter, reporting false for a stale one (already
+// woken by its timeout or elsewhere).
+func (s *Signal) wake(w sigWaiter) bool {
+	if w.p.dead || w.p.gen != w.gen {
+		return false
 	}
-	ok := false
-	s.waiters = append(s.waiters, sigWaiter{p: p, gen: p.gen, notified: &ok})
-	p.env.schedule(p, p.env.now+d) // timeout event, same generation
-	p.block()
-	return ok
+	w.p.notified = true
+	s.env.schedule(w.p, s.env.now)
+	return true
 }
 
 // Broadcast wakes all currently waiting processes at the current time.
 func (s *Signal) Broadcast() {
-	for i := range s.waiters {
-		w := &s.waiters[i]
-		if w.p.dead || w.p.gen != w.gen {
-			continue // already woken by timeout or elsewhere
-		}
-		*w.notified = true
-		s.env.schedule(w.p, s.env.now)
+	for _, w := range s.waiters {
+		s.wake(w)
 	}
 	s.waiters = s.waiters[:0]
 }
@@ -248,12 +401,9 @@ func (s *Signal) Signal() {
 	for len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		if w.p.dead || w.p.gen != w.gen {
-			continue
+		if s.wake(w) {
+			return
 		}
-		*w.notified = true
-		s.env.schedule(w.p, s.env.now)
-		return
 	}
 }
 
@@ -279,13 +429,12 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p       *Proc
-	n       int
-	granted *bool
-	// aborted is non-nil for AcquireAbortable waiters: a capacity shrink
-	// that makes the request permanently unsatisfiable sets it and wakes
-	// the waiter instead of leaving it queued forever.
-	aborted *bool
+	p *Proc
+	n int
+	// abortable requests are woken with p.aborted set when a capacity
+	// shrink makes them permanently unsatisfiable, instead of staying
+	// queued forever.
+	abortable bool
 }
 
 // NewResource returns a resource with the given capacity.
@@ -324,23 +473,38 @@ func (r *Resource) BusyIntegral() float64 {
 	return r.busyIntegral
 }
 
+// Request asks for n units on behalf of p and returns without blocking
+// (the non-blocking form of Acquire and AcquireAbortable). If the units
+// are free and nobody is queued they are taken at once and p.Granted()
+// is already true on return. Otherwise the request joins the FIFO queue
+// and p is woken at the moment it is granted — or, for an abortable
+// request, at the moment a capacity shrink (SetCapacity) makes it
+// unsatisfiable, with p.Aborted() set. An abortable request wider than
+// the current capacity is aborted on the spot; a plain one panics (it
+// would deadlock forever).
+func (r *Resource) Request(p *Proc, n int, abortable bool) {
+	p.granted, p.aborted = false, false
+	switch {
+	case n <= 0:
+		p.granted = true
+	case n > r.capacity:
+		if !abortable {
+			panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d", n, r.capacity))
+		}
+		p.aborted = true
+	case r.TryAcquire(n):
+		p.granted = true
+	default:
+		r.queue = append(r.queue, resWaiter{p: p, n: n, abortable: abortable})
+	}
+}
+
 // Acquire blocks the calling process until n units are available and held.
 // Acquiring more than the capacity panics (it would deadlock forever).
 func (r *Resource) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	if n > r.capacity {
-		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d", n, r.capacity))
-	}
-	if len(r.queue) == 0 && r.used+n <= r.capacity {
-		r.take(n)
-		return
-	}
-	granted := false
-	r.queue = append(r.queue, resWaiter{p: p, n: n, granted: &granted})
-	for !granted {
-		p.block()
+	r.Request(p, n, false)
+	for !p.granted {
+		p.Park()
 	}
 }
 
@@ -350,22 +514,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 // makes the queued request unsatisfiable. It reports true once the
 // units are held.
 func (r *Resource) AcquireAbortable(p *Proc, n int) bool {
-	if n <= 0 {
-		return true
+	r.Request(p, n, true)
+	for !p.granted && !p.aborted {
+		p.Park()
 	}
-	if n > r.capacity {
-		return false
-	}
-	if len(r.queue) == 0 && r.used+n <= r.capacity {
-		r.take(n)
-		return true
-	}
-	granted, aborted := false, false
-	r.queue = append(r.queue, resWaiter{p: p, n: n, granted: &granted, aborted: &aborted})
-	for !granted && !aborted {
-		p.block()
-	}
-	return granted
+	return p.granted
 }
 
 // TryAcquire attempts to take n units without blocking and reports success.
@@ -415,7 +568,7 @@ func (r *Resource) grantQueued() {
 		}
 		r.queue = r.queue[1:]
 		r.take(w.n)
-		*w.granted = true
+		w.p.granted = true
 		r.env.schedule(w.p, r.env.now)
 	}
 }
@@ -423,12 +576,11 @@ func (r *Resource) grantQueued() {
 // SetCapacity changes the capacity in place. Growing grants queued
 // requests that now fit (FIFO); shrinking leaves in-use units
 // untouched — the pool is simply over-committed until holders release —
-// and aborts queued AcquireAbortable requests wider than the new
-// capacity, since no sequence of releases could ever satisfy them.
-// Queued plain Acquire requests are never aborted: their callers hold
-// no abort path, so they stay queued (and a shrink below their width
-// leaves them blocked until a matching grow, mirroring Acquire's
-// capacity panic contract).
+// and aborts queued abortable requests wider than the new capacity,
+// since no sequence of releases could ever satisfy them. Queued plain
+// requests are never aborted: their callers hold no abort path, so they
+// stay queued (and a shrink below their width leaves them blocked until
+// a matching grow, mirroring Acquire's capacity panic contract).
 func (r *Resource) SetCapacity(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("sim: negative resource capacity %d", n))
@@ -441,8 +593,8 @@ func (r *Resource) SetCapacity(n int) {
 	}
 	keep := r.queue[:0]
 	for _, w := range r.queue {
-		if w.n > n && w.aborted != nil {
-			*w.aborted = true
+		if w.n > n && w.abortable {
+			w.p.aborted = true
 			r.env.schedule(w.p, r.env.now)
 			continue
 		}
@@ -455,9 +607,10 @@ func (r *Resource) SetCapacity(n int) {
 // Completion: one-shot latch usable as a future.
 
 // Completion is a one-shot event that processes can wait on; it carries an
-// optional error value. It is the DES analogue of a future/promise.
+// optional error value. It is the DES analogue of a future/promise. It
+// owns its signal, so it can be embedded by value and bound with Init.
 type Completion struct {
-	sig  *Signal
+	sig  Signal
 	done bool
 	err  error
 	at   float64
@@ -465,8 +618,13 @@ type Completion struct {
 
 // NewCompletion returns an unfired completion bound to env.
 func NewCompletion(env *Env) *Completion {
-	return &Completion{sig: NewSignal(env)}
+	c := new(Completion)
+	c.Init(env)
+	return c
 }
+
+// Init binds a zero Completion (a struct field, say) to env.
+func (c *Completion) Init(env *Env) { c.sig.env = env }
 
 // Done reports whether the completion fired.
 func (c *Completion) Done() bool { return c.done }
@@ -488,6 +646,11 @@ func (c *Completion) Complete(err error) {
 	c.at = c.sig.env.now
 	c.sig.Broadcast()
 }
+
+// Enrol registers p to be woken when the completion fires and returns
+// (the non-blocking form of Await; add p.WakeIn for AwaitTimeout). The
+// completion must not have fired yet: check Done first.
+func (c *Completion) Enrol(p *Proc) { c.sig.Enrol(p) }
 
 // Await blocks until the completion fires and returns its error.
 func (c *Completion) Await(p *Proc) error {

@@ -551,3 +551,397 @@ func TestPropertyResourceNeverOversubscribed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Stepped processes.
+
+// stepped is a stepped process whose body is a closure over a wakeup
+// counter: fn receives the index of the wakeup it is handling.
+type stepped struct {
+	proc  Proc
+	name  string
+	wakes int
+	fn    func(p *Proc, wake int)
+}
+
+func (s *stepped) Step(p *Proc)     { s.wakes++; s.fn(p, s.wakes-1) }
+func (s *stepped) ProcName() string { return s.name }
+
+func spawn(e *Env, name string, fn func(p *Proc, wake int)) *stepped {
+	s := &stepped{name: name, fn: fn}
+	e.Spawn(&s.proc, s)
+	return s
+}
+
+func TestSteppedSleepRunsInlineInSpawnOrder(t *testing.T) {
+	e := NewEnv()
+	var log []string
+	record := func(name string) func(p *Proc, wake int) {
+		return func(p *Proc, wake int) {
+			if wake == 0 {
+				p.WakeIn(2)
+				return
+			}
+			log = append(log, name)
+			p.Exit()
+		}
+	}
+	spawn(e, "a", record("a"))
+	e.Go("b", func(p *Proc) { p.Sleep(2); log = append(log, "b") })
+	spawn(e, "c", record("c"))
+	e.Run()
+	if !reflect.DeepEqual(log, []string{"a", "b", "c"}) {
+		t.Fatalf("same-time wakeups ran %v, want spawn order a b c", log)
+	}
+	if e.Now() != 2 {
+		t.Fatalf("clock %v, want 2", e.Now())
+	}
+}
+
+func TestSteppedBlockingCallPanics(t *testing.T) {
+	e := NewEnv()
+	spawn(e, "bad", func(p *Proc, wake int) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Sleep from a stepped process did not panic")
+			}
+			p.Exit()
+		}()
+		p.Sleep(1)
+	})
+	e.Run()
+}
+
+// A stepped process waiting on "signal OR timeout" wakes exactly once,
+// whichever comes first, and Notified tells which — including when both
+// land on the same instant, in either order.
+func TestSteppedSignalVersusTimeout(t *testing.T) {
+	cases := []struct {
+		name         string
+		timeout      float64
+		broadcastAt  float64
+		raiserFirst  bool // spawn the broadcaster before the waiter
+		wantAt       float64
+		wantNotified bool
+	}{
+		{"signal first", 5, 3, false, 3, true},
+		{"timeout first", 5, 7, false, 5, false},
+		// Same instant, broadcaster's wakeup queued ahead of the timer:
+		// the timer event delivers the wakeup, already notified.
+		{"tie, signal ahead", 5, 5, true, 5, true},
+		// Same instant, timer ahead: the broadcast finds a stale waiter.
+		{"tie, timer ahead", 5, 5, false, 5, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv()
+			s := NewSignal(e)
+			raiser := func() {
+				e.Go("raiser", func(p *Proc) { p.Sleep(tc.broadcastAt); s.Broadcast() })
+			}
+			if tc.raiserFirst {
+				raiser()
+			}
+			var at []float64
+			var notified []bool
+			w := spawn(e, "waiter", func(p *Proc, wake int) {
+				if wake == 0 {
+					s.Enrol(p)
+					p.WakeIn(tc.timeout)
+					return
+				}
+				at = append(at, p.Now())
+				notified = append(notified, p.Notified())
+				if wake == 1 {
+					p.WakeIn(10) // outlive the loser of the race
+					return
+				}
+				p.Exit()
+			})
+			if !tc.raiserFirst {
+				raiser()
+			}
+			e.Run()
+			if w.wakes != 3 {
+				t.Fatalf("waiter stepped %d times, want 3 (spawn, race, final sleep)", w.wakes)
+			}
+			if at[0] != tc.wantAt || notified[0] != tc.wantNotified {
+				t.Fatalf("woke at %v notified=%v, want %v %v", at[0], notified[0], tc.wantAt, tc.wantNotified)
+			}
+			if at[1] != tc.wantAt+10 {
+				t.Fatalf("second wakeup at %v, want %v: the race's loser was not dropped", at[1], tc.wantAt+10)
+			}
+		})
+	}
+}
+
+func TestSteppedCompletionEnrol(t *testing.T) {
+	e := NewEnv()
+	var c Completion
+	c.Init(e)
+	boom := errors.New("boom")
+	var got error
+	spawn(e, "waiter", func(p *Proc, wake int) {
+		if !c.Done() {
+			c.Enrol(p)
+			return
+		}
+		got = c.Err()
+		p.Exit()
+	})
+	e.Go("firer", func(p *Proc) { p.Sleep(4); c.Complete(boom) })
+	e.Run()
+	if got != boom || c.At() != 4 {
+		t.Fatalf("waiter saw err %v at %v, want boom at 4", got, c.At())
+	}
+}
+
+func TestSetCapacityShrinkAbortsSteppedWaiter(t *testing.T) {
+	e := NewEnv()
+	r := NewResource(e, 4)
+	e.Go("holder", func(p *Proc) {
+		r.Acquire(p, 3)
+		p.Sleep(10)
+		r.Release(3)
+	})
+	var wokeAt float64
+	var granted, aborted bool
+	w := spawn(e, "wide", func(p *Proc, wake int) {
+		if wake == 0 {
+			r.Request(p, 4, true)
+			if p.Granted() || p.Aborted() {
+				t.Error("request behind a holder resolved immediately")
+			}
+			return
+		}
+		wokeAt, granted, aborted = p.Now(), p.Granted(), p.Aborted()
+		p.Exit()
+	})
+	e.Go("shrink", func(p *Proc) { p.Sleep(5); r.SetCapacity(3) })
+	e.Run()
+	if w.wakes != 2 || wokeAt != 5 || granted || !aborted {
+		t.Fatalf("wakes=%d at=%v granted=%v aborted=%v, want 2 wakes, aborted at 5", w.wakes, wokeAt, granted, aborted)
+	}
+	if r.QueueLen() != 0 || r.InUse() != 0 {
+		t.Fatalf("queue %d in use %d after run, want 0 0", r.QueueLen(), r.InUse())
+	}
+
+	// Wider than the capacity at request time: refused on the spot.
+	spawn(e, "too-wide", func(p *Proc, wake int) {
+		r.Request(p, 9, true)
+		if !p.Aborted() || p.Granted() {
+			t.Error("oversized abortable request not aborted immediately")
+		}
+		p.Exit()
+	})
+	e.Run()
+}
+
+// Goroutine and stepped processes queue on one Resource in strict FIFO
+// order of their requests, whichever way each is driven.
+func TestMixedProcessesShareResourceFIFO(t *testing.T) {
+	e := NewEnv()
+	r := NewResource(e, 1)
+	var order []int
+	for i := 0; i < 8; i++ {
+		if i%2 == 0 {
+			e.Go("g", func(p *Proc) {
+				r.Acquire(p, 1)
+				order = append(order, i)
+				p.Sleep(1)
+				r.Release(1)
+			})
+			continue
+		}
+		holding := false
+		spawn(e, "s", func(p *Proc, wake int) {
+			switch {
+			case wake == 0:
+				r.Request(p, 1, false)
+				if p.Granted() {
+					t.Error("resource free behind the goroutine holder")
+				}
+			case !holding:
+				if !p.Granted() {
+					t.Error("stepped waiter woke without its grant")
+				}
+				holding = true
+				order = append(order, i)
+				p.WakeIn(1)
+			default:
+				r.Release(1)
+				p.Exit()
+			}
+		})
+	}
+	e.Run()
+	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("grant order %v, want request order", order)
+	}
+	if e.Now() != 8 || r.InUse() != 0 {
+		t.Fatalf("clock %v in use %d, want 8 and 0", e.Now(), r.InUse())
+	}
+}
+
+func TestSteppedLiveAndPendingAccounting(t *testing.T) {
+	e := NewEnv()
+	s := NewSignal(e)
+	for i := 0; i < 3; i++ {
+		spawn(e, "p", func(p *Proc, wake int) {
+			if wake == 0 {
+				s.Enrol(p)
+				p.WakeIn(100) // loses to the broadcast at 1
+				return
+			}
+			p.Exit()
+		})
+	}
+	e.Go("raiser", func(p *Proc) { p.Sleep(1); s.Broadcast() })
+	if e.Live() != 4 || e.Pending() != 4 {
+		t.Fatalf("before run: live %d pending %d, want 4 4", e.Live(), e.Pending())
+	}
+	e.RunUntil(50)
+	// Everyone has exited; only the three stale timeouts remain queued.
+	if e.Live() != 0 || e.Pending() != 3 {
+		t.Fatalf("mid run: live %d pending %d, want 0 live and 3 stale events", e.Live(), e.Pending())
+	}
+	if e.Now() != 50 {
+		t.Fatalf("RunUntil left the clock at %v, want 50", e.Now())
+	}
+	e.Run()
+	if e.Pending() != 0 {
+		t.Fatalf("pending %d after run, want 0", e.Pending())
+	}
+	// Stale events to dead processes are dropped without moving the
+	// clock.
+	if e.Now() != 50 {
+		t.Fatalf("stale events moved the clock to %v", e.Now())
+	}
+}
+
+// A process that exits hands its slot in the process table to the next
+// spawn; the leftover events of the old occupant must not wake the new.
+func TestReusedSlotIgnoresPredecessorsEvents(t *testing.T) {
+	e := NewEnv()
+	s := NewSignal(e)
+	old := spawn(e, "old", func(p *Proc, wake int) {
+		if wake == 0 {
+			s.Enrol(p)
+			p.WakeIn(10) // still queued when the process exits at 1
+			return
+		}
+		p.Exit()
+	})
+	var wokeAt []float64
+	var heir *stepped
+	e.Go("driver", func(p *Proc) {
+		p.Sleep(1)
+		s.Broadcast()
+		p.Sleep(1)
+		heir = spawn(e, "heir", func(p *Proc, wake int) {
+			wokeAt = append(wokeAt, p.Now())
+			if wake == 0 {
+				p.WakeIn(100)
+				return
+			}
+			p.Exit()
+		})
+	})
+	e.Run()
+	if heir.proc.slot != old.proc.slot {
+		t.Fatalf("heir got slot %d, want the vacated slot %d", heir.proc.slot, old.proc.slot)
+	}
+	if !reflect.DeepEqual(wokeAt, []float64{2, 102}) {
+		t.Fatalf("heir woke at %v, want [2 102]: the predecessor's timer at 10 leaked", wokeAt)
+	}
+}
+
+func TestSteppedNameIsLazyAndTraced(t *testing.T) {
+	e := NewEnv()
+	var seen []string
+	e.SetTrace(func(_ float64, msg string) { seen = append(seen, msg) })
+	w := spawn(e, "lazy", func(p *Proc, wake int) { p.Exit() })
+	e.Run()
+	if w.proc.Name() != "lazy" || !reflect.DeepEqual(seen, []string{"lazy"}) {
+		t.Fatalf("name %q trace %v, want lazy", w.proc.Name(), seen)
+	}
+}
+
+// Property: the event heap pops in (t, seq) order for random inputs with
+// many equal timestamps, interleaving pushes and pops.
+func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEnv()
+		p := &Proc{env: e}
+		var popped []event
+		pushed := 0
+		for round := 0; round < 40; round++ {
+			for n := rng.Intn(30); n > 0; n-- {
+				// Few distinct times: ties are the common case. Never
+				// earlier than the last pop, as schedule clamps to now.
+				e.schedule(p, e.now+float64(rng.Intn(4)))
+				pushed++
+			}
+			for n := rng.Intn(25); n > 0 && len(e.events) > 0; n-- {
+				ev := e.pop()
+				e.now = ev.t
+				popped = append(popped, ev)
+			}
+		}
+		for len(e.events) > 0 {
+			popped = append(popped, e.pop())
+		}
+		if len(popped) != pushed {
+			return false
+		}
+		for i := 1; i < len(popped); i++ {
+			if !popped[i-1].before(&popped[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// benchProcs is the number of concurrently sleeping processes in the
+// kernel benchmarks; each sleeps b.N/benchProcs times, so ns/op is the
+// cost of one wakeup.
+const benchProcs = 64
+
+// BenchmarkSimGoroutine is the per-wakeup cost of goroutine processes.
+func BenchmarkSimGoroutine(b *testing.B) {
+	e := NewEnv()
+	for i := 0; i < benchProcs; i++ {
+		d := 1 + float64(i)/benchProcs
+		e.Go("p", func(p *Proc) {
+			for n := b.N / benchProcs; n > 0; n-- {
+				p.Sleep(d)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSimStepped is the same workload on stepped processes.
+func BenchmarkSimStepped(b *testing.B) {
+	e := NewEnv()
+	for i := 0; i < benchProcs; i++ {
+		d := 1 + float64(i)/benchProcs
+		left := b.N / benchProcs
+		spawn(e, "p", func(p *Proc, _ int) {
+			if left == 0 {
+				p.Exit()
+				return
+			}
+			left--
+			p.WakeIn(d)
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}

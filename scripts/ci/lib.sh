@@ -21,6 +21,19 @@ wait_http() {
   return 1
 }
 
+# fetch URL GREP-ARGS...: downloads URL to a temp file and greps the
+# file. Use it instead of `curl | grep -q`: under pipefail that pipeline
+# flakes, because grep -q exits at the first match, curl's next write
+# gets EPIPE and curl exits 23.
+fetch() {
+  local url=$1 tmp rc=0
+  shift
+  tmp=$(mktemp)
+  curl -fsS "$url" -o "$tmp" && grep "$@" "$tmp" || rc=$?
+  rm -f "$tmp"
+  return "$rc"
+}
+
 # wait_state BASE STATE: polls BASE/status until the run reports the
 # wanted lifecycle state (20 s budget).
 wait_state() {

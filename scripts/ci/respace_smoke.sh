@@ -17,8 +17,8 @@ wait_http http://127.0.0.1:9199/status
 # The run is short; poll until a re-fit lands.
 ok=0
 for _ in $(seq 1 50); do
-  if curl -fsS http://127.0.0.1:9199/metrics | \
-     grep -Eq '^repex_respacings_total\{dim="0"\} [1-9]'; then
+  if fetch http://127.0.0.1:9199/metrics \
+     -Eq '^repex_respacings_total\{dim="0"\} [1-9]'; then
     ok=1
     break
   fi
@@ -29,13 +29,13 @@ if [ "$ok" != 1 ]; then
   curl -fsS http://127.0.0.1:9199/metrics | grep -E 'repex_(respacings|feedback)_' || true
   exit 1
 fi
-curl -fsS http://127.0.0.1:9199/status | grep -q '"respace"'
-curl -fsS http://127.0.0.1:9199/status | grep -q '"refits"'
+fetch http://127.0.0.1:9199/status -q '"respace"'
+fetch http://127.0.0.1:9199/status -q '"refits"'
 wait_state http://127.0.0.1:9199 completed
 # Acting on the diagnostic must clear it: the run ends unsaturated,
 # with the re-fitted grid's rolling acceptance near the set point.
-curl -fsS http://127.0.0.1:9199/metrics | \
-  grep -Eq '^repex_feedback_saturated\{dim="0"\} 0$'
+fetch http://127.0.0.1:9199/metrics \
+  -Eq '^repex_feedback_saturated\{dim="0"\} 0$'
 measured=$(curl -fsS http://127.0.0.1:9199/metrics | \
   awk '/^repex_feedback_acceptance_measured\{dim="0"\}/ {print $2}')
 if ! awk -v m="$measured" 'BEGIN {exit !(m >= 0.25 && m <= 0.45)}'; then

@@ -18,8 +18,8 @@ wait_http http://127.0.0.1:9198/status
 # The run is short; poll until the diagnostic raises.
 ok=0
 for _ in $(seq 1 50); do
-  if curl -fsS http://127.0.0.1:9198/metrics | \
-     grep -Eq '^repex_feedback_saturated\{dim="0"\} 1$'; then
+  if fetch http://127.0.0.1:9198/metrics \
+     -Eq '^repex_feedback_saturated\{dim="0"\} 1$'; then
     ok=1
     break
   fi
@@ -30,7 +30,7 @@ if [ "$ok" != 1 ]; then
   curl -fsS http://127.0.0.1:9198/metrics | grep repex_feedback_ || true
   exit 1
 fi
-curl -fsS http://127.0.0.1:9198/status | grep -q '"saturated": true'
+fetch http://127.0.0.1:9198/status -q '"saturated": true'
 # The summary SATURATED line only prints once the run completes; the
 # gauge can read 1 mid-run, so wait for the completed state before
 # stopping the server.
