@@ -55,13 +55,31 @@ func WriteMDIN(in MDIN) string {
 	return b.String()
 }
 
+// nextKV splits the first comma-separated "key = value" item off s.
+// ok is false for an item without '='.
+func nextKV(s string) (key, val, rest string, ok bool) {
+	item, rest, _ := strings.Cut(s, ",")
+	key, val, ok = strings.Cut(item, "=")
+	return strings.TrimSpace(key), strings.TrimSpace(val), rest, ok
+}
+
 // ParseMDIN parses text produced by WriteMDIN back into an MDIN,
 // completing the AMM round trip (user requirements -> engine input ->
-// engine view of the run).
+// engine view of the run). It runs once per MD task, so it scans the
+// text in place instead of splitting it into fields.
 func ParseMDIN(text string) (MDIN, error) {
 	var in MDIN
-	fields := map[string]string{}
-	for _, line := range strings.Split(text, "\n") {
+	var nstlim float64
+	// The &cntrl keys read, and where each value goes; values are
+	// converted in this order once the whole text is scanned, because the
+	// last assignment of a key wins, as in a namelist.
+	keys := [...]string{"nstlim", "dt", "temp0", "gamma_ln", "saltcon"}
+	dst := [...]*float64{&nstlim, &in.Dt, &in.Temp0, &in.GammaLn, &in.SaltCon}
+	var vals [len(keys)]string
+	var set [len(keys)]bool
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
 		if strings.HasPrefix(line, "&rst") {
 			r, err := parseRst(line)
@@ -71,34 +89,30 @@ func ParseMDIN(text string) (MDIN, error) {
 			in.Restraints = append(in.Restraints, r)
 			continue
 		}
-		for _, kv := range strings.Split(line, ",") {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 {
+		for line != "" {
+			key, val, rest, ok := nextKV(line)
+			line = rest
+			if !ok {
 				continue
 			}
-			fields[strings.TrimSpace(parts[0])] = strings.TrimSpace(parts[1])
-		}
-	}
-	var err error
-	get := func(key string, dst *float64) {
-		if v, ok := fields[key]; ok && err == nil {
-			var e error
-			*dst, e = strconv.ParseFloat(v, 64)
-			if e != nil {
-				err = fmt.Errorf("engines: bad %s value %q", key, v)
+			for k, name := range keys {
+				if key == name {
+					vals[k], set[k] = val, true
+				}
 			}
 		}
 	}
-	var nstlim float64
-	get("nstlim", &nstlim)
-	in.NSTLim = int(nstlim)
-	get("dt", &in.Dt)
-	get("temp0", &in.Temp0)
-	get("gamma_ln", &in.GammaLn)
-	get("saltcon", &in.SaltCon)
-	if err != nil {
-		return in, err
+	for k, name := range keys {
+		if !set[k] {
+			continue
+		}
+		v, err := strconv.ParseFloat(vals[k], 64)
+		if err != nil {
+			return in, fmt.Errorf("engines: bad %s value %q", name, vals[k])
+		}
+		*dst[k] = v
 	}
+	in.NSTLim = int(nstlim)
 	if in.NSTLim <= 0 {
 		return in, fmt.Errorf("engines: mdin missing positive nstlim")
 	}
@@ -109,13 +123,12 @@ func parseRst(line string) (md.TorsionRestraint, error) {
 	var r md.TorsionRestraint
 	line = strings.TrimPrefix(line, "&rst")
 	line = strings.TrimSuffix(strings.TrimSpace(line), "&end")
-	for _, kv := range strings.Split(line, ",") {
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) != 2 {
+	for line != "" {
+		key, val, rest, ok := nextKV(line)
+		line = rest
+		if !ok {
 			continue
 		}
-		key := strings.TrimSpace(parts[0])
-		val := strings.TrimSpace(parts[1])
 		switch key {
 		case "r2":
 			deg, err := strconv.ParseFloat(val, 64)

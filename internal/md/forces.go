@@ -83,6 +83,10 @@ type State struct {
 	// than on the System, which is shared by concurrently integrating
 	// replicas and must stay read-only during force evaluation.
 	chargeBuf []float64
+	// torsions is scratch of the same kind: dihedralForces leaves each
+	// dihedral's angle and gradient here, and restraintForces reads the
+	// restrained ones back instead of computing them a second time.
+	torsions []torsion
 }
 
 // NewState allocates a zeroed state for n atoms.
@@ -122,9 +126,13 @@ type System struct {
 	Box Box
 	// Cutoff is the nonbonded cutoff in Å; 0 disables truncation.
 	Cutoff float64
+
+	// nb is Top compiled for the nonbonded loop; see compiled.
+	nb compiled
 }
 
-// NewSystem validates the topology and returns a system.
+// NewSystem validates the topology, compiles it and returns a system.
+// The topology and cutoff must not change afterwards.
 func NewSystem(top *Topology, box Box, cutoff float64) (*System, error) {
 	if err := top.Validate(); err != nil {
 		return nil, err
@@ -132,8 +140,7 @@ func NewSystem(top *Topology, box Box, cutoff float64) (*System, error) {
 	if cutoff < 0 {
 		return nil, fmt.Errorf("md: negative cutoff %g", cutoff)
 	}
-	top.BuildExclusions()
-	return &System{Top: top, Box: box, Cutoff: cutoff}, nil
+	return &System{Top: top, Box: box, Cutoff: cutoff, nb: compile(top, cutoff)}, nil
 }
 
 // MustNewSystem is NewSystem but panics on error.
@@ -170,7 +177,8 @@ func (s *System) DihedralAngle(st *State, di int) float64 {
 // first). Parameters enter through the Debye screening (salt) and the
 // umbrella restraints; the temperature affects dynamics only.
 func (s *System) EnergyForces(st *State, prm Params, f []Vec3) Energy {
-	n := s.Top.N()
+	s.checkCompiled()
+	n := s.nb.n
 	if len(st.Pos) != n {
 		panic(fmt.Sprintf("md: state has %d positions for %d atoms", len(st.Pos), n))
 	}
@@ -222,7 +230,11 @@ func (s *System) angleForces(st *State, f []Vec3) float64 {
 			continue
 		}
 		cosT := u.Dot(v) / (nu * nv)
-		cosT = math.Max(-1, math.Min(1, cosT))
+		if cosT > 1 {
+			cosT = 1
+		} else if cosT < -1 {
+			cosT = -1
+		}
 		theta := math.Acos(cosT)
 		dt := theta - a.Theta0
 		e += a.KTheta * dt * dt
@@ -244,9 +256,17 @@ func (s *System) angleForces(st *State, f []Vec3) float64 {
 	return e
 }
 
-// torsionGrad computes φ and dφ/dr for the four atoms, shared by proper
-// dihedrals and torsion restraints.
-func torsionGrad(box Box, pi, pj, pk, pl Vec3) (phi float64, gi, gj, gk, gl Vec3, ok bool) {
+// torsion is a proper torsion angle with its gradient dφ/dr for the four
+// atoms. ok is false for a degenerate geometry (collinear atoms), which
+// contributes neither energy nor force.
+type torsion struct {
+	phi            float64
+	gi, gj, gk, gl Vec3
+	ok             bool
+}
+
+// set computes φ and dφ/dr for the four atoms in place.
+func (t *torsion) set(box Box, pi, pj, pk, pl Vec3) {
 	b1 := box.MinImage(pj.Sub(pi))
 	b2 := box.MinImage(pk.Sub(pj))
 	b3 := box.MinImage(pl.Sub(pk))
@@ -256,10 +276,11 @@ func torsionGrad(box Box, pi, pj, pk, pl Vec3) (phi float64, gi, gj, gk, gl Vec3
 	n1sq := n1.Norm2()
 	n2sq := n2.Norm2()
 	if nb2 == 0 || n1sq < 1e-12 || n2sq < 1e-12 {
-		return 0, Vec3{}, Vec3{}, Vec3{}, Vec3{}, false
+		t.ok = false
+		return
 	}
 	m := n1.Cross(b2.Scale(1 / nb2))
-	phi = math.Atan2(m.Dot(n2), n1.Dot(n2))
+	t.phi = math.Atan2(m.Dot(n2), n1.Dot(n2))
 	// Analytic gradient of phi under this sign convention (verified
 	// against central differences in the tests):
 	//   dphi/dr_i = +(|b2|/|n1|^2) n1
@@ -268,56 +289,65 @@ func torsionGrad(box Box, pi, pj, pk, pl Vec3) (phi float64, gi, gj, gk, gl Vec3
 	//   dphi/dr_k =   t   dphi/dr_i - (1+u) dphi/dr_l
 	// with t = (b1.b2)/|b2|^2 and u = (b3.b2)/|b2|^2; the coefficients
 	// sum to zero per end atom, giving translation invariance.
-	gi = n1.Scale(nb2 / n1sq)
-	gl = n2.Scale(-nb2 / n2sq)
-	t := b1.Dot(b2) / (nb2 * nb2)
+	t.gi = n1.Scale(nb2 / n1sq)
+	t.gl = n2.Scale(-nb2 / n2sq)
+	tt := b1.Dot(b2) / (nb2 * nb2)
 	u := b3.Dot(b2) / (nb2 * nb2)
-	gj = gi.Scale(-(1 + t)).Add(gl.Scale(u))
-	gk = gi.Scale(t).Sub(gl.Scale(1 + u))
-	return phi, gi, gj, gk, gl, true
+	t.gj = t.gi.Scale(-(1 + tt)).Add(t.gl.Scale(u))
+	t.gk = t.gi.Scale(tt).Sub(t.gl.Scale(1 + u))
+	t.ok = true
+}
+
+// apply subtracts dE/dφ · dφ/dr from the four atoms' forces.
+func (t *torsion) apply(f []Vec3, d *Dihedral, dEdPhi float64) {
+	f[d.I] = f[d.I].Sub(t.gi.Scale(dEdPhi))
+	f[d.J] = f[d.J].Sub(t.gj.Scale(dEdPhi))
+	f[d.K] = f[d.K].Sub(t.gk.Scale(dEdPhi))
+	f[d.L] = f[d.L].Sub(t.gl.Scale(dEdPhi))
 }
 
 func (s *System) dihedralForces(st *State, f []Vec3) float64 {
+	dihedrals := s.Top.Dihedrals
+	if len(st.torsions) != len(dihedrals) {
+		st.torsions = make([]torsion, len(dihedrals))
+	}
 	e := 0.0
-	for _, d := range s.Top.Dihedrals {
-		phi, gi, gj, gk, gl, ok := torsionGrad(s.Box, st.Pos[d.I], st.Pos[d.J], st.Pos[d.K], st.Pos[d.L])
-		if !ok {
+	for k := range dihedrals {
+		d := &dihedrals[k]
+		t := &st.torsions[k]
+		t.set(s.Box, st.Pos[d.I], st.Pos[d.J], st.Pos[d.K], st.Pos[d.L])
+		if !t.ok {
 			continue
 		}
 		dEdPhi := 0.0
-		for _, t := range d.Terms {
-			e += t.K * (1 + math.Cos(float64(t.N)*phi-t.Phase))
-			dEdPhi -= t.K * float64(t.N) * math.Sin(float64(t.N)*phi-t.Phase)
+		for _, term := range d.Terms {
+			sin, cos := math.Sincos(float64(term.N)*t.phi - term.Phase)
+			e += term.K * (1 + cos)
+			dEdPhi -= term.K * float64(term.N) * sin
 		}
 		if f != nil {
-			f[d.I] = f[d.I].Sub(gi.Scale(dEdPhi))
-			f[d.J] = f[d.J].Sub(gj.Scale(dEdPhi))
-			f[d.K] = f[d.K].Sub(gk.Scale(dEdPhi))
-			f[d.L] = f[d.L].Sub(gl.Scale(dEdPhi))
+			t.apply(f, d, dEdPhi)
 		}
 	}
 	return e
 }
 
+// restraintForces runs after dihedralForces in the same evaluation, so
+// st.torsions holds every dihedral's angle at the current positions.
 func (s *System) restraintForces(st *State, prm Params, f []Vec3) float64 {
 	e := 0.0
 	for _, r := range prm.Restraints {
 		if r.Dihedral < 0 || r.Dihedral >= len(s.Top.Dihedrals) {
 			panic(fmt.Sprintf("md: restraint references dihedral %d of %d", r.Dihedral, len(s.Top.Dihedrals)))
 		}
-		d := s.Top.Dihedrals[r.Dihedral]
-		phi, gi, gj, gk, gl, ok := torsionGrad(s.Box, st.Pos[d.I], st.Pos[d.J], st.Pos[d.K], st.Pos[d.L])
-		if !ok {
+		t := &st.torsions[r.Dihedral]
+		if !t.ok {
 			continue
 		}
-		dphi := WrapAngle(phi - r.Center)
+		dphi := WrapAngle(t.phi - r.Center)
 		e += r.K * dphi * dphi
 		if f != nil {
-			dEdPhi := 2 * r.K * dphi
-			f[d.I] = f[d.I].Sub(gi.Scale(dEdPhi))
-			f[d.J] = f[d.J].Sub(gj.Scale(dEdPhi))
-			f[d.K] = f[d.K].Sub(gk.Scale(dEdPhi))
-			f[d.L] = f[d.L].Sub(gl.Scale(dEdPhi))
+			t.apply(f, &s.Top.Dihedrals[r.Dihedral], 2*r.K*dphi)
 		}
 	}
 	return e
@@ -325,34 +355,55 @@ func (s *System) restraintForces(st *State, prm Params, f []Vec3) float64 {
 
 // nonbondedForces computes truncated-shifted LJ plus Debye–Hückel
 // screened Coulomb over all non-excluded pairs, scaling 1-4 pairs.
+//
+// Trajectories are pinned bit for bit (testdata/kernel.golden), so the
+// loop must keep visiting pairs in (i asc, j asc) order and keep every
+// expression's association; what may change is where operands come from.
 func (s *System) nonbondedForces(st *State, prm Params, f []Vec3) (lj, coul float64) {
-	top := s.Top
-	n := top.N()
+	c := &s.nb
+	n := c.n
 	kappa := prm.Kappa()
-	// nil unless titration applies; static charges are read per atom
-	// below. The scratch lives on the per-replica State because the
-	// System is shared by concurrently running replicas.
-	charges := top.effectiveCharges(prm, st.chargeBuf)
-	if charges != nil {
-		st.chargeBuf = charges
+	// Static charges unless titration applies. The scratch lives on the
+	// per-replica State because the System is shared by concurrently
+	// running replicas.
+	charges := c.charge
+	if eff := s.effectiveCharges(prm, st.chargeBuf); eff != nil {
+		st.chargeBuf = eff
+		charges = eff
 	}
+	charges = charges[:n]
+	pos := st.Pos[:n]
+	types := c.ljType[:n]
 	rc := s.Cutoff
 	rc2 := rc * rc
+	box := s.Box
+	periodic := box.Periodic()
+	scale14 := s.Top.Scale14
 	for i := 0; i < n; i++ {
-		ai := top.Atoms[i]
+		pi, qi := pos[i], charges[i]
+		ljRow := c.lj[int(types[i])*c.nTypes:][:c.nTypes]
+		special := c.special[c.specialStart[i]:c.specialStart[i+1]]
+		// Nothing else touches f[i] while i is the lower atom, so its
+		// sum is kept in a register; the additions happen in the same
+		// order as they would on f[i] itself.
+		var fi Vec3
+		if f != nil {
+			fi = f[i]
+		}
 		for j := i + 1; j < n; j++ {
-			if top.Excluded(i, j) {
-				continue
-			}
 			scale := 1.0
-			if top.Is14(i, j) {
-				scale = top.Scale14
-				if scale == 0 {
+			if len(special) > 0 && int(special[0]>>1) == j {
+				is14 := special[0]&pair14 != 0
+				special = special[1:]
+				if !is14 || scale14 == 0 {
 					continue
 				}
+				scale = scale14
 			}
-			aj := top.Atoms[j]
-			d := s.Box.MinImage(st.Pos[j].Sub(st.Pos[i]))
+			d := pos[j].Sub(pi)
+			if periodic {
+				d = box.MinImage(d)
+			}
 			r2 := d.Norm2()
 			if rc > 0 && r2 > rc2 {
 				continue
@@ -364,27 +415,19 @@ func (s *System) nonbondedForces(st *State, prm Params, f []Vec3) (lj, coul floa
 			var dEdR float64
 			// Lennard-Jones with Lorentz-Berthelot mixing,
 			// truncated and shifted at the cutoff.
-			eps := math.Sqrt(ai.LJEps * aj.LJEps)
-			if eps > 0 {
-				sig := 0.5 * (ai.LJSigma + aj.LJSigma)
-				sr2 := sig * sig / r2
+			if p := &ljRow[types[j]]; p.eps > 0 {
+				sr2 := p.sig2 / r2
 				sr6 := sr2 * sr2 * sr2
 				sr12 := sr6 * sr6
-				eLJ := 4 * eps * (sr12 - sr6)
+				eLJ := 4 * p.eps * (sr12 - sr6)
 				if rc > 0 {
-					src2 := sig * sig / rc2
-					src6 := src2 * src2 * src2
-					eLJ -= 4 * eps * (src6*src6 - src6)
+					eLJ -= p.shift
 				}
 				lj += scale * eLJ
-				dEdR += scale * 4 * eps * (-12*sr12 + 6*sr6) / r
+				dEdR += scale * 4 * p.eps * (-12*sr12 + 6*sr6) / r
 			}
 			// Debye–Hückel screened Coulomb with pH-effective charges.
-			qi, qj := ai.Charge, aj.Charge
-			if charges != nil {
-				qi, qj = charges[i], charges[j]
-			}
-			qq := qi * qj
+			qq := qi * charges[j]
 			if qq != 0 {
 				base := CoulombK * qq / r
 				screen := 1.0
@@ -398,9 +441,12 @@ func (s *System) nonbondedForces(st *State, prm Params, f []Vec3) (lj, coul floa
 			}
 			if f != nil && dEdR != 0 {
 				g := dEdR / r
-				f[i] = f[i].Add(d.Scale(g))
+				fi = fi.Add(d.Scale(g))
 				f[j] = f[j].Sub(d.Scale(g))
 			}
+		}
+		if f != nil {
+			f[i] = fi
 		}
 	}
 	return lj, coul
@@ -410,8 +456,9 @@ func (s *System) nonbondedForces(st *State, prm Params, f []Vec3) (lj, coul floa
 // With v in Å/ps and m in amu, KE = Σ ½ m v² / AccelFactor.
 func (s *System) KineticEnergy(st *State) float64 {
 	ke := 0.0
-	for i, a := range s.Top.Atoms {
-		ke += 0.5 * a.Mass * st.Vel[i].Norm2()
+	atoms := s.Top.Atoms
+	for i := range atoms {
+		ke += 0.5 * atoms[i].Mass * st.Vel[i].Norm2()
 	}
 	return ke / AccelFactor
 }

@@ -21,13 +21,15 @@ type VelocityVerlet struct {
 	f []Vec3
 }
 
-// Step advances n velocity-Verlet steps.
+// Step advances n velocity-Verlet steps. The forces are evaluated on
+// entry, never carried over from an earlier call: between two calls the
+// parameters may have been exchanged or the state rescaled.
 func (vv *VelocityVerlet) Step(sys *System, st *State, prm Params, n int) {
 	na := sys.Top.N()
 	if len(vv.f) != na {
 		vv.f = make([]Vec3, na)
-		sys.EnergyForces(st, prm, vv.f)
 	}
+	sys.EnergyForces(st, prm, vv.f)
 	dt := vv.Dt
 	for step := 0; step < n; step++ {
 		for i := 0; i < na; i++ {
@@ -57,7 +59,10 @@ type LangevinBAOAB struct {
 	// RNG drives the stochastic kick; required.
 	RNG *rand.Rand
 
-	f []Vec3
+	// scratch is one allocation of 2·N entries: the forces, then per
+	// atom the two mass-dependent constants of a Step call (X the
+	// half-kick factor, Y the noise amplitude).
+	scratch []Vec3
 }
 
 // NewLangevin returns a BAOAB integrator with the given step, friction
@@ -75,43 +80,43 @@ func (lg *LangevinBAOAB) Step(sys *System, st *State, prm Params, n int) {
 		panic(fmt.Sprintf("md: %v", err))
 	}
 	na := sys.Top.N()
-	if len(lg.f) != na {
-		lg.f = make([]Vec3, na)
+	if len(lg.scratch) != 2*na {
+		lg.scratch = make([]Vec3, 2*na)
 	}
-	sys.EnergyForces(st, prm, lg.f)
+	f, consts := lg.scratch[:na], lg.scratch[na:]
+	sys.EnergyForces(st, prm, f)
 	dt := lg.Dt
 	c1 := math.Exp(-lg.Gamma * dt)
 	c2 := math.Sqrt(1 - c1*c1)
 	kT := KB * prm.TemperatureK
+	for i := range consts {
+		m := sys.Top.Atoms[i].Mass
+		consts[i] = Vec3{X: 0.5 * dt * AccelFactor / m, Y: c2 * math.Sqrt(kT*AccelFactor/m)}
+	}
+	pos, vel := st.Pos[:na], st.Vel[:na]
 	for step := 0; step < n; step++ {
-		// B: half kick.
-		for i := 0; i < na; i++ {
-			m := sys.Top.Atoms[i].Mass
-			st.Vel[i] = st.Vel[i].Add(lg.f[i].Scale(0.5 * dt * AccelFactor / m))
-		}
-		// A: half drift.
-		for i := 0; i < na; i++ {
-			st.Pos[i] = st.Pos[i].Add(st.Vel[i].Scale(0.5 * dt))
-		}
-		// O: Ornstein-Uhlenbeck exact step.
-		for i := 0; i < na; i++ {
-			m := sys.Top.Atoms[i].Mass
-			s := math.Sqrt(kT * AccelFactor / m)
-			st.Vel[i] = Vec3{
-				c1*st.Vel[i].X + c2*s*lg.RNG.NormFloat64(),
-				c1*st.Vel[i].Y + c2*s*lg.RNG.NormFloat64(),
-				c1*st.Vel[i].Z + c2*s*lg.RNG.NormFloat64(),
+		// B, A, O, A touch one atom at a time, so they run as one pass;
+		// the noise is still drawn in atom order, X then Y then Z.
+		for i := range pos {
+			halfKick, noise := consts[i].X, consts[i].Y
+			// B: half kick.
+			v := vel[i].Add(f[i].Scale(halfKick))
+			// A: half drift.
+			p := pos[i].Add(v.Scale(0.5 * dt))
+			// O: Ornstein-Uhlenbeck exact step.
+			v = Vec3{
+				c1*v.X + noise*lg.RNG.NormFloat64(),
+				c1*v.Y + noise*lg.RNG.NormFloat64(),
+				c1*v.Z + noise*lg.RNG.NormFloat64(),
 			}
-		}
-		// A: half drift.
-		for i := 0; i < na; i++ {
-			st.Pos[i] = st.Pos[i].Add(st.Vel[i].Scale(0.5 * dt))
+			// A: half drift.
+			pos[i] = p.Add(v.Scale(0.5 * dt))
+			vel[i] = v
 		}
 		// B: half kick with fresh forces.
-		sys.EnergyForces(st, prm, lg.f)
-		for i := 0; i < na; i++ {
-			m := sys.Top.Atoms[i].Mass
-			st.Vel[i] = st.Vel[i].Add(lg.f[i].Scale(0.5 * dt * AccelFactor / m))
+		sys.EnergyForces(st, prm, f)
+		for i := range vel {
+			vel[i] = vel[i].Add(f[i].Scale(consts[i].X))
 		}
 	}
 }
@@ -140,6 +145,8 @@ func InitVelocities(sys *System, st *State, tK float64, rng *rand.Rand) {
 func Minimize(sys *System, st *State, prm Params, maxIter int, fTol float64) float64 {
 	n := sys.Top.N()
 	f := make([]Vec3, n)
+	// One trial state for every iteration; the energy never reads Vel.
+	trial := &State{Pos: make([]Vec3, n)}
 	step := 1e-4
 	e := sys.EnergyForces(st, prm, f).Potential()
 	for iter := 0; iter < maxIter; iter++ {
@@ -152,9 +159,8 @@ func Minimize(sys *System, st *State, prm Params, maxIter int, fTol float64) flo
 		if fmax < fTol {
 			break
 		}
-		trial := st.Clone()
 		for i := 0; i < n; i++ {
-			trial.Pos[i] = trial.Pos[i].Add(f[i].Scale(step))
+			trial.Pos[i] = st.Pos[i].Add(f[i].Scale(step))
 		}
 		eTrial := sys.Energy(trial, prm).Potential()
 		if eTrial < e {

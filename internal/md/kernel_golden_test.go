@@ -150,8 +150,8 @@ func kernelFingerprint(sc kernelScenario) string {
 }
 
 // TestKernelGolden pins the force field and both integrators bit for
-// bit. The golden file was generated by the kernel that asked two
-// map[[2]int]bool about every atom pair and re-mixed LJ parameters per
+// bit. The golden file was generated by the kernel that looked every atom
+// pair up in two hash maps (excluded, 1-4) and re-mixed LJ parameters per
 // pair, so a match means the compiled kernel changed no pair order, no
 // float association and no RNG draw.
 func TestKernelGolden(t *testing.T) {

@@ -110,23 +110,24 @@ func TestTopologyValidate(t *testing.T) {
 
 func TestExclusions(t *testing.T) {
 	top, _ := BuildAlanineDipeptide()
+	sys := MustNewSystem(top, Box{}, 0)
 	// 1-2: bonded atoms.
-	if !top.Excluded(0, 1) {
+	if !sys.Excluded(0, 1) {
 		t.Error("bonded pair (0,1) not excluded")
 	}
 	// 1-3: 0-1-2.
-	if !top.Excluded(0, 2) {
+	if !sys.Excluded(0, 2) {
 		t.Error("1-3 pair (0,2) not excluded")
 	}
 	// 1-4: 0-1-3-4.
-	if !top.Is14(0, 4) {
+	if !sys.Is14(0, 4) {
 		t.Error("(0,4) should be a 1-4 pair")
 	}
-	if top.Excluded(0, 4) {
+	if sys.Excluded(0, 4) {
 		t.Error("1-4 pair must not be fully excluded")
 	}
 	// Distant pair: 0..9 is five bonds apart.
-	if top.Excluded(0, 9) || top.Is14(0, 9) {
+	if sys.Excluded(0, 9) || sys.Is14(0, 9) {
 		t.Error("(0,9) should be a plain nonbonded pair")
 	}
 }

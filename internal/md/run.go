@@ -40,13 +40,27 @@ func (t *Trajectory) MeanPotential() float64 {
 // only the final frame). This is the "MD phase" primitive the
 // replica-exchange core invokes between exchange attempts.
 func RunSegment(sys *System, st *State, prm Params, integ Integrator, steps, sampleEvery int) Trajectory {
-	var tr Trajectory
-	tr.Steps = steps
+	tr := Trajectory{Steps: steps}
+	if steps <= 0 {
+		return tr
+	}
 	if sampleEvery <= 0 {
 		sampleEvery = steps
 	}
 	phiIdx := sys.Top.FindDihedral("phi")
 	psiIdx := sys.Top.FindDihedral("psi")
+	// One allocation holds all four series; each is capped at its
+	// quarter so a later append to one cannot reach into the next.
+	samples := (steps + sampleEvery - 1) / sampleEvery
+	buf := make([]float64, 4*samples)
+	tr.Potential = buf[0:0:samples]
+	tr.Kinetic = buf[samples : samples : 2*samples]
+	if phiIdx >= 0 {
+		tr.Phi = buf[2*samples : 2*samples : 3*samples]
+	}
+	if psiIdx >= 0 {
+		tr.Psi = buf[3*samples : 3*samples : 4*samples]
+	}
 	sample := func() {
 		e := sys.Energy(st, prm)
 		tr.Potential = append(tr.Potential, e.Potential())

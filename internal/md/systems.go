@@ -159,9 +159,6 @@ func BuildSolvatedDipeptide(nSolvent int) (*Topology, *State, Box) {
 			}
 		}
 	}
-	// Invalidate cached exclusions built for the bare solute.
-	top.excl = nil
-	top.pair14 = nil
 	return top, st, box
 }
 

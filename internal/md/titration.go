@@ -48,27 +48,20 @@ func (s TitratableSite) SelfFreeEnergy(pH, tK float64) float64 {
 }
 
 // effectiveCharges returns the per-atom charge vector under the given
-// parameters — static charges with titratable sites replaced by their
-// pH-dependent mean-field values — or nil when no titration applies
-// (no titratable sites, or pH unset), in which case callers read the
-// static charges directly. buf is caller-owned scratch (grown as
+// parameters — the static charges with titratable sites replaced by
+// their pH-dependent mean-field values — or nil when no titration
+// applies (no titratable sites, or pH unset), in which case callers read
+// the static charges directly. buf is caller-owned scratch (grown as
 // needed): force evaluations run concurrently for different replicas
-// sharing one topology, so the scratch must never live on shared
+// sharing one system, so the scratch must never live on shared
 // structure.
-func (t *Topology) effectiveCharges(prm Params, buf []float64) []float64 {
-	if prm.PH <= 0 || len(t.Titratable) == 0 {
+func (s *System) effectiveCharges(prm Params, buf []float64) []float64 {
+	if prm.PH <= 0 || len(s.Top.Titratable) == 0 {
 		return nil
 	}
-	n := t.N()
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = t.Atoms[i].Charge
-	}
-	for _, s := range t.Titratable {
-		buf[s.Atom] = s.EffectiveCharge(prm.PH)
+	buf = append(buf[:0], s.nb.charge...)
+	for _, site := range s.Top.Titratable {
+		buf[site.Atom] = site.EffectiveCharge(prm.PH)
 	}
 	return buf
 }

@@ -69,10 +69,6 @@ type Topology struct {
 	Scale14 float64
 	// Titratable lists pH-dependent sites (constant-pH REMD).
 	Titratable []TitratableSite
-
-	// exclusion maps, built lazily by BuildExclusions.
-	excl   map[[2]int]bool
-	pair14 map[[2]int]bool
 }
 
 // N returns the number of atoms.
@@ -137,74 +133,6 @@ func (t *Topology) FindDihedral(label string) int {
 		}
 	}
 	return -1
-}
-
-func pairKey(i, j int) [2]int {
-	if i > j {
-		i, j = j, i
-	}
-	return [2]int{i, j}
-}
-
-// BuildExclusions computes the 1-2/1-3 exclusion set and the 1-4 pair
-// set from the bond graph. It is called automatically by the force
-// routines but may be invoked eagerly.
-func (t *Topology) BuildExclusions() {
-	if t.excl != nil {
-		return
-	}
-	t.excl = make(map[[2]int]bool)
-	t.pair14 = make(map[[2]int]bool)
-	adj := make([][]int, t.N())
-	for _, b := range t.Bonds {
-		adj[b.I] = append(adj[b.I], b.J)
-		adj[b.J] = append(adj[b.J], b.I)
-	}
-	// 1-2
-	for _, b := range t.Bonds {
-		t.excl[pairKey(b.I, b.J)] = true
-	}
-	// 1-3
-	for j := range adj {
-		nb := adj[j]
-		for x := 0; x < len(nb); x++ {
-			for y := x + 1; y < len(nb); y++ {
-				t.excl[pairKey(nb[x], nb[y])] = true
-			}
-		}
-	}
-	// 1-4: walk three bonds; only pairs not already 1-2/1-3.
-	for i := range adj {
-		for _, j := range adj[i] {
-			for _, k := range adj[j] {
-				if k == i {
-					continue
-				}
-				for _, l := range adj[k] {
-					if l == j || l == i {
-						continue
-					}
-					key := pairKey(i, l)
-					if !t.excl[key] {
-						t.pair14[key] = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// Excluded reports whether the nonbonded interaction between i and j is
-// fully excluded (1-2 or 1-3).
-func (t *Topology) Excluded(i, j int) bool {
-	t.BuildExclusions()
-	return t.excl[pairKey(i, j)]
-}
-
-// Is14 reports whether (i,j) is a 1-4 pair (scaled by Scale14).
-func (t *Topology) Is14(i, j int) bool {
-	t.BuildExclusions()
-	return t.pair14[pairKey(i, j)]
 }
 
 // TotalMass returns the sum of atomic masses.

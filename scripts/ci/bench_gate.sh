@@ -12,6 +12,12 @@
 # legs at 40x, the scaling legs (1024/4096 replicas) at 8x, the
 # 65536-replica barrier leg at 1x. The sharded-exchange pair keeps every
 # CPU (its worker pool is what it measures) at 2x.
+#
+# The internal/md legs (force evaluation and Langevin step, ns/atom) go
+# to their own stream and their own baseline, BENCH_md.json: a baseline
+# file gates one metric. They are timed, not counted — 200 ms a sample —
+# because one force call is microseconds on the dipeptide and a third of
+# a millisecond on the 256-atom fluid.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -20,6 +26,7 @@ cd "$(repo_root)"
 # Five rounds of one sample each, not one round of -count 5: a burst of
 # neighbour noise then spoils one sample of a leg instead of its median.
 : > BENCH_dispatcher.json
+: > BENCH_md_samples.json
 for _ in 1 2 3 4 5; do
   go test -run '^$' -cpu 1 -bench 'BenchmarkDispatcher$/^(64|256)$|BenchmarkDispatcherBus$|BenchmarkDispatcherTrace$' \
     -benchtime 40x -json . | tee -a BENCH_dispatcher.json
@@ -29,5 +36,11 @@ for _ in 1 2 3 4 5; do
     -benchtime 1x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -bench 'BenchmarkExchangeSharding$' \
     -benchtime 2x -json . | tee -a BENCH_dispatcher.json
+  go test -run '^$' -cpu 1 -bench 'BenchmarkMDForce$|BenchmarkLangevinStep$' \
+    -benchtime 200ms -json ./internal/md | tee -a BENCH_md_samples.json
 done
-go run ./cmd/benchcheck -baseline BENCH_baseline.json -bench BENCH_dispatcher.json
+# Both gates report even when the first fails.
+status=0
+go run ./cmd/benchcheck -baseline BENCH_baseline.json -bench BENCH_dispatcher.json || status=1
+go run ./cmd/benchcheck -metric ns/atom -baseline BENCH_md.json -bench BENCH_md_samples.json || status=1
+exit "$status"
