@@ -556,7 +556,7 @@ func (c *Collector) Restore(data []byte) error {
 		return fmt.Errorf("analysis: state has %d dimensions, collector %d",
 			len(st.Pairs), len(c.cfg.DimSizes))
 	}
-	if st.PairWindows != nil && len(st.PairWindows) != len(st.Pairs) {
+	if len(st.PairWindows) != len(st.Pairs) {
 		return fmt.Errorf("analysis: state has %d pair-window dimensions, %d pair dimensions",
 			len(st.PairWindows), len(st.Pairs))
 	}
@@ -571,21 +571,14 @@ func (c *Collector) Restore(data []byte) error {
 			return fmt.Errorf("analysis: state has %d pairs along dimension %d, collector ladder has %d windows",
 				len(st.Pairs[d]), d, n)
 		}
-		if st.PairWindows != nil && len(st.PairWindows[d]) != want {
+		if len(st.PairWindows[d]) != want {
 			return fmt.Errorf("analysis: state has %d pair windows along dimension %d, collector ladder has %d windows",
 				len(st.PairWindows[d]), d, n)
 		}
 	}
-	// Snapshots written before rolling windows existed carry none:
-	// start the windows empty. A snapshot from a different WindowEvents
-	// configuration is re-rung, keeping the newest outcomes.
-	if st.PairWindows == nil {
-		st.PairWindows = make([][]ring.Bool, len(st.Pairs))
-	}
+	// A snapshot from a different WindowEvents configuration is re-rung,
+	// keeping the newest outcomes.
 	for d := range st.PairWindows {
-		if st.PairWindows[d] == nil && len(st.Pairs[d]) > 0 {
-			st.PairWindows[d] = make([]ring.Bool, len(st.Pairs[d]))
-		}
 		for i := range st.PairWindows[d] {
 			// Rings come from untrusted JSON: corrupt indices would
 			// panic inside Push on the first post-resume event.

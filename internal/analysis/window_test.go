@@ -148,10 +148,11 @@ func TestWindowSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreAcceptsPreWindowState: a checkpoint written before rolling
-// windows existed (no pair_windows field) must restore with empty
-// windows rather than fail — old snapshots stay usable.
-func TestRestoreAcceptsPreWindowState(t *testing.T) {
+// TestRestoreRejectsPreWindowState: a state without pair windows (the
+// collector layout of snapshot format 1) is rejected with an error, not
+// restored with empty windows and never a panic; so is one whose window
+// list is present but short.
+func TestRestoreRejectsPreWindowState(t *testing.T) {
 	src := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3, WindowEvents: 4})
 	src.Apply(pairEvent(0, 0, true))
 	data, err := src.EncodeState()
@@ -162,27 +163,25 @@ func TestRestoreAcceptsPreWindowState(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	delete(raw, "pair_windows")
-	old, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3, WindowEvents: 4})
-	if err := col.Restore(old); err != nil {
-		t.Fatalf("pre-window state rejected: %v", err)
-	}
-	st := col.Snapshot()
-	if st.Acceptance[0][0].Attempted != 1 {
-		t.Fatalf("cumulative stats lost: %+v", st.Acceptance[0][0])
-	}
-	if got := st.AcceptanceWindow[0][0]; got.Attempted != 0 {
-		t.Fatalf("window not empty after pre-window restore: %+v", got)
-	}
-	// And the collector keeps collecting into the fresh windows.
-	col.Apply(pairEvent(1, 1, false))
-	if got := col.Snapshot().AcceptanceWindow[0][1]; got.Attempted != 1 || got.Accepted != 0 {
-		t.Fatalf("post-restore window %+v, want 0/1", got)
+	for name, windows := range map[string]string{"absent": "", "null": "null", "short": "[[{}]]"} {
+		if windows == "" {
+			delete(raw, "pair_windows")
+		} else {
+			raw["pair_windows"] = json.RawMessage(windows)
+		}
+		old, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3, WindowEvents: 4})
+		if err := col.Restore(old); err == nil {
+			t.Errorf("%s pair windows: state accepted", name)
+		}
+		// The rejected restore left the collector usable.
+		col.Apply(pairEvent(1, 1, false))
+		if got := col.Snapshot().AcceptanceWindow[0][1]; got.Attempted != 1 {
+			t.Errorf("%s pair windows: collector broken after rejection: %+v", name, got)
+		}
 	}
 }
 

@@ -367,6 +367,3 @@ func (c *Cluster) TaskFails() bool {
 func (c *Cluster) Stats() (filesStaged int, bytesStaged int64, launched, failed int) {
 	return c.filesStaged, c.bytesStaged, c.tasksLaunched, c.tasksFailed
 }
-
-// CoreBusyIntegral returns machine-wide core-seconds consumed so far.
-func (c *Cluster) CoreBusyIntegral() float64 { return c.cores.BusyIntegral() }

@@ -236,16 +236,13 @@ func TestLiveGroupsSkipDeadReplicas(t *testing.T) {
 	sim.replicas[0].Alive = false
 	sim.replicas[7].Alive = false
 	for d := 0; d < 3; d++ {
-		total := 0
-		for _, g := range sim.liveGroups(d) {
-			total += len(g)
-			for _, r := range g {
-				if !r.Alive {
-					t.Fatal("dead replica in live group")
-				}
+		members, off := sim.collectGroups(d, nil, 1)
+		for _, r := range members {
+			if !r.Alive {
+				t.Fatal("dead replica in live group")
 			}
 		}
-		if total != sim.Grid().Size()-2 {
+		if total := off[len(off)-1]; total != len(members) || total != sim.Grid().Size()-2 {
 			t.Fatalf("dim %d live group total %d, want %d", d, total, sim.Grid().Size()-2)
 		}
 	}

@@ -45,10 +45,11 @@ type mdFlight struct {
 	rel int
 }
 
-// dispatch runs the simulation to completion under the given trigger
-// policy, or until ctx is cancelled (checked at exchange-event
-// boundaries only, so every observable stop point has the shape of a
-// periodic snapshot).
+// dispatcher is the state of one run of the core loop: the run's policy
+// and its optional sides, the flights in the air, the replicas waiting
+// for an exchange and the accounting of the collection round in
+// progress. One is built per RunContext call; nothing in it is created
+// per completion.
 //
 // Aligned policies (the barrier) reproduce the synchronous pattern
 // exactly: each round is one (cycle, dimension) sub-cycle over all alive
@@ -57,386 +58,452 @@ type mdFlight struct {
 // overhead. Non-aligned policies reproduce the asynchronous shape:
 // completions are processed as they arrive, exchanges run over the ready
 // subset, and each record covers one exchange event.
-func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
-	spec := s.spec
-	ndims := len(spec.Dims)
-	aligned := tr.Aligned()
-	if s.resumed && spec.Resume.Trigger != "" && spec.Resume.Trigger != tr.Name() {
-		return fmt.Errorf("core: snapshot was taken under trigger %q, resuming under %q",
-			spec.Resume.Trigger, tr.Name())
+type dispatcher struct {
+	s   *Simulation
+	ctx context.Context
+	tr  Trigger
+	// latObs is the policy's LatencyObserver side (nil without one):
+	// adaptive policies are fed each MD segment's completion latency —
+	// submission to final completion, including relaunch retries — rather
+	// than the raw per-attempt exec time Observe sees.
+	latObs LatencyObserver
+	// fb is the policy as a FeedbackTrigger (nil otherwise): feedback
+	// policies get a controller-decision span after each fire and drive
+	// ladder respacing.
+	fb      *FeedbackTrigger
+	aligned bool
+	ndims   int
+	// segBudget is a replica's MD-segment budget: the synchronous pattern
+	// runs one segment per (cycle, dimension) sub-cycle, the asynchronous
+	// family one segment per cycle.
+	segBudget int
+
+	owner   map[task.Handle]*mdFlight
+	batch   []*mdFlight // aligned: this round's flights in submission order
+	ready   []*Replica  // non-aligned: processed replicas awaiting exchange
+	next    []*Replica  // resubmission set, reused across rounds
+	free    []*mdFlight // free list: absorbed flights are recycled
+	readyB  int         // ready replicas with budget left
+	pending int         // outstanding MD tasks
+	done    int         // completed-but-unprocessed tasks (aligned)
+	alive   int
+	event   int         // exchange events fired so far
+	dim     int         // dimension of the upcoming exchange
+	mdAccum PhaseRecord // MD results (incl. failed attempts) of the round
+	prep    float64     // MD preparation overhead of the current round
+	roundT0 float64     // round start (before MD preparation)
+	mdStart float64     // first MD submission of the current round
+	// noopFires counts consecutive fires that neither exchanged nor
+	// resubmitted; lastFireAt is the runtime time of the latest one.
+	noopFires  int
+	lastFireAt float64
+}
+
+func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
+	d := &dispatcher{
+		s:         s,
+		ctx:       ctx,
+		tr:        tr,
+		aligned:   tr.Aligned(),
+		ndims:     len(s.spec.Dims),
+		segBudget: s.spec.Cycles,
+		owner:     make(map[task.Handle]*mdFlight, len(s.replicas)),
+		event:     s.resumeEvents,
+		dim:       s.resumeEvents % len(s.spec.Dims),
 	}
-	// Closed-loop policies are fed exchange outcomes through the
-	// observer hook; stateful ones additionally resume their controller
-	// state, so a resumed run makes the same trigger decisions.
+	if d.aligned {
+		d.segBudget *= d.ndims
+	}
+	for _, r := range s.replicas {
+		if r.Alive {
+			d.alive++
+		}
+	}
+	// Closed-loop policies are fed exchange outcomes through the observer
+	// hook: publishExchange feeds ObserveExchange synchronously, so the
+	// fired dimension's control step has already run when fire records
+	// the controller span.
 	s.exObs, _ = tr.(ExchangeObserver)
-	// Latency-adaptive policies are fed each MD segment's completion
-	// latency — submission to final completion, including relaunch
-	// retries — rather than the raw per-attempt exec time Observe sees.
-	latObs, _ := tr.(LatencyObserver)
-	// Feedback policies get a controller-decision span after each fire:
-	// publishExchange feeds ObserveExchange synchronously, so the fired
-	// dimension's control step has already run when the span is recorded.
-	fbTr, _ := tr.(*FeedbackTrigger)
+	d.latObs, _ = tr.(LatencyObserver)
+	d.fb, _ = tr.(*FeedbackTrigger)
+	return d
+}
+
+// run drives the simulation to completion under the policy, or until
+// the context is cancelled (checked at exchange-event boundaries only,
+// so every observable stop point has the shape of a periodic snapshot).
+func (d *dispatcher) run() error {
+	s, tr := d.s, d.tr
+	if s.resumed && s.spec.Resume.Trigger != "" && s.spec.Resume.Trigger != tr.Name() {
+		return fmt.Errorf("core: snapshot was taken under trigger %q, resuming under %q",
+			s.spec.Resume.Trigger, tr.Name())
+	}
 	// Queued bus events are flushed once per dispatcher wakeup; the
 	// deferred flush covers error returns mid-round. Resource events are
 	// drained first (LIFO), so pilot lifecycle changes buffered by an
 	// elastic runtime reach the bus even on error paths.
 	defer s.flushBus()
 	defer s.drainResourceEvents()
-	if s.resumed && len(spec.Resume.TriggerData) > 0 {
-		st, ok := tr.(StatefulTrigger)
-		if !ok {
-			return fmt.Errorf("core: snapshot carries %q trigger state, but the policy cannot restore it",
-				spec.Resume.Trigger)
-		}
-		if err := st.RestoreState(spec.Resume.TriggerData); err != nil {
-			return err
-		}
+	if err := d.restoreTrigger(); err != nil {
+		return err
 	}
-	// A replica's MD-segment budget: the synchronous pattern runs one
-	// segment per (cycle, dimension) sub-cycle, the asynchronous family
-	// one segment per cycle.
-	segBudget := spec.Cycles
-	if aligned {
-		segBudget *= ndims
-	}
-
-	var (
-		owner   = make(map[task.Handle]*mdFlight, len(s.replicas))
-		batch   []*mdFlight // aligned: this round's flights in submission order
-		ready   []*Replica  // non-aligned: processed replicas awaiting exchange
-		next    []*Replica  // fire-time resubmission set, reused across rounds
-		free    []*mdFlight // free list: absorbed flights are recycled
-		readyB  int         // ready replicas with budget left
-		pending int         // outstanding MD tasks
-		done    int         // completed-but-unprocessed tasks (aligned)
-		alive   = s.aliveCount()
-		event   = s.resumeEvents // exchange events fired so far
-		dim     = s.resumeEvents % ndims
-		mdAccum PhaseRecord // MD results (incl. failed attempts) of the round
-		prep    float64     // MD preparation overhead of the current round
-		roundT0 float64     // round start (before MD preparation)
-		mdStart float64     // first MD submission of the current round
-	)
-
-	// newFlight and freeFlight recycle mdFlight structs: the dispatcher
-	// creates one per MD segment, which at production replica counts is
-	// the dominant per-event allocation (ROADMAP: dispatcher allocation
-	// pressure).
-	newFlight := func(r *Replica) *mdFlight {
-		if n := len(free) - 1; n >= 0 {
-			f := free[n]
-			free = free[:n]
-			*f = mdFlight{r: r, dim: dim}
-			return f
-		}
-		return &mdFlight{r: r, dim: dim}
-	}
-	freeFlight := func(f *mdFlight) {
-		*f = mdFlight{}
-		free = append(free, f)
-	}
-
-	// absorb processes one completed MD segment, tracking deaths.
-	absorb := func(r *Replica, res task.Result, phase *PhaseRecord) {
-		s.finishMD(r, res, phase)
-		if !r.Alive {
-			alive--
-		}
-	}
-
-	state := func() TriggerState {
-		st := TriggerState{
-			Now:     s.rt.Now(),
-			Pending: pending,
-			Alive:   alive,
-			// dim already points at the upcoming exchange's dimension:
-			// fires advance it before Reset opens the next window, so
-			// per-dimension policies steer the right actuator pair.
-			Dim: dim,
-		}
-		if aligned {
-			st.Ready = done
-		} else {
-			st.Ready = len(ready)
-			st.ReadyBudget = readyB
-		}
-		return st
-	}
-
-	// submit sends one MD segment per replica, charging a single
-	// task-preparation overhead for the whole batch.
-	submit := func(rs []*Replica) {
-		if len(rs) == 0 {
-			return
-		}
-		p := s.engine.PrepOverhead(len(rs), ndims)
-		s.rt.Overhead(p)
-		prep += p
-		mdStart = s.rt.Now()
-		for _, r := range rs {
-			f := newFlight(r)
-			f.start = mdStart
-			f.h = s.rt.SubmitWatched(s.engine.MDTask(r, spec, dim))
-			owner[f.h] = f
-			pending++
-			if aligned {
-				batch = append(batch, f)
-			}
-		}
-	}
-
-	// relaunch resubmits a failed MD segment as a fresh dispatcher event
-	// and reports whether it did. Replica failures consume the replica's
-	// retry budget under FaultRelaunch; resource-loss failures (pilot
-	// walltime expiry) are resubmitted under either policy against a
-	// separate per-segment cap, since they are the infrastructure's
-	// fault, not the replica's.
-	relaunch := func(f *mdFlight, res task.Result) bool {
-		kind, retries := "", 0
-		switch {
-		case errors.Is(res.Err, task.ErrResourceLost):
-			if f.infra >= spec.MaxRetries {
-				return false
-			}
-			f.infra++
-			kind, retries = FaultKindResourceLost, f.infra
-		case spec.FaultPolicy == FaultRelaunch && f.r.Retries < spec.MaxRetries:
-			f.r.Retries++
-			f.rel++
-			kind, retries = FaultKindRelaunch, f.r.Retries
-		default:
-			return false
-		}
-		s.report.Relaunches++
-		s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
-			Kind: kind, Retries: retries, Exec: res.Exec})
-		s.recordFault(f.r.ID, kind, retries)
-		// The failed attempt is charged to the round it happened in.
-		mdAccum.absorb(res)
-		s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
-		h := s.rt.SubmitWatched(s.engine.MDTask(f.r, spec, f.dim))
-		delete(owner, f.h)
-		f.h = h
-		owner[h] = f
-		pending++
-		return true
-	}
-
-	// cancelRun stops the run at an exchange-event boundary. The snapshot
-	// is captured first, so it has exactly the shape of a periodic one:
-	// taken right after a fire, with no partially-absorbed MD results.
-	// Every in-flight segment is then awaited and discarded — never
-	// absorbed into replica state, so the engine's RNG stream stays at
-	// the boundary and the discarded segments are simply redone on
-	// resume, reproducing the uninterrupted run's slot history exactly.
-	cancelRun := func() error {
-		sn, snErr := s.captureSnapshot(tr, event)
-		for pending > 0 {
-			for _, h := range s.rt.AwaitNext(math.Inf(1)) {
-				f := owner[h]
-				delete(owner, h)
-				pending--
-				s.report.CancelledUnits++
-				s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
-					Kind: FaultKindCancelled})
-				s.recordFault(f.r.ID, FaultKindCancelled, 0)
-				freeFlight(f)
-			}
-		}
-		batch = batch[:0]
-		ready = ready[:0]
-		done, readyB = 0, 0
-		s.flushBus()
-		if snErr != nil {
-			return snErr
-		}
-		if s.spec.OnSnapshot != nil {
-			s.spec.OnSnapshot(sn)
-			s.recordCheckpoint(event, "cancel")
-		}
-		return fmt.Errorf("core: %w at exchange event %d", ErrRunCancelled, event)
-	}
-
 	// A context cancelled before the run starts stops at event 0 — the
 	// same boundary semantics, with nothing in flight yet.
-	if ctx.Err() != nil {
-		return cancelRun()
+	if d.ctx.Err() != nil {
+		return d.cancel()
 	}
-
-	roundT0 = s.rt.Now()
-	submit(s.budgetedReplicas(segBudget))
+	d.roundT0 = s.rt.Now()
+	d.resubmit(s.replicas)
 	s.drainResourceEvents() // pilot launch events precede the first round
 	s.flushBus()
-	tr.Reset(state())
+	tr.Reset(d.state())
 
-	// noopFires detects policies that fire without making progress: two
-	// consecutive no-op fires at the same instant cannot change the
-	// trigger's input and would spin forever (e.g. a zero-length window
-	// slipped past validation).
-	noopFires := 0
-	lastFireAt := 0.0
-
-	for pending > 0 || done > 0 || len(ready) > 0 {
-		st := state()
+	for d.pending > 0 || d.done > 0 || len(d.ready) > 0 {
+		st := d.state()
 		switch tr.Decide(st) {
 		case TriggerWait:
-			if pending == 0 {
+			if d.pending == 0 {
 				return fmt.Errorf("core: trigger %q stalled with no MD task outstanding", tr.Name())
 			}
-			noopFires = 0
+			d.noopFires = 0
 			for _, h := range s.rt.AwaitNext(tr.Deadline(st)) {
-				f := owner[h]
-				delete(owner, h)
-				pending--
-				res := h.Result()
-				tr.Observe(res)
-				if res.Failed() && relaunch(f, res) {
-					continue
-				}
-				if latObs != nil && !res.Failed() {
-					// Final completion of this segment: its latency spans
-					// back to the first submission, so fault-driven
-					// relaunch delay widens adaptive windows correctly.
-					latObs.ObserveLatency(s.rt.Now() - f.start)
-				}
-				if aligned {
-					// Deferred: the barrier processes the whole batch in
-					// submission order at fire time, matching the
-					// synchronous pattern's post-barrier accounting.
-					done++
-					continue
-				}
-				absorb(f.r, res, &mdAccum)
-				s.recordMD(f, res)
-				if f.r.Alive {
-					ready = append(ready, f.r)
-					if f.r.Cycle < segBudget {
-						readyB++
-					}
-				}
-				freeFlight(f)
+				d.complete(h)
 			}
 			s.drainResourceEvents()
-			s.flushBus()
-
+			s.flushBus() // queued bus events go out once per wakeup
 		case TriggerFireAtDeadline:
 			s.rt.SleepUntil(tr.Deadline(st))
 			fallthrough
 		case TriggerFire:
-			s.drainResourceEvents()
-			fired := aligned || len(ready) >= 2
-			if aligned {
-				// One synchronous sub-cycle: process the batch, exchange
-				// over all alive replicas, snapshot, advance.
-				cycle := event / ndims
-				rec := CycleRecord{Cycle: cycle, Dim: dim, At: s.rt.Now(),
-					MD: mdAccum, RepExOverhead: prep}
-				mdAccum = PhaseRecord{}
-				prep = 0
-				for _, f := range batch {
-					res := f.h.Result()
-					absorb(f.r, res, &rec.MD)
-					s.recordMD(f, res)
-					freeFlight(f)
-				}
-				batch = batch[:0]
-				done = 0
-				rec.MD.Wall = s.rt.Now() - mdStart
-				if !spec.DisableExchange {
-					exStart := s.rt.Now()
-					s.exchangePhase(s.aliveReplicas(), dim, cycle, &rec)
-					rec.EX.Wall = s.rt.Now() - exStart
-					s.recordExchange(event, dim, exStart, &rec)
-				}
-				rec.Wall = s.rt.Now() - roundT0
-				s.report.Records = append(s.report.Records, rec)
-				s.report.ExchangeEvents++
-				s.snapshotSlots()
-				s.publishExchange(event, cycle, dim, &rec)
-				s.recordController(fbTr, dim, event)
-				if alive < 2 {
-					return fmt.Errorf("core: fewer than two replicas alive after cycle %d", cycle)
-				}
-				event++
-				dim = event % ndims
-			} else if len(ready) >= 2 {
-				// One asynchronous exchange event over the ready subset
-				// (FIFO over the collection round). The round's MD wall is
-				// the collection span: fire time minus round start.
-				rec := CycleRecord{Cycle: event, Dim: dim, At: s.rt.Now(),
-					MD: mdAccum, RepExOverhead: prep}
-				rec.MD.Wall = s.rt.Now() - roundT0
-				mdAccum = PhaseRecord{}
-				prep = 0
-				exStart := s.rt.Now()
-				if !spec.DisableExchange {
-					s.exchangePhase(ready, dim, event, &rec)
-					s.recordExchange(event, dim, exStart, &rec)
-				}
-				rec.EX.Wall = s.rt.Now() - exStart
-				rec.Wall = rec.EX.Wall
-				s.report.Records = append(s.report.Records, rec)
-				s.report.ExchangeEvents++
-				s.snapshotSlots()
-				s.publishExchange(event, event, dim, &rec)
-				s.recordController(fbTr, dim, event)
-				event++
-				dim = event % ndims
-			}
-			if fired {
-				// Respace before the boundary's snapshot so a refit and
-				// the checkpoint that persists it land atomically.
-				s.maybeRespace(fbTr, event)
-				if err := s.maybeSnapshot(tr, event); err != nil {
-					return err
-				}
-				// Cancellation is honoured only at fired boundaries: after
-				// a no-op fire, ready-but-unexchanged replicas would not be
-				// reconstructible from a snapshot, so the run keeps going
-				// to the next real exchange event.
-				if ctx.Err() != nil {
-					return cancelRun()
-				}
-			}
-
-			// Replicas with budget left go back to MD; the rest are done.
-			next = next[:0]
-			if aligned {
-				for _, r := range s.replicas {
-					if r.Alive && r.Cycle < segBudget {
-						next = append(next, r)
-					}
-				}
-			} else {
-				for _, r := range ready {
-					if r.Alive && r.Cycle < segBudget {
-						next = append(next, r)
-					}
-				}
-				ready = ready[:0]
-				readyB = 0
-			}
-			// A new collection round starts only when an exchange event
-			// actually fired; after a no-op fire (async, <2 ready) the
-			// round — and its MD wall span — continues accumulating.
-			if fired {
-				roundT0 = s.rt.Now()
-			}
-			submit(next)
-			tr.Reset(state())
-			if fired || len(next) > 0 {
-				noopFires = 0
-			} else {
-				if noopFires > 0 && s.rt.Now() <= lastFireAt {
-					return fmt.Errorf("core: trigger %q fires without progress (livelock)", tr.Name())
-				}
-				noopFires++
-				lastFireAt = s.rt.Now()
+			if err := d.closeRound(); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// closeRound acts on a fire decision: the exchange event when anything
+// can exchange, then budgeted replicas go back to MD and the policy
+// opens its next collection round.
+func (d *dispatcher) closeRound() error {
+	s := d.s
+	s.drainResourceEvents()
+	// A non-aligned fire with fewer than two ready replicas is a no-op:
+	// nothing can exchange, and the round — with its MD wall span — keeps
+	// accumulating.
+	fired := d.aligned || len(d.ready) >= 2
+	if fired {
+		if err := d.fire(); err != nil {
+			return err
+		}
+		d.roundT0 = s.rt.Now()
+	}
+	from := d.ready
+	if d.aligned {
+		from = s.replicas
+	}
+	resubmitted := d.resubmit(from)
+	d.ready, d.readyB = d.ready[:0], 0
+	d.tr.Reset(d.state())
+	if fired || resubmitted > 0 {
+		d.noopFires = 0
+		return nil
+	}
+	// Two consecutive no-op fires at the same instant cannot change the
+	// trigger's input and would spin forever (e.g. a zero-length window
+	// slipped past validation).
+	if d.noopFires > 0 && s.rt.Now() <= d.lastFireAt {
+		return fmt.Errorf("core: trigger %q fires without progress (livelock)", d.tr.Name())
+	}
+	d.noopFires++
+	d.lastFireAt = s.rt.Now()
+	return nil
+}
+
+// restoreTrigger hands a resumed run's serialized controller state back
+// to a stateful policy, so it makes the same trigger decisions as the
+// uninterrupted run.
+func (d *dispatcher) restoreTrigger() error {
+	resume := d.s.spec.Resume
+	if !d.s.resumed || len(resume.TriggerData) == 0 {
+		return nil
+	}
+	st, ok := d.tr.(StatefulTrigger)
+	if !ok {
+		return fmt.Errorf("core: snapshot carries %q trigger state, but the policy cannot restore it",
+			resume.Trigger)
+	}
+	return st.RestoreState(resume.TriggerData)
+}
+
+// state is the bookkeeping snapshot the policy is consulted with.
+func (d *dispatcher) state() TriggerState {
+	st := TriggerState{
+		Now:     d.s.rt.Now(),
+		Pending: d.pending,
+		Alive:   d.alive,
+		// dim already points at the upcoming exchange's dimension: fires
+		// advance it before Reset opens the next window, so per-dimension
+		// policies steer the right actuator pair.
+		Dim: d.dim,
+	}
+	if d.aligned {
+		st.Ready = d.done
+	} else {
+		st.Ready = len(d.ready)
+		st.ReadyBudget = d.readyB
+	}
+	return st
+}
+
+// budgeted reports whether r still has MD segments to run.
+func (d *dispatcher) budgeted(r *Replica) bool {
+	return r.Alive && r.Cycle < d.segBudget
+}
+
+// resubmit sends the budgeted replicas of from (in order) to MD and
+// returns how many that was.
+func (d *dispatcher) resubmit(from []*Replica) int {
+	next := d.next[:0]
+	for _, r := range from {
+		if d.budgeted(r) {
+			next = append(next, r)
+		}
+	}
+	d.next = next
+	d.submit(next)
+	return len(next)
+}
+
+// submit sends one MD segment per replica, charging a single
+// task-preparation overhead for the whole batch.
+func (d *dispatcher) submit(rs []*Replica) {
+	if len(rs) == 0 {
+		return
+	}
+	s := d.s
+	p := s.engine.PrepOverhead(len(rs), d.ndims)
+	s.rt.Overhead(p)
+	d.prep += p
+	d.mdStart = s.rt.Now()
+	for _, r := range rs {
+		f := d.flight(r)
+		d.launch(f)
+		if d.aligned {
+			d.batch = append(d.batch, f)
+		}
+	}
+}
+
+// flight returns the mdFlight of a new segment of r in the batch being
+// submitted, recycling absorbed ones: the dispatcher needs one per MD
+// segment, which at production replica counts would otherwise be its
+// dominant allocation.
+func (d *dispatcher) flight(r *Replica) *mdFlight {
+	var f *mdFlight
+	if n := len(d.free) - 1; n >= 0 {
+		f, d.free = d.free[n], d.free[:n]
+	} else {
+		f = new(mdFlight)
+	}
+	*f = mdFlight{r: r, dim: d.dim, start: d.mdStart}
+	return f
+}
+
+// release returns a flight nothing refers to any more to the free list.
+func (d *dispatcher) release(f *mdFlight) {
+	*f = mdFlight{}
+	d.free = append(d.free, f)
+}
+
+// launch puts f's segment on the runtime's completion stream: the only
+// place a watched task is submitted and an owner entry made.
+func (d *dispatcher) launch(f *mdFlight) {
+	f.h = d.s.rt.SubmitWatched(d.s.engine.MDTask(f.r, d.s.spec, f.dim))
+	d.owner[f.h] = f
+	d.pending++
+}
+
+// take resolves a delivered handle to its flight: the only place an
+// owner entry is removed.
+func (d *dispatcher) take(h task.Handle) *mdFlight {
+	f := d.owner[h]
+	delete(d.owner, h)
+	d.pending--
+	return f
+}
+
+// complete processes one delivered MD completion: a relaunchable failure
+// goes back out, an aligned result waits for the barrier, anything else
+// is absorbed and its replica becomes ready.
+func (d *dispatcher) complete(h task.Handle) {
+	f := d.take(h)
+	res := h.Result()
+	d.tr.Observe(res)
+	if res.Failed() && d.relaunch(f, res) {
+		return
+	}
+	if d.latObs != nil && !res.Failed() {
+		// Final completion of this segment: its latency spans back to
+		// the first submission, so fault-driven relaunch delay widens
+		// adaptive windows correctly.
+		d.latObs.ObserveLatency(d.s.rt.Now() - f.start)
+	}
+	if d.aligned {
+		// Deferred: the barrier processes the whole batch in submission
+		// order at fire time, matching the synchronous pattern's
+		// post-barrier accounting.
+		d.done++
+		return
+	}
+	r := f.r
+	d.absorb(f, res, &d.mdAccum)
+	if r.Alive {
+		d.ready = append(d.ready, r)
+		if d.budgeted(r) {
+			d.readyB++
+		}
+	}
+}
+
+// absorb folds one final MD result into its replica and the given phase
+// record, tracking deaths, and recycles the flight.
+func (d *dispatcher) absorb(f *mdFlight, res task.Result, phase *PhaseRecord) {
+	d.s.finishMD(f.r, res, phase)
+	if !f.r.Alive {
+		d.alive--
+	}
+	d.s.recordMD(f, res)
+	d.release(f)
+}
+
+// relaunch resubmits a failed MD segment as a fresh dispatcher event
+// and reports whether it did. Replica failures consume the replica's
+// retry budget under FaultRelaunch; resource-loss failures (pilot
+// walltime expiry) are resubmitted under either policy against a
+// separate per-segment cap, since they are the infrastructure's
+// fault, not the replica's.
+func (d *dispatcher) relaunch(f *mdFlight, res task.Result) bool {
+	s := d.s
+	kind, retries := "", 0
+	switch {
+	case errors.Is(res.Err, task.ErrResourceLost):
+		if f.infra >= s.spec.MaxRetries {
+			return false
+		}
+		f.infra++
+		kind, retries = FaultKindResourceLost, f.infra
+	case s.spec.FaultPolicy == FaultRelaunch && f.r.Retries < s.spec.MaxRetries:
+		f.r.Retries++
+		f.rel++
+		kind, retries = FaultKindRelaunch, f.r.Retries
+	default:
+		return false
+	}
+	s.report.Relaunches++
+	s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+		Kind: kind, Retries: retries, Exec: res.Exec})
+	s.recordFault(f.r.ID, kind, retries)
+	// The failed attempt is charged to the round it happened in.
+	d.mdAccum.absorb(res)
+	s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
+	d.launch(f)
+	return true
+}
+
+// fire runs one exchange event and its boundary. The two policy
+// families differ in five values, chosen up front: an aligned event is
+// one synchronous sub-cycle — indexed by cycle, exchanging over every
+// alive replica, its MD wall counted from the round's first submission
+// and its wall from the round start, and it is the run's last when fewer
+// than two replicas survive it; a non-aligned event is indexed by
+// itself, exchanges over the ready subset (FIFO over the collection
+// round), counts MD wall as the collection span since the round start
+// and its wall is the exchange phase alone.
+func (d *dispatcher) fire() error {
+	s := d.s
+	cycle, participants, mdOrigin := d.event, d.ready, d.roundT0
+	if d.aligned {
+		cycle, participants, mdOrigin = d.event/d.ndims, s.replicas, d.mdStart
+	}
+	rec := CycleRecord{Cycle: cycle, Dim: d.dim, At: s.rt.Now(),
+		MD: d.mdAccum, RepExOverhead: d.prep}
+	d.mdAccum, d.prep = PhaseRecord{}, 0
+	// The barrier's deferred batch, in submission order (empty otherwise).
+	for _, f := range d.batch {
+		d.absorb(f, f.h.Result(), &rec.MD)
+	}
+	d.batch, d.done = d.batch[:0], 0
+	exStart := s.rt.Now()
+	rec.MD.Wall = exStart - mdOrigin
+	if !s.spec.DisableExchange {
+		// exchangePhase skips dead participants itself.
+		s.exchangePhase(participants, d.dim, cycle, &rec)
+		rec.EX.Wall = s.rt.Now() - exStart
+		s.recordExchange(d.event, d.dim, exStart, &rec)
+	}
+	rec.Wall = rec.EX.Wall
+	if d.aligned {
+		rec.Wall = s.rt.Now() - d.roundT0
+	}
+	s.report.Records = append(s.report.Records, rec)
+	s.report.ExchangeEvents++
+	s.snapshotSlots()
+	s.publishExchange(d.event, cycle, d.dim, &rec)
+	s.recordController(d.fb, d.dim, d.event)
+	if d.aligned && d.alive < 2 {
+		return fmt.Errorf("core: fewer than two replicas alive after cycle %d", cycle)
+	}
+	d.event++
+	d.dim = d.event % d.ndims
+
+	// Respace before the boundary's snapshot so a refit and the
+	// checkpoint that persists it land atomically.
+	s.maybeRespace(d.fb, d.event)
+	if err := s.maybeSnapshot(d.tr, d.event); err != nil {
+		return err
+	}
+	// Cancellation is honoured only at fired boundaries: after a no-op
+	// fire, ready-but-unexchanged replicas would not be reconstructible
+	// from a snapshot, so the run keeps going to the next real event.
+	if d.ctx.Err() != nil {
+		return d.cancel()
+	}
+	return nil
+}
+
+// cancel stops the run at an exchange-event boundary. The snapshot is
+// captured first, so it has exactly the shape of a periodic one: taken
+// right after a fire, with no partially-absorbed MD results. Every
+// in-flight segment is then awaited and discarded — never absorbed into
+// replica state, so the engine's RNG stream stays at the boundary and
+// the discarded segments are simply redone on resume, reproducing the
+// uninterrupted run's slot history exactly.
+func (d *dispatcher) cancel() error {
+	s := d.s
+	sn, snErr := s.captureSnapshot(d.tr, d.event)
+	for d.pending > 0 {
+		for _, h := range s.rt.AwaitNext(math.Inf(1)) {
+			f := d.take(h)
+			s.report.CancelledUnits++
+			s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+				Kind: FaultKindCancelled})
+			s.recordFault(f.r.ID, FaultKindCancelled, 0)
+			d.release(f)
+		}
+	}
+	d.batch, d.ready = d.batch[:0], d.ready[:0]
+	d.done, d.readyB = 0, 0
+	s.flushBus()
+	if snErr != nil {
+		return snErr
+	}
+	if s.spec.OnSnapshot != nil {
+		s.spec.OnSnapshot(sn)
+		s.recordCheckpoint(d.event, "cancel")
+	}
+	return fmt.Errorf("core: %w at exchange event %d", ErrRunCancelled, d.event)
 }
 
 // exchangePhase performs one exchange along dimension d among the given

@@ -198,11 +198,8 @@ func (s *Simulation) applyRespace(dim int, next []float64) {
 	for _, r := range s.replicas {
 		oldT := r.Params.TemperatureK
 		r.Params = s.slotParams[r.Slot].Clone()
-		if r.State != nil && r.Params.TemperatureK != oldT && oldT > 0 {
-			scale := math.Sqrt(r.Params.TemperatureK / oldT)
-			for i := range r.State.Vel {
-				r.State.Vel[i] = r.State.Vel[i].Scale(scale)
-			}
+		if oldT > 0 {
+			rescaleVelocities(r, oldT)
 		}
 	}
 }

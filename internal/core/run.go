@@ -90,7 +90,7 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	tr, err := s.spec.triggerPolicy()
 	if err == nil {
 		s.report.Trigger = tr.Name()
-		err = s.dispatch(ctx, tr)
+		err = newDispatcher(ctx, s, tr).run()
 	}
 	s.report.End = s.rt.Now()
 	switch {

@@ -37,7 +37,7 @@ type Simulation struct {
 	// while neither consumer is attached).
 	pairScratch []PairOutcome
 	// exObs is the running trigger's ExchangeObserver side, set by
-	// dispatch for closed-loop policies (nil otherwise).
+	// newDispatcher for closed-loop policies (nil otherwise).
 	exObs ExchangeObserver
 	rng   *rand.Rand
 	// rngDraws counts uniforms consumed from rng, so a Snapshot can
@@ -52,18 +52,16 @@ type Simulation struct {
 	// Exchange-phase scratch, reused across events so the hot loop
 	// allocates nothing per exchange: participant membership by replica
 	// ID, the flat group members with their boundary offsets and IDs, the
-	// grouped view handed to liveGroups callers, the flat pair list and
-	// its probability/uniform arrays, and the single-point-energy
-	// handles.
-	inScratch    []bool
-	exMembers    []*Replica
-	exOff        []int
-	exIDs        []int
-	groupScratch [][]*Replica
-	exPairs      []exchange.Pair
-	exProbs      []float64
-	exUnis       []float64
-	speScratch   []task.Handle
+	// flat pair list and its probability/uniform arrays, and the
+	// single-point-energy handles.
+	inScratch  []bool
+	exMembers  []*Replica
+	exOff      []int
+	exIDs      []int
+	exPairs    []exchange.Pair
+	exProbs    []float64
+	exUnis     []float64
+	speScratch []task.Handle
 	// busBatch accumulates a collection round's bus events for one
 	// batched Bus.PublishBatch call per dispatcher wakeup.
 	busBatch []Event
@@ -216,9 +214,9 @@ func (s *Simulation) SlotParams(slot int) md.Params { return s.slotParams[slot] 
 
 // finishMD processes one final MD task result: cycle count and energy
 // refresh, or replica death. Relaunchable failures never reach this
-// point — the dispatcher resubmits them as fresh events (see dispatch),
-// so a result that arrives here failed has exhausted its retry budget
-// (or runs under FaultDrop) and removes the replica.
+// point — dispatcher.relaunch resubmits them as fresh events — so a
+// result that arrives here failed has exhausted its retry budget (or
+// runs under FaultDrop) and removes the replica.
 func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
 	phase.absorb(res)
 	s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
@@ -337,8 +335,7 @@ func (s *Simulation) pairProbability(d int, a, b *Replica) float64 {
 }
 
 // applySwap exchanges the grid slots (and hence parameters) of two
-// replicas. For real engines with a temperature change, velocities are
-// rescaled by sqrt(Tnew/Told), the standard T-REMD velocity rescaling.
+// replicas, rescaling velocities where the temperature changed.
 func (s *Simulation) applySwap(a, b *Replica) {
 	oldTa, oldTb := a.Params.TemperatureK, b.Params.TemperatureK
 	a.Slot, b.Slot = b.Slot, a.Slot
@@ -346,17 +343,20 @@ func (s *Simulation) applySwap(a, b *Replica) {
 	s.replicaAt[b.Slot] = b.ID
 	a.Params = s.slotParams[a.Slot].Clone()
 	b.Params = s.slotParams[b.Slot].Clone()
-	if a.State != nil && a.Params.TemperatureK != oldTa {
-		scale := math.Sqrt(a.Params.TemperatureK / oldTa)
-		for i := range a.State.Vel {
-			a.State.Vel[i] = a.State.Vel[i].Scale(scale)
-		}
+	rescaleVelocities(a, oldTa)
+	rescaleVelocities(b, oldTb)
+}
+
+// rescaleVelocities applies the standard T-REMD velocity rescaling,
+// sqrt(Tnew/Told), to a real-engine replica whose temperature just moved
+// from oldT.
+func rescaleVelocities(r *Replica, oldT float64) {
+	if r.State == nil || r.Params.TemperatureK == oldT {
+		return
 	}
-	if b.State != nil && b.Params.TemperatureK != oldTb {
-		scale := math.Sqrt(b.Params.TemperatureK / oldTb)
-		for i := range b.State.Vel {
-			b.State.Vel[i] = b.State.Vel[i].Scale(scale)
-		}
+	scale := math.Sqrt(r.Params.TemperatureK / oldT)
+	for i := range r.State.Vel {
+		r.State.Vel[i] = r.State.Vel[i].Scale(scale)
 	}
 }
 
@@ -390,40 +390,6 @@ func (s *Simulation) snapshotSlots() {
 	s.report.SlotHistory = hist
 }
 
-// aliveReplicas returns the live replicas in ID order.
-func (s *Simulation) aliveReplicas() []*Replica {
-	var out []*Replica
-	for _, r := range s.replicas {
-		if r.Alive {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// budgetedReplicas returns the live replicas that still have MD segments
-// left, in ID order. On a fresh run this equals aliveReplicas; after a
-// resume, replicas restored at their full segment budget are excluded.
-func (s *Simulation) budgetedReplicas(segBudget int) []*Replica {
-	var out []*Replica
-	for _, r := range s.replicas {
-		if r.Alive && r.Cycle < segBudget {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (s *Simulation) aliveCount() int {
-	n := 0
-	for _, r := range s.replicas {
-		if r.Alive {
-			n++
-		}
-	}
-	return n
-}
-
 // collectGroups fills the exchange-group scratch for dimension d with
 // the alive replicas for which keep (indexed by replica ID) is true —
 // nil keeps every alive replica — dropping groups smaller than minSize.
@@ -450,22 +416,6 @@ func (s *Simulation) collectGroups(d int, keep []bool, minSize int) ([]*Replica,
 	off = append(off, len(members))
 	s.exMembers, s.exOff = members, off
 	return members, off
-}
-
-// liveGroups returns, for dimension d, the exchange groups as slices of
-// live replicas ordered by their coordinate along d. Dead replicas are
-// skipped, which is what lets the simulation continue across failures.
-// The slot grouping comes from the per-dimension cache built in New; the
-// returned groups alias per-simulation scratch reused across exchange
-// events and are valid until the next call.
-func (s *Simulation) liveGroups(d int) [][]*Replica {
-	members, off := s.collectGroups(d, nil, 1)
-	out := s.groupScratch[:0]
-	for i := 0; i+1 < len(off); i++ {
-		out = append(out, members[off[i]:off[i+1]:off[i+1]])
-	}
-	s.groupScratch = out
-	return out
 }
 
 // minPairsPerWorker gates the default exchange worker pool: below this

@@ -28,7 +28,7 @@ type Snapshot struct {
 	// TriggerData is the serialized controller state of a
 	// StatefulTrigger policy (e.g. FeedbackTrigger's rolling outcome
 	// window and controlled window length); empty for stateless
-	// policies. Restored in dispatch so resumed runs make the same
+	// policies. Restored by the dispatcher so resumed runs make the same
 	// trigger decisions as the uninterrupted run.
 	TriggerData json.RawMessage `json:"trigger_data,omitempty"`
 	// Events is the number of exchange events fired before the snapshot.
@@ -50,9 +50,7 @@ type Snapshot struct {
 	SlotHistory [][]int `json:"slot_history"`
 	// SlotRows and SlotFingerprint carry the full-history row count and
 	// rolling fingerprint (see Report), so resume equivalence holds even
-	// when HistoryTail rotated early rows out of SlotHistory. A zero
-	// fingerprint marks a pre-fingerprint snapshot; both are then
-	// recomputed from SlotHistory on resume.
+	// when HistoryTail rotated early rows out of SlotHistory.
 	SlotRows        int    `json:"slot_rows,omitempty"`
 	SlotFingerprint uint64 `json:"slot_fingerprint,omitempty"`
 	// Report counters accumulated before the snapshot.
@@ -85,8 +83,11 @@ type ReplicaState struct {
 	Retries int       `json:"retries"`
 }
 
-// SnapshotVersion is the current snapshot format version.
-const SnapshotVersion = 1
+// SnapshotVersion is the current snapshot format version. Version 1
+// files may lack the slot fingerprint, the per-dimension
+// feedback-controller state and the analysis collector's pair windows;
+// they are rejected rather than converted.
+const SnapshotVersion = 2
 
 // ReplayableEngine is implemented by engines whose stochastic state can
 // be captured as a draw count and restored by replaying it from the
@@ -113,7 +114,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: decoding snapshot: %v", err)
 	}
 	if sn.Version != SnapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, want %d", sn.Version, SnapshotVersion)
+		return nil, fmt.Errorf("core: snapshot has format version %d, this build reads only version %d: the run must be restarted",
+			sn.Version, SnapshotVersion)
 	}
 	return &sn, nil
 }
@@ -200,6 +202,10 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		return fmt.Errorf("core: snapshot has %d replicas, spec %q has %d",
 			len(sn.Replicas), s.spec.Name, len(s.replicas))
 	}
+	if sn.SlotFingerprint == 0 {
+		// Even an event-0 snapshot carries the FNV offset basis.
+		return fmt.Errorf("core: snapshot of %q carries no slot fingerprint", sn.Name)
+	}
 	// Restore a respaced grid before replica parameters are cloned from
 	// slotParams below: the snapshot's values replace the spec's
 	// originals, exactly as applyRespace left them.
@@ -271,15 +277,8 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 	for i, row := range sn.SlotHistory {
 		s.report.SlotHistory[i] = append([]int(nil), row...)
 	}
-	if sn.SlotFingerprint != 0 {
-		s.report.SlotRows = sn.SlotRows
-		s.report.SlotFingerprint = sn.SlotFingerprint
-	} else {
-		// Pre-fingerprint snapshot: its history is complete (HistoryTail
-		// did not exist), so both values derive from the stored rows.
-		s.report.SlotRows = len(sn.SlotHistory)
-		s.report.SlotFingerprint = HistoryFingerprint(sn.SlotHistory)
-	}
+	s.report.SlotRows = sn.SlotRows
+	s.report.SlotFingerprint = sn.SlotFingerprint
 	// A resumed history longer than the tail (snapshot taken without one,
 	// or with a larger one) is trimmed so the bound holds from the start.
 	if tail := s.spec.HistoryTail; tail > 0 && len(s.report.SlotHistory) > tail {

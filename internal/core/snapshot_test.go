@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -180,6 +182,25 @@ func TestResumeValidation(t *testing.T) {
 	dupID.Resume = badID
 	if _, err := core.New(dupID, eng(), localexec.New(8)); err == nil {
 		t.Fatal("duplicate snapshot replica IDs accepted")
+	}
+
+	// Format 1 files are rejected at decode with both versions named;
+	// a snapshot stripped of its fingerprint is rejected at restore.
+	v1 := bytes.Replace(mustEncode(t, snap), []byte(`"version": 2`), []byte(`"version": 1`), 1)
+	if _, err := core.DecodeSnapshot(v1); err == nil ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") ||
+		!strings.Contains(err.Error(), "restarted") {
+		t.Fatalf("format-1 snapshot: err = %v, want a rejection naming versions 1 and 2", err)
+	}
+	noFP := smallTREMD(6, 2)
+	bare, err := core.DecodeSnapshot(mustEncode(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.SlotFingerprint = 0
+	noFP.Resume = bare
+	if _, err := core.New(noFP, eng(), localexec.New(8)); err == nil {
+		t.Fatal("snapshot without a slot fingerprint accepted")
 	}
 
 	// Wrong simulation: a snapshot from a different run name.

@@ -6,16 +6,18 @@ import (
 )
 
 // This file is the dispatcher's flight-recorder side: every record*
-// helper is a guarded no-op without an attached Spec.Tracer, and none
-// of them touches the RNG stream or the virtual clock — recording can
-// reorder nothing and delay nothing, which is what keeps a traced run
-// bit-identical to an untraced one (see TestTracerDoesNotPerturbRun).
+// helper is a no-op without an attached Spec.Tracer (a nil Recorder's
+// Record returns at once), and none of them touches the RNG stream or
+// the virtual clock — recording can reorder nothing and delay nothing,
+// which is what keeps a traced run bit-identical to an untraced one
+// (see TestTracerDoesNotPerturbRun).
 
 // recordMD emits one MD-segment span at the segment's final processing:
 // first submission to final completion, spanning every relaunch retry
 // in between. Failed terminal segments (replica dropped) carry the
 // "failed" label.
 func (s *Simulation) recordMD(f *mdFlight, res task.Result) {
+	// Once per completion: skip building the span on untraced runs.
 	if s.tracer == nil {
 		return
 	}
@@ -41,9 +43,6 @@ func (s *Simulation) recordMD(f *mdFlight, res task.Result) {
 // recordExchange emits the whole-phase exchange span of one fired
 // event.
 func (s *Simulation) recordExchange(event, dim int, start float64, rec *CycleRecord) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:     trace.KindExchange,
 		Start:    start,
@@ -58,9 +57,6 @@ func (s *Simulation) recordExchange(event, dim int, start float64, rec *CycleRec
 // recordSPE emits the single-point-energy task-wave sub-span of one
 // exchange phase (salt dimensions submit one SPE task per replica).
 func (s *Simulation) recordSPE(dim, event, tasks int, start float64) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:  trace.KindSPE,
 		Start: start,
@@ -76,9 +72,6 @@ func (s *Simulation) recordSPE(dim, event, tasks int, start float64) {
 // decisions and swaps. The sweep consumes no virtual time, so the span
 // is usually an instant marking where in the phase it happened.
 func (s *Simulation) recordPairs(dim, event, pairs, accepted int, start float64) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:     trace.KindPairs,
 		Start:    start,
@@ -94,6 +87,7 @@ func (s *Simulation) recordPairs(dim, event, pairs, accepted int, start float64)
 // after the trigger's ObserveExchange ran its control step for the
 // fired dimension. Non-feedback policies record nothing.
 func (s *Simulation) recordController(fb *FeedbackTrigger, dim, event int) {
+	// DimStatus takes the trigger's mutex: not on untraced runs.
 	if s.tracer == nil || fb == nil {
 		return
 	}
@@ -117,9 +111,6 @@ func (s *Simulation) recordController(fb *FeedbackTrigger, dim, event int) {
 // recordRespace emits one ladder re-fit instant on the dimension's
 // controller track; Retries carries the dimension's refit ordinal.
 func (s *Simulation) recordRespace(dim, event, refit int) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:    trace.KindRespace,
 		Start:   s.rt.Now(),
@@ -132,9 +123,6 @@ func (s *Simulation) recordRespace(dim, event, refit int) {
 // recordCheckpoint emits one snapshot-write span (instant in virtual
 // time: capture and delivery consume no simulated clock).
 func (s *Simulation) recordCheckpoint(events int, label string) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:  trace.KindCheckpoint,
 		Start: s.rt.Now(),
@@ -146,9 +134,6 @@ func (s *Simulation) recordCheckpoint(events int, label string) {
 // recordResource emits one pilot lifecycle instant on the pilot's
 // track (launch, shrink, preempt, resize, expire).
 func (s *Simulation) recordResource(ev task.ResourceEvent) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:  trace.KindResource,
 		Start: ev.At,
@@ -160,9 +145,6 @@ func (s *Simulation) recordResource(ev task.ResourceEvent) {
 
 // recordFault emits one fault-action instant on the replica's track.
 func (s *Simulation) recordFault(replica int, kind string, retries int) {
-	if s.tracer == nil {
-		return
-	}
 	s.tracer.Record(trace.Span{
 		Kind:    trace.KindFault,
 		Start:   s.rt.Now(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -54,7 +55,7 @@ const (
 // policies (BarrierTrigger for synchronous, WindowTrigger for
 // asynchronous); CountTrigger, AdaptiveTrigger and FeedbackTrigger
 // extend the taxonomy. All policies drive the same event-driven
-// dispatcher loop in Simulation.dispatch.
+// dispatcher loop (dispatcher.run).
 type Trigger interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -73,7 +74,7 @@ type Trigger interface {
 	// Observe is invoked for every completed MD segment, letting
 	// adaptive policies track execution-time statistics.
 	Observe(res task.Result)
-	// Reset begins a new collection round; called once when dispatch
+	// Reset begins a new collection round; called once when the run
 	// starts and again after every exchange step.
 	Reset(st TriggerState)
 }
@@ -378,18 +379,8 @@ func (t *AdaptiveTrigger) ObserveLatency(latency float64) { t.stats.add(latency)
 
 // window returns the current adapted window length.
 func (t *AdaptiveTrigger) window() float64 {
-	lo, hi := t.MinWindow, t.MaxWindow
-	if lo <= 0 {
-		lo = t.Initial / 4
-	}
-	if hi <= 0 {
-		hi = t.Initial * 4
-	}
-	gain := t.Gain
-	if gain <= 0 {
-		gain = 2
-	}
-	return t.stats.window(t.Initial, gain, lo, hi)
+	return t.stats.window(t.Initial, orDefault(t.Gain, 2),
+		orDefault(t.MinWindow, t.Initial/4), orDefault(t.MaxWindow, t.Initial*4))
 }
 
 // Reset opens the next window at the adapted length.
@@ -869,63 +860,27 @@ func (t *FeedbackTrigger) target(d int) float64 {
 	if d >= 0 && d < len(t.Targets) && t.Targets[d] > 0 {
 		return t.Targets[d]
 	}
-	if t.Target > 0 {
-		return t.Target
-	}
-	return DefaultTargetAcceptance
+	return orDefault(t.Target, DefaultTargetAcceptance)
 }
 
-func (t *FeedbackTrigger) gain() float64 {
-	if t.Gain > 0 {
-		return t.Gain
+// orDefault resolves a parameter whose zero (or negative) value selects
+// its documented default.
+func orDefault[T int | float64](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return 1.5
+	return def
 }
 
-func (t *FeedbackTrigger) integralGain() float64 {
-	if t.IntegralGain > 0 {
-		return t.IntegralGain
-	}
-	return 0.1
-}
-
-func (t *FeedbackTrigger) integralClamp() float64 {
-	if t.IntegralClamp > 0 {
-		return t.IntegralClamp
-	}
-	return 3
-}
-
-func (t *FeedbackTrigger) saturationSteps() int {
-	if t.SaturationSteps > 0 {
-		return t.SaturationSteps
-	}
-	return 8
-}
-
-func (t *FeedbackTrigger) deadband() float64 {
-	if t.Deadband > 0 {
-		return t.Deadband
-	}
-	return 0.02
-}
-
-func (t *FeedbackTrigger) windowEvents() int {
-	if t.WindowEvents > 0 {
-		return t.WindowEvents
-	}
-	return 64
-}
+func (t *FeedbackTrigger) gain() float64          { return orDefault(t.Gain, 1.5) }
+func (t *FeedbackTrigger) integralGain() float64  { return orDefault(t.IntegralGain, 0.1) }
+func (t *FeedbackTrigger) integralClamp() float64 { return orDefault(t.IntegralClamp, 3) }
+func (t *FeedbackTrigger) saturationSteps() int   { return orDefault(t.SaturationSteps, 8) }
+func (t *FeedbackTrigger) deadband() float64      { return orDefault(t.Deadband, 0.02) }
+func (t *FeedbackTrigger) windowEvents() int      { return orDefault(t.WindowEvents, 64) }
 
 func (t *FeedbackTrigger) clamps() (lo, hi float64) {
-	lo, hi = t.MinWindow, t.MaxWindow
-	if lo <= 0 {
-		lo = t.Initial / 8
-	}
-	if hi <= 0 {
-		hi = t.Initial * 8
-	}
-	return lo, hi
+	return orDefault(t.MinWindow, t.Initial/8), orDefault(t.MaxWindow, t.Initial*8)
 }
 
 // warmWindow is the AdaptiveTrigger-style fallback: mean + 2σ of the
@@ -964,12 +919,6 @@ type feedbackState struct {
 	WarmN    int                `json:"warm_n"`
 	WarmMean float64            `json:"warm_mean"`
 	WarmM2   float64            `json:"warm_m2"`
-	// Outcomes/Cur/Active are the legacy single-controller fields of
-	// pre-per-dimension snapshots; RestoreState maps them to dimension
-	// 0 when Dims is absent.
-	Outcomes []bool  `json:"outcomes,omitempty"`
-	Cur      float64 `json:"cur,omitempty"`
-	Active   bool    `json:"active,omitempty"`
 }
 
 // EncodeState serializes the controller state (StatefulTrigger).
@@ -999,18 +948,16 @@ func (t *FeedbackTrigger) EncodeState() ([]byte, error) {
 
 // RestoreState replaces the controller state with one produced by
 // EncodeState (StatefulTrigger). Outcomes beyond this trigger's
-// WindowEvents are dropped oldest-first; a legacy single-controller
-// snapshot restores into dimension 0.
+// WindowEvents are dropped oldest-first.
 func (t *FeedbackTrigger) RestoreState(data []byte) error {
+	// Strict decode: state with fields this build does not know (the
+	// single-controller layout of snapshot format 1) is an error, never
+	// a silently empty controller.
 	var st feedbackState
-	if err := json.Unmarshal(data, &st); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
 		return fmt.Errorf("core: decoding feedback trigger state: %v", err)
-	}
-	if len(st.Dims) == 0 && (len(st.Outcomes) > 0 || st.Active || st.Cur != 0) {
-		st.Dims = []feedbackDimState{{
-			Outcomes: st.Outcomes, Cur: st.Cur, Active: st.Active,
-			MinReadyOverride: -1,
-		}}
 	}
 	// Build the restored controllers aside and swap only on success, so
 	// a caller that handles the error keeps a consistent trigger

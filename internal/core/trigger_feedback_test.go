@@ -460,8 +460,8 @@ func TestFeedbackMinReadyActuatorNarrow(t *testing.T) {
 
 // TestFeedbackPerDimStateRoundTrip: the per-dimension controller state
 // (rings, integral accumulators, windows, saturation, overrides)
-// transplants exactly, and a legacy single-controller snapshot decodes
-// into dimension 0.
+// transplants exactly, and single-controller (format 1) state is
+// rejected.
 func TestFeedbackPerDimStateRoundTrip(t *testing.T) {
 	mk := func() *core.FeedbackTrigger {
 		tr := core.NewFeedbackTrigger(100)
@@ -501,24 +501,22 @@ func TestFeedbackPerDimStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Legacy (pre-per-dimension) controller state restores into dim 0.
-	legacy := []byte(`{"outcomes":[true,false,true,false],"cur":140,"active":true,"warm_n":3,"warm_mean":90,"warm_m2":4}`)
-	c := mk()
-	if err := c.RestoreState(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if ratio, n := c.Acceptance(); n != 4 || ratio != 0.5 {
-		t.Fatalf("legacy outcomes restored as %v/%d, want 0.5/4", ratio, n)
-	}
-	if w := c.WindowFor(0); w != 140 {
-		t.Fatalf("legacy window %v, want 140", w)
-	}
-	if err := c.RestoreState([]byte(`{"dims":[{"cur":10,"active":true,"min_ready_override":-7}]}`)); err == nil {
-		t.Fatal("invalid min-ready override accepted")
-	}
-	// A failed restore must leave the previous controller state intact.
-	if w := c.WindowFor(0); w != 140 {
-		t.Fatalf("failed restore clobbered the controller: window %v, want 140", w)
+	// Single-controller state (snapshot format 1) is rejected, not
+	// silently restored as an empty controller; so is a bad override.
+	// A failed restore leaves the previous controller state intact.
+	before := b.ControllerStatus()
+	for _, bad := range []string{
+		`{"outcomes":[true,false,true,false],"cur":140,"active":true,"warm_n":3,"warm_mean":90,"warm_m2":4}`,
+		`{"dims":[{"cur":10,"active":true,"min_ready_override":-7}]}`,
+	} {
+		if err := b.RestoreState([]byte(bad)); err == nil {
+			t.Fatalf("invalid controller state accepted: %s", bad)
+		}
+		for d, st := range b.ControllerStatus() {
+			if st != before[d] {
+				t.Fatalf("failed restore clobbered dim %d: %+v, want %+v", d, st, before[d])
+			}
+		}
 	}
 }
 

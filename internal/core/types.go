@@ -358,16 +358,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// hasTemperatureDim reports whether any dimension exchanges temperature.
-func (s *Spec) hasTemperatureDim() bool {
-	for _, d := range s.Dims {
-		if d.Type == exchange.Temperature {
-			return true
-		}
-	}
-	return false
-}
-
 // Replica is one replica of the simulated system.
 type Replica struct {
 	// ID is the permanent replica identity.

@@ -135,14 +135,5 @@ func (t *Topology) FindDihedral(label string) int {
 	return -1
 }
 
-// TotalMass returns the sum of atomic masses.
-func (t *Topology) TotalMass() float64 {
-	m := 0.0
-	for _, a := range t.Atoms {
-		m += a.Mass
-	}
-	return m
-}
-
 // DegreesOfFreedom returns 3N (no constraints are used in this engine).
 func (t *Topology) DegreesOfFreedom() int { return 3 * t.N() }

@@ -330,10 +330,6 @@ func (p *Proc) Sleep(d float64) {
 	p.Park()
 }
 
-// Yield reschedules the process at the current time, letting other
-// same-time events run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // ---------------------------------------------------------------------------
 // Signal: condition-variable style wakeups.
 
@@ -474,14 +470,14 @@ func (r *Resource) BusyIntegral() float64 {
 }
 
 // Request asks for n units on behalf of p and returns without blocking
-// (the non-blocking form of Acquire and AcquireAbortable). If the units
-// are free and nobody is queued they are taken at once and p.Granted()
-// is already true on return. Otherwise the request joins the FIFO queue
-// and p is woken at the moment it is granted — or, for an abortable
-// request, at the moment a capacity shrink (SetCapacity) makes it
-// unsatisfiable, with p.Aborted() set. An abortable request wider than
-// the current capacity is aborted on the spot; a plain one panics (it
-// would deadlock forever).
+// (the non-blocking form of Acquire). If the units are free and nobody
+// is queued they are taken at once and p.Granted() is already true on
+// return. Otherwise the request joins the FIFO queue and p is woken at
+// the moment it is granted — or, for an abortable request, at the moment
+// a capacity shrink (SetCapacity) makes it unsatisfiable, with
+// p.Aborted() set. An abortable request wider than the current capacity
+// is aborted on the spot; a plain one panics (it would deadlock
+// forever).
 func (r *Resource) Request(p *Proc, n int, abortable bool) {
 	p.granted, p.aborted = false, false
 	switch {
@@ -506,19 +502,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	for !p.granted {
 		p.Park()
 	}
-}
-
-// AcquireAbortable blocks like Acquire but never deadlocks on an
-// oversized request: it reports false immediately when n exceeds the
-// current capacity, and false later if a capacity shrink (SetCapacity)
-// makes the queued request unsatisfiable. It reports true once the
-// units are held.
-func (r *Resource) AcquireAbortable(p *Proc, n int) bool {
-	r.Request(p, n, true)
-	for !p.granted && !p.aborted {
-		p.Park()
-	}
-	return p.granted
 }
 
 // TryAcquire attempts to take n units without blocking and reports success.

@@ -64,7 +64,7 @@ stop() {
 # COVERAGE_FLOOR is the checked-in statement-coverage gate (percent)
 # that check_coverage enforces. Raise it as coverage grows; never lower
 # it to make a build pass — deleting tests is what it exists to catch.
-COVERAGE_FLOOR=78.6
+COVERAGE_FLOOR=80.0
 
 # check_coverage PROFILE: asserts `go tool cover` total statement
 # coverage of an existing -coverprofile file is at or above
