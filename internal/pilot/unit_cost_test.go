@@ -1,6 +1,7 @@
 package pilot
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -80,4 +81,34 @@ func TestUnitProcessNameReachesTraceHook(t *testing.T) {
 	if !seen || u.Name() != "unit:md-7" {
 		t.Fatalf("trace hook saw unit:md-7 = %v, Name() = %q", seen, u.Name())
 	}
+}
+
+// One SubmitWatched → AwaitNext round trip through the runtime costs the
+// unit, its waiter-list growth and the delivered handle slice — nothing
+// for the runtime's own bookkeeping. The ceiling is the single-pilot
+// Runtime's figure from before the slot runtime.
+func TestRuntimeRoundTripAllocations(t *testing.T) {
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, cluster.SuperMIC(), 1)
+	pl, err := Launch(cl, Description{Cores: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &task.Spec{Name: "md", Kind: task.MD, ReplicaID: 3, Cores: 1, Duration: 10, InFiles: 3, InBytes: 4096, OutFiles: 2, OutBytes: 4096}
+	var allocs float64
+	e.Go("orchestrator", func(p *sim.Proc) {
+		rt := NewRuntime(pl, p)
+		rt.Await(rt.Submit(spec)) // pilot active, buffers warm
+		allocs = testing.AllocsPerRun(200, func() {
+			rt.SubmitWatched(spec)
+			if hs := rt.AwaitNext(math.Inf(1)); len(hs) != 1 || hs[0].Result().Err != nil {
+				t.Errorf("round trip delivered %v", hs)
+			}
+		})
+	})
+	e.Run()
+	if allocs > 3 {
+		t.Fatalf("%.1f allocations per round trip, want <= 3", allocs)
+	}
+	t.Logf("%.1f allocations per round trip", allocs)
 }
