@@ -140,3 +140,32 @@ func TestRunBadResumeFailsFast(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsReplicaWiderThanPilot: a configuration whose replicas
+// fit no pilot is an error naming both widths (main prints it and exits
+// 1), not a panic inside the runtime.
+func TestRunRejectsReplicaWiderThanPilot(t *testing.T) {
+	dir := t.TempDir()
+	sim := filepath.Join(dir, "sim.json")
+	if err := os.WriteFile(sim, []byte(`{"name": "wide", "seed": 1,
+		"dimensions": [{"type": "T", "count": 4, "min": 273, "max": 373}],
+		"cores_per_replica": 8, "steps_per_cycle": 2000, "cycles": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"small.json": `{"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 4}`,
+		"split.json": `{"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 8, "pilots": 2}`,
+	} {
+		res := filepath.Join(dir, name)
+		if err := os.WriteFile(res, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := run(context.Background(), sim, res, "", "", 0, "", "", noOverrides)
+		if err == nil || r != nil {
+			t.Fatalf("%s: run started (err %v)", name, err)
+		}
+		if !strings.Contains(err.Error(), "cores_per_replica 8 exceeds the widest pilot (4 cores") {
+			t.Errorf("%s: error %q must name both widths", name, err)
+		}
+	}
+}

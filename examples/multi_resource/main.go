@@ -4,8 +4,9 @@
 //
 // A 96-replica T-REMD workload runs first on a single 48-core pilot on
 // SuperMIC (Execution Mode II), then on that pilot *plus* a 48-core
-// pilot on Stampede combined through pilot.MultiRuntime: the aggregate
-// allocation reaches Mode I and the cycle time drops accordingly.
+// pilot on Stampede as a second routing slot of the same pilot.Runtime
+// (pilot.NewMultiRuntime): the aggregate allocation reaches Mode I and
+// the cycle time drops accordingly.
 package main
 
 import (

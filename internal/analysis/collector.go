@@ -161,12 +161,14 @@ type state struct {
 	MDExec      Histogram         `json:"md_exec"`
 	ExchangeOvh Histogram         `json:"exchange_overhead"`
 	// ResourceEvents counts pilot lifecycle events, Preemptions the
-	// preemption notices among them; PilotCores is the latest core count
-	// per pilot slot (nil until a resource event arrives — quiet runs
-	// publish none).
+	// preemption notices among them; PilotCores is the cores currently
+	// held per routing slot, the running sum of the events' deltas (nil
+	// until a resource event arrives — quiet runs publish none). It is
+	// not serialized: the pilots a snapshot counted die with the process
+	// that wrote it, and a resumed run's own launches rebuild the gauge.
 	ResourceEvents uint64      `json:"resource_events,omitempty"`
 	Preemptions    uint64      `json:"preemptions,omitempty"`
-	PilotCores     map[int]int `json:"pilot_cores,omitempty"`
+	PilotCores     map[int]int `json:"-"`
 }
 
 // Collector accumulates online statistics from simulation events. All
@@ -296,7 +298,10 @@ func (c *Collector) apply(ev core.Event) {
 		if c.st.PilotCores == nil {
 			c.st.PilotCores = map[int]int{}
 		}
-		c.st.PilotCores[e.Pilot] = e.Cores
+		// Sum the deltas rather than copy Cores: under failover a slot's
+		// replacement can launch while the retired pilot still drains, and
+		// that pilot's late expire (Cores 0) says nothing about the live one.
+		c.st.PilotCores[e.Pilot] += e.Delta
 		if e.Kind == task.ResourcePreempt {
 			c.st.Preemptions++
 		}
@@ -417,8 +422,8 @@ type Stats struct {
 	// Preemptions the preemption notices among them.
 	ResourceEvents uint64 `json:"resource_events"`
 	Preemptions    uint64 `json:"preemptions"`
-	// PilotCores is the latest core count per pilot slot, present only
-	// for runs that published resource events (elastic runtimes).
+	// PilotCores is the cores currently held per routing slot, present
+	// only for runs that published resource events (elastic runtimes).
 	PilotCores map[int]int `json:"pilot_cores,omitempty"`
 	// BusDropped counts events this collector lost to ring overflow.
 	BusDropped uint64 `json:"bus_dropped"`

@@ -12,6 +12,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/pilot"
 	"repro/internal/sim"
+	"repro/internal/task"
 )
 
 func tremdSpec(n, cycles int) *core.Spec {
@@ -445,5 +446,65 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	}
 	if err := grid34.Restore(shaped); err == nil {
 		t.Fatal("2x6 state restored into a 3x4 collector")
+	}
+}
+
+// TestPilotCoresGaugeAcrossOverlappedFailover: a preempted slot's
+// replacement (queue wait 10 s) activates long before the retired
+// pilot's 60 s notice runs out, so the slot's last event is the retired
+// pilot's expire (Cores 0) — with eight cores live. The gauge must read
+// the live pilot, on one slot and on two, and a resumed collector must
+// not count the snapshot's dead pilots on top of the new launches.
+func TestPilotCoresGaugeAcrossOverlappedFailover(t *testing.T) {
+	for _, pilots := range []int{1, 2} {
+		env := sim.NewEnv()
+		cfg := quietCluster()
+		cfg.QueueWait = 10
+		cl := cluster.MustNew(env, cfg, 1)
+		pls := make([]*pilot.Pilot, pilots)
+		for i := range pls {
+			var err error
+			if pls[i], err = pilot.Launch(cl, pilot.Description{Cores: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := pilots - 1
+		col := analysis.New(analysis.Config{DimSizes: []int{2}, Replicas: 2})
+		env.Go("emm", func(p *sim.Proc) {
+			rt, err := pilot.NewMultiRuntime(p, pls...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rt.Failover = true
+			rt.SleepUntil(21)
+			rt.PilotAt(last).Preempt(60)
+			rt.Await(rt.Submit(&task.Spec{Name: "md", Kind: task.MD, Cores: 1, Duration: 5})) // relaunches the draining slot
+			rt.SleepUntil(100)
+			for _, ev := range rt.DrainResourceEvents() {
+				col.Apply(core.ResourceEvent{At: ev.At, Pilot: ev.Pilot, Kind: ev.Kind, Cores: ev.Cores, Delta: ev.Delta, Notice: ev.Notice})
+			}
+			if rt.Relaunched() != 1 || rt.PilotAt(last).Cores() != 8 {
+				t.Errorf("%d pilots: relaunched %d, slot %d holds %d cores; want 1 and 8", pilots, rt.Relaunched(), last, rt.PilotAt(last).Cores())
+			}
+		})
+		env.Run()
+		got := col.Snapshot().PilotCores
+		if len(got) != pilots || got[last] != 8 || got[0] != 8 {
+			t.Errorf("%d pilots: gauge %v after the retired pilot's expire, want 8 on each of %d slots", pilots, got, pilots)
+		}
+
+		state, err := col.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := analysis.New(analysis.Config{DimSizes: []int{2}, Replicas: 2})
+		if err := resumed.Restore(state); err != nil {
+			t.Fatal(err)
+		}
+		resumed.Apply(core.ResourceEvent{At: 10, Pilot: last, Kind: task.ResourceLaunch, Cores: 8, Delta: 8})
+		if got := resumed.Snapshot().PilotCores; got[last] != 8 {
+			t.Errorf("%d pilots: resumed gauge %v after the new process's launch, want 8 on slot %d", pilots, got, last)
+		}
 	}
 }

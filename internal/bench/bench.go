@@ -17,7 +17,6 @@ import (
 	"repro/internal/engines"
 	"repro/internal/pilot"
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 // RunParams describes one simulation execution on the virtual cluster.
@@ -30,15 +29,15 @@ type RunParams struct {
 	// the runtime launches a replacement pilot (failover). Zero or
 	// negative means unbounded.
 	PilotWalltime float64
-	// Pilots splits PilotCores across this many concurrent pilots routed
-	// through one MultiRuntime with failover (the multi-pilot execution
-	// the paper's flexible resource mapping describes). Zero or one
-	// keeps the single failover pilot.
+	// Pilots splits PilotCores across this many concurrent pilots, one
+	// routing slot each of the run's failover runtime (the multi-pilot
+	// execution the paper's flexible resource mapping describes). Zero
+	// means one.
 	Pilots int
 	// Chaos, when non-empty, scripts resource faults (node loss,
 	// preemption, resize) against the run's pilots at fixed virtual
 	// times; see pilot.ChaosPlan. The plan's slot indices address the
-	// MultiRuntime routing slots (always 0 for a single pilot), hitting
+	// runtime's routing slots (slot 0 for a single pilot), hitting
 	// whichever pilot occupies the slot at fire time.
 	Chaos *pilot.ChaosPlan
 	// NewEngine constructs the engine adapter (called once).
@@ -68,7 +67,7 @@ func LaunchParams(l *config.Launch) (RunParams, error) {
 	if err != nil {
 		return RunParams{}, err
 	}
-	return RunParams{
+	p := RunParams{
 		Spec:          spec,
 		Cluster:       machine,
 		PilotCores:    ps.Cores,
@@ -79,7 +78,14 @@ func LaunchParams(l *config.Launch) (RunParams, error) {
 			return engines.NewNamedVirtual(l.Sim.Engine, l.Sim.Atoms, seed)
 		},
 		Seed: spec.Seed,
-	}, nil
+	}
+	// Admission: a replica's MD task must fit the widest pilot, or the
+	// runtime has nowhere to route it.
+	if widest := p.pilotCores(0); widest < spec.CoresPerReplica {
+		return RunParams{}, fmt.Errorf("bench: cores_per_replica %d exceeds the widest pilot (%d cores: pilot_cores %d over %d pilots)",
+			spec.CoresPerReplica, widest, ps.Cores, max(1, ps.Pilots))
+	}
+	return p, nil
 }
 
 // Run executes a simulation to completion in virtual time. On a run
@@ -105,7 +111,7 @@ func Run(p RunParams) (*core.Report, error) {
 				runErr = err
 				return
 			}
-			p.Chaos.Drive(env, chaosLookup(rt))
+			p.Chaos.Drive(env, rt.PilotAt)
 		}
 		simu, err := core.New(p.Spec, eng, rt)
 		if err != nil {
@@ -127,56 +133,33 @@ func Run(p RunParams) (*core.Report, error) {
 	return report, nil
 }
 
-// newRuntime builds the run's task runtime: one failover pilot, or —
-// when Pilots > 1 — PilotCores split across that many pilots behind a
-// failover MultiRuntime (uneven splits give the first pilots one core
-// more).
-func newRuntime(cl *cluster.Cluster, p RunParams, proc *sim.Proc) (task.Runtime, error) {
-	if p.Pilots <= 1 {
-		return pilot.NewFailoverRuntime(cl, pilot.Description{Cores: p.PilotCores, Walltime: p.PilotWalltime}, proc)
+// pilotCores is slot i's share of the run's cores: PilotCores split
+// over max(1, Pilots) pilots, the first ones taking the remainder.
+func (p RunParams) pilotCores(i int) int {
+	n := max(1, p.Pilots)
+	if i < p.PilotCores%n {
+		return p.PilotCores/n + 1
 	}
-	per, extra := p.PilotCores/p.Pilots, p.PilotCores%p.Pilots
-	if per < 1 {
-		return nil, fmt.Errorf("bench: %d cores cannot cover %d pilots", p.PilotCores, p.Pilots)
-	}
-	pilots := make([]*pilot.Pilot, p.Pilots)
+	return p.PilotCores / n
+}
+
+// newRuntime launches the run's pilots, max(1, Pilots) of them, behind
+// one failover runtime.
+func newRuntime(cl *cluster.Cluster, p RunParams, proc *sim.Proc) (*pilot.Runtime, error) {
+	pilots := make([]*pilot.Pilot, max(1, p.Pilots))
 	for i := range pilots {
-		cores := per
-		if i < extra {
-			cores++
-		}
-		pl, err := pilot.Launch(cl, pilot.Description{Cores: cores, Walltime: p.PilotWalltime})
+		pl, err := pilot.Launch(cl, pilot.Description{Cores: p.pilotCores(i), Walltime: p.PilotWalltime})
 		if err != nil {
 			return nil, err
 		}
 		pilots[i] = pl
 	}
-	mr, err := pilot.NewMultiRuntime(proc, pilots...)
+	rt, err := pilot.NewMultiRuntime(proc, pilots...)
 	if err != nil {
 		return nil, err
 	}
-	mr.Failover = true
-	return mr, nil
-}
-
-// chaosLookup adapts a runtime to the chaos driver's slot addressing: a
-// MultiRuntime exposes its routing slots; a single failover runtime
-// maps every slot-0 fault to its current pilot incarnation. Slots
-// beyond the runtime's pilots resolve to nil and the fault is skipped.
-func chaosLookup(rt task.Runtime) func(slot int) *pilot.Pilot {
-	switch r := rt.(type) {
-	case *pilot.MultiRuntime:
-		return r.PilotAt
-	case *pilot.Runtime:
-		return func(slot int) *pilot.Pilot {
-			if slot != 0 {
-				return nil
-			}
-			return r.Pilot()
-		}
-	default:
-		return func(int) *pilot.Pilot { return nil }
-	}
+	rt.Failover = true
+	return rt, nil
 }
 
 // Table is a printable experiment result.

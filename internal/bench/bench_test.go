@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exchange"
 )
@@ -281,5 +283,46 @@ func TestFig4ValidationReduced(t *testing.T) {
 	}
 	if tbl == nil || len(tbl.Rows) != 2 {
 		t.Fatal("validation table malformed")
+	}
+}
+
+// TestLaunchParamsAdmission: a replica wider than the widest pilot has
+// nowhere to run — the runtime would panic on its first MD task — so
+// the one Launch→RunParams mapping turns the configuration away, naming
+// both numbers, whether the pilot is too small outright or only after
+// the split over several pilots.
+func TestLaunchParamsAdmission(t *testing.T) {
+	cases := []struct {
+		name              string
+		perReplica, cores int
+		pilots            string
+		wantErr           string
+	}{
+		{"fits one pilot", 8, 8, "", ""},
+		{"fits the wider half of an uneven split", 5, 9, `, "pilots": 2`, ""},
+		{"wider than the pilot", 8, 4, "", "cores_per_replica 8 exceeds the widest pilot (4 cores"},
+		{"wider than every pilot after the split", 8, 8, `, "pilots": 2`, "cores_per_replica 8 exceeds the widest pilot (4 cores: pilot_cores 8 over 2 pilots)"},
+	}
+	for _, tc := range cases {
+		body := fmt.Sprintf(`{"sim": {"name": "wide", "seed": 1,
+			"dimensions": [{"type": "T", "count": 4, "min": 273, "max": 373}],
+			"cores_per_replica": %d, "steps_per_cycle": 2000, "cycles": 2},
+			"res": {"machine": "small", "nodes": 2, "cores_per_node": 8, "pilot_cores": %d%s}}`,
+			tc.perReplica, tc.cores, tc.pilots)
+		l, err := config.ParseLaunch([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p, err := LaunchParams(l)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr == "":
+			if _, err := Run(p); err != nil {
+				t.Errorf("%s: admitted but failed: %v", tc.name, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

@@ -173,8 +173,8 @@ type Resource struct {
 	WalltimeSec  float64 `json:"walltime_sec,omitempty"`
 	QueueWaitSec float64 `json:"queue_wait_sec,omitempty"`
 	FailureProb  float64 `json:"failure_prob,omitempty"`
-	// Pilots splits pilot_cores across this many concurrent pilots
-	// behind one failover multi-runtime (0 or 1: a single pilot). Each
+	// Pilots splits pilot_cores across this many concurrent pilots, one
+	// routing slot each of the run's failover runtime (0 means 1). Each
 	// pilot must get at least one core.
 	Pilots int   `json:"pilots,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`

@@ -95,8 +95,8 @@ const (
 // resize, expiry) drained from an elastic runtime.
 type ResourceEvent struct {
 	At float64
-	// Pilot is the routing slot (multi-pilot) or failover generation
-	// (single-pilot) of the affected pilot.
+	// Pilot is the routing slot of the affected pilot (0 on a single
+	// pilot; a failover replacement keeps its slot).
 	Pilot int
 	// Kind is one of the task.Resource* kind strings ("launch",
 	// "shrink", "preempt", "resize", "expire").

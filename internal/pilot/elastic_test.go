@@ -312,7 +312,7 @@ func TestChaosEventValidation(t *testing.T) {
 }
 
 func TestGrownPilotRunsUnitWiderThanNominal(t *testing.T) {
-	// MultiRuntime routes by the pilot's current size, so a pilot grown
+	// The runtime routes by the pilot's current size, so a pilot grown
 	// past its launch size must accept what routing sends it: a task
 	// wider than Description.Cores but within Cores(). SubmitUnit used to
 	// panic on the nominal size, taking the whole process down.

@@ -27,7 +27,7 @@ func TestMultiRuntimeLoadEstimateDecays(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		m.LoadDecayTau = 100
+		m.loadDecayTau = 100
 		res := m.Await(m.Submit(&task.Spec{Name: "u", Kind: task.MD, ReplicaID: 1, Cores: 2, Duration: 10}))
 		if res.Err != nil {
 			t.Errorf("unit failed: %v", res.Err)
@@ -65,7 +65,7 @@ func TestMultiRuntimeStagingAffinity(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		m.AffinityBonus = 0.5
+		m.affinityBonus = 0.5
 		// Replica 7's first unit ties to slot 0 and completes there.
 		if res := m.Await(m.Submit(&task.Spec{Name: "r7a", Kind: task.MD, ReplicaID: 7, Cores: 1, Duration: 10})); res.Err != nil {
 			t.Errorf("unit failed: %v", res.Err)
@@ -100,7 +100,7 @@ func TestMultiRuntimeAffinityForgottenOnRelaunch(t *testing.T) {
 			return
 		}
 		m.Failover = true
-		m.AffinityBonus = 0.5
+		m.affinityBonus = 0.5
 		if res := m.Await(m.Submit(&task.Spec{Name: "r7a", Kind: task.MD, ReplicaID: 7, Cores: 1, Duration: 10})); res.Err != nil {
 			t.Errorf("unit failed: %v", res.Err)
 			return

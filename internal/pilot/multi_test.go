@@ -10,7 +10,7 @@ import (
 
 // twoClusterSetup builds two machines in one environment with pilots of
 // the given sizes and runs fn on an orchestrator process.
-func twoClusterSetup(t *testing.T, coresA, coresB int, fn func(m *MultiRuntime)) {
+func twoClusterSetup(t *testing.T, coresA, coresB int, fn func(m *Runtime)) {
 	t.Helper()
 	e := sim.NewEnv()
 	cfgA := quietConfig()
@@ -40,7 +40,7 @@ func twoClusterSetup(t *testing.T, coresA, coresB int, fn func(m *MultiRuntime))
 }
 
 func TestMultiRuntimeAggregateCores(t *testing.T) {
-	twoClusterSetup(t, 32, 16, func(m *MultiRuntime) {
+	twoClusterSetup(t, 32, 16, func(m *Runtime) {
 		if m.Cores() != 48 {
 			t.Errorf("aggregate cores %d, want 48", m.Cores())
 		}
@@ -48,7 +48,7 @@ func TestMultiRuntimeAggregateCores(t *testing.T) {
 }
 
 func TestMultiRuntimeBalancesLoad(t *testing.T) {
-	twoClusterSetup(t, 32, 32, func(m *MultiRuntime) {
+	twoClusterSetup(t, 32, 32, func(m *Runtime) {
 		var hs []task.Handle
 		for i := 0; i < 64; i++ {
 			hs = append(hs, m.Submit(&task.Spec{Name: "u", Cores: 1, Duration: 10}))
@@ -69,7 +69,7 @@ func TestMultiRuntimeFasterThanSinglePilot(t *testing.T) {
 	// 64 single-core tasks of 10 s: 32 cores alone need >= 20 s; adding
 	// a second 32-core machine halves the makespan.
 	var multiSpan float64
-	twoClusterSetup(t, 32, 32, func(m *MultiRuntime) {
+	twoClusterSetup(t, 32, 32, func(m *Runtime) {
 		start := m.Now()
 		var hs []task.Handle
 		for i := 0; i < 64; i++ {
@@ -85,7 +85,7 @@ func TestMultiRuntimeFasterThanSinglePilot(t *testing.T) {
 
 func TestMultiRuntimeWideTaskRouting(t *testing.T) {
 	// A task wider than the small pilot must go to the big one.
-	twoClusterSetup(t, 64, 8, func(m *MultiRuntime) {
+	twoClusterSetup(t, 64, 8, func(m *Runtime) {
 		h := m.Submit(&task.Spec{Name: "wide", Cores: 32, Duration: 5})
 		m.Await(h)
 		routed := m.Routed()
@@ -96,7 +96,7 @@ func TestMultiRuntimeWideTaskRouting(t *testing.T) {
 }
 
 func TestMultiRuntimeTooWideEverywherePanics(t *testing.T) {
-	twoClusterSetup(t, 8, 8, func(m *MultiRuntime) {
+	twoClusterSetup(t, 8, 8, func(m *Runtime) {
 		defer func() {
 			if recover() == nil {
 				t.Error("task fitting no pilot did not panic")
@@ -107,7 +107,7 @@ func TestMultiRuntimeTooWideEverywherePanics(t *testing.T) {
 }
 
 func TestMultiRuntimeOverheadAndSleep(t *testing.T) {
-	twoClusterSetup(t, 8, 8, func(m *MultiRuntime) {
+	twoClusterSetup(t, 8, 8, func(m *Runtime) {
 		m.Overhead(2.5)
 		if m.OverheadTotal != 2.5 {
 			t.Errorf("overhead total %v", m.OverheadTotal)

@@ -20,17 +20,16 @@
 // Pilots are mortal: Description.Walltime bounds a pilot's life like a
 // real batch job, and on expiry executing and queued units fail with
 // ErrPilotExpired (wrapping task.ErrResourceLost) while the machine
-// allocation is released. NewFailoverRuntime transparently launches a
-// replacement pilot on the next submission after an expiry, and
-// MultiRuntime aggregates pilots on several machines into one
-// task.Runtime (optionally with per-pilot failover), which is how one
-// REMD simulation spans multiple HPC resources simultaneously.
+// allocation is released. Runtime (runtime.go) is the one task.Runtime
+// over pilots: a row of routing slots, each holding a pilot and — with
+// Failover — replacing it in place when it dies. One slot is the
+// paper's single pilot; several slots, possibly on several machines,
+// are how one REMD simulation spans multiple HPC resources at once.
 package pilot
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -60,7 +59,7 @@ var ErrNodeLost = fmt.Errorf("pilot: node lost: %w", task.ErrResourceLost)
 // ErrNoCapacity is the error recorded on units whose core request can
 // never be satisfied by the pilot's *current* core count (after node
 // losses or shrinking resizes). Wraps task.ErrResourceLost so the
-// scheduler resubmits — under a multi-pilot runtime the resubmission
+// scheduler resubmits — with several routing slots the resubmission
 // routes to a pilot that still fits the task.
 var ErrNoCapacity = fmt.Errorf("pilot: task wider than remaining cores: %w", task.ErrResourceLost)
 
@@ -165,10 +164,13 @@ type Unit struct {
 	// unit it schedules exactly the one timeout event a plain sleep
 	// would, so elastic pilots cost nothing on the happy path.
 	interrupt sim.Completion
-	// onDone, when set, is invoked by the unit's lifecycle right after
-	// the unit reaches DONE or FAILED; the runtimes use it to feed their
-	// completion streams (one callback per completion: O(1)).
-	onDone func(*Unit)
+	// rt, when set, is the runtime that routed the unit to slot; the
+	// unit's lifecycle reports to it right after reaching DONE or FAILED
+	// (one call per completion: O(1), nothing allocated per unit), and a
+	// watched unit is then delivered on the runtime's completion stream.
+	rt      *Runtime
+	slot    int
+	watched bool
 
 	// Lifecycle state (see step): the process, where it resumes, and
 	// what it remembers across wakeups.
@@ -194,13 +196,6 @@ func (u *Unit) Result() task.Result { return u.res }
 
 // State returns the unit's current lifecycle state.
 func (u *Unit) State() State { return u.state }
-
-// notifyDone invokes the completion-stream callback, if any.
-func (u *Unit) notifyDone() {
-	if u.onDone != nil {
-		u.onDone(u)
-	}
-}
 
 // Launch submits a pilot to the cluster's batch queue and returns
 // immediately; the pilot becomes active after the queue wait. An error is
@@ -261,7 +256,7 @@ func (pl *Pilot) record(kind string, delta int, notice float64) {
 
 // TakeEvents returns and clears the buffered resource lifecycle events
 // in occurrence order. The Pilot field is zero; the owning runtime
-// stamps its routing slot or failover generation.
+// stamps its routing slot.
 func (pl *Pilot) TakeEvents() []task.ResourceEvent {
 	ev := pl.events
 	pl.events = nil
@@ -471,7 +466,9 @@ func (pl *Pilot) failUnit(u *Unit, err error) {
 func (pl *Pilot) finishUnit(u *Unit, err error) {
 	u.res.Finished = pl.env.Now()
 	u.done.Complete(err)
-	u.notifyDone()
+	if u.rt != nil {
+		u.rt.unitDone(u)
+	}
 	u.proc.Exit()
 }
 
@@ -702,258 +699,3 @@ func (u *Unit) step(p *sim.Proc) {
 		}
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Runtime adapter: task.Runtime over a pilot, bound to an orchestrator
-// process.
-
-// unitStream is the completion-stream state shared by the pilot
-// runtimes: completed watched units queue here (in virtual-time
-// completion order) until the orchestrator drains them with AwaitNext.
-type unitStream struct {
-	proc     *sim.Proc
-	arrivals *sim.Signal
-	queue    []*Unit
-	// deliver is enqueue bound once, so watching a unit allocates nothing.
-	deliver func(*Unit)
-}
-
-func newUnitStream(proc *sim.Proc) *unitStream {
-	s := &unitStream{proc: proc, arrivals: sim.NewSignal(proc.Env())}
-	s.deliver = s.enqueue
-	return s
-}
-
-// watch registers a unit for stream delivery on completion, composing
-// around any accounting callback the runtime installed at submission.
-func (s *unitStream) watch(u *Unit) {
-	if prev := u.onDone; prev != nil {
-		u.onDone = func(u *Unit) {
-			prev(u)
-			s.enqueue(u)
-		}
-		return
-	}
-	u.onDone = s.deliver
-}
-
-func (s *unitStream) enqueue(u *Unit) {
-	s.queue = append(s.queue, u)
-	s.arrivals.Broadcast()
-}
-
-// awaitNext blocks the orchestrator until the queue is non-empty or the
-// absolute deadline passes, then drains it.
-func (s *unitStream) awaitNext(deadline float64) []task.Handle {
-	for len(s.queue) == 0 {
-		if math.IsInf(deadline, 1) {
-			s.arrivals.Wait(s.proc)
-			continue
-		}
-		remain := deadline - s.proc.Now()
-		if remain <= 0 {
-			return nil
-		}
-		s.arrivals.WaitTimeout(s.proc, remain)
-	}
-	out := make([]task.Handle, len(s.queue))
-	for i, u := range s.queue {
-		out[i] = u
-	}
-	s.queue = s.queue[:0]
-	return out
-}
-
-// Runtime adapts a Pilot to the task.Runtime interface. All methods must
-// be called from the bound orchestrator process, mirroring RepEx's
-// single-threaded execution-management module.
-//
-// A runtime built with NewFailoverRuntime additionally survives pilot
-// walltime expiry: the first submission after the current pilot expires
-// transparently launches a replacement pilot from the same description
-// (paying the batch-queue wait again), so interrupted segments
-// resubmitted by the scheduler land on fresh cores instead of failing
-// forever against a dead allocation.
-type Runtime struct {
-	pl     *Pilot
-	proc   *sim.Proc
-	stream *unitStream
-	// OverheadTotal accumulates client-side overhead charged via
-	// Overhead, for reporting T_RepEx-over.
-	OverheadTotal float64
-
-	// relaunch, when set, replaces an expired pilot on demand.
-	relaunch   func() (*Pilot, error)
-	relaunched int
-	// owned tracks every pilot incarnation with its failover generation,
-	// so resource events from retired pilots (the expire after a
-	// preemption drain) are still delivered by DrainResourceEvents.
-	owned []ownedPilot
-}
-
-// ownedPilot pairs a pilot incarnation with the label its resource
-// events are stamped with: the failover generation under Runtime, the
-// routing slot under MultiRuntime.
-type ownedPilot struct {
-	pl    *Pilot
-	label int
-}
-
-// drainOwned collects and clears buffered resource events across pilot
-// incarnations/slots, stamping each event with its pilot's label and
-// merging into occurrence order. Fully-drained expired pilots are
-// dropped from the list so a long run cannot accumulate dead pilots.
-func drainOwned(owned []ownedPilot) ([]task.ResourceEvent, []ownedPilot) {
-	var out []task.ResourceEvent
-	kept := owned[:0]
-	for _, o := range owned {
-		ev := o.pl.TakeEvents()
-		for i := range ev {
-			ev[i].Pilot = o.label
-		}
-		out = append(out, ev...)
-		if !o.pl.Expired() {
-			kept = append(kept, o)
-		}
-	}
-	sortResourceEvents(out)
-	return out, kept
-}
-
-// sortResourceEvents stable-sorts by event time (insertion sort: the
-// per-drain batches are tiny and already near-sorted).
-func sortResourceEvents(ev []task.ResourceEvent) {
-	for i := 1; i < len(ev); i++ {
-		for j := i; j > 0 && ev[j].At < ev[j-1].At; j-- {
-			ev[j], ev[j-1] = ev[j-1], ev[j]
-		}
-	}
-}
-
-// NewRuntime binds a pilot to an orchestrator process.
-func NewRuntime(pl *Pilot, proc *sim.Proc) *Runtime {
-	return &Runtime{
-		pl:     pl,
-		proc:   proc,
-		stream: newUnitStream(proc),
-		owned:  []ownedPilot{{pl: pl, label: 0}},
-	}
-}
-
-// NewFailoverRuntime launches a pilot from desc on cl and binds it to
-// proc; when that pilot's walltime expires, the next submission launches
-// a replacement pilot with the same description (pilot-level failover).
-func NewFailoverRuntime(cl *cluster.Cluster, desc Description, proc *sim.Proc) (*Runtime, error) {
-	pl, err := Launch(cl, desc)
-	if err != nil {
-		return nil, err
-	}
-	r := NewRuntime(pl, proc)
-	r.relaunch = func() (*Pilot, error) { return Launch(cl, desc) }
-	return r, nil
-}
-
-// Pilot returns the underlying (current) pilot.
-func (r *Runtime) Pilot() *Pilot { return r.pl }
-
-// Relaunched reports how many replacement pilots failover has launched.
-func (r *Runtime) Relaunched() int { return r.relaunched }
-
-// ensurePilot replaces an expired or draining pilot before a submission
-// when failover is configured — a preemption notice triggers the
-// replacement launch immediately, overlapping the new batch-queue wait
-// with the old pilot's drain window. If the replacement launch fails
-// the old pilot is kept: submissions then fail fast and the scheduler's
-// resubmission cap converts that into replica drops.
-func (r *Runtime) ensurePilot() {
-	if r.relaunch == nil || !(r.pl.Expired() || r.pl.Draining()) {
-		return
-	}
-	pl, err := r.relaunch()
-	if err != nil {
-		return
-	}
-	r.pl = pl
-	r.relaunched++
-	r.owned = append(r.owned, ownedPilot{pl: pl, label: r.relaunched})
-}
-
-// DrainResourceEvents returns and clears buffered pilot lifecycle
-// events across every incarnation, stamped with the failover
-// generation (task.ResourceReporter).
-func (r *Runtime) DrainResourceEvents() []task.ResourceEvent {
-	ev, kept := drainOwned(r.owned)
-	r.owned = kept
-	return ev
-}
-
-// Now returns the virtual time.
-func (r *Runtime) Now() float64 { return r.proc.Now() }
-
-// Cores returns the pilot's core count.
-func (r *Runtime) Cores() int { return r.pl.Cores() }
-
-// Submit schedules a unit (on a fresh pilot if the current one expired
-// and failover is configured). The unit's result is stamped with the
-// failover generation so traces can show which pilot incarnation ran
-// it; the write is race-free because spawned unit processes only start
-// once the orchestrator yields to the virtual-time kernel.
-func (r *Runtime) Submit(s *task.Spec) task.Handle {
-	r.ensurePilot()
-	u := r.pl.SubmitUnit(s)
-	u.res.Pilot = r.relaunched
-	return u
-}
-
-// SubmitWatched schedules a unit and registers it on the completion
-// stream for delivery by AwaitNext.
-func (r *Runtime) SubmitWatched(s *task.Spec) task.Handle {
-	r.ensurePilot()
-	u := r.pl.SubmitUnit(s)
-	u.res.Pilot = r.relaunched
-	r.stream.watch(u)
-	return u
-}
-
-// Await blocks the orchestrator until the unit finishes.
-func (r *Runtime) Await(h task.Handle) task.Result {
-	u := h.(*Unit)
-	u.done.Await(r.proc)
-	return u.res
-}
-
-// AwaitAll blocks until all units finish.
-func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
-	res := make([]task.Result, len(hs))
-	for i, h := range hs {
-		res[i] = r.Await(h)
-	}
-	return res
-}
-
-// AwaitNext blocks until a watched unit completion is pending delivery
-// or the deadline passes, draining the stream in completion order.
-func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
-	return r.stream.awaitNext(deadline)
-}
-
-// SleepUntil blocks the orchestrator until virtual time t.
-func (r *Runtime) SleepUntil(t float64) {
-	if d := t - r.proc.Now(); d > 0 {
-		r.proc.Sleep(d)
-	}
-}
-
-// Overhead charges client-side (RepEx) overhead to the virtual clock.
-func (r *Runtime) Overhead(d float64) {
-	if d <= 0 {
-		return
-	}
-	r.OverheadTotal += d
-	r.proc.Sleep(d)
-}
-
-var (
-	_ task.Runtime          = (*Runtime)(nil)
-	_ task.ResourceReporter = (*Runtime)(nil)
-)

@@ -85,30 +85,40 @@ func TestUnitProcessNameReachesTraceHook(t *testing.T) {
 
 // One SubmitWatched → AwaitNext round trip through the runtime costs the
 // unit, its waiter-list growth and the delivered handle slice — nothing
-// for the runtime's own bookkeeping. The ceiling is the single-pilot
-// Runtime's figure from before the slot runtime.
+// for the runtime's own routing and per-slot accounting, on one slot or
+// on two. The ceiling is the single-pilot Runtime's figure from before
+// the slot runtime (the multi-pilot one paid two closures more).
 func TestRuntimeRoundTripAllocations(t *testing.T) {
-	e := sim.NewEnv()
-	cl := cluster.MustNew(e, cluster.SuperMIC(), 1)
-	pl, err := Launch(cl, Description{Cores: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &task.Spec{Name: "md", Kind: task.MD, ReplicaID: 3, Cores: 1, Duration: 10, InFiles: 3, InBytes: 4096, OutFiles: 2, OutBytes: 4096}
-	var allocs float64
-	e.Go("orchestrator", func(p *sim.Proc) {
-		rt := NewRuntime(pl, p)
-		rt.Await(rt.Submit(spec)) // pilot active, buffers warm
-		allocs = testing.AllocsPerRun(200, func() {
-			rt.SubmitWatched(spec)
-			if hs := rt.AwaitNext(math.Inf(1)); len(hs) != 1 || hs[0].Result().Err != nil {
-				t.Errorf("round trip delivered %v", hs)
+	for _, pilots := range []int{1, 2} {
+		e := sim.NewEnv()
+		cl := cluster.MustNew(e, cluster.SuperMIC(), 1)
+		pls := make([]*Pilot, pilots)
+		for i := range pls {
+			var err error
+			if pls[i], err = Launch(cl, Description{Cores: 16}); err != nil {
+				t.Fatal(err)
 			}
+		}
+		spec := &task.Spec{Name: "md", Kind: task.MD, ReplicaID: 3, Cores: 1, Duration: 10, InFiles: 3, InBytes: 4096, OutFiles: 2, OutBytes: 4096}
+		var allocs float64
+		e.Go("orchestrator", func(p *sim.Proc) {
+			rt, err := NewMultiRuntime(p, pls...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rt.Await(rt.Submit(spec)) // pilots active, buffers warm
+			allocs = testing.AllocsPerRun(200, func() {
+				rt.SubmitWatched(spec)
+				if hs := rt.AwaitNext(math.Inf(1)); len(hs) != 1 || hs[0].Result().Err != nil {
+					t.Errorf("round trip delivered %v", hs)
+				}
+			})
 		})
-	})
-	e.Run()
-	if allocs > 3 {
-		t.Fatalf("%.1f allocations per round trip, want <= 3", allocs)
+		e.Run()
+		if allocs > 3 {
+			t.Errorf("%d pilot(s): %.1f allocations per round trip, want <= 3", pilots, allocs)
+		}
+		t.Logf("%d pilot(s): %.1f allocations per round trip", pilots, allocs)
 	}
-	t.Logf("%.1f allocations per round trip", allocs)
 }

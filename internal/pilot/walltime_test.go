@@ -123,6 +123,23 @@ func TestFailoverRuntimeRelaunchesPilot(t *testing.T) {
 	if redone.Finished < 90 {
 		t.Fatalf("redo finished at %v, want >= 90 (fresh queue wait)", redone.Finished)
 	}
+	// The Pilot label is the routing slot, not the incarnation: the
+	// replacement took over slot 0 and everything it does is labelled 0.
+	if redone.Pilot != 0 || rt.PilotAt(0) != rt.Pilot() || rt.PilotAt(1) != nil {
+		t.Fatalf("redo ran on slot %d; PilotAt(0) is Pilot(): %v; PilotAt(1) = %v", redone.Pilot, rt.PilotAt(0) == rt.Pilot(), rt.PilotAt(1))
+	}
+	events := rt.DrainResourceEvents()
+	if len(events) != 4 { // launch, expire, launch, expire
+		t.Fatalf("%d resource events, want 4: %+v", len(events), events)
+	}
+	for _, ev := range events {
+		if ev.Pilot != 0 {
+			t.Fatalf("event %+v labelled with a failover generation, want slot 0", ev)
+		}
+	}
+	if got := rt.Routed(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("routed %v, want [2]", got)
+	}
 }
 
 func TestMultiRuntimeRoutesAroundExpiredPilots(t *testing.T) {
@@ -132,7 +149,7 @@ func TestMultiRuntimeRoutesAroundExpiredPilots(t *testing.T) {
 	cl := cluster.MustNew(e, cfg, 1)
 	plA, _ := Launch(cl, Description{Cores: 4, Walltime: 50})
 	plB, _ := Launch(cl, Description{Cores: 4}) // unbounded
-	var m *MultiRuntime
+	var m *Runtime
 	var killed, rerouted, failedOver task.Result
 	e.Go("orchestrator", func(p *sim.Proc) {
 		var err error

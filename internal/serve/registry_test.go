@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -312,6 +313,48 @@ func TestRegistryMaxRuns(t *testing.T) {
 	waitFor(t, ts.URL, st.ID, func(s serve.RunStatus) bool { return terminal(s.State) }, "terminal state")
 	if _, code := postRun(t, ts.URL, launchBody(simBody("second", 8, 4, 4), resBody8, "")); code != http.StatusCreated {
 		t.Fatalf("post-drain launch: %d, want 201", code)
+	}
+}
+
+// TestRegistryRejectsReplicaWiderThanPilot: a launch whose replicas fit
+// no pilot — outright, or once pilot_cores is split — used to reach a
+// panic in the runtime and take the daemon down with every run in it.
+// It is a 400 that never touches the pool, and a sibling run launched
+// before it still completes.
+func TestRegistryRejectsReplicaWiderThanPilot(t *testing.T) {
+	reg, ts := newDaemon(t, 16, 0)
+	sibling, code := postRun(t, ts.URL, launchBody(simBody("sibling", 8, 3000, 3), resBody8, ""))
+	if code != http.StatusCreated {
+		t.Fatalf("sibling launch: %d", code)
+	}
+	wide := strings.Replace(simBody("wide", 4, 2, 5), `"cores_per_replica": 1`, `"cores_per_replica": 8`, 1)
+	for name, res := range map[string]string{
+		"small pilot": `{"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 4}`,
+		"split pilot": `{"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 8, "pilots": 2}`,
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(launchBody(wide, res, "")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cores_per_replica 8 exceeds the widest pilot (4 cores") {
+			t.Errorf("%s: %d %s, want 400 naming both widths", name, resp.StatusCode, msg)
+		}
+	}
+	if len(reg.List()) != 1 {
+		t.Errorf("%d runs registered, want the sibling only", len(reg.List()))
+	}
+	// The rejected launches left the 16-core pool untouched: beside the
+	// sibling's 8 cores a second 8-core run is admitted.
+	second, code := postRun(t, ts.URL, launchBody(simBody("second", 8, 4, 4), resBody8, ""))
+	if code != http.StatusCreated {
+		t.Fatalf("launch after the rejections: %d, want 201", code)
+	}
+	for _, id := range []string{sibling.ID, second.ID} {
+		if st := waitFor(t, ts.URL, id, func(s serve.RunStatus) bool { return terminal(s.State) }, "terminal state"); st.State != "completed" {
+			t.Errorf("run %s ended %q (%s), want completed", id, st.State, st.Error)
+		}
 	}
 }
 

@@ -6,8 +6,9 @@
 //
 // Two backends implement Runtime:
 //
-//   - internal/pilot.Runtime — executes tasks in virtual time on a
-//     simulated cluster (used for all performance experiments), and
+//   - internal/pilot.Runtime — executes tasks in virtual time on one or
+//     more pilots of a simulated cluster, one routing slot per pilot
+//     (used for all performance experiments), and
 //   - internal/localexec.Runtime — executes the task's Run function for
 //     real on local goroutines (used for validation and examples).
 //
@@ -36,8 +37,8 @@ var ErrResourceLost = errors.New("task: executing resource lost")
 type ResourceEvent struct {
 	// At is the runtime-clock time of the change.
 	At float64
-	// Pilot identifies the pilot, using the same numbering as
-	// Result.Pilot (routing slot or failover generation).
+	// Pilot is the routing slot of the affected pilot, the same
+	// numbering as Result.Pilot.
 	Pilot int
 	// Kind is one of the ResourceEvent* constants.
 	Kind string
@@ -151,11 +152,10 @@ type Result struct {
 	Launch   float64 // agent launcher queueing + launch latency (T_RP-over)
 	Exec     float64 // compute time (T_MD or T_EX)
 	StageOut float64 // output staging
-	// Pilot identifies the pilot that executed the task, for runtimes
-	// managing more than one: the routing index under a multi-pilot
-	// runtime, the failover generation (0 for the initial pilot) under
-	// a single-pilot failover runtime. Stamped at submission, so the
-	// flight recorder can attribute each segment to its executor.
+	// Pilot is the routing slot the task ran on: 0 on a single pilot,
+	// and unchanged when failover replaces the slot's pilot. Stamped at
+	// submission, so the flight recorder can attribute each segment to
+	// its executor.
 	Pilot int
 	// Err is non-nil if the task failed (fault injection or real error).
 	Err error

@@ -96,9 +96,8 @@ type Span struct {
 	// Dim is the exchange dimension of MD, exchange and controller
 	// spans.
 	Dim int `json:"dim,omitempty"`
-	// Pilot is the pilot that executed an MD span: the routing index
-	// under a multi-pilot runtime, the failover generation (0 for the
-	// initial pilot) under a single-pilot one.
+	// Pilot is the routing slot of the pilot that executed an MD span
+	// (0 on a single pilot; a failover replacement keeps its slot).
 	Pilot int `json:"pilot,omitempty"`
 	// Event is the segment cycle (MD) or exchange-event index.
 	Event int `json:"event,omitempty"`

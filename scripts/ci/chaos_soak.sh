@@ -35,3 +35,24 @@ stop "$pid"
 # Resource loss must never consume replica fault budgets: the run
 # summary reports every killed segment relaunched and nothing dropped.
 grep -Eq 'dropped=0 relaunches=[1-9][0-9]*' /tmp/chaos.log
+
+# The single-pilot leg: no "pilots" key, so the run is one routing slot.
+# A 170 s walltime forces three relaunches, then a preemption whose 80 s
+# notice outlasts the 5 s queue wait: the replacement is live long
+# before the preempted pilot's expire — the slot's last resource event,
+# carrying cores=0 — arrives.
+/tmp/repex -sim configs/chaos_sim_small.json \
+           -res configs/chaos_single_small.json \
+           -listen 127.0.0.1:9195 > /tmp/chaos_single.log 2>&1 &
+pid=$!
+wait_http http://127.0.0.1:9195/status
+wait_state http://127.0.0.1:9195 completed
+curl -fsS http://127.0.0.1:9195/metrics > /tmp/chaos_single_metrics.txt
+stop "$pid"
+grep -Eq 'dropped=0 relaunches=[1-9][0-9]*' /tmp/chaos_single.log
+grep -Eq '^repex_preemptions_total 1$' /tmp/chaos_single_metrics.txt
+# One slot, one series for the life of the run — relaunches move its
+# value, they do not mint pilot="1", pilot="2", ... — and it reads the
+# live replacement's eight cores, not the retired pilot's zero.
+[ "$(grep -c '^repex_pilot_cores{' /tmp/chaos_single_metrics.txt)" -eq 1 ]
+grep -Eq '^repex_pilot_cores\{pilot="0"\} 8$' /tmp/chaos_single_metrics.txt
