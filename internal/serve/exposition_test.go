@@ -14,10 +14,10 @@ import (
 
 var updateExposition = flag.Bool("update", false, "rewrite testdata/metrics_*.golden from the current /metrics renderer")
 
-// The goldens below were generated by writeMetrics and
-// handleAggregateMetrics as they stood before the exposition became a
-// table; a mismatch means the renderer changed a byte of /metrics — fix
-// the code, do not regenerate.
+// The goldens below were generated by the hand-unrolled writeMetrics
+// and handleAggregateMetrics that preceded the families table; a
+// mismatch means the renderer changed a byte of /metrics — fix the
+// code, do not regenerate.
 
 // fullView is a run that carries every metric family: a 4x2 grid under
 // feedback control (dimension 1 saturated), respacing with one applied
@@ -99,33 +99,15 @@ func plainView(run string) runView {
 }
 
 // renderRuns is the single-run server's exposition of the given views.
-func renderRuns(views []runView) []byte {
-	var b strings.Builder
-	writeMetrics(&b, views)
-	return []byte(b.String())
-}
+func renderRuns(views []runView) []byte { return appendExposition(nil, nil, views) }
 
 // renderDaemon is the aggregate exposition of a daemon holding one
 // running and one completed run on a 64-core pool with 24 cores
-// admitted. The repexd_* block is written inline by the registry's
-// handler, so it is taken from a registry of two stub runs in those
-// states and spliced in front of the hand-built views' families.
-func renderDaemon(t *testing.T, views []runView) []byte {
-	t.Helper()
-	g := NewRegistry(64, 0)
-	if err := g.pool.Acquire(24); err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range []core.RunState{core.RunRunning, core.RunCompleted} {
-		r := &Run{ID: string(rune('a' + i)), state: st, srv: New(nil, nil)}
-		g.order = append(g.order, r)
-	}
-	body := scrape(t, g)
-	head := bytes.Index(body, []byte("# HELP repex_"))
-	if head < 0 {
-		t.Fatalf("aggregate scrape has no run families:\n%s", body)
-	}
-	return append(body[:head:head], renderRuns(views)...)
+// admitted.
+func renderDaemon(views []runView) []byte {
+	d := daemonView{poolTotal: 64, poolUsed: 24}
+	d.runs[core.RunRunning], d.runs[core.RunCompleted] = 1, 1
+	return appendExposition(nil, &d, views)
 }
 
 // scrape serves one GET /metrics of the registry.
@@ -169,7 +151,7 @@ func TestExpositionGoldenSingle(t *testing.T) {
 
 func TestExpositionGoldenAggregate(t *testing.T) {
 	checkGolden(t, "testdata/metrics_aggregate.golden",
-		renderDaemon(t, []runView{fullView("r1"), plainView("r2")}))
+		renderDaemon([]runView{fullView(`{run="r1"`), plainView(`{run="r2"`)}))
 }
 
 // TestExpositionGoldenNoRuns pins the scrape of a daemon that has
@@ -178,17 +160,18 @@ func TestExpositionGoldenNoRuns(t *testing.T) {
 	checkGolden(t, "testdata/metrics_noruns.golden", scrape(t, NewRegistry(64, 0)))
 }
 
-// allocsPerLineCeiling is what the fmt-based writeMetrics cost per
-// rendered line on a 1024-rung ladder (25,970 / 4,174 = 6.222); the renderer may
-// only get cheaper, so never raise it.
-const allocsPerLineCeiling = 6.23
+// allocsPerLineCeiling bounds the per-line cost of a scrape. The
+// fmt-based writer this table replaced cost 6.222 (25,970 / 4,174); the
+// append-based one allocates per scrape (buffer growth, one HELP/TYPE
+// header per family), not per sample — never raise it.
+const allocsPerLineCeiling = 0.1
 
 // TestExpositionAllocations bounds the allocations of one scrape of a
 // fresh 1024-window run, per rendered line: /metrics grows with the
 // ladder, and the daemon renders every run's share on each scrape.
 func TestExpositionAllocations(t *testing.T) {
 	col := analysis.New(analysis.Config{DimSizes: []int{1024}, Replicas: 1024})
-	views := []runView{{run: "r1", stats: col.SnapshotLite(),
+	views := []runView{{run: `{run="r1"`, stats: col.SnapshotLite(),
 		st: RunStatus{State: "running", Replicas: 1024, Faults: map[string]uint64{}}}}
 	lines := bytes.Count(renderRuns(views), []byte("\n"))
 	if lines < 4*1023 {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -347,27 +346,20 @@ func (g *Registry) perRun(h func(*Server, http.ResponseWriter, *http.Request)) h
 // (identical dim/pair label sets) stay distinct after federation.
 func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request) {
 	runs := g.List()
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP repexd_runs Registered runs by lifecycle state.\n# TYPE repexd_runs gauge\n")
-	counts := map[core.RunState]int{}
+	var d daemonView
 	views := make([]runView, 0, len(runs))
 	for _, r := range runs {
-		counts[r.State()]++
-		views = append(views, r.view())
+		d.runs[r.State()]++
+		views = append(views, r.srv.view())
 	}
-	for st := core.RunPending; st <= core.RunCancelled; st++ {
-		fmt.Fprintf(&b, "repexd_runs{state=%q} %d\n", st.String(), counts[st])
-	}
-	fmt.Fprintf(&b, "# HELP repexd_pool_cores_total Shared core-pool capacity (0: unbounded).\n# TYPE repexd_pool_cores_total gauge\nrepexd_pool_cores_total %d\n", g.pool.Total())
-	fmt.Fprintf(&b, "# HELP repexd_pool_cores_used Cores admitted to active runs.\n# TYPE repexd_pool_cores_used gauge\nrepexd_pool_cores_used %d\n", g.pool.Used())
-	writeMetrics(&b, views)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	d.poolTotal, d.poolUsed = g.pool.Total(), g.pool.Used()
+	serveMetrics(w, &d, views)
 }
 
 // handleEvents streams the run's bus as server-sent events: one "md",
-// "exchange" or "fault" event per record, then a final "done" event
-// carrying the terminal state. The subscription ring is bounded, so a
+// "exchange", "fault", "resource" (pilot lifecycle) or "respace" (ladder
+// re-fit) event per record, then a final "done" event carrying the
+// terminal state. The subscription ring is bounded, so a
 // slow client loses oldest events rather than slowing the run.
 func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	run, ok := g.Get(req.PathValue("id"))
@@ -429,6 +421,8 @@ func writeSSE(w io.Writer, ev core.Event) {
 		name = "fault"
 	case core.RespaceEvent:
 		name = "respace"
+	case core.ResourceEvent:
+		name = "resource"
 	}
 	data, err := json.Marshal(ev)
 	if err != nil {

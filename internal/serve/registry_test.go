@@ -449,22 +449,26 @@ func readSSE(t *testing.T, url string) []sseEvent {
 
 // TestRegistryEventStreamsDoNotBleed runs two concurrent runs with
 // different replica counts and asserts each SSE stream only ever
-// carries events shaped like its own run.
+// carries events shaped like its own run, every one under its own name
+// (the big run's pilot expires every 20000 s, so its stream carries
+// resource events whenever the client attaches).
 func TestRegistryEventStreamsDoNotBleed(t *testing.T) {
 	_, ts := newDaemon(t, 0, 0)
 	small, code := postRun(t, ts.URL, launchBody(simBody("bleed-small", 4, 5000, 5), resBody8, ""))
 	if code != http.StatusCreated {
 		t.Fatalf("small launch: %d", code)
 	}
-	big, code := postRun(t, ts.URL, launchBody(simBody("bleed-big", 8, 5000, 6), resBody8, ""))
+	big, code := postRun(t, ts.URL, launchBody(simBody("bleed-big", 8, 5000, 6),
+		strings.Replace(resBody8, "}", `, "walltime_sec": 20000}`, 1), ""))
 	if code != http.StatusCreated {
 		t.Fatalf("big launch: %d", code)
 	}
 
-	check := func(id string, replicas int) int {
+	check := func(id string, replicas int) map[string]int {
 		events := readSSE(t, ts.URL+"/runs/"+id+"/events")
-		exchanges := 0
+		seen := map[string]int{}
 		for _, ev := range events {
+			seen[ev.name]++
 			switch ev.name {
 			case "exchange":
 				var e struct {
@@ -477,7 +481,6 @@ func TestRegistryEventStreamsDoNotBleed(t *testing.T) {
 					t.Fatalf("run %s: exchange event with %d slots, run has %d replicas — cross-run bleed",
 						id, len(e.Slots), replicas)
 				}
-				exchanges++
 			case "md", "fault":
 				var e struct {
 					Replica int
@@ -501,16 +504,19 @@ func TestRegistryEventStreamsDoNotBleed(t *testing.T) {
 				}
 			}
 		}
-		return exchanges
+		return seen
 	}
 	var wg sync.WaitGroup
-	counts := make([]int, 2)
+	counts := make([]map[string]int, 2)
 	wg.Add(2)
 	go func() { defer wg.Done(); counts[0] = check(small.ID, 4) }()
 	go func() { defer wg.Done(); counts[1] = check(big.ID, 8) }()
 	wg.Wait()
-	if counts[0] == 0 && counts[1] == 0 {
+	if counts[0]["exchange"] == 0 && counts[1]["exchange"] == 0 {
 		t.Fatal("neither stream observed an exchange event; the bleed check never engaged")
+	}
+	if counts[1]["resource"] == 0 || counts[0]["event"]+counts[1]["event"] > 0 {
+		t.Fatalf("pilot lifecycle events must stream as \"resource\", none unnamed: %v", counts)
 	}
 }
 

@@ -236,14 +236,7 @@ func (r *Run) baseStatus() RunStatus {
 
 // Status merges the base status with the collector's counters, the same
 // view /status serves.
-func (r *Run) Status() RunStatus { return r.view().st }
-
-// view renders the run as one contribution to an aggregate metrics
-// exposition.
-func (r *Run) view() runView {
-	stats := r.srv.snapshot(false)
-	return runView{run: r.ID, stats: stats, st: r.srv.runStatusFrom(&stats)}
-}
+func (r *Run) Status() RunStatus { return r.srv.view().st }
 
 func (r *Run) finish(report *core.Report, err error) {
 	r.mu.Lock()

@@ -35,9 +35,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -115,8 +113,9 @@ type RespaceStatus struct {
 type Server struct {
 	col    *analysis.Collector
 	status func() RunStatus
-	// runLabel, when set, stamps every metric line with a run="<id>"
-	// label so scrapes from many runs can federate without colliding.
+	// runLabel, when set, is the rendered `{run="<id>"` that opens the
+	// label set of every metric line, so scrapes from many runs can
+	// federate without colliding.
 	runLabel string
 	// tracer is the run's flight recorder; nil disables /trace and the
 	// repex_trace_* metrics.
@@ -145,7 +144,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // SetRunLabel makes every /metrics line carry run="<id>". The registry
 // sets it so per-run scrapes of runs sharing a dimension layout stay
 // distinguishable after federation.
-func (s *Server) SetRunLabel(id string) { s.runLabel = id }
+func (s *Server) SetRunLabel(id string) { s.runLabel = "{run=" + strconv.Quote(id) }
 
 // SetTracer attaches the run's flight recorder, enabling GET /trace and
 // the repex_trace_* metric counters. Call before Start.
@@ -206,35 +205,35 @@ func (s *Server) snapshot(withTraces bool) analysis.Stats {
 	return s.col.SnapshotLite()
 }
 
-// runStatusFrom merges the caller's status view with the counters of an
-// already-taken collector snapshot, so one request observes one instant.
-func (s *Server) runStatusFrom(stats *analysis.Stats) RunStatus {
-	var st RunStatus
+// view is the run at one instant — the caller's status merged with the
+// counters of a single collector snapshot, under the run's label — which
+// /status, /healthz and /metrics all render from.
+func (s *Server) view() runView {
+	v := runView{run: s.runLabel, stats: s.snapshot(false)}
 	if s.status != nil {
-		st = s.status()
+		v.st = s.status()
 	}
-	if st.Faults == nil {
-		st.Faults = map[string]uint64{}
+	if v.st.Faults == nil {
+		v.st.Faults = map[string]uint64{}
 	}
 	if s.col != nil {
-		st.ExchangeEvents = stats.Events
-		st.MDSegments = stats.MDSegments
-		for k, v := range stats.Faults {
-			st.Faults[k] = v
+		v.st.ExchangeEvents = v.stats.Events
+		v.st.MDSegments = v.stats.MDSegments
+		for k, n := range v.stats.Faults {
+			v.st.Faults[k] = n
 		}
-		st.BusDropped = stats.BusDropped
+		v.st.BusDropped = v.stats.BusDropped
 	}
 	if s.tracer != nil {
-		st.TraceCapacity = s.tracer.Capacity()
-		st.TraceSpans = s.tracer.Recorded()
-		st.TraceDropped = s.tracer.Dropped()
+		v.st.TraceCapacity = s.tracer.Capacity()
+		v.st.TraceSpans = s.tracer.Recorded()
+		v.st.TraceDropped = s.tracer.Dropped()
 	}
-	return st
+	return v
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	stats := s.snapshot(false)
-	writeJSON(w, s.runStatusFrom(&stats))
+	writeJSON(w, s.view().st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -256,8 +255,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is the liveness probe: always 200 once the server
 // answers, with a minimal state summary for probes that read bodies.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	stats := s.snapshot(false)
-	st := s.runStatusFrom(&stats)
+	st := s.view().st
 	writeJSON(w, map[string]any{
 		"ok":              true,
 		"state":           st.State,
@@ -273,297 +271,5 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	stats := s.snapshot(false)
-	st := s.runStatusFrom(&stats)
-	writeMetrics(&b, []runView{{run: s.runLabel, stats: stats, st: st}})
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	serveMetrics(w, nil, []runView{s.view()})
 }
-
-// runView is one run's contribution to a metrics exposition: its
-// collector snapshot, its status, and the value of its run label
-// (empty on the single-run server, which keeps that output
-// byte-identical to the pre-registry format).
-type runView struct {
-	run   string
-	stats analysis.Stats
-	st    RunStatus
-}
-
-// lbl merges the view's run label with a family's own labels (base is
-// the rendered inner label list, e.g. `dim="0",pair="1"`, or empty).
-func (v runView) lbl(base string) string {
-	switch {
-	case v.run == "" && base == "":
-		return ""
-	case v.run == "":
-		return "{" + base + "}"
-	case base == "":
-		return fmt.Sprintf("{run=%q}", v.run)
-	default:
-		return fmt.Sprintf("{run=%q,%s}", v.run, base)
-	}
-}
-
-// writeMetrics renders the Prometheus exposition of one or many runs.
-// The exposition format requires every line of a metric family to form
-// one group, so multi-run output interleaves runs within each family
-// (never family blocks per run) — the run label keeps series from runs
-// sharing a dimension layout distinct.
-func writeMetrics(b *strings.Builder, views []runView) {
-	counter := func(name, help string, v func(runView) uint64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, vw := range views {
-			fmt.Fprintf(b, "%s%s %d\n", name, vw.lbl(""), v(vw))
-		}
-	}
-	gauge := func(name, help string, v func(runView) float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, vw := range views {
-			fmt.Fprintf(b, "%s%s %s\n", name, vw.lbl(""), fmtFloat(v(vw)))
-		}
-	}
-	// family opens a HELP/TYPE block and lets the body emit labelled
-	// lines for every view.
-	family := func(name, help, typ string, emit func(vw runView)) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, vw := range views {
-			emit(vw)
-		}
-	}
-
-	gauge("repex_running", "1 while the simulation is executing.", func(vw runView) float64 {
-		if vw.st.State == "running" {
-			return 1
-		}
-		return 0
-	})
-	gauge("repex_replicas", "Configured replica count.",
-		func(vw runView) float64 { return float64(vw.st.Replicas) })
-	counter("repex_exchange_events_total", "Exchange events completed.",
-		func(vw runView) uint64 { return uint64(vw.stats.Events) })
-	counter("repex_md_segments_total", "MD segments finally processed.",
-		func(vw runView) uint64 { return uint64(vw.stats.MDSegments) })
-	counter("repex_md_failures_total", "MD segments that failed terminally.",
-		func(vw runView) uint64 { return uint64(vw.stats.MDFailures) })
-
-	family("repex_fault_events_total", "Fault-handling actions by kind.", "counter", func(vw runView) {
-		kinds := make([]string, 0, len(vw.st.Faults))
-		for k := range vw.st.Faults {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			fmt.Fprintf(b, "repex_fault_events_total%s %d\n", vw.lbl(fmt.Sprintf("kind=%q", k)), vw.st.Faults[k])
-		}
-	})
-
-	family("repex_pair_attempts_total", "Exchange attempts per neighbour pair.", "counter", func(vw runView) {
-		for d, pairs := range vw.stats.Acceptance {
-			for i, p := range pairs {
-				fmt.Fprintf(b, "repex_pair_attempts_total%s %d\n",
-					vw.lbl(fmt.Sprintf("dim=\"%d\",pair=\"%d\"", d, i)), p.Attempted)
-			}
-		}
-	})
-	family("repex_pair_accepts_total", "Accepted exchanges per neighbour pair.", "counter", func(vw runView) {
-		for d, pairs := range vw.stats.Acceptance {
-			for i, p := range pairs {
-				fmt.Fprintf(b, "repex_pair_accepts_total%s %d\n",
-					vw.lbl(fmt.Sprintf("dim=\"%d\",pair=\"%d\"", d, i)), p.Accepted)
-			}
-		}
-	})
-	family("repex_pair_acceptance_ratio", "Acceptance ratio per neighbour pair.", "gauge", func(vw runView) {
-		for d, pairs := range vw.stats.Acceptance {
-			for i, p := range pairs {
-				fmt.Fprintf(b, "repex_pair_acceptance_ratio%s %s\n",
-					vw.lbl(fmt.Sprintf("dim=\"%d\",pair=\"%d\"", d, i)), fmtFloat(p.Ratio()))
-			}
-		}
-	})
-
-	// The single-run HELP embeds the run's configured window depth; an
-	// aggregate scrape spans runs with different depths, conveyed per
-	// run by repex_acceptance_window_events below.
-	windowHelp := "Acceptance ratio per neighbour pair over each run's rolling window (depth in repex_acceptance_window_events)."
-	if len(views) == 1 {
-		windowHelp = fmt.Sprintf("Acceptance ratio per neighbour pair over the last %d outcomes.", views[0].stats.WindowEvents)
-	}
-	family("repex_acceptance_ratio_window", windowHelp, "gauge", func(vw runView) {
-		for d, pairs := range vw.stats.AcceptanceWindow {
-			for i, p := range pairs {
-				// An empty window has no ratio: emitting 0 would trip
-				// low-acceptance alerts on pairs that merely lack data. The
-				// attempts gauge below conveys emptiness.
-				if p.Attempted == 0 {
-					continue
-				}
-				fmt.Fprintf(b, "repex_acceptance_ratio_window%s %s\n",
-					vw.lbl(fmt.Sprintf("dim=\"%d\",pair=\"%d\"", d, i)), fmtFloat(p.Ratio()))
-			}
-		}
-	})
-	family("repex_acceptance_window_attempts", "Outcomes currently buffered in each pair's rolling window.", "gauge", func(vw runView) {
-		for d, pairs := range vw.stats.AcceptanceWindow {
-			for i, p := range pairs {
-				fmt.Fprintf(b, "repex_acceptance_window_attempts%s %d\n",
-					vw.lbl(fmt.Sprintf("dim=\"%d\",pair=\"%d\"", d, i)), p.Attempted)
-			}
-		}
-	})
-	gauge("repex_acceptance_window_events", "Configured rolling-window depth per pair.",
-		func(vw runView) float64 { return float64(vw.stats.WindowEvents) })
-
-	anyFeedback := false
-	for _, vw := range views {
-		if len(vw.st.Feedback) > 0 {
-			anyFeedback = true
-			break
-		}
-	}
-	if anyFeedback {
-		feedbackGauge := func(name, help string, value func(core.FeedbackDimStatus) float64) {
-			family(name, help, "gauge", func(vw runView) {
-				for _, f := range vw.st.Feedback {
-					fmt.Fprintf(b, "%s%s %s\n", name,
-						vw.lbl(fmt.Sprintf("dim=\"%d\"", f.Dim)), fmtFloat(value(f)))
-				}
-			})
-		}
-		feedbackGauge("repex_feedback_saturated",
-			"1 while the dimension's controller is pinned at a window clamp with the target unreachable (ladder-spacing diagnostic).",
-			func(f core.FeedbackDimStatus) float64 {
-				if f.Saturated {
-					return 1
-				}
-				return 0
-			})
-		feedbackGauge("repex_feedback_target", "Per-dimension acceptance set point.",
-			func(f core.FeedbackDimStatus) float64 { return f.Target })
-		feedbackGauge("repex_feedback_acceptance_measured",
-			"Rolling acceptance the dimension's controller currently measures.",
-			func(f core.FeedbackDimStatus) float64 { return f.Measured })
-		feedbackGauge("repex_feedback_window_seconds", "Controlled exchange window per dimension.",
-			func(f core.FeedbackDimStatus) float64 { return f.Window })
-		feedbackGauge("repex_feedback_min_ready", "Effective early-fire threshold per dimension (second actuator).",
-			func(f core.FeedbackDimStatus) float64 { return float64(f.MinReady) })
-		feedbackGauge("repex_feedback_integral", "Accumulated acceptance error (I term) per dimension.",
-			func(f core.FeedbackDimStatus) float64 { return f.Integral })
-	}
-
-	// Respace families, present only when some run enables online ladder
-	// respacing (mirrors the feedback-family gating above).
-	anyRespace := false
-	for _, vw := range views {
-		if vw.st.Respace != nil {
-			anyRespace = true
-			break
-		}
-	}
-	if anyRespace {
-		family("repex_respacings_total", "Online ladder re-fits applied per dimension.", "counter", func(vw runView) {
-			if vw.st.Respace == nil {
-				return
-			}
-			for d, n := range vw.st.Respace.Refits {
-				fmt.Fprintf(b, "repex_respacings_total%s %d\n",
-					vw.lbl(fmt.Sprintf("dim=\"%d\"", d)), n)
-			}
-		})
-		family("repex_ladder_value", "Current window value per dimension slot (moves when a re-fit lands).", "gauge", func(vw runView) {
-			if vw.st.Respace == nil {
-				return
-			}
-			for d, vals := range vw.st.Respace.Ladders {
-				for i, v := range vals {
-					fmt.Fprintf(b, "repex_ladder_value%s %s\n",
-						vw.lbl(fmt.Sprintf("dim=\"%d\",slot=\"%d\"", d, i)), fmtFloat(v))
-				}
-			}
-		})
-	}
-
-	counter("repex_preemptions_total", "Pilot preemption notices received.",
-		func(vw runView) uint64 { return vw.stats.Preemptions })
-
-	// Per-pilot core gauges, present only when some run published
-	// resource events (elastic runtimes); a quiet run with static pilots
-	// emits no pilot-core series (mirrors the feedback-family gating).
-	anyPilot := false
-	for _, vw := range views {
-		if len(vw.stats.PilotCores) > 0 {
-			anyPilot = true
-			break
-		}
-	}
-	if anyPilot {
-		family("repex_pilot_cores", "Current core count per pilot slot (0 once expired).", "gauge", func(vw runView) {
-			slots := make([]int, 0, len(vw.stats.PilotCores))
-			for slot := range vw.stats.PilotCores {
-				slots = append(slots, slot)
-			}
-			sort.Ints(slots)
-			for _, slot := range slots {
-				fmt.Fprintf(b, "repex_pilot_cores%s %d\n",
-					vw.lbl(fmt.Sprintf("pilot=\"%d\"", slot)), vw.stats.PilotCores[slot])
-			}
-		})
-	}
-
-	counter("repex_round_trips_total", "Completed ladder round trips over all replicas.",
-		func(vw runView) uint64 { return uint64(vw.stats.RoundTrips) })
-	gauge("repex_round_trip_events_mean", "Mean round-trip duration in exchange events.",
-		func(vw runView) float64 { return vw.stats.MeanRoundTripEvents })
-	gauge("repex_full_traversal_fraction",
-		"Fraction of replicas that visited both ladder endpoints.",
-		func(vw runView) float64 { return vw.stats.FullTraversalFraction })
-
-	histogram(b, "repex_md_exec_seconds", "MD segment execution time.", views,
-		func(vw runView) analysis.Histogram { return vw.stats.MDExec })
-	histogram(b, "repex_exchange_wall_seconds", "Exchange phase wall time.", views,
-		func(vw runView) analysis.Histogram { return vw.stats.ExchangeOverhead })
-
-	counter("repex_bus_published_total", "Events published on the bus.",
-		func(vw runView) uint64 { return vw.st.BusPublished })
-	counter("repex_bus_dropped_total", "Events the collector lost to ring overflow.",
-		func(vw runView) uint64 { return vw.stats.BusDropped })
-
-	// Flight-recorder counters, present only when some run has a
-	// recorder attached (mirrors the feedback-family gating above).
-	anyTrace := false
-	for _, vw := range views {
-		if vw.st.TraceCapacity > 0 {
-			anyTrace = true
-			break
-		}
-	}
-	if anyTrace {
-		counter("repex_trace_spans_total", "Spans recorded by the flight recorder.",
-			func(vw runView) uint64 { return vw.st.TraceSpans })
-		counter("repex_trace_dropped_total", "Spans evicted from the flight-recorder ring.",
-			func(vw runView) uint64 { return vw.st.TraceDropped })
-	}
-}
-
-// histogram renders one Prometheus histogram family: per view, the
-// cumulative buckets with an le label, then _sum and _count.
-func histogram(b *strings.Builder, name, help string, views []runView, h func(runView) analysis.Histogram) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, vw := range views {
-		hist := h(vw)
-		cum := uint64(0)
-		for i, bound := range hist.Bounds {
-			if i < len(hist.Counts) {
-				cum += hist.Counts[i]
-			}
-			fmt.Fprintf(b, "%s_bucket%s %d\n", name, vw.lbl(fmt.Sprintf("le=%q", fmtFloat(bound))), cum)
-		}
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, vw.lbl(`le="+Inf"`), hist.Count)
-		fmt.Fprintf(b, "%s_sum%s %s\n", name, vw.lbl(""), fmtFloat(hist.Sum))
-		fmt.Fprintf(b, "%s_count%s %d\n", name, vw.lbl(""), hist.Count)
-	}
-}
-
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
