@@ -313,8 +313,8 @@ func (e *execStats) window(initial, gain, lo, hi float64) float64 {
 
 // AdaptiveTrigger is a window trigger whose period adapts to the
 // observed MD completion latencies (including relaunch retries): the
-// window is mean + Gain·stddev of the
-// segments seen so far, clamped to [MinWindow, MaxWindow]. Under uniform
+// window is mean + 2·stddev of the segments seen so far, clamped to
+// [Initial/4, Initial·4]. Under uniform
 // replica performance the window shrinks towards the mean segment time
 // (fast exchanges, little idling); under heterogeneous or jittery
 // performance it grows so that most replicas make each exchange — the
@@ -322,11 +322,6 @@ func (e *execStats) window(initial, gain, lo, hi float64) float64 {
 type AdaptiveTrigger struct {
 	// Initial is the window used until enough segments were observed.
 	Initial float64
-	// Gain is the dispersion multiplier (default 2).
-	Gain float64
-	// MinWindow and MaxWindow clamp the adapted window; they default to
-	// Initial/4 and Initial*4.
-	MinWindow, MaxWindow float64
 	// MinReady, when positive, fires early once that many replicas are
 	// ready (as in WindowTrigger).
 	MinReady int
@@ -346,9 +341,6 @@ func NewAdaptiveTrigger(initial float64) *AdaptiveTrigger {
 func (t *AdaptiveTrigger) Validate() error {
 	if t.Initial <= 0 {
 		return fmt.Errorf("adaptive trigger requires a positive initial window, got %g", t.Initial)
-	}
-	if t.MinWindow < 0 || (t.MaxWindow > 0 && t.MaxWindow < t.MinWindow) {
-		return fmt.Errorf("adaptive trigger window clamp [%g, %g] is invalid", t.MinWindow, t.MaxWindow)
 	}
 	return nil
 }
@@ -377,10 +369,14 @@ func (t *AdaptiveTrigger) Observe(task.Result) {}
 // (LatencyObserver).
 func (t *AdaptiveTrigger) ObserveLatency(latency float64) { t.stats.add(latency) }
 
+// dispersionGain is the σ multiplier of the adaptive window (and of the
+// feedback trigger's warm-up window): mean + 2σ covers most replicas of
+// a jittery ensemble.
+const dispersionGain = 2
+
 // window returns the current adapted window length.
 func (t *AdaptiveTrigger) window() float64 {
-	return t.stats.window(t.Initial, orDefault(t.Gain, 2),
-		orDefault(t.MinWindow, t.Initial/4), orDefault(t.MaxWindow, t.Initial*4))
+	return t.stats.window(t.Initial, dispersionGain, t.Initial/4, t.Initial*4)
 }
 
 // Reset opens the next window at the adapted length.
@@ -434,13 +430,15 @@ const DefaultTargetAcceptance = 0.3
 // dimension's fires, plus a steered MinReady threshold — and the
 // control step is
 //
-//	window *= 1 + Gain·err + IntegralGain·∑err,   err = target − measured
+//	window *= 1 + 1.5·err + 0.1·∑err,   err = target − measured
 //
-// clamped per step and to [MinWindow, MaxWindow]. Measured acceptance
-// below the target widens the window — more replicas make each
-// exchange, ready subsets stay contiguous and fewer attempts straddle
-// window gaps — while acceptance above it narrows the window so ready
-// replicas exchange (and re-enter MD) sooner. The integral term
+// clamped per step to [0.5, 2] and overall to [Initial/8, Initial·8]
+// (wider than AdaptiveTrigger's, since the controller is expected to
+// explore). Measured acceptance below the target widens the window —
+// more replicas make each exchange, ready subsets stay contiguous and
+// fewer attempts straddle window gaps — while acceptance above it
+// narrows the window so ready replicas exchange (and re-enter MD)
+// sooner. The integral term
 // removes the steady-state error a pure-P controller leaves inside the
 // deadband; it accumulates only while the window is strictly inside
 // its clamps (anti-windup), so a long saturated stretch cannot wind up
@@ -461,8 +459,8 @@ const DefaultTargetAcceptance = 0.3
 // pair exists. The diagnostic clears as soon as the measurement
 // returns to the deadband or the window comes off its clamp.
 //
-// A Deadband around the target provides hysteresis so measurement
-// noise does not jitter the window, and gap pairs (Hi > Lo+1,
+// A deadband of ±0.02 around the target provides hysteresis so
+// measurement noise does not jitter the window, and gap pairs (Hi > Lo+1,
 // bridging dead replicas or ready-subset holes) never enter the
 // measurement, so the controller cannot chase dead-replica artifacts.
 // Until a dimension's ring has filled once, that dimension falls back
@@ -484,26 +482,10 @@ type FeedbackTrigger struct {
 	// recent neighbour-pair outcomes each dimension's acceptance is
 	// computed over (default 64).
 	WindowEvents int
-	// Gain is the proportional gain: relative window change per unit of
-	// acceptance error (default 1.5).
-	Gain float64
-	// IntegralGain is the integral gain: relative window change per
-	// unit of accumulated acceptance error (default 0.1).
-	IntegralGain float64
-	// IntegralClamp bounds the accumulated error (anti-windup, default
-	// 3).
-	IntegralClamp float64
 	// SaturationSteps is the number of consecutive clamp-pinned control
 	// steps after which a dimension raises its saturation diagnostic
 	// (default 8).
 	SaturationSteps int
-	// Deadband is the hysteresis half-width: errors within ±Deadband of
-	// the target leave the window unchanged (default 0.02).
-	Deadband float64
-	// MinWindow and MaxWindow clamp the controlled window; they default
-	// to Initial/8 and Initial*8 (wider than AdaptiveTrigger's, since
-	// the controller is expected to explore).
-	MinWindow, MaxWindow float64
 	// MinReady, when positive, fires early once that many replicas are
 	// ready (as in WindowTrigger). It is the base value of the second
 	// actuator: saturated dimensions override it until they recover.
@@ -536,7 +518,7 @@ type feedbackDim struct {
 	cur    float64
 	active bool
 	// integ is the accumulated acceptance error (the I term), clamped
-	// to ±IntegralClamp.
+	// to ±feedbackIntegralClamp.
 	integ float64
 	// satRun counts consecutive control steps pinned at a clamp with
 	// the error outside the deadband; saturated raises at
@@ -603,18 +585,8 @@ func (t *FeedbackTrigger) Validate() error {
 	if t.WindowEvents < 0 {
 		return fmt.Errorf("feedback trigger window events must be non-negative, got %d", t.WindowEvents)
 	}
-	if t.Gain < 0 || t.Deadband < 0 {
-		return fmt.Errorf("feedback trigger gain %g and deadband %g must be non-negative", t.Gain, t.Deadband)
-	}
-	if t.IntegralGain < 0 || t.IntegralClamp < 0 {
-		return fmt.Errorf("feedback trigger integral gain %g and clamp %g must be non-negative",
-			t.IntegralGain, t.IntegralClamp)
-	}
 	if t.SaturationSteps < 0 {
 		return fmt.Errorf("feedback trigger saturation steps must be non-negative, got %d", t.SaturationSteps)
-	}
-	if t.MinWindow < 0 || (t.MaxWindow > 0 && t.MaxWindow < t.MinWindow) {
-		return fmt.Errorf("feedback trigger window clamp [%g, %g] is invalid", t.MinWindow, t.MaxWindow)
 	}
 	return nil
 }
@@ -708,19 +680,35 @@ func (t *FeedbackTrigger) ObserveExchange(ev ExchangeEvent) {
 	t.controlStep(ev.Dim, dd)
 }
 
+// The control law's tuning. No caller ever set these, so they are
+// constants of the law rather than options of the trigger.
+const (
+	// feedbackGain is the proportional gain: relative window change per
+	// unit of acceptance error.
+	feedbackGain = 1.5
+	// feedbackIntegralGain is the relative window change per unit of
+	// accumulated acceptance error; feedbackIntegralClamp bounds that
+	// accumulation (anti-windup).
+	feedbackIntegralGain  = 0.1
+	feedbackIntegralClamp = 3
+	// feedbackDeadband is the hysteresis half-width: errors within it
+	// leave the window unchanged.
+	feedbackDeadband = 0.02
+)
+
 // controlStep applies one PI step to dimension d's actuators; callers
 // hold mu and have verified the controller is active with fresh
 // evidence.
 func (t *FeedbackTrigger) controlStep(d int, dd *feedbackDim) {
 	err := t.target(d) - float64(dd.win.Accepted)/float64(dd.win.N)
-	if math.Abs(err) <= t.deadband() {
+	if math.Abs(err) <= feedbackDeadband {
 		// On target: stand down the diagnostic and the second actuator.
 		// The integral is kept — it encodes the steady-state correction
 		// that brought the error inside the deadband.
 		dd.satRun, dd.saturated, dd.minReadyOverride = 0, false, -1
 		return
 	}
-	factor := 1 + t.gain()*err + t.integralGain()*dd.integ
+	factor := 1 + feedbackGain*err + feedbackIntegralGain*dd.integ
 	// Bound a single step: one noisy window must not collapse or
 	// explode the operating point.
 	factor = math.Min(math.Max(factor, 0.5), 2)
@@ -747,8 +735,7 @@ func (t *FeedbackTrigger) controlStep(d int, dd *feedbackDim) {
 			}
 		}
 	} else {
-		c := t.integralClamp()
-		dd.integ = math.Min(math.Max(dd.integ+err, -c), c)
+		dd.integ = math.Min(math.Max(dd.integ+err, -feedbackIntegralClamp), feedbackIntegralClamp)
 		dd.satRun, dd.saturated, dd.minReadyOverride = 0, false, -1
 	}
 	dd.cur = next
@@ -872,22 +859,17 @@ func orDefault[T int | float64](v, def T) T {
 	return def
 }
 
-func (t *FeedbackTrigger) gain() float64          { return orDefault(t.Gain, 1.5) }
-func (t *FeedbackTrigger) integralGain() float64  { return orDefault(t.IntegralGain, 0.1) }
-func (t *FeedbackTrigger) integralClamp() float64 { return orDefault(t.IntegralClamp, 3) }
-func (t *FeedbackTrigger) saturationSteps() int   { return orDefault(t.SaturationSteps, 8) }
-func (t *FeedbackTrigger) deadband() float64      { return orDefault(t.Deadband, 0.02) }
-func (t *FeedbackTrigger) windowEvents() int      { return orDefault(t.WindowEvents, 64) }
+func (t *FeedbackTrigger) saturationSteps() int { return orDefault(t.SaturationSteps, 8) }
+func (t *FeedbackTrigger) windowEvents() int    { return orDefault(t.WindowEvents, 64) }
 
-func (t *FeedbackTrigger) clamps() (lo, hi float64) {
-	return orDefault(t.MinWindow, t.Initial/8), orDefault(t.MaxWindow, t.Initial*8)
-}
+// clamps bounds the controlled window around the initial one.
+func (t *FeedbackTrigger) clamps() (lo, hi float64) { return t.Initial / 8, t.Initial * 8 }
 
 // warmWindow is the AdaptiveTrigger-style fallback: mean + 2σ of the
 // observed MD execution times, clamped.
 func (t *FeedbackTrigger) warmWindow() float64 {
 	lo, hi := t.clamps()
-	return t.warm.window(t.Initial, 2, lo, hi)
+	return t.warm.window(t.Initial, dispersionGain, lo, hi)
 }
 
 // Reset opens the next window at the upcoming dimension's controlled
