@@ -183,3 +183,25 @@ func TestExpositionAllocations(t *testing.T) {
 		t.Fatalf("%.3f allocations per rendered line, ceiling %.2f", perLine, allocsPerLineCeiling)
 	}
 }
+
+// TestMetricFamiliesDocumented is the docs-drift guard for the metric
+// reference: every row of the families table must appear (as a
+// backticked `name` cell with its type) in that section of
+// docs/observability.md. Adding a family without documenting it fails
+// here, naming it.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	data, err := os.ReadFile("../../docs/observability.md")
+	if err != nil {
+		t.Fatalf("reading the observability guide: %v", err)
+	}
+	_, section, found := strings.Cut(string(data), "\n## Metric reference\n")
+	if !found {
+		t.Fatal("docs/observability.md has no \"Metric reference\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, f := range families {
+		if !strings.Contains(section, "| `"+f.name+"` | "+f.typ+" |") {
+			t.Errorf("docs/observability.md \"Metric reference\" has no row for %s (%s)", f.name, f.typ)
+		}
+	}
+}
