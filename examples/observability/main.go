@@ -4,7 +4,7 @@
 //
 // The pieces, bottom to top:
 //
-//  1. Spec.Bus — the dispatcher publishes typed events (MD completions,
+//  1. core.Bus — the dispatcher publishes typed events (MD completions,
 //     exchange outcomes, fault actions) on a non-blocking bus;
 //  2. analysis.Collector — subscribes and maintains per-pair acceptance
 //     ratios, replica random walks with round-trip times, the mixing
@@ -12,82 +12,73 @@
 //  3. serve.Server — exposes GET /status, /stats and /metrics
 //     (Prometheus text format) from the collector.
 //
-// The same wiring is available from the command line:
+// serve.NewRun wires all three for a served run (docs/architecture.md,
+// "Run assembly"): this program is the same assembly path as
 //
 //	go run ./cmd/repex -sim configs/tsu_supermic.json \
 //	    -res configs/supermic_144.json -listen 127.0.0.1:8080
+//
+// with the two config files written as a config.Launch literal.
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
-	repex "repro"
-	"repro/internal/analysis"
+	"repro/internal/config"
 	"repro/internal/serve"
 )
 
 func main() {
-	// A 24-replica T×U simulation, large enough for interesting mixing.
-	spec := &repex.Spec{
-		Name: "observed-tu",
-		Dims: []repex.Dimension{
-			{Type: repex.Temperature, Values: repex.GeometricTemperatures(273, 373, 6)},
-			{Type: repex.Umbrella, Values: repex.UniformWindows(4), Torsion: "phi", K: repex.UmbrellaK002},
+	// A 24-replica T×U simulation, large enough for interesting mixing,
+	// on 24 SuperMIC cores (Execution Mode I).
+	launch := &config.Launch{
+		Sim: &config.Simulation{
+			Name: "observed-tu", Engine: "amber", Atoms: 2881,
+			Dimensions: []config.Dim{
+				{Type: "T", Count: 6, Min: 273, Max: 373},
+				{Type: "U", Count: 4, Torsion: "phi"},
+			},
+			CoresPerReplica: 1, StepsPerCycle: 6000, Cycles: 6, Seed: 7,
 		},
-		Pattern:         repex.PatternSynchronous,
-		CoresPerReplica: 1,
-		StepsPerCycle:   6000,
-		Cycles:          6,
-		Seed:            7,
+		Res: &config.Resource{Machine: "supermic", PilotCores: 24},
 	}
 
-	// 1. Attach the event bus.
-	spec.Bus = repex.NewBus()
-
-	// 2. Subscribe an online collector, with a ring sized to hold the
-	// whole run's event stream (it is only drained on demand).
-	col := analysis.New(analysis.ConfigFromSpec(spec))
-	col.Attach(spec.Bus, analysis.RunBuffer(spec))
-
-	// 3. Serve it. Port 0 picks a free port; cmd/repex's -listen flag
-	// gets this wiring from serve.NewRun (docs/architecture.md, "Run
-	// assembly"). The HTTP handlers run concurrently with the
-	// simulation, so anything the status closure reads must be
-	// thread-safe — hence the atomic state value.
-	var state atomic.Value
-	state.Store("running")
-	srv := serve.New(col, func() serve.RunStatus {
-		return serve.RunStatus{
-			Name: spec.Name, Engine: "amber", Trigger: spec.TriggerName(),
-			State: state.Load().(string), Replicas: spec.Replicas(),
-			CyclesTarget: spec.Cycles, BusPublished: spec.Bus.Published(),
-		}
-	})
-	addr, err := srv.Start("127.0.0.1:0")
+	// served = true attaches the bus, the collector and the flight
+	// recorder, and builds the run's Server over them.
+	run, err := serve.NewRun(context.Background(), launch, true, false, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	// Port 0 picks a free port. The handlers run concurrently with the
+	// simulation; the Server reads only the collector and the run's
+	// mutex-guarded status.
+	addr, err := run.Server().Start("127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer run.Server().Close()
 	fmt.Printf("serving on http://%s\n\n", addr)
 
 	// Run in virtual time: weeks of SuperMIC time in milliseconds.
-	report, err := repex.RunVirtual(spec, repex.SuperMIC(), 24, repex.AmberSander, 2881, 7)
+	run.Start(slog.Default())
+	<-run.Done()
+	report, err := run.Result()
 	if err != nil {
 		log.Fatal(err)
 	}
-	state.Store("completed")
 	fmt.Print(report.String())
 
 	// What a dashboard would read.
-	stats := col.Snapshot()
+	stats := run.Collector().Snapshot()
 	fmt.Println("\nper-pair acceptance ratios:")
 	for d, pairs := range stats.Acceptance {
-		fmt.Printf("  dim %d (%s):", d, spec.Dims[d].Type)
+		fmt.Printf("  dim %d (%s):", d, run.Spec().Dims[d].Type)
 		for _, p := range pairs {
 			fmt.Printf(" %.2f", p.Ratio())
 		}
