@@ -2,8 +2,9 @@
 # Observability smoke: run a small virtual simulation with the status
 # server listening, then check /status and /metrics answer 200 with
 # well-formed payloads (fails on non-200 via curl -f and on malformed
-# Prometheus output via the greps), and that the -trace export writes
-# Perfetto-loadable Chrome trace-event JSON.
+# Prometheus output via the greps), that every family scraped is in
+# docs/observability.md's metric reference, and that the -trace export
+# writes Perfetto-loadable Chrome trace-event JSON.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -30,6 +31,14 @@ grep -Eq '^repex_md_exec_seconds_bucket\{le="\+Inf"\} [0-9]+$' /tmp/metrics.txt
 if grep -vE '^(#|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+-]+|\+Inf|$)' /tmp/metrics.txt; then
   echo "malformed Prometheus exposition" && exit 1
 fi
+# Every family of the live scrape is in the metric reference.
+reference=$(sed -n '/^## Metric reference$/,/^## Resource gauges$/p' docs/observability.md)
+for family in $(sed -n 's/^# TYPE \([^ ]*\) .*/\1/p' /tmp/metrics.txt); do
+  case "$reference" in
+    *"| \`$family\` |"*) ;;
+    *) echo "docs/observability.md does not document $family"; exit 1 ;;
+  esac
+done
 stop "$pid"
 
 # Flight-recorder export: the same run with -trace writes

@@ -3,8 +3,8 @@
 # workload over HTTP, poll it to completion, check the aggregate scrape
 # carries the per-run label and the flight-recorder endpoints serve,
 # resize the shared core pool through PATCH /pool, then cancel a long
-# second run and assert it reaches "cancelled". The daemon itself must
-# drain and exit 0 on SIGTERM.
+# second run, assert it reaches "cancelled" and that its event stream
+# named every event. The daemon itself must drain and exit 0 on SIGTERM.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -43,17 +43,33 @@ code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
 total=$(curl -fsS -X PATCH http://127.0.0.1:9199/pool \
           -d '{"total_cores": 64}' | jq -r .total_cores)
 [ "$total" = 64 ]
-# A long-budget second run, cancelled mid-flight through the API.
-jq '.sim.cycles = 400000 | .sim.trigger = "barrier"
+# A long-budget second run, cancelled mid-flight through the API. Its
+# pilot expires every 5000 s, so its event stream (followed from here to
+# the cancellation) carries resource events beside md/exchange/fault.
+jq '.sim.cycles = 400000 | .sim.trigger = "barrier" | .res.walltime_sec = 5000
     | del(.sim.pattern, .sim.async_window_sec, .sim.target_acceptance)' \
    /tmp/launch.json > /tmp/launch_long.json
 id2=$(curl -fsS -X POST http://127.0.0.1:9199/runs \
         -d @/tmp/launch_long.json | jq -r .id)
+curl -fsS -N "http://127.0.0.1:9199/runs/$id2/events" > /tmp/events.txt &
+sse=$!
+# 300 exchange events are well over 15000 virtual seconds: several
+# expiries have streamed by the time the cancellation lands.
 for _ in $(seq 1 100); do
   ev=$(curl -fsS "http://127.0.0.1:9199/runs/$id2/status" | jq -r .exchange_events)
-  [ "$ev" != null ] && [ "$ev" -ge 2 ] && break
+  [ "$ev" != null ] && [ "$ev" -ge 300 ] && break
   sleep 0.1
 done
 curl -fsS -X DELETE "http://127.0.0.1:9199/runs/$id2" >/dev/null
 wait_state "http://127.0.0.1:9199/runs/$id2" cancelled
+# The stream closes itself with "done"; every event on it is named.
+wait "$sse"
+grep -q '^event: done$' /tmp/events.txt
+grep -q '^event: resource$' /tmp/events.txt
+for name in $(sed -n 's/^event: //p' /tmp/events.txt | sort -u); do
+  case " md exchange fault resource respace done " in
+    *" $name "*) ;;
+    *) echo "unexpected SSE event name: $name"; exit 1 ;;
+  esac
+done
 stop "$pid"
