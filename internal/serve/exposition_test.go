@@ -23,7 +23,8 @@ var updateExposition = flag.Bool("update", false, "rewrite testdata/metrics_*.go
 // feedback control (dimension 1 saturated), respacing with one applied
 // refit, two pilot slots, a flight recorder, three fault kinds (one
 // needing label escaping), a pair whose rolling window is still empty
-// and floats on both sides of the exponent-notation thresholds.
+// and floats on both sides of the exponent-notation thresholds. run is
+// the rendered label (`{run="r1"`, or empty for the single-run server).
 func fullView(run string) runView {
 	return runView{
 		run: run,
@@ -99,7 +100,7 @@ func plainView(run string) runView {
 }
 
 // renderRuns is the single-run server's exposition of the given views.
-func renderRuns(views []runView) []byte { return appendExposition(nil, nil, views) }
+func renderRuns(views []runView) []byte { return renderExposition(nil, views) }
 
 // renderDaemon is the aggregate exposition of a daemon holding one
 // running and one completed run on a 64-core pool with 24 cores
@@ -107,18 +108,7 @@ func renderRuns(views []runView) []byte { return appendExposition(nil, nil, view
 func renderDaemon(views []runView) []byte {
 	d := daemonView{poolTotal: 64, poolUsed: 24}
 	d.runs[core.RunRunning], d.runs[core.RunCompleted] = 1, 1
-	return appendExposition(nil, &d, views)
-}
-
-// scrape serves one GET /metrics of the registry.
-func scrape(t *testing.T, g *Registry) []byte {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	g.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("GET /metrics: %d", rec.Code)
-	}
-	return rec.Body.Bytes()
+	return renderExposition(&d, views)
 }
 
 func checkGolden(t *testing.T, path string, got []byte) {
@@ -157,7 +147,12 @@ func TestExpositionGoldenAggregate(t *testing.T) {
 // TestExpositionGoldenNoRuns pins the scrape of a daemon that has
 // launched nothing: every ungated family is declared, none has a sample.
 func TestExpositionGoldenNoRuns(t *testing.T) {
-	checkGolden(t, "testdata/metrics_noruns.golden", scrape(t, NewRegistry(64, 0)))
+	rec := httptest.NewRecorder()
+	NewRegistry(64, 0).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 200 {
+		t.Fatalf("GET /metrics: %d", rec.Code)
+	}
+	checkGolden(t, "testdata/metrics_noruns.golden", rec.Body.Bytes())
 }
 
 // allocsPerLineCeiling bounds the per-line cost of a scrape. The

@@ -298,14 +298,14 @@ func (e *exposition) sample(suffix string, v value, labels ...label) {
 	e.buf = append(v.append(append(b, ' ')), '\n')
 }
 
-// appendExposition renders the Prometheus exposition of the daemon (nil
+// renderExposition renders the Prometheus exposition of the daemon (nil
 // on the single-run server) and of one or many runs. The format requires
 // every line of a metric family to form one group, so multi-run output
 // interleaves runs within each family (never family blocks per run) —
 // the run label keeps series from runs sharing a dimension layout
 // distinct.
-func appendExposition(buf []byte, d *daemonView, views []runView) []byte {
-	e := exposition{buf: buf}
+func renderExposition(d *daemonView, views []runView) []byte {
+	var e exposition
 	for i := range families {
 		f := &families[i]
 		if f.daemon != nil {
@@ -335,5 +335,5 @@ func appendExposition(buf []byte, d *daemonView, views []runView) []byte {
 // serveMetrics answers one scrape: both /metrics handlers end here.
 func serveMetrics(w http.ResponseWriter, d *daemonView, views []runView) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(appendExposition(nil, d, views))
+	_, _ = w.Write(renderExposition(d, views))
 }
