@@ -268,7 +268,8 @@ func TestRuntimeAwaitNext(t *testing.T) {
 		rt := NewRuntime(pl, p)
 		slow = rt.SubmitWatched(&task.Spec{Name: "slow", Cores: 1, Duration: 100})
 		fast = rt.SubmitWatched(&task.Spec{Name: "fast", Cores: 1, Duration: 2})
-		first = rt.AwaitNext(rt.Now() + 50)
+		// A delivery is valid until the next AwaitNext: keep a copy.
+		first = append(first, rt.AwaitNext(rt.Now()+50)...)
 		timedOut = rt.AwaitNext(rt.Now() + 10) // slow still running
 		last = rt.AwaitNext(rt.Now() + 1000)
 	})

@@ -60,6 +60,9 @@ type Runtime struct {
 	// virtual-time completion order, until AwaitNext drains them.
 	arrivals *sim.Signal
 	queue    []*Unit
+	// delivered is the slice AwaitNext last returned; the next call
+	// clears and refills it.
+	delivered []task.Handle
 }
 
 // slot is one routing slot: its current occupant and the routing history
@@ -319,8 +322,11 @@ func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
 
 // AwaitNext blocks until a watched unit completion is pending delivery
 // or the absolute deadline passes, draining the stream in completion
-// order.
+// order. The returned slice is the runtime's own buffer, valid until the
+// next AwaitNext.
 func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
+	clear(r.delivered)
+	r.delivered = r.delivered[:0]
 	for len(r.queue) == 0 {
 		if math.IsInf(deadline, 1) {
 			r.arrivals.Wait(r.proc)
@@ -332,12 +338,11 @@ func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
 		}
 		r.arrivals.WaitTimeout(r.proc, remain)
 	}
-	out := make([]task.Handle, len(r.queue))
-	for i, u := range r.queue {
-		out[i] = u
+	for _, u := range r.queue {
+		r.delivered = append(r.delivered, u)
 	}
 	r.queue = r.queue[:0]
-	return out
+	return r.delivered
 }
 
 // SleepUntil blocks the orchestrator until virtual time t.

@@ -1,0 +1,19 @@
+//go:build !go1.23
+
+package sim
+
+// handoff starts body suspended and returns the two switches between it
+// and the kernel: resume, called by the kernel, runs body until it next
+// calls park or returns; park, called from inside body, suspends it until
+// the next resume. Before go1.23 there is no iter.Pull: body gets its own
+// goroutine and each switch is a send and a receive on a channel pair.
+// Delete this file when go.mod's floor reaches 1.23.
+func handoff(body func()) (resume, park func()) {
+	in, out := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-in // wait until the kernel first resumes us
+		body()
+		out <- struct{}{}
+	}()
+	return func() { in <- struct{}{}; <-out }, func() { out <- struct{}{}; <-in }
+}

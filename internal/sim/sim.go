@@ -8,16 +8,19 @@
 // hours of wall time run in milliseconds while preserving ordering,
 // contention and queueing behaviour.
 //
-// There is one kernel, one Proc type and one event heap, and two ways to
+// There is one kernel, one Proc type and one event queue, and two ways to
 // drive a Proc:
 //
 //   - A goroutine process (Env.Go, Env.GoAt) runs ordinary blocking code:
 //     Sleep, Signal.Wait, Resource.Acquire, Completion.Await park the
-//     goroutine and hand control back to the kernel over a channel pair.
-//     At any instant either the kernel or exactly one process is active.
-//     Use it for the few long-lived processes whose logic reads best as
-//     straight-line code (an orchestrator, a watchdog, a fault driver);
-//     each wakeup costs two channel hand-offs.
+//     process and switch back to the kernel. The body is a coroutine of
+//     the goroutine that runs the kernel (iter.Pull; see handoff, which
+//     falls back to a goroutine behind a channel pair on a toolchain
+//     before go1.23), so at any instant either the kernel or exactly one
+//     process is active, a wakeup is two coroutine switches on one thread,
+//     and a panic in a body surfaces from Env.Run. Use it for the few
+//     long-lived processes whose logic reads best as straight-line code
+//     (an orchestrator, a watchdog, a fault driver).
 //
 //   - A stepped process (Env.Spawn) has no goroutine: the kernel calls its
 //     Stepper inline on every wakeup, and the stepper registers its next
@@ -47,22 +50,25 @@ import (
 // usable; create one with NewEnv.
 type Env struct {
 	now    float64
-	events []event // binary min-heap on (t, seq)
-	seq    int64
+	events []event // binary min-heap on (t, seq) of events scheduled for later than now
+	// lane holds the events scheduled for the current instant, in seq
+	// order; each would have been pushed as the heap's minimum. Every
+	// entry is at now: the clock moves only while the lane is empty.
+	lane fifo[event]
+	seq  int64
 	// slots maps event.slot to the live process occupying it. Events name
 	// their process by slot, not by pointer, so the heap holds no pointers:
 	// sifting it costs no GC write barriers and the collector never scans
 	// it. free lists vacated slots for reuse.
 	slots []slot
 	free  []int32
-	yield chan struct{}
 	nlive int
 	trace func(t float64, msg string)
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -88,10 +94,11 @@ type Stepper interface {
 type Proc struct {
 	env  *Env
 	name string
-	// resume is the kernel -> process hand-off channel of a goroutine
-	// process; nil for a stepped one.
-	resume  chan struct{}
-	stepper Stepper
+	// resume and park are the two switches of a goroutine process (see
+	// handoff): the kernel calls resume, the body calls park. Nil for a
+	// stepped one.
+	resume, park func()
+	stepper      Stepper
 	// gen is the wakeup generation; events scheduled for an earlier
 	// generation are stale and are dropped by the kernel. This is what
 	// lets a process wait on "signal OR timeout" without double-resume.
@@ -151,10 +158,9 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts ev into the heap.
-func (e *Env) push(ev event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
+// up places ev at h[i], a hole, after moving it towards the root past
+// every ancestor it sorts before.
+func up(h []event, i int, ev event) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(&h[parent]) {
@@ -164,10 +170,18 @@ func (e *Env) push(ev event) {
 		i = parent
 	}
 	h[i] = ev
-	e.events = h
 }
 
-// pop removes and returns the earliest event; the heap must be non-empty.
+// push inserts ev into the heap.
+func (e *Env) push(ev event) {
+	e.events = append(e.events, ev)
+	up(e.events, len(e.events)-1, ev)
+}
+
+// pop removes and returns the heap's earliest event; the heap must be
+// non-empty. The hole at the root walks down to a leaf along the smaller
+// child (one compare a level), and the displaced last element sifts up
+// from there: it came from the bottom, so it rarely moves far.
 func (e *Env) pop() event {
 	h := e.events
 	top := h[0]
@@ -187,32 +201,54 @@ func (e *Env) pop() event {
 		if c+1 < n && h[c+1].before(&h[c]) {
 			c++
 		}
-		if !h[c].before(&last) {
-			break
-		}
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = last
+	up(h, i, last)
 	return top
 }
 
 // schedule arranges for p to be resumed at time t with its current
 // generation. Stale events (generation mismatch at pop time) are dropped.
 func (e *Env) schedule(p *Proc, t float64) {
-	if t < e.now {
-		t = e.now
-	}
 	e.seq++
-	e.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot})
+	ev := event{t: t, seq: e.seq, gen: p.gen, slot: p.slot}
+	if t <= e.now {
+		ev.t = e.now
+		e.lane.push(ev)
+		return
+	}
+	e.push(ev)
+}
+
+// next removes and returns the earliest queued event in (t, seq) order,
+// or reports false if there is none at or before limit. It is the only
+// way out of the queue. Heap events at now go first: they were scheduled
+// before the clock got here, so before anything in the lane.
+func (e *Env) next(limit float64) (event, bool) {
+	h := e.events
+	if e.lane.len() > 0 && (len(h) == 0 || h[0].t > e.now) {
+		if e.now > limit {
+			return event{}, false
+		}
+		return e.lane.pop(), true
+	}
+	if len(h) == 0 || h[0].t > limit {
+		return event{}, false
+	}
+	return e.pop(), true
 }
 
 // Go spawns a new goroutine process that starts at the current virtual
 // time. It may be called before Run or from inside another process.
 //
-// fn must return normally: terminating the goroutine without returning
-// (runtime.Goexit, e.g. via testing.T.Fatal) leaves the kernel waiting
-// for a yield that never comes.
+// fn runs as a coroutine of the goroutine that calls Run, and ends the
+// process by returning. A panic in fn — or a runtime.Goexit, e.g. via
+// testing.T.Fatal — unwinds through the kernel and out of Run in that
+// goroutine, where it can be recovered; the environment is then stopped
+// mid-event and must not be run again. (Built before go1.23 fn has a
+// goroutine of its own: a panic there kills the program and a Goexit
+// leaves the kernel waiting for a park that never comes.)
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return e.GoAt(name, e.now, fn)
 }
@@ -220,14 +256,12 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt spawns a goroutine process that starts at absolute virtual time t
 // (clamped to now if in the past).
 func (e *Env) GoAt(name string, t float64, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	e.admit(p)
-	go func() {
-		<-p.resume // wait until the kernel first schedules us
+	p.resume, p.park = handoff(func() {
 		fn(p)
 		p.Exit()
-		e.yield <- struct{}{}
-	}()
+	})
 	e.schedule(p, t)
 	return p
 }
@@ -270,14 +304,18 @@ func (p *Proc) Exit() {
 func (e *Env) Run() { e.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with timestamps <= t and then stops, leaving
-// later events queued. The clock ends at min(t, last event time).
+// later events queued. The clock ends at t if later events remain and at
+// the last event's time if none do; it never moves backwards, so a t
+// already in the past runs nothing and leaves the clock alone.
 func (e *Env) RunUntil(t float64) {
-	for len(e.events) > 0 {
-		if e.events[0].t > t {
-			e.now = t
+	for {
+		ev, ok := e.next(t)
+		if !ok {
+			if t > e.now && e.Pending() > 0 {
+				e.now = t
+			}
 			return
 		}
-		ev := e.pop()
 		p := e.slots[ev.slot].p
 		if p == nil || ev.gen != p.gen {
 			continue // stale wakeup: the process moved on, or is gone
@@ -291,13 +329,12 @@ func (e *Env) RunUntil(t float64) {
 			p.stepper.Step(p)
 			continue
 		}
-		p.resume <- struct{}{}
-		<-e.yield
+		p.resume()
 	}
 }
 
 // Pending reports the number of queued (possibly stale) events.
-func (e *Env) Pending() int { return len(e.events) }
+func (e *Env) Pending() int { return len(e.events) + e.lane.len() }
 
 // Live reports the number of live (spawned, not finished) processes.
 func (e *Env) Live() int { return e.nlive }
@@ -309,8 +346,7 @@ func (p *Proc) Park() {
 	if p.stepper != nil {
 		panic("sim: blocking call from stepped process " + p.Name())
 	}
-	p.env.yield <- struct{}{}
-	<-p.resume
+	p.park()
 }
 
 // WakeIn schedules a wakeup of the process d virtual seconds from now
@@ -337,7 +373,7 @@ func (p *Proc) Sleep(d float64) {
 // not usable; create with NewSignal.
 type Signal struct {
 	env     *Env
-	waiters []sigWaiter
+	waiters fifo[sigWaiter]
 }
 
 type sigWaiter struct {
@@ -354,7 +390,7 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 // timeout) is skipped by the signal.
 func (s *Signal) Enrol(p *Proc) {
 	p.notified = false
-	s.waiters = append(s.waiters, sigWaiter{p: p, gen: p.gen})
+	s.waiters.push(sigWaiter{p: p, gen: p.gen})
 }
 
 // Wait blocks the calling process until Signal or Broadcast is invoked.
@@ -386,25 +422,22 @@ func (s *Signal) wake(w sigWaiter) bool {
 
 // Broadcast wakes all currently waiting processes at the current time.
 func (s *Signal) Broadcast() {
-	for _, w := range s.waiters {
-		s.wake(w)
+	for s.waiters.len() > 0 {
+		s.wake(s.waiters.pop())
 	}
-	s.waiters = s.waiters[:0]
 }
 
 // Signal wakes a single waiting process (FIFO), if any.
 func (s *Signal) Signal() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if s.wake(w) {
+	for s.waiters.len() > 0 {
+		if s.wake(s.waiters.pop()) {
 			return
 		}
 	}
 }
 
 // Waiters reports the number of registered (possibly stale) waiters.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return s.waiters.len() }
 
 // ---------------------------------------------------------------------------
 // Resource: counting semaphore with FIFO queueing in virtual time.
@@ -417,7 +450,7 @@ type Resource struct {
 	env      *Env
 	capacity int
 	used     int
-	queue    []resWaiter
+	queue    fifo[resWaiter]
 	peakUsed int
 	// busyIntegral accumulates used*dt for utilization accounting.
 	busyIntegral float64
@@ -454,7 +487,7 @@ func (r *Resource) Available() int { return r.capacity - r.used }
 func (r *Resource) PeakInUse() int { return r.peakUsed }
 
 // QueueLen returns the number of waiting acquisitions.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.len() }
 
 func (r *Resource) account() {
 	now := r.env.now
@@ -491,7 +524,7 @@ func (r *Resource) Request(p *Proc, n int, abortable bool) {
 	case r.TryAcquire(n):
 		p.granted = true
 	default:
-		r.queue = append(r.queue, resWaiter{p: p, n: n, abortable: abortable})
+		r.queue.push(resWaiter{p: p, n: n, abortable: abortable})
 	}
 }
 
@@ -509,7 +542,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 {
 		return true
 	}
-	if len(r.queue) == 0 && r.used+n <= r.capacity {
+	if r.queue.len() == 0 && r.used+n <= r.capacity {
 		r.take(n)
 		return true
 	}
@@ -540,16 +573,16 @@ func (r *Resource) Release(n int) {
 
 // grantQueued grants queued requests in FIFO order while they fit.
 func (r *Resource) grantQueued() {
-	for len(r.queue) > 0 {
-		w := r.queue[0]
+	for r.queue.len() > 0 {
+		w := r.queue.peek()
 		if w.p.dead {
-			r.queue = r.queue[1:]
+			r.queue.pop()
 			continue
 		}
 		if r.used+w.n > r.capacity {
 			break
 		}
-		r.queue = r.queue[1:]
+		r.queue.pop()
 		r.take(w.n)
 		w.p.granted = true
 		r.env.schedule(w.p, r.env.now)
@@ -574,16 +607,14 @@ func (r *Resource) SetCapacity(n int) {
 		r.grantQueued()
 		return
 	}
-	keep := r.queue[:0]
-	for _, w := range r.queue {
+	r.queue.retain(func(w resWaiter) bool {
 		if w.n > n && w.abortable {
 			w.p.aborted = true
 			r.env.schedule(w.p, r.env.now)
-			continue
+			return false
 		}
-		keep = append(keep, w)
-	}
-	r.queue = keep
+		return true
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -808,14 +810,68 @@ func TestSteppedLiveAndPendingAccounting(t *testing.T) {
 	if e.Now() != 50 {
 		t.Fatalf("RunUntil left the clock at %v, want 50", e.Now())
 	}
+	// Wakeups for the current instant queue outside the heap and count
+	// like any other: two spawns and a broadcast to one waiter.
+	woken := 0
+	for i := 0; i < 2; i++ {
+		spawn(e, "now", func(p *Proc, wake int) {
+			if wake == 0 && i == 0 {
+				s.Enrol(p)
+				return
+			}
+			woken++
+			p.Exit()
+		})
+	}
+	if e.Live() != 2 || e.Pending() != 5 {
+		t.Fatalf("after spawns at now: live %d pending %d, want 2 and 3 stale + 2", e.Live(), e.Pending())
+	}
+	e.RunUntil(50)
+	s.Broadcast()
+	if e.Live() != 1 || e.Pending() != 4 || woken != 1 {
+		t.Fatalf("after broadcast at now: live %d pending %d woken %d, want 1, 3 stale + 1, 1", e.Live(), e.Pending(), woken)
+	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after run, want 0", e.Pending())
+	if e.Pending() != 0 || e.Live() != 0 || woken != 2 {
+		t.Fatalf("pending %d live %d woken %d after run, want 0 0 2", e.Pending(), e.Live(), woken)
 	}
 	// Stale events to dead processes are dropped without moving the
 	// clock.
 	if e.Now() != 50 {
 		t.Fatalf("stale events moved the clock to %v", e.Now())
+	}
+}
+
+// RunUntil with a limit already in the past runs nothing and leaves the
+// clock where it is, whether the next event is later or at this instant.
+func TestRunUntilNeverLowersClock(t *testing.T) {
+	e := NewEnv()
+	ran := 0
+	spawn(e, "later", func(p *Proc, wake int) {
+		if wake == 0 {
+			p.WakeIn(10)
+			return
+		}
+		ran++
+		p.Exit()
+	})
+	e.RunUntil(4)
+	if e.Now() != 4 {
+		t.Fatalf("clock %v after RunUntil(4), want 4", e.Now())
+	}
+	e.RunUntil(2)
+	if e.Now() != 4 {
+		t.Fatalf("RunUntil(2) at 4 moved the clock to %v", e.Now())
+	}
+	var at float64
+	e.Go("sleeper", func(p *Proc) { p.Sleep(1); at = p.Now() })
+	e.RunUntil(3) // the sleeper's start is queued at 4
+	if e.Now() != 4 || e.Pending() != 2 || at != 0 {
+		t.Fatalf("RunUntil(3) at 4: clock %v pending %d sleeper woke at %v, want 4, 2, not yet", e.Now(), e.Pending(), at)
+	}
+	e.Run()
+	if at != 5 || ran != 1 || e.Now() != 10 {
+		t.Fatalf("sleeper woke at %v (want 5), later ran %d (want 1), clock %v (want 10)", at, ran, e.Now())
 	}
 }
 
@@ -867,8 +923,10 @@ func TestSteppedNameIsLazyAndTraced(t *testing.T) {
 	}
 }
 
-// Property: the event heap pops in (t, seq) order for random inputs with
-// many equal timestamps, interleaving pushes and pops.
+// Property: the queue's one exit, next, hands events out in (t, seq)
+// order for random inputs with many equal timestamps — some scheduled for
+// the current instant (the lane), some for later (the heap) — with pushes
+// and pops interleaved and the clock following the pops.
 func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -876,23 +934,32 @@ func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
 		p := &Proc{env: e}
 		var popped []event
 		pushed := 0
-		for round := 0; round < 40; round++ {
-			for n := rng.Intn(30); n > 0; n-- {
-				// Few distinct times: ties are the common case. Never
-				// earlier than the last pop, as schedule clamps to now.
-				e.schedule(p, e.now+float64(rng.Intn(4)))
-				pushed++
-			}
-			for n := rng.Intn(25); n > 0 && len(e.events) > 0; n-- {
-				ev := e.pop()
+		drain := func(n int) {
+			for ; n > 0; n-- {
+				ev, ok := e.next(math.Inf(1))
+				if !ok {
+					return
+				}
 				e.now = ev.t
 				popped = append(popped, ev)
 			}
 		}
-		for len(e.events) > 0 {
-			popped = append(popped, e.pop())
+		for round := 0; round < 40; round++ {
+			for n := rng.Intn(30); n > 0; n-- {
+				// Few distinct times: ties are the common case, and a
+				// quarter land on now. Never earlier than the last pop,
+				// as schedule clamps to now.
+				e.schedule(p, e.now+float64(rng.Intn(4)))
+				pushed++
+			}
+			drain(rng.Intn(25))
 		}
-		if len(popped) != pushed {
+		// Nothing beyond the limit comes out, and the refusal loses nothing.
+		if ev, ok := e.next(e.now - 1); ok {
+			t.Errorf("next(%v) at now=%v returned an event at %v", e.now-1, e.now, ev.t)
+		}
+		drain(pushed)
+		if len(popped) != pushed || e.Pending() != 0 {
 			return false
 		}
 		for i := 1; i < len(popped); i++ {
@@ -904,6 +971,66 @@ func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: fifo behaves as the slice it replaces (append, q[1:], filter in
+// place) through drains, slides of a never-empty queue and retains, and
+// a queue that holds a steady few elements keeps a bounded array however
+// many pass through it.
+func TestPropertyFifoMatchesSlice(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var q fifo[int]
+		var ref []int
+		next := 0
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				q.push(next)
+				ref = append(ref, next)
+				next++
+			case op < 9:
+				if len(ref) == 0 {
+					continue
+				}
+				if q.peek() != ref[0] || q.pop() != ref[0] {
+					return false
+				}
+				ref = ref[1:]
+			default:
+				m := 2 + rng.Intn(3)
+				q.retain(func(v int) bool { return v%m != 0 })
+				kept := ref[:0]
+				for _, v := range ref {
+					if v%m != 0 {
+						kept = append(kept, v)
+					}
+				}
+				ref = kept
+			}
+			if q.len() != len(ref) || !slices.Equal(q.items[q.head:], ref) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+
+	var q fifo[int]
+	for i := 0; i < 3; i++ {
+		q.push(i)
+	}
+	for i := 3; i < 100000; i++ {
+		q.push(i)
+		if got := q.pop(); got != i-3 {
+			t.Fatalf("pop %d, want %d", got, i-3)
+		}
+	}
+	if cap(q.items) > 16 {
+		t.Fatalf("a queue of 3 or 4 elements grew its array to %d", cap(q.items))
 	}
 }
 

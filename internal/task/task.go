@@ -201,7 +201,10 @@ type Runtime interface {
 	// delivery or the absolute deadline passes, and returns the completed
 	// watched handles in completion order (nil on timeout). A +Inf
 	// deadline waits indefinitely for the next completion; callers must
-	// therefore only pass +Inf while watched tasks are outstanding.
+	// therefore only pass +Inf while watched tasks are outstanding. The
+	// slice may be a buffer the runtime reuses: it is valid until the
+	// next AwaitNext, and a caller that keeps handles longer copies them
+	// out.
 	AwaitNext(deadline float64) []Handle
 	// Await blocks until h is done and returns its result.
 	Await(h Handle) Result

@@ -4,10 +4,20 @@
 # fails; update BENCH_baseline.json in the same PR when intentional, or
 # when the runner class changes — absolute ns baselines are machine
 # specific; the pair gates compare the run with itself and are not).
-# Four invocations share one stream. The dispatcher legs run at -cpu 1: a run
-# is one process active at a time by construction, so a second P adds
-# nothing but the scheduler migrating the orchestrator goroutine between
-# threads, which on a shared runner is most of the run-to-run noise.
+# Four invocations share one stream. The dispatcher legs run on every CPU,
+# like the program: the orchestrator is a coroutine of the goroutine that
+# runs the kernel (internal/sim, handoff), so a wakeup never enters the
+# scheduler and a second P no longer migrates it between threads. They
+# were pinned to -cpu 1 while the hand-off was a channel pair; five
+# interleaved rounds of the 256 / 4096 barrier legs on the 2-vCPU build
+# host read, min-median-max ns/completion,
+#   channel pair  -cpu 1  4358-4686-5178 / 4637-5304-5665
+#                 -cpu 2  5535-6099-7029 / 5835-6146-13991
+#   coroutine     -cpu 1  3021-3802-4306 / 3047-4080-4240
+#                 -cpu 2  3337-3480-4174 / 3695-3930-4041
+# so -cpu 2 is now the tighter of the two. (A toolchain before go1.23
+# builds the channel pair again, and its noise with it: baselines are per
+# runner class and per toolchain.)
 # Iteration counts keep each sample tens of milliseconds long: the small
 # legs at 40x, the scaling legs (1024/4096 replicas) at 8x, the
 # 65536-replica barrier leg at 1x. The sharded-exchange pair keeps every
@@ -28,11 +38,11 @@ cd "$(repo_root)"
 : > BENCH_dispatcher.json
 : > BENCH_md_samples.json
 for _ in 1 2 3 4 5; do
-  go test -run '^$' -cpu 1 -bench 'BenchmarkDispatcher$/^(64|256)$|BenchmarkDispatcherBus$|BenchmarkDispatcherTrace$' \
+  go test -run '^$' -bench 'BenchmarkDispatcher$/^(64|256)$|BenchmarkDispatcherBus$|BenchmarkDispatcherTrace$' \
     -benchtime 40x -json . | tee -a BENCH_dispatcher.json
-  go test -run '^$' -cpu 1 -bench 'BenchmarkDispatcher$/^(1024|4096)$' \
+  go test -run '^$' -bench 'BenchmarkDispatcher$/^(1024|4096)$' \
     -benchtime 8x -json . | tee -a BENCH_dispatcher.json
-  go test -run '^$' -cpu 1 -bench 'BenchmarkDispatcher64K$/^65536$/^barrier$' \
+  go test -run '^$' -bench 'BenchmarkDispatcher64K$/^65536$/^barrier$' \
     -benchtime 1x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -bench 'BenchmarkExchangeSharding$' \
     -benchtime 2x -json . | tee -a BENCH_dispatcher.json
