@@ -7,6 +7,7 @@ package repex
 // mode; `go run ./cmd/experiments` regenerates the full-scale artefacts.
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/md"
 	"repro/internal/pilot"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -589,5 +591,116 @@ func BenchmarkAblationGPUEngine(b *testing.B) {
 		}
 		b.ReportMetric(dc.TMD, "cpu_md_s")
 		b.ReportMetric(dg.TMD, "gpu_md_s")
+	}
+}
+
+// codecFixture builds the checkpoint of a 16x8x8 run after the given
+// number of exchange events without running it: a snapshot whose slot
+// history is one shuffled permutation per event, and a collector that
+// was fed those events.
+func codecFixture(events int) (*core.Snapshot, *analysis.Collector) {
+	const replicas = 16 * 8 * 8
+	rng := rand.New(rand.NewSource(19))
+	col := analysis.New(analysis.Config{DimSizes: []int{16, 8, 8}, Replicas: replicas})
+	sn := &core.Snapshot{
+		Version: core.SnapshotVersion, Name: "codec-fixture", Trigger: "window",
+		Events: events, Elapsed: 1e4 * rng.Float64(), RNGDraws: 1 << 20, EngineDraws: 1 << 22,
+		SlotRows: events, SlotFingerprint: rng.Uint64(), MDExecCoreSeconds: 1e6 * rng.Float64(),
+	}
+	slots := rng.Perm(replicas)
+	for e := 0; e < events; e++ {
+		dim := e % 3
+		pairs := make([]core.PairOutcome, 0, 8)
+		for lo := e % 2; lo+1 < []int{16, 8, 8}[dim]; lo += 2 {
+			pairs = append(pairs, core.PairOutcome{Lo: lo, Hi: lo + 1, Accepted: rng.Intn(3) == 0})
+		}
+		for i := 0; i < replicas/4; i++ {
+			a, b := rng.Intn(replicas), rng.Intn(replicas)
+			slots[a], slots[b] = slots[b], slots[a]
+		}
+		row := append([]int(nil), slots...)
+		sn.SlotHistory = append(sn.SlotHistory, row)
+		col.Apply(core.ExchangeEvent{Event: e, Dim: dim, Pairs: pairs, Slots: row, EXWall: 30 * rng.Float64()})
+		col.Apply(core.MDEvent{Replica: e, Exec: 140 * rng.Float64()})
+	}
+	for id, slot := range slots {
+		e := -2500 * rng.Float64()
+		sn.Replicas = append(sn.Replicas, core.ReplicaState{
+			ID: id, Slot: slot, Cycle: events / 3, Energy: e, Synth: []float64{0, e + 2500}, Alive: true,
+		})
+	}
+	return sn, col
+}
+
+// refCollectorState mirrors the JSON layout of the collector state for
+// the encoding/json reference legs of BenchmarkSnapshotCodec (the
+// collector's own state type is unexported).
+type refCollectorState struct {
+	Events      int                   `json:"events"`
+	MDSegments  int                   `json:"md_segments"`
+	MDFailures  int                   `json:"md_failures"`
+	Faults      map[string]uint64     `json:"faults"`
+	Pairs       [][]analysis.PairStat `json:"pairs"`
+	PairWindows [][]ring.Bool         `json:"pair_windows,omitempty"`
+	Walks       []struct {
+		Slot       int   `json:"slot"`
+		StartEnd   int   `json:"start_end"`
+		StartAt    int   `json:"start_at"`
+		Armed      bool  `json:"armed,omitempty"`
+		SeenBottom bool  `json:"seen_bottom,omitempty"`
+		SeenTop    bool  `json:"seen_top,omitempty"`
+		RoundTrips int   `json:"round_trips,omitempty"`
+		TripEvents int   `json:"trip_events,omitempty"`
+		Trace      []int `json:"trace,omitempty"`
+	} `json:"walks"`
+	MDExec      analysis.Histogram `json:"md_exec"`
+	ExchangeOvh analysis.Histogram `json:"exchange_overhead"`
+}
+
+// BenchmarkSnapshotCodec times the four codec operations of the
+// checkpoint path on a 1024-replica, 64-event checkpoint, each beside
+// the same operation through encoding/json's reflection codec (the
+// _ref legs: MarshalIndent and Unmarshal, what the path used before).
+// scripts/ci/bench_gate.sh gates each pair's ratio, not its ns.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	sn, col := codecFixture(64)
+	stateData, err := col.EncodeState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn.Analysis = stateData
+	data, err := sn.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var refState refCollectorState
+	if err := json.Unmarshal(stateData, &refState); err != nil {
+		b.Fatal(err)
+	}
+	fresh := analysis.New(analysis.Config{DimSizes: []int{16, 8, 8}, Replicas: len(sn.Replicas)})
+	legs := []struct {
+		name  string
+		bytes int
+		op    func() error
+	}{
+		{"encode", len(data), func() error { _, err := sn.Encode(); return err }},
+		{"encode_ref", len(data), func() error { _, err := json.MarshalIndent(sn, "", " "); return err }},
+		{"decode", len(data), func() error { _, err := core.DecodeSnapshot(data); return err }},
+		{"decode_ref", len(data), func() error { return json.Unmarshal(data, new(core.Snapshot)) }},
+		{"state_encode", len(stateData), func() error { _, err := col.EncodeState(); return err }},
+		{"state_encode_ref", len(stateData), func() error { _, err := json.Marshal(&refState); return err }},
+		{"state_restore", len(stateData), func() error { return fresh.Restore(stateData) }},
+		{"state_restore_ref", len(stateData), func() error { return json.Unmarshal(stateData, new(refCollectorState)) }},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(int64(leg.bytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := leg.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -23,11 +23,12 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/jsonx"
 	"repro/internal/ring"
 	"repro/internal/task"
 )
@@ -510,12 +511,128 @@ func cloneHistogram(h Histogram) Histogram {
 }
 
 // EncodeState syncs and serializes the full collector state for
-// embedding in a core.Snapshot (the Analysis field).
+// embedding in a core.Snapshot (the Analysis field): compact JSON, one
+// line per walk, fault kinds in sorted order, so equal states encode to
+// equal bytes. It fails on a NaN or infinite histogram bound or sum.
 func (c *Collector) EncodeState() ([]byte, error) {
 	c.Sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return json.Marshal(&c.st)
+	st := &c.st
+	w := &jsonx.Writer{Buf: make([]byte, 0, 4096+len(st.Walks)*(128+6*c.cfg.TraceLen))}
+	w.Raw("{")
+	w.Key("events").Int(st.Events)
+	w.Key("md_segments").Int(st.MDSegments)
+	w.Key("md_failures").Int(st.MDFailures)
+	w.Key("faults")
+	if st.Faults == nil {
+		w.Raw("null")
+	} else {
+		kinds := make([]string, 0, len(st.Faults))
+		for k := range st.Faults {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		w.Raw("{")
+		for i, k := range kinds {
+			if i > 0 {
+				w.Raw(",")
+			}
+			w.String(k)
+			w.Raw(":")
+			w.Uint64(st.Faults[k])
+		}
+		w.Raw("}")
+	}
+	w.Key("pairs")
+	jsonx.WriteArray(w, st.Pairs, false, func(w *jsonx.Writer, row []PairStat) {
+		jsonx.WriteArray(w, row, false, func(w *jsonx.Writer, p PairStat) {
+			w.Raw("{")
+			w.Key("attempted").Uint64(p.Attempted)
+			w.Key("accepted").Uint64(p.Accepted)
+			w.Raw("}")
+		})
+	})
+	if len(st.PairWindows) > 0 {
+		w.Key("pair_windows")
+		jsonx.WriteArray(w, st.PairWindows, true, func(w *jsonx.Writer, row []ring.Bool) {
+			jsonx.WriteArray(w, row, false, writeRing)
+		})
+	}
+	w.Key("walks")
+	jsonx.WriteArray(w, st.Walks, true, writeWalk)
+	w.Key("md_exec")
+	writeHistogram(w, &st.MDExec)
+	w.Key("exchange_overhead")
+	writeHistogram(w, &st.ExchangeOvh)
+	if st.ResourceEvents != 0 {
+		w.Key("resource_events").Uint64(st.ResourceEvents)
+	}
+	if st.Preemptions != 0 {
+		w.Key("preemptions").Uint64(st.Preemptions)
+	}
+	w.Raw("}")
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("analysis: encoding collector state: %v", err)
+	}
+	return w.Buf, nil
+}
+
+// The writers below leave out what format 2 has always left out: a
+// ring's or a walk's zero fields.
+
+func writeRing(w *jsonx.Writer, r ring.Bool) {
+	w.Raw("{")
+	if len(r.Outcomes) > 0 {
+		w.Key("outcomes")
+		jsonx.WriteArray(w, r.Outcomes, false, (*jsonx.Writer).Bool)
+	}
+	if r.Head != 0 {
+		w.Key("head").Int(r.Head)
+	}
+	if r.N != 0 {
+		w.Key("n").Int(r.N)
+	}
+	if r.Accepted != 0 {
+		w.Key("accepted").Int(r.Accepted)
+	}
+	w.Raw("}")
+}
+
+func writeWalk(w *jsonx.Writer, k walk) {
+	w.Raw("{")
+	w.Key("slot").Int(k.Slot)
+	w.Key("start_end").Int(k.StartEnd)
+	w.Key("start_at").Int(k.StartAt)
+	if k.Armed {
+		w.Key("armed").Bool(true)
+	}
+	if k.SeenBottom {
+		w.Key("seen_bottom").Bool(true)
+	}
+	if k.SeenTop {
+		w.Key("seen_top").Bool(true)
+	}
+	if k.RoundTrips != 0 {
+		w.Key("round_trips").Int(k.RoundTrips)
+	}
+	if k.TripEvents != 0 {
+		w.Key("trip_events").Int(k.TripEvents)
+	}
+	if len(k.Trace) > 0 {
+		w.Key("trace").Ints(k.Trace)
+	}
+	w.Raw("}")
+}
+
+func writeHistogram(w *jsonx.Writer, h *Histogram) {
+	w.Raw("{")
+	w.Key("bounds").Floats(h.Bounds)
+	w.Key("counts")
+	jsonx.WriteArray(w, h.Counts, false, (*jsonx.Writer).Uint64)
+	w.Key("sum").Float(h.Sum)
+	w.Key("count").Uint64(h.Count)
+	w.Raw("}")
 }
 
 // SeedResume aligns a fresh collector with a resumed simulation whose
@@ -546,11 +663,18 @@ func (c *Collector) SeedResume(sn *core.Snapshot) error {
 }
 
 // Restore replaces the collector state with one serialized by
-// EncodeState; used when resuming a checkpointed run so post-resume
-// statistics continue from the pre-snapshot totals.
+// EncodeState (by this build, or by one that wrote it through
+// encoding/json); used when resuming a checkpointed run so post-resume
+// statistics continue from the pre-snapshot totals. It fails — leaving
+// the collector's state as it was — on malformed or truncated input,
+// bytes after the value, a fraction, exponent or overflow in an integer
+// field, a key repeated within one object (encoding/json kept the
+// last), a grid that is not this collector's, a corrupt pair window, a
+// walk outside the ladder, and a histogram whose counts do not match
+// its bounds or whose bounds are out of order. Unknown keys are skipped.
 func (c *Collector) Restore(data []byte) error {
-	var st state
-	if err := json.Unmarshal(data, &st); err != nil {
+	st, err := decodeState(data)
+	if err != nil {
 		return fmt.Errorf("analysis: decoding collector state: %v", err)
 	}
 	if len(st.Walks) != c.cfg.Replicas {
@@ -600,6 +724,13 @@ func (c *Collector) Restore(data []byte) error {
 				i, s, c.cfg.Replicas)
 		}
 	}
+	// Observe indexes Counts by a sample's position among Bounds.
+	for _, h := range []*Histogram{&st.MDExec, &st.ExchangeOvh} {
+		if len(h.Counts) != len(h.Bounds)+1 || !sort.Float64sAreSorted(h.Bounds) {
+			return fmt.Errorf("analysis: state histogram has %d counts over %d bounds, or bounds out of order",
+				len(h.Counts), len(h.Bounds))
+		}
+	}
 	if st.Faults == nil {
 		st.Faults = map[string]uint64{}
 	}
@@ -607,6 +738,134 @@ func (c *Collector) Restore(data []byte) error {
 	c.st = st
 	c.mu.Unlock()
 	return nil
+}
+
+// decodeState reads a state. Traces, ring storage, pair rows and the
+// histogram vectors are cut from one shared array per element type,
+// each without spare capacity: applyExchange appends to a trace.
+func decodeState(data []byte) (st state, err error) {
+	var (
+		ints   []int
+		bools  []bool
+		floats []float64
+		counts []uint64
+		pairs  []PairStat
+		rings  []ring.Bool
+		rows   [][]PairStat
+		wins   [][]ring.Bool
+		walks  []walk
+	)
+	histogram := func(r *jsonx.Reader) (h Histogram) {
+		for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+			switch string(k) {
+			case "bounds":
+				h.Bounds = jsonx.ReadArray(r, &floats, (*jsonx.Reader).Float)
+			case "counts":
+				h.Counts = jsonx.ReadArray(r, &counts, (*jsonx.Reader).Uint64)
+			case "sum":
+				h.Sum = r.Float()
+			case "count":
+				h.Count = r.Uint64()
+			default:
+				r.Skip()
+			}
+		}
+		return h
+	}
+	r := jsonx.NewReader(data)
+	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+		switch string(k) {
+		case "events":
+			st.Events = r.Int()
+		case "md_segments":
+			st.MDSegments = r.Int()
+		case "md_failures":
+			st.MDFailures = r.Int()
+		case "faults":
+			if r.Null() {
+				break
+			}
+			st.Faults = map[string]uint64{}
+			for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+				st.Faults[string(k)] = r.Uint64()
+			}
+		case "pairs":
+			st.Pairs = jsonx.ReadArray(r, &rows, func(r *jsonx.Reader) []PairStat {
+				return jsonx.ReadArray(r, &pairs, func(r *jsonx.Reader) (p PairStat) {
+					for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+						switch string(k) {
+						case "attempted":
+							p.Attempted = r.Uint64()
+						case "accepted":
+							p.Accepted = r.Uint64()
+						default:
+							r.Skip()
+						}
+					}
+					return p
+				})
+			})
+		case "pair_windows":
+			st.PairWindows = jsonx.ReadArray(r, &wins, func(r *jsonx.Reader) []ring.Bool {
+				return jsonx.ReadArray(r, &rings, func(r *jsonx.Reader) (b ring.Bool) {
+					for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+						switch string(k) {
+						case "outcomes":
+							b.Outcomes = jsonx.ReadArray(r, &bools, (*jsonx.Reader).Bool)
+						case "head":
+							b.Head = r.Int()
+						case "n":
+							b.N = r.Int()
+						case "accepted":
+							b.Accepted = r.Int()
+						default:
+							r.Skip()
+						}
+					}
+					return b
+				})
+			})
+		case "walks":
+			st.Walks = jsonx.ReadArray(r, &walks, func(r *jsonx.Reader) (w walk) {
+				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+					switch string(k) {
+					case "slot":
+						w.Slot = r.Int()
+					case "start_end":
+						w.StartEnd = r.Int()
+					case "start_at":
+						w.StartAt = r.Int()
+					case "armed":
+						w.Armed = r.Bool()
+					case "seen_bottom":
+						w.SeenBottom = r.Bool()
+					case "seen_top":
+						w.SeenTop = r.Bool()
+					case "round_trips":
+						w.RoundTrips = r.Int()
+					case "trip_events":
+						w.TripEvents = r.Int()
+					case "trace":
+						w.Trace = r.Ints(&ints)
+					default:
+						r.Skip()
+					}
+				}
+				return w
+			})
+		case "md_exec":
+			st.MDExec = histogram(r)
+		case "exchange_overhead":
+			st.ExchangeOvh = histogram(r)
+		case "resource_events":
+			st.ResourceEvents = r.Uint64()
+		case "preemptions":
+			st.Preemptions = r.Uint64()
+		default:
+			r.Skip()
+		}
+	}
+	return st, r.End()
 }
 
 // WeightedRatio returns the attempt-weighted mean acceptance ratio over

@@ -219,17 +219,43 @@ func TestRestoreRejectsCorruptWindow(t *testing.T) {
 		}
 		return out
 	}
+	// Histograms are indexed the same way: Observe picks the bucket by
+	// the sample's position among the bounds.
+	histogram := func(name, value string) []byte {
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		raw[name] = json.RawMessage(value)
+		out, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	for _, tc := range []struct {
-		field string
-		value int
+		what  string
+		state []byte
 	}{
-		{"head", 70},
-		{"n", 9},
-		{"accepted", 4},
+		{"head=70", corrupt("head", 70)},
+		{"n=9", corrupt("n", 9)},
+		{"accepted=4", corrupt("accepted", 4)},
+		{"exchange_overhead without counts", histogram("exchange_overhead", `{"bounds":[1,2,3],"counts":[]}`)},
+		{"md_exec one count short", histogram("md_exec", `{"bounds":[1,2,3],"counts":[0,0,0],"sum":0,"count":0}`)},
+		{"md_exec null", histogram("md_exec", `null`)},
+		{"exchange_overhead bounds out of order", histogram("exchange_overhead", `{"bounds":[1,3,2],"counts":[0,0,0,0]}`)},
 	} {
 		col := analysis.New(analysis.Config{DimSizes: []int{2}, Replicas: 2, WindowEvents: 4})
-		if err := col.Restore(corrupt(tc.field, tc.value)); err == nil {
-			t.Errorf("corrupt %s=%d accepted by Restore", tc.field, tc.value)
+		col.Apply(pairEvent(0, 0, true))
+		if err := col.Restore(tc.state); err == nil {
+			t.Errorf("corrupt %s accepted by Restore", tc.what)
+		}
+		// The rejected state left the collector as it was, and usable: the
+		// next events must not index a histogram the state made too short.
+		col.Apply(core.ExchangeEvent{Event: 1, Slots: []int{1, 0}, EXWall: 2.5})
+		col.Apply(core.MDEvent{Exec: 2.5})
+		if st := col.Snapshot(); st.Events != 2 || st.Acceptance[0][0].Attempted != 1 || st.MDExec.Count != 1 {
+			t.Errorf("corrupt %s: collector state after the rejection: %+v", tc.what, st)
 		}
 	}
 }

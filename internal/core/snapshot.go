@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+
+	"repro/internal/jsonx"
 )
 
 // Snapshot is a serializable checkpoint of a running simulation, taken
@@ -102,22 +104,194 @@ type ReplayableEngine interface {
 	ReplayRNG(n int64)
 }
 
-// Encode serializes the snapshot to JSON.
+// Encode serializes the snapshot as format-2 JSON: compact, with one
+// line per replica and per slot-history row. It fails on a NaN or
+// infinite float (energies, synthetic coordinates, ladder values) and
+// on a TriggerData or Analysis blob that is not valid JSON; the blobs
+// are embedded as they are. Output is a pure function of the value, and
+// encoding/json reads it back to the same value.
 func (sn *Snapshot) Encode() ([]byte, error) {
-	return json.MarshalIndent(sn, "", " ")
+	size := 1024 + len(sn.TriggerData) + len(sn.Analysis) + (128+6*len(sn.SlotHistory))*len(sn.Replicas)
+	w := &jsonx.Writer{Buf: make([]byte, 0, size)}
+	w.Raw("{")
+	w.Key("version").Int(sn.Version)
+	w.Key("name").String(sn.Name)
+	w.Key("trigger").String(sn.Trigger)
+	if len(sn.TriggerData) > 0 {
+		w.Key("trigger_data").Blob(sn.TriggerData)
+	}
+	w.Key("events").Int(sn.Events)
+	w.Key("elapsed").Float(sn.Elapsed)
+	w.Key("rng_draws").Int64(sn.RNGDraws)
+	w.Key("engine_draws").Int64(sn.EngineDraws)
+	w.Key("replicas")
+	jsonx.WriteArray(w, sn.Replicas, true, writeReplica)
+	w.Key("slot_history")
+	jsonx.WriteArray(w, sn.SlotHistory, true, (*jsonx.Writer).Ints)
+	if sn.SlotRows != 0 {
+		w.Key("slot_rows").Int(sn.SlotRows)
+	}
+	if sn.SlotFingerprint != 0 {
+		w.Key("slot_fingerprint").Uint64(sn.SlotFingerprint)
+	}
+	w.Key("dropped").Int(sn.Dropped)
+	w.Key("relaunches").Int(sn.Relaunches)
+	w.Key("md_exec_core_seconds").Float(sn.MDExecCoreSeconds)
+	if len(sn.Analysis) > 0 {
+		w.Key("analysis").Blob(sn.Analysis)
+	}
+	if len(sn.DimValues) > 0 {
+		w.Key("dim_values")
+		jsonx.WriteArray(w, sn.DimValues, false, (*jsonx.Writer).Floats)
+	}
+	if len(sn.Respacings) > 0 {
+		w.Key("respacings")
+		jsonx.WriteArray(w, sn.Respacings, true, func(w *jsonx.Writer, rec RespaceRecord) {
+			w.Raw("{")
+			w.Key("at").Float(rec.At)
+			w.Key("event").Int(rec.Event)
+			w.Key("dim").Int(rec.Dim)
+			w.Key("refit").Int(rec.Refit)
+			w.Key("old").Floats(rec.Old)
+			w.Key("new").Floats(rec.New)
+			w.Raw("}")
+		})
+	}
+	w.Raw("}\n")
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("core: encoding snapshot: %v", err)
+	}
+	return w.Buf, nil
 }
 
-// DecodeSnapshot parses a snapshot produced by Encode.
+func writeReplica(w *jsonx.Writer, rs ReplicaState) {
+	w.Raw("{")
+	w.Key("id").Int(rs.ID)
+	w.Key("slot").Int(rs.Slot)
+	w.Key("cycle").Int(rs.Cycle)
+	w.Key("energy").Float(rs.Energy)
+	if len(rs.Synth) > 0 {
+		w.Key("synth").Floats(rs.Synth)
+	}
+	w.Key("alive").Bool(rs.Alive)
+	w.Key("retries").Int(rs.Retries)
+	w.Raw("}")
+}
+
+// DecodeSnapshot parses a snapshot produced by Encode, by this build or
+// by one that wrote format 2 through encoding/json. It fails on
+// malformed or truncated input, bytes after the value, a fraction,
+// exponent or overflow in an integer field, a key repeated within one
+// object (encoding/json kept the last), and on any format version but 2,
+// naming both. Unknown keys are skipped. Slot-history rows and the
+// float vectors are cut from a few shared arrays, each row without
+// spare capacity.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var sn Snapshot
-	if err := json.Unmarshal(data, &sn); err != nil {
+	sn := new(Snapshot)
+	var (
+		ints   []int
+		floats []float64
+		rows   [][]int
+		reps   []ReplicaState
+		grids  [][]float64
+		recs   []RespaceRecord
+	)
+	readFloats := func(r *jsonx.Reader) []float64 {
+		return jsonx.ReadArray(r, &floats, (*jsonx.Reader).Float)
+	}
+	r := jsonx.NewReader(data)
+	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+		switch string(k) {
+		case "version":
+			sn.Version = r.Int()
+		case "name":
+			sn.Name = r.String()
+		case "trigger":
+			sn.Trigger = r.String()
+		case "trigger_data":
+			sn.TriggerData = append(sn.TriggerData, r.Raw()...)
+		case "events":
+			sn.Events = r.Int()
+		case "elapsed":
+			sn.Elapsed = r.Float()
+		case "rng_draws":
+			sn.RNGDraws = r.Int64()
+		case "engine_draws":
+			sn.EngineDraws = r.Int64()
+		case "replicas":
+			sn.Replicas = jsonx.ReadArray(r, &reps, func(r *jsonx.Reader) (rs ReplicaState) {
+				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+					switch string(k) {
+					case "id":
+						rs.ID = r.Int()
+					case "slot":
+						rs.Slot = r.Int()
+					case "cycle":
+						rs.Cycle = r.Int()
+					case "energy":
+						rs.Energy = r.Float()
+					case "synth":
+						rs.Synth = readFloats(r)
+					case "alive":
+						rs.Alive = r.Bool()
+					case "retries":
+						rs.Retries = r.Int()
+					default:
+						r.Skip()
+					}
+				}
+				return rs
+			})
+		case "slot_history":
+			sn.SlotHistory = jsonx.ReadArray(r, &rows, func(r *jsonx.Reader) []int { return r.Ints(&ints) })
+		case "slot_rows":
+			sn.SlotRows = r.Int()
+		case "slot_fingerprint":
+			sn.SlotFingerprint = r.Uint64()
+		case "dropped":
+			sn.Dropped = r.Int()
+		case "relaunches":
+			sn.Relaunches = r.Int()
+		case "md_exec_core_seconds":
+			sn.MDExecCoreSeconds = r.Float()
+		case "analysis":
+			sn.Analysis = append(sn.Analysis, r.Raw()...)
+		case "dim_values":
+			sn.DimValues = jsonx.ReadArray(r, &grids, readFloats)
+		case "respacings":
+			sn.Respacings = jsonx.ReadArray(r, &recs, func(r *jsonx.Reader) (rec RespaceRecord) {
+				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+					switch string(k) {
+					case "at":
+						rec.At = r.Float()
+					case "event":
+						rec.Event = r.Int()
+					case "dim":
+						rec.Dim = r.Int()
+					case "refit":
+						rec.Refit = r.Int()
+					case "old":
+						rec.Old = readFloats(r)
+					case "new":
+						rec.New = readFloats(r)
+					default:
+						r.Skip()
+					}
+				}
+				return rec
+			})
+		default:
+			r.Skip()
+		}
+	}
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %v", err)
 	}
 	if sn.Version != SnapshotVersion {
 		return nil, fmt.Errorf("core: snapshot has format version %d, this build reads only version %d: the run must be restarted",
 			sn.Version, SnapshotVersion)
 	}
-	return &sn, nil
+	return sn, nil
 }
 
 // captureSnapshot builds a checkpoint of the current state; called by

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -186,8 +185,9 @@ func TestResumeValidation(t *testing.T) {
 
 	// Format 1 files are rejected at decode with both versions named;
 	// a snapshot stripped of its fingerprint is rejected at restore.
-	v1 := bytes.Replace(mustEncode(t, snap), []byte(`"version": 2`), []byte(`"version": 1`), 1)
-	if _, err := core.DecodeSnapshot(v1); err == nil ||
+	old := *snap
+	old.Version = 1
+	if _, err := core.DecodeSnapshot(mustEncode(t, &old)); err == nil ||
 		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") ||
 		!strings.Contains(err.Error(), "restarted") {
 		t.Fatalf("format-1 snapshot: err = %v, want a rejection naming versions 1 and 2", err)

@@ -1,12 +1,26 @@
 #!/usr/bin/env bash
-# Fuzz gate: a short coverage-guided fuzz of the daemon's
-# network-facing launch parser, seeded from every committed config
-# file. 30 s finds shallow panics (the kind config refactors
-# introduce) without holding the build hostage; crashers land in
-# internal/config/testdata/fuzz/ for triage.
+# Fuzz gate: three short coverage-guided lanes over the inputs the
+# daemon takes from outside, 25 s each so the whole gate stays under
+# 90 s. They find shallow panics (the kind a refactor introduces)
+# without holding the build hostage.
+#   FuzzParseLaunch       internal/config    the network-facing launch
+#                         parser, seeded from every committed config file
+#   FuzzDecodeSnapshot    internal/core      checkpoint files: never
+#                         panics, agrees with encoding/json on whatever it
+#                         accepts, re-encodes to a fixed point
+#   FuzzCollectorRestore  internal/analysis  the collector state inside a
+#                         checkpoint: the same, and the restored collector
+#                         survives the next exchange, MD and fault events
+# The two checkpoint lanes are seeded from the pinned format-2 files in
+# internal/core/testdata. Crashers land in the package's testdata/fuzz/
+# for triage. Minimising a 10 KB interesting input can eat a whole lane
+# (the default budget is 60 s an input), so it is capped.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
 cd "$(repo_root)"
 
-go test ./internal/config/ -fuzz FuzzParseLaunch -fuzztime 30s
+lane() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 25s -fuzzminimizetime 2s; }
+lane ./internal/config/ FuzzParseLaunch
+lane ./internal/core/ FuzzDecodeSnapshot
+lane ./internal/analysis/ FuzzCollectorRestore
