@@ -538,7 +538,7 @@ func (c *Collector) EncodeState() ([]byte, error) {
 			if i > 0 {
 				w.Raw(",")
 			}
-			w.String(k)
+			w.String(k) // a kind restored from a checkpoint can be any string
 			w.Raw(":")
 			w.Uint64(st.Faults[k])
 		}
@@ -759,7 +759,7 @@ func decodeState(data []byte) (st state, err error) {
 		for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
 			switch string(k) {
 			case "bounds":
-				h.Bounds = jsonx.ReadArray(r, &floats, (*jsonx.Reader).Float)
+				h.Bounds = r.Floats(&floats)
 			case "counts":
 				h.Counts = jsonx.ReadArray(r, &counts, (*jsonx.Reader).Uint64)
 			case "sum":

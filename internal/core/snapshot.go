@@ -196,9 +196,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		grids  [][]float64
 		recs   []RespaceRecord
 	)
-	readFloats := func(r *jsonx.Reader) []float64 {
-		return jsonx.ReadArray(r, &floats, (*jsonx.Reader).Float)
-	}
 	r := jsonx.NewReader(data)
 	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
 		switch string(k) {
@@ -231,7 +228,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 					case "energy":
 						rs.Energy = r.Float()
 					case "synth":
-						rs.Synth = readFloats(r)
+						rs.Synth = r.Floats(&floats)
 					case "alive":
 						rs.Alive = r.Bool()
 					case "retries":
@@ -257,7 +254,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		case "analysis":
 			sn.Analysis = append(sn.Analysis, r.Raw()...)
 		case "dim_values":
-			sn.DimValues = jsonx.ReadArray(r, &grids, readFloats)
+			sn.DimValues = jsonx.ReadArray(r, &grids, func(r *jsonx.Reader) []float64 { return r.Floats(&floats) })
 		case "respacings":
 			sn.Respacings = jsonx.ReadArray(r, &recs, func(r *jsonx.Reader) (rec RespaceRecord) {
 				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
@@ -271,9 +268,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 					case "refit":
 						rec.Refit = r.Int()
 					case "old":
-						rec.Old = readFloats(r)
+						rec.Old = r.Floats(&floats)
 					case "new":
-						rec.New = readFloats(r)
+						rec.New = r.Floats(&floats)
 					default:
 						r.Skip()
 					}

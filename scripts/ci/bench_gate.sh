@@ -28,6 +28,14 @@
 # file gates one metric. They are timed, not counted — 200 ms a sample —
 # because one force call is microseconds on the dipeptide and a third of
 # a millisecond on the 256-atom fluid.
+#
+# The checkpoint codec (BenchmarkSnapshotCodec: encode, decode,
+# state_encode and state_restore of a 1024-replica, 64-event checkpoint,
+# each beside a _ref leg doing the same through encoding/json's
+# reflection codec) has a third stream and pair gates only: each leg must
+# cost less than half its _ref leg's ns/op, whatever the host. The run's
+# medians are written to BENCH_snapshot.json before it is gated against,
+# so that file records the last readings and bounds no absolute ns.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -37,6 +45,7 @@ cd "$(repo_root)"
 # neighbour noise then spoils one sample of a leg instead of its median.
 : > BENCH_dispatcher.json
 : > BENCH_md_samples.json
+: > BENCH_snapshot_samples.json
 for _ in 1 2 3 4 5; do
   go test -run '^$' -bench 'BenchmarkDispatcher$/^(64|256)$|BenchmarkDispatcherBus$|BenchmarkDispatcherTrace$' \
     -benchtime 40x -json . | tee -a BENCH_dispatcher.json
@@ -48,9 +57,13 @@ for _ in 1 2 3 4 5; do
     -benchtime 2x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -cpu 1 -bench 'BenchmarkMDForce$|BenchmarkLangevinStep$' \
     -benchtime 200ms -json ./internal/md | tee -a BENCH_md_samples.json
+  go test -run '^$' -bench 'BenchmarkSnapshotCodec$' \
+    -benchtime 20x -json . | tee -a BENCH_snapshot_samples.json
 done
-# Both gates report even when the first fails.
+# Every gate reports even when an earlier one fails.
 status=0
 go run ./cmd/benchcheck -baseline BENCH_baseline.json -bench BENCH_dispatcher.json || status=1
 go run ./cmd/benchcheck -metric ns/atom -baseline BENCH_md.json -bench BENCH_md_samples.json || status=1
+go run ./cmd/benchcheck -metric ns/op -bench BENCH_snapshot_samples.json -write BENCH_snapshot.json || status=1
+go run ./cmd/benchcheck -metric ns/op -baseline BENCH_snapshot.json -bench BENCH_snapshot_samples.json || status=1
 exit "$status"
