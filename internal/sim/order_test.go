@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateOrder = flag.Bool("update", false, "rewrite testdata/order.golden from the current kernel")
+var updateOrder = flag.Bool("update", false, "rewrite the testdata/*.golden of the tests selected by -run from the current kernel")
 
 const orderGolden = "testdata/order.golden"
 
@@ -181,17 +181,23 @@ func orderScenario() []string {
 // queue or hand-off must reproduce line for line, so a mismatch means fix
 // the kernel, not regenerate.
 func TestOrderGolden(t *testing.T) {
-	got := strings.Join(orderScenario(), "\n") + "\n"
+	checkGolden(t, orderGolden, orderScenario())
+}
+
+// checkGolden compares a scenario's log with the golden file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, log []string) {
+	got := strings.Join(log, "\n") + "\n"
 	if *updateOrder {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(orderGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(orderGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (generate with -update on the reference kernel)", err)
 	}
