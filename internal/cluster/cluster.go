@@ -141,6 +141,7 @@ type Cluster struct {
 	cfg   Config
 	cores *sim.Resource
 	mds   *sim.Resource // metadata server, capacity 1
+	meta  *sim.Delay    // one metadata operation
 	rng   *rand.Rand
 
 	filesStaged   int
@@ -159,6 +160,7 @@ func New(env *sim.Env, cfg Config, seed int64) (*Cluster, error) {
 		cfg:   cfg,
 		cores: sim.NewResource(env, cfg.TotalCores()),
 		mds:   sim.NewResource(env, 1),
+		meta:  env.Delay(cfg.FS.MetaLatency),
 		rng:   rand.New(rand.NewSource(seed)),
 	}, nil
 }
@@ -316,7 +318,9 @@ func (s *Staging) Step(p *sim.Proc) (done bool) {
 			}
 			s.state = stagingTransfer
 			if s.bytes > 0 {
-				p.WakeIn(float64(s.bytes) / c.cfg.FS.Bandwidth)
+				// Tasks move a handful of distinct byte volumes, so
+				// each has its own sleep queue.
+				c.env.Delay(float64(s.bytes) / c.cfg.FS.Bandwidth).Wake(p)
 				return false
 			}
 		case stagingQueued:
@@ -324,7 +328,7 @@ func (s *Staging) Step(p *sim.Proc) (done bool) {
 				return false
 			}
 			s.state = stagingMeta
-			p.WakeIn(c.cfg.FS.MetaLatency)
+			c.meta.Wake(p)
 			return false
 		case stagingMeta:
 			c.mds.Release(1)

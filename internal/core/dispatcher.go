@@ -402,7 +402,7 @@ func (d *dispatcher) relaunch(f *mdFlight, res task.Result) bool {
 		return false
 	}
 	s.report.Relaunches++
-	s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+	publish(s, FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
 		Kind: kind, Retries: retries, Exec: res.Exec})
 	s.recordFault(f.r.ID, kind, retries)
 	// The failed attempt is charged to the round it happened in.
@@ -487,7 +487,7 @@ func (d *dispatcher) cancel() error {
 		for _, h := range s.rt.AwaitNext(math.Inf(1)) {
 			f := d.take(h)
 			s.report.CancelledUnits++
-			s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+			publish(s, FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
 				Kind: FaultKindCancelled})
 			s.recordFault(f.r.ID, FaultKindCancelled, 0)
 			d.release(f)

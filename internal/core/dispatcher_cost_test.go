@@ -386,13 +386,16 @@ func TestDispatcherPinnedAgainstParent(t *testing.T) {
 	}
 }
 
-// costAllocCeil is the parent dispatch's allocations per completed MD
-// segment inside Run (simulation construction excluded), per scenario.
+// costAllocCeil bounds the dispatch's allocations per completed MD
+// segment inside Run (simulation construction excluded), per scenario:
+// the readings (0.142, 0.217, 1.325, 0.141) plus a percent of the one the
+// pre-dispatcher function had. Only window-tu has a bus, and so pays for
+// boxing one MDEvent a completion.
 var costAllocCeil = map[string]float64{
-	"barrier":             1.155,
-	"barrier-tu-relaunch": 1.229,
+	"barrier":             0.155,
+	"barrier-tu-relaunch": 0.230,
 	"window-tu":           1.326,
-	"count-drop":          1.144,
+	"count-drop":          0.153,
 }
 
 func TestDispatcherAllocsPerCompletion(t *testing.T) {

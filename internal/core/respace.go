@@ -144,7 +144,7 @@ func (s *Simulation) maybeRespace(fb *FeedbackTrigger, event int) {
 			Old: old, New: append([]float64(nil), next...),
 		})
 		s.respaceMu.Unlock()
-		s.publish(RespaceEvent{At: s.rt.Now(), Event: event, Dim: d,
+		publish(s, RespaceEvent{At: s.rt.Now(), Event: event, Dim: d,
 			Refit: refit, Old: old, New: append([]float64(nil), next...)})
 		s.flushBus()
 		s.recordRespace(d, event, refit)

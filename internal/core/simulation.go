@@ -223,16 +223,16 @@ func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
 	if res.Failed() {
 		r.Alive = false
 		s.report.Dropped++
-		s.publish(MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+		publish(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
 			Exec: res.Exec, Failed: true})
-		s.publish(FaultEvent{At: s.rt.Now(), Replica: r.ID,
+		publish(s, FaultEvent{At: s.rt.Now(), Replica: r.ID,
 			Kind: FaultKindDrop, Retries: r.Retries})
 		s.recordFault(r.ID, FaultKindDrop, r.Retries)
 		return
 	}
 	r.Cycle++
 	r.Energy = s.engine.OwnEnergy(r)
-	s.publish(MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+	publish(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
 		Exec: res.Exec})
 }
 
@@ -240,8 +240,9 @@ func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
 // without a bus. Queued events reach subscribers in publication order
 // when the dispatcher calls flushBus (once per wakeup / exchange event),
 // which takes each subscriber's ring lock once per batch instead of once
-// per event.
-func (s *Simulation) publish(ev Event) {
+// per event. It takes the concrete event type so that the conversion to
+// Event, an allocation, happens only when somebody will receive it.
+func publish[E Event](s *Simulation, ev E) {
 	if s.spec.Bus != nil {
 		s.busBatch = append(s.busBatch, ev)
 	}
@@ -274,7 +275,7 @@ func (s *Simulation) drainResourceEvents() {
 		if ev.Kind == task.ResourcePreempt {
 			s.report.Preemptions++
 		}
-		s.publish(ResourceEvent{At: ev.At, Pilot: ev.Pilot, Kind: ev.Kind,
+		publish(s, ResourceEvent{At: ev.At, Pilot: ev.Pilot, Kind: ev.Kind,
 			Cores: ev.Cores, Delta: ev.Delta, Notice: ev.Notice})
 		s.recordResource(ev)
 	}
@@ -312,7 +313,7 @@ func (s *Simulation) publishExchange(event, cycle, dim int, rec *CycleRecord) {
 	if s.exObs != nil {
 		s.exObs.ObserveExchange(ev)
 	}
-	s.publish(ev)
+	publish(s, ev)
 	s.flushBus()
 }
 

@@ -119,7 +119,7 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	flavor := e.Flavor
 	steps := s.StepsPerCycle
 	return &task.Spec{
-		Name:      fmt.Sprintf("md-r%03d-c%02d", r.ID, r.Cycle),
+		Name:      mdTaskName(r.ID, r.Cycle),
 		Kind:      task.MD,
 		ReplicaID: r.ID,
 		Cores:     s.CoresPerReplica,

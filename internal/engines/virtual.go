@@ -186,7 +186,7 @@ func (v *Virtual) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	inFiles := v.cost.MDInFiles(s.Dims[dim].Type)
 	outFiles := v.cost.MDOutFiles(s.Dims[dim].Type)
 	return &task.Spec{
-		Name:      fmt.Sprintf("md-r%03d-c%02d", r.ID, r.Cycle),
+		Name:      mdTaskName(r.ID, r.Cycle),
 		Kind:      task.MD,
 		ReplicaID: r.ID,
 		Cores:     s.CoresPerReplica,
@@ -233,7 +233,7 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 	specs := make([]*task.Spec, 0, len(group))
 	for _, r := range group {
 		specs = append(specs, &task.Spec{
-			Name:      fmt.Sprintf("spe-r%03d", r.ID),
+			Name:      speTaskName(r.ID),
 			Kind:      task.SinglePoint,
 			ReplicaID: r.ID,
 			Cores:     width,

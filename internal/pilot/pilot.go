@@ -120,6 +120,11 @@ type Pilot struct {
 	launcher *sim.Resource
 	active   *sim.Completion
 	alloc    *cluster.Allocation
+	// The launcher's sleeps: the hold of a unit that got its cores at once,
+	// of one that waited for them (wave penalty), and the launch latency.
+	gap     *sim.Delay
+	gapWave *sim.Delay
+	latency *sim.Delay
 	// expiry fires when the pilot terminates (walltime, preemption
 	// deadline or full node loss); nil for unbounded pilots that were
 	// never preempted.
@@ -177,9 +182,9 @@ type Unit struct {
 	proc    sim.Proc
 	phase   unitPhase
 	staging cluster.Staging
-	mark    float64 // start of the interval being measured (t0, t1, t2 in turn)
-	gap     float64 // this unit's launcher hold time
-	failing bool    // fault injection chose this unit: it dies at half its duration
+	mark    float64    // start of the interval being measured (t0, t1, t2 in turn)
+	gap     *sim.Delay // this unit's launcher hold time
+	failing bool       // fault injection chose this unit: it dies at half its duration
 
 	// older/newer link the pilot's list of units holding cores.
 	older, newer *Unit
@@ -209,15 +214,18 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 		return nil, fmt.Errorf("pilot: %d cores exceed machine %s (%d cores)",
 			desc.Cores, cl.Config().Name, cl.TotalCores())
 	}
-	env := cl.Env()
+	env, cfg := cl.Env(), cl.Config()
 	pl := &Pilot{
 		env:      env,
 		cl:       cl,
-		cfg:      cl.Config(),
+		cfg:      cfg,
 		desc:     desc,
 		curCores: desc.Cores,
 		cores:    sim.NewResource(env, desc.Cores),
 		launcher: sim.NewResource(env, 1),
+		gap:      env.Delay(cfg.LaunchGap),
+		gapWave:  env.Delay(cfg.LaunchGap + cfg.WavePenalty),
+		latency:  env.Delay(cfg.LaunchLatency),
 		active:   sim.NewCompletion(env),
 		expiry:   sim.NewCompletion(env),
 	}
@@ -609,12 +617,12 @@ func (u *Unit) step(p *sim.Proc) {
 			// the paper's Figure 11b efficiency dip in Mode II and the
 			// uptick once cores = replicas.
 			u.mark = p.Now()
-			u.gap = pl.cfg.LaunchGap
+			u.gap = pl.gap
 			if u.res.CoreWait > 1e-9 && u.spec.Kind == task.MD {
 				// Only the main MD workload is affected: the issue was
 				// with re-scheduling the wide MPI task waves of the
 				// simulation phase, not the short bookkeeping tasks.
-				u.gap += pl.cfg.WavePenalty
+				u.gap = pl.gapWave
 			}
 			u.phase = unitAwaitLaunch
 			pl.launcher.Request(p, 1, false)
@@ -624,13 +632,13 @@ func (u *Unit) step(p *sim.Proc) {
 				return
 			}
 			u.phase = unitLaunchGap
-			p.WakeIn(u.gap)
+			u.gap.Wake(p)
 			return
 
 		case unitLaunchGap:
 			pl.launcher.Release(1)
 			u.phase = unitLaunchDelay
-			p.WakeIn(pl.cfg.LaunchLatency)
+			pl.latency.Wake(p)
 			return
 
 		case unitLaunchDelay:

@@ -11,7 +11,7 @@ const delayOrderGolden = "testdata/delay_order.golden"
 // wakeAfter is the fixed-length sleep the scenario below is written
 // against. The golden was generated with it calling p.WakeIn(d), every
 // event on the one heap.
-func wakeAfter(p *Proc, d float64) { p.WakeIn(d) }
+func wakeAfter(p *Proc, d float64) { p.env.Delay(d).Wake(p) }
 
 // sleepAfter is wakeAfter's blocking form.
 func sleepAfter(p *Proc, d float64) {

@@ -55,7 +55,9 @@ type Env struct {
 	// order; each would have been pushed as the heap's minimum. Every
 	// entry is at now: the clock moves only while the lane is empty.
 	lane fifo[event]
-	seq  int64
+	// delays holds the fixed-length sleep queues (see Delay).
+	delays []Delay
+	seq    int64
 	// slots maps event.slot to the live process occupying it. Events name
 	// their process by slot, not by pointer, so the heap holds no pointers:
 	// sifting it costs no GC write barriers and the collector never scans
@@ -223,20 +225,87 @@ func (e *Env) schedule(p *Proc, t float64) {
 
 // next removes and returns the earliest queued event in (t, seq) order,
 // or reports false if there is none at or before limit. It is the only
-// way out of the queue. Heap events at now go first: they were scheduled
-// before the clock got here, so before anything in the lane.
+// way out of the queue: the earliest of the heap's top and the delay
+// queues' heads, then the lane. Heap and delay events at now go first:
+// they were scheduled before the clock got here, so before anything in
+// the lane.
 func (e *Env) next(limit float64) (event, bool) {
-	h := e.events
-	if e.lane.len() > 0 && (len(h) == 0 || h[0].t > e.now) {
+	var first *event      // earliest heap or delay event
+	var from *fifo[event] // the delay queue it heads; nil for the heap
+	if len(e.events) > 0 {
+		first = &e.events[0]
+	}
+	for i := range e.delays {
+		if q := &e.delays[i].q; q.len() > 0 {
+			if ev := &q.items[q.head]; first == nil || ev.before(first) {
+				first, from = ev, q
+			}
+		}
+	}
+	if e.lane.len() > 0 && (first == nil || first.t > e.now) {
 		if e.now > limit {
 			return event{}, false
 		}
 		return e.lane.pop(), true
 	}
-	if len(h) == 0 || h[0].t > limit {
+	if first == nil || first.t > limit {
 		return event{}, false
 	}
+	if from != nil {
+		return from.pop(), true
+	}
 	return e.pop(), true
+}
+
+// maxDelays bounds the queues next scans: a Delay obtained past it
+// schedules through the heap.
+const maxDelays = 16
+
+// Delay is a sleep of one fixed length: Wake(p) is p.WakeIn(d) for the d
+// it was obtained with, in the same (t, seq) order, but outside the heap.
+// The clock never goes back and now+d rounds monotonically in now, so the
+// wakeups of one d are scheduled already sorted and wait in a FIFO:
+// nothing to sift, however many events the heap holds. It is for a model
+// constant many processes sleep for; a varying sleep belongs to WakeIn.
+type Delay struct {
+	env     *Env
+	d       float64
+	q       fifo[event]
+	viaHeap bool // obtained past maxDelays, not in Env.delays
+}
+
+// Delay returns the sleep queue of length d virtual seconds (negative d
+// is treated as zero), the same one for the same d.
+func (e *Env) Delay(d float64) *Delay {
+	if !(d > 0) {
+		d = 0
+	}
+	for i := range e.delays {
+		if e.delays[i].d == d {
+			return &e.delays[i]
+		}
+	}
+	if len(e.delays) == maxDelays {
+		return &Delay{env: e, d: d, viaHeap: true}
+	}
+	if e.delays == nil {
+		e.delays = make([]Delay, 0, maxDelays) // never moves: callers point in
+	}
+	e.delays = append(e.delays, Delay{env: e, d: d})
+	return &e.delays[len(e.delays)-1]
+}
+
+// Wake schedules a wakeup of p the Delay's length from now and returns.
+// The wakeup is dropped if anything else wakes the process first.
+func (q *Delay) Wake(p *Proc) {
+	e := q.env
+	t := e.now + q.d
+	if t <= e.now || q.viaHeap {
+		e.schedule(p, t)
+		return
+	}
+	e.seq++
+	q.q.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot})
 }
 
 // Go spawns a new goroutine process that starts at the current virtual
@@ -334,7 +403,13 @@ func (e *Env) RunUntil(t float64) {
 }
 
 // Pending reports the number of queued (possibly stale) events.
-func (e *Env) Pending() int { return len(e.events) + e.lane.len() }
+func (e *Env) Pending() int {
+	n := len(e.events) + e.lane.len()
+	for i := range e.delays {
+		n += e.delays[i].q.len()
+	}
+	return n
+}
 
 // Live reports the number of live (spawned, not finished) processes.
 func (e *Env) Live() int { return e.nlive }
@@ -372,8 +447,12 @@ func (p *Proc) Sleep(d float64) {
 // Signal is a broadcast/signal condition for processes. The zero value is
 // not usable; create with NewSignal.
 type Signal struct {
-	env     *Env
-	waiters fifo[sigWaiter]
+	env *Env
+	// first is the oldest waiter (first.p nil: there is none) and rest the
+	// ones behind it: a signal with one waiter at a time, like a unit's
+	// own latch, allocates no queue.
+	first sigWaiter
+	rest  fifo[sigWaiter]
 }
 
 type sigWaiter struct {
@@ -390,7 +469,22 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 // timeout) is skipped by the signal.
 func (s *Signal) Enrol(p *Proc) {
 	p.notified = false
-	s.waiters.push(sigWaiter{p: p, gen: p.gen})
+	w := sigWaiter{p: p, gen: p.gen}
+	if s.first.p == nil {
+		s.first = w
+		return
+	}
+	s.rest.push(w)
+}
+
+// pop removes and returns the oldest waiter; there must be one.
+func (s *Signal) pop() sigWaiter {
+	w := s.first
+	s.first = sigWaiter{}
+	if s.rest.len() > 0 {
+		s.first = s.rest.pop()
+	}
+	return w
 }
 
 // Wait blocks the calling process until Signal or Broadcast is invoked.
@@ -422,22 +516,27 @@ func (s *Signal) wake(w sigWaiter) bool {
 
 // Broadcast wakes all currently waiting processes at the current time.
 func (s *Signal) Broadcast() {
-	for s.waiters.len() > 0 {
-		s.wake(s.waiters.pop())
+	for s.first.p != nil {
+		s.wake(s.pop())
 	}
 }
 
 // Signal wakes a single waiting process (FIFO), if any.
 func (s *Signal) Signal() {
-	for s.waiters.len() > 0 {
-		if s.wake(s.waiters.pop()) {
+	for s.first.p != nil {
+		if s.wake(s.pop()) {
 			return
 		}
 	}
 }
 
 // Waiters reports the number of registered (possibly stale) waiters.
-func (s *Signal) Waiters() int { return s.waiters.len() }
+func (s *Signal) Waiters() int {
+	if s.first.p == nil {
+		return 0
+	}
+	return 1 + s.rest.len()
+}
 
 // ---------------------------------------------------------------------------
 // Resource: counting semaphore with FIFO queueing in virtual time.
