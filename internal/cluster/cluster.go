@@ -318,8 +318,9 @@ func (s *Staging) Step(p *sim.Proc) (done bool) {
 			}
 			s.state = stagingTransfer
 			if s.bytes > 0 {
-				// Tasks move a handful of distinct byte volumes, so
-				// each has its own sleep queue.
+				// Tasks move a handful of distinct byte volumes, so each
+				// transfer time is a constant with a sleep queue of its
+				// own (past the kernel's cap on those, the heap).
 				c.env.Delay(float64(s.bytes) / c.cfg.FS.Bandwidth).Wake(p)
 				return false
 			}

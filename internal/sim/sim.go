@@ -24,11 +24,11 @@
 //
 //   - A stepped process (Env.Spawn) has no goroutine: the kernel calls its
 //     Stepper inline on every wakeup, and the stepper registers its next
-//     wakeup with the non-blocking forms (Proc.WakeIn, Signal.Enrol,
-//     Completion.Enrol, Resource.Request), reads the outcome flags
-//     (Proc.Notified, Granted, Aborted) on the wakeup after, and ends with
-//     Proc.Exit. The Proc lives in caller-owned storage, so a process and
-//     all its state are one allocation. Use it where there are many
+//     wakeup with the non-blocking forms (Proc.WakeIn, Delay.Wake,
+//     Signal.Enrol, Completion.Enrol, Resource.Request), reads the outcome
+//     flags (Proc.Notified, Granted, Aborted) on the wakeup after, and ends
+//     with Proc.Exit. The Proc lives in caller-owned storage, so a process
+//     and all its state are one allocation. Use it where there are many
 //     short-lived processes (one per compute unit); a wakeup is a method
 //     call.
 //
@@ -38,7 +38,10 @@
 // order is (t, seq) with seq drawn in schedule-call order; a stepped
 // process makes the same calls in the same order as the blocking code it
 // replaces, which makes a simulation fully deterministic for a fixed seed
-// and spawn order whichever way its processes are driven.
+// and spawn order whichever way its processes are driven. Behind its one
+// exit (Env.next) the queue is a heap plus FIFOs for the wakeups that are
+// scheduled already sorted, those for the current instant and those of
+// each fixed-length Delay: the order is the single heap's, the cost is not.
 package sim
 
 import (

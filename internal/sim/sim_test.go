@@ -792,7 +792,13 @@ func TestSteppedLiveAndPendingAccounting(t *testing.T) {
 		spawn(e, "p", func(p *Proc, wake int) {
 			if wake == 0 {
 				s.Enrol(p)
-				p.WakeIn(100) // loses to the broadcast at 1
+				// Loses to the broadcast at 1, from the heap or from a
+				// delay queue: Pending counts both.
+				if i == 0 {
+					p.WakeIn(100)
+				} else {
+					e.Delay(100).Wake(p)
+				}
 				return
 			}
 			p.Exit()
@@ -924,16 +930,25 @@ func TestSteppedNameIsLazyAndTraced(t *testing.T) {
 }
 
 // Property: the queue's one exit, next, hands events out in (t, seq)
-// order for random inputs with many equal timestamps — some scheduled for
-// the current instant (the lane), some for later (the heap) — with pushes
-// and pops interleaved and the clock following the pops.
+// order — the order a sort of everything scheduled gives — for random
+// inputs with many equal timestamps: some scheduled for the current
+// instant (the lane), some for later through WakeIn (the heap), some
+// through fixed delays (their queues, and the heap past maxDelays of them),
+// with pushes and pops interleaved and the clock following the pops.
 func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEnv()
 		p := &Proc{env: e}
-		var popped []event
-		pushed := 0
+		// Few distinct times: ties are the common case. 0 and 1e-300 do
+		// not move the clock; 0.1 and 0.3 make now+d round.
+		fixed := []float64{0, 1e-300, 0.1, 0.3, 1, 2, 3}
+		if seed%2 == 0 { // the last of these are refused a queue
+			for i := 0; i < maxDelays; i++ {
+				fixed = append(fixed, 1+float64(i%4)+float64(i)/64)
+			}
+		}
+		var popped, want []event
 		drain := func(n int) {
 			for ; n > 0; n-- {
 				ev, ok := e.next(math.Inf(1))
@@ -946,24 +961,44 @@ func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
 		}
 		for round := 0; round < 40; round++ {
 			for n := rng.Intn(30); n > 0; n-- {
-				// Few distinct times: ties are the common case, and a
-				// quarter land on now. Never earlier than the last pop,
-				// as schedule clamps to now.
-				e.schedule(p, e.now+float64(rng.Intn(4)))
-				pushed++
+				// Never earlier than the last pop, as schedule clamps to now.
+				d := float64(rng.Intn(4))
+				switch rng.Intn(3) {
+				case 0:
+					p.WakeIn(d) // a quarter land on now
+				case 1:
+					d = fixed[rng.Intn(len(fixed))]
+					e.Delay(d).Wake(p)
+				default:
+					d = 0
+					e.schedule(p, e.now)
+				}
+				want = append(want, event{t: e.now + d, seq: e.seq})
 			}
 			drain(rng.Intn(25))
+		}
+		if len(e.delays) > maxDelays {
+			t.Errorf("%d delay queues, cap %d", len(e.delays), maxDelays)
 		}
 		// Nothing beyond the limit comes out, and the refusal loses nothing.
 		if ev, ok := e.next(e.now - 1); ok {
 			t.Errorf("next(%v) at now=%v returned an event at %v", e.now-1, e.now, ev.t)
 		}
-		drain(pushed)
-		if len(popped) != pushed || e.Pending() != 0 {
+		if e.Pending() != len(want)-len(popped) {
+			t.Errorf("Pending() = %d with %d scheduled and %d popped", e.Pending(), len(want), len(popped))
+		}
+		drain(len(want))
+		if len(popped) != len(want) || e.Pending() != 0 {
 			return false
 		}
-		for i := 1; i < len(popped); i++ {
-			if !popped[i-1].before(&popped[i]) {
+		slices.SortFunc(want, func(a, b event) int {
+			if a.before(&b) {
+				return -1
+			}
+			return 1
+		})
+		for i := range want {
+			if popped[i].t != want[i].t || popped[i].seq != want[i].seq {
 				return false
 			}
 		}
@@ -1071,4 +1106,53 @@ func BenchmarkSimStepped(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run()
+}
+
+// benchResident is the number of sleepers parked beyond the end of
+// BenchmarkSimResident's run.
+const benchResident = 4096
+
+// BenchmarkSimResident is the per-wakeup cost of short fixed sleeps under
+// a heap full of far-off timers, which is where a compute unit's launcher
+// and staging sleeps sit under the execution timers of every other unit:
+// benchResident stepped processes park far ahead and benchProcs hot ones
+// cycle three fixed delays, through WakeIn (heap) or Delay.Wake (delay).
+func BenchmarkSimResident(b *testing.B) {
+	ds := [3]float64{0.001, 0.04, 0.25}
+	for _, leg := range []string{"heap", "delay"} {
+		b.Run(leg, func(b *testing.B) {
+			e := NewEnv()
+			for i := 0; i < benchResident; i++ {
+				spawn(e, "resident", func(p *Proc, wake int) {
+					if wake == 0 {
+						p.WakeIn(1e12 + float64(i))
+						return
+					}
+					p.Exit()
+				})
+			}
+			e.RunUntil(0) // the residents are parked
+			qs := [3]*Delay{e.Delay(ds[0]), e.Delay(ds[1]), e.Delay(ds[2])}
+			for i := 0; i < benchProcs; i++ {
+				left := b.N / benchProcs
+				spawn(e, "hot", func(p *Proc, wake int) {
+					if left == 0 {
+						p.Exit()
+						return
+					}
+					left--
+					if leg == "delay" {
+						qs[wake%3].Wake(p)
+					} else {
+						p.WakeIn(ds[wake%3])
+					}
+				})
+			}
+			b.ResetTimer()
+			e.RunUntil(1e11)
+			if e.Live() != benchResident {
+				b.Fatalf("%d processes live after the run, want the %d residents", e.Live(), benchResident)
+			}
+		})
+	}
 }

@@ -36,6 +36,12 @@
 # cost less than half its _ref leg's ns/op, whatever the host. The run's
 # medians are written to BENCH_snapshot.json before it is gated against,
 # so that file records the last readings and bounds no absolute ns.
+#
+# The kernel's fixed-delay queues (internal/sim, BenchmarkSimResident: 64
+# processes cycling three fixed sleeps under 4096 parked timers, through
+# the heap and through Delay.Wake) are gated the same way, against
+# BENCH_sim.json: a wakeup through a delay queue must cost at most half of
+# one through the heap (0.18-0.25 when the gate was set).
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -46,6 +52,7 @@ cd "$(repo_root)"
 : > BENCH_dispatcher.json
 : > BENCH_md_samples.json
 : > BENCH_snapshot_samples.json
+: > BENCH_sim_samples.json
 for _ in 1 2 3 4 5; do
   go test -run '^$' -bench 'BenchmarkDispatcher$/^(64|256)$|BenchmarkDispatcherBus$|BenchmarkDispatcherTrace$' \
     -benchtime 40x -json . | tee -a BENCH_dispatcher.json
@@ -59,6 +66,8 @@ for _ in 1 2 3 4 5; do
     -benchtime 200ms -json ./internal/md | tee -a BENCH_md_samples.json
   go test -run '^$' -bench 'BenchmarkSnapshotCodec$' \
     -benchtime 20x -json . | tee -a BENCH_snapshot_samples.json
+  go test -run '^$' -bench 'BenchmarkSimResident$' \
+    -benchtime 2000000x -json ./internal/sim | tee -a BENCH_sim_samples.json
 done
 # Every gate reports even when an earlier one fails.
 status=0
@@ -66,4 +75,6 @@ go run ./cmd/benchcheck -baseline BENCH_baseline.json -bench BENCH_dispatcher.js
 go run ./cmd/benchcheck -metric ns/atom -baseline BENCH_md.json -bench BENCH_md_samples.json || status=1
 go run ./cmd/benchcheck -metric ns/op -bench BENCH_snapshot_samples.json -write BENCH_snapshot.json || status=1
 go run ./cmd/benchcheck -metric ns/op -baseline BENCH_snapshot.json -bench BENCH_snapshot_samples.json || status=1
+go run ./cmd/benchcheck -metric ns/op -bench BENCH_sim_samples.json -write BENCH_sim.json || status=1
+go run ./cmd/benchcheck -metric ns/op -baseline BENCH_sim.json -bench BENCH_sim_samples.json || status=1
 exit "$status"
