@@ -58,7 +58,8 @@ type Env struct {
 	// order; each would have been pushed as the heap's minimum. Every
 	// entry is at now: the clock moves only while the lane is empty.
 	lane fifo[event]
-	// delays holds the fixed-length sleep queues (see Delay).
+	// delays holds the fixed-length sleep queues (see Delay). It never
+	// grows past the capacity NewEnv gives it: callers point into it.
 	delays []Delay
 	seq    int64
 	// slots maps event.slot to the live process occupying it. Events name
@@ -73,7 +74,7 @@ type Env struct {
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{}
+	return &Env{delays: make([]Delay, 0, maxDelays)}
 }
 
 // Now returns the current virtual time in seconds.
@@ -288,11 +289,8 @@ func (e *Env) Delay(d float64) *Delay {
 			return &e.delays[i]
 		}
 	}
-	if len(e.delays) == maxDelays {
+	if len(e.delays) == cap(e.delays) {
 		return &Delay{env: e, d: d, viaHeap: true}
-	}
-	if e.delays == nil {
-		e.delays = make([]Delay, 0, maxDelays) // never moves: callers point in
 	}
 	e.delays = append(e.delays, Delay{env: e, d: d})
 	return &e.delays[len(e.delays)-1]
