@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -15,12 +16,18 @@ func main() {
 	fig := flag.String("fig", "all", "artefact: 4,5,6,7,8,9,10,11,12,13,table1 or all")
 	quick := flag.Bool("quick", false, "reduced replica counts and cycles")
 	flag.Parse()
+	if err := run(os.Stdout, *fig, *quick); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
+// run writes the artefact fig names, or every one for "all", to w.
+func run(w io.Writer, fig string, q bool) error {
 	type artefact struct {
 		name string
 		run  func() (*bench.Table, error)
 	}
-	q := *quick
 	artefacts := []artefact{
 		{"4", func() (*bench.Table, error) {
 			opts := bench.DefaultValidationOptions()
@@ -30,7 +37,7 @@ func main() {
 			res, tbl, err := bench.Fig4Validation(opts)
 			if err == nil {
 				for i, f := range res.Surfaces {
-					fmt.Printf("-- T = %.0f K --\n%s\n", res.Temperatures[i], f.Render(""))
+					fmt.Fprintf(w, "-- T = %.0f K --\n%s\n", res.Temperatures[i], f.Render(""))
 				}
 			}
 			return tbl, err
@@ -48,19 +55,18 @@ func main() {
 	}
 	ran := false
 	for _, a := range artefacts {
-		if *fig != "all" && *fig != a.name {
+		if fig != "all" && fig != a.name {
 			continue
 		}
 		ran = true
 		tbl, err := a.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "artefact %s: %v\n", a.name, err)
-			os.Exit(1)
+			return fmt.Errorf("artefact %s: %v", a.name, err)
 		}
-		fmt.Println(tbl.String())
+		fmt.Fprintln(w, tbl.String())
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown artefact %q\n", *fig)
-		os.Exit(2)
+		return fmt.Errorf("unknown artefact %q", fig)
 	}
+	return nil
 }
