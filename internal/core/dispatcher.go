@@ -67,6 +67,10 @@ type dispatcher struct {
 	// submission to final completion, including relaunch retries — rather
 	// than the raw per-attempt exec time Observe sees.
 	latObs LatencyObserver
+	// stateful is the policy's StatefulTrigger side (nil without one):
+	// its controller state rides in every snapshot and is handed back on
+	// resume.
+	stateful StatefulTrigger
 	// fb is the policy as a FeedbackTrigger (nil otherwise): feedback
 	// policies get a controller-decision span after each fire and drive
 	// ladder respacing.
@@ -125,6 +129,7 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 	// the controller span.
 	s.exObs, _ = tr.(ExchangeObserver)
 	d.latObs, _ = tr.(LatencyObserver)
+	d.stateful, _ = tr.(StatefulTrigger)
 	d.fb, _ = tr.(*FeedbackTrigger)
 	return d
 }
@@ -229,12 +234,11 @@ func (d *dispatcher) restoreTrigger() error {
 	if !d.s.resumed || len(resume.TriggerData) == 0 {
 		return nil
 	}
-	st, ok := d.tr.(StatefulTrigger)
-	if !ok {
+	if d.stateful == nil {
 		return fmt.Errorf("core: snapshot carries %q trigger state, but the policy cannot restore it",
 			resume.Trigger)
 	}
-	return st.RestoreState(resume.TriggerData)
+	return d.stateful.RestoreState(resume.TriggerData)
 }
 
 // state is the bookkeeping snapshot the policy is consulted with.
@@ -461,7 +465,7 @@ func (d *dispatcher) fire() error {
 	// Respace before the boundary's snapshot so a refit and the
 	// checkpoint that persists it land atomically.
 	s.maybeRespace(d.fb, d.event)
-	if err := s.maybeSnapshot(d.tr, d.event); err != nil {
+	if err := d.maybeSnapshot(); err != nil {
 		return err
 	}
 	// Cancellation is honoured only at fired boundaries: after a no-op
@@ -482,7 +486,7 @@ func (d *dispatcher) fire() error {
 // uninterrupted run's slot history exactly.
 func (d *dispatcher) cancel() error {
 	s := d.s
-	sn, snErr := s.captureSnapshot(d.tr, d.event)
+	sn, snErr := d.captureSnapshot()
 	for d.pending > 0 {
 		for _, h := range s.rt.AwaitNext(math.Inf(1)) {
 			f := d.take(h)

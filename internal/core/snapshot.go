@@ -296,12 +296,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // a stateful trigger cannot serialize its controller state: writing a
 // checkpoint without it would resume with a fresh controller and
 // silently break resume determinism.
-func (s *Simulation) captureSnapshot(tr Trigger, events int) (*Snapshot, error) {
+func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
+	s := d.s
 	sn := &Snapshot{
 		Version:           SnapshotVersion,
 		Name:              s.spec.Name,
-		Trigger:           tr.Name(),
-		Events:            events,
+		Trigger:           d.tr.Name(),
+		Events:            d.event,
 		Elapsed:           s.rt.Now() - s.report.Start,
 		RNGDraws:          s.rngDraws,
 		EngineDraws:       -1,
@@ -316,10 +317,10 @@ func (s *Simulation) captureSnapshot(tr Trigger, events int) (*Snapshot, error) 
 	if re, ok := s.engine.(ReplayableEngine); ok {
 		sn.EngineDraws = re.RNGDraws()
 	}
-	if st, ok := tr.(StatefulTrigger); ok {
-		data, err := st.EncodeState()
+	if d.stateful != nil {
+		data, err := d.stateful.EncodeState()
 		if err != nil {
-			return nil, fmt.Errorf("core: encoding %q trigger state for snapshot: %v", tr.Name(), err)
+			return nil, fmt.Errorf("core: encoding %q trigger state for snapshot: %v", d.tr.Name(), err)
 		}
 		sn.TriggerData = data
 	}
@@ -346,19 +347,17 @@ func (s *Simulation) captureSnapshot(tr Trigger, events int) (*Snapshot, error) 
 
 // maybeSnapshot captures and delivers a checkpoint when the spec asks
 // for one at this exchange-event count.
-func (s *Simulation) maybeSnapshot(tr Trigger, events int) error {
-	if s.spec.SnapshotEvery <= 0 || s.spec.OnSnapshot == nil {
+func (d *dispatcher) maybeSnapshot() error {
+	spec := d.s.spec
+	if spec.SnapshotEvery <= 0 || spec.OnSnapshot == nil || d.event%spec.SnapshotEvery != 0 {
 		return nil
 	}
-	if events%s.spec.SnapshotEvery != 0 {
-		return nil
-	}
-	sn, err := s.captureSnapshot(tr, events)
+	sn, err := d.captureSnapshot()
 	if err != nil {
 		return err
 	}
-	s.spec.OnSnapshot(sn)
-	s.recordCheckpoint(events, "")
+	spec.OnSnapshot(sn)
+	d.s.recordCheckpoint(d.event, "")
 	return nil
 }
 

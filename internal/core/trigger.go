@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
 
+	"repro/internal/jsonx"
 	"repro/internal/ring"
 	"repro/internal/task"
 )
@@ -122,12 +121,47 @@ type StatefulTrigger interface {
 }
 
 // ---------------------------------------------------------------------------
+// The two families' shared halves.
+
+// untimed is the part of Trigger the completion-driven policies
+// (BarrierTrigger, CountTrigger) share: no deadline, nothing to observe
+// and no round state to reset.
+type untimed struct{}
+
+// Deadline is +Inf: the policy waits for the next completion.
+func (untimed) Deadline(TriggerState) float64 { return math.Inf(1) }
+
+// Observe is a no-op.
+func (untimed) Observe(task.Result) {}
+
+// Reset is a no-op.
+func (untimed) Reset(TriggerState) {}
+
+// windowed is the boundary bookkeeping the window family (WindowTrigger,
+// AdaptiveTrigger, FeedbackTrigger) shares: each policy's Reset sets
+// windowEnd, the boundary of the window it opens.
+type windowed struct {
+	windowEnd float64
+}
+
+// Aligned reports false: windows exchange among ready subsets.
+func (w *windowed) Aligned() bool { return false }
+
+// Deadline is the current window boundary.
+func (w *windowed) Deadline(TriggerState) float64 { return w.windowEnd }
+
+// Observe is a no-op: the window-adapting policies are fed completion
+// latencies through ObserveLatency instead, so fault-driven relaunch
+// delay widens the window (raw per-attempt exec times would miss it).
+func (w *windowed) Observe(task.Result) {}
+
+// ---------------------------------------------------------------------------
 // BarrierTrigger: the synchronous pattern.
 
 // BarrierTrigger fires only when every alive replica has finished its MD
 // segment: the paper's synchronous RE pattern (global barrier after the
 // MD phase and after the exchange phase).
-type BarrierTrigger struct{}
+type BarrierTrigger struct{ untimed }
 
 // NewBarrierTrigger returns the synchronous-pattern policy.
 func NewBarrierTrigger() *BarrierTrigger { return &BarrierTrigger{} }
@@ -138,9 +172,6 @@ func (t *BarrierTrigger) Name() string { return "barrier" }
 // Aligned reports true: the barrier is a phase-aligned policy.
 func (t *BarrierTrigger) Aligned() bool { return true }
 
-// Deadline is +Inf: the barrier always waits for the next completion.
-func (t *BarrierTrigger) Deadline(TriggerState) float64 { return math.Inf(1) }
-
 // Decide fires once no MD segment is outstanding.
 func (t *BarrierTrigger) Decide(st TriggerState) TriggerDecision {
 	if st.Pending == 0 {
@@ -148,12 +179,6 @@ func (t *BarrierTrigger) Decide(st TriggerState) TriggerDecision {
 	}
 	return TriggerWait
 }
-
-// Observe is a no-op.
-func (t *BarrierTrigger) Observe(task.Result) {}
-
-// Reset is a no-op.
-func (t *BarrierTrigger) Reset(TriggerState) {}
 
 // ---------------------------------------------------------------------------
 // WindowTrigger: the asynchronous pattern.
@@ -170,7 +195,7 @@ type WindowTrigger struct {
 	// expires once that many replicas are ready.
 	MinReady int
 
-	windowEnd float64
+	windowed
 }
 
 // NewWindowTrigger returns the asynchronous-pattern policy.
@@ -189,20 +214,11 @@ func (t *WindowTrigger) Validate() error {
 // Name identifies the policy.
 func (t *WindowTrigger) Name() string { return "window" }
 
-// Aligned reports false: windows exchange among ready subsets.
-func (t *WindowTrigger) Aligned() bool { return false }
-
-// Deadline is the current window boundary.
-func (t *WindowTrigger) Deadline(TriggerState) float64 { return t.windowEnd }
-
 // Decide fires at the window boundary, early once MinReady replicas are
 // ready, or immediately when nothing is left to wait for.
 func (t *WindowTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
-
-// Observe is a no-op.
-func (t *WindowTrigger) Observe(task.Result) {}
 
 // Reset opens the next window.
 func (t *WindowTrigger) Reset(st TriggerState) { t.windowEnd = st.Now + t.Window }
@@ -244,6 +260,8 @@ type CountTrigger struct {
 	// Count is the ready-replica threshold (values below 2 behave as 2,
 	// the smallest exchangeable subset).
 	Count int
+
+	untimed
 }
 
 // NewCountTrigger returns a count-criterion policy.
@@ -254,9 +272,6 @@ func (t *CountTrigger) Name() string { return "count" }
 
 // Aligned reports false: counts exchange among ready subsets.
 func (t *CountTrigger) Aligned() bool { return false }
-
-// Deadline is +Inf: the policy is purely completion-driven.
-func (t *CountTrigger) Deadline(TriggerState) float64 { return math.Inf(1) }
 
 // Decide fires at the threshold, or when no MD segment is outstanding
 // (so the tail of a run always drains).
@@ -273,12 +288,6 @@ func (t *CountTrigger) Decide(st TriggerState) TriggerDecision {
 	}
 	return TriggerWait
 }
-
-// Observe is a no-op.
-func (t *CountTrigger) Observe(task.Result) {}
-
-// Reset is a no-op.
-func (t *CountTrigger) Reset(TriggerState) {}
 
 // ---------------------------------------------------------------------------
 // AdaptiveTrigger: a window that tracks observed MD-time dispersion.
@@ -299,6 +308,13 @@ func (e *execStats) add(x float64) {
 	d := x - e.mean
 	e.mean += d / float64(e.n)
 	e.m2 += d * (x - e.mean)
+}
+
+// encode writes the accumulator as three fields under the given keys.
+func (e *execStats) encode(w *jsonx.Writer, n, mean, m2 string) {
+	w.Key(n).Int(e.n)
+	w.Key(mean).Float(e.mean)
+	w.Key(m2).Float(e.m2)
 }
 
 // window returns mean + gain·stddev clamped to [lo, hi], or initial
@@ -328,7 +344,7 @@ type AdaptiveTrigger struct {
 
 	stats execStats
 
-	windowEnd float64
+	windowed
 }
 
 // NewAdaptiveTrigger returns an adaptive-window policy starting from the
@@ -348,21 +364,10 @@ func (t *AdaptiveTrigger) Validate() error {
 // Name identifies the policy.
 func (t *AdaptiveTrigger) Name() string { return "adaptive" }
 
-// Aligned reports false: adaptive windows exchange among ready subsets.
-func (t *AdaptiveTrigger) Aligned() bool { return false }
-
-// Deadline is the current (adapted) window boundary.
-func (t *AdaptiveTrigger) Deadline(TriggerState) float64 { return t.windowEnd }
-
 // Decide mirrors WindowTrigger against the adapted boundary.
 func (t *AdaptiveTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
-
-// Observe is a no-op: the dispersion estimate is fed completion
-// latencies through ObserveLatency instead, so fault-driven relaunch
-// delay widens the window (raw per-attempt exec times would miss it).
-func (t *AdaptiveTrigger) Observe(task.Result) {}
 
 // ObserveLatency folds a completed MD segment's completion latency —
 // including relaunch retries — into the dispersion estimate
@@ -382,31 +387,41 @@ func (t *AdaptiveTrigger) window() float64 {
 // Reset opens the next window at the adapted length.
 func (t *AdaptiveTrigger) Reset(st TriggerState) { t.windowEnd = st.Now + t.window() }
 
-// adaptiveState is the serialized dispersion state of an AdaptiveTrigger.
-type adaptiveState struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-}
-
 // EncodeState serializes the dispersion estimate (StatefulTrigger), so
 // a resumed adaptive run reopens its window at the adapted length
 // instead of falling back to Initial.
 func (t *AdaptiveTrigger) EncodeState() ([]byte, error) {
-	return json.Marshal(&adaptiveState{N: t.stats.n, Mean: t.stats.mean, M2: t.stats.m2})
+	w := &jsonx.Writer{}
+	w.Raw("{")
+	t.stats.encode(w, "n", "mean", "m2")
+	w.Raw("}")
+	return w.Buf, w.Err()
 }
 
 // RestoreState replaces the dispersion estimate with one produced by
 // EncodeState (StatefulTrigger).
 func (t *AdaptiveTrigger) RestoreState(data []byte) error {
-	var st adaptiveState
-	if err := json.Unmarshal(data, &st); err != nil {
+	var st execStats
+	r := jsonx.NewReader(data)
+	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+		switch string(k) {
+		case "n":
+			st.n = r.Int()
+		case "mean":
+			st.mean = r.Float()
+		case "m2":
+			st.m2 = r.Float()
+		default:
+			r.Skip()
+		}
+	}
+	if err := r.End(); err != nil {
 		return fmt.Errorf("core: decoding adaptive trigger state: %v", err)
 	}
-	if st.N < 0 || st.M2 < 0 {
-		return fmt.Errorf("core: adaptive trigger state n=%d m2=%g is invalid", st.N, st.M2)
+	if st.n < 0 || st.m2 < 0 {
+		return fmt.Errorf("core: adaptive trigger state n=%d m2=%g is invalid", st.n, st.m2)
 	}
-	t.stats = execStats{n: st.N, mean: st.Mean, m2: st.M2}
+	t.stats = st
 	return nil
 }
 
@@ -505,7 +520,7 @@ type FeedbackTrigger struct {
 	// dimensions are observed.
 	dims []feedbackDim
 
-	windowEnd float64
+	windowed
 }
 
 // feedbackDim is one dimension's controller state.
@@ -594,12 +609,6 @@ func (t *FeedbackTrigger) Validate() error {
 // Name identifies the policy.
 func (t *FeedbackTrigger) Name() string { return "feedback" }
 
-// Aligned reports false: feedback windows exchange among ready subsets.
-func (t *FeedbackTrigger) Aligned() bool { return false }
-
-// Deadline is the current window boundary.
-func (t *FeedbackTrigger) Deadline(TriggerState) float64 { return t.windowEnd }
-
 // Decide mirrors WindowTrigger against the controlled boundary of the
 // upcoming dimension, with one closed-loop refinement: when no MD
 // segment is outstanding the exchange fires immediately instead of
@@ -624,10 +633,6 @@ func (d *feedbackDim) effectiveMinReady(base int) int {
 	}
 	return base
 }
-
-// Observe is a no-op: the warm-up dispersion estimate is fed completion
-// latencies through ObserveLatency instead (see LatencyObserver).
-func (t *FeedbackTrigger) Observe(task.Result) {}
 
 // ObserveLatency folds a completed MD segment's completion latency —
 // including relaunch retries — into the warm-up dispersion estimate (the
@@ -880,92 +885,127 @@ func (t *FeedbackTrigger) Reset(st TriggerState) {
 	t.mu.Unlock()
 }
 
-// feedbackDimState is one dimension's serialized controller state.
-type feedbackDimState struct {
-	// Outcomes is the measurement ring's contents, oldest first.
-	Outcomes  []bool  `json:"outcomes,omitempty"`
-	Cur       float64 `json:"cur,omitempty"`
-	Active    bool    `json:"active,omitempty"`
-	Integ     float64 `json:"integ,omitempty"`
-	SatRun    int     `json:"sat_run,omitempty"`
-	Saturated bool    `json:"saturated,omitempty"`
-	// MinReadyOverride uses -1 for "follow the base MinReady", so it is
-	// always emitted.
-	MinReadyOverride int `json:"min_ready_override"`
-}
-
-// feedbackState is the serialized controller state of a FeedbackTrigger.
-type feedbackState struct {
-	// Dims holds one controller per exchange dimension.
-	Dims     []feedbackDimState `json:"dims,omitempty"`
-	WarmN    int                `json:"warm_n"`
-	WarmMean float64            `json:"warm_mean"`
-	WarmM2   float64            `json:"warm_m2"`
-}
-
 // EncodeState serializes the controller state (StatefulTrigger).
 func (t *FeedbackTrigger) EncodeState() ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := feedbackState{
-		Dims:     make([]feedbackDimState, len(t.dims)),
-		WarmN:    t.warm.n,
-		WarmMean: t.warm.mean,
-		WarmM2:   t.warm.m2,
+	w := &jsonx.Writer{}
+	w.Raw("{")
+	if len(t.dims) > 0 {
+		w.Key("dims")
+		jsonx.WriteArray(w, t.dims, false, writeFeedbackDim)
 	}
-	for d := range t.dims {
-		dd := &t.dims[d]
-		st.Dims[d] = feedbackDimState{
-			Outcomes:         dd.win.Linear(),
-			Cur:              dd.cur,
-			Active:           dd.active,
-			Integ:            dd.integ,
-			SatRun:           dd.satRun,
-			Saturated:        dd.saturated,
-			MinReadyOverride: dd.minReadyOverride,
+	t.warm.encode(w, "warm_n", "warm_mean", "warm_m2")
+	w.Raw("}")
+	return w.Buf, w.Err()
+}
+
+// writeFeedbackDim writes one dimension's controller state, the
+// measurement ring oldest first. Zero fields are left out, except the
+// override: its -1 is "follow the base MinReady" and its 0 a setting.
+func writeFeedbackDim(w *jsonx.Writer, dd feedbackDim) {
+	w.Raw("{")
+	if dd.win.N > 0 {
+		w.Key("outcomes")
+		jsonx.WriteArray(w, dd.win.Linear(), false, (*jsonx.Writer).Bool)
+	}
+	if dd.cur != 0 {
+		w.Key("cur").Float(dd.cur)
+	}
+	if dd.active {
+		w.Key("active").Bool(true)
+	}
+	if dd.integ != 0 {
+		w.Key("integ").Float(dd.integ)
+	}
+	if dd.satRun != 0 {
+		w.Key("sat_run").Int(dd.satRun)
+	}
+	if dd.saturated {
+		w.Key("saturated").Bool(true)
+	}
+	w.Key("min_ready_override").Int(dd.minReadyOverride)
+	w.Raw("}")
+}
+
+// readDim reads what writeFeedbackDim wrote, dropping outcomes beyond
+// this trigger's WindowEvents oldest-first; unknown takes a key that is
+// not part of the layout.
+func (t *FeedbackTrigger) readDim(r *jsonx.Reader, unknown *string) (dd feedbackDim) {
+	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+		switch string(k) {
+		case "outcomes":
+			for more := !r.Null() && r.FirstElem(); more; more = r.NextElem() {
+				dd.win.Push(r.Bool(), t.windowEvents())
+			}
+		case "cur":
+			dd.cur = r.Float()
+		case "active":
+			dd.active = r.Bool()
+		case "integ":
+			dd.integ = r.Float()
+		case "sat_run":
+			dd.satRun = r.Int()
+		case "saturated":
+			dd.saturated = r.Bool()
+		case "min_ready_override":
+			dd.minReadyOverride = r.Int()
+		default:
+			*unknown = string(k)
+			r.Skip()
 		}
 	}
-	return json.Marshal(&st)
+	return dd
 }
 
 // RestoreState replaces the controller state with one produced by
-// EncodeState (StatefulTrigger). Outcomes beyond this trigger's
-// WindowEvents are dropped oldest-first.
+// EncodeState (StatefulTrigger).
 func (t *FeedbackTrigger) RestoreState(data []byte) error {
-	// Strict decode: state with fields this build does not know (the
-	// single-controller layout of snapshot format 1) is an error, never
-	// a silently empty controller.
-	var st feedbackState
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&st); err != nil {
+	// The controllers are built aside and swapped in only on success, so
+	// a caller that handles the error keeps a consistent trigger instead
+	// of a half-restored one.
+	var (
+		dims    []feedbackDim
+		warm    execStats
+		unknown string
+	)
+	r := jsonx.NewReader(data)
+	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
+		switch string(k) {
+		case "dims":
+			dims = jsonx.ReadArray(r, &dims, func(r *jsonx.Reader) feedbackDim { return t.readDim(r, &unknown) })
+		case "warm_n":
+			warm.n = r.Int()
+		case "warm_mean":
+			warm.mean = r.Float()
+		case "warm_m2":
+			warm.m2 = r.Float()
+		default:
+			unknown = string(k)
+			r.Skip()
+		}
+	}
+	if err := r.End(); err != nil {
 		return fmt.Errorf("core: decoding feedback trigger state: %v", err)
 	}
-	// Build the restored controllers aside and swap only on success, so
-	// a caller that handles the error keeps a consistent trigger
-	// instead of a half-restored one.
-	dims := make([]feedbackDim, len(st.Dims))
-	for d, ds := range st.Dims {
-		if ds.Active && ds.Cur <= 0 {
-			return fmt.Errorf("core: feedback trigger state for dimension %d is active with window %g", d, ds.Cur)
+	// Strict: state with fields this build does not know (the
+	// single-controller layout of snapshot format 1) is an error, never a
+	// silently empty controller.
+	if unknown != "" {
+		return fmt.Errorf("core: decoding feedback trigger state: unknown field %q", unknown)
+	}
+	if warm.n < 0 || warm.m2 < 0 {
+		return fmt.Errorf("core: feedback trigger warm-up state n=%d m2=%g is invalid", warm.n, warm.m2)
+	}
+	for d := range dims {
+		if dd := &dims[d]; dd.active && dd.cur <= 0 {
+			return fmt.Errorf("core: feedback trigger state for dimension %d is active with window %g", d, dd.cur)
+		} else if dd.minReadyOverride < -1 {
+			return fmt.Errorf("core: feedback trigger state for dimension %d has min-ready override %d", d, dd.minReadyOverride)
 		}
-		if ds.MinReadyOverride < -1 {
-			return fmt.Errorf("core: feedback trigger state for dimension %d has min-ready override %d", d, ds.MinReadyOverride)
-		}
-		dd := &dims[d]
-		for _, v := range ds.Outcomes {
-			dd.win.Push(v, t.windowEvents())
-		}
-		dd.cur = ds.Cur
-		dd.active = ds.Active
-		dd.integ = ds.Integ
-		dd.satRun = ds.SatRun
-		dd.saturated = ds.Saturated
-		dd.minReadyOverride = ds.MinReadyOverride
 	}
 	t.mu.Lock()
-	t.dims = dims
-	t.warm = execStats{n: st.WarmN, mean: st.WarmMean, m2: st.WarmM2}
+	t.dims, t.warm = dims, warm
 	t.mu.Unlock()
 	return nil
 }
