@@ -37,33 +37,33 @@ func oneDSpec(t exchange.Type, n, cycles int, seed int64) *core.Spec {
 	}
 }
 
-// superMICFor returns the SuperMIC model sized to hold n cores.
-func superMICFor(n int) cluster.Config {
-	cfg := cluster.SuperMIC()
-	for cfg.TotalCores() < n {
-		cfg.Nodes *= 2
+// sized grows a machine model, doubling its nodes, until it holds n
+// cores.
+func sized(machine cluster.Config, n int) cluster.Config {
+	for machine.TotalCores() < n {
+		machine.Nodes *= 2
 	}
-	return cfg
+	return machine
 }
 
-// stampedeFor returns the Stampede model sized to hold n cores.
-func stampedeFor(n int) cluster.Config {
-	cfg := cluster.Stampede()
-	for cfg.TotalCores() < n {
-		cfg.Nodes *= 2
-	}
-	return cfg
+// virtualRun executes spec on the machine over one pilot of the given
+// cores, with engine's cost model of an atoms-sized system; seed drives
+// the cluster's jitter and the engine.
+func virtualRun(spec *core.Spec, machine cluster.Config, cores int,
+	engine func(natoms int, seed int64) *engines.Virtual, atoms int, seed int64) (*core.Report, error) {
+	return Run(RunParams{
+		Spec:       spec,
+		Cluster:    machine,
+		PilotCores: cores,
+		NewEngine:  func(s int64) core.Engine { return engine(atoms, s) },
+		Seed:       seed,
+	})
 }
 
 // run1D executes a 1D run in Execution Mode I (cores = replicas).
 func run1D(t exchange.Type, n, cycles int, seed int64) (*core.Report, error) {
-	return Run(RunParams{
-		Spec:       oneDSpec(t, n, cycles, seed),
-		Cluster:    superMICFor(n),
-		PilotCores: n,
-		NewEngine:  func(s int64) core.Engine { return engines.NewAmberVirtual(SmallSystemAtoms, s) },
-		Seed:       seed,
-	})
+	return virtualRun(oneDSpec(t, n, cycles, seed), sized(cluster.SuperMIC(), n), n,
+		engines.NewAmberVirtual, SmallSystemAtoms, seed)
 }
 
 // Fig5Row is one replica count of the overhead characterisation.
@@ -104,13 +104,9 @@ func Fig5Overheads(quick bool) ([]Fig5Row, *Table, error) {
 		}
 		// A 3D run of the same total size for the 3D RepEx overhead.
 		side := cubeSideFor(n)
-		rep3, err := Run(RunParams{
-			Spec:       tsuSpec(side, cycles, 300+int64(n)),
-			Cluster:    superMICFor(side * side * side),
-			PilotCores: side * side * side,
-			NewEngine:  func(s int64) core.Engine { return engines.NewAmberVirtual(SmallSystemAtoms, s) },
-			Seed:       301 + int64(n),
-		})
+		cube := side * side * side
+		rep3, err := virtualRun(tsuSpec(side, cycles, 300+int64(n)), sized(cluster.SuperMIC(), cube), cube,
+			engines.NewAmberVirtual, SmallSystemAtoms, 301+int64(n))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -204,13 +200,8 @@ func Fig7Efficiency1D(quick bool) ([]Fig7Row, *Table, error) {
 		for _, n := range cs {
 			spec := oneDSpec(s.t, n, cycles, 500+int64(n))
 			spec.DisableExchange = s.none
-			rep, err := Run(RunParams{
-				Spec:       spec,
-				Cluster:    superMICFor(n),
-				PilotCores: n,
-				NewEngine:  func(sd int64) core.Engine { return engines.NewAmberVirtual(SmallSystemAtoms, sd) },
-				Seed:       500 + int64(n),
-			})
+			rep, err := virtualRun(spec, sized(cluster.SuperMIC(), n), n,
+				engines.NewAmberVirtual, SmallSystemAtoms, spec.Seed)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -256,13 +247,8 @@ func Fig8NAMD(quick bool) ([]Fig8Row, *Table, error) {
 	for _, n := range counts(quick) {
 		spec := oneDSpec(exchange.Temperature, n, cycles, 600+int64(n))
 		spec.StepsPerCycle = 4000
-		rep, err := Run(RunParams{
-			Spec:       spec,
-			Cluster:    superMICFor(n),
-			PilotCores: n,
-			NewEngine:  func(s int64) core.Engine { return engines.NewNAMDVirtual(SmallSystemAtoms, s) },
-			Seed:       600 + int64(n),
-		})
+		rep, err := virtualRun(spec, sized(cluster.SuperMIC(), n), n,
+			engines.NewNAMDVirtual, SmallSystemAtoms, spec.Seed)
 		if err != nil {
 			return nil, nil, err
 		}

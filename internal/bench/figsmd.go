@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
@@ -71,13 +72,8 @@ func Fig9WeakTSU(quick bool) ([]Fig9Row, *Table, error) {
 	}
 	for _, side := range sides {
 		n := side * side * side
-		rep, err := Run(RunParams{
-			Spec:       tsuSpec(side, cycles, 700+int64(n)),
-			Cluster:    stampedeFor(n),
-			PilotCores: n,
-			NewEngine:  func(s int64) core.Engine { return engines.NewAmberVirtual(SmallSystemAtoms, s) },
-			Seed:       700 + int64(n),
-		})
+		rep, err := virtualRun(tsuSpec(side, cycles, 700+int64(n)), sized(cluster.Stampede(), n), n,
+			engines.NewAmberVirtual, SmallSystemAtoms, 700+int64(n))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -121,13 +117,8 @@ func Fig10StrongTSU(quick bool) ([]Fig10Row, *Table, error) {
 		Header: []string{"cores,replicas", "mode", "MD", "T exch (D1)", "S exch (D2)", "U exch (D3)"},
 	}
 	for _, c := range coreCounts {
-		rep, err := Run(RunParams{
-			Spec:       tsuSpec(side, cycles, 800+int64(c)),
-			Cluster:    stampedeFor(n),
-			PilotCores: c,
-			NewEngine:  func(s int64) core.Engine { return engines.NewAmberVirtual(SmallSystemAtoms, s) },
-			Seed:       800 + int64(c),
-		})
+		rep, err := virtualRun(tsuSpec(side, cycles, 800+int64(c)), sized(cluster.Stampede(), n), c,
+			engines.NewAmberVirtual, SmallSystemAtoms, 800+int64(c))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -216,22 +207,15 @@ func Fig12MultiCore(quick bool) ([]Fig12Row, *Table, error) {
 		Header: []string{"cores,replicas", "cores/replica", "executable", "MD time"},
 	}
 	for _, cpr := range cprs {
-		exe := "pmemd.MPI"
-		newEngine := func(s int64) core.Engine { return engines.NewPmemdVirtual(LargeSystemAtoms, s) }
+		exe, engine := "pmemd.MPI", engines.NewPmemdVirtual
 		if cpr == 1 {
 			// pmemd.MPI can't run on a single core; the paper switches
 			// to sander there.
-			exe = "sander"
-			newEngine = func(s int64) core.Engine { return engines.NewAmberVirtual(LargeSystemAtoms, s) }
+			exe, engine = "sander", engines.NewAmberVirtual
 		}
 		total := 216 * cpr
-		rep, err := Run(RunParams{
-			Spec:       tuuSpec(side, 20000, cpr, cycles, 900+int64(cpr)),
-			Cluster:    stampedeFor(total),
-			PilotCores: total,
-			NewEngine:  newEngine,
-			Seed:       900 + int64(cpr),
-		})
+		rep, err := virtualRun(tuuSpec(side, 20000, cpr, cycles, 900+int64(cpr)), sized(cluster.Stampede(), total), total,
+			engine, LargeSystemAtoms, 900+int64(cpr))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -282,17 +266,10 @@ func Fig13Utilization(quick bool) ([]Fig13Row, *Table, error) {
 			spec.Pattern = pattern
 			if pattern == core.PatternAsynchronous {
 				spec.AsyncWindow = 100 // ~70% of a segment: boundary quantization costs ~10 pp, as in the paper
-
 			}
-			cfg := superMICFor(n)
-			cfg.ExecJitter = 0.06
-			return Run(RunParams{
-				Spec:       spec,
-				Cluster:    cfg,
-				PilotCores: n,
-				NewEngine:  func(s int64) core.Engine { return engines.NewAmberVirtual(SmallSystemAtoms, s) },
-				Seed:       1000 + int64(n),
-			})
+			machine := sized(cluster.SuperMIC(), n)
+			machine.ExecJitter = 0.06
+			return virtualRun(spec, machine, n, engines.NewAmberVirtual, SmallSystemAtoms, spec.Seed)
 		}
 		syncRep, err := mk(core.PatternSynchronous)
 		if err != nil {
