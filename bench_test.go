@@ -18,7 +18,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engines"
-	"repro/internal/exchange"
 	"repro/internal/md"
 	"repro/internal/pilot"
 	"repro/internal/ring"
@@ -460,53 +459,6 @@ func BenchmarkDispatcherTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPairing compares nearest-neighbour alternating
-// pairing against random pairing on acceptance probability under the
-// synthetic T-REMD energetics: neighbour pairing accepts far more often
-// because adjacent windows overlap.
-func BenchmarkAblationPairing(b *testing.B) {
-	ladder := GeometricTemperatures(273, 373, 32)
-	betas := make([]float64, len(ladder))
-	for i, t := range ladder {
-		betas[i] = 1 / (0.0019872041 * t)
-	}
-	energy := func(rng *rand.Rand, slot int) float64 {
-		t := ladder[slot]
-		return 2.0*(t-300) + 24.4*rng.NormFloat64() // CvEff=2 model
-	}
-	group := make([]int, len(ladder))
-	for i := range group {
-		group[i] = i
-	}
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		meanProb := func(pairs []exchange.Pair) float64 {
-			if len(pairs) == 0 {
-				return 0
-			}
-			sum := 0.0
-			for _, pr := range pairs {
-				sum += exchange.AcceptTemperature(
-					betas[pr.I], betas[pr.J], energy(rng, pr.I), energy(rng, pr.J))
-			}
-			return sum / float64(len(pairs))
-		}
-		var neighbor, random float64
-		const sweeps = 200
-		for s := 0; s < sweeps; s++ {
-			neighbor += meanProb(exchange.NeighborPairs(group, s))
-			random += meanProb(exchange.RandomPairs(group, rng))
-		}
-		neighbor /= sweeps
-		random /= sweeps
-		if neighbor <= random {
-			b.Fatalf("neighbour pairing acceptance %v not above random %v", neighbor, random)
-		}
-		b.ReportMetric(neighbor, "neighbor_acc")
-		b.ReportMetric(random, "random_acc")
-	}
-}
-
 // BenchmarkAblationStagingFS compares staging through the shared
 // filesystem's serialized metadata server against an idealised
 // node-local scratch (zero metadata latency): the paper's data-time
@@ -555,44 +507,6 @@ var (
 	_ = engines.SanderModel
 	_ core.Engine
 )
-
-// BenchmarkAblationGPUEngine compares the pmemd.cuda GPU cost model
-// against serial sander on the same T-REMD workload (the paper's GPU
-// extension): MD time should drop by ~GPUSpeedup.
-func BenchmarkAblationGPUEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		spec1 := ablationSpec(32, 2, PatternSynchronous, 0)
-		cpu, err := RunVirtual(spec1, SuperMIC(), 32, AmberSander, 2881, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		env := sim.NewEnv()
-		cl := cluster.MustNew(env, SuperMIC(), 6)
-		pl, err := pilot.Launch(cl, pilot.Description{Cores: 32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := engines.NewPmemdCudaVirtual(2881, 7)
-		var gpu *core.Report
-		env.Go("emm", func(p *sim.Proc) {
-			rt := pilot.NewRuntime(pl, p)
-			spec2 := ablationSpec(32, 2, PatternSynchronous, 0)
-			simu, err := core.New(spec2, eng, rt)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			gpu, _ = simu.Run()
-		})
-		env.Run()
-		dc, dg := cpu.Decompose(), gpu.Decompose()
-		if dg.TMD >= dc.TMD/8 {
-			b.Fatalf("GPU MD time %v not far below CPU %v", dg.TMD, dc.TMD)
-		}
-		b.ReportMetric(dc.TMD, "cpu_md_s")
-		b.ReportMetric(dg.TMD, "gpu_md_s")
-	}
-}
 
 // codecFixture builds the checkpoint of a 16x8x8 run after the given
 // number of exchange events without running it: a snapshot whose slot

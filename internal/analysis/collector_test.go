@@ -95,7 +95,7 @@ func TestAcceptanceMatchesSlotHistoryRecomputation(t *testing.T) {
 		for id, slot := range prev {
 			bySlot[slot] = id
 		}
-		for _, pr := range exchange.NeighborPairs(bySlot, e) {
+		for _, pr := range exchange.AppendNeighborPairs(nil, bySlot, e) {
 			lo := prev[pr.I]
 			if prev[pr.J] < lo {
 				lo = prev[pr.J]

@@ -8,7 +8,7 @@ import (
 // Typed event bus: the dispatcher publishes one record per MD completion,
 // exchange event and fault action, and online consumers (the analysis
 // collector, the status server, tests) subscribe without ever touching
-// the hot loop's control flow. Publish is strictly non-blocking: each
+// the hot loop's control flow. Publishing is strictly non-blocking: each
 // subscriber owns a bounded ring buffer, and when a slow consumer lets
 // its ring fill up the oldest events are overwritten (and counted as
 // dropped) rather than stalling the publisher. A stalled subscriber
@@ -201,23 +201,14 @@ func (b *Bus) Unsubscribe(target *Subscription) {
 	b.mu.Unlock()
 }
 
-// Publish delivers ev to every subscriber without blocking: full rings
-// drop their oldest event. Safe for concurrent use; the subscriber list
-// is read lock-free to keep the hot loop's cost at one atomic load.
-func (b *Bus) Publish(ev Event) {
-	b.published.Add(1)
-	if subs := b.subs.Load(); subs != nil {
-		for _, s := range *subs {
-			s.push(ev)
-		}
-	}
-}
-
-// PublishBatch delivers evs in order to every subscriber, taking each
-// subscriber's ring lock once per batch instead of once per event. The
-// dispatcher batches the MD, fault and exchange records of a collection
-// round this way so per-pair outcome fan-out does not serialize the hot
-// path at production replica counts.
+// PublishBatch delivers evs in order to every subscriber without
+// blocking: full rings drop their oldest event. Safe for concurrent use;
+// the subscriber list is read lock-free to keep the hot loop's cost at
+// one atomic load, and each subscriber's ring lock is taken once per
+// batch instead of once per event. The dispatcher batches the MD, fault
+// and exchange records of a collection round this way so per-pair
+// outcome fan-out does not serialize the hot path at production replica
+// counts.
 func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
@@ -245,12 +236,6 @@ type Subscription struct {
 	head    int // index of the oldest buffered event
 	n       int // buffered events
 	dropped uint64
-}
-
-func (s *Subscription) push(ev Event) {
-	s.mu.Lock()
-	s.pushLocked(ev)
-	s.mu.Unlock()
 }
 
 func (s *Subscription) pushBatch(evs []Event) {

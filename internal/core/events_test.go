@@ -12,7 +12,7 @@ func TestBusRingOverflowDropsOldest(t *testing.T) {
 	bus := core.NewBus()
 	sub := bus.Subscribe(4)
 	for i := 0; i < 10; i++ {
-		bus.Publish(core.MDEvent{At: float64(i), Replica: i})
+		bus.PublishBatch([]core.Event{core.MDEvent{At: float64(i), Replica: i}})
 	}
 	got := sub.Drain(nil)
 	if len(got) != 4 {

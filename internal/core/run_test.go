@@ -286,11 +286,11 @@ func TestBusUnsubscribe(t *testing.T) {
 	bus := core.NewBus()
 	keep := bus.Subscribe(8)
 	gone := bus.Subscribe(8)
-	bus.Publish(core.MDEvent{At: 1})
+	bus.PublishBatch([]core.Event{core.MDEvent{At: 1}})
 	bus.Unsubscribe(gone)
 	bus.Unsubscribe(gone) // double-remove is a no-op
 	bus.Unsubscribe(nil)
-	bus.Publish(core.MDEvent{At: 2})
+	bus.PublishBatch([]core.Event{core.MDEvent{At: 2}})
 	if n := len(keep.Drain(nil)); n != 2 {
 		t.Fatalf("surviving subscriber saw %d events, want 2", n)
 	}

@@ -176,10 +176,8 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 // paramsForSlot derives the thermodynamic parameters of a grid slot.
 func (s *Simulation) paramsForSlot(slot int) md.Params {
 	coord := s.grid.Coord(slot)
-	p := md.Params{TemperatureK: s.spec.BaseTemperature, SaltM: s.spec.BaseSalt}
-	if p.TemperatureK <= 0 {
-		p.TemperatureK = 300
-	}
+	// 300 K and no salt along the dimensions a run does not exchange.
+	p := md.Params{TemperatureK: 300}
 	for d, dim := range s.spec.Dims {
 		v := dim.Values[coord[d]]
 		switch dim.Type {

@@ -163,10 +163,6 @@ type Spec struct {
 	FaultPolicy FaultPolicy
 	// MaxRetries bounds relaunch attempts per replica (default 3).
 	MaxRetries int
-	// BaseTemperature/BaseSalt seed replica params for dimensions that
-	// are not exchanged (e.g. salt in a pure T-REMD run).
-	BaseTemperature float64
-	BaseSalt        float64
 	// AsyncWindow is the real-time window (seconds) after which ready
 	// replicas transition to the exchange phase (asynchronous pattern).
 	AsyncWindow float64

@@ -8,10 +8,9 @@ import (
 	"repro/internal/md"
 )
 
-// This file implements the Amber-flavoured input/output translation of
-// the Remote Application Modules (RAM): generation of per-replica mdin
-// files, group files for salt-exchange single-point runs, and parsing of
-// mdinfo-style output. The formats are faithful in structure (Fortran
+// This file implements the Amber-flavoured input translation of the
+// Remote Application Modules (RAM): generation and parsing of
+// per-replica mdin files. The format is faithful in structure (Fortran
 // namelist / Amber conventions) so that the adapter exercises the same
 // translation work RepEx's AMM/RAM perform for real Amber.
 
@@ -151,106 +150,4 @@ func parseRst(line string) (md.TorsionRestraint, error) {
 		}
 	}
 	return r, nil
-}
-
-// MDInfo is the per-cycle output summary RepEx reads back from Amber's
-// mdinfo file: the quantities needed for exchange decisions.
-type MDInfo struct {
-	// EPtot is the total potential energy (kcal/mol).
-	EPtot float64
-	// Temp is the instantaneous temperature (K).
-	Temp float64
-	// NSteps is the completed step count.
-	NSteps int
-}
-
-// WriteMDInfo renders an mdinfo-style summary.
-func WriteMDInfo(info MDInfo) string {
-	return fmt.Sprintf(
-		" NSTEP = %8d   TIME(PS) = %10.3f  TEMP(K) = %8.2f\n"+
-			" Etot   = %14.4f  EKtot   = %14.4f  EPtot      = %14.4f\n",
-		info.NSteps, 0.0, info.Temp, 0.0, 0.0, info.EPtot)
-}
-
-// ParseMDInfo extracts EPtot, TEMP and NSTEP from mdinfo text.
-func ParseMDInfo(text string) (MDInfo, error) {
-	var info MDInfo
-	found := false
-	for _, line := range strings.Split(text, "\n") {
-		for _, tok := range []struct {
-			key string
-			dst *float64
-		}{
-			{"EPtot", &info.EPtot},
-			{"TEMP(K)", &info.Temp},
-		} {
-			if idx := strings.Index(line, tok.key); idx >= 0 {
-				rest := line[idx+len(tok.key):]
-				rest = strings.TrimLeft(rest, " =")
-				fs := strings.Fields(rest)
-				if len(fs) > 0 {
-					if v, err := strconv.ParseFloat(fs[0], 64); err == nil {
-						*tok.dst = v
-						if tok.key == "EPtot" {
-							found = true
-						}
-					}
-				}
-			}
-		}
-		if idx := strings.Index(line, "NSTEP"); idx >= 0 {
-			rest := strings.TrimLeft(line[idx+len("NSTEP"):], " =")
-			fs := strings.Fields(rest)
-			if len(fs) > 0 {
-				if v, err := strconv.Atoi(fs[0]); err == nil {
-					info.NSteps = v
-				}
-			}
-		}
-	}
-	if !found {
-		return info, fmt.Errorf("engines: mdinfo text lacks EPtot")
-	}
-	return info, nil
-}
-
-// WriteGroupFile renders an Amber group file for a salt-exchange
-// single-point run: one -O line per replica state, the mechanism the
-// paper uses for S-REMD cross energies ("we are using Amber's group
-// files").
-func WriteGroupFile(replicaIDs []int, prefix string) string {
-	var b strings.Builder
-	for _, id := range replicaIDs {
-		fmt.Fprintf(&b,
-			"-O -i %[1]s_r%02[2]d.mdin -p %[1]s.prmtop -c %[1]s_r%02[2]d.rst -o %[1]s_r%02[2]d.out -inf %[1]s_r%02[2]d.mdinfo\n",
-			prefix, id)
-	}
-	return b.String()
-}
-
-// ParseGroupFile counts and returns the replica IDs referenced by a
-// group file produced by WriteGroupFile.
-func ParseGroupFile(text string) ([]int, error) {
-	var ids []int
-	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 || fields[0] != "-O" {
-			return nil, fmt.Errorf("engines: malformed group file line %q", line)
-		}
-		name := fields[2] // the -i argument
-		idx := strings.LastIndex(name, "_r")
-		if idx < 0 {
-			return nil, fmt.Errorf("engines: group file entry %q lacks replica tag", name)
-		}
-		numPart := strings.TrimSuffix(name[idx+2:], ".mdin")
-		id, err := strconv.Atoi(numPart)
-		if err != nil {
-			return nil, fmt.Errorf("engines: bad replica id in %q", name)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }

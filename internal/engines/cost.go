@@ -186,20 +186,3 @@ func amberOutFiles(t exchange.Type) int {
 		return 3
 	}
 }
-
-// PmemdCudaModel returns the cost model of pmemd.cuda, the GPU engine
-// whose support the paper reports as newly available on Stampede (§5).
-// One replica occupies a single CPU core driving one GPU; throughput is
-// GPUSpeedup times serial sander regardless of the CPU core count.
-func PmemdCudaModel() CostModel {
-	m := SanderModel()
-	m.Name = "pmemd.cuda"
-	m.MDSeconds = func(natoms, steps, cores int) float64 {
-		return SanderSecsPerAtomStep / GPUSpeedup * float64(natoms) * float64(steps)
-	}
-	return m
-}
-
-// GPUSpeedup is the throughput advantage of pmemd.cuda over serial
-// sander for the paper's benchmark systems.
-const GPUSpeedup = 18.0

@@ -2,7 +2,6 @@ package engines
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -143,44 +142,6 @@ func TestParseMDINErrors(t *testing.T) {
 	}
 }
 
-func TestMDInfoRoundTrip(t *testing.T) {
-	text := WriteMDInfo(MDInfo{EPtot: -2501.3324, Temp: 305.12, NSteps: 6000})
-	got, err := ParseMDInfo(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.EPtot+2501.3324) > 1e-3 || got.NSteps != 6000 {
-		t.Fatalf("mdinfo round trip: %+v", got)
-	}
-	if math.Abs(got.Temp-305.12) > 1e-2 {
-		t.Fatalf("temp round trip: %v", got.Temp)
-	}
-}
-
-func TestParseMDInfoMissingEnergy(t *testing.T) {
-	if _, err := ParseMDInfo("nothing here"); err == nil {
-		t.Error("mdinfo without EPtot accepted")
-	}
-}
-
-func TestGroupFileRoundTrip(t *testing.T) {
-	ids := []int{0, 3, 7, 12}
-	text := WriteGroupFile(ids, "ala")
-	got, err := ParseGroupFile(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ids) {
-		t.Fatalf("group file round trip %v vs %v", got, ids)
-	}
-}
-
-func TestParseGroupFileMalformed(t *testing.T) {
-	if _, err := ParseGroupFile("-X something"); err == nil {
-		t.Error("malformed group file accepted")
-	}
-}
-
 // Property: any MDIN with sane values round-trips.
 func TestPropertyMDINRoundTrip(t *testing.T) {
 	f := func(steps uint16, tRaw uint16, saltRaw uint8) bool {
@@ -232,21 +193,6 @@ func TestParseNAMDConfigErrors(t *testing.T) {
 	}
 	if _, err := ParseNAMDConfig("run banana\n"); err == nil {
 		t.Error("bad run value accepted")
-	}
-}
-
-func TestNAMDEnergyRoundTrip(t *testing.T) {
-	log := "Info: startup\n" + NAMDEnergyLine(2000, -1234.5, 299.8) + "\n" +
-		NAMDEnergyLine(4000, -1250.25, 301.2) + "\n"
-	step, pot, temp, err := ParseNAMDEnergy(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 4000 || math.Abs(pot+1250.25) > 1e-3 || math.Abs(temp-301.2) > 1e-3 {
-		t.Fatalf("parsed %d %v %v", step, pot, temp)
-	}
-	if _, _, _, err := ParseNAMDEnergy("no energy"); err == nil {
-		t.Error("log without ENERGY accepted")
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 	"repro/internal/md"
 )
 
-// NAMD-flavoured input/output translation, mirroring amber.go for the
-// second engine the paper demonstrates (§4.3). NAMD is configured
-// through a Tcl-style config file and reports energies in its log's
-// ENERGY: lines.
+// NAMD-flavoured input translation, mirroring amber.go for the second
+// engine the paper demonstrates (§4.3). NAMD is configured through a
+// Tcl-style config file.
 
 // NAMDConfig is the subset of a NAMD configuration RepEx rewrites per
 // replica per cycle.
@@ -121,34 +120,4 @@ func parseColvar(fields []string) (md.TorsionRestraint, error) {
 		}
 	}
 	return r, nil
-}
-
-// NAMDEnergyLine renders a NAMD log ENERGY: line carrying the potential.
-func NAMDEnergyLine(step int, potential, temperature float64) string {
-	return fmt.Sprintf("ENERGY: %8d %14.4f %14.4f", step, potential, temperature)
-}
-
-// ParseNAMDEnergy extracts the last ENERGY: line from log text.
-func ParseNAMDEnergy(log string) (step int, potential, temperature float64, err error) {
-	found := false
-	for _, line := range strings.Split(log, "\n") {
-		if !strings.HasPrefix(line, "ENERGY:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		s, e1 := strconv.Atoi(fields[1])
-		p, e2 := strconv.ParseFloat(fields[2], 64)
-		t, e3 := strconv.ParseFloat(fields[3], 64)
-		if e1 == nil && e2 == nil && e3 == nil {
-			step, potential, temperature = s, p, t
-			found = true
-		}
-	}
-	if !found {
-		return 0, 0, 0, fmt.Errorf("engines: no ENERGY: lines in NAMD log")
-	}
-	return step, potential, temperature, nil
 }

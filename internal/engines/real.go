@@ -252,9 +252,3 @@ func mix(parts ...int64) int64 {
 }
 
 func newRNG(seed, stream int64) *rand.Rand { return rand.New(rand.NewSource(mix(seed, stream))) }
-
-// NewPmemdCudaVirtual returns a GPU-accelerated virtual adapter
-// (pmemd.cuda cost model): the paper's GPU extension.
-func NewPmemdCudaVirtual(natoms int, seed int64) *Virtual {
-	return NewVirtual("amber-cuda", PmemdCudaModel(), natoms, seed)
-}

@@ -83,10 +83,6 @@ func ParseType(code string) (Type, error) {
 	}
 }
 
-// NeedsCrossEnergies reports whether the type requires the 2x2 energy
-// matrix (Hamiltonian exchange) rather than just each replica's energy.
-func (t Type) NeedsCrossEnergies() bool { return t != Temperature }
-
 // AcceptTemperature returns the Metropolis acceptance probability of a
 // temperature swap between replicas with inverse temperatures betaI,
 // betaJ and potential energies eI, eJ:
@@ -123,37 +119,19 @@ func pClamp(p float64) float64 {
 // Pair is a candidate exchange between two replica IDs.
 type Pair struct{ I, J int }
 
-// NeighborPairs returns the nearest-neighbour pairs of an ordered group
-// for the given sweep. Even sweeps pair (0,1)(2,3)...; odd sweeps pair
-// (1,2)(3,4)...; together consecutive sweeps attempt every adjacent pair,
-// the standard alternating scheme of synchronous REMD.
-func NeighborPairs(group []int, sweep int) []Pair {
-	return AppendNeighborPairs(nil, group, sweep)
-}
-
-// AppendNeighborPairs appends the group's nearest-neighbour pairs for the
-// given sweep to dst and returns the extended slice. It is NeighborPairs
-// with caller-owned storage, so a hot loop building the pair lists of
-// many groups per exchange event can reuse one flat scratch slice
-// instead of allocating per group.
+// AppendNeighborPairs appends the nearest-neighbour pairs of an ordered
+// group for the given sweep to dst and returns the extended slice. Even
+// sweeps pair (0,1)(2,3)...; odd sweeps pair (1,2)(3,4)...; together
+// consecutive sweeps attempt every adjacent pair, the standard
+// alternating scheme of synchronous REMD. The storage is the caller's,
+// so a hot loop building the pair lists of many groups per exchange
+// event can reuse one flat scratch slice instead of allocating per
+// group.
 func AppendNeighborPairs(dst []Pair, group []int, sweep int) []Pair {
 	for i := sweep & 1; i+1 < len(group); i += 2 {
 		dst = append(dst, Pair{group[i], group[i+1]})
 	}
 	return dst
-}
-
-// RandomPairs returns a random disjoint pairing of the group (used by the
-// pairing ablation benchmark). A group of odd size leaves one replica
-// unpaired.
-func RandomPairs(group []int, rng *rand.Rand) []Pair {
-	idx := append([]int(nil), group...)
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	var pairs []Pair
-	for i := 0; i+1 < len(idx); i += 2 {
-		pairs = append(pairs, Pair{idx[i], idx[i+1]})
-	}
-	return pairs
 }
 
 // Grid describes the replica layout of a multi-dimensional REMD

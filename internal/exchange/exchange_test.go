@@ -26,12 +26,6 @@ func TestTypeCodes(t *testing.T) {
 	if _, err := ParseType("X"); err == nil {
 		t.Error("ParseType(X) succeeded, want error")
 	}
-	if Temperature.NeedsCrossEnergies() {
-		t.Error("temperature exchange should not need cross energies")
-	}
-	if !Umbrella.NeedsCrossEnergies() || !Salt.NeedsCrossEnergies() {
-		t.Error("U/S exchanges need cross energies")
-	}
 }
 
 func TestAcceptTemperatureKnownCases(t *testing.T) {
@@ -122,8 +116,8 @@ func TestPropertyDetailedBalanceTemperature(t *testing.T) {
 
 func TestNeighborPairsAlternate(t *testing.T) {
 	group := []int{10, 11, 12, 13, 14}
-	even := NeighborPairs(group, 0)
-	odd := NeighborPairs(group, 1)
+	even := AppendNeighborPairs(nil, group, 0)
+	odd := AppendNeighborPairs(nil, group, 1)
 	wantEven := []Pair{{10, 11}, {12, 13}}
 	wantOdd := []Pair{{11, 12}, {13, 14}}
 	if !reflect.DeepEqual(even, wantEven) {
@@ -135,13 +129,13 @@ func TestNeighborPairsAlternate(t *testing.T) {
 }
 
 func TestNeighborPairsSmallGroups(t *testing.T) {
-	if got := NeighborPairs([]int{5}, 0); len(got) != 0 {
+	if got := AppendNeighborPairs(nil, []int{5}, 0); len(got) != 0 {
 		t.Errorf("singleton group pairs = %v, want none", got)
 	}
-	if got := NeighborPairs(nil, 1); len(got) != 0 {
+	if got := AppendNeighborPairs(nil, nil, 1); len(got) != 0 {
 		t.Errorf("empty group pairs = %v, want none", got)
 	}
-	if got := NeighborPairs([]int{3, 4}, 1); len(got) != 0 {
+	if got := AppendNeighborPairs(nil, []int{3, 4}, 1); len(got) != 0 {
 		t.Errorf("odd sweep of 2-group = %v, want none", got)
 	}
 }
@@ -154,7 +148,7 @@ func TestPropertyNeighborPairsDisjoint(t *testing.T) {
 		for i := range group {
 			group[i] = 100 + i
 		}
-		pairs := NeighborPairs(group, int(sweep))
+		pairs := AppendNeighborPairs(nil, group, int(sweep))
 		seen := map[int]bool{}
 		for _, p := range pairs {
 			if seen[p.I] || seen[p.J] || p.I == p.J {
@@ -174,23 +168,6 @@ func TestPropertyNeighborPairsDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRandomPairsDisjoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	group := []int{1, 2, 3, 4, 5, 6, 7}
-	pairs := RandomPairs(group, rng)
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3 from a 7-group", len(pairs))
-	}
-	seen := map[int]bool{}
-	for _, p := range pairs {
-		if seen[p.I] || seen[p.J] {
-			t.Fatal("random pairs overlap")
-		}
-		seen[p.I] = true
-		seen[p.J] = true
 	}
 }
 

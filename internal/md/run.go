@@ -22,19 +22,6 @@ func (t *Trajectory) Append(o Trajectory) {
 	t.Steps += o.Steps
 }
 
-// MeanPotential returns the average sampled potential energy, or 0 for an
-// empty trajectory.
-func (t *Trajectory) MeanPotential() float64 {
-	if len(t.Potential) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, e := range t.Potential {
-		s += e
-	}
-	return s / float64(len(t.Potential))
-}
-
 // RunSegment advances the state by steps integration steps under prm,
 // sampling observables every sampleEvery steps (sampleEvery <= 0 samples
 // only the final frame). This is the "MD phase" primitive the

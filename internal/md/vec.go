@@ -62,17 +62,6 @@ func (b Box) MinImage(d Vec3) Vec3 {
 	return d
 }
 
-// Wrap maps p into the primary cell [0,L) per axis.
-func (b Box) Wrap(p Vec3) Vec3 {
-	if !b.Periodic() {
-		return p
-	}
-	p.X -= b.Lx * math.Floor(p.X/b.Lx)
-	p.Y -= b.Ly * math.Floor(p.Y/b.Ly)
-	p.Z -= b.Lz * math.Floor(p.Z/b.Lz)
-	return p
-}
-
 // WrapAngle maps an angle in radians to (-π, π].
 func WrapAngle(a float64) float64 {
 	a = math.Mod(a, 2*math.Pi)

@@ -226,10 +226,10 @@ func feedEvents(bus *core.Bus, nReplicas int, pairAccept [][]bool) {
 				Accepted: pairAccept[p][round],
 			})
 		}
-		bus.Publish(core.ExchangeEvent{
+		bus.PublishBatch([]core.Event{core.ExchangeEvent{
 			At: float64(round + 1), Event: round, Dim: 0,
 			Pairs: pairs, Slots: slots,
-		})
+		}})
 	}
 }
 

@@ -792,10 +792,3 @@ func (c *Completion) AwaitTimeout(p *Proc, d float64) bool {
 	}
 	return true
 }
-
-// WaitAll blocks until every completion in cs has fired.
-func WaitAll(p *Proc, cs []*Completion) {
-	for _, c := range cs {
-		c.Await(p)
-	}
-}

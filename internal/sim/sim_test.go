@@ -430,29 +430,6 @@ func TestCompletionAwaitTimeout(t *testing.T) {
 	}
 }
 
-func TestWaitAll(t *testing.T) {
-	e := NewEnv()
-	cs := make([]*Completion, 5)
-	for i := range cs {
-		cs[i] = NewCompletion(e)
-		d := float64(5 - i) // reverse completion order
-		c := cs[i]
-		e.Go("worker", func(p *Proc) {
-			p.Sleep(d)
-			c.Complete(nil)
-		})
-	}
-	var at float64
-	e.Go("w", func(p *Proc) {
-		WaitAll(p, cs)
-		at = p.Now()
-	})
-	e.Run()
-	if at != 5 {
-		t.Fatalf("WaitAll returned at %v, want 5", at)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	// The same randomized workload replayed twice must produce identical
 	// completion traces.

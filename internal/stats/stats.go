@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -34,37 +33,6 @@ func Std(xs []float64) float64 {
 		s += (x - m) * (x - m)
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation on the sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	pos := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
-}
-
-// CircularMean returns the circular mean of angles in radians.
-func CircularMean(angles []float64) float64 {
-	var sx, sy float64
-	for _, a := range angles {
-		sx += math.Cos(a)
-		sy += math.Sin(a)
-	}
-	return math.Atan2(sy, sx)
 }
 
 // Hist2D is a 2D histogram over the periodic torus (-π, π]².

@@ -21,33 +21,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Fatalf("median %v, want 3", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 %v, want 1", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Fatalf("p100 %v, want 5", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Fatalf("p25 %v, want 2", p)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile != 0")
-	}
-}
-
-func TestCircularMean(t *testing.T) {
-	// Angles straddling the wrap: -170° and +170° average to ±180°.
-	m := CircularMean([]float64{math.Pi - 0.1, -math.Pi + 0.1})
-	if math.Abs(math.Abs(m)-math.Pi) > 1e-9 {
-		t.Fatalf("circular mean %v, want ±pi", m)
-	}
-}
-
 func TestHist2DBinning(t *testing.T) {
 	h := NewHist2D(4)
 	h.Add(-math.Pi+0.01, -math.Pi+0.01, 1) // first bin
