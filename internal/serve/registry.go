@@ -123,6 +123,15 @@ func (g *Registry) Launch(l *config.Launch) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := g.admit(run); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
+// admit takes an assembled run into the registry and starts it, or
+// rejects it without having touched the pool.
+func (g *Registry) admit(run *Run) error {
 	spec, cores := run.Spec(), run.params.PilotCores
 
 	g.mu.Lock()
@@ -135,12 +144,12 @@ func (g *Registry) Launch(l *config.Launch) (*Run, error) {
 		}
 		if active >= g.maxRuns {
 			g.mu.Unlock()
-			return nil, fmt.Errorf("%w: %d active", ErrMaxRuns, active)
+			return fmt.Errorf("%w: %d active", ErrMaxRuns, active)
 		}
 	}
 	if err := g.pool.Acquire(cores); err != nil {
 		g.mu.Unlock()
-		return nil, err
+		return err
 	}
 	g.nextID++
 	run.ID = fmt.Sprintf("r%d", g.nextID)
@@ -165,7 +174,7 @@ func (g *Registry) Launch(l *config.Launch) (*Run, error) {
 			log.Info("run finished", "state", run.State().String())
 		}
 	}()
-	return run, nil
+	return nil
 }
 
 // Get returns a run by id.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/analysis"
@@ -149,13 +150,27 @@ func (r *Run) writeCheckpoint(path string, sn *core.Snapshot) {
 }
 
 // Start launches the run goroutine, once; log receives the run's
-// diagnostics (the registry passes a logger carrying run=<id>).
+// diagnostics (the registry passes a logger carrying run=<id>). A panic
+// anywhere under the run — its processes are coroutines of this
+// goroutine, so that is the engine, the trigger, the dispatcher and the
+// virtual cluster alike — ends this run as failed and no other, with the
+// panic value and this goroutine's stack as its error (a process's own
+// frames are gone by then: its panic is raised again from the kernel's
+// resume). done still closes, so whoever waits on the run (the registry,
+// to release its pool cores) goes on.
 func (r *Run) Start(log *slog.Logger) {
 	r.log = log
 	if snap := r.params.Spec.Resume; snap != nil && r.col != nil && len(snap.Analysis) == 0 {
 		log.Warn("checkpoint carries no analysis state; statistics cover the resumed portion only")
 	}
-	go func() { r.finish(bench.Run(r.params)) }()
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				r.finish(nil, fmt.Errorf("serve: run panicked: %v\n%s", p, debug.Stack()))
+			}
+		}()
+		r.finish(bench.Run(r.params))
+	}()
 }
 
 // State returns the run's lifecycle state.

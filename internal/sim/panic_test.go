@@ -1,13 +1,11 @@
-//go:build go1.23
-
 package sim
 
 import "testing"
 
 // A panic in a goroutine process unwinds through the kernel and out of
 // Run in the caller's goroutine, where it can be recovered; processes that
-// ran before it are unaffected. (Before go1.23 the body has a goroutine of
-// its own and the panic kills the program, hence the build tag.)
+// ran before it are unaffected. Both hand-offs do this: the coroutine by
+// construction, the channel pair by catching and re-raising.
 func TestProcessPanicSurfacesFromRun(t *testing.T) {
 	e := NewEnv()
 	healthy := 0
