@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -130,11 +131,7 @@ func TestTriggerStateGolden(t *testing.T) {
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
+	if want := readPinned(t, "trigger_state.golden"); !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("EncodeState moved off testdata/trigger_state.golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 	for _, c := range stateCases() {
@@ -150,4 +147,69 @@ func TestTriggerStateGolden(t *testing.T) {
 			t.Fatalf("%s: restored state encodes to\n%s\nwant\n%s", c.name, back, states[c.name])
 		}
 	}
+}
+
+// fuzzRestore is the property the resume path asks of a stateful
+// trigger's decoder, run from a controller that already holds the state
+// of the named pinned case: RestoreState never panics; when it fails,
+// the controller still encodes to the bytes it encoded to before; when
+// it succeeds, the bytes it then encodes to restore into a fresh trigger
+// that encodes the same bytes again. The corpus starts from the pinned
+// states of that trigger and whatever else the caller seeds.
+func fuzzRestore(f *testing.F, held string, seeds ...[]byte) {
+	kind, _, _ := strings.Cut(held, "/")
+	for _, line := range strings.Split(strings.TrimSpace(string(readPinned(f, "trigger_state.golden"))), "\n") {
+		if name, state, _ := strings.Cut(line, "\t"); strings.HasPrefix(name, kind+"/") {
+			f.Add([]byte(state))
+		}
+	}
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	var c stateCase
+	for _, sc := range stateCases() {
+		if sc.name == held {
+			c = sc
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := c.fresh()
+		c.drive(tr)
+		before, err := tr.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.RestoreState(data); err != nil {
+			if after, err := tr.EncodeState(); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("a failed restore left the controller at (err %v)\n%s\nwas\n%s", err, after, before)
+			}
+			return
+		}
+		enc, err := tr.EncodeState()
+		if err != nil {
+			t.Fatalf("a restored controller does not encode: %v", err)
+		}
+		again := c.fresh()
+		if err := again.RestoreState(enc); err != nil {
+			t.Fatalf("EncodeState's output does not restore: %v\n%s", err, enc)
+		}
+		if enc2, err := again.EncodeState(); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("encoding is not a fixed point (err %v):\n%s\n%s", err, enc, enc2)
+		}
+	})
+}
+
+func FuzzFeedbackRestore(f *testing.F) {
+	sn, err := core.DecodeSnapshot(readPinned(f, "snapshot_v2_feedback_respaced.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fuzzRestore(f, "feedback/two-dim", sn.TriggerData,
+		// The single-controller layout of snapshot format 1, and bad values.
+		[]byte(`{"outcomes":[true,false],"cur":140,"active":true,"warm_n":3,"warm_mean":90,"warm_m2":4}`),
+		[]byte(`{"dims":[null,{"outcomes":null,"cur":-0,"active":true,"min_ready_override":-7}],"warm_n":-1}`))
+}
+
+func FuzzAdaptiveRestore(f *testing.F) {
+	fuzzRestore(f, "adaptive/observed", []byte(`{"n":-3,"mean":1e400,"m2":-0,"later":[{}]}`))
 }
