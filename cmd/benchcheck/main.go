@@ -10,9 +10,14 @@
 //	    -benchtime 10x -count 5 -json . > BENCH_dispatcher.json
 //	benchcheck -baseline BENCH_baseline.json -bench BENCH_dispatcher.json
 //
-// The gate fails (exit 1) when any baseline benchmark's median regresses
-// by more than the threshold (default 15%), or disappears from the run.
-// Intentional regressions update the baseline in the same change:
+// The exit status tells a blocking result from an advisory one. Exit 1:
+// a pair gate (below) is breached, or a benchmark the baseline names is
+// missing from the run — both compare the run with itself and hold on
+// any host. Exit 3: nothing of that kind, but some baseline benchmark's
+// median regressed by more than the threshold (default 15%) — absolute
+// ns are specific to the machine and its load that day, so a caller on
+// a shared host reports this and goes on (scripts/ci/bench_gate.sh
+// does). Intentional regressions update the baseline in the same change:
 //
 //	benchcheck -bench BENCH_dispatcher.json -write BENCH_baseline.json
 //
@@ -36,6 +41,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,8 +57,8 @@ import (
 type Baseline struct {
 	// Metric is the benchmark unit gated on (e.g. "ns/completion").
 	Metric string `json:"metric"`
-	// Threshold is the relative regression that fails the gate (0.15 =
-	// +15%).
+	// Threshold is the relative regression of a median that is reported
+	// (0.15 = +15%).
 	Threshold float64 `json:"threshold"`
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to
 	// the median metric value.
@@ -169,10 +175,11 @@ func median(vs []float64) float64 {
 }
 
 // gate compares current medians against the baseline and returns the
-// per-benchmark report lines plus the names that breached the
-// threshold. Benchmarks present in the baseline but missing from the
-// run also fail: a silently skipped benchmark is not a pass.
-func gate(base *Baseline, cur map[string][]float64, threshold float64) (report []string, failed []string) {
+// per-benchmark report lines, the names whose median breached the
+// threshold (advisory) and the names that failed outright: benchmarks
+// present in the baseline but missing from the run — a silently skipped
+// benchmark is not a pass — and breached pair gates.
+func gate(base *Baseline, cur map[string][]float64, threshold float64) (report, regressed, failed []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -190,8 +197,8 @@ func gate(base *Baseline, cur map[string][]float64, threshold float64) (report [
 		delta := (med - ref) / ref
 		verdict := "ok  "
 		if delta > threshold {
-			verdict = "FAIL"
-			failed = append(failed, name)
+			verdict = "WARN"
+			regressed = append(regressed, name)
 		}
 		report = append(report, fmt.Sprintf("%s %-44s baseline %10.1f  median %10.1f  (%+.1f%%, n=%d)",
 			verdict, name, ref, med, 100*delta, len(vs)))
@@ -208,7 +215,7 @@ func gate(base *Baseline, cur map[string][]float64, threshold float64) (report [
 			name, median(cur[name])))
 	}
 	rr, rf := gateRatios(base.Ratios, cur)
-	return append(report, rr...), append(failed, rf...)
+	return append(report, rr...), regressed, append(failed, rf...)
 }
 
 // gateRatios checks the pair gates against the run's medians. A gate
@@ -291,7 +298,7 @@ func run() error {
 	baselinePath := flag.String("baseline", "", "committed baseline JSON to gate against")
 	benchPath := flag.String("bench", "", "go test -json benchmark output (required; - for stdin)")
 	metric := flag.String("metric", "ns/completion", "benchmark unit to gate on")
-	threshold := flag.Float64("threshold", 0, "relative regression failing the gate (0 uses the baseline's, default 0.15)")
+	threshold := flag.Float64("threshold", 0, "relative regression of a median that is reported (0 uses the baseline's, default 0.15)")
 	writePath := flag.String("write", "", "write a fresh baseline to this path instead of gating")
 	flag.Parse()
 	if *benchPath == "" || (*baselinePath == "" && *writePath == "") {
@@ -368,21 +375,33 @@ func run() error {
 		th = 0.15
 	}
 
-	report, failed := gate(&base, cur, th)
+	report, regressed, failed := gate(&base, cur, th)
 	for _, line := range report {
 		fmt.Println(line)
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("benchcheck: %d benchmark(s) regressed beyond %.0f%%: %s (update %s with -write if intentional)",
-			len(failed), 100*th, strings.Join(failed, ", "), *baselinePath)
+		return fmt.Errorf("benchcheck: %d gate(s) failed: %s", len(failed), strings.Join(failed, ", "))
+	}
+	if len(regressed) > 0 {
+		return fmt.Errorf("%w: %d benchmark(s) beyond %.0f%%: %s (update %s with -write if intentional)",
+			errRegressed, len(regressed), 100*th, strings.Join(regressed, ", "), *baselinePath)
 	}
 	fmt.Printf("benchcheck: %d benchmarks within %.0f%% of baseline\n", len(base.Benchmarks), 100*th)
 	return nil
 }
 
+// errRegressed is the advisory outcome: only absolute medians moved.
+var errRegressed = errors.New("benchcheck: medians regressed, advisory")
+
 func main() {
-	if err := run(); err != nil {
+	err := run()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+	}
+	switch {
+	case errors.Is(err, errRegressed):
+		os.Exit(3)
+	case err != nil:
 		os.Exit(1)
 	}
 }

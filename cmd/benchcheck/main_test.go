@@ -65,23 +65,27 @@ func TestGateFailsOnRegressionAndMissing(t *testing.T) {
 		},
 	}
 	cur := parse(t, sampleStream, "ns/completion")
-	_, failed := gate(base, cur, base.Threshold)
-	if len(failed) != 2 {
-		t.Fatalf("failed %v, want the regressed and the missing benchmark", failed)
+	const missing = "BenchmarkDispatcher/256/barrier"
+	_, regressed, failed := gate(base, cur, base.Threshold)
+	if len(regressed) != 1 || regressed[0] != "BenchmarkDispatcherBus/64/window" {
+		t.Fatalf("regressed %v, want the +30%% benchmark as the advisory result", regressed)
+	}
+	if len(failed) != 1 || failed[0] != missing {
+		t.Fatalf("failed %v, want only the missing benchmark to block", failed)
 	}
 
 	// Same data under a generous threshold: only the missing benchmark
-	// can still fail.
-	_, failed = gate(base, cur, 10)
-	if len(failed) != 1 || failed[0] != "BenchmarkDispatcher/256/barrier" {
-		t.Fatalf("failed %v, want only the missing benchmark", failed)
+	// is left.
+	_, regressed, failed = gate(base, cur, 10)
+	if len(regressed) != 0 || len(failed) != 1 || failed[0] != missing {
+		t.Fatalf("regressed %v failed %v, want only the missing benchmark", regressed, failed)
 	}
 
-	// Inverted (negative) threshold: everything present must fail —
+	// Inverted (negative) threshold: everything present must regress —
 	// the synthetic-regression check for the CI gate itself.
-	_, failed = gate(base, cur, -1)
-	if len(failed) != 3 {
-		t.Fatalf("inverted threshold failed %v, want all three", failed)
+	_, regressed, failed = gate(base, cur, -1)
+	if len(regressed) != 2 || len(failed) != 1 {
+		t.Fatalf("inverted threshold: regressed %v failed %v, want both present ones and the missing one", regressed, failed)
 	}
 }
 
@@ -150,14 +154,14 @@ func TestRatioGate(t *testing.T) {
 	base := &Baseline{Ratios: []PairGate{
 		{Num: "BenchmarkDispatcherBus/64/window", Den: "BenchmarkDispatcher/64/window", Max: 1.05},
 	}}
-	report, failed := gate(base, cur, 0.15)
+	report, _, failed := gate(base, cur, 0.15)
 	if len(failed) != 0 {
 		t.Fatalf("4%% bus overhead failed the 1.05 ratio gate: %v", report)
 	}
 
 	base.Ratios = append(base.Ratios,
 		PairGate{Num: "BenchmarkDispatcherBus/256/window", Den: "BenchmarkDispatcher/256/window", Max: 1.05})
-	_, failed = gate(base, cur, 0.15)
+	_, _, failed = gate(base, cur, 0.15)
 	if len(failed) != 1 || !strings.Contains(failed[0], "256") {
 		t.Fatalf("30%% bus overhead passed the 1.05 ratio gate: failed=%v", failed)
 	}
@@ -165,14 +169,14 @@ func TestRatioGate(t *testing.T) {
 	// A tighter bound flips the passing pair too: the gate really reads
 	// the measured ratio (10400/10000 = 1.04).
 	base.Ratios[0].Max = 1.03
-	_, failed = gate(base, cur, 0.15)
+	_, _, failed = gate(base, cur, 0.15)
 	if len(failed) != 2 {
 		t.Fatalf("1.03 bound kept the 1.04 ratio: failed=%v", failed)
 	}
 
 	// Members missing from the run fail, like missing benchmarks.
 	base.Ratios = []PairGate{{Num: "BenchmarkNope", Den: "BenchmarkDispatcher/64/window", Max: 1.05}}
-	_, failed = gate(base, cur, 0.15)
+	_, _, failed = gate(base, cur, 0.15)
 	if len(failed) != 1 {
 		t.Fatalf("missing ratio member passed: failed=%v", failed)
 	}
@@ -187,7 +191,7 @@ func TestDeltaGate(t *testing.T) {
 	base := &Baseline{Ratios: []PairGate{
 		{Num: "BenchmarkDispatcherBus/64/window", Den: "BenchmarkDispatcher/64/window", MaxDelta: 400},
 	}}
-	report, failed := gate(base, cur, 0.15)
+	report, _, failed := gate(base, cur, 0.15)
 	if len(failed) != 0 {
 		t.Fatalf("+400 failed a max_delta of 400 (inclusive): %v", report)
 	}
@@ -196,26 +200,26 @@ func TestDeltaGate(t *testing.T) {
 	}
 
 	base.Ratios[0].MaxDelta = 399
-	if _, failed = gate(base, cur, 0.15); len(failed) != 1 {
+	if _, _, failed = gate(base, cur, 0.15); len(failed) != 1 {
 		t.Fatalf("+400 passed a max_delta of 399: failed=%v", failed)
 	}
 
 	// Both bounds on one gate are checked independently: ratio 1.3 passes
 	// max 1.5, delta +3000 fails max_delta 2000.
 	base.Ratios = []PairGate{{Num: "BenchmarkDispatcherBus/256/window", Den: "BenchmarkDispatcher/256/window", Max: 1.5, MaxDelta: 2000}}
-	if _, failed = gate(base, cur, 0.15); len(failed) != 1 || !strings.Contains(failed[0], " - ") {
+	if _, _, failed = gate(base, cur, 0.15); len(failed) != 1 || !strings.Contains(failed[0], " - ") {
 		t.Fatalf("want only the delta half to fail: failed=%v", failed)
 	}
 
 	// A numerator cheaper than its denominator has a negative delta and
 	// passes any positive bound.
 	base.Ratios = []PairGate{{Num: "BenchmarkDispatcher/64/window", Den: "BenchmarkDispatcherBus/64/window", MaxDelta: 1}}
-	if _, failed = gate(base, cur, 0.15); len(failed) != 0 {
+	if _, _, failed = gate(base, cur, 0.15); len(failed) != 0 {
 		t.Fatalf("negative delta failed: %v", failed)
 	}
 
 	base.Ratios = []PairGate{{Num: "BenchmarkDispatcherBus/64/window", Den: "BenchmarkDispatcher/64/window"}}
-	if _, failed = gate(base, cur, 0.15); len(failed) != 1 {
+	if _, _, failed = gate(base, cur, 0.15); len(failed) != 1 {
 		t.Fatalf("gate without a bound passed: failed=%v", failed)
 	}
 }

@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Per-completion dispatcher cost: repetitions gated against the
-# committed median baseline by cmd/benchcheck (>15% median regression
-# fails; update BENCH_baseline.json in the same PR when intentional, or
-# when the runner class changes — absolute ns baselines are machine
-# specific; the pair gates compare the run with itself and are not).
+# Per-completion dispatcher cost: repetitions checked against the
+# committed baseline by cmd/benchcheck. What blocks is the pair gates in
+# the baseline files (ratios and deltas between two legs of the same run,
+# which hold on any host) and a baseline leg missing from the run. The
+# absolute medians are advisory: a >15% regression is printed (WARN lines
+# and benchcheck's exit status 3) and never fails this script, because
+# absolute ns are specific to the machine and its load that day — on the
+# shared build host the same binary reads +20-70% within the hour. Read
+# the WARN lines; update BENCH_baseline.json in the same PR when a
+# regression is intentional, or when the runner class changes.
 # Four invocations share one stream. The dispatcher legs run on every CPU,
 # like the program: the orchestrator is a coroutine of the goroutine that
 # runs the kernel (internal/sim, handoff), so a wakeup never enters the
@@ -69,12 +74,26 @@ for _ in 1 2 3 4 5; do
   go test -run '^$' -bench 'BenchmarkSimResident$' \
     -benchtime 2000000x -json ./internal/sim | tee -a BENCH_sim_samples.json
 done
-# Every gate reports even when an earlier one fails.
+# Every gate reports even when an earlier one fails. benchcheck is built,
+# not `go run`: go run turns every failure status into 1, and status 3
+# (only absolute medians regressed) is the advisory one.
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/benchcheck" ./cmd/benchcheck
 status=0
-go run ./cmd/benchcheck -baseline BENCH_baseline.json -bench BENCH_dispatcher.json || status=1
-go run ./cmd/benchcheck -metric ns/atom -baseline BENCH_md.json -bench BENCH_md_samples.json || status=1
-go run ./cmd/benchcheck -metric ns/op -bench BENCH_snapshot_samples.json -write BENCH_snapshot.json || status=1
-go run ./cmd/benchcheck -metric ns/op -baseline BENCH_snapshot.json -bench BENCH_snapshot_samples.json || status=1
-go run ./cmd/benchcheck -metric ns/op -bench BENCH_sim_samples.json -write BENCH_sim.json || status=1
-go run ./cmd/benchcheck -metric ns/op -baseline BENCH_sim.json -bench BENCH_sim_samples.json || status=1
+check() {
+  local rc=0
+  "$bin/benchcheck" "$@" || rc=$?
+  if [ "$rc" -eq 3 ]; then
+    echo "advisory: absolute medians regressed (not failing the gate)"
+  elif [ "$rc" -ne 0 ]; then
+    status=1
+  fi
+}
+check -baseline BENCH_baseline.json -bench BENCH_dispatcher.json
+check -metric ns/atom -baseline BENCH_md.json -bench BENCH_md_samples.json
+check -metric ns/op -bench BENCH_snapshot_samples.json -write BENCH_snapshot.json
+check -metric ns/op -baseline BENCH_snapshot.json -bench BENCH_snapshot_samples.json
+check -metric ns/op -bench BENCH_sim_samples.json -write BENCH_sim.json
+check -metric ns/op -baseline BENCH_sim.json -bench BENCH_sim_samples.json
 exit "$status"
