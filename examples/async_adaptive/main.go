@@ -24,16 +24,12 @@ func main() {
 		spec := &repex.Spec{
 			Name:            "async-adaptive-" + name,
 			Dims:            []repex.Dimension{{Type: repex.Temperature, Values: repex.GeometricTemperatures(273, 373, 48)}},
-			Pattern:         repex.PatternAsynchronous,
 			Trigger:         trigger,
 			CoresPerReplica: 1,
 			StepsPerCycle:   6000,
 			Cycles:          4,
 			FaultPolicy:     repex.FaultRelaunch,
 			Seed:            13,
-		}
-		if _, ok := trigger.(*repex.BarrierTrigger); ok {
-			spec.Pattern = repex.PatternSynchronous
 		}
 		// A small 2-node cluster: 16 cores for 48 replicas -> Mode II,
 		// with a 2% per-task failure probability.

@@ -29,7 +29,7 @@ func spec() *core.Spec {
 	return &core.Spec{
 		Name:            "fault-demo",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: core.GeometricTemperatures(273, 373, 8)}},
-		Pattern:         core.PatternSynchronous,
+		Trigger:         core.NewBarrierTrigger(),
 		CoresPerReplica: 1,
 		StepsPerCycle:   6000,
 		Cycles:          4,

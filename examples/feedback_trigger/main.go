@@ -28,15 +28,11 @@ func main() {
 		spec := &repex.Spec{
 			Name:            "feedback-" + name,
 			Dims:            []repex.Dimension{{Type: repex.Temperature, Values: repex.GeometricTemperatures(273, 373, 12)}},
-			Pattern:         repex.PatternAsynchronous,
 			Trigger:         trigger,
 			CoresPerReplica: 1,
 			StepsPerCycle:   6000,
 			Cycles:          30,
 			Seed:            7,
-		}
-		if _, ok := trigger.(*repex.BarrierTrigger); ok {
-			spec.Pattern = repex.PatternSynchronous
 		}
 		spec.Bus = repex.NewBus()
 		col := analysis.New(analysis.ConfigFromSpec(spec))
@@ -95,7 +91,6 @@ func main() {
 				{Type: repex.Temperature, Values: repex.GeometricTemperatures(273, 373, 8)},
 				{Type: repex.Umbrella, Values: repex.UniformWindows(8), Torsion: "phi", K: repex.UmbrellaK002},
 			},
-			Pattern:         repex.PatternAsynchronous,
 			Trigger:         tr,
 			CoresPerReplica: 1,
 			StepsPerCycle:   6000,

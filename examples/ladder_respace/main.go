@@ -40,12 +40,10 @@ func run(withRespace bool) (*repex.FeedbackTrigger, analysis.Stats, []repex.Resp
 	spec := &repex.Spec{
 		Name:            "ladder-respace",
 		Dims:            []repex.Dimension{{Type: repex.Temperature, Values: misSpaced()}},
-		Pattern:         repex.PatternAsynchronous,
 		Trigger:         tr,
 		CoresPerReplica: 1,
 		StepsPerCycle:   2000,
 		Cycles:          40,
-		AsyncWindow:     45,
 		Seed:            17,
 	}
 	spec.Bus = repex.NewBus()

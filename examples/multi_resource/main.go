@@ -25,7 +25,7 @@ func spec() *core.Spec {
 	return &core.Spec{
 		Name:            "multi-resource-t-remd",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: core.GeometricTemperatures(273, 373, 96)}},
-		Pattern:         core.PatternSynchronous,
+		Trigger:         core.NewBarrierTrigger(),
 		CoresPerReplica: 1,
 		StepsPerCycle:   6000,
 		Cycles:          3,

@@ -22,7 +22,7 @@ func main() {
 			Type:   repex.Temperature,
 			Values: repex.GeometricTemperatures(280, 360, 8),
 		}},
-		Pattern:         repex.PatternSynchronous,
+		Trigger:         repex.NewBarrierTrigger(),
 		CoresPerReplica: 1,
 		StepsPerCycle:   300, // MD steps between exchange attempts
 		Cycles:          4,

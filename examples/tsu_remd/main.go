@@ -25,7 +25,7 @@ func main() {
 			{Type: repex.Salt, Values: []float64{0.05, 0.15, 0.45, 1.35}},
 			{Type: repex.Umbrella, Values: repex.UniformWindows(8), Torsion: "phi", K: repex.UmbrellaK002},
 		},
-		Pattern:         repex.PatternSynchronous,
+		Trigger:         repex.NewBarrierTrigger(),
 		CoresPerReplica: 1,
 		StepsPerCycle:   6000, // the paper's exchange attempt interval
 		Cycles:          4,

@@ -90,6 +90,11 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	tr, err := s.spec.triggerPolicy()
 	if err == nil {
 		s.report.Trigger = tr.Name()
+		// The pattern is a property of the policy, whichever knob chose it.
+		s.report.Pattern = PatternAsynchronous
+		if tr.Aligned() {
+			s.report.Pattern = PatternSynchronous
+		}
 		err = newDispatcher(ctx, s, tr).run()
 	}
 	s.report.End = s.rt.Now()

@@ -157,7 +157,6 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	s.report = &Report{
 		Name:            spec.Name,
 		DimCode:         spec.DimCode(),
-		Pattern:         spec.Pattern,
 		Mode:            mode,
 		Engine:          engine.Name(),
 		Replicas:        n,
