@@ -118,14 +118,6 @@ func (h *Histogram) Observe(v float64) {
 	h.Count++
 }
 
-// Mean returns the sample mean (0 for no samples).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // walk is one replica's random-walk state through the flattened slot
 // ladder (slot 0 = bottom, nSlots-1 = top). The collector's clock for
 // round trips is the exchange-event index: the initial assignment is

@@ -1,6 +1,9 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PackageFeatures is one column of the paper's Table 1: a molecular
 // simulation package with integrated or external REMD capability.
@@ -77,8 +80,8 @@ func Table1Comparison() *Table {
 	row("Max replicas", func(p PackageFeatures) string { return fmt.Sprintf("~%d", p.MaxReplicas) })
 	row("Max CPU cores", func(p PackageFeatures) string { return fmt.Sprintf("~%d", p.MaxCores) })
 	row("Fault tolerance", func(p PackageFeatures) string { return p.FaultTolerance })
-	row("MD engines", func(p PackageFeatures) string { return join(p.MDEngines) })
-	row("RE patterns", func(p PackageFeatures) string { return join(p.REPatterns) })
+	row("MD engines", func(p PackageFeatures) string { return strings.Join(p.MDEngines, ", ") })
+	row("RE patterns", func(p PackageFeatures) string { return strings.Join(p.REPatterns, ", ") })
 	row("Execution modes", func(p PackageFeatures) string { return p.ExecModes })
 	row("Nr. dims", func(p PackageFeatures) string { return fmt.Sprint(p.NumDims) })
 	row("Exchange params", func(p PackageFeatures) string { return fmt.Sprint(p.ExchangeParams) })
@@ -86,15 +89,4 @@ func Table1Comparison() *Table {
 		tbl.AddNote("SELF-CHECK FAILED: %s", p)
 	}
 	return tbl
-}
-
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	return out
 }

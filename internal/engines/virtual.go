@@ -85,9 +85,6 @@ func NewVirtual(name string, cost CostModel, natoms int, seed int64) *Virtual {
 // Name returns the adapter name.
 func (v *Virtual) Name() string { return v.name }
 
-// Atoms returns the modelled system size.
-func (v *Virtual) Atoms() int { return v.natoms }
-
 // InitReplica allocates the synthetic coordinate vector:
 // one slot per dimension plus a trailing base-energy fluctuation.
 func (v *Virtual) InitReplica(r *core.Replica, s *core.Spec) {

@@ -171,9 +171,6 @@ func (g Grid) Size() int {
 	return n
 }
 
-// Dims returns the number of dimensions.
-func (g Grid) Dims() int { return len(g.Shape) }
-
 // Index converts multi-indexes to a replica ID (row-major).
 func (g Grid) Index(coord []int) int {
 	if len(coord) != len(g.Shape) {

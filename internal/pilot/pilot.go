@@ -398,7 +398,7 @@ func (pl *Pilot) Active() *sim.Completion { return pl.active }
 
 // Cores returns the pilot's *current* core count: the launched size
 // minus node losses and shrinks, plus elastic grows (0 once expired).
-// Description().Cores keeps the nominal launched size.
+// The launch Description's Cores keeps the nominal launched size.
 func (pl *Pilot) Cores() int { return pl.curCores }
 
 // CoresInUse returns cores currently held by executing units.
@@ -408,24 +408,8 @@ func (pl *Pilot) CoresInUse() int { return pl.cores.InUse() }
 // the numerator of the utilization metric (Eq. 4).
 func (pl *Pilot) BusyCoreSeconds() float64 { return pl.cores.BusyIntegral() }
 
-// Cancel releases the pilot's machine allocation.
-func (pl *Pilot) Cancel() {
-	if pl.alloc != nil {
-		pl.alloc.Release()
-	}
-}
-
 // Expired reports whether the pilot's walltime has run out.
 func (pl *Pilot) Expired() bool { return pl.expired }
-
-// Walltime returns the pilot's walltime bound (<= 0 means unbounded).
-func (pl *Pilot) Walltime() float64 { return pl.desc.Walltime }
-
-// Description returns the pilot's description.
-func (pl *Pilot) Description() Description { return pl.desc }
-
-// Cluster returns the machine the pilot runs on.
-func (pl *Pilot) Cluster() *cluster.Cluster { return pl.cl }
 
 // Counters reports unit accounting.
 func (pl *Pilot) Counters() (submitted, done, failed int) {
