@@ -317,6 +317,31 @@ func (e *execStats) encode(w *jsonx.Writer, n, mean, m2 string) {
 	w.Key(m2).Float(e.m2)
 }
 
+// decode reads key's value when key is one of the three encode wrote,
+// and reports whether it was.
+func (e *execStats) decode(r *jsonx.Reader, key, n, mean, m2 string) bool {
+	switch key {
+	case n:
+		e.n = r.Int()
+	case mean:
+		e.mean = r.Float()
+	case m2:
+		e.m2 = r.Float()
+	default:
+		return false
+	}
+	return true
+}
+
+// check rejects a restored accumulator that no sequence of add calls
+// leaves behind (its window would be NaN).
+func (e *execStats) check() error {
+	if e.n < 0 || e.m2 < 0 {
+		return fmt.Errorf("dispersion state n=%d m2=%g is invalid", e.n, e.m2)
+	}
+	return nil
+}
+
 // window returns mean + gain·stddev clamped to [lo, hi], or initial
 // until two segments were observed.
 func (e *execStats) window(initial, gain, lo, hi float64) float64 {
@@ -404,22 +429,15 @@ func (t *AdaptiveTrigger) RestoreState(data []byte) error {
 	var st execStats
 	r := jsonx.NewReader(data)
 	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		switch string(k) {
-		case "n":
-			st.n = r.Int()
-		case "mean":
-			st.mean = r.Float()
-		case "m2":
-			st.m2 = r.Float()
-		default:
+		if !st.decode(r, string(k), "n", "mean", "m2") {
 			r.Skip()
 		}
 	}
 	if err := r.End(); err != nil {
 		return fmt.Errorf("core: decoding adaptive trigger state: %v", err)
 	}
-	if st.n < 0 || st.m2 < 0 {
-		return fmt.Errorf("core: adaptive trigger state n=%d m2=%g is invalid", st.n, st.m2)
+	if err := st.check(); err != nil {
+		return fmt.Errorf("core: adaptive trigger %v", err)
 	}
 	t.stats = st
 	return nil
@@ -971,16 +989,9 @@ func (t *FeedbackTrigger) RestoreState(data []byte) error {
 	)
 	r := jsonx.NewReader(data)
 	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		switch string(k) {
-		case "dims":
+		if string(k) == "dims" {
 			dims = jsonx.ReadArray(r, &dims, func(r *jsonx.Reader) feedbackDim { return t.readDim(r, &unknown) })
-		case "warm_n":
-			warm.n = r.Int()
-		case "warm_mean":
-			warm.mean = r.Float()
-		case "warm_m2":
-			warm.m2 = r.Float()
-		default:
+		} else if !warm.decode(r, string(k), "warm_n", "warm_mean", "warm_m2") {
 			unknown = string(k)
 			r.Skip()
 		}
@@ -994,8 +1005,8 @@ func (t *FeedbackTrigger) RestoreState(data []byte) error {
 	if unknown != "" {
 		return fmt.Errorf("core: decoding feedback trigger state: unknown field %q", unknown)
 	}
-	if warm.n < 0 || warm.m2 < 0 {
-		return fmt.Errorf("core: feedback trigger warm-up state n=%d m2=%g is invalid", warm.n, warm.m2)
+	if err := warm.check(); err != nil {
+		return fmt.Errorf("core: feedback trigger warm-up %v", err)
 	}
 	for d := range dims {
 		if dd := &dims[d]; dd.active && dd.cur <= 0 {

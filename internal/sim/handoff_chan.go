@@ -21,14 +21,12 @@ func handoff(body func()) (resume, park func()) {
 		<-in // wait until the kernel first resumes us
 		body()
 	}()
-	return func() {
-			in <- struct{}{}
-			<-out
-			if panicked != nil {
-				panic(panicked)
-			}
-		}, func() {
-			out <- struct{}{}
-			<-in
+	resume = func() {
+		in <- struct{}{}
+		<-out
+		if panicked != nil {
+			panic(panicked)
 		}
+	}
+	return resume, func() { out <- struct{}{}; <-in }
 }
