@@ -241,20 +241,16 @@ type Subscription struct {
 func (s *Subscription) pushBatch(evs []Event) {
 	s.mu.Lock()
 	for _, ev := range evs {
-		s.pushLocked(ev)
+		if s.n == len(s.ring) {
+			s.ring[s.head] = ev
+			s.head = (s.head + 1) % len(s.ring)
+			s.dropped++
+		} else {
+			s.ring[(s.head+s.n)%len(s.ring)] = ev
+			s.n++
+		}
 	}
 	s.mu.Unlock()
-}
-
-func (s *Subscription) pushLocked(ev Event) {
-	if s.n == len(s.ring) {
-		s.ring[s.head] = ev
-		s.head = (s.head + 1) % len(s.ring)
-		s.dropped++
-	} else {
-		s.ring[(s.head+s.n)%len(s.ring)] = ev
-		s.n++
-	}
 }
 
 // Drain appends all buffered events to dst in publication order and
