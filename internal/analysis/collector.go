@@ -48,9 +48,6 @@ type Config struct {
 	// answer "how did the run go"; windowed ratios answer "how is it
 	// going right now" — the signal a feedback trigger consumes.
 	WindowEvents int
-	// SecondsBounds are the histogram bucket upper bounds for the MD and
-	// exchange overhead histograms (default DefaultSecondsBounds).
-	SecondsBounds []float64
 }
 
 // DefaultWindowEvents is the default rolling-window depth per pair.
@@ -66,8 +63,9 @@ func ConfigFromSpec(spec *core.Spec) Config {
 	return Config{DimSizes: sizes, Replicas: spec.Replicas()}
 }
 
-// DefaultSecondsBounds spans milliseconds (localexec) to hours (virtual
-// supercomputer cycles).
+// DefaultSecondsBounds are the bucket upper bounds of the MD and
+// exchange overhead histograms: milliseconds (localexec) to hours
+// (virtual supercomputer cycles).
 var DefaultSecondsBounds = []float64{
 	0.001, 0.01, 0.1, 1, 10, 30, 60, 120, 300, 600, 1800, 3600,
 }
@@ -185,17 +183,14 @@ func New(cfg Config) *Collector {
 	if cfg.WindowEvents <= 0 {
 		cfg.WindowEvents = DefaultWindowEvents
 	}
-	if len(cfg.SecondsBounds) == 0 {
-		cfg.SecondsBounds = DefaultSecondsBounds
-	}
 	c := &Collector{cfg: cfg}
 	c.st = state{
 		Faults:      map[string]uint64{},
 		Pairs:       make([][]PairStat, len(cfg.DimSizes)),
 		PairWindows: make([][]ring.Bool, len(cfg.DimSizes)),
 		Walks:       make([]walk, cfg.Replicas),
-		MDExec:      NewHistogram(cfg.SecondsBounds),
-		ExchangeOvh: NewHistogram(cfg.SecondsBounds),
+		MDExec:      NewHistogram(DefaultSecondsBounds),
+		ExchangeOvh: NewHistogram(DefaultSecondsBounds),
 	}
 	for d, n := range cfg.DimSizes {
 		if n > 1 {

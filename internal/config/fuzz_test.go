@@ -85,3 +85,56 @@ func FuzzParseLaunch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzResourceChaos throws arbitrary bytes at the resource decoder and
+// its chaos-plan conversion, the last outside input without a lane of
+// its own: DecodeResource then Resolve never panic, and the chaos plan
+// of an accepted resource carries every scripted event, targets only
+// routing slots that exist and passes ChaosPlan.Validate. Seeded from
+// the committed chaos resource files.
+func FuzzResourceChaos(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "configs", "chaos_*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(files) == 0 {
+		f.Fatal("no committed chaos configs found to seed the corpus")
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"machine":"small","nodes":1,"cores_per_node":4,"pilot_cores":4,"chaos":[{"pilot":-1,"kind":"resize","cores":1}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeResource(data)
+		if err != nil {
+			return
+		}
+		_, ps, err := r.Resolve()
+		if err != nil {
+			return
+		}
+		if ps.Chaos == nil {
+			if len(r.Chaos) != 0 {
+				t.Fatalf("accepted resource dropped its %d chaos events", len(r.Chaos))
+			}
+			return
+		}
+		if len(ps.Chaos.Events) != len(r.Chaos) {
+			t.Fatalf("chaos plan has %d events, resource scripted %d", len(ps.Chaos.Events), len(r.Chaos))
+		}
+		if err := ps.Chaos.Validate(); err != nil {
+			t.Fatalf("accepted chaos plan fails validation: %v", err)
+		}
+		slots := max(1, ps.Pilots)
+		for _, e := range ps.Chaos.Events {
+			if e.Pilot < 0 || e.Pilot >= slots {
+				t.Fatalf("chaos event at t=%g targets slot %d of %d", e.At, e.Pilot, slots)
+			}
+		}
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/exchange"
@@ -95,104 +94,6 @@ func TestStagingFilesOrderTUS(t *testing.T) {
 	fs := m.MDOutFiles(exchange.Salt)
 	if !(ft < fu && fu < fs) {
 		t.Fatalf("file counts T=%d U=%d S=%d, want T<U<S (Figure 5 ordering)", ft, fu, fs)
-	}
-}
-
-// --- Amber format round trips ---
-
-func TestMDINRoundTrip(t *testing.T) {
-	in := MDIN{
-		NSTLim:  6000,
-		Dt:      0.002,
-		Temp0:   309.5,
-		GammaLn: 5,
-		SaltCon: 0.25,
-		Restraints: []md.TorsionRestraint{
-			{Dihedral: 1, Center: md.Rad(60), K: 65.65},
-			{Dihedral: 2, Center: md.Rad(-135), K: 65.65},
-		},
-	}
-	text := WriteMDIN(in)
-	got, err := ParseMDIN(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NSTLim != in.NSTLim || got.Temp0 != in.Temp0 || got.SaltCon != in.SaltCon {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, in)
-	}
-	if len(got.Restraints) != 2 {
-		t.Fatalf("restraints lost: %d", len(got.Restraints))
-	}
-	for i := range got.Restraints {
-		if math.Abs(got.Restraints[i].Center-in.Restraints[i].Center) > 1e-4 {
-			t.Fatalf("restraint %d center %v vs %v", i, got.Restraints[i].Center, in.Restraints[i].Center)
-		}
-		if got.Restraints[i].Dihedral != in.Restraints[i].Dihedral {
-			t.Fatal("restraint dihedral index lost")
-		}
-	}
-}
-
-func TestParseMDINErrors(t *testing.T) {
-	if _, err := ParseMDIN("&cntrl\n&end\n"); err == nil {
-		t.Error("mdin without nstlim accepted")
-	}
-	if _, err := ParseMDIN(" nstlim = banana,\n"); err == nil {
-		t.Error("bad nstlim value accepted")
-	}
-}
-
-// Property: any MDIN with sane values round-trips.
-func TestPropertyMDINRoundTrip(t *testing.T) {
-	f := func(steps uint16, tRaw uint16, saltRaw uint8) bool {
-		in := MDIN{
-			NSTLim:  int(steps%20000) + 1,
-			Dt:      0.002,
-			Temp0:   float64(tRaw%500) + 1,
-			GammaLn: 5,
-			SaltCon: float64(saltRaw) / 100,
-		}
-		got, err := ParseMDIN(WriteMDIN(in))
-		return err == nil && got.NSTLim == in.NSTLim &&
-			got.Temp0 == in.Temp0 && got.SaltCon == in.SaltCon
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- NAMD format round trips ---
-
-func TestNAMDConfigRoundTrip(t *testing.T) {
-	c := NAMDConfig{
-		Steps:       4000,
-		TimestepFS:  1,
-		Temperature: 341.5,
-		LangevinOn:  true,
-		Damping:     5,
-		Restraints:  []md.TorsionRestraint{{Dihedral: 4, Center: md.Rad(45), K: 10}},
-	}
-	got, err := ParseNAMDConfig(WriteNAMDConfig(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Steps != 4000 || got.Temperature != 341.5 || !got.LangevinOn {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if len(got.Restraints) != 1 || got.Restraints[0].Dihedral != 4 {
-		t.Fatalf("restraints: %+v", got.Restraints)
-	}
-	if math.Abs(got.Restraints[0].Center-md.Rad(45)) > 1e-4 {
-		t.Fatal("restraint center lost")
-	}
-}
-
-func TestParseNAMDConfigErrors(t *testing.T) {
-	if _, err := ParseNAMDConfig("timestep 1\n"); err == nil {
-		t.Error("config without run accepted")
-	}
-	if _, err := ParseNAMDConfig("run banana\n"); err == nil {
-		t.Error("bad run value accepted")
 	}
 }
 
@@ -441,10 +342,6 @@ func TestRealEngineNAMDInputRoundTrip(t *testing.T) {
 	}
 	r := &core.Replica{ID: 0, Slot: 0, Alive: true, Params: md.Params{TemperatureK: 300}}
 	e.InitReplica(r, spec)
-	input := e.GenerateInput(r, spec)
-	if !strings.Contains(input, "langevin") {
-		t.Fatalf("NAMD input missing langevin block:\n%s", input)
-	}
 	if err := e.MDTask(r, spec, 0).Run(); err != nil {
 		t.Fatalf("NAMD-flavoured task failed: %v", err)
 	}

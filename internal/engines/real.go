@@ -23,14 +23,8 @@ type Real struct {
 	sys  *md.System
 	base *md.State
 
-	// Dt (ps), Gamma (1/ps) configure the Langevin integrator.
-	Dt    float64
-	Gamma float64
 	// SampleEvery sets the observable sampling stride in steps.
 	SampleEvery int
-	// Flavor renders engine-style input text for each task (Amber mdin
-	// or NAMD config), exercising the AMM translation path.
-	Flavor string
 
 	seed int64
 
@@ -38,8 +32,16 @@ type Real struct {
 	trajs map[int]*md.Trajectory // keyed by slot (window)
 }
 
+// The Langevin integrator's constants: the time step and the friction
+// coefficient every real segment runs with.
+const (
+	langevinDt    float64 = 0.001 // ps
+	langevinGamma float64 = 5.0   // 1/ps
+)
+
 // NewReal wraps a molecular system. The base state is cloned per
-// replica. Flavor must be "amber" or "namd".
+// replica. Flavor labels the adapter (Name is "<flavor>-real") and must
+// be "amber" or "namd".
 func NewReal(flavor string, sys *md.System, base *md.State, seed int64) (*Real, error) {
 	if flavor != "amber" && flavor != "namd" {
 		return nil, fmt.Errorf("engines: unknown flavor %q (want amber or namd)", flavor)
@@ -48,10 +50,7 @@ func NewReal(flavor string, sys *md.System, base *md.State, seed int64) (*Real, 
 		name:        flavor + "-real",
 		sys:         sys,
 		base:        base,
-		Dt:          0.001,
-		Gamma:       5.0,
 		SampleEvery: 25,
-		Flavor:      flavor,
 		seed:        seed,
 		trajs:       map[int]*md.Trajectory{},
 	}, nil
@@ -82,32 +81,8 @@ func (e *Real) InitReplica(r *core.Replica, s *core.Spec) {
 	r.Energy = e.sys.Energy(r.State, r.Params).Potential()
 }
 
-// GenerateInput renders the engine-style input text for a replica cycle
-// (the AMM's user-requirement -> engine-input translation).
-func (e *Real) GenerateInput(r *core.Replica, s *core.Spec) string {
-	if e.Flavor == "namd" {
-		return WriteNAMDConfig(NAMDConfig{
-			Steps:       s.StepsPerCycle,
-			TimestepFS:  e.Dt * 1000,
-			Temperature: r.Params.TemperatureK,
-			LangevinOn:  true,
-			Damping:     e.Gamma,
-			Restraints:  r.Params.Restraints,
-		})
-	}
-	return WriteMDIN(MDIN{
-		NSTLim:     s.StepsPerCycle,
-		Dt:         e.Dt,
-		Temp0:      r.Params.TemperatureK,
-		GammaLn:    e.Gamma,
-		SaltCon:    r.Params.SaltM,
-		Restraints: r.Params.Restraints,
-	})
-}
-
-// MDTask builds a real MD segment task. The closure round-trips the
-// parameters through the engine input format before integrating, so the
-// translation layer is exercised on every cycle.
+// MDTask builds a real MD segment task: the replica's parameters and
+// the spec's step count go to the integrator as they are.
 func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	// Capture everything the worker goroutine needs; the orchestrator
 	// does not touch the replica until the task completes.
@@ -115,8 +90,6 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	prm := r.Params.Clone()
 	slot := r.Slot
 	seed := mix(e.seed, int64(r.ID), int64(r.Cycle))
-	input := e.GenerateInput(r, s)
-	flavor := e.Flavor
 	steps := s.StepsPerCycle
 	return &task.Spec{
 		Name:      mdTaskName(r.ID, r.Cycle),
@@ -125,28 +98,8 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 		Cores:     s.CoresPerReplica,
 		CanFail:   true,
 		Run: func() error {
-			// RAM-side: parse the staged input back into run settings.
-			var nsteps int
-			var temp float64
-			if flavor == "namd" {
-				cfg, err := ParseNAMDConfig(input)
-				if err != nil {
-					return err
-				}
-				nsteps, temp = cfg.Steps, cfg.Temperature
-			} else {
-				in, err := ParseMDIN(input)
-				if err != nil {
-					return err
-				}
-				nsteps, temp = in.NSTLim, in.Temp0
-			}
-			if nsteps != steps || temp != prm.TemperatureK {
-				return fmt.Errorf("engines: input round-trip mismatch (%d/%g vs %d/%g)",
-					nsteps, temp, steps, prm.TemperatureK)
-			}
-			integ := md.NewLangevin(e.Dt, e.Gamma, seed)
-			tr := md.RunSegment(e.sys, st, prm, integ, nsteps, e.SampleEvery)
+			integ := md.NewLangevin(langevinDt, langevinGamma, seed)
+			tr := md.RunSegment(e.sys, st, prm, integ, steps, e.SampleEvery)
 			e.mu.Lock()
 			if e.trajs[slot] == nil {
 				e.trajs[slot] = &md.Trajectory{}

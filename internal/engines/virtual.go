@@ -18,7 +18,7 @@ import (
 //
 // Synthetic thermodynamics: after each MD segment the replica's
 // potential energy is redrawn from a Gaussian with temperature-dependent
-// mean and width (effective heat capacity CvEff); umbrella dimensions
+// mean and width (effective heat capacity cvEff); umbrella dimensions
 // maintain a pseudo torsion coordinate distributed around the window
 // centre; salt dimensions maintain a pseudo ion-pairing coordinate whose
 // energy couples to sqrt(concentration) (the Debye–Hückel leading
@@ -34,26 +34,28 @@ type Virtual struct {
 	// (core.ReplayableEngine).
 	draws int64
 
-	// Synthetic-thermodynamics parameters (exported-by-constructor
-	// defaults tuned to paper-like acceptance ratios).
-	CvEff     float64 // kcal/mol/K: effective heat capacity
-	RefT      float64 // K: reference temperature for the energy mean
-	E0        float64 // kcal/mol: baseline energy
-	KEff      float64 // kcal/mol/rad²: effective umbrella coupling
-	SigmaU    float64 // rad: pseudo-torsion spread around the window
-	SaltMean  float64 // pseudo ion-pairing coordinate mean
-	SaltSigma float64 // its spread
-	SaltScale float64 // kcal/mol per sqrt(M): salt energy coupling
-	PHSites   int     // titratable sites of the pseudo protein
-	PHPKa     float64 // their common pKa
-	PHSigma   float64 // protonation-count spread
-
 	torsionIdx map[string]int
 	// boundSpec is the one simulation spec this engine instance serves,
 	// matching RepEx's one-AMM-per-simulation design; it is captured at
 	// first task preparation and may not change.
 	boundSpec *core.Spec
 }
+
+// Synthetic-thermodynamics parameters, tuned to paper-like acceptance
+// ratios.
+const (
+	cvEff     float64 = 2.0   // kcal/mol/K: effective heat capacity
+	refT      float64 = 300   // K: reference temperature for the energy mean
+	e0        float64 = -2500 // kcal/mol: baseline energy
+	kEff      float64 = 3.0   // kcal/mol/rad²: effective umbrella coupling
+	sigmaU    float64 = 0.5   // rad: pseudo-torsion spread around the window
+	saltMean  float64 = -10   // pseudo ion-pairing coordinate mean
+	saltSigma float64 = 4     // its spread
+	saltScale float64 = 8     // kcal/mol per sqrt(M): salt energy coupling
+	phSites   int     = 8     // titratable sites of the pseudo protein
+	phPKa     float64 = 6.5   // their common pKa
+	phSigma   float64 = 1.2   // protonation-count spread
+)
 
 // NewVirtual returns a virtual adapter with the given executable cost
 // model and system size (atom count).
@@ -67,17 +69,6 @@ func NewVirtual(name string, cost CostModel, natoms int, seed int64) *Virtual {
 		natoms:     natoms,
 		seed:       seed,
 		rng:        rand.New(rand.NewSource(seed)),
-		CvEff:      2.0,
-		RefT:       300,
-		E0:         -2500,
-		KEff:       3.0,
-		SigmaU:     0.5,
-		SaltMean:   -10,
-		SaltSigma:  4,
-		SaltScale:  8,
-		PHSites:    8,
-		PHPKa:      6.5,
-		PHSigma:    1.2,
 		torsionIdx: map[string]int{},
 	}
 }
@@ -123,20 +114,20 @@ func (v *Virtual) resample(r *core.Replica, s *core.Spec) {
 		switch dim.Type {
 		case exchange.Umbrella:
 			center := v.restraintCenter(r.Params, uSeen)
-			r.Synth[d] = md.WrapAngle(center + v.SigmaU*v.norm())
+			r.Synth[d] = md.WrapAngle(center + sigmaU*v.norm())
 			uSeen++
 		case exchange.Salt:
-			r.Synth[d] = v.SaltMean + v.SaltSigma*v.norm()
+			r.Synth[d] = saltMean + saltSigma*v.norm()
 		case exchange.PH:
 			// Pseudo protonation count around the Henderson-
 			// Hasselbalch mean at the replica's pH.
-			mean := float64(v.PHSites) / (1 + math.Pow(10, r.Params.PH-v.PHPKa))
-			r.Synth[d] = mean + v.PHSigma*v.norm()
+			mean := float64(phSites) / (1 + math.Pow(10, r.Params.PH-phPKa))
+			r.Synth[d] = mean + phSigma*v.norm()
 		}
 	}
 	t := r.Params.TemperatureK
-	mean := v.CvEff * (t - v.RefT)
-	sigma := math.Sqrt(v.CvEff*md.KB) * t
+	mean := cvEff * (t - refT)
+	sigma := math.Sqrt(cvEff*md.KB) * t
 	r.Synth[len(s.Dims)] = mean + sigma*v.norm()
 }
 
@@ -152,21 +143,21 @@ func (v *Virtual) restraintCenter(p md.Params, i int) float64 {
 // evalEnergy computes the synthetic potential of r's coordinates under
 // arbitrary parameters.
 func (v *Virtual) evalEnergy(r *core.Replica, under md.Params, s *core.Spec) float64 {
-	e := v.E0 + r.Synth[len(s.Dims)]
+	e := e0 + r.Synth[len(s.Dims)]
 	uSeen := 0
 	for d, dim := range s.Dims {
 		switch dim.Type {
 		case exchange.Umbrella:
 			dx := md.WrapAngle(r.Synth[d] - v.restraintCenter(under, uSeen))
-			e += v.KEff * dx * dx
+			e += kEff * dx * dx
 			uSeen++
 		case exchange.Salt:
-			e += v.SaltScale * r.Synth[d] * math.Sqrt(under.SaltM)
+			e += saltScale * r.Synth[d] * math.Sqrt(under.SaltM)
 		case exchange.PH:
 			// Semi-grand-canonical protonation term: each bound proton
 			// costs kT ln10 (pH - pKa).
 			kT := md.KB * under.TemperatureK
-			e += r.Synth[d] * math.Ln10 * kT * (under.PH - v.PHPKa)
+			e += r.Synth[d] * math.Ln10 * kT * (under.PH - phPKa)
 		}
 	}
 	return e

@@ -502,7 +502,7 @@ func TestUmbrellaPullsTorsionTowardCenter(t *testing.T) {
 	}
 	mean := math.Atan2(sy, sx)
 	if math.Abs(WrapAngle(mean-target)) > Rad(20) {
-		t.Fatalf("umbrella-sampled phi mean %v deg, want ~60", Deg(mean))
+		t.Fatalf("umbrella-sampled phi mean %v deg, want ~60", mean*180/math.Pi)
 	}
 }
 

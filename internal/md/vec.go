@@ -73,8 +73,5 @@ func WrapAngle(a float64) float64 {
 	return a
 }
 
-// Deg converts radians to degrees.
-func Deg(rad float64) float64 { return rad * 180 / math.Pi }
-
 // Rad converts degrees to radians.
 func Rad(deg float64) float64 { return deg * math.Pi / 180 }

@@ -23,6 +23,10 @@ type MixingStats struct {
 // AnalyzeMixing computes mixing statistics from a slot history with
 // nSlots ladder positions. It returns an error for malformed input.
 //
+// A round trip is one replica going from an end of the ladder to the
+// other end and back, the definition analysis.Collector counts by: the
+// two halves must be the same replica's.
+//
 // When the orchestrator ran with a bounded history (Spec.HistoryTail),
 // the rows passed here cover only the retained tail of the run: the
 // statistics then describe that window, not the whole trajectory, and
@@ -58,7 +62,7 @@ func AnalyzeMixing(history [][]int, nSlots int) (MixingStats, error) {
 		nVisited := 0
 		// Round-trip state machine: -1 = waiting for an endpoint,
 		// 0 = last endpoint was bottom, 1 = last endpoint was top.
-		last := -1
+		last, halves := -1, 0
 		for t := range history {
 			slot := history[t][r]
 			if !visited[slot] {
@@ -76,20 +80,20 @@ func AnalyzeMixing(history [][]int, nSlots int) (MixingStats, error) {
 			switch {
 			case slot == 0:
 				if last == 1 {
-					s.RoundTrips++ // completed a half cycle top->bottom
+					halves++ // top->bottom half
 				}
 				last = 0
 			case slot == nSlots-1:
 				if last == 0 {
-					s.RoundTrips++ // bottom->top half
+					halves++ // bottom->top half
 				}
 				last = 1
 			}
 		}
+		// Two endpoint-to-endpoint halves make one round trip.
+		s.RoundTrips += halves / 2
 		totalVisited += nVisited
 	}
-	// Two endpoint-to-endpoint halves make one round trip.
-	s.RoundTrips /= 2
 	s.VisitedFraction = float64(totalVisited) / float64(nRep*nSlots)
 	if dispSamples > 0 {
 		s.MeanDisplacement = totalDisp / float64(dispSamples)

@@ -80,6 +80,19 @@ func TestAnalyzeMixingHalfTripDoesNotCount(t *testing.T) {
 	}
 }
 
+func TestAnalyzeMixingHalvesOfTwoReplicasDoNotAdd(t *testing.T) {
+	// Replica 0 climbs once and replica 1 descends once: two half
+	// traversals, but no replica went there and back.
+	history := [][]int{{0, 2}, {1, 1}, {2, 0}}
+	s, err := AnalyzeMixing(history, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.RoundTrips != 0 {
+		t.Errorf("round trips %d for two replicas' single crossings, want 0", s.RoundTrips)
+	}
+}
+
 func TestAnalyzeMixingSingleReplica(t *testing.T) {
 	// One replica sweeping the whole ladder and back: one round trip,
 	// full coverage, unit displacement every sub-cycle.

@@ -242,8 +242,9 @@ func RunLocalWith(spec *Spec, eng Engine, workers int) (*Report, error) {
 }
 
 // NewDipeptideEngine builds a real-execution engine adapter around the
-// built-in alanine dipeptide model. Flavor is "amber" or "namd" and
-// selects the input-file dialect generated and parsed per cycle.
+// built-in alanine dipeptide model. Flavor is "amber" or "namd", a
+// label: the engine's Name is "<flavor>-real" and nothing else depends
+// on it.
 func NewDipeptideEngine(flavor string, seed int64) (*engines.Real, error) {
 	top, st := md.BuildAlanineDipeptide()
 	sys, err := md.NewSystem(top, md.Box{}, 0)
@@ -274,6 +275,9 @@ func RunVirtual(spec *Spec, machine cluster.Config, pilotCores int, kind Virtual
 	case AmberSander, AmberPmemd, NAMD:
 	default:
 		return nil, fmt.Errorf("repex: unknown virtual engine kind %q", kind)
+	}
+	if atoms <= 0 {
+		return nil, fmt.Errorf("repex: atom count must be positive, got %d", atoms)
 	}
 	// Unbounded walltime and a single pilot here; bounded pilots with
 	// failover, multi-pilot splits and chaos plans are the other fields

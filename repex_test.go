@@ -113,6 +113,21 @@ func TestRunVirtualUnknownEngine(t *testing.T) {
 	}
 }
 
+func TestRunVirtualRejectsNonPositiveAtoms(t *testing.T) {
+	spec := &Spec{
+		Name:            "bad",
+		Dims:            []Dimension{{Type: Temperature, Values: []float64{300, 310}}},
+		CoresPerReplica: 1,
+		StepsPerCycle:   100,
+		Cycles:          1,
+	}
+	for _, atoms := range []int{0, -5} {
+		if _, err := RunVirtual(spec, SuperMIC(), 2, AmberSander, atoms, 1); err == nil {
+			t.Fatalf("atom count %d accepted", atoms)
+		}
+	}
+}
+
 func TestVersion(t *testing.T) {
 	if Version == "" {
 		t.Fatal("empty version")

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Fuzz gate: five short coverage-guided lanes over the inputs the
-# daemon takes from outside, 16 s each so the whole gate stays under
+# Fuzz gate: six short coverage-guided lanes over the inputs the
+# daemon takes from outside, 13 s each so the whole gate stays under
 # 90 s. They find shallow panics (the kind a refactor introduces)
 # without holding the build hostage.
 #   FuzzParseLaunch       internal/config    the network-facing launch
 #                         parser, seeded from every committed config file
+#   FuzzResourceChaos     internal/config    a resource block and its
+#                         chaos script: never panics, an accepted plan
+#                         targets only routing slots that exist and passes
+#                         ChaosPlan.Validate
 #   FuzzDecodeSnapshot    internal/core      checkpoint files: never
 #                         panics, agrees with encoding/json on whatever it
 #                         accepts, re-encodes to a fixed point
@@ -25,8 +29,9 @@ set -euo pipefail
 . "$(dirname "$0")/lib.sh"
 cd "$(repo_root)"
 
-lane() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 16s -fuzzminimizetime 2s; }
+lane() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 13s -fuzzminimizetime 2s; }
 lane ./internal/config/ FuzzParseLaunch
+lane ./internal/config/ FuzzResourceChaos
 lane ./internal/core/ FuzzDecodeSnapshot
 lane ./internal/analysis/ FuzzCollectorRestore
 lane ./internal/core/ FuzzFeedbackRestore

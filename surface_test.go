@@ -56,26 +56,9 @@ var unreached = map[string]string{
 // never over-reports; method names in an interface declaration count as
 // references to the methods that satisfy it.
 func TestExportedSurfaceIsReached(t *testing.T) {
-	fset := token.NewFileSet()
 	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> bare name
 	used := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkProgramFiles(t, func(path string, file *ast.File) {
 		own := map[*ast.Ident]bool{}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -83,7 +66,7 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 				continue
 			}
 			own[fn.Name] = true
-			if !fn.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			if !fn.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
 				continue
 			}
 			key := file.Name.Name + "."
@@ -98,11 +81,7 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var keys []string
 	for key := range declared {
 		keys = append(keys, key)
@@ -120,6 +99,131 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 	for key := range unreached {
 		if _, ok := declared[key]; !ok {
 			t.Errorf("%s is listed in unreached but no longer declared: drop the entry", key)
+		}
+	}
+}
+
+// walkProgramFiles parses every non-test Go file of the root module,
+// cmd/, examples/ and benchmark/ and hands it to visit with its
+// slash-separated path.
+func walkProgramFiles(t *testing.T, visit func(path string, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// optionStructs are the option-bearing structs whose exported fields
+// must each be something a caller sets; unsetFields lists the fields no
+// program code sets, with the reason each stays exported.
+var (
+	optionStructs = map[string]bool{"engines.Virtual": true, "engines.Real": true, "analysis.Config": true}
+	unsetFields   = map[string]string{
+		"analysis.Config.TraceLen": "the restore-trim tests size the slot-trace tail with it",
+	}
+)
+
+// TestExportedOptionFieldsAreSet fails when an exported field of an
+// option struct is assigned by no non-test file other than the one that
+// declares it: an option with one value in use is a constant. A
+// composite literal counts for the struct its type names; an assignment
+// x.F = v counts for every field named F, so the rule under-reports and
+// never over-reports.
+func TestExportedOptionFieldsAreSet(t *testing.T) {
+	type field struct{ key, file string }
+	var fields []field
+	setIn := map[string]map[string]bool{} // "pkg.Type.Field" or ".Field" -> files assigning it
+	set := func(key, path string) {
+		if setIn[key] == nil {
+			setIn[key] = map[string]bool{}
+		}
+		setIn[key][path] = true
+	}
+	walkProgramFiles(t, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := x.Type.(*ast.StructType)
+				if name := file.Name.Name + "." + x.Name.Name; ok && optionStructs[name] {
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							if id.IsExported() {
+								fields = append(fields, field{name + "." + id.Name, path})
+							}
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				name := ""
+				switch typ := x.Type.(type) {
+				case *ast.Ident:
+					name = file.Name.Name + "." + typ.Name
+				case *ast.SelectorExpr:
+					if pkg, ok := typ.X.(*ast.Ident); ok {
+						name = pkg.Name + "." + typ.Sel.Name
+					}
+				}
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set(name+"."+id.Name, path)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set("."+sel.Sel.Name, path)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if len(fields) == 0 {
+		t.Fatal("found no option struct: the walk or optionStructs is stale")
+	}
+	declared := map[string]bool{}
+	for _, f := range fields {
+		declared[f.key] = true
+		isSet := false
+		for _, key := range []string{f.key, f.key[strings.LastIndex(f.key, "."):]} {
+			for path := range setIn[key] {
+				isSet = isSet || path != f.file
+			}
+		}
+		_, listed := unsetFields[f.key]
+		switch {
+		case !isSet && !listed:
+			t.Errorf("%s is exported and set by no program code outside %s: make it a constant, or list it in unsetFields with its reason", f.key, f.file)
+		case isSet && listed:
+			t.Errorf("%s is listed in unsetFields but program code sets it: drop the entry", f.key)
+		}
+	}
+	for key := range unsetFields {
+		if !declared[key] {
+			t.Errorf("%s is listed in unsetFields but no longer declared: drop the entry", key)
 		}
 	}
 }
