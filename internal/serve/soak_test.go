@@ -41,6 +41,7 @@ func TestRegistrySoak(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	reg := serve.NewRegistry(24, 0)
+	defer reg.CancelAll() // a failed cycle must not leave its runs spinning
 	h := reg.Handler()
 	do := func(method, path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -67,6 +68,29 @@ func TestRegistrySoak(t *testing.T) {
 	// The stream an odd cycle left attached, and its request's cancel.
 	var open chan struct{}
 	var closeOpen context.CancelFunc
+	// retire cancels the previous cycle's run, waits until the registry
+	// has handed back its cores (it does so just after the run ends; the
+	// next launch needs them) and until the stream left on it has ended
+	// with it.
+	retire := func() {
+		if prev == "" {
+			return
+		}
+		if rec := do(http.MethodDelete, "/runs/"+prev, ""); rec.Code != http.StatusAccepted {
+			t.Fatalf("DELETE %s: %d", prev, rec.Code)
+		}
+		for deadline := time.Now().Add(30 * time.Second); reg.Pool().Used() > 8; {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s still holds its cores after DELETE", prev)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if open != nil {
+			<-open
+			closeOpen()
+			open = nil
+		}
+	}
 	for i := 0; i < cycles; i++ {
 		// Every eighth run is short enough to finish before its DELETE.
 		runCycles := 20000
@@ -98,31 +122,13 @@ func TestRegistrySoak(t *testing.T) {
 			t.Fatalf("cycle %d: PATCH /pool: %d %s", i, rec.Code, rec.Body)
 		}
 
-		if prev != "" {
-			if rec := do(http.MethodDelete, "/runs/"+prev, ""); rec.Code != http.StatusAccepted {
-				t.Fatalf("cycle %d: DELETE %s: %d", i, prev, rec.Code)
-			}
-			// The cancelled run ends at its next boundary and the
-			// registry then hands back its cores; the launch after this
-			// one needs them.
-			for deadline := time.Now().Add(30 * time.Second); reg.Pool().Used() > 8; {
-				if time.Now().After(deadline) {
-					t.Fatalf("cycle %d: run %s still holds its cores after DELETE", i, prev)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-			if open != nil {
-				<-open
-				closeOpen()
-				open = nil
-			}
-		}
+		retire()
 		prev = st.ID
 		if i%2 == 1 {
 			open, closeOpen = ended, drop
 		}
 	}
-	do(http.MethodDelete, "/runs/"+prev, "")
+	retire()
 	if !reg.Wait(30 * time.Second) {
 		t.Fatal("registry did not drain")
 	}

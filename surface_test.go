@@ -151,8 +151,7 @@ var (
 // x.F = v counts for every field named F, so the rule under-reports and
 // never over-reports.
 func TestExportedOptionFieldsAreSet(t *testing.T) {
-	type field struct{ key, file string }
-	var fields []field
+	fields := map[string]string{}         // "pkg.Type.Field" -> declaring file
 	setIn := map[string]map[string]bool{} // "pkg.Type.Field" or ".Field" -> files assigning it
 	set := func(key, path string) {
 		if setIn[key] == nil {
@@ -169,7 +168,7 @@ func TestExportedOptionFieldsAreSet(t *testing.T) {
 					for _, f := range st.Fields.List {
 						for _, id := range f.Names {
 							if id.IsExported() {
-								fields = append(fields, field{name + "." + id.Name, path})
+								fields[name+"."+id.Name] = path
 							}
 						}
 					}
@@ -204,25 +203,32 @@ func TestExportedOptionFieldsAreSet(t *testing.T) {
 	if len(fields) == 0 {
 		t.Fatal("found no option struct: the walk or optionStructs is stale")
 	}
-	declared := map[string]bool{}
-	for _, f := range fields {
-		declared[f.key] = true
-		isSet := false
-		for _, key := range []string{f.key, f.key[strings.LastIndex(f.key, "."):]} {
-			for path := range setIn[key] {
-				isSet = isSet || path != f.file
+	setElsewhere := func(key, declaring string) bool {
+		for path := range setIn[key] {
+			if path != declaring {
+				return true
 			}
 		}
-		_, listed := unsetFields[f.key]
+		return false
+	}
+	var keys []string
+	for key := range fields {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		file := fields[key]
+		isSet := setElsewhere(key, file) || setElsewhere(key[strings.LastIndex(key, "."):], file)
+		_, listed := unsetFields[key]
 		switch {
 		case !isSet && !listed:
-			t.Errorf("%s is exported and set by no program code outside %s: make it a constant, or list it in unsetFields with its reason", f.key, f.file)
+			t.Errorf("%s is exported and set by no program code outside %s: make it a constant, or list it in unsetFields with its reason", key, file)
 		case isSet && listed:
-			t.Errorf("%s is listed in unsetFields but program code sets it: drop the entry", f.key)
+			t.Errorf("%s is listed in unsetFields but program code sets it: drop the entry", key)
 		}
 	}
 	for key := range unsetFields {
-		if !declared[key] {
+		if _, ok := fields[key]; !ok {
 			t.Errorf("%s is listed in unsetFields but no longer declared: drop the entry", key)
 		}
 	}
