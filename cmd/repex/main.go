@@ -22,9 +22,7 @@
 // The optional "trigger" field ("barrier", "window", "count",
 // "adaptive", "feedback", with "trigger_count" / "async_window_sec" /
 // "target_acceptance" / "window_events" as parameters) selects an
-// exchange-trigger policy beyond the two canonical patterns; the
-// -trigger, -target-acceptance and -window-events flags override the
-// file.
+// exchange-trigger policy beyond the two canonical patterns.
 //
 // and the resource file internal/config.Resource:
 //
@@ -83,12 +81,7 @@ func main() {
 	ckptPath := flag.String("checkpoint", "", "snapshot file to write checkpoints to")
 	ckptEvery := flag.Int("checkpoint-every", 1, "exchange events between checkpoints")
 	listen := flag.String("listen", "", "host:port for the live status server (overrides the sim file's serve block)")
-	trigger := flag.String("trigger", "", "exchange-trigger policy override: barrier, window, count, adaptive or feedback")
-	targetAcc := flag.String("target-acceptance", "", "feedback trigger acceptance set point: a scalar in (0,1) or a per-dimension JSON map like '{\"T\":0.4,\"U\":0.25}'; empty keeps the sim file's value (requires the feedback trigger)")
-	windowEvents := flag.Int("window-events", 0, "rolling-window depth for pair statistics and the feedback trigger (overrides the sim file)")
 	tracePath := flag.String("trace", "", "write the flight recorder's span timeline as Chrome trace-event JSON to this file at exit")
-	preemptNotice := flag.Float64("preempt-notice", -1, "default preemption notice window in virtual seconds for chaos preempt events that omit notice_sec (overrides the resource file's preempt_notice_sec; negative keeps the file's value)")
-	noChaos := flag.Bool("no-chaos", false, "ignore the resource file's chaos plan (run the same config on quiet resources)")
 	logLevel := flag.String("log-level", "info", "stderr log threshold: debug, info, warn or error")
 	flag.Parse()
 	if *simPath == "" || *resPath == "" {
@@ -99,17 +92,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repex:", err)
 		os.Exit(2)
 	}
-	ov := overrides{trigger: *trigger, windowEvents: *windowEvents,
-		preemptNotice: *preemptNotice, noChaos: *noChaos}
-	if *targetAcc != "" {
-		ta, err := parseTargetAcceptance(*targetAcc)
-		if err != nil {
-			slog.Error("invalid flag", "error", err)
-			os.Exit(2)
-		}
-		ov.targetAcceptance = &ta
-	}
-	if _, err := run(context.Background(), *simPath, *resPath, *resumePath, *ckptPath, *ckptEvery, *listen, *tracePath, ov); err != nil {
+	if _, err := run(context.Background(), *simPath, *resPath, *resumePath, *ckptPath, *ckptEvery, *listen, *tracePath); err != nil {
 		slog.Error("run failed", "error", err)
 		os.Exit(1)
 	}
@@ -127,40 +110,11 @@ func setupLogging(level string) error {
 	return nil
 }
 
-// overrides are the command-line knobs that take precedence over the
-// simulation file's trigger fields and the resource file's chaos knobs.
-type overrides struct {
-	trigger          string
-	targetAcceptance *config.TargetAcceptance
-	windowEvents     int
-	// preemptNotice overrides the resource's preempt_notice_sec when
-	// non-negative; noChaos drops the resource's chaos plan entirely.
-	preemptNotice float64
-	noChaos       bool
-}
-
-// parseTargetAcceptance parses the -target-acceptance flag: the same
-// two forms the config file accepts (scalar or per-dimension map),
-// routed through the config type so validation lives in one place. A
-// zero value is rejected rather than silently overriding the sim
-// file's set point with the built-in default — leaving the flag off is
-// the "keep the file's value" form.
-func parseTargetAcceptance(arg string) (config.TargetAcceptance, error) {
-	var ta config.TargetAcceptance
-	if err := ta.UnmarshalJSON([]byte(arg)); err != nil {
-		return ta, fmt.Errorf("-target-acceptance %q: want a number or a JSON map like {\"T\":0.4}: %v", arg, err)
-	}
-	if ta.IsZero() {
-		return ta, fmt.Errorf("-target-acceptance %q: want a value in (0,1) or a non-empty map; omit the flag to keep the sim file's value", arg)
-	}
-	return ta, nil
-}
-
-// run is a one-run client of the lifecycle object repexd hosts: files
-// and flag overrides become a config.Launch, serve.NewRun assembles it
+// run is a one-run client of the lifecycle object repexd hosts: the two
+// files become a config.Launch, serve.NewRun assembles it
 // (docs/architecture.md, "Run assembly"); what is left here is the
 // listener, the wait and the stdout summary.
-func run(ctx context.Context, simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, tracePath string, ov overrides) (*serve.Run, error) {
+func run(ctx context.Context, simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, tracePath string) (*serve.Run, error) {
 	simData, err := os.ReadFile(simPath)
 	if err != nil {
 		return nil, err
@@ -173,24 +127,9 @@ func run(ctx context.Context, simPath, resPath, resumePath, ckptPath string, ckp
 	if err != nil {
 		return nil, err
 	}
-	if ov.trigger != "" {
-		simFile.Trigger = ov.trigger
-	}
-	if ov.targetAcceptance != nil {
-		simFile.TargetAcceptance = *ov.targetAcceptance
-	}
-	if ov.windowEvents != 0 {
-		simFile.WindowEvents = ov.windowEvents
-	}
 	resFile, err := config.DecodeResource(resData)
 	if err != nil {
 		return nil, err
-	}
-	if ov.preemptNotice >= 0 {
-		resFile.PreemptNoticeSec = ov.preemptNotice
-	}
-	if ov.noChaos {
-		resFile.Chaos = nil
 	}
 	launch := &config.Launch{Sim: simFile, Res: resFile, Resume: resumePath, Checkpoint: ckptPath}
 	if ckptPath != "" {

@@ -18,9 +18,6 @@ import (
 
 func shipped(name string) string { return filepath.Join("..", "..", "configs", name) }
 
-// noOverrides is the flag state of a bare invocation.
-var noOverrides = overrides{preemptNotice: -1}
-
 // runChaos runs the committed chaos pair the way the CI chaos-soak lane
 // invokes the binary, with stdout silenced.
 func runChaos(t *testing.T, ctx context.Context, resume, ckpt string) (*serve.Run, error) {
@@ -36,7 +33,7 @@ func runChaos(t *testing.T, ctx context.Context, resume, ckpt string) (*serve.Ru
 		null.Close()
 	}()
 	return run(ctx, shipped("chaos_sim_small.json"), shipped("chaos_small.json"),
-		resume, ckpt, 1, "", "", noOverrides)
+		resume, ckpt, 1, "", "")
 }
 
 func mustReport(t *testing.T, r *serve.Run) *core.Report {
@@ -160,7 +157,7 @@ func TestRunRejectsReplicaWiderThanPilot(t *testing.T) {
 		if err := os.WriteFile(res, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := run(context.Background(), sim, res, "", "", 0, "", "", noOverrides)
+		r, err := run(context.Background(), sim, res, "", "", 0, "", "")
 		if err == nil || r != nil {
 			t.Fatalf("%s: run started (err %v)", name, err)
 		}

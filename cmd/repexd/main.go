@@ -105,7 +105,6 @@ func run(cfgPath, listen string, totalCores, maxRuns int) error {
 	}
 
 	reg := serve.NewRegistry(d.TotalCores, d.MaxRuns)
-	reg.SetLogger(slog.Default())
 	reg.SetTraceEvents(d.TraceEvents)
 	if d.Pprof {
 		reg.EnablePprof()

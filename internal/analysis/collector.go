@@ -208,16 +208,13 @@ func New(cfg Config) *Collector {
 }
 
 // Attach subscribes the collector to a bus with the given ring capacity
-// (non-positive selects a 8192-event ring). Call Sync to drain.
+// (Bus.Subscribe's default when non-positive). Call Sync to drain.
 //
 // The ring must cover every event published between two Syncs or the
 // oldest are lost (Stats.BusDropped counts them). A collector that is
 // only drained on demand — an HTTP scrape, a checkpoint, the final
 // report — should size the ring for the whole run: see RunBuffer.
 func (c *Collector) Attach(bus *core.Bus, buffer int) {
-	if buffer <= 0 {
-		buffer = 8192
-	}
 	c.mu.Lock()
 	c.sub = bus.Subscribe(buffer)
 	c.mu.Unlock()
@@ -227,8 +224,8 @@ func (c *Collector) Attach(bus *core.Bus, buffer int) {
 // spec can publish — one MDEvent per segment, one ExchangeEvent per
 // exchange, FaultEvents bounded by the retry budgets — so a collector
 // drained only on demand still sees the complete stream. Capped at 2^20
-// entries (a few MB) for truly enormous specs; beyond that, drain
-// periodically.
+// entries (16 MB, if the backlog ever gets there) for truly enormous
+// specs; beyond that, drain periodically.
 func RunBuffer(spec *core.Spec) int {
 	segments := spec.Replicas() * spec.Cycles * (len(spec.Dims) + 1)
 	retries := spec.MaxRetries

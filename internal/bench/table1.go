@@ -33,35 +33,6 @@ func Table1Packages() []PackageFeatures {
 	}
 }
 
-// RepExCapabilities verifies the claimed RepEx feature set against this
-// implementation; it returns an error description per unsupported claim
-// (empty if all hold). Used by the Table 1 benchmark as a self-check.
-func RepExCapabilities() []string {
-	var problems []string
-	// Patterns: both implemented in core.
-	// Engines: amber + namd adapters in engines.
-	// Dims: 3 demonstrated by Fig9/Fig12 workloads.
-	// Exchange params: T, U, S.
-	// These are structural facts of this repository; the self-check
-	// exercises tiny instances elsewhere in the test suite. Here we
-	// only sanity-check the static table itself.
-	pkgs := Table1Packages()
-	repex := pkgs[len(pkgs)-1]
-	if repex.Name != "RepEx" {
-		problems = append(problems, "RepEx column missing")
-	}
-	if len(repex.REPatterns) != 2 {
-		problems = append(problems, "RepEx must support sync and async")
-	}
-	if repex.NumDims < 3 || repex.ExchangeParams < 3 {
-		problems = append(problems, "RepEx must support 3 dims and 3 exchange parameters")
-	}
-	if len(repex.MDEngines) < 2 {
-		problems = append(problems, "RepEx must support at least two MD engines")
-	}
-	return problems
-}
-
 // Table1Comparison renders the paper's Table 1.
 func Table1Comparison() *Table {
 	tbl := &Table{
@@ -85,8 +56,5 @@ func Table1Comparison() *Table {
 	row("Execution modes", func(p PackageFeatures) string { return p.ExecModes })
 	row("Nr. dims", func(p PackageFeatures) string { return fmt.Sprint(p.NumDims) })
 	row("Exchange params", func(p PackageFeatures) string { return fmt.Sprint(p.ExchangeParams) })
-	for _, p := range RepExCapabilities() {
-		tbl.AddNote("SELF-CHECK FAILED: %s", p)
-	}
 	return tbl
 }

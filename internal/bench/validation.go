@@ -61,8 +61,8 @@ type ValidationResult struct {
 // real MD engine: 3D T×U(φ)×U(ψ) REMD of alanine dipeptide followed by
 // WHAM free-energy surfaces at each temperature.
 func Fig4Validation(opts ValidationOptions) (*ValidationResult, *Table, error) {
-	if opts.TWindows <= 0 || opts.UWindows <= 1 {
-		return nil, nil, fmt.Errorf("bench: validation needs >=1 T window and >=2 U windows")
+	if opts.TWindows <= 0 || opts.UWindows <= 1 || opts.Bins < 1 {
+		return nil, nil, fmt.Errorf("bench: validation needs >=1 T window, >=2 U windows and >=1 FES bin per axis")
 	}
 	top, st := md.BuildAlanineDipeptide()
 	sys, err := md.NewSystem(top, md.Box{}, 0)

@@ -24,7 +24,7 @@ func readConfig(t *testing.T, name string) []byte {
 	return data
 }
 
-func runConfig(t *testing.T, simName, resName string) *core.Report {
+func launchConfig(t *testing.T, simName, resName string) bench.RunParams {
 	t.Helper()
 	simFile, err := config.ParseSimulation(readConfig(t, simName))
 	if err != nil {
@@ -38,7 +38,12 @@ func runConfig(t *testing.T, simName, resName string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := bench.Run(params)
+	return params
+}
+
+func runConfig(t *testing.T, simName, resName string) *core.Report {
+	t.Helper()
+	rep, err := bench.Run(launchConfig(t, simName, resName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +86,23 @@ func TestShippedFeedbackConfig(t *testing.T) {
 	acc := rep.AcceptanceRatioByDim(0)
 	if acc <= 0 || acc >= 1 {
 		t.Fatalf("acceptance %v out of (0,1)", acc)
+	}
+}
+
+// TestShippedSaturationConfig is scripts/ci/saturation_smoke.sh without
+// the listener: feedback_small.json with a 0.9 target its ladder cannot
+// reach ends with dimension 0's controller saturated at the window clamp.
+func TestShippedSaturationConfig(t *testing.T) {
+	params := launchConfig(t, "saturation_small.json", "small_cluster_16.json")
+	if _, err := bench.Run(params); err != nil {
+		t.Fatal(err)
+	}
+	fb, ok := params.Spec.Trigger.(*core.FeedbackTrigger)
+	if !ok {
+		t.Fatalf("trigger %q, want feedback", params.Spec.TriggerName())
+	}
+	if st := fb.DimStatus(0); !st.Saturated {
+		t.Fatalf("dimension 0 ended unsaturated: %+v", st)
 	}
 }
 

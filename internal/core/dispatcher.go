@@ -28,6 +28,8 @@ import (
 // accounting of this segment.
 type mdFlight struct {
 	r *Replica
+	// h is the segment's latest submission; nil once the segment has been
+	// absorbed or discarded.
 	h task.Handle
 	// dim is the exchange dimension the segment was submitted under.
 	dim int
@@ -82,14 +84,16 @@ type dispatcher struct {
 	// family one segment per cycle.
 	segBudget int
 
-	owner   map[task.Handle]*mdFlight
-	batch   []*mdFlight // aligned: this round's flights in submission order
-	ready   []*Replica  // non-aligned: processed replicas awaiting exchange
-	next    []*Replica  // resubmission set, reused across rounds
-	free    []*mdFlight // free list: absorbed flights are recycled
-	readyB  int         // ready replicas with budget left
-	pending int         // outstanding MD tasks
-	done    int         // completed-but-unprocessed tasks (aligned)
+	// flights is indexed by replica ID: a replica has at most one MD
+	// segment in the air.
+	flights []mdFlight
+	ready   []*Replica // non-aligned: processed replicas awaiting exchange
+	// next is the latest resubmission set, in submission order; under an
+	// aligned policy it is the batch the barrier absorbs at fire time.
+	next    []*Replica
+	readyB  int // ready replicas with budget left
+	pending int // outstanding MD tasks
+	done    int // completed-but-unprocessed tasks (aligned)
 	alive   int
 	event   int         // exchange events fired so far
 	dim     int         // dimension of the upcoming exchange
@@ -111,7 +115,7 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 		aligned:   tr.Aligned(),
 		ndims:     len(s.spec.Dims),
 		segBudget: s.spec.Cycles,
-		owner:     make(map[task.Handle]*mdFlight, len(s.replicas)),
+		flights:   make([]mdFlight, len(s.replicas)),
 		event:     s.resumeEvents,
 		dim:       s.resumeEvents % len(s.spec.Dims),
 	}
@@ -172,7 +176,9 @@ func (d *dispatcher) run() error {
 			}
 			d.noopFires = 0
 			for _, h := range s.rt.AwaitNext(tr.Deadline(st)) {
-				d.complete(h)
+				if err := d.complete(h); err != nil {
+					return err
+				}
 			}
 			s.drainResourceEvents()
 			s.flushBus() // queued bus events go out once per wakeup
@@ -292,61 +298,48 @@ func (d *dispatcher) submit(rs []*Replica) {
 	d.prep += p
 	d.mdStart = s.rt.Now()
 	for _, r := range rs {
-		f := d.flight(r)
+		f := &d.flights[r.ID]
+		*f = mdFlight{r: r, dim: d.dim, start: d.mdStart}
 		d.launch(f)
-		if d.aligned {
-			d.batch = append(d.batch, f)
-		}
 	}
-}
-
-// flight returns the mdFlight of a new segment of r in the batch being
-// submitted, recycling absorbed ones: the dispatcher needs one per MD
-// segment, which at production replica counts would otherwise be its
-// dominant allocation.
-func (d *dispatcher) flight(r *Replica) *mdFlight {
-	var f *mdFlight
-	if n := len(d.free) - 1; n >= 0 {
-		f, d.free = d.free[n], d.free[:n]
-	} else {
-		f = new(mdFlight)
-	}
-	*f = mdFlight{r: r, dim: d.dim, start: d.mdStart}
-	return f
-}
-
-// release returns a flight nothing refers to any more to the free list.
-func (d *dispatcher) release(f *mdFlight) {
-	*f = mdFlight{}
-	d.free = append(d.free, f)
 }
 
 // launch puts f's segment on the runtime's completion stream: the only
-// place a watched task is submitted and an owner entry made.
+// place a watched task is submitted. The spec is stamped with the
+// replica's ID here, whatever the engine wrote, because take finds the
+// flight through it.
 func (d *dispatcher) launch(f *mdFlight) {
-	f.h = d.s.rt.SubmitWatched(d.s.engine.MDTask(f.r, d.s.spec, f.dim))
-	d.owner[f.h] = f
+	spec := d.s.engine.MDTask(f.r, d.s.spec, f.dim)
+	spec.ReplicaID = f.r.ID
+	f.h = d.s.rt.SubmitWatched(spec)
 	d.pending++
 }
 
-// take resolves a delivered handle to its flight: the only place an
-// owner entry is removed.
-func (d *dispatcher) take(h task.Handle) *mdFlight {
-	f := d.owner[h]
-	delete(d.owner, h)
+// take resolves a delivered handle to its flight and result through the
+// replica ID launch stamped. A handle that is not that flight's own
+// (never submitted here, or delivered again after its segment ended) is
+// a runtime fault and fails the run.
+func (d *dispatcher) take(h task.Handle) (*mdFlight, task.Result, error) {
+	res := h.Result()
+	if res.Spec == nil || uint(res.Spec.ReplicaID) >= uint(len(d.flights)) ||
+		d.flights[res.Spec.ReplicaID].h != h {
+		return nil, res, errors.New("core: runtime delivered a handle that is no replica's in-flight MD segment")
+	}
 	d.pending--
-	return f
+	return &d.flights[res.Spec.ReplicaID], res, nil
 }
 
 // complete processes one delivered MD completion: a relaunchable failure
 // goes back out, an aligned result waits for the barrier, anything else
 // is absorbed and its replica becomes ready.
-func (d *dispatcher) complete(h task.Handle) {
-	f := d.take(h)
-	res := h.Result()
+func (d *dispatcher) complete(h task.Handle) error {
+	f, res, err := d.take(h)
+	if err != nil {
+		return err
+	}
 	d.tr.Observe(res)
 	if res.Failed() && d.relaunch(f, res) {
-		return
+		return nil
 	}
 	if d.latObs != nil && !res.Failed() {
 		// Final completion of this segment: its latency spans back to
@@ -359,27 +352,27 @@ func (d *dispatcher) complete(h task.Handle) {
 		// order at fire time, matching the synchronous pattern's
 		// post-barrier accounting.
 		d.done++
-		return
+		return nil
 	}
-	r := f.r
 	d.absorb(f, res, &d.mdAccum)
-	if r.Alive {
+	if r := f.r; r.Alive {
 		d.ready = append(d.ready, r)
 		if d.budgeted(r) {
 			d.readyB++
 		}
 	}
+	return nil
 }
 
 // absorb folds one final MD result into its replica and the given phase
-// record, tracking deaths, and recycles the flight.
+// record, tracking deaths, and lands the flight.
 func (d *dispatcher) absorb(f *mdFlight, res task.Result, phase *PhaseRecord) {
 	d.s.finishMD(f.r, res, phase)
 	if !f.r.Alive {
 		d.alive--
 	}
 	d.s.recordMD(f, res)
-	d.release(f)
+	f.h = nil
 }
 
 // relaunch resubmits a failed MD segment as a fresh dispatcher event
@@ -434,11 +427,14 @@ func (d *dispatcher) fire() error {
 	rec := CycleRecord{Cycle: cycle, Dim: d.dim, At: s.rt.Now(),
 		MD: d.mdAccum, RepExOverhead: d.prep}
 	d.mdAccum, d.prep = PhaseRecord{}, 0
-	// The barrier's deferred batch, in submission order (empty otherwise).
-	for _, f := range d.batch {
-		d.absorb(f, f.h.Result(), &rec.MD)
+	if d.aligned {
+		// The barrier's deferred batch, in submission order.
+		for _, r := range d.next {
+			f := &d.flights[r.ID]
+			d.absorb(f, f.h.Result(), &rec.MD)
+		}
+		d.done = 0
 	}
-	d.batch, d.done = d.batch[:0], 0
 	exStart := s.rt.Now()
 	rec.MD.Wall = exStart - mdOrigin
 	if !s.spec.DisableExchange {
@@ -489,16 +485,17 @@ func (d *dispatcher) cancel() error {
 	sn, snErr := d.captureSnapshot()
 	for d.pending > 0 {
 		for _, h := range s.rt.AwaitNext(math.Inf(1)) {
-			f := d.take(h)
+			f, _, err := d.take(h)
+			if err != nil {
+				return err
+			}
 			s.report.CancelledUnits++
 			publish(s, FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
 				Kind: FaultKindCancelled})
 			s.recordFault(f.r.ID, FaultKindCancelled, 0)
-			d.release(f)
+			f.h = nil
 		}
 	}
-	d.batch, d.ready = d.batch[:0], d.ready[:0]
-	d.done, d.readyB = 0, 0
 	s.flushBus()
 	if snErr != nil {
 		return snErr

@@ -388,14 +388,14 @@ func TestDispatcherPinnedAgainstParent(t *testing.T) {
 
 // costAllocCeil bounds the dispatch's allocations per completed MD
 // segment inside Run (simulation construction excluded), per scenario:
-// the readings (0.142, 0.217, 1.325, 0.141) plus a percent of the one the
-// pre-dispatcher function had. Only window-tu has a bus, and so pays for
+// the readings (0.0134, 0.1536, 1.1978, 0.0128) with the flights in one
+// slice, plus a few percent. Only window-tu has a bus, and so pays for
 // boxing one MDEvent a completion.
 var costAllocCeil = map[string]float64{
-	"barrier":             0.155,
-	"barrier-tu-relaunch": 0.230,
-	"window-tu":           1.326,
-	"count-drop":          0.153,
+	"barrier":             0.015,
+	"barrier-tu-relaunch": 0.160,
+	"window-tu":           1.205,
+	"count-drop":          0.0145,
 }
 
 func TestDispatcherAllocsPerCompletion(t *testing.T) {

@@ -162,12 +162,14 @@ func NewBus() *Bus { return &Bus{} }
 
 // Subscribe registers a consumer with a ring buffer of the given
 // capacity (minimum 1; a non-positive value selects 1024). Events
-// published while the ring is full overwrite the oldest entry.
+// published while the ring is full overwrite the oldest entry. The
+// capacity is a bound, not a reservation: the ring's memory follows the
+// backlog between two Drains.
 func (b *Bus) Subscribe(buffer int) *Subscription {
 	if buffer <= 0 {
 		buffer = 1024
 	}
-	s := &Subscription{ring: make([]Event, buffer)}
+	s := &Subscription{limit: buffer}
 	b.mu.Lock()
 	var subs []*Subscription
 	if old := b.subs.Load(); old != nil {
@@ -232,7 +234,8 @@ func (b *Bus) Published() uint64 {
 // Subscription is one consumer's bounded view of the bus.
 type Subscription struct {
 	mu      sync.Mutex
-	ring    []Event
+	ring    []Event // doubles while full, up to limit entries
+	limit   int
 	head    int // index of the oldest buffered event
 	n       int // buffered events
 	dropped uint64
@@ -241,6 +244,12 @@ type Subscription struct {
 func (s *Subscription) pushBatch(evs []Event) {
 	s.mu.Lock()
 	for _, ev := range evs {
+		if s.n == len(s.ring) && s.n < s.limit {
+			// head is 0 here: it moves only once the ring is at its limit.
+			ring := make([]Event, min(max(2*s.n, 64), s.limit))
+			copy(ring, s.ring)
+			s.ring = ring
+		}
 		if s.n == len(s.ring) {
 			s.ring[s.head] = ev
 			s.head = (s.head + 1) % len(s.ring)
@@ -254,16 +263,14 @@ func (s *Subscription) pushBatch(evs []Event) {
 }
 
 // Drain appends all buffered events to dst in publication order and
-// empties the ring. Drained slots are cleared so consumed events (and
-// their payload slices) do not stay reachable from a large ring.
+// lets the ring go, so a subscriber that has caught up — a finished
+// run's collector above all — holds no buffer.
 func (s *Subscription) Drain(dst []Event) []Event {
 	s.mu.Lock()
-	for i := 0; i < s.n; i++ {
-		j := (s.head + i) % len(s.ring)
-		dst = append(dst, s.ring[j])
-		s.ring[j] = nil
-	}
-	s.head, s.n = 0, 0
+	tail := min(s.n, len(s.ring)-s.head) // buffered before the ring wraps
+	dst = append(dst, s.ring[s.head:s.head+tail]...)
+	dst = append(dst, s.ring[:s.n-tail]...)
+	s.ring, s.head, s.n = nil, 0, 0
 	s.mu.Unlock()
 	return dst
 }

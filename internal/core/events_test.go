@@ -8,30 +8,38 @@ import (
 	"repro/internal/core"
 )
 
+// TestBusRingOverflowDropsOldest: a ring holds the newest events up to
+// its capacity, whether it was filled in one go, grew on the way there
+// (the ring doubles with its backlog) or is refilled after a drain.
 func TestBusRingOverflowDropsOldest(t *testing.T) {
-	bus := core.NewBus()
-	sub := bus.Subscribe(4)
-	for i := 0; i < 10; i++ {
-		bus.PublishBatch([]core.Event{core.MDEvent{At: float64(i), Replica: i}})
-	}
-	got := sub.Drain(nil)
-	if len(got) != 4 {
-		t.Fatalf("drained %d events from a 4-slot ring, want 4", len(got))
-	}
-	for i, ev := range got {
-		if ev.(core.MDEvent).Replica != 6+i {
-			t.Fatalf("event %d is replica %d, want %d (oldest must be dropped first)",
-				i, ev.(core.MDEvent).Replica, 6+i)
+	for _, c := range []struct{ capacity, published int }{{4, 10}, {200, 150}, {200, 250}} {
+		bus := core.NewBus()
+		sub := bus.Subscribe(c.capacity)
+		for round := 0; round < 2; round++ {
+			for i := 0; i < c.published; i++ {
+				bus.PublishBatch([]core.Event{core.MDEvent{At: float64(i), Replica: i}})
+			}
+			got := sub.Drain(nil)
+			kept := min(c.capacity, c.published)
+			if len(got) != kept {
+				t.Fatalf("drained %d of %d events from a %d-slot ring, want %d", len(got), c.published, c.capacity, kept)
+			}
+			for i, ev := range got {
+				if want := c.published - kept + i; ev.(core.MDEvent).Replica != want {
+					t.Fatalf("event %d is replica %d, want %d (oldest must be dropped first)",
+						i, ev.(core.MDEvent).Replica, want)
+				}
+			}
+			if want := uint64((round + 1) * (c.published - kept)); sub.Dropped() != want {
+				t.Fatalf("dropped %d, want %d", sub.Dropped(), want)
+			}
+			if want := uint64((round + 1) * c.published); bus.Published() != want {
+				t.Fatalf("published %d, want %d", bus.Published(), want)
+			}
+			if again := sub.Drain(nil); len(again) != 0 {
+				t.Fatalf("second drain returned %d events, want 0", len(again))
+			}
 		}
-	}
-	if sub.Dropped() != 6 {
-		t.Fatalf("dropped %d, want 6", sub.Dropped())
-	}
-	if bus.Published() != 10 {
-		t.Fatalf("published %d, want 10", bus.Published())
-	}
-	if again := sub.Drain(nil); len(again) != 0 {
-		t.Fatalf("second drain returned %d events, want 0", len(again))
 	}
 }
 

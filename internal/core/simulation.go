@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -103,6 +104,11 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	}
 	if spec.MaxRetries == 0 {
 		spec.MaxRetries = 3
+	}
+	for _, dim := range spec.Dims {
+		if dim.Type == exchange.Umbrella && engine.TorsionIndex(dim.Torsion) < 0 {
+			return nil, fmt.Errorf("core: engine %q has no torsion labelled %q", engine.Name(), dim.Torsion)
+		}
 	}
 	grid := spec.Grid()
 	n := grid.Size()

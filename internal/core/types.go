@@ -393,7 +393,8 @@ type Engine interface {
 	// MDTask builds the MD-phase task for a replica; dim is the
 	// dimension whose exchange follows this MD segment (it determines
 	// which output files the engine stages, matching the paper's
-	// observation that data times differ per exchange type).
+	// observation that data times differ per exchange type). The
+	// dispatcher stamps the spec's ReplicaID before submitting it.
 	MDTask(r *Replica, s *Spec, dim int) *task.Spec
 	// ExchangeTask builds the exchange-computation task for one
 	// dimension over the whole replica set (the paper uses a single
@@ -409,7 +410,8 @@ type Engine interface {
 	// under foreign parameters (Hamiltonian exchange).
 	CrossEnergy(r *Replica, under md.Params) float64
 	// TorsionIndex resolves a labelled torsion to a dihedral index for
-	// umbrella restraints (virtual engines may return the dim index).
+	// umbrella restraints (virtual engines may return the dim index), or
+	// -1 for a label the engine does not know, which New rejects.
 	TorsionIndex(label string) int
 	// PrepOverhead models RepEx's client-side task-preparation time for
 	// one phase of nTasks tasks in a ndims-dimensional simulation.

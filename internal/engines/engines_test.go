@@ -354,12 +354,9 @@ func TestRealEngineTorsionIndex(t *testing.T) {
 	if e.TorsionIndex("phi") != top.FindDihedral("phi") {
 		t.Fatal("torsion index mismatch")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown torsion label did not panic")
-		}
-	}()
-	e.TorsionIndex("chi99")
+	if i := e.TorsionIndex("chi99"); i != -1 {
+		t.Errorf("unknown torsion label resolved to %d, want -1", i)
+	}
 }
 
 func TestMixDeterministic(t *testing.T) {

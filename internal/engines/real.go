@@ -92,11 +92,10 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	seed := mix(e.seed, int64(r.ID), int64(r.Cycle))
 	steps := s.StepsPerCycle
 	return &task.Spec{
-		Name:      mdTaskName(r.ID, r.Cycle),
-		Kind:      task.MD,
-		ReplicaID: r.ID,
-		Cores:     s.CoresPerReplica,
-		CanFail:   true,
+		Name:    mdTaskName(r.ID, r.Cycle),
+		Kind:    task.MD,
+		Cores:   s.CoresPerReplica,
+		CanFail: true,
 		Run: func() error {
 			integ := md.NewLangevin(langevinDt, langevinGamma, seed)
 			tr := md.RunSegment(e.sys, st, prm, integ, steps, e.SampleEvery)
@@ -132,14 +131,9 @@ func (e *Real) CrossEnergy(r *core.Replica, under md.Params) float64 {
 	return e.sys.Energy(r.State, under).Potential()
 }
 
-// TorsionIndex resolves a labelled torsion in the real topology.
-func (e *Real) TorsionIndex(label string) int {
-	i := e.sys.Top.FindDihedral(label)
-	if i < 0 {
-		panic(fmt.Sprintf("engines: topology has no torsion labelled %q", label))
-	}
-	return i
-}
+// TorsionIndex resolves a labelled torsion in the real topology, -1 for
+// a label it does not have.
+func (e *Real) TorsionIndex(label string) int { return e.sys.Top.FindDihedral(label) }
 
 // PrepOverhead is negligible next to real integration.
 func (e *Real) PrepOverhead(nTasks, ndims int) float64 { return 0 }

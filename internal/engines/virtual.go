@@ -174,16 +174,15 @@ func (v *Virtual) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	inFiles := v.cost.MDInFiles(s.Dims[dim].Type)
 	outFiles := v.cost.MDOutFiles(s.Dims[dim].Type)
 	return &task.Spec{
-		Name:      mdTaskName(r.ID, r.Cycle),
-		Kind:      task.MD,
-		ReplicaID: r.ID,
-		Cores:     s.CoresPerReplica,
-		Duration:  v.cost.MDSeconds(v.natoms, s.StepsPerCycle, s.CoresPerReplica),
-		InFiles:   inFiles,
-		InBytes:   int64(inFiles) * v.cost.MDFileBytes,
-		OutFiles:  outFiles,
-		OutBytes:  int64(outFiles) * v.cost.MDFileBytes,
-		CanFail:   true,
+		Name:     mdTaskName(r.ID, r.Cycle),
+		Kind:     task.MD,
+		Cores:    s.CoresPerReplica,
+		Duration: v.cost.MDSeconds(v.natoms, s.StepsPerCycle, s.CoresPerReplica),
+		InFiles:  inFiles,
+		InBytes:  int64(inFiles) * v.cost.MDFileBytes,
+		OutFiles: outFiles,
+		OutBytes: int64(outFiles) * v.cost.MDFileBytes,
+		CanFail:  true,
 	}
 }
 

@@ -204,8 +204,8 @@ func (r *Runtime) Cores() int {
 // skipped otherwise; if no live candidate remains the task goes to the
 // least-loaded dead one and fails fast, which the scheduler's
 // resubmission cap converts into replica drops. A task that fits no
-// slot at all is a caller bug (bench.LaunchParams rejects such
-// configurations) and panics.
+// slot at all is a caller bug (bench.Run's admission rejects a replica
+// wider than every pilot) and panics.
 func (r *Runtime) route(s *task.Spec) int {
 	best, bestLoad := -1, 0.0
 	bestAny, bestAnyLoad := -1, 0.0 // fallback incl. dead pilots

@@ -24,7 +24,7 @@ type runView struct {
 // daemonView is the registry's own contribution to its aggregate
 // scrape: registered runs by lifecycle state and the admission pool.
 type daemonView struct {
-	runs                [core.RunCancelled + 1]int
+	runs                census
 	poolTotal, poolUsed int
 }
 

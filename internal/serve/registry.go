@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,6 +20,12 @@ import (
 // ErrMaxRuns rejects a launch while the configured number of active
 // (non-terminal) runs is already reached.
 var ErrMaxRuns = errors.New("serve: active-run limit reached")
+
+// retainedRuns is how many terminal runs the registry remembers: when a
+// run finishes, older terminal ones beyond this many leave the list, so
+// a daemon's memory and its /runs, /status, /healthz and /metrics
+// answers stop growing with uptime. An evicted id answers 404.
+const retainedRuns = 256
 
 // Registry is the multi-run control plane behind repexd: it launches
 // runs from posted configs, admits them against one process-wide core
@@ -34,13 +41,27 @@ type Registry struct {
 	traceEvents int
 	log         *slog.Logger
 
-	mu     sync.Mutex
-	runs   map[string]*Run
-	order  []*Run
-	nextID int
-	wg     sync.WaitGroup
+	mu sync.Mutex
+	// runs is the registry's one table: every active run and the newest
+	// retainedRuns terminal ones, in launch order.
+	runs   []*Run
+	nextID int // ids are never reused, evicted or not
 	mux    *http.ServeMux
 }
+
+// census counts runs by lifecycle state; every surface that reports or
+// admits on those counts takes them from here.
+type census [core.RunCancelled + 1]int
+
+func takeCensus(runs []*Run) (c census) {
+	for _, r := range runs {
+		c[r.State()]++
+	}
+	return c
+}
+
+// active is the number of non-terminal runs.
+func (c census) active() int { return c[core.RunPending] + c[core.RunRunning] }
 
 // NewRegistry builds a registry admitting runs against totalCores
 // shared cores (0: unbounded) and at most maxRuns concurrently active
@@ -50,7 +71,6 @@ func NewRegistry(totalCores, maxRuns int) *Registry {
 		pool:    pilot.NewPool(totalCores),
 		maxRuns: maxRuns,
 		log:     slog.Default(),
-		runs:    map[string]*Run{},
 		mux:     http.NewServeMux(),
 	}
 	g.mux.HandleFunc("POST /runs", g.handleLaunch)
@@ -94,19 +114,12 @@ func (g *Registry) EnablePprof() { mountPprof(g.mux) }
 // summary. Every lifecycle state appears zero-filled, so probes can
 // index any state count without null handling.
 func (g *Registry) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	c := takeCensus(g.List())
 	counts := map[string]int{}
-	for st := core.RunPending; st <= core.RunCancelled; st++ {
-		counts[st.String()] = 0
+	for st, n := range c {
+		counts[core.RunState(st).String()] = n
 	}
-	active := 0
-	for _, r := range g.List() {
-		st := r.State()
-		counts[st.String()]++
-		if !st.Terminal() {
-			active++
-		}
-	}
-	writeJSON(w, map[string]any{"ok": true, "active_runs": active, "runs": counts})
+	writeJSON(w, map[string]any{"ok": true, "active_runs": c.active(), "runs": counts})
 }
 
 // Pool exposes the shared admission pool (nil when unbounded).
@@ -135,17 +148,9 @@ func (g *Registry) admit(run *Run) error {
 	spec, cores := run.Spec(), run.params.PilotCores
 
 	g.mu.Lock()
-	if g.maxRuns > 0 {
-		active := 0
-		for _, r := range g.order {
-			if !r.State().Terminal() {
-				active++
-			}
-		}
-		if active >= g.maxRuns {
-			g.mu.Unlock()
-			return fmt.Errorf("%w: %d active", ErrMaxRuns, active)
-		}
+	if active := takeCensus(g.runs).active(); g.maxRuns > 0 && active >= g.maxRuns {
+		g.mu.Unlock()
+		return fmt.Errorf("%w: %d active", ErrMaxRuns, active)
 	}
 	if err := g.pool.Acquire(cores); err != nil {
 		g.mu.Unlock()
@@ -154,68 +159,79 @@ func (g *Registry) admit(run *Run) error {
 	g.nextID++
 	run.ID = fmt.Sprintf("r%d", g.nextID)
 	run.srv.SetRunLabel(run.ID)
-	g.runs[run.ID] = run
-	g.order = append(g.order, run)
-	g.wg.Add(1)
+	g.runs = append(g.runs, run)
 	g.mu.Unlock()
 
 	log := g.log.With("run", run.ID)
 	log.Info("run launched", "name", spec.Name,
 		"engine", run.engine, "trigger", spec.TriggerName(),
 		"replicas", spec.Replicas(), "cores", cores)
-	run.Start(log)
-	go func() {
-		defer g.wg.Done()
-		<-run.done
+	// The run's goroutine hands its cores back and trims the list before
+	// Done closes, so whoever waited on the run finds both settled.
+	run.finished = func(state core.RunState, err error) {
 		g.pool.Release(cores)
-		if _, err := run.Result(); err != nil && !errors.Is(err, core.ErrRunCancelled) {
+		g.evict()
+		if state == core.RunFailed {
 			log.Error("run failed", "error", err)
 		} else {
-			log.Info("run finished", "state", run.State().String())
+			log.Info("run finished", "state", state.String())
 		}
-	}()
+	}
+	run.Start(log)
 	return nil
 }
 
-// Get returns a run by id.
+// evict drops the oldest terminal run from the list once more than
+// retainedRuns are terminal. Every finishing run calls it, so one at a
+// time keeps the bound.
+func (g *Registry) evict() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.runs)-takeCensus(g.runs).active() > retainedRuns {
+		i := slices.IndexFunc(g.runs, func(r *Run) bool { return r.State().Terminal() })
+		g.runs = slices.Delete(g.runs, i, i+1)
+	}
+}
+
+// Get returns a retained run by id.
 func (g *Registry) Get(id string) (*Run, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	r, ok := g.runs[id]
-	return r, ok
+	for _, r := range g.runs {
+		if r.ID == id {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
-// List returns every run in launch order.
+// List returns every retained run in launch order.
 func (g *Registry) List() []*Run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]*Run(nil), g.order...)
+	return append([]*Run(nil), g.runs...)
 }
 
-// CancelAll requests cancellation of every non-terminal run (the
-// SIGTERM drain path).
+// CancelAll requests cancellation of every run (the SIGTERM drain path);
+// a finished run ignores it.
 func (g *Registry) CancelAll() {
 	for _, r := range g.List() {
-		if !r.State().Terminal() {
-			r.Cancel()
-		}
+		r.Cancel()
 	}
 }
 
 // Wait blocks until every launched run has finished, or the timeout
 // elapses; it reports whether the registry fully drained.
 func (g *Registry) Wait(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
+	expired := time.After(timeout)
+	for _, r := range g.List() {
+		select {
+		case <-r.done:
+		case <-expired:
+			return false
+		}
 	}
+	return true
 }
 
 // DaemonStatus is the registry's GET /status payload.
@@ -236,16 +252,13 @@ func (g *Registry) handleDaemonStatus(w http.ResponseWriter, _ *http.Request) {
 	runs := g.List()
 	ds := DaemonStatus{
 		Runs:           make([]RunStatus, 0, len(runs)),
+		ActiveRuns:     takeCensus(runs).active(),
 		MaxRuns:        g.maxRuns,
 		PoolCoresTotal: g.pool.Total(),
 		PoolCoresUsed:  g.pool.Used(),
 	}
 	for _, r := range runs {
-		st := r.Status()
-		if !r.State().Terminal() {
-			ds.ActiveRuns++
-		}
-		ds.Runs = append(ds.Runs, st)
+		ds.Runs = append(ds.Runs, r.Status())
 	}
 	writeJSON(w, ds)
 }
@@ -355,13 +368,11 @@ func (g *Registry) perRun(h func(*Server, http.ResponseWriter, *http.Request)) h
 // (identical dim/pair label sets) stay distinct after federation.
 func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request) {
 	runs := g.List()
-	var d daemonView
+	d := daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used()}
 	views := make([]runView, 0, len(runs))
 	for _, r := range runs {
-		d.runs[r.State()]++
 		views = append(views, r.srv.view())
 	}
-	d.poolTotal, d.poolUsed = g.pool.Total(), g.pool.Used()
 	serveMetrics(w, &d, views)
 }
 

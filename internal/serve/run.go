@@ -36,6 +36,10 @@ type Run struct {
 	engine string
 	log    *slog.Logger
 	cancel context.CancelFunc
+	// finished, when set before Start, runs on the run's goroutine once
+	// the outcome is recorded and before done closes: the registry's pool
+	// release, retention and finish log.
+	finished func(state core.RunState, err error)
 	// done closes when the run goroutine has finished and report/err
 	// carry the outcome.
 	done chan struct{}
@@ -156,8 +160,8 @@ func (r *Run) writeCheckpoint(path string, sn *core.Snapshot) {
 // virtual cluster alike — ends this run as failed and no other, with the
 // panic value and this goroutine's stack as its error (a process's own
 // frames are gone by then: its panic is raised again from the kernel's
-// resume). done still closes, so whoever waits on the run (the registry,
-// to release its pool cores) goes on.
+// resume). The run still finishes — the registry gets its pool cores back
+// and done closes — so whoever waits on it goes on.
 func (r *Run) Start(log *slog.Logger) {
 	r.log = log
 	if snap := r.params.Spec.Resume; snap != nil && r.col != nil && len(snap.Analysis) == 0 {
@@ -254,16 +258,18 @@ func (r *Run) baseStatus() RunStatus {
 func (r *Run) Status() RunStatus { return r.srv.view().st }
 
 func (r *Run) finish(report *core.Report, err error) {
-	r.mu.Lock()
-	r.report, r.err = report, err
+	state := core.RunFailed
 	switch {
 	case err == nil:
-		r.state = core.RunCompleted
+		state = core.RunCompleted
 	case errors.Is(err, core.ErrRunCancelled):
-		r.state = core.RunCancelled
-	default:
-		r.state = core.RunFailed
+		state = core.RunCancelled
 	}
+	r.mu.Lock()
+	r.report, r.err, r.state = report, err, state
 	r.mu.Unlock()
+	if r.finished != nil {
+		r.finished(state, err)
+	}
 	close(r.done)
 }

@@ -29,18 +29,35 @@ func (w *flushSignal) WriteHeader(int)             {}
 func (w *flushSignal) Write(p []byte) (int, error) { return len(p), nil }
 func (w *flushSignal) Flush()                      { w.once.Do(func() { close(w.attached) }) }
 
+// heapAfterGC is the live heap once everything unreachable is collected.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestRegistrySoak drives one registry through its handler for a few
 // hundred launch / SSE attach-and-drop / PATCH /pool / DELETE cycles, two
 // runs alive at a time, and then checks what a long-lived daemon must
-// conserve: every run terminal, no pool core still reserved, and the
-// goroutine count back where it started.
+// conserve: every run terminal, no pool core still reserved, the
+// goroutine count back where it started, and the run list and the heap
+// no larger at the end than half-way through.
+//
+// The registry remembers 256 terminal runs (serve's retainedRuns), so
+// the 300 measured cycles come after as many warm-up cycles of the same
+// shape: the list is then at its bound at cycle 150 and at cycle 300, and
+// the two heap readings compare like with like. Each run gets a small
+// flight recorder, or 256 default-sized ones would be most of the heap.
 func TestRegistrySoak(t *testing.T) {
-	cycles := 200
+	const retained = 256
+	warm, cycles := retained, 300
 	if testing.Short() {
-		cycles = 40
+		warm, cycles = 0, 40
 	}
 	before := runtime.NumGoroutine()
 	reg := serve.NewRegistry(24, 0)
+	reg.SetTraceEvents(1024)
 	defer reg.CancelAll() // a failed cycle must not leave its runs spinning
 	h := reg.Handler()
 	do := func(method, path, body string) *httptest.ResponseRecorder {
@@ -91,7 +108,11 @@ func TestRegistrySoak(t *testing.T) {
 			open = nil
 		}
 	}
-	for i := 0; i < cycles; i++ {
+	var heapHalfway uint64
+	for i := 0; i < warm+cycles; i++ {
+		if i == warm+cycles/2 {
+			heapHalfway = heapAfterGC()
+		}
 		// Every eighth run is short enough to finish before its DELETE.
 		runCycles := 20000
 		if i%8 == 7 {
@@ -127,6 +148,10 @@ func TestRegistrySoak(t *testing.T) {
 		if i%2 == 1 {
 			open, closeOpen = ended, drop
 		}
+		// This cycle's run and, until its cores came back, the one before.
+		if n := len(reg.List()); n > retained+2 {
+			t.Fatalf("cycle %d: %d runs listed, want at most %d terminal + 2 active", i, n, retained)
+		}
 	}
 	retire()
 	if !reg.Wait(30 * time.Second) {
@@ -136,6 +161,18 @@ func TestRegistrySoak(t *testing.T) {
 	for _, run := range reg.List() {
 		if !run.State().Terminal() {
 			t.Errorf("run %s ended the soak %s", run.ID, run.State())
+		}
+	}
+	if want := fmt.Sprintf("r%d", warm+cycles); prev != want {
+		t.Errorf("last run is %s, want %s: ids count launches, evicted or not", prev, want)
+	}
+	if warm > 0 {
+		if rec := do(http.MethodGet, "/runs/r1", ""); rec.Code != http.StatusNotFound {
+			t.Errorf("GET /runs/r1 after its eviction: %d, want 404", rec.Code)
+		}
+		if end := heapAfterGC(); float64(end) > 1.1*float64(heapHalfway) {
+			t.Errorf("heap %d KB at cycle %d, %d KB at cycle %d: more than 10%% growth with the run list at its bound",
+				heapHalfway>>10, cycles/2, end>>10, cycles)
 		}
 	}
 	if used := reg.Pool().Used(); used != 0 {

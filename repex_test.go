@@ -1,6 +1,7 @@
 package repex
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -125,6 +126,39 @@ func TestRunVirtualRejectsNonPositiveAtoms(t *testing.T) {
 		if _, err := RunVirtual(spec, SuperMIC(), 2, AmberSander, atoms, 1); err == nil {
 			t.Fatalf("atom count %d accepted", atoms)
 		}
+	}
+}
+
+// TestRunVirtualRejectsReplicaWiderThanPilot: the admission rule of the
+// config front ends holds for the library entry point too — an error
+// naming both widths, not the runtime's "fits no pilot" panic.
+func TestRunVirtualRejectsReplicaWiderThanPilot(t *testing.T) {
+	spec := &Spec{
+		Name:            "wide",
+		Dims:            []Dimension{{Type: Temperature, Values: []float64{300, 310}}},
+		CoresPerReplica: 8,
+		StepsPerCycle:   100,
+		Cycles:          1,
+	}
+	_, err := RunVirtual(spec, Small(1, 8), 4, AmberSander, 2881, 1)
+	if err == nil || !strings.Contains(err.Error(), "cores_per_replica 8 exceeds the widest pilot (4 cores") {
+		t.Fatalf("err = %v, want the admission error", err)
+	}
+}
+
+// TestRunLocalRejectsUnknownTorsion: an umbrella dimension on a torsion
+// the dipeptide topology does not label is an error from RunLocal.
+func TestRunLocalRejectsUnknownTorsion(t *testing.T) {
+	spec := &Spec{
+		Name:            "chi",
+		Dims:            []Dimension{{Type: Umbrella, Values: UniformWindows(2), Torsion: "chi", K: UmbrellaK002}},
+		CoresPerReplica: 1,
+		StepsPerCycle:   10,
+		Cycles:          1,
+	}
+	_, err := RunLocal(spec, 1, 1)
+	if err == nil || !strings.Contains(err.Error(), `no torsion labelled "chi"`) {
+		t.Fatalf("err = %v, want the unknown-torsion error", err)
 	}
 }
 

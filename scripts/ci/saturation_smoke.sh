@@ -9,9 +9,8 @@ set -euo pipefail
 cd "$(repo_root)"
 
 go build -o /tmp/repex ./cmd/repex
-/tmp/repex -sim configs/feedback_small.json \
+/tmp/repex -sim configs/saturation_small.json \
            -res configs/small_cluster_16.json \
-           -target-acceptance 0.9 -window-events 4 \
            -listen 127.0.0.1:9198 > /tmp/sat.log 2>&1 &
 pid=$!
 wait_http http://127.0.0.1:9198/status
