@@ -15,6 +15,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engines"
+	"repro/internal/exchange"
 	"repro/internal/pilot"
 	"repro/internal/sim"
 )
@@ -88,12 +89,22 @@ func LaunchParams(l *config.Launch) (RunParams, error) {
 }
 
 // admit is the one admission rule of a run, whichever front end built
-// it: a replica's MD task must fit the widest pilot, or the runtime has
-// nowhere to route it.
+// it: a replica's MD task, and a salt dimension's single-point task
+// (min(SPEWidth, windows) cores), must fit the widest pilot, or the
+// runtime has nowhere to route it.
 func (p RunParams) admit() error {
-	if widest := p.pilotCores(0); widest < p.Spec.CoresPerReplica {
-		return fmt.Errorf("bench: cores_per_replica %d exceeds the widest pilot (%d cores: pilot_cores %d over %d pilots)",
-			p.Spec.CoresPerReplica, widest, p.PilotCores, max(1, p.Pilots))
+	widest := p.pilotCores(0)
+	tooWide := func(what string, cores int) error {
+		return fmt.Errorf("bench: %s %d exceeds the widest pilot (%d cores: pilot_cores %d over %d pilots)",
+			what, cores, widest, p.PilotCores, max(1, p.Pilots))
+	}
+	if p.Spec.CoresPerReplica > widest {
+		return tooWide("cores_per_replica", p.Spec.CoresPerReplica)
+	}
+	for i, dim := range p.Spec.Dims {
+		if w := min(engines.SPEWidth, len(dim.Values)); dim.Type == exchange.Salt && w > widest {
+			return tooWide(fmt.Sprintf("salt dimension %d's single-point width", i), w)
+		}
 	}
 	return nil
 }

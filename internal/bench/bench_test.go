@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/exchange"
 )
 
@@ -330,6 +331,53 @@ func TestLaunchParamsAdmission(t *testing.T) {
 			}
 		case err == nil || !strings.Contains(err.Error(), tc.wantErr):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestRunRejectsSaltWiderThanPilot: a salt dimension's single-point tasks
+// are min(SPEWidth, windows) cores wide, so a salt run whose replicas fit
+// the pilot can still have exchange tasks that fit nowhere — the
+// runtime's "fits no pilot" panic. LaunchParams, and Run for callers
+// that build RunParams themselves (repex.RunVirtual), turn it away.
+func TestRunRejectsSaltWiderThanPilot(t *testing.T) {
+	cases := []struct {
+		name    string
+		windows string
+		res     string
+		wantErr string
+	}{
+		{"fits: two windows, two cores", "[0.1, 0.4]", `"pilot_cores": 2`, ""},
+		{"fits: four windows, four cores", "[0.1, 0.2, 0.4, 0.8]", `"pilot_cores": 4`, ""},
+		{"four windows, two cores", "[0.1, 0.2, 0.4, 0.8]", `"pilot_cores": 2`,
+			"salt dimension 0's single-point width 4 exceeds the widest pilot (2 cores"},
+		{"four windows, four cores over two pilots", "[0.1, 0.2, 0.4, 0.8]", `"pilot_cores": 4, "pilots": 2`,
+			"salt dimension 0's single-point width 4 exceeds the widest pilot (2 cores: pilot_cores 4 over 2 pilots)"},
+	}
+	for _, tc := range cases {
+		l, err := config.ParseLaunch([]byte(fmt.Sprintf(`{"sim": {"name": "salt", "seed": 1,
+			"dimensions": [{"type": "S", "values": %s}],
+			"cores_per_replica": 1, "steps_per_cycle": 2000, "cycles": 2},
+			"res": {"machine": "small", "nodes": 1, "cores_per_node": 8, %s}}`, tc.windows, tc.res)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, err = LaunchParams(l)
+		// The same launch built by hand, past LaunchParams.
+		spec, serr := l.Sim.ToSpec()
+		machine, ps, rerr := l.Res.Resolve()
+		if serr != nil || rerr != nil {
+			t.Fatalf("%s: %v %v", tc.name, serr, rerr)
+		}
+		_, runErr := Run(RunParams{Spec: spec, Cluster: machine, PilotCores: ps.Cores, Pilots: ps.Pilots,
+			NewEngine: func(seed int64) core.Engine { return engines.NewAmberVirtual(2881, seed) }, Seed: 1})
+		for front, err := range map[string]error{"LaunchParams": err, "Run": runErr} {
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("%s: %s rejected it: %v", tc.name, front, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("%s: %s error %v, want one containing %q", tc.name, front, err, tc.wantErr)
+			}
 		}
 	}
 }

@@ -31,6 +31,10 @@ type mdFlight struct {
 	// h is the segment's latest submission; nil once the segment has been
 	// absorbed or discarded.
 	h task.Handle
+	// res is the result of h's latest delivery, copied by take: the
+	// runtime may reuse h once AwaitNext is called again, and the barrier
+	// absorbs results several calls later.
+	res task.Result
 	// dim is the exchange dimension the segment was submitted under.
 	dim int
 	// start is the runtime time of the segment's first submission;
@@ -315,33 +319,36 @@ func (d *dispatcher) launch(f *mdFlight) {
 	d.pending++
 }
 
-// take resolves a delivered handle to its flight and result through the
-// replica ID launch stamped. A handle that is not that flight's own
-// (never submitted here, or delivered again after its segment ended) is
-// a runtime fault and fails the run.
-func (d *dispatcher) take(h task.Handle) (*mdFlight, task.Result, error) {
+// take resolves a delivered handle to its flight through the replica ID
+// launch stamped and copies the result into it; nothing reads the handle
+// afterwards. A handle that is not that flight's own (never submitted
+// here, or delivered again after its segment ended) is a runtime fault
+// and fails the run.
+func (d *dispatcher) take(h task.Handle) (*mdFlight, error) {
 	res := h.Result()
 	if res.Spec == nil || uint(res.Spec.ReplicaID) >= uint(len(d.flights)) ||
 		d.flights[res.Spec.ReplicaID].h != h {
-		return nil, res, errors.New("core: runtime delivered a handle that is no replica's in-flight MD segment")
+		return nil, errors.New("core: runtime delivered a handle that is no replica's in-flight MD segment")
 	}
 	d.pending--
-	return &d.flights[res.Spec.ReplicaID], res, nil
+	f := &d.flights[res.Spec.ReplicaID]
+	f.res = res
+	return f, nil
 }
 
 // complete processes one delivered MD completion: a relaunchable failure
 // goes back out, an aligned result waits for the barrier, anything else
 // is absorbed and its replica becomes ready.
 func (d *dispatcher) complete(h task.Handle) error {
-	f, res, err := d.take(h)
+	f, err := d.take(h)
 	if err != nil {
 		return err
 	}
-	d.tr.Observe(res)
-	if res.Failed() && d.relaunch(f, res) {
+	d.tr.Observe(f.res)
+	if f.res.Failed() && d.relaunch(f) {
 		return nil
 	}
-	if d.latObs != nil && !res.Failed() {
+	if d.latObs != nil && !f.res.Failed() {
 		// Final completion of this segment: its latency spans back to
 		// the first submission, so fault-driven relaunch delay widens
 		// adaptive windows correctly.
@@ -354,7 +361,7 @@ func (d *dispatcher) complete(h task.Handle) error {
 		d.done++
 		return nil
 	}
-	d.absorb(f, res, &d.mdAccum)
+	d.absorb(f, &d.mdAccum)
 	if r := f.r; r.Alive {
 		d.ready = append(d.ready, r)
 		if d.budgeted(r) {
@@ -364,25 +371,26 @@ func (d *dispatcher) complete(h task.Handle) error {
 	return nil
 }
 
-// absorb folds one final MD result into its replica and the given phase
-// record, tracking deaths, and lands the flight.
-func (d *dispatcher) absorb(f *mdFlight, res task.Result, phase *PhaseRecord) {
-	d.s.finishMD(f.r, res, phase)
+// absorb folds the flight's final MD result into its replica and the
+// given phase record, tracking deaths, and lands the flight.
+func (d *dispatcher) absorb(f *mdFlight, phase *PhaseRecord) {
+	d.s.finishMD(f.r, f.res, phase)
 	if !f.r.Alive {
 		d.alive--
 	}
-	d.s.recordMD(f, res)
+	d.s.recordMD(f)
 	f.h = nil
 }
 
-// relaunch resubmits a failed MD segment as a fresh dispatcher event
-// and reports whether it did. Replica failures consume the replica's
-// retry budget under FaultRelaunch; resource-loss failures (pilot
-// walltime expiry) are resubmitted under either policy against a
-// separate per-segment cap, since they are the infrastructure's
-// fault, not the replica's.
-func (d *dispatcher) relaunch(f *mdFlight, res task.Result) bool {
+// relaunch resubmits the flight's failed MD segment as a fresh
+// dispatcher event and reports whether it did. Replica failures consume
+// the replica's retry budget under FaultRelaunch; resource-loss failures
+// (pilot walltime expiry) are resubmitted under either policy against a
+// separate per-segment cap, since they are the infrastructure's fault,
+// not the replica's.
+func (d *dispatcher) relaunch(f *mdFlight) bool {
 	s := d.s
+	res := f.res
 	kind, retries := "", 0
 	switch {
 	case errors.Is(res.Err, task.ErrResourceLost):
@@ -430,8 +438,7 @@ func (d *dispatcher) fire() error {
 	if d.aligned {
 		// The barrier's deferred batch, in submission order.
 		for _, r := range d.next {
-			f := &d.flights[r.ID]
-			d.absorb(f, f.h.Result(), &rec.MD)
+			d.absorb(&d.flights[r.ID], &rec.MD)
 		}
 		d.done = 0
 	}
@@ -485,7 +492,7 @@ func (d *dispatcher) cancel() error {
 	sn, snErr := d.captureSnapshot()
 	for d.pending > 0 {
 		for _, h := range s.rt.AwaitNext(math.Inf(1)) {
-			f, _, err := d.take(h)
+			f, err := d.take(h)
 			if err != nil {
 				return err
 			}

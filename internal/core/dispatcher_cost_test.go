@@ -26,11 +26,16 @@ import (
 // delivers the watched tasks in submission order, at most burst of them
 // per call (0 delivers all), so non-aligned policies see ready subsets.
 // Failures are injected by submission ordinal or by replica, and a
-// context can be cancelled at a chosen AwaitNext call.
+// context can be cancelled at a chosen AwaitNext call. With poison set,
+// each AwaitNext first overwrites the results of the handles the
+// previous one delivered — the contract lets a runtime reuse them — so a
+// dispatcher that read one late would see replica -1, NaN times and a
+// failure, which drops the replica and moves the pinned outcome.
 type tickRuntime struct {
 	now, tick float64
 	cores     int
 	burst     int
+	poison    bool
 	watched   []task.Handle
 	out       []task.Handle
 	slab      []tickHandle
@@ -53,6 +58,8 @@ func (h *tickHandle) Result() task.Result { return h.res }
 var (
 	errTickFault = errors.New("tick runtime: injected fault")
 	errTickLost  = fmt.Errorf("tick runtime: %w", task.ErrResourceLost)
+	errPoisoned  = errors.New("tick runtime: result read after the next AwaitNext")
+	poisonSpec   = task.Spec{Name: "poisoned", ReplicaID: -1}
 )
 
 func newTickRuntime(cores, burst int) *tickRuntime {
@@ -92,6 +99,13 @@ func (r *tickRuntime) SubmitWatched(s *task.Spec) task.Handle {
 }
 
 func (r *tickRuntime) AwaitNext(deadline float64) []task.Handle {
+	if r.poison {
+		nan := math.NaN()
+		for _, h := range r.out {
+			h.(*tickHandle).res = task.Result{Spec: &poisonSpec, Submitted: nan, Finished: nan,
+				StageIn: nan, CoreWait: nan, Launch: nan, Exec: nan, StageOut: nan, Err: errPoisoned}
+		}
+	}
 	r.awaits++
 	if r.awaits == r.cancelAt {
 		r.cancel()
@@ -198,6 +212,8 @@ type costScenario struct {
 	// cancelAt cancels the context at that AwaitNext call; the run is
 	// then resumed from the delivered snapshot and both legs are pinned.
 	cancelAt int
+	// poison sets the runtime's poison mode; the outcome must not move.
+	poison bool
 }
 
 func (sc costScenario) spec() *Spec {
@@ -229,7 +245,7 @@ func (sc costScenario) spec() *Spec {
 
 func (sc costScenario) runtime() *tickRuntime {
 	rt := newTickRuntime(1024, sc.burst)
-	rt.failEvery, rt.lostEvery = sc.failEvery, sc.lostEvery
+	rt.failEvery, rt.lostEvery, rt.poison = sc.failEvery, sc.lostEvery, sc.poison
 	if sc.doomed {
 		rt.doomed = 5
 	}
@@ -344,45 +360,54 @@ var costWant = map[string][]costOutcome{
 	},
 }
 
+// TestDispatcherPinnedAgainstParent runs every scenario twice, the second
+// time on a poisoning runtime: the dispatcher reads no handle after the
+// next AwaitNext.
 func TestDispatcherPinnedAgainstParent(t *testing.T) {
-	for _, sc := range costScenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			var got []costOutcome
-			out, snap, err := runCost(t, sc, nil, sc.cancelAt)
-			got = append(got, out)
-			if sc.cancelAt > 0 {
-				if !errors.Is(err, ErrRunCancelled) {
-					t.Fatalf("first leg: err = %v, want a cancellation", err)
-				}
-				if snap == nil {
-					t.Fatal("first leg delivered no snapshot")
-				}
-				data, err := snap.Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				resume, err := DecodeSnapshot(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, _, err = runCost(t, sc, resume, 0)
-				if err != nil {
-					t.Fatalf("resumed leg: %v", err)
-				}
+	for _, base := range costScenarios {
+		for _, poison := range []bool{false, true} {
+			sc, leg := base, base.name
+			if sc.poison = poison; poison {
+				leg += "/poisoned"
+			}
+			t.Run(leg, func(t *testing.T) {
+				var got []costOutcome
+				out, snap, err := runCost(t, sc, nil, sc.cancelAt)
 				got = append(got, out)
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			want := costWant[sc.name]
-			if len(want) != len(got) {
-				t.Fatalf("no pinned outcome; got:\n%#v", got)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("leg %d:\n got %#v\nwant %#v", i, got[i], want[i])
+				if sc.cancelAt > 0 {
+					if !errors.Is(err, ErrRunCancelled) {
+						t.Fatalf("first leg: err = %v, want a cancellation", err)
+					}
+					if snap == nil {
+						t.Fatal("first leg delivered no snapshot")
+					}
+					data, err := snap.Encode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					resume, err := DecodeSnapshot(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, _, err = runCost(t, sc, resume, 0)
+					if err != nil {
+						t.Fatalf("resumed leg: %v", err)
+					}
+					got = append(got, out)
+				} else if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				want := costWant[sc.name]
+				if len(want) != len(got) {
+					t.Fatalf("no pinned outcome; got:\n%#v", got)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("leg %d:\n got %#v\nwant %#v", i, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 // first submission to final completion, spanning every relaunch retry
 // in between. Failed terminal segments (replica dropped) carry the
 // "failed" label.
-func (s *Simulation) recordMD(f *mdFlight, res task.Result) {
+func (s *Simulation) recordMD(f *mdFlight) {
 	// Once per completion: skip building the span on untraced runs.
 	if s.tracer == nil {
 		return
 	}
+	res := &f.res
 	sp := trace.Span{
 		Kind:    trace.KindMD,
 		Start:   f.start,

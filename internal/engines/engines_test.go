@@ -1,6 +1,7 @@
 package engines
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -215,6 +216,31 @@ func TestVirtualMDTaskShape(t *testing.T) {
 	}
 }
 
+// TestVirtualMDTaskInPlace: a replica's MD spec is its own slot, rewritten
+// by each MDTask — no allocation once the slot exists, no name built,
+// and another replica's spec untouched.
+func TestVirtualMDTaskInPlace(t *testing.T) {
+	s := virtSpec()
+	v := NewAmberVirtual(2881, 1)
+	r0, r5 := newVirtReplica(v, s, 0), newVirtReplica(v, s, 5)
+	other, first := v.MDTask(r5, s, 1), v.MDTask(r0, s, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		r0.Cycle++
+		if v.MDTask(r0, s, 0) != first {
+			t.Fatal("MDTask moved replica 0's spec")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state MDTask allocates %v times, want 0", allocs)
+	}
+	if first.Name != "" || first.ReplicaID != 0 || first.Cycle != r0.Cycle || first.Label() != fmt.Sprintf("md-r000-c%02d", r0.Cycle) {
+		t.Errorf("replica 0's spec %+v, label %q", *first, first.Label())
+	}
+	if other.ReplicaID != 5 || other.Cycle != 0 || other.OutFiles != 4 || other.Label() != "md-r005-c00" {
+		t.Errorf("replica 5's spec changed: %+v", *other)
+	}
+}
+
 func TestVirtualSinglePointOnlyForSalt(t *testing.T) {
 	s := virtSpec()
 	v := NewAmberVirtual(2881, 1)
@@ -229,9 +255,12 @@ func TestVirtualSinglePointOnlyForSalt(t *testing.T) {
 	if len(spe) != 2 {
 		t.Fatalf("S dimension SPE tasks %d, want one per replica", len(spe))
 	}
-	for _, sp := range spe {
+	for i, sp := range spe {
 		if sp.Cores != 2 { // min(SPEWidth, group size)
 			t.Fatalf("SPE width %d, want 2", sp.Cores)
+		}
+		if want := fmt.Sprintf("spe-r%03d", i); sp.Name != "" || sp.Label() != want {
+			t.Fatalf("SPE task named %q, labelled %q, want unnamed %q", sp.Name, sp.Label(), want)
 		}
 	}
 }

@@ -92,10 +92,11 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	seed := mix(e.seed, int64(r.ID), int64(r.Cycle))
 	steps := s.StepsPerCycle
 	return &task.Spec{
-		Name:    mdTaskName(r.ID, r.Cycle),
-		Kind:    task.MD,
-		Cores:   s.CoresPerReplica,
-		CanFail: true,
+		Kind:      task.MD,
+		ReplicaID: r.ID,
+		Cycle:     r.Cycle,
+		Cores:     s.CoresPerReplica,
+		CanFail:   true,
 		Run: func() error {
 			integ := md.NewLangevin(langevinDt, langevinGamma, seed)
 			tr := md.RunSegment(e.sys, st, prm, integ, steps, e.SampleEvery)

@@ -35,6 +35,10 @@ type Virtual struct {
 	draws int64
 
 	torsionIdx map[string]int
+	// md holds each replica's MD task spec, indexed by replica ID and
+	// rewritten in place by MDTask: the dispatcher asks for a replica's
+	// next segment only after it has taken the previous one's result.
+	md []task.Spec
 	// boundSpec is the one simulation spec this engine instance serves,
 	// matching RepEx's one-AMM-per-simulation design; it is captured at
 	// first task preparation and may not change.
@@ -168,22 +172,29 @@ var (
 	_ core.ReplayableEngine = (*Virtual)(nil)
 )
 
-// MDTask describes the MD segment task for a replica.
+// MDTask describes the MD segment task for a replica: the replica's own
+// spec, rewritten in place.
 func (v *Virtual) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	v.bind(s)
+	if r.ID >= len(v.md) {
+		v.md = append(v.md, make([]task.Spec, r.ID+1-len(v.md))...)
+	}
 	inFiles := v.cost.MDInFiles(s.Dims[dim].Type)
 	outFiles := v.cost.MDOutFiles(s.Dims[dim].Type)
-	return &task.Spec{
-		Name:     mdTaskName(r.ID, r.Cycle),
-		Kind:     task.MD,
-		Cores:    s.CoresPerReplica,
-		Duration: v.cost.MDSeconds(v.natoms, s.StepsPerCycle, s.CoresPerReplica),
-		InFiles:  inFiles,
-		InBytes:  int64(inFiles) * v.cost.MDFileBytes,
-		OutFiles: outFiles,
-		OutBytes: int64(outFiles) * v.cost.MDFileBytes,
-		CanFail:  true,
+	sp := &v.md[r.ID]
+	*sp = task.Spec{
+		Kind:      task.MD,
+		ReplicaID: r.ID,
+		Cycle:     r.Cycle,
+		Cores:     s.CoresPerReplica,
+		Duration:  v.cost.MDSeconds(v.natoms, s.StepsPerCycle, s.CoresPerReplica),
+		InFiles:   inFiles,
+		InBytes:   int64(inFiles) * v.cost.MDFileBytes,
+		OutFiles:  outFiles,
+		OutBytes:  int64(outFiles) * v.cost.MDFileBytes,
+		CanFail:   true,
 	}
+	return sp
 }
 
 // ExchangeTask describes the single exchange-computation task for a
@@ -220,7 +231,6 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 	specs := make([]*task.Spec, 0, len(group))
 	for _, r := range group {
 		specs = append(specs, &task.Spec{
-			Name:      speTaskName(r.ID),
 			Kind:      task.SinglePoint,
 			ReplicaID: r.ID,
 			Cores:     width,

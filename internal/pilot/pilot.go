@@ -194,7 +194,7 @@ type Unit struct {
 func (u *Unit) Done() bool { return u.done.Done() }
 
 // Name returns the name of the unit's simulation process.
-func (u *Unit) Name() string { return "unit:" + u.spec.Name }
+func (u *Unit) Name() string { return "unit:" + u.spec.Label() }
 
 // Result returns the unit's record; valid once Done is true.
 func (u *Unit) Result() task.Result { return u.res }
@@ -423,15 +423,23 @@ func (pl *Pilot) UnitsExpired() int { return pl.unitsExpired }
 // immediately; the unit runs through its lifecycle as resources permit.
 // A unit wider than the pilot ever was is a caller bug and panics; one
 // merely wider than the pilot is now fails with ErrNoCapacity.
-func (pl *Pilot) SubmitUnit(spec *task.Spec) *Unit {
+func (pl *Pilot) SubmitUnit(spec *task.Spec) *Unit { return pl.submitInto(new(Unit), spec) }
+
+// submitInto is SubmitUnit on caller-supplied storage, which may be a
+// delivered unit: u is reset whole — both latches, the embedded process,
+// the lifecycle scratch. A finished unit leaves nothing else behind in
+// the kernel: Proc.Exit moved its slot to a new generation, so its
+// pending execution timer is dropped as stale, and the one waiter it can
+// have left is its own in the interrupt latch, which the reset clears.
+func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) *Unit {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("pilot: invalid task spec: %v", err))
 	}
 	if widest := max(pl.desc.Cores, pl.curCores); spec.Cores > widest {
 		panic(fmt.Sprintf("pilot: task %q wants %d cores, pilot has %d",
-			spec.Name, spec.Cores, widest))
+			spec.Label(), spec.Cores, widest))
 	}
-	u := &Unit{pl: pl, spec: spec, state: StateNew}
+	*u = Unit{pl: pl, spec: spec, state: StateNew}
 	u.done.Init(pl.env)
 	u.interrupt.Init(pl.env)
 	u.res.Spec = spec

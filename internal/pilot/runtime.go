@@ -60,9 +60,11 @@ type Runtime struct {
 	// virtual-time completion order, until AwaitNext drains them.
 	arrivals *sim.Signal
 	queue    []*Unit
-	// delivered is the slice AwaitNext last returned; the next call
-	// clears and refills it.
+	// delivered is the slice AwaitNext last returned; the next call moves
+	// its units to spare and refills it.
 	delivered []task.Handle
+	// spare holds delivered units for watched submissions to reuse.
+	spare []*Unit
 }
 
 // slot is one routing slot: its current occupant and the routing history
@@ -204,8 +206,9 @@ func (r *Runtime) Cores() int {
 // skipped otherwise; if no live candidate remains the task goes to the
 // least-loaded dead one and fails fast, which the scheduler's
 // resubmission cap converts into replica drops. A task that fits no
-// slot at all is a caller bug (bench.Run's admission rejects a replica
-// wider than every pilot) and panics.
+// slot at all is a caller bug (bench.Run's admission rejects a replica,
+// or a salt dimension's single-point task, wider than every pilot) and
+// panics.
 func (r *Runtime) route(s *task.Spec) int {
 	best, bestLoad := -1, 0.0
 	bestAny, bestAnyLoad := -1, 0.0 // fallback incl. dead pilots
@@ -252,21 +255,28 @@ func (r *Runtime) route(s *task.Spec) int {
 		best = bestAny
 	}
 	if best < 0 {
-		panic(fmt.Sprintf("pilot: task %q (%d cores) fits no pilot", s.Name, s.Cores))
+		panic(fmt.Sprintf("pilot: task %q (%d cores) fits no pilot", s.Label(), s.Cores))
 	}
 	return best
 }
 
-// submit routes the task and schedules it on the chosen slot's pilot.
-// The result is stamped with the slot for the flight recorder; the
-// writes are race-free because the unit's process starts only after the
+// submit routes the task and schedules it on the chosen slot's pilot. A
+// watched task runs in a spare unit when there is one. The result is
+// stamped with the slot for the flight recorder; the writes are
+// race-free because the unit's process starts only after the
 // orchestrator yields to the virtual-time kernel.
 func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	i := r.route(s)
 	sl := &r.slots[i]
 	sl.routed++
 	sl.inflight += s.Cores
-	u := sl.pl.SubmitUnit(s)
+	var u *Unit
+	if n := len(r.spare); watched && n > 0 {
+		u, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		u = new(Unit)
+	}
+	sl.pl.submitInto(u, s)
 	u.rt, u.slot, u.watched = r, i, watched
 	u.res.Pilot = i
 	return u
@@ -322,10 +332,12 @@ func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
 
 // AwaitNext blocks until a watched unit completion is pending delivery
 // or the absolute deadline passes, draining the stream in completion
-// order. The returned slice is the runtime's own buffer, valid until the
-// next AwaitNext.
+// order. The returned slice is the runtime's own buffer and the units in
+// it become spares at the next call: both are valid until then.
 func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
-	clear(r.delivered)
+	for _, h := range r.delivered {
+		r.spare = append(r.spare, h.(*Unit))
+	}
 	r.delivered = r.delivered[:0]
 	for len(r.queue) == 0 {
 		if math.IsInf(deadline, 1) {

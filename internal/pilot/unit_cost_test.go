@@ -84,10 +84,10 @@ func TestUnitProcessNameReachesTraceHook(t *testing.T) {
 	}
 }
 
-// One SubmitWatched → AwaitNext round trip through the runtime costs the
-// unit — nothing for the runtime's own routing and per-slot accounting, on
-// one slot or on two, and nothing for the delivery, which reuses the
-// runtime's buffer.
+// A SubmitWatched → AwaitNext round trip through the runtime allocates
+// nothing once it is warm: the unit is one delivered two calls back, the
+// routing and per-slot accounting are fields, on one slot or on two, and
+// the delivery reuses the runtime's buffer.
 func TestRuntimeRoundTripAllocations(t *testing.T) {
 	for _, pilots := range []int{1, 2} {
 		e := sim.NewEnv()
@@ -116,9 +116,44 @@ func TestRuntimeRoundTripAllocations(t *testing.T) {
 			})
 		})
 		e.Run()
-		if allocs > 1 {
-			t.Errorf("%d pilot(s): %.1f allocations per round trip, want <= 1", pilots, allocs)
+		if allocs > 0 {
+			t.Errorf("%d pilot(s): %.1f allocations per round trip, want 0", pilots, allocs)
 		}
-		t.Logf("%d pilot(s): %.1f allocations per round trip", pilots, allocs)
 	}
+}
+
+// A watched submission after a delivery runs in the delivered unit, and
+// the reused unit names its new task; an unwatched one gets a unit of
+// its own.
+func TestRuntimeReusesDeliveredUnit(t *testing.T) {
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, quietConfig(), 1)
+	pl, _ := Launch(cl, Description{Cores: 4})
+	e.Go("orchestrator", func(p *sim.Proc) {
+		rt := NewRuntime(pl, p)
+		first := rt.SubmitWatched(&task.Spec{Kind: task.MD, ReplicaID: 3, Cycle: 1, Cores: 1, Duration: 5})
+		if hs := rt.AwaitNext(math.Inf(1)); len(hs) != 1 || hs[0] != first {
+			t.Errorf("first delivery %v", hs)
+			return
+		}
+		next := rt.SubmitWatched(&task.Spec{Kind: task.SinglePoint, ReplicaID: 12, Cores: 1, Duration: 5})
+		if next == first {
+			t.Error("a submission before the next AwaitNext took the delivered unit")
+		}
+		rt.AwaitNext(math.Inf(1))
+		if own := rt.Submit(&task.Spec{Name: "ex", Kind: task.Exchange, Cores: 1, Duration: 1}); own == first {
+			t.Error("an unwatched submission took a spare unit")
+		}
+		reused := rt.SubmitWatched(&task.Spec{Kind: task.MD, ReplicaID: 4, Cycle: 2, Cores: 1, Duration: 5})
+		if reused != first {
+			t.Error("the watched submission after the next AwaitNext did not reuse the delivered unit")
+		}
+		if got := reused.(*Unit).Name(); got != "unit:md-r004-c02" {
+			t.Errorf("reused unit named %q, want unit:md-r004-c02", got)
+		}
+		if hs := rt.AwaitNext(math.Inf(1)); len(hs) != 1 || hs[0].Result().Spec.Label() != "md-r004-c02" || hs[0].Result().Err != nil {
+			t.Errorf("reused unit delivered %v", hs)
+		}
+	})
+	e.Run()
 }

@@ -316,6 +316,28 @@ func TestRegistryMaxRuns(t *testing.T) {
 	}
 }
 
+// TestRegistryRejectsSaltWiderThanPilot: a salt launch whose replicas fit
+// the pilot but whose single-point tasks (min(4, windows) cores) do not
+// is a 400 naming both widths, and reserves nothing.
+func TestRegistryRejectsSaltWiderThanPilot(t *testing.T) {
+	reg, ts := newDaemon(t, 16, 0)
+	salt := `{"name": "salt", "seed": 1, "dimensions": [{"type": "S", "values": [0.1, 0.2, 0.4, 0.8]}],
+		"cores_per_replica": 1, "steps_per_cycle": 2000, "cycles": 2}`
+	res := `{"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 2}`
+	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(launchBody(salt, res, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "single-point width 4 exceeds the widest pilot (2 cores") {
+		t.Errorf("%d %s, want 400 naming both widths", resp.StatusCode, msg)
+	}
+	if n, used := len(reg.List()), reg.Pool().Used(); n != 0 || used != 0 {
+		t.Errorf("%d runs registered, %d pool cores used; want none", n, used)
+	}
+}
+
 // TestRegistryRejectsReplicaWiderThanPilot: a launch whose replicas fit
 // no pilot — outright, or once pilot_cores is split — used to reach a
 // panic in the runtime and take the daemon down with every run in it.

@@ -102,9 +102,13 @@ func (k Kind) String() string {
 
 // Spec describes one task.
 type Spec struct {
+	// Name labels the task; engines leave it empty for MD and
+	// single-point tasks, whose Label is built from the fields below.
 	Name      string
 	Kind      Kind
 	ReplicaID int
+	// Cycle is the replica's MD cycle an MD task runs.
+	Cycle int
 	// Cores is the number of CPU cores the task occupies (MPI width).
 	Cores int
 	// Duration is the compute time on the reference machine, in
@@ -125,16 +129,32 @@ type Spec struct {
 	CanFail bool
 }
 
+// Label returns Name when it is set, and otherwise builds the task's
+// name from its kind, replica and cycle: md-r%03d-c%02d for an MD task,
+// spe-r%03d for a single-point one. Only traces and error messages read
+// it, so no string is built per submission.
+func (s *Spec) Label() string {
+	switch {
+	case s.Name != "":
+		return s.Name
+	case s.Kind == MD:
+		return fmt.Sprintf("md-r%03d-c%02d", s.ReplicaID, s.Cycle)
+	case s.Kind == SinglePoint:
+		return fmt.Sprintf("spe-r%03d", s.ReplicaID)
+	}
+	return ""
+}
+
 // Validate reports malformed specs.
 func (s *Spec) Validate() error {
 	if s.Cores <= 0 {
-		return fmt.Errorf("task %q: cores must be positive, got %d", s.Name, s.Cores)
+		return fmt.Errorf("task %q: cores must be positive, got %d", s.Label(), s.Cores)
 	}
 	if s.Duration < 0 {
-		return fmt.Errorf("task %q: negative duration %g", s.Name, s.Duration)
+		return fmt.Errorf("task %q: negative duration %g", s.Label(), s.Duration)
 	}
 	if s.InFiles < 0 || s.OutFiles < 0 || s.InBytes < 0 || s.OutBytes < 0 {
-		return fmt.Errorf("task %q: negative staging volume", s.Name)
+		return fmt.Errorf("task %q: negative staging volume", s.Label())
 	}
 	return nil
 }
@@ -202,9 +222,10 @@ type Runtime interface {
 	// watched handles in completion order (nil on timeout). A +Inf
 	// deadline waits indefinitely for the next completion; callers must
 	// therefore only pass +Inf while watched tasks are outstanding. The
-	// slice may be a buffer the runtime reuses: it is valid until the
-	// next AwaitNext, and a caller that keeps handles longer copies them
-	// out.
+	// slice may be a buffer the runtime reuses, and the handles in it
+	// may be reused for later submissions: both are valid until the next
+	// AwaitNext, and a caller that needs a result later copies the
+	// Result.
 	AwaitNext(deadline float64) []Handle
 	// Await blocks until h is done and returns its result.
 	Await(h Handle) Result

@@ -2,6 +2,8 @@ package task_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +40,33 @@ func TestSpecValidate(t *testing.T) {
 		} else if !strings.Contains(err.Error(), s.Name) {
 			t.Errorf("%s: error %q does not name the task", tc.name, err)
 		}
+	}
+}
+
+// TestSpecLabel: a named spec is its name; an unnamed MD or single-point
+// spec spells out what the engines' per-task names were, negative and
+// extreme numbers included.
+func TestSpecLabel(t *testing.T) {
+	for _, id := range []int{0, 7, 99, 100, 999, 1000, 65535, -1, -7, -100, -1000, math.MaxInt, math.MinInt} {
+		if got, want := (&task.Spec{Kind: task.SinglePoint, ReplicaID: id}).Label(), fmt.Sprintf("spe-r%03d", id); got != want {
+			t.Errorf("single-point replica %d: %q, want %q", id, got, want)
+		}
+		for _, c := range []int{0, 1, 9, 10, 99, 100, 12345, -1, -10, math.MaxInt, math.MinInt} {
+			s := &task.Spec{Kind: task.MD, ReplicaID: id, Cycle: c}
+			if got, want := s.Label(), fmt.Sprintf("md-r%03d-c%02d", id, c); got != want {
+				t.Errorf("MD replica %d cycle %d: %q, want %q", id, c, got, want)
+			}
+		}
+	}
+	if got := (&task.Spec{Name: "ex-T-d0", Kind: task.MD, ReplicaID: 3}).Label(); got != "ex-T-d0" {
+		t.Errorf("named spec labelled %q", got)
+	}
+	if got := (&task.Spec{Kind: task.Exchange}).Label(); got != "" {
+		t.Errorf("unnamed exchange spec labelled %q", got)
+	}
+	unnamed := &task.Spec{Kind: task.MD, ReplicaID: 4, Cycle: 2}
+	if err := unnamed.Validate(); err == nil || !strings.Contains(err.Error(), `"md-r004-c02"`) {
+		t.Errorf("Validate of a zero-core unnamed spec: %v, want its label", err)
 	}
 }
 
