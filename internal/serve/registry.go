@@ -368,12 +368,17 @@ func (g *Registry) perRun(h func(*Server, http.ResponseWriter, *http.Request)) h
 // (identical dim/pair label sets) stay distinct after federation.
 func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request) {
 	runs := g.List()
-	d := daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used()}
+	d := g.daemon(runs)
 	views := make([]runView, 0, len(runs))
 	for _, r := range runs {
 		views = append(views, r.srv.view())
 	}
 	serveMetrics(w, &d, views)
+}
+
+// daemon is the registry's own rows of an aggregate scrape of runs.
+func (g *Registry) daemon(runs []*Run) daemonView {
+	return daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used()}
 }
 
 // handleEvents streams the run's bus as server-sent events: one "md",
