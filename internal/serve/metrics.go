@@ -3,6 +3,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -14,11 +15,75 @@ import (
 // runView is one run's contribution to a metrics exposition: its
 // collector snapshot, its status, and its rendered run label, the
 // `{run="<id>"` that opens each of its samples' label sets (empty on
-// the single-run server, whose samples carry no run label).
+// the single-run server, whose samples carry no run label). A finished
+// run's view is frozen instead: its share of every family, rendered once.
 type runView struct {
-	run   string
-	stats analysis.Stats
-	st    RunStatus
+	run    string
+	stats  analysis.Stats
+	st     RunStatus
+	frozen *fragment
+}
+
+// fragment is a finished run's share of every non-daemon family, rendered
+// once by freeze: family i's lines are buf[fams[i-1].end:fams[i].end].
+type fragment struct {
+	buf  []byte
+	fams []frozenFamily
+}
+
+// frozenFamily is what the renderer asks of a run per family besides its
+// lines: the family's gate and, where the family has one, its
+// single-run HELP.
+type frozenFamily struct {
+	end  int
+	on   bool
+	help string
+}
+
+// freeze renders v's share of every non-daemon family, in table order,
+// exactly as render would emit it.
+func freeze(v *runView) *fragment {
+	fr := &fragment{fams: make([]frozenFamily, len(families))}
+	e := exposition{run: v.run}
+	for i := range families {
+		f, ff := &families[i], &fr.fams[i]
+		if f.daemon == nil {
+			ff.on = f.on == nil || f.on(v)
+			if f.soleHelp != nil {
+				ff.help = f.soleHelp(v)
+			}
+			e.name = f.name
+			f.emit(&e, v)
+		}
+		ff.end = len(e.buf)
+	}
+	fr.buf = slices.Clip(e.buf)
+	return fr
+}
+
+// family returns the run's lines of family i.
+func (fr *fragment) family(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = fr.fams[i-1].end
+	}
+	return fr.buf[start:fr.fams[i].end]
+}
+
+// has is the family's gate on the run.
+func (v *runView) has(i int, f *family) bool {
+	if v.frozen != nil {
+		return v.frozen.fams[i].on
+	}
+	return f.on(v)
+}
+
+// soleHelp is the family's HELP on a scrape of this run alone.
+func (v *runView) soleHelp(i int, f *family) string {
+	if v.frozen != nil {
+		return v.frozen.fams[i].help
+	}
+	return f.soleHelp(v)
 }
 
 // daemonView is the registry's own contribution to its aggregate
@@ -256,23 +321,34 @@ type label struct {
 	val value
 }
 
+// Streaming: a scrape is rendered through one chunk of chunkSize bytes,
+// written to the response each time it fills past chunkSize-lineRoom; a
+// line shorter than lineRoom (every sample and header line is far
+// shorter) never grows it.
+const (
+	chunkSize = 32 << 10
+	lineRoom  = 1 << 10
+)
+
 // exposition accumulates one Prometheus text exposition (version
-// 0.0.4).
+// 0.0.4): the whole of it in buf, or, when w is set, a chunk at a time.
 type exposition struct {
 	buf []byte
+	w   io.Writer
 	// name is the family being rendered; run the emitting run's rendered
 	// label (runView.run).
 	name, run string
 }
 
 // header opens a family: the only place # HELP and # TYPE are written.
-func (e *exposition) header(f *family, views []runView) {
+func (e *exposition) header(f *family, i int, views []runView) {
 	help := f.help
 	if f.soleHelp != nil && len(views) == 1 {
-		help = f.soleHelp(&views[0])
+		help = views[0].soleHelp(i, f)
 	}
 	e.name = f.name
 	e.buf = fmt.Appendf(e.buf, "# HELP %s %s\n# TYPE %s %s\n", f.name, help, f.name, f.typ)
+	e.spill()
 }
 
 // sample appends one line, name+suffix{run="…",<labels>} value: the
@@ -296,44 +372,85 @@ func (e *exposition) sample(suffix string, v value, labels ...label) {
 		b = append(b, '}')
 	}
 	e.buf = append(v.append(append(b, ' ')), '\n')
+	e.spill()
 }
 
-// renderExposition renders the Prometheus exposition of the daemon (nil
-// on the single-run server) and of one or many runs. The format requires
-// every line of a metric family to form one group, so multi-run output
-// interleaves runs within each family (never family blocks per run) —
-// the run label keeps series from runs sharing a dimension layout
-// distinct.
-func renderExposition(d *daemonView, views []runView) []byte {
-	var e exposition
+// copyLines appends lines rendered earlier, a frozen run's share of a
+// family, filling and writing whole chunks when streaming.
+func (e *exposition) copyLines(p []byte) {
+	for e.w != nil && len(e.buf)+len(p) > cap(e.buf) {
+		n := copy(e.buf[len(e.buf):cap(e.buf)], p)
+		e.buf, p = e.buf[:cap(e.buf)], p[n:]
+		e.flush()
+	}
+	e.buf = append(e.buf, p...)
+	e.spill()
+}
+
+// spill writes the chunk once it is nearly full.
+func (e *exposition) spill() {
+	if e.w != nil && len(e.buf) >= chunkSize-lineRoom {
+		e.flush()
+	}
+}
+
+func (e *exposition) flush() {
+	if len(e.buf) > 0 {
+		_, _ = e.w.Write(e.buf)
+		e.buf = e.buf[:0]
+	}
+}
+
+// render walks the families table once: the Prometheus exposition of the
+// daemon (nil on the single-run server) and of one or many runs. The
+// format requires every line of a metric family to form one group, so
+// multi-run output interleaves runs within each family (never family
+// blocks per run) — the run label keeps series from runs sharing a
+// dimension layout distinct. A frozen run's lines are copied, not
+// emitted.
+func (e *exposition) render(d *daemonView, views []runView) {
 	for i := range families {
 		f := &families[i]
 		if f.daemon != nil {
 			if d != nil {
-				e.header(f, views)
+				e.header(f, i, views)
 				e.run = ""
-				f.daemon(&e, d)
+				f.daemon(e, d)
 			}
 			continue
 		}
 		present := f.on == nil
 		for j := 0; !present && j < len(views); j++ {
-			present = f.on(&views[j])
+			present = views[j].has(i, f)
 		}
 		if !present {
 			continue
 		}
-		e.header(f, views)
+		e.header(f, i, views)
 		for j := range views {
+			if fr := views[j].frozen; fr != nil {
+				e.copyLines(fr.family(i))
+				continue
+			}
 			e.run = views[j].run
-			f.emit(&e, &views[j])
+			f.emit(e, &views[j])
 		}
 	}
+}
+
+// renderExposition is the whole exposition in one buffer.
+func renderExposition(d *daemonView, views []runView) []byte {
+	var e exposition
+	e.render(d, views)
 	return e.buf
 }
 
-// serveMetrics answers one scrape: both /metrics handlers end here.
+// serveMetrics answers one scrape: both /metrics handlers end here. The
+// body streams through one chunk, so a scrape's memory does not grow with
+// its body.
 func serveMetrics(w http.ResponseWriter, d *daemonView, views []runView) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(renderExposition(d, views))
+	e := exposition{w: w, buf: make([]byte, 0, chunkSize)}
+	e.render(d, views)
+	e.flush()
 }

@@ -371,7 +371,7 @@ func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request
 	d := g.daemon(runs)
 	views := make([]runView, 0, len(runs))
 	for _, r := range runs {
-		views = append(views, r.srv.view())
+		views = append(views, r.metricsView())
 	}
 	serveMetrics(w, &d, views)
 }

@@ -52,6 +52,10 @@ type Run struct {
 	// OnStart; status surfaces read its respace accessors (which are
 	// themselves mutex-guarded against the dispatcher).
 	sim *core.Simulation
+	// frozen is the run's share of /metrics once the run has ended,
+	// rendered by the first scrape that finds it terminal and kept until
+	// the registry evicts the run (metricsView).
+	frozen *fragment
 }
 
 // NewRun does all the fallible assembly of a launch and returns the run
@@ -125,6 +129,7 @@ func NewRun(ctx context.Context, l *config.Launch, served, traced bool, traceEve
 		spec.OnSnapshot = func(sn *core.Snapshot) { r.writeCheckpoint(l.Checkpoint, sn) }
 	}
 	r.srv = New(r.col, r.baseStatus)
+	r.srv.metrics = r.metricsView
 	r.srv.SetTracer(spec.Tracer)
 	r.params.OnStart = func(sim *core.Simulation) {
 		r.mu.Lock()
@@ -215,6 +220,10 @@ func (r *Run) Server() *Server { return r.srv }
 func (r *Run) baseStatus() RunStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.baseStatusLocked()
+}
+
+func (r *Run) baseStatusLocked() RunStatus {
 	spec := r.params.Spec
 	st := RunStatus{
 		ID:              r.ID,
@@ -256,6 +265,25 @@ func (r *Run) baseStatus() RunStatus {
 // Status merges the base status with the collector's counters, the same
 // view /status serves.
 func (r *Run) Status() RunStatus { return r.srv.view().st }
+
+// metricsView is the run as both /metrics routes render it: live while
+// the run is active; once it has ended, its share of every family,
+// rendered once under mu and copied by every later scrape. The state is
+// read terminal before the collector snapshot is taken, so the frozen
+// share holds every event the run published.
+func (r *Run) metricsView() runView {
+	r.mu.Lock()
+	if r.frozen == nil && r.state.Terminal() {
+		v := r.srv.viewWith(r.baseStatusLocked)
+		r.frozen = freeze(&v)
+	}
+	fr := r.frozen
+	r.mu.Unlock()
+	if fr == nil {
+		return r.srv.view()
+	}
+	return runView{run: r.srv.runLabel, frozen: fr}
+}
 
 func (r *Run) finish(report *core.Report, err error) {
 	state := core.RunFailed

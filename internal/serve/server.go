@@ -120,9 +120,12 @@ type Server struct {
 	// tracer is the run's flight recorder; nil disables /trace and the
 	// repex_trace_* metrics.
 	tracer *trace.Recorder
-	mux    *http.ServeMux
-	lis    net.Listener
-	srv    *http.Server
+	// metrics is the view /metrics renders: view, or the owning Run's
+	// metricsView.
+	metrics func() runView
+	mux     *http.ServeMux
+	lis     net.Listener
+	srv     *http.Server
 }
 
 // New builds a server over a collector and a status source. Either may
@@ -130,6 +133,7 @@ type Server struct {
 // an empty status.
 func New(col *analysis.Collector, status func() RunStatus) *Server {
 	s := &Server{col: col, status: status, mux: http.NewServeMux()}
+	s.metrics = s.view
 	s.mux.HandleFunc("/status", s.handleStatus)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -208,10 +212,13 @@ func (s *Server) snapshot(withTraces bool) analysis.Stats {
 // view is the run at one instant — the caller's status merged with the
 // counters of a single collector snapshot, under the run's label — which
 // /status, /healthz and /metrics all render from.
-func (s *Server) view() runView {
+func (s *Server) view() runView { return s.viewWith(s.status) }
+
+// viewWith is view with the status read from status, after the snapshot.
+func (s *Server) viewWith(status func() RunStatus) runView {
 	v := runView{run: s.runLabel, stats: s.snapshot(false)}
-	if s.status != nil {
-		v.st = s.status()
+	if status != nil {
+		v.st = status()
 	}
 	if v.st.Faults == nil {
 		v.st.Faults = map[string]uint64{}
@@ -271,5 +278,5 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveMetrics(w, nil, []runView{s.view()})
+	serveMetrics(w, nil, []runView{s.metrics()})
 }
