@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -17,7 +18,9 @@ var updateExposition = flag.Bool("update", false, "rewrite testdata/metrics_*.go
 // The goldens below were generated by the hand-unrolled writeMetrics
 // and handleAggregateMetrics that preceded the families table; a
 // mismatch means the renderer changed a byte of /metrics — fix the
-// code, do not regenerate.
+// code, do not regenerate. The one regeneration since added the
+// repexd_http_request_duration_seconds, repexd_sse_streams_total and
+// repexd_run_panics_total lines and changed none.
 
 // fullView is a run that carries every metric family: a 4x2 grid under
 // feedback control (dimension 1 saturated), respacing with one applied
@@ -104,10 +107,16 @@ func renderRuns(views []runView) []byte { return renderExposition(nil, views) }
 
 // renderDaemon is the aggregate exposition of a daemon holding one
 // running and one completed run on a 64-core pool with 24 cores
-// admitted.
+// admitted, that has served two launches (one past every latency bound)
+// and one scrape, opened three event streams and seen one run panic.
 func renderDaemon(views []runView) []byte {
-	d := daemonView{poolTotal: 64, poolUsed: 24}
+	d := daemonView{poolTotal: 64, poolUsed: 24, streams: 3, panics: 1}
 	d.runs[core.RunRunning], d.runs[core.RunCompleted] = 1, 1
+	launch, scrape := &routeClock{route: "POST /runs"}, &routeClock{route: "GET /metrics"}
+	launch.observe(3 * time.Millisecond)
+	launch.observe(7 * time.Second)
+	scrape.observe(250 * time.Microsecond)
+	d.routes = []*routeClock{launch, scrape}
 	return renderExposition(&d, views)
 }
 

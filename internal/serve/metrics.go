@@ -87,10 +87,14 @@ func (v *runView) soleHelp(i int, f *family) string {
 }
 
 // daemonView is the registry's own contribution to its aggregate
-// scrape: registered runs by lifecycle state and the admission pool.
+// scrape: registered runs by lifecycle state, the admission pool, its
+// timed routes in registration order, the event streams it opened and
+// the runs that panicked.
 type daemonView struct {
 	runs                census
 	poolTotal, poolUsed int
+	routes              []*routeClock
+	streams, panics     uint64
 }
 
 // family is one row of the /metrics table: a metric family and how a
@@ -128,6 +132,18 @@ var families = []family{
 		daemon: func(e *exposition, d *daemonView) { e.sample("", integer(d.poolTotal)) }},
 	{name: "repexd_pool_cores_used", help: "Cores admitted to active runs.", typ: "gauge",
 		daemon: func(e *exposition, d *daemonView) { e.sample("", integer(d.poolUsed)) }},
+	{name: "repexd_http_request_duration_seconds", help: "Wall time to serve a request, by route (event streams are counted, not timed).", typ: "histogram",
+		daemon: func(e *exposition, d *daemonView) {
+			for _, rc := range d.routes {
+				var counts [len(httpBounds) + 1]uint64
+				h := rc.histogram(&counts)
+				histogramLines(e, &h, label{"route", text(rc.route)})
+			}
+		}},
+	{name: "repexd_sse_streams_total", help: "Event streams opened on GET /runs/{id}/events.", typ: "counter",
+		daemon: func(e *exposition, d *daemonView) { e.sample("", count(d.streams)) }},
+	{name: "repexd_run_panics_total", help: "Runs that ended failed on a recovered panic.", typ: "counter",
+		daemon: func(e *exposition, d *daemonView) { e.sample("", count(d.panics)) }},
 
 	gauge("repex_running", "1 while the simulation is executing.", func(v *runView) float64 { return oneIf(v.st.State == "running") }),
 	gauge("repex_replicas", "Configured replica count.", func(v *runView) float64 { return float64(v.st.Replicas) }),
@@ -262,22 +278,29 @@ func byKey[K cmp.Ordered, V any](name, help, typ string, m func(*runView) map[K]
 	}}
 }
 
-// histogram emits one Prometheus histogram per run: the cumulative
-// buckets with an le label, then _sum and _count.
+// histogram emits one Prometheus histogram per run.
 func histogram(name, help string, h func(*runView) *analysis.Histogram) family {
-	return family{name: name, help: help, typ: "histogram", emit: func(e *exposition, v *runView) {
-		hist := h(v)
-		cum := uint64(0)
-		for i, bound := range hist.Bounds {
-			if i < len(hist.Counts) {
-				cum += hist.Counts[i]
-			}
-			e.sample("_bucket", count(cum), label{"le", float(bound)})
+	return family{name: name, help: help, typ: "histogram", emit: func(e *exposition, v *runView) { histogramLines(e, h(v)) }}
+}
+
+// histogramLines emits one Prometheus histogram, its series named by at
+// most one label: the cumulative buckets with an le label after it, then
+// _sum and _count.
+func histogramLines(e *exposition, h *analysis.Histogram, by ...label) {
+	var ls [2]label
+	n := copy(ls[:1], by)
+	cum := uint64(0)
+	for i, bound := range h.Bounds {
+		if i < len(h.Counts) {
+			cum += h.Counts[i]
 		}
-		e.sample("_bucket", count(hist.Count), label{"le", text("+Inf")})
-		e.sample("_sum", float(hist.Sum))
-		e.sample("_count", count(hist.Count))
-	}}
+		ls[n] = label{"le", float(bound)}
+		e.sample("_bucket", count(cum), ls[:n+1]...)
+	}
+	ls[n] = label{"le", text("+Inf")}
+	e.sample("_bucket", count(h.Count), ls[:n+1]...)
+	e.sample("_sum", float(h.Sum), ls[:n]...)
+	e.sample("_count", count(h.Count), ls[:n]...)
 }
 
 // value is one rendered scalar, a sample value or a label value.
@@ -347,7 +370,8 @@ func (e *exposition) header(f *family, i int, views []runView) {
 		help = views[0].soleHelp(i, f)
 	}
 	e.name = f.name
-	e.buf = fmt.Appendf(e.buf, "# HELP %s %s\n# TYPE %s %s\n", f.name, help, f.name, f.typ)
+	e.buf = append(append(append(append(e.buf, "# HELP "...), f.name...), ' '), help...)
+	e.buf = append(append(append(append(append(e.buf, "\n# TYPE "...), f.name...), ' '), f.typ...), '\n')
 	e.spill()
 }
 

@@ -104,4 +104,7 @@ func TestPanickingRunFailsAlone(t *testing.T) {
 	if st.State != "failed" || !strings.Contains(st.Error, "engine blew up") || !strings.Contains(st.Error, "\ngoroutine ") {
 		t.Fatalf("panicked run reports state %q, error %q; want failed with the panic value and a stack", st.State, st.Error)
 	}
+	if body := scrape(t, reg, "/metrics"); !strings.Contains(string(body), "\nrepexd_run_panics_total 1\n") {
+		t.Fatal("the aggregate scrape does not count the panicked run in repexd_run_panics_total")
+	}
 }

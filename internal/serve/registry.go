@@ -9,9 +9,12 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/pilot"
@@ -47,6 +50,10 @@ type Registry struct {
 	runs   []*Run
 	nextID int // ids are never reused, evicted or not
 	mux    *http.ServeMux
+	// routes times every route but the event stream, which streams
+	// counts; panics counts runs that ended on a recovered panic.
+	routes          []*routeClock
+	streams, panics atomic.Uint64
 }
 
 // census counts runs by lifecycle state; every surface that reports or
@@ -73,20 +80,59 @@ func NewRegistry(totalCores, maxRuns int) *Registry {
 		log:     slog.Default(),
 		mux:     http.NewServeMux(),
 	}
-	g.mux.HandleFunc("POST /runs", g.handleLaunch)
-	g.mux.HandleFunc("GET /runs", g.handleList)
-	g.mux.HandleFunc("GET /runs/{id}", g.perRun((*Server).handleStatus))
-	g.mux.HandleFunc("DELETE /runs/{id}", g.handleCancel)
-	g.mux.HandleFunc("GET /runs/{id}/status", g.perRun((*Server).handleStatus))
-	g.mux.HandleFunc("GET /runs/{id}/stats", g.perRun((*Server).handleStats))
-	g.mux.HandleFunc("GET /runs/{id}/metrics", g.perRun((*Server).handleMetrics))
-	g.mux.HandleFunc("GET /runs/{id}/trace", g.perRun((*Server).handleTrace))
+	g.handle("POST /runs", g.handleLaunch)
+	g.handle("GET /runs", g.handleList)
+	g.handle("GET /runs/{id}", g.perRun((*Server).handleStatus))
+	g.handle("DELETE /runs/{id}", g.handleCancel)
+	g.handle("GET /runs/{id}/status", g.perRun((*Server).handleStatus))
+	g.handle("GET /runs/{id}/stats", g.perRun((*Server).handleStats))
+	g.handle("GET /runs/{id}/metrics", g.perRun((*Server).handleMetrics))
+	g.handle("GET /runs/{id}/trace", g.perRun((*Server).handleTrace))
 	g.mux.HandleFunc("GET /runs/{id}/events", g.handleEvents)
-	g.mux.HandleFunc("GET /metrics", g.handleAggregateMetrics)
-	g.mux.HandleFunc("PATCH /pool", g.handlePoolResize)
-	g.mux.HandleFunc("GET /status", g.handleDaemonStatus)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
+	g.handle("GET /metrics", g.handleAggregateMetrics)
+	g.handle("PATCH /pool", g.handlePoolResize)
+	g.handle("GET /status", g.handleDaemonStatus)
+	g.handle("GET /healthz", g.handleHealthz)
 	return g
+}
+
+// handle mounts h on pattern, timing each request into the route's
+// latency histogram once h has returned.
+func (g *Registry) handle(pattern string, h http.HandlerFunc) {
+	rc := &routeClock{route: pattern}
+	g.routes = append(g.routes, rc)
+	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
+		t0 := time.Now()
+		h(w, req)
+		rc.observe(time.Since(t0))
+	})
+}
+
+// httpBounds are the upper bounds, in seconds, of the request-latency
+// buckets.
+var httpBounds = [...]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
+
+// routeClock is one route's latency histogram: a count per bucket (the
+// last one past every bound) and the summed wall time.
+type routeClock struct {
+	route  string
+	counts [len(httpBounds) + 1]atomic.Uint64
+	sumNs  atomic.Int64
+}
+
+func (rc *routeClock) observe(d time.Duration) {
+	rc.counts[sort.SearchFloat64s(httpBounds[:], d.Seconds())].Add(1)
+	rc.sumNs.Add(int64(d))
+}
+
+// histogram reads the clock into counts, the +Inf count being their sum.
+func (rc *routeClock) histogram(counts *[len(httpBounds) + 1]uint64) analysis.Histogram {
+	h := analysis.Histogram{Bounds: httpBounds[:], Counts: counts[:], Sum: float64(rc.sumNs.Load()) / 1e9}
+	for i := range rc.counts {
+		counts[i] = rc.counts[i].Load()
+		h.Count += counts[i]
+	}
+	return h
 }
 
 // Handler exposes the registry's route table.
@@ -171,6 +217,9 @@ func (g *Registry) admit(run *Run) error {
 	run.finished = func(state core.RunState, err error) {
 		g.pool.Release(cores)
 		g.evict()
+		if errors.Is(err, errRunPanicked) {
+			g.panics.Add(1)
+		}
 		if state == core.RunFailed {
 			log.Error("run failed", "error", err)
 		} else {
@@ -378,7 +427,8 @@ func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request
 
 // daemon is the registry's own rows of an aggregate scrape of runs.
 func (g *Registry) daemon(runs []*Run) daemonView {
-	return daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used()}
+	return daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used(),
+		routes: g.routes, streams: g.streams.Load(), panics: g.panics.Load()}
 }
 
 // handleEvents streams the run's bus as server-sent events: one "md",
@@ -399,6 +449,7 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 	sub := run.Spec().Bus.Subscribe(1 << 12)
 	defer run.Spec().Bus.Unsubscribe(sub)
+	g.streams.Add(1)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)

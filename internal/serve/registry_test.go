@@ -205,11 +205,11 @@ func TestRegistryConcurrentPoolCancelResume(t *testing.T) {
 		if attempt == 0 {
 			// Two sibling runs share the pool with the victim: 24 cores
 			// are now admitted, so an 8-core fourth run must be refused.
-			b, code := postRun(t, ts.URL, launchBody(simBody("sib-b", 4, 8000, 8), resBody8, ""))
+			b, code := postRun(t, ts.URL, launchBody(simBody("sib-b", 4, 40000, 8), resBody8, ""))
 			if code != http.StatusCreated {
 				t.Fatalf("sibling b launch: %d", code)
 			}
-			c, code := postRun(t, ts.URL, launchBody(simBody("sib-c", 6, 8000, 9), resBody8, ""))
+			c, code := postRun(t, ts.URL, launchBody(simBody("sib-c", 6, 40000, 9), resBody8, ""))
 			if code != http.StatusCreated {
 				t.Fatalf("sibling c launch: %d", code)
 			}
@@ -708,5 +708,41 @@ func TestRegistryMetricsNoCollision(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(body), []byte("repexd_pool_cores_total 0")) {
 		t.Fatal("aggregate scrape missing the pool gauges")
+	}
+}
+
+// TestRegistryDaemonRows: the aggregate scrape times every request it
+// served by route (the mux pattern), before the scrape itself; counts the
+// event stream without timing it; and counts no panic.
+func TestRegistryDaemonRows(t *testing.T) {
+	reg, ts := newDaemon(t, 0, 0)
+	do := func(method, path, body string) []byte {
+		rec := httptest.NewRecorder()
+		reg.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Body.Bytes()
+	}
+	var st serve.RunStatus
+	if err := json.Unmarshal(do(http.MethodPost, "/runs", launchBody(simBody("rows", 4, 3, 1), resBody8, "")), &st); err != nil {
+		t.Fatal(err)
+	}
+	readSSE(t, ts.URL+"/runs/"+st.ID+"/events")
+	do(http.MethodGet, "/runs/"+st.ID+"/status", "")
+	do(http.MethodGet, "/runs/"+st.ID+"/status", "")
+	body := string(do(http.MethodGet, "/metrics", ""))
+	validateExposition(t, body)
+	for _, want := range []string{
+		`repexd_http_request_duration_seconds_count{route="POST /runs"} 1`,
+		`repexd_http_request_duration_seconds_bucket{route="GET /runs/{id}/status",le="+Inf"} 2`,
+		`repexd_http_request_duration_seconds_count{route="GET /runs/{id}/status"} 2`,
+		`repexd_http_request_duration_seconds_count{route="GET /metrics"} 0`,
+		"repexd_sse_streams_total 1",
+		"repexd_run_panics_total 0",
+	} {
+		if !strings.Contains(body, "\n"+want+"\n") {
+			t.Errorf("aggregate scrape has no line %s", want)
+		}
+	}
+	if strings.Contains(body, `route="GET /runs/{id}/events"`) {
+		t.Error("the event-stream route is timed")
 	}
 }

@@ -21,6 +21,10 @@ import (
 // resume checkpoint, so front ends can add their own recovery hint.
 var ErrResume = errors.New("serve: resume checkpoint")
 
+// errRunPanicked wraps the error of a run whose goroutine recovered a
+// panic.
+var errRunPanicked = errors.New("serve: run panicked")
+
 // Run is one assembled simulation and its lifecycle: its own spec,
 // observers and per-run Server, executing on its own goroutine, so many
 // runs share one process (and, under the registry, one core pool)
@@ -175,7 +179,7 @@ func (r *Run) Start(log *slog.Logger) {
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				r.finish(nil, fmt.Errorf("serve: run panicked: %v\n%s", p, debug.Stack()))
+				r.finish(nil, fmt.Errorf("%w: %v\n%s", errRunPanicked, p, debug.Stack()))
 			}
 		}()
 		r.finish(bench.Run(r.params))

@@ -104,8 +104,8 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // metricLine matches one Prometheus sample line (metric name, optional
-// labels, float value).
-var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[+-]?Inf|[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?)$`)
+// labels whose quoted values may hold any escaped text, float value).
+var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\.)*",?)*\})? (NaN|[+-]?Inf|[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?)$`)
 
 func TestMetricsEndpointWellFormed(t *testing.T) {
 	ts, _ := testServer(t)

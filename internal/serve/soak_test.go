@@ -39,7 +39,8 @@ func heapAfterGC() uint64 {
 
 // TestRegistrySoak drives one registry through its handler for a few
 // hundred launch / SSE attach-and-drop / PATCH /pool / DELETE cycles, two
-// runs alive at a time, and then checks what a long-lived daemon must
+// runs alive at a time, an aggregate scrape every fourth cycle, and then
+// checks what a long-lived daemon must
 // conserve: every run terminal, no pool core still reserved, the
 // goroutine count back where it started, and the run list and the heap
 // no larger at the end than half-way through.
@@ -148,6 +149,13 @@ func TestRegistrySoak(t *testing.T) {
 		if i%2 == 1 {
 			open, closeOpen = ended, drop
 		}
+		// Every fourth cycle scrapes the aggregate /metrics, which keeps
+		// each finished run's share from then on.
+		if i%4 == 0 {
+			if rec := do(http.MethodGet, "/metrics", ""); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `run="`+st.ID+`"`) {
+				t.Fatalf("cycle %d: GET /metrics: %d, %d bytes without run %s", i, rec.Code, rec.Body.Len(), st.ID)
+			}
+		}
 		// This cycle's run and, until its cores came back, the one before.
 		if n := len(reg.List()); n > retained+2 {
 			t.Fatalf("cycle %d: %d runs listed, want at most %d terminal + 2 active", i, n, retained)
@@ -170,7 +178,9 @@ func TestRegistrySoak(t *testing.T) {
 		if rec := do(http.MethodGet, "/runs/r1", ""); rec.Code != http.StatusNotFound {
 			t.Errorf("GET /runs/r1 after its eviction: %d, want 404", rec.Code)
 		}
-		if end := heapAfterGC(); float64(end) > 1.1*float64(heapHalfway) {
+		end := heapAfterGC()
+		t.Logf("heap %d KB at cycle %d, %d KB at cycle %d", heapHalfway>>10, cycles/2, end>>10, cycles)
+		if float64(end) > 1.1*float64(heapHalfway) {
 			t.Errorf("heap %d KB at cycle %d, %d KB at cycle %d: more than 10%% growth with the run list at its bound",
 				heapHalfway>>10, cycles/2, end>>10, cycles)
 		}
