@@ -47,6 +47,14 @@
 # the heap and through Delay.Wake) are gated the same way, against
 # BENCH_sim.json: a wakeup through a delay queue must cost at most half of
 # one through the heap (0.18-0.25 when the gate was set).
+#
+# The aggregate /metrics scrape (internal/serve, BenchmarkAggregateScrape:
+# sixteen finished 1024-window runs, rendered live from their collectors
+# and copied from their frozen shares) is gated by ratio against
+# BENCH_serve.json: a scrape of finished runs must cost under 0.15 of one
+# that renders them (0.031-0.045 over ten gate runs when the gate was
+# set, ~1 if finished runs were rendered again). Its medians are
+# rewritten like the kernel's.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -58,6 +66,7 @@ cd "$(repo_root)"
 : > BENCH_md_samples.json
 : > BENCH_snapshot_samples.json
 : > BENCH_sim_samples.json
+: > BENCH_serve_samples.json
 for _ in 1 2 3 4 5; do
   go test -run '^$' -bench 'BenchmarkDispatcher$/^(64|256)$|BenchmarkDispatcherBus$|BenchmarkDispatcherTrace$' \
     -benchtime 40x -json . | tee -a BENCH_dispatcher.json
@@ -73,6 +82,8 @@ for _ in 1 2 3 4 5; do
     -benchtime 20x -json . | tee -a BENCH_snapshot_samples.json
   go test -run '^$' -bench 'BenchmarkSimResident$' \
     -benchtime 2000000x -json ./internal/sim | tee -a BENCH_sim_samples.json
+  go test -run '^$' -bench 'BenchmarkAggregateScrape$' \
+    -benchtime 40x -json ./internal/serve | tee -a BENCH_serve_samples.json
 done
 # Every gate reports even when an earlier one fails. benchcheck is built,
 # not `go run`: go run turns every failure status into 1, and status 3
@@ -96,4 +107,6 @@ check -metric ns/op -bench BENCH_snapshot_samples.json -write BENCH_snapshot.jso
 check -metric ns/op -baseline BENCH_snapshot.json -bench BENCH_snapshot_samples.json
 check -metric ns/op -bench BENCH_sim_samples.json -write BENCH_sim.json
 check -metric ns/op -baseline BENCH_sim.json -bench BENCH_sim_samples.json
+check -metric ns/op -bench BENCH_serve_samples.json -write BENCH_serve.json
+check -metric ns/op -baseline BENCH_serve.json -bench BENCH_serve_samples.json
 exit "$status"
