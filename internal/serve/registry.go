@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -458,10 +459,11 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
 	var buf []core.Event
+	var frame sseFrame
 	flush := func() {
 		buf = sub.Drain(buf[:0])
 		for _, ev := range buf {
-			writeSSE(w, ev)
+			frame.write(w, ev)
 		}
 		if len(buf) > 0 {
 			fl.Flush()
@@ -484,9 +486,17 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// writeSSE renders one bus event as a server-sent event named by its
-// concrete type.
-func writeSSE(w io.Writer, ev core.Event) {
+// sseFrame renders bus events as server-sent events through one buffer
+// and encoder, reused for a whole stream.
+type sseFrame struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// write renders one bus event as a server-sent event named by its
+// concrete type, "event: <name>\ndata: <JSON>\n\n", and writes it to w;
+// an event JSON cannot encode writes nothing.
+func (f *sseFrame) write(w io.Writer, ev core.Event) {
 	name := "event"
 	switch ev.(type) {
 	case core.MDEvent:
@@ -500,11 +510,19 @@ func writeSSE(w io.Writer, ev core.Event) {
 	case core.ResourceEvent:
 		name = "resource"
 	}
-	data, err := json.Marshal(ev)
-	if err != nil {
+	if f.enc == nil {
+		f.enc = json.NewEncoder(&f.buf)
+	}
+	f.buf.Reset()
+	f.buf.WriteString("event: ")
+	f.buf.WriteString(name)
+	f.buf.WriteString("\ndata: ")
+	// Encode writes the value and a newline, or nothing on an error.
+	if f.enc.Encode(ev) != nil {
 		return
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
+	f.buf.WriteByte('\n')
+	_, _ = w.Write(f.buf.Bytes())
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
