@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -57,7 +58,9 @@ func freeze(v *runView) *fragment {
 		}
 		ff.end = len(e.buf)
 	}
-	fr.buf = slices.Clip(e.buf)
+	// Kept until the run is evicted: hold exactly the rendered bytes, not
+	// the slack append growth left.
+	fr.buf = bytes.Clone(e.buf)
 	return fr
 }
 
@@ -135,9 +138,7 @@ var families = []family{
 	{name: "repexd_http_request_duration_seconds", help: "Wall time to serve a request, by route (event streams are counted, not timed).", typ: "histogram",
 		daemon: func(e *exposition, d *daemonView) {
 			for _, rc := range d.routes {
-				var counts [len(httpBounds) + 1]uint64
-				h := rc.histogram(&counts)
-				histogramLines(e, &h, label{"route", text(rc.route)})
+				histogramLines(e, rc.histogram(), label{"route", text(rc.route)})
 			}
 		}},
 	{name: "repexd_sse_streams_total", help: "Event streams opened on GET /runs/{id}/events.", typ: "counter",

@@ -126,12 +126,12 @@ func (rc *routeClock) observe(d time.Duration) {
 	rc.sumNs.Add(int64(d))
 }
 
-// histogram reads the clock into counts, the +Inf count being their sum.
-func (rc *routeClock) histogram(counts *[len(httpBounds) + 1]uint64) analysis.Histogram {
-	h := analysis.Histogram{Bounds: httpBounds[:], Counts: counts[:], Sum: float64(rc.sumNs.Load()) / 1e9}
+// histogram reads the clock; its +Inf count is the sum of the buckets.
+func (rc *routeClock) histogram() *analysis.Histogram {
+	h := &analysis.Histogram{Bounds: httpBounds[:], Counts: make([]uint64, len(rc.counts)), Sum: float64(rc.sumNs.Load()) / 1e9}
 	for i := range rc.counts {
-		counts[i] = rc.counts[i].Load()
-		h.Count += counts[i]
+		h.Counts[i] = rc.counts[i].Load()
+		h.Count += h.Counts[i]
 	}
 	return h
 }
