@@ -172,7 +172,7 @@ const allocsPerLineCeiling = 0.1
 
 // TestExpositionAllocations bounds the allocations of one scrape of a
 // fresh 1024-window run, per rendered line: /metrics grows with the
-// ladder, and the daemon renders every run's share on each scrape.
+// ladder, and the daemon renders every active run's share on each scrape.
 func TestExpositionAllocations(t *testing.T) {
 	col := analysis.New(analysis.Config{DimSizes: []int{1024}, Replicas: 1024})
 	views := []runView{{run: `{run="r1"`, stats: col.SnapshotLite(),
