@@ -65,8 +65,8 @@ func run(withRespace bool) (*repex.FeedbackTrigger, analysis.Stats, []repex.Resp
 		log.Fatal(err)
 	}
 	var refits []repex.RespaceEvent
-	for _, ev := range sub.Drain(nil) {
-		if re, ok := ev.(repex.RespaceEvent); ok {
+	for _, rec := range sub.Drain(nil) {
+		if re, ok := rec.Other.(repex.RespaceEvent); ok {
 			refits = append(refits, re)
 		}
 	}

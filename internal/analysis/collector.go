@@ -169,8 +169,11 @@ type Collector struct {
 	mu      sync.Mutex
 	cfg     Config
 	sub     *core.Subscription
-	scratch []core.Event
+	scratch []core.BusRecord
 	st      state
+	// traceCap is the per-walk capacity of the trace arena, the one block
+	// of memory every walk's trace lives in (0 before the first event).
+	traceCap int
 }
 
 // New builds a collector for the given configuration. Replica i is
@@ -249,26 +252,35 @@ func (c *Collector) Sync() {
 		return
 	}
 	c.scratch = c.sub.Drain(c.scratch[:0])
-	for _, ev := range c.scratch {
-		c.apply(ev)
+	for i := range c.scratch {
+		if rec := &c.scratch[i]; rec.Other == nil {
+			c.applyMD(&rec.MD)
+		} else {
+			c.apply(rec.Other)
+		}
 	}
 }
 
-// Apply feeds one event directly (tests, or callers without a bus).
+// Apply feeds one event directly (tests, or callers without a bus); an
+// MDEvent takes the same by-value path as an MD record off the bus.
 func (c *Collector) Apply(ev core.Event) {
 	c.mu.Lock()
 	c.apply(ev)
 	c.mu.Unlock()
 }
 
+func (c *Collector) applyMD(e *core.MDEvent) {
+	c.st.MDSegments++
+	if e.Failed {
+		c.st.MDFailures++
+	}
+	c.st.MDExec.Observe(e.Exec)
+}
+
 func (c *Collector) apply(ev core.Event) {
 	switch e := ev.(type) {
 	case core.MDEvent:
-		c.st.MDSegments++
-		if e.Failed {
-			c.st.MDFailures++
-		}
-		c.st.MDExec.Observe(e.Exec)
+		c.applyMD(&e)
 	case core.FaultEvent:
 		c.st.Faults[e.Kind]++
 		// Relaunched attempts never reach an MDEvent; their exec feeds
@@ -322,15 +334,36 @@ func (c *Collector) applyExchange(e core.ExchangeEvent) {
 		}
 		w := &c.st.Walks[id]
 		w.Slot = slot
+		switch {
 		// >= (with trim), not ==: a Restore can hand us a trace longer
 		// than this collector's TraceLen.
-		if len(w.Trace) >= c.cfg.TraceLen {
+		case len(w.Trace) >= c.cfg.TraceLen:
 			n := copy(w.Trace, w.Trace[len(w.Trace)-c.cfg.TraceLen+1:])
 			w.Trace = w.Trace[:n]
+		case len(w.Trace) == cap(w.Trace):
+			c.growTraces(len(w.Trace) + 1)
 		}
 		w.Trace = append(w.Trace, slot)
 		c.touchEndpoint(w, now)
 	}
+}
+
+// growTraces moves every walk's trace into a new arena with room for at
+// least n entries a walk: one allocation for all walks, doubling like
+// append would, and never past TraceLen. A restored trace longer than the
+// new block keeps its own array; it is at TraceLen already and only
+// shifts from now on.
+func (c *Collector) growTraces(n int) {
+	size := min(max(n, 2*c.traceCap), c.cfg.TraceLen)
+	arena := make([]int, size*len(c.st.Walks))
+	for i := range c.st.Walks {
+		w := &c.st.Walks[i]
+		if len(w.Trace) <= size {
+			block := arena[i*size : i*size : (i+1)*size]
+			w.Trace = append(block, w.Trace...)
+		}
+	}
+	c.traceCap = size
 }
 
 // touchEndpoint advances the round-trip state machine for a replica
@@ -719,7 +752,7 @@ func (c *Collector) Restore(data []byte) error {
 		st.Faults = map[string]uint64{}
 	}
 	c.mu.Lock()
-	c.st = st
+	c.st, c.traceCap = st, 0
 	c.mu.Unlock()
 	return nil
 }

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
@@ -505,6 +506,44 @@ func TestPilotCoresGaugeAcrossOverlappedFailover(t *testing.T) {
 		resumed.Apply(core.ResourceEvent{At: 10, Pilot: last, Kind: task.ResourceLaunch, Cores: 8, Delta: 8})
 		if got := resumed.Snapshot().PilotCores; got[last] != 8 {
 			t.Errorf("%d pilots: resumed gauge %v after the new process's launch, want 8 on slot %d", pilots, got, last)
+		}
+	}
+}
+
+// TestWalkTracesShareOneArena: a walk trace grows at most once per
+// doubling for all walks together, not once per walk — 512 walks through
+// 100 events take the arenas of 1, 2, 4, ..., 64 entries a walk (seven
+// allocations where appending each trace made 3584) — and each trace
+// still holds exactly its last TraceLen slots.
+func TestWalkTracesShareOneArena(t *testing.T) {
+	const n, events = 512, 100
+	col := analysis.New(analysis.Config{DimSizes: []int{n}, Replicas: n})
+	evs := make([]core.Event, events)
+	for e := range evs {
+		slots := make([]int, n)
+		for id := range slots {
+			slots[id] = (id + e + 1) % n
+		}
+		evs[e] = exEvent(e, slots)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ev := range evs {
+		col.Apply(ev)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 16 {
+		t.Errorf("%d allocations over %d events of %d walks, want the 7 arenas", got, events, n)
+	}
+	st := col.Snapshot()
+	for id, tr := range st.Traces {
+		if len(tr) != 64 {
+			t.Fatalf("walk %d holds %d slots, want 64", id, len(tr))
+		}
+		for i, slot := range tr {
+			if want := (id + events - 64 + i + 1) % n; slot != want {
+				t.Fatalf("walk %d trace[%d] = %d, want %d", id, i, slot, want)
+			}
 		}
 	}
 }

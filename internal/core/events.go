@@ -13,7 +13,9 @@ import (
 // its ring fill up the oldest events are overwritten (and counted as
 // dropped) rather than stalling the publisher. A stalled subscriber
 // therefore cannot change the simulation's behaviour — only its own view
-// of it.
+// of it. Rings hold BusRecords: an MD completion rides by value from the
+// dispatcher's batch to the consumer, so an observed completion costs no
+// allocation.
 
 // Event is one record published on the Bus: MDEvent, ExchangeEvent or
 // FaultEvent.
@@ -203,14 +205,26 @@ func (b *Bus) Unsubscribe(target *Subscription) {
 	b.mu.Unlock()
 }
 
+// BusRecord is one entry of the bus: an MD completion, the bulk of the
+// stream, held by value in MD, or any other event in Other. Other is nil
+// exactly for an MD record, so a consumer switches on Other and reads MD
+// without the event ever being boxed.
+type BusRecord struct {
+	MD    MDEvent
+	Other Event
+}
+
+// recordOf routes an event onto the by-value path when it is an MDEvent.
+func recordOf(ev Event) BusRecord {
+	if md, ok := ev.(MDEvent); ok {
+		return BusRecord{MD: md}
+	}
+	return BusRecord{Other: ev}
+}
+
 // PublishBatch delivers evs in order to every subscriber without
-// blocking: full rings drop their oldest event. Safe for concurrent use;
-// the subscriber list is read lock-free to keep the hot loop's cost at
-// one atomic load, and each subscriber's ring lock is taken once per
-// batch instead of once per event. The dispatcher batches the MD, fault
-// and exchange records of a collection round this way so per-pair
-// outcome fan-out does not serialize the hot path at production replica
-// counts.
+// blocking, as publish does; an MDEvent among them travels as an MD
+// record.
 func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
@@ -218,7 +232,34 @@ func (b *Bus) PublishBatch(evs []Event) {
 	b.published.Add(uint64(len(evs)))
 	if subs := b.subs.Load(); subs != nil {
 		for _, s := range *subs {
-			s.pushBatch(evs)
+			s.mu.Lock()
+			for _, ev := range evs {
+				s.push(recordOf(ev))
+			}
+			s.mu.Unlock()
+		}
+	}
+}
+
+// publish delivers recs in order to every subscriber without blocking:
+// full rings drop their oldest record. Safe for concurrent use; the
+// subscriber list is read lock-free to keep the hot loop's cost at one
+// atomic load, and each subscriber's ring lock is taken once per batch
+// instead of once per record. The dispatcher batches the MD, fault and
+// exchange records of a collection round this way so per-pair outcome
+// fan-out does not serialize the hot path at production replica counts.
+func (b *Bus) publish(recs []BusRecord) {
+	if len(recs) == 0 {
+		return
+	}
+	b.published.Add(uint64(len(recs)))
+	if subs := b.subs.Load(); subs != nil {
+		for _, s := range *subs {
+			s.mu.Lock()
+			for i := range recs {
+				s.push(recs[i])
+			}
+			s.mu.Unlock()
 		}
 	}
 }
@@ -234,38 +275,36 @@ func (b *Bus) Published() uint64 {
 // Subscription is one consumer's bounded view of the bus.
 type Subscription struct {
 	mu      sync.Mutex
-	ring    []Event // doubles while full, up to limit entries
+	ring    []BusRecord // doubles while full, up to limit entries
 	limit   int
-	head    int // index of the oldest buffered event
-	n       int // buffered events
+	head    int // index of the oldest buffered record
+	n       int // buffered records
 	dropped uint64
 }
 
-func (s *Subscription) pushBatch(evs []Event) {
-	s.mu.Lock()
-	for _, ev := range evs {
-		if s.n == len(s.ring) && s.n < s.limit {
-			// head is 0 here: it moves only once the ring is at its limit.
-			ring := make([]Event, min(max(2*s.n, 64), s.limit))
-			copy(ring, s.ring)
-			s.ring = ring
-		}
-		if s.n == len(s.ring) {
-			s.ring[s.head] = ev
-			s.head = (s.head + 1) % len(s.ring)
-			s.dropped++
-		} else {
-			s.ring[(s.head+s.n)%len(s.ring)] = ev
-			s.n++
-		}
+// push buffers one record; the caller holds s.mu.
+func (s *Subscription) push(rec BusRecord) {
+	if s.n == len(s.ring) && s.n < s.limit {
+		// head is 0 here: it moves only once the ring is at its limit.
+		ring := make([]BusRecord, min(max(2*s.n, 64), s.limit))
+		copy(ring, s.ring)
+		s.ring = ring
 	}
-	s.mu.Unlock()
+	if s.n == len(s.ring) {
+		s.ring[s.head] = rec
+		s.head = (s.head + 1) % len(s.ring)
+		s.dropped++
+	} else {
+		s.ring[(s.head+s.n)%len(s.ring)] = rec
+		s.n++
+	}
 }
 
-// Drain appends all buffered events to dst in publication order and
+// Drain appends all buffered records to dst in publication order and
 // lets the ring go, so a subscriber that has caught up — a finished
-// run's collector above all — holds no buffer.
-func (s *Subscription) Drain(dst []Event) []Event {
+// run's collector above all — holds no buffer. It is every consumer's
+// one way off the bus.
+func (s *Subscription) Drain(dst []BusRecord) []BusRecord {
 	s.mu.Lock()
 	tail := min(s.n, len(s.ring)-s.head) // buffered before the ring wraps
 	dst = append(dst, s.ring[s.head:s.head+tail]...)

@@ -24,10 +24,10 @@ func TestBusRingOverflowDropsOldest(t *testing.T) {
 			if len(got) != kept {
 				t.Fatalf("drained %d of %d events from a %d-slot ring, want %d", len(got), c.published, c.capacity, kept)
 			}
-			for i, ev := range got {
-				if want := c.published - kept + i; ev.(core.MDEvent).Replica != want {
-					t.Fatalf("event %d is replica %d, want %d (oldest must be dropped first)",
-						i, ev.(core.MDEvent).Replica, want)
+			for i, rec := range got {
+				if want := c.published - kept + i; rec.Other != nil || rec.MD.Replica != want {
+					t.Fatalf("record %d is %+v, want MD replica %d (oldest must be dropped first)",
+						i, rec, want)
 				}
 			}
 			if want := uint64((round + 1) * (c.published - kept)); sub.Dropped() != want {
@@ -77,12 +77,12 @@ func TestBusDeliversEventStream(t *testing.T) {
 	var mds, exs int
 	var lastEx core.ExchangeEvent
 	nextEvent := 0
-	for _, ev := range sub.Drain(nil) {
-		switch e := ev.(type) {
-		case core.MDEvent:
+	for _, rec := range sub.Drain(nil) {
+		switch e := rec.Other.(type) {
+		case nil:
 			mds++
-			if e.Failed {
-				t.Fatalf("failed MD event on a quiet cluster: %+v", e)
+			if rec.MD.Failed {
+				t.Fatalf("failed MD event on a quiet cluster: %+v", rec.MD)
 			}
 		case core.ExchangeEvent:
 			if e.Event != nextEvent {

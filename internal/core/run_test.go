@@ -253,8 +253,8 @@ func TestCancelDrainsInFlightSegments(t *testing.T) {
 		t.Fatal("oversubscribed async cancel drained no in-flight segments; expected > 0")
 	}
 	cancelledEvents := 0
-	for _, ev := range sub.Drain(nil) {
-		if f, ok := ev.(core.FaultEvent); ok && f.Kind == core.FaultKindCancelled {
+	for _, rec := range sub.Drain(nil) {
+		if f, ok := rec.Other.(core.FaultEvent); ok && f.Kind == core.FaultKindCancelled {
 			cancelledEvents++
 		}
 	}

@@ -247,8 +247,8 @@ func TestHistoryTailBusRowsNotRecycled(t *testing.T) {
 	rep := runVirtual(t, spec, quietCluster(), 6, 2881)
 
 	var rows [][]int
-	for _, ev := range sub.Drain(nil) {
-		if ex, ok := ev.(core.ExchangeEvent); ok {
+	for _, rec := range sub.Drain(nil) {
+		if ex, ok := rec.Other.(core.ExchangeEvent); ok {
 			rows = append(rows, ex.Slots)
 		}
 	}

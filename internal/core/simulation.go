@@ -63,9 +63,9 @@ type Simulation struct {
 	exProbs    []float64
 	exUnis     []float64
 	speScratch []task.Handle
-	// busBatch accumulates a collection round's bus events for one
-	// batched Bus.PublishBatch call per dispatcher wakeup.
-	busBatch []Event
+	// busBatch accumulates a collection round's bus records for one
+	// batched Bus.publish call per dispatcher wakeup.
+	busBatch []BusRecord
 	// tracer is the optional flight recorder (Spec.Tracer); the
 	// record* helpers in tracer.go no-op while it is nil.
 	tracer *trace.Recorder
@@ -226,7 +226,7 @@ func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
 	if res.Failed() {
 		r.Alive = false
 		s.report.Dropped++
-		publish(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+		publishMD(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
 			Exec: res.Exec, Failed: true})
 		publish(s, FaultEvent{At: s.rt.Now(), Replica: r.ID,
 			Kind: FaultKindDrop, Retries: r.Retries})
@@ -235,7 +235,7 @@ func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
 	}
 	r.Cycle++
 	r.Energy = s.engine.OwnEnergy(r)
-	publish(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+	publishMD(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
 		Exec: res.Exec})
 }
 
@@ -244,22 +244,28 @@ func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
 // when the dispatcher calls flushBus (once per wakeup / exchange event),
 // which takes each subscriber's ring lock once per batch instead of once
 // per event. It takes the concrete event type so that the conversion to
-// Event, an allocation, happens only when somebody will receive it.
+// Event, an allocation, happens only when somebody will receive it; MD
+// completions skip it through publishMD.
 func publish[E Event](s *Simulation, ev E) {
 	if s.spec.Bus != nil {
-		s.busBatch = append(s.busBatch, ev)
+		s.busBatch = append(s.busBatch, BusRecord{Other: ev})
 	}
 }
 
-// flushBus delivers the queued event batch to the bus.
+// publishMD queues one MD completion by value.
+func publishMD(s *Simulation, ev MDEvent) {
+	if s.spec.Bus != nil {
+		s.busBatch = append(s.busBatch, BusRecord{MD: ev})
+	}
+}
+
+// flushBus delivers the queued batch to the bus.
 func (s *Simulation) flushBus() {
 	if len(s.busBatch) == 0 {
 		return
 	}
-	s.spec.Bus.PublishBatch(s.busBatch)
-	for i := range s.busBatch {
-		s.busBatch[i] = nil
-	}
+	s.spec.Bus.publish(s.busBatch)
+	clear(s.busBatch)
 	s.busBatch = s.busBatch[:0]
 }
 
@@ -345,10 +351,21 @@ func (s *Simulation) applySwap(a, b *Replica) {
 	a.Slot, b.Slot = b.Slot, a.Slot
 	s.replicaAt[a.Slot] = a.ID
 	s.replicaAt[b.Slot] = b.ID
-	a.Params = s.slotParams[a.Slot].Clone()
-	b.Params = s.slotParams[b.Slot].Clone()
+	s.takeSlotParams(a)
+	s.takeSlotParams(b)
 	rescaleVelocities(a, oldTa)
 	rescaleVelocities(b, oldTb)
+}
+
+// takeSlotParams sets r's parameters to its slot's, copying the
+// restraints into r's own array rather than a fresh clone. Only swaps
+// call it, and they only touch replicas with no segment in flight; an
+// engine that keeps parameters past a call (engines.Real.MDTask) clones
+// them itself.
+func (s *Simulation) takeSlotParams(r *Replica) {
+	p := s.slotParams[r.Slot]
+	p.Restraints = append(r.Params.Restraints[:0], p.Restraints...)
+	r.Params = p
 }
 
 // rescaleVelocities applies the standard T-REMD velocity rescaling,

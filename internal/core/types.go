@@ -401,7 +401,9 @@ type Engine interface {
 	// MPI task for T/U exchanges).
 	ExchangeTask(dim int, totalReplicas int, s *Spec) *task.Spec
 	// SinglePointTasks builds the extra per-replica energy tasks a
-	// dimension requires (non-empty only for salt exchange).
+	// dimension requires (non-empty only for salt exchange). The returned
+	// slice may be reused by the next call; the exchange phase submits
+	// its specs at once and awaits them before the next event.
 	SinglePointTasks(dim int, group []*Replica, s *Spec) []*task.Spec
 	// OwnEnergy returns the replica's potential energy under its own
 	// parameters; called after the MD phase.

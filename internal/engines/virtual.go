@@ -39,6 +39,14 @@ type Virtual struct {
 	// rewritten in place by MDTask: the dispatcher asks for a replica's
 	// next segment only after it has taken the previous one's result.
 	md []task.Spec
+	// spe holds each replica's single-point spec the same way, and speOut
+	// is the slice SinglePointTasks returns, reused by every call: a
+	// replica is in one exchange group per event, and the event awaits
+	// its single-point tasks before the next one is described.
+	spe    []task.Spec
+	speOut []*task.Spec
+	// ex holds each dimension's exchange-task spec.
+	ex []task.Spec
 	// boundSpec is the one simulation spec this engine instance serves,
 	// matching RepEx's one-AMM-per-simulation design; it is captured at
 	// first task preparation and may not change.
@@ -198,11 +206,20 @@ func (v *Virtual) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 }
 
 // ExchangeTask describes the single exchange-computation task for a
-// dimension over n replicas.
+// dimension over n replicas: the dimension's own spec, named once and
+// rewritten in place (an event awaits its exchange task).
 func (v *Virtual) ExchangeTask(dim int, n int, s *core.Spec) *task.Spec {
 	v.bind(s)
-	return &task.Spec{
-		Name:     fmt.Sprintf("ex-%s-d%d", s.Dims[dim].Type.Code(), dim),
+	if v.ex == nil {
+		v.ex = make([]task.Spec, len(s.Dims))
+	}
+	name := v.ex[dim].Name
+	if name == "" {
+		name = fmt.Sprintf("ex-%s-d%d", s.Dims[dim].Type.Code(), dim)
+	}
+	sp := &v.ex[dim]
+	*sp = task.Spec{
+		Name:     name,
 		Kind:     task.Exchange,
 		Cores:    1,
 		Duration: v.cost.ExchangeSeconds(s.Dims[dim].Type, n),
@@ -211,6 +228,7 @@ func (v *Virtual) ExchangeTask(dim int, n int, s *core.Spec) *task.Spec {
 		OutFiles: 1,
 		OutBytes: 4 << 10,
 	}
+	return sp
 }
 
 // SinglePointTasks returns one per-replica energy task for salt
@@ -228,9 +246,13 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 	if width < 1 {
 		width = 1
 	}
-	specs := make([]*task.Spec, 0, len(group))
+	specs := v.speOut[:0]
 	for _, r := range group {
-		specs = append(specs, &task.Spec{
+		if r.ID >= len(v.spe) {
+			v.spe = append(v.spe, make([]task.Spec, r.ID+1-len(v.spe))...)
+		}
+		sp := &v.spe[r.ID]
+		*sp = task.Spec{
 			Kind:      task.SinglePoint,
 			ReplicaID: r.ID,
 			Cores:     width,
@@ -239,8 +261,10 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 			InBytes:   v.cost.MDFileBytes,
 			OutFiles:  1,
 			OutBytes:  4 << 10,
-		})
+		}
+		specs = append(specs, sp)
 	}
+	v.speOut = specs
 	return specs
 }
 

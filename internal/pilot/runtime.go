@@ -63,8 +63,12 @@ type Runtime struct {
 	// delivered is the slice AwaitNext last returned; the next call moves
 	// its units to spare and refills it.
 	delivered []task.Handle
-	// spare holds delivered units for watched submissions to reuse.
+	// spare holds finished units for submissions to reuse: the units
+	// AwaitNext delivered, from its next call on, and the unwatched units
+	// Await and AwaitAll delivered, from their return on.
 	spare []*Unit
+	// results is the slice AwaitAll returns, refilled by every call.
+	results []task.Result
 }
 
 // slot is one routing slot: its current occupant and the routing history
@@ -260,8 +264,8 @@ func (r *Runtime) route(s *task.Spec) int {
 	return best
 }
 
-// submit routes the task and schedules it on the chosen slot's pilot. A
-// watched task runs in a spare unit when there is one. The result is
+// submit routes the task and schedules it on the chosen slot's pilot,
+// in a spare unit when there is one. The result is
 // stamped with the slot for the flight recorder; the writes are
 // race-free because the unit's process starts only after the
 // orchestrator yields to the virtual-time kernel.
@@ -271,7 +275,7 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	sl.routed++
 	sl.inflight += s.Cores
 	var u *Unit
-	if n := len(r.spare); watched && n > 0 {
+	if n := len(r.spare); n > 0 {
 		u, r.spare = r.spare[n-1], r.spare[:n-1]
 	} else {
 		u = new(Unit)
@@ -314,20 +318,30 @@ func (r *Runtime) Submit(s *task.Spec) task.Handle { return r.submit(s, false) }
 // completion stream for delivery by AwaitNext.
 func (r *Runtime) SubmitWatched(s *task.Spec) task.Handle { return r.submit(s, true) }
 
-// Await blocks the orchestrator until the unit finishes.
+// Await blocks the orchestrator until the unit finishes and returns its
+// result. An unwatched unit this runtime routed becomes a spare: the
+// handle is dead once Await returns.
 func (r *Runtime) Await(h task.Handle) task.Result {
 	u := h.(*Unit)
 	u.done.Await(r.proc)
+	if u.rt == r && !u.watched {
+		// Clearing rt marks the unit spare, so a second Await of the same
+		// handle cannot list it twice.
+		u.rt = nil
+		r.spare = append(r.spare, u)
+	}
 	return u.res
 }
 
-// AwaitAll blocks until all units finish.
+// AwaitAll blocks until all units finish, as Await does for each. The
+// returned slice is the runtime's own buffer, valid until the next
+// AwaitAll.
 func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
-	res := make([]task.Result, len(hs))
-	for i, h := range hs {
-		res[i] = r.Await(h)
+	r.results = r.results[:0]
+	for _, h := range hs {
+		r.results = append(r.results, r.Await(h))
 	}
-	return res
+	return r.results
 }
 
 // AwaitNext blocks until a watched unit completion is pending delivery

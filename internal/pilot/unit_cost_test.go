@@ -122,9 +122,62 @@ func TestRuntimeRoundTripAllocations(t *testing.T) {
 	}
 }
 
-// A watched submission after a delivery runs in the delivered unit, and
-// the reused unit names its new task; an unwatched one gets a unit of
-// its own.
+// The exchange phase's waiting style allocates nothing once warm either:
+// single-point tasks submitted unwatched and awaited together, then one
+// exchange task awaited alone. Awaited units come back as spares, and
+// AwaitAll refills one buffer.
+func TestRuntimeSubmitAwaitAllAllocations(t *testing.T) {
+	for _, pilots := range []int{1, 2} {
+		e := sim.NewEnv()
+		cl := cluster.MustNew(e, cluster.SuperMIC(), 1)
+		pls := make([]*Pilot, pilots)
+		for i := range pls {
+			var err error
+			if pls[i], err = Launch(cl, Description{Cores: 16}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spe := make([]task.Spec, 6)
+		for i := range spe {
+			spe[i] = task.Spec{Kind: task.SinglePoint, ReplicaID: i, Cores: 2, Duration: 3, InFiles: 2, InBytes: 4096, OutFiles: 1, OutBytes: 4096}
+		}
+		ex := &task.Spec{Name: "ex", Kind: task.Exchange, Cores: 1, Duration: 1}
+		hs := make([]task.Handle, 0, len(spe))
+		var allocs float64
+		e.Go("orchestrator", func(p *sim.Proc) {
+			rt, err := NewMultiRuntime(p, pls...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			phase := func() {
+				hs = hs[:0]
+				for i := range spe {
+					hs = append(hs, rt.Submit(&spe[i]))
+				}
+				for _, res := range rt.AwaitAll(hs) {
+					if res.Err != nil {
+						t.Errorf("single-point task failed: %v", res.Err)
+					}
+				}
+				if res := rt.Await(rt.Submit(ex)); res.Err != nil {
+					t.Errorf("exchange task failed: %v", res.Err)
+				}
+			}
+			phase() // pilots active, spares and buffers warm
+			allocs = testing.AllocsPerRun(200, phase)
+		})
+		e.Run()
+		if allocs > 0 {
+			t.Errorf("%d pilot(s): %.1f allocations per exchange phase, want 0", pilots, allocs)
+		}
+	}
+}
+
+// Every submission after a delivery runs in the delivered unit: a
+// watched unit is spare from the next AwaitNext on, an unwatched one from
+// its Await on, and the reused unit names its new task. Awaiting a handle
+// twice lists its unit once.
 func TestRuntimeReusesDeliveredUnit(t *testing.T) {
 	e := sim.NewEnv()
 	cl := cluster.MustNew(e, quietConfig(), 1)
@@ -141,12 +194,20 @@ func TestRuntimeReusesDeliveredUnit(t *testing.T) {
 			t.Error("a submission before the next AwaitNext took the delivered unit")
 		}
 		rt.AwaitNext(math.Inf(1))
-		if own := rt.Submit(&task.Spec{Name: "ex", Kind: task.Exchange, Cores: 1, Duration: 1}); own == first {
-			t.Error("an unwatched submission took a spare unit")
+		own := rt.Submit(&task.Spec{Name: "ex", Kind: task.Exchange, Cores: 1, Duration: 1})
+		if own != first {
+			t.Error("an unwatched submission after the next AwaitNext did not reuse the delivered unit")
 		}
+		if res := rt.Await(own); res.Spec.Label() != "ex" || res.Err != nil {
+			t.Errorf("reused unwatched unit returned %+v", res)
+		}
+		rt.Await(own) // a second Await of a dead handle lists nothing
 		reused := rt.SubmitWatched(&task.Spec{Kind: task.MD, ReplicaID: 4, Cycle: 2, Cores: 1, Duration: 5})
 		if reused != first {
-			t.Error("the watched submission after the next AwaitNext did not reuse the delivered unit")
+			t.Error("the watched submission after Await did not reuse the awaited unit")
+		}
+		if other := rt.Submit(&task.Spec{Name: "ex", Kind: task.Exchange, Cores: 1, Duration: 1}); other == reused {
+			t.Error("a unit awaited twice was handed out twice")
 		}
 		if got := reused.(*Unit).Name(); got != "unit:md-r004-c02" {
 			t.Errorf("reused unit named %q, want unit:md-r004-c02", got)

@@ -458,12 +458,12 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
-	var buf []core.Event
+	var buf []core.BusRecord
 	var frame sseFrame
 	flush := func() {
 		buf = sub.Drain(buf[:0])
-		for _, ev := range buf {
-			frame.write(w, ev)
+		for i := range buf {
+			frame.writeRecord(w, &buf[i])
 		}
 		if len(buf) > 0 {
 			fl.Flush()
@@ -493,6 +493,16 @@ type sseFrame struct {
 	enc *json.Encoder
 }
 
+// writeRecord renders one bus record as write renders its event; an MD
+// record is encoded from where it lies, never boxed.
+func (f *sseFrame) writeRecord(w io.Writer, rec *core.BusRecord) {
+	if rec.Other == nil {
+		f.frame(w, "md", &rec.MD)
+		return
+	}
+	f.write(w, rec.Other)
+}
+
 // write renders one bus event as a server-sent event named by its
 // concrete type, "event: <name>\ndata: <JSON>\n\n", and writes it to w;
 // an event JSON cannot encode writes nothing.
@@ -510,6 +520,12 @@ func (f *sseFrame) write(w io.Writer, ev core.Event) {
 	case core.ResourceEvent:
 		name = "resource"
 	}
+	f.frame(w, name, ev)
+}
+
+// frame writes "event: <name>\ndata: <JSON of v>\n\n", or nothing when v
+// does not encode.
+func (f *sseFrame) frame(w io.Writer, name string, v any) {
 	if f.enc == nil {
 		f.enc = json.NewEncoder(&f.buf)
 	}
@@ -518,7 +534,7 @@ func (f *sseFrame) write(w io.Writer, ev core.Event) {
 	f.buf.WriteString(name)
 	f.buf.WriteString("\ndata: ")
 	// Encode writes the value and a newline, or nothing on an error.
-	if f.enc.Encode(ev) != nil {
+	if f.enc.Encode(v) != nil {
 		return
 	}
 	f.buf.WriteByte('\n')

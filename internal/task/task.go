@@ -205,6 +205,11 @@ type Handle interface {
 // order. The stream is what the event-driven dispatcher in internal/core
 // runs on: each completion is enqueued once and delivered once, so the
 // dispatcher pays O(1) per event instead of rescanning a handle slice.
+//
+// A handle lives until it is delivered: a runtime may reuse it for a
+// later submission once Await or AwaitAll has returned its result, or
+// once the AwaitNext after the one that delivered it is called. Callers
+// keep the Result, never the handle.
 type Runtime interface {
 	// Now returns the runtime's current time in seconds.
 	Now() float64
@@ -227,9 +232,12 @@ type Runtime interface {
 	// AwaitNext, and a caller that needs a result later copies the
 	// Result.
 	AwaitNext(deadline float64) []Handle
-	// Await blocks until h is done and returns its result.
+	// Await blocks until h is done and returns its result; h is dead
+	// once it returns.
 	Await(h Handle) Result
-	// AwaitAll blocks until all handles are done.
+	// AwaitAll blocks until all handles are done and returns their
+	// results in order; the handles are dead once it returns, and the
+	// slice may be a buffer the runtime reuses at the next AwaitAll.
 	AwaitAll(hs []Handle) []Result
 	// Overhead charges d seconds of client-side overhead to the clock
 	// (RepEx task-preparation time; a no-op sleep in wall time).
