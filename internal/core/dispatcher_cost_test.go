@@ -197,6 +197,11 @@ func (e *costEngine) PrepOverhead(nTasks, ndims int) float64 {
 	return 0.0007*float64(nTasks) + 0.01*float64(ndims)
 }
 
+// costEngine draws nothing — its energies are functions of the replica —
+// so it resumes with nothing to replay.
+func (e *costEngine) RNGDraws() int64 { return 0 }
+func (e *costEngine) ReplayRNG(int64) {}
+
 // costScenario is one pinned dispatcher run: 1024 replicas, 8 cycles.
 type costScenario struct {
 	name    string

@@ -102,6 +102,12 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if _, ok := engine.(ReplayableEngine); spec.Resume != nil && !ok {
+		// A snapshot carries no molecular state: such an engine would
+		// restart every replica from fresh coordinates under the
+		// snapshot's slots.
+		return nil, fmt.Errorf("core: engine %q cannot resume from a snapshot: it does not restore its own state", engine.Name())
+	}
 	if spec.MaxRetries == 0 {
 		spec.MaxRetries = 3
 	}

@@ -93,10 +93,10 @@ const SnapshotVersion = 2
 
 // ReplayableEngine is implemented by engines whose stochastic state can
 // be captured as a draw count and restored by replaying it from the
-// engine's seed (the virtual cost-model engines). Engines that do not
-// implement it still resume — energies and synthetic coordinates come
-// from the snapshot — but their post-resume random stream is fresh, so
-// bit-exact continuation is not guaranteed.
+// engine's seed (the virtual cost-model engines). Only they resume: New
+// rejects Spec.Resume for any other engine, since a snapshot carries no
+// molecular state and such a run would silently restart every replica
+// from fresh coordinates.
 type ReplayableEngine interface {
 	// RNGDraws returns the number of draws consumed so far.
 	RNGDraws() int64
@@ -433,8 +433,8 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		s.rng.Float64()
 	}
 	s.rngDraws = sn.RNGDraws
-	if re, ok := s.engine.(ReplayableEngine); ok && sn.EngineDraws >= 0 {
-		re.ReplayRNG(sn.EngineDraws)
+	if sn.EngineDraws >= 0 {
+		s.engine.(ReplayableEngine).ReplayRNG(sn.EngineDraws)
 	}
 	s.resumeEvents = sn.Events
 	s.resumeElapsed = sn.Elapsed

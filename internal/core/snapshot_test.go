@@ -136,7 +136,17 @@ func TestResumeValidation(t *testing.T) {
 	runVirtual(t, spec, quietCluster(), 6, 2881)
 	snap := snaps[0]
 
-	eng := func() *rngEngine { return &rngEngine{rng: rand.New(rand.NewSource(5))} }
+	eng := func() *replayRNGEngine {
+		return &replayRNGEngine{rngEngine: rngEngine{rng: rand.New(rand.NewSource(5))}}
+	}
+
+	// An engine that cannot restore its own state is refused by name.
+	plain := smallTREMD(6, 2)
+	plain.Resume = snap
+	if _, err := core.New(plain, &rngEngine{rng: rand.New(rand.NewSource(5))}, localexec.New(8)); err == nil ||
+		!strings.Contains(err.Error(), `engine "rng-stub" cannot resume`) {
+		t.Fatalf("resume on an engine without ReplayableEngine: %v", err)
+	}
 
 	// Wrong replica count: the snapshot belongs to a different grid.
 	other := smallTREMD(8, 2)
@@ -228,5 +238,26 @@ func TestSnapshotsDisabledByDefault(t *testing.T) {
 	runVirtual(t, spec, quietCluster(), 4, 2881)
 	if called {
 		t.Fatal("snapshot captured without SnapshotEvery")
+	}
+}
+
+// replayRNGEngine is rngEngine with its draws counted and replayed from
+// its seed, so New lets it resume.
+type replayRNGEngine struct {
+	rngEngine
+	draws int64
+}
+
+func (e *replayRNGEngine) OwnEnergy(r *core.Replica) float64 {
+	e.draws++
+	return e.rngEngine.OwnEnergy(r)
+}
+
+func (e *replayRNGEngine) RNGDraws() int64 { return e.draws }
+
+func (e *replayRNGEngine) ReplayRNG(n int64) {
+	e.rng = rand.New(rand.NewSource(5))
+	for e.draws = 0; e.draws < n; e.draws++ {
+		e.rng.NormFloat64()
 	}
 }

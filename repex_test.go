@@ -162,6 +162,37 @@ func TestRunLocalRejectsUnknownTorsion(t *testing.T) {
 	}
 }
 
+// TestRunLocalRefusesResume: a snapshot carries no molecular state, so a
+// real-engine run handed one fails before it simulates anything, naming
+// the engine, instead of restarting every replica from fresh
+// coordinates. The snapshot is a real one, taken by a virtual run of the
+// same spec.
+func TestRunLocalRefusesResume(t *testing.T) {
+	newSpec := func() *Spec {
+		return &Spec{
+			Name:            "resume-real",
+			Dims:            []Dimension{{Type: Temperature, Values: GeometricTemperatures(280, 340, 4)}},
+			CoresPerReplica: 1,
+			StepsPerCycle:   40,
+			Cycles:          2,
+			Seed:            5,
+		}
+	}
+	var snap *Snapshot
+	spec := newSpec()
+	spec.SnapshotEvery = 1
+	spec.OnSnapshot = func(sn *Snapshot) { snap = sn }
+	if _, err := RunVirtual(spec, Small(1, 4), 4, AmberSander, 2881, 5); err != nil || snap == nil {
+		t.Fatalf("virtual run: %v, snapshot %v", err, snap != nil)
+	}
+	spec = newSpec()
+	spec.Resume = snap
+	rep, err := RunLocal(spec, 2, 11)
+	if err == nil || !strings.Contains(err.Error(), `engine "amber-real" cannot resume`) {
+		t.Fatalf("RunLocal resumed: report %v, err %v", rep, err)
+	}
+}
+
 func TestVersion(t *testing.T) {
 	if Version == "" {
 		t.Fatal("empty version")
