@@ -18,9 +18,12 @@ var updateExposition = flag.Bool("update", false, "rewrite testdata/metrics_*.go
 // The goldens below were generated by the hand-unrolled writeMetrics
 // and handleAggregateMetrics that preceded the families table; a
 // mismatch means the renderer changed a byte of /metrics — fix the
-// code, do not regenerate. The one regeneration since added the
-// repexd_http_request_duration_seconds, repexd_sse_streams_total and
-// repexd_run_panics_total lines and changed none.
+// code, do not regenerate. The two regenerations since only added lines:
+// the repexd_http_request_duration_seconds, repexd_sse_streams_total and
+// repexd_run_panics_total rows, then the repexd_http_requests_in_flight,
+// repexd_sse_subscribers and repexd_sse_dropped_events_total rows and the
+// Go runtime block (a fixed sample here; masked by maskLive where the
+// scrape is live).
 
 // fullView is a run that carries every metric family: a 4x2 grid under
 // feedback control (dimension 1 saturated), respacing with one applied
@@ -102,22 +105,59 @@ func plainView(run string) runView {
 	}
 }
 
+// fixedProcess is a Go runtime sample for the goldens: 34 GC pauses, one
+// past the last bound, and floats on both sides of the exponent-notation
+// thresholds.
+func fixedProcess() *processView {
+	return &processView{
+		goroutines: 42, gomaxprocs: 2,
+		heapLive: 31457280, heapGoal: 62914560,
+		heapAllocs: 123456789, gcCycles: 17, gcCPU: 0.0625,
+		pauses: analysis.Histogram{Bounds: gcPauseBounds, Counts: []uint64{0, 3, 20, 9, 1, 0, 0, 1},
+			Sum: 1.000412, Count: 34},
+		goVersion: "go1.24.0", path: "repro", version: "(devel)",
+	}
+}
+
 // renderRuns is the single-run server's exposition of the given views.
-func renderRuns(views []runView) []byte { return renderExposition(nil, views) }
+func renderRuns(views []runView) []byte {
+	return renderExposition(&daemonView{single: true, proc: fixedProcess()}, views)
+}
 
 // renderDaemon is the aggregate exposition of a daemon holding one
 // running and one completed run on a 64-core pool with 24 cores
 // admitted, that has served two launches (one past every latency bound)
-// and one scrape, opened three event streams and seen one run panic.
+// and one scrape, is serving one more launch, opened three event streams,
+// holds two open that dropped five records, and has seen one run panic.
 func renderDaemon(views []runView) []byte {
-	d := daemonView{poolTotal: 64, poolUsed: 24, streams: 3, panics: 1}
+	d := daemonView{proc: fixedProcess(), poolTotal: 64, poolUsed: 24, streams: 3, panics: 1,
+		subscribers: 2, sseDropped: 5}
 	d.runs[core.RunRunning], d.runs[core.RunCompleted] = 1, 1
 	launch, scrape := &routeClock{route: "POST /runs"}, &routeClock{route: "GET /metrics"}
 	launch.observe(3 * time.Millisecond)
 	launch.observe(7 * time.Second)
+	launch.inflight.Add(1)
 	scrape.observe(250 * time.Microsecond)
 	d.routes = []*routeClock{launch, scrape}
 	return renderExposition(&d, views)
+}
+
+// maskLive hides what a live scrape reads at its own instant: each line
+// of the Go runtime block keeps only its name, and a request-in-flight
+// sample loses its value.
+func maskLive(body []byte) []byte {
+	lines := strings.Split(string(body), "\n")
+	for i, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "go_"):
+			name, _, _ := strings.Cut(l, "{")
+			name, _, _ = strings.Cut(name, " ")
+			lines[i] = name + " <masked>"
+		case strings.HasPrefix(l, "repexd_http_requests_in_flight{"):
+			lines[i] = l[:strings.LastIndexByte(l, ' ')] + " <masked>"
+		}
+	}
+	return []byte(strings.Join(lines, "\n"))
 }
 
 func checkGolden(t *testing.T, path string, got []byte) {
@@ -161,7 +201,7 @@ func TestExpositionGoldenNoRuns(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("GET /metrics: %d", rec.Code)
 	}
-	checkGolden(t, "testdata/metrics_noruns.golden", rec.Body.Bytes())
+	checkGolden(t, "testdata/metrics_noruns.golden", maskLive(rec.Body.Bytes()))
 }
 
 // allocsPerLineCeiling bounds the per-line cost of a scrape. The

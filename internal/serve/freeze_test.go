@@ -108,7 +108,8 @@ func TestFreezeReadsStateBeforeSnapshot(t *testing.T) {
 	if first := string(get()); !strings.Contains(first, "\nrepex_md_segments_total 0\n") {
 		t.Fatalf("the scrape the run ended under should render the snapshot it took first:\n%s", first)
 	}
-	sameExposition(t, "the scrape after the run ended", get(), renderExposition(nil, []runView{r.srv.view()}))
+	sameExposition(t, "the scrape after the run ended", maskLive(get()),
+		maskLive(renderExposition(&daemonView{single: true, proc: fixedProcess()}, []runView{r.srv.view()})))
 }
 
 // parseSamples reads a Prometheus text body into its series' values;

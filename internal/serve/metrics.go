@@ -48,7 +48,7 @@ func freeze(v *runView) *fragment {
 	e := exposition{run: v.run}
 	for i := range families {
 		f, ff := &families[i], &fr.fams[i]
-		if f.daemon == nil {
+		if !f.own() {
 			ff.on = f.on == nil || f.on(v)
 			if f.soleHelp != nil {
 				ff.help = f.soleHelp(v)
@@ -89,29 +89,42 @@ func (v *runView) soleHelp(i int, f *family) string {
 	return f.soleHelp(v)
 }
 
-// daemonView is the registry's own contribution to its aggregate
-// scrape: registered runs by lifecycle state, the admission pool, its
-// timed routes in registration order, the event streams it opened and
-// the runs that panicked.
+// daemonView is the server's own contribution to a scrape: the Go
+// runtime block, and on the registry its rows — registered runs by
+// lifecycle state, the admission pool, its timed routes in registration
+// order, the event streams it opened, holds open and dropped records on,
+// and the runs that panicked.
 type daemonView struct {
+	// single marks the single-run server, whose view is the runtime block
+	// alone.
+	single bool
+	// proc is the runtime block (nil: none).
+	proc                *processView
 	runs                census
 	poolTotal, poolUsed int
 	routes              []*routeClock
 	streams, panics     uint64
+	subscribers         int64
+	sseDropped          uint64
 }
 
 // family is one row of the /metrics table: a metric family and how a
-// run (or, for the repexd_* rows, the daemon) emits its samples.
+// run, the daemon (the repexd_* rows) or the process (the go_* rows)
+// emits its samples.
 type family struct {
 	name, help, typ string
 	// soleHelp replaces help on a scrape of exactly one run.
 	soleHelp func(*runView) string
 	// on gates the family: it is rendered only when some run of the
 	// scrape has it (nil: always), and then for every run.
-	on     func(*runView) bool
-	emit   func(*exposition, *runView)
-	daemon func(*exposition, *daemonView)
+	on      func(*runView) bool
+	emit    func(*exposition, *runView)
+	daemon  func(*exposition, *daemonView)
+	process func(*exposition, *processView)
 }
+
+// own reports a family the server emits about itself, not per run.
+func (f *family) own() bool { return f.daemon != nil || f.process != nil }
 
 func (f family) when(on func(*runView) bool) family { f.on = on; return f }
 
@@ -141,8 +154,18 @@ var families = []family{
 				histogramLines(e, rc.histogram(), label{"route", text(rc.route)})
 			}
 		}},
+	{name: "repexd_http_requests_in_flight", help: "Requests being served, by route (event streams are in repexd_sse_subscribers).", typ: "gauge",
+		daemon: func(e *exposition, d *daemonView) {
+			for _, rc := range d.routes {
+				e.sample("", integer(int(rc.inflight.Load())), label{"route", text(rc.route)})
+			}
+		}},
 	{name: "repexd_sse_streams_total", help: "Event streams opened on GET /runs/{id}/events.", typ: "counter",
 		daemon: func(e *exposition, d *daemonView) { e.sample("", count(d.streams)) }},
+	{name: "repexd_sse_subscribers", help: "Event streams open now.", typ: "gauge",
+		daemon: func(e *exposition, d *daemonView) { e.sample("", integer(int(d.subscribers))) }},
+	{name: "repexd_sse_dropped_events_total", help: "Bus records event streams lost to ring overflow, summed over streams.", typ: "counter",
+		daemon: func(e *exposition, d *daemonView) { e.sample("", count(d.sseDropped)) }},
 	{name: "repexd_run_panics_total", help: "Runs that ended failed on a recovered panic.", typ: "counter",
 		daemon: func(e *exposition, d *daemonView) { e.sample("", count(d.panics)) }},
 
@@ -218,6 +241,25 @@ var families = []family{
 	counter("repex_bus_dropped_total", "Events the collector lost to ring overflow.", func(v *runView) uint64 { return v.stats.BusDropped }),
 	counter("repex_trace_spans_total", "Spans recorded by the flight recorder.", func(v *runView) uint64 { return v.st.TraceSpans }).when(hasTrace),
 	counter("repex_trace_dropped_total", "Spans evicted from the flight-recorder ring.", func(v *runView) uint64 { return v.st.TraceDropped }).when(hasTrace),
+
+	processRow("go_goroutines", "Goroutines that currently exist.", "gauge", func(p *processView) value { return count(p.goroutines) }),
+	processRow("go_gomaxprocs", "GOMAXPROCS: threads that may run Go code at once.", "gauge", func(p *processView) value { return count(p.gomaxprocs) }),
+	processRow("go_gc_heap_live_bytes", "Heap held by objects the last GC marked live.", "gauge", func(p *processView) value { return count(p.heapLive) }),
+	processRow("go_gc_heap_goal_bytes", "Heap size at which the next GC cycle ends.", "gauge", func(p *processView) value { return count(p.heapGoal) }),
+	processRow("go_gc_heap_allocs_objects_total", "Heap objects allocated since the process started.", "counter", func(p *processView) value { return count(p.heapAllocs) }),
+	processRow("go_gc_cycles_total", "Completed GC cycles.", "counter", func(p *processView) value { return count(p.gcCycles) }),
+	{name: "go_gc_pauses_seconds", help: "Stop-the-world GC pauses, folded from the runtime's buckets (_sum from their lower edges).", typ: "histogram",
+		process: func(e *exposition, p *processView) { histogramLines(e, &p.pauses) }},
+	processRow("go_gc_cpu_seconds_total", "Estimated CPU time spent in the GC.", "counter", func(p *processView) value { return float(p.gcCPU) }),
+	{name: "go_build_info", help: "1, labelled by the toolchain, the main module and its version.", typ: "gauge",
+		process: func(e *exposition, p *processView) {
+			e.sample("", integer(1), label{"goversion", text(p.goVersion)}, label{"path", text(p.path)}, label{"version", text(p.version)})
+		}},
+}
+
+// processRow is a runtime-block row of one sample.
+func processRow(name, help, typ string, x func(*processView) value) family {
+	return family{name: name, help: help, typ: typ, process: func(e *exposition, p *processView) { e.sample("", x(p)) }}
 }
 
 // counter and gauge are the rows of one unlabelled sample per run.
@@ -427,7 +469,7 @@ func (e *exposition) flush() {
 }
 
 // render walks the families table once: the Prometheus exposition of the
-// daemon (nil on the single-run server) and of one or many runs. The
+// server itself (d; nil renders runs alone) and of one or many runs. The
 // format requires every line of a metric family to form one group, so
 // multi-run output interleaves runs within each family (never family
 // blocks per run) — the run label keeps series from runs sharing a
@@ -436,11 +478,17 @@ func (e *exposition) flush() {
 func (e *exposition) render(d *daemonView, views []runView) {
 	for i := range families {
 		f := &families[i]
-		if f.daemon != nil {
-			if d != nil {
+		if f.own() {
+			switch {
+			case d == nil:
+			case f.daemon != nil && !d.single:
 				e.header(f, i, views)
 				e.run = ""
 				f.daemon(e, d)
+			case f.process != nil && d.proc != nil:
+				e.header(f, i, views)
+				e.run = ""
+				f.process(e, d.proc)
 			}
 			continue
 		}

@@ -55,6 +55,10 @@ type Registry struct {
 	// counts; panics counts runs that ended on a recovered panic.
 	routes          []*routeClock
 	streams, panics atomic.Uint64
+	// subscribers is the event streams open now; sseDropped sums the
+	// records their rings dropped, counted at each drain.
+	subscribers atomic.Int64
+	sseDropped  atomic.Uint64
 }
 
 // census counts runs by lifecycle state; every surface that reports or
@@ -87,7 +91,7 @@ func NewRegistry(totalCores, maxRuns int) *Registry {
 	g.handle("DELETE /runs/{id}", g.handleCancel)
 	g.handle("GET /runs/{id}/status", g.perRun((*Server).handleStatus))
 	g.handle("GET /runs/{id}/stats", g.perRun((*Server).handleStats))
-	g.handle("GET /runs/{id}/metrics", g.perRun((*Server).handleMetrics))
+	g.handle("GET /runs/{id}/metrics", g.perRun((*Server).handleRunMetrics))
 	g.handle("GET /runs/{id}/trace", g.perRun((*Server).handleTrace))
 	g.mux.HandleFunc("GET /runs/{id}/events", g.handleEvents)
 	g.handle("GET /metrics", g.handleAggregateMetrics)
@@ -104,7 +108,9 @@ func (g *Registry) handle(pattern string, h http.HandlerFunc) {
 	g.routes = append(g.routes, rc)
 	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
 		t0 := time.Now()
+		rc.inflight.Add(1)
 		h(w, req)
+		rc.inflight.Add(-1)
 		rc.observe(time.Since(t0))
 	})
 }
@@ -113,12 +119,14 @@ func (g *Registry) handle(pattern string, h http.HandlerFunc) {
 // buckets.
 var httpBounds = [...]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
-// routeClock is one route's latency histogram: a count per bucket (the
-// last one past every bound) and the summed wall time.
+// routeClock is one route's latency histogram — a count per bucket (the
+// last one past every bound) and the summed wall time — and its requests
+// in flight.
 type routeClock struct {
-	route  string
-	counts [len(httpBounds) + 1]atomic.Uint64
-	sumNs  atomic.Int64
+	route    string
+	counts   [len(httpBounds) + 1]atomic.Uint64
+	sumNs    atomic.Int64
+	inflight atomic.Int64
 }
 
 func (rc *routeClock) observe(d time.Duration) {
@@ -426,10 +434,12 @@ func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request
 	serveMetrics(w, &d, views)
 }
 
-// daemon is the registry's own rows of an aggregate scrape of runs.
+// daemon is the registry's own rows of an aggregate scrape of runs, and
+// the runtime block.
 func (g *Registry) daemon(runs []*Run) daemonView {
-	return daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used(),
-		routes: g.routes, streams: g.streams.Load(), panics: g.panics.Load()}
+	return daemonView{proc: readProcess(), runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used(),
+		routes: g.routes, streams: g.streams.Load(), panics: g.panics.Load(),
+		subscribers: g.subscribers.Load(), sseDropped: g.sseDropped.Load()}
 }
 
 // handleEvents streams the run's bus as server-sent events: one "md",
@@ -451,6 +461,8 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	sub := run.Spec().Bus.Subscribe(1 << 12)
 	defer run.Spec().Bus.Unsubscribe(sub)
 	g.streams.Add(1)
+	g.subscribers.Add(1)
+	defer g.subscribers.Add(-1)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -460,6 +472,7 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	defer ticker.Stop()
 	var buf []core.BusRecord
 	var frame sseFrame
+	var dropped uint64 // the subscription's drops already counted
 	flush := func() {
 		buf = sub.Drain(buf[:0])
 		for i := range buf {
@@ -467,6 +480,10 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 		}
 		if len(buf) > 0 {
 			fl.Flush()
+		}
+		if d := sub.Dropped(); d > dropped {
+			g.sseDropped.Add(d - dropped)
+			dropped = d
 		}
 	}
 	for {

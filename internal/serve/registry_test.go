@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -737,6 +738,9 @@ func TestRegistryDaemonRows(t *testing.T) {
 		`repexd_http_request_duration_seconds_count{route="GET /metrics"} 0`,
 		"repexd_sse_streams_total 1",
 		"repexd_run_panics_total 0",
+		// The scrape is in flight while it renders itself.
+		`repexd_http_requests_in_flight{route="GET /metrics"} 1`,
+		`repexd_http_requests_in_flight{route="POST /runs"} 0`,
 	} {
 		if !strings.Contains(body, "\n"+want+"\n") {
 			t.Errorf("aggregate scrape has no line %s", want)
@@ -744,5 +748,11 @@ func TestRegistryDaemonRows(t *testing.T) {
 	}
 	if strings.Contains(body, `route="GET /runs/{id}/events"`) {
 		t.Error("the event-stream route is timed")
+	}
+	if !strings.Contains(body, "\ngo_build_info{goversion=\""+runtime.Version()+"\",") {
+		t.Error("aggregate scrape has no runtime block naming this toolchain")
+	}
+	if run := string(do(http.MethodGet, "/runs/"+st.ID+"/metrics", "")); strings.Contains(run, "\ngo_") {
+		t.Error("a run's own scrape carries the daemon's runtime block")
 	}
 }

@@ -2,11 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -52,4 +57,54 @@ func TestSSEFrames(t *testing.T) {
 			t.Errorf("%s frame: %.1f allocations, want 0 (at most 1 under -race)", e.name, n)
 		}
 	}
+}
+
+// TestEventStreamRows: an open event stream counts in
+// repexd_sse_subscribers until its client leaves, and the records its
+// ring drops reach repexd_sse_dropped_events_total at its next drain.
+func TestEventStreamRows(t *testing.T) {
+	g := NewRegistry(0, 0)
+	g.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	r, err := NewRun(context.Background(), smallLaunch(t, "idle", 1), true, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ID = "r1"
+	g.runs = append(g.runs, r) // listed, never started: only this test publishes
+	scrapeRow := func(name string) string {
+		for _, l := range strings.Split(string(scrape(t, g, "/metrics")), "\n") {
+			if v, ok := strings.CutPrefix(l, name+" "); ok {
+				return v
+			}
+		}
+		return ""
+	}
+	await := func(name, want string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); scrapeRow(name) != want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s reads %q, want %s", name, scrapeRow(name), want)
+			}
+		}
+	}
+	ctx, leave := context.WithCancel(context.Background())
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		req := httptest.NewRequest("GET", "/runs/r1/events", nil).WithContext(ctx)
+		g.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	await("repexd_sse_subscribers", "1")
+	// One batch takes the ring's lock once: 4096 records stay, 904 drop,
+	// however the stream's drains interleave.
+	batch := make([]core.Event, 5000)
+	for i := range batch {
+		batch[i] = core.MDEvent{Replica: i % 8, Cycle: 1 + i/8}
+	}
+	r.Spec().Bus.PublishBatch(batch)
+	await("repexd_sse_dropped_events_total", "904")
+	leave()
+	<-streamed
+	await("repexd_sse_subscribers", "0")
+	await("repexd_sse_dropped_events_total", "904")
 }

@@ -2,9 +2,10 @@
 # Observability smoke: run a small virtual simulation with the status
 # server listening, then check /status and /metrics answer 200 with
 # well-formed payloads (fails on non-200 via curl -f and on malformed
-# Prometheus output via the greps), that every family scraped is in
-# docs/observability.md's metric reference, and that the -trace export
-# writes Perfetto-loadable Chrome trace-event JSON.
+# Prometheus output via the greps), that /metrics carries the Go runtime
+# block, that every family scraped is in docs/observability.md's metric
+# reference, and that the -trace export writes Perfetto-loadable Chrome
+# trace-event JSON.
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -27,6 +28,10 @@ grep -q '^# TYPE repex_exchange_events_total counter$' /tmp/metrics.txt
 grep -Eq '^repex_exchange_events_total [0-9]+$' /tmp/metrics.txt
 grep -q '^# TYPE repex_md_exec_seconds histogram$' /tmp/metrics.txt
 grep -Eq '^repex_md_exec_seconds_bucket\{le="\+Inf"\} [0-9]+$' /tmp/metrics.txt
+# The single-run server carries the Go runtime block too.
+grep -Eq '^go_gc_heap_allocs_objects_total [0-9]+$' /tmp/metrics.txt
+grep -Eq '^go_goroutines [0-9]+$' /tmp/metrics.txt
+grep -q '^go_build_info{goversion="go' /tmp/metrics.txt
 # Every sample line must be "name{labels} value".
 if grep -vE '^(#|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+-]+|\+Inf|$)' /tmp/metrics.txt; then
   echo "malformed Prometheus exposition" && exit 1

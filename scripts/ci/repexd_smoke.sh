@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # repexd smoke: the multi-run daemon end to end — launch the feedback
 # workload over HTTP, poll it to completion, check the aggregate scrape
-# carries the per-run label and the flight-recorder endpoints serve,
+# carries the per-run label, the daemon's own rows and the Go runtime
+# block, and the flight-recorder endpoints serve,
 # resize the shared core pool through PATCH /pool, then cancel a long
 # second run, assert it reaches "cancelled" and that its event stream
 # named every event. The daemon itself must drain and exit 0 on SIGTERM.
@@ -24,6 +25,11 @@ wait_state "http://127.0.0.1:9199/runs/$id" completed
 curl -fsS http://127.0.0.1:9199/metrics > /tmp/agg.txt
 grep -Eq "^repex_exchange_events_total\{run=\"$id\"\} [0-9]+$" /tmp/agg.txt
 grep -q '^repexd_runs{state="completed"} 1$' /tmp/agg.txt
+# The daemon's own rows: the Go runtime block, open event streams (none
+# yet) and requests in flight (the scrape counts itself).
+grep -Eq '^go_gc_heap_allocs_objects_total [0-9]+$' /tmp/agg.txt
+grep -q '^repexd_sse_subscribers 0$' /tmp/agg.txt
+grep -q '^repexd_http_requests_in_flight{route="GET /metrics"} 1$' /tmp/agg.txt
 # Flight recorder: every run carries one; the trace endpoint must serve
 # loadable Chrome trace-event JSON with complete ("X") spans, and the
 # aggregate scrape the span counters.
