@@ -418,10 +418,10 @@ func TestDispatcherPinnedAgainstParent(t *testing.T) {
 
 // costAllocCeil bounds the dispatch's allocations per completed MD
 // segment inside Run (simulation construction excluded), per scenario:
-// the readings (0.0134, 0.0068, 0.0503, 0.0128) with MD records on the
-// bus by value and swaps copying restraints in place, plus a few percent.
-// window-tu read 1.1978 while each completion boxed its MDEvent, and
-// barrier-tu-relaunch 0.1536 while each umbrella swap cloned parameters.
+// the readings (0.0134, 0.0068, 0.0503, 0.0128), plus a few percent.
+// window-tu has a bus: an MDEvent boxed on its way to it would add one
+// allocation a completion. barrier-tu-relaunch swaps restraints: a clone
+// per swapped replica would add about 0.15.
 var costAllocCeil = map[string]float64{
 	"barrier":             0.015,
 	"barrier-tu-relaunch": 0.0072,
@@ -458,7 +458,6 @@ func TestDispatcherAllocsPerCompletion(t *testing.T) {
 				next++
 			})
 			per := allocs / float64(ref.Completions)
-			t.Logf("%.4f allocs per completion", per)
 			ceil, ok := costAllocCeil[sc.name]
 			if !ok || per > ceil {
 				t.Errorf("%.4f allocs per completion (%v over %d completions), ceiling %v",

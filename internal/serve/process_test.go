@@ -39,8 +39,9 @@ func TestFoldRuntimeHistogram(t *testing.T) {
 
 // readProcess reads this process: its GOMAXPROCS, goroutines, a heap goal
 // above the live heap, a pause count that matches its buckets, and an
-// allocation counter that moves when this test allocates (the runtime
-// counts a span's objects when it hands the span out, so within a span).
+// allocation counter that moves when this test allocates. The runtime
+// counts allocations a span at a time, so the test asks for most of
+// them, not all.
 func TestReadProcess(t *testing.T) {
 	p := readProcess()
 	if p.gomaxprocs != uint64(runtime.GOMAXPROCS(0)) || p.goroutines == 0 || p.goVersion != runtime.Version() {
