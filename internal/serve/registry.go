@@ -109,8 +109,8 @@ func (g *Registry) handle(pattern string, h http.HandlerFunc) {
 	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
 		t0 := time.Now()
 		rc.inflight.Add(1)
+		defer rc.inflight.Add(-1) // a handler's panic is recovered by the server
 		h(w, req)
-		rc.inflight.Add(-1)
 		rc.observe(time.Since(t0))
 	})
 }
