@@ -303,17 +303,12 @@ func (s *Subscription) push(rec BusRecord) {
 // Drain appends all buffered records to dst in publication order and
 // lets the ring go, so a subscriber that has caught up — a finished
 // run's collector above all — holds no buffer. It is every consumer's
-// one way off the bus. An empty dst too small for the backlog is not
-// grown: the ring itself is handed over when it has not wrapped.
+// one way off the bus.
 func (s *Subscription) Drain(dst []BusRecord) []BusRecord {
 	s.mu.Lock()
-	if len(dst) == 0 && cap(dst) < s.n && s.head == 0 {
-		dst = s.ring[:s.n]
-	} else {
-		tail := min(s.n, len(s.ring)-s.head) // buffered before the ring wraps
-		dst = append(dst, s.ring[s.head:s.head+tail]...)
-		dst = append(dst, s.ring[:s.n-tail]...)
-	}
+	tail := min(s.n, len(s.ring)-s.head) // buffered before the ring wraps
+	dst = append(dst, s.ring[s.head:s.head+tail]...)
+	dst = append(dst, s.ring[:s.n-tail]...)
 	s.ring, s.head, s.n = nil, 0, 0
 	s.mu.Unlock()
 	return dst
