@@ -248,6 +248,9 @@ type Runtime interface {
 }
 
 // RunAll is a convenience that submits all specs and awaits all results.
+// The slice is AwaitAll's: it may be a buffer the runtime reuses at its
+// next AwaitAll, and so at the next RunAll on the same runtime. A caller
+// that keeps two batches copies the first.
 func RunAll(rt Runtime, specs []*Spec) []Result {
 	hs := make([]Handle, len(specs))
 	for i, s := range specs {
