@@ -121,7 +121,7 @@ func fixedProcess() *processView {
 
 // renderRuns is the single-run server's exposition of the given views.
 func renderRuns(views []runView) []byte {
-	return renderExposition(&daemonView{single: true, proc: fixedProcess()}, views)
+	return renderExposition(nil, fixedProcess(), views)
 }
 
 // renderDaemon is the aggregate exposition of a daemon holding one
@@ -130,7 +130,7 @@ func renderRuns(views []runView) []byte {
 // and one scrape, is serving one more launch, opened three event streams,
 // holds two open that dropped five records, and has seen one run panic.
 func renderDaemon(views []runView) []byte {
-	d := daemonView{proc: fixedProcess(), poolTotal: 64, poolUsed: 24, streams: 3, panics: 1,
+	d := daemonView{poolTotal: 64, poolUsed: 24, streams: 3, panics: 1,
 		subscribers: 2, sseDropped: 5}
 	d.runs[core.RunRunning], d.runs[core.RunCompleted] = 1, 1
 	launch, scrape := &routeClock{route: "POST /runs"}, &routeClock{route: "GET /metrics"}
@@ -139,7 +139,7 @@ func renderDaemon(views []runView) []byte {
 	launch.inflight.Add(1)
 	scrape.observe(250 * time.Microsecond)
 	d.routes = []*routeClock{launch, scrape}
-	return renderExposition(&d, views)
+	return renderExposition(&d, fixedProcess(), views)
 }
 
 // maskLive hides what a live scrape reads at its own instant: each line

@@ -26,9 +26,9 @@ func (w discardWriter) WriteHeader(int)             {}
 func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // streamed is what serveMetrics writes for the views.
-func streamed(d *daemonView, views []runView) []byte {
+func streamed(d *daemonView, proc *processView, views []runView) []byte {
 	rec := httptest.NewRecorder()
-	serveMetrics(rec, d, views)
+	serveMetrics(rec, d, proc, views)
 	return rec.Body.Bytes()
 }
 
@@ -54,15 +54,15 @@ func TestFrozenViewsRenderAsLive(t *testing.T) {
 		}
 		for _, dv := range []*daemonView{&d, nil} {
 			what := fmt.Sprintf("frozen mask %03b, daemon rows %t", mask, dv != nil)
-			sameExposition(t, what, streamed(dv, views), renderExposition(dv, live))
+			sameExposition(t, what, streamed(dv, nil, views), renderExposition(dv, nil, live))
 			for j := range views {
 				sameExposition(t, fmt.Sprintf("%s, run %d alone", what, j+1),
-					streamed(dv, views[j:j+1]), renderExposition(dv, live[j:j+1]))
+					streamed(dv, nil, views[j:j+1]), renderExposition(dv, nil, live[j:j+1]))
 			}
 		}
 	}
 	one := fullView(`{run="r1"`)
-	body := string(streamed(&d, []runView{{run: one.run, frozen: freeze(&one)}}))
+	body := string(streamed(&d, nil, []runView{{run: one.run, frozen: freeze(&one)}}))
 	if want := "over the last 8 outcomes."; !strings.Contains(body, want) {
 		t.Fatalf("a one-run aggregate scrape of a frozen run lost the window depth from its HELP (%q)", want)
 	}
@@ -109,7 +109,7 @@ func TestFreezeReadsStateBeforeSnapshot(t *testing.T) {
 		t.Fatalf("the scrape the run ended under should render the snapshot it took first:\n%s", first)
 	}
 	sameExposition(t, "the scrape after the run ended", maskLive(get()),
-		maskLive(renderExposition(&daemonView{single: true, proc: fixedProcess()}, []runView{r.srv.view()})))
+		maskLive(renderExposition(nil, fixedProcess(), []runView{r.srv.view()})))
 }
 
 // parseSamples reads a Prometheus text body into its series' values;

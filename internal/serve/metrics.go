@@ -89,17 +89,11 @@ func (v *runView) soleHelp(i int, f *family) string {
 	return f.soleHelp(v)
 }
 
-// daemonView is the server's own contribution to a scrape: the Go
-// runtime block, and on the registry its rows — registered runs by
+// daemonView is the registry's own rows of a scrape: registered runs by
 // lifecycle state, the admission pool, its timed routes in registration
 // order, the event streams it opened, holds open and dropped records on,
 // and the runs that panicked.
 type daemonView struct {
-	// single marks the single-run server, whose view is the runtime block
-	// alone.
-	single bool
-	// proc is the runtime block (nil: none).
-	proc                *processView
 	runs                census
 	poolTotal, poolUsed int
 	routes              []*routeClock
@@ -469,26 +463,26 @@ func (e *exposition) flush() {
 }
 
 // render walks the families table once: the Prometheus exposition of the
-// server itself (d; nil renders runs alone) and of one or many runs. The
+// registry's rows (d), the Go runtime block (proc) and one or many runs;
+// a nil d or proc has no rows. The
 // format requires every line of a metric family to form one group, so
 // multi-run output interleaves runs within each family (never family
 // blocks per run) — the run label keeps series from runs sharing a
 // dimension layout distinct. A frozen run's lines are copied, not
 // emitted.
-func (e *exposition) render(d *daemonView, views []runView) {
+func (e *exposition) render(d *daemonView, proc *processView, views []runView) {
 	for i := range families {
 		f := &families[i]
 		if f.own() {
 			switch {
-			case d == nil:
-			case f.daemon != nil && !d.single:
+			case f.daemon != nil && d != nil:
 				e.header(f, i, views)
 				e.run = ""
 				f.daemon(e, d)
-			case f.process != nil && d.proc != nil:
+			case f.process != nil && proc != nil:
 				e.header(f, i, views)
 				e.run = ""
-				f.process(e, d.proc)
+				f.process(e, proc)
 			}
 			continue
 		}
@@ -512,18 +506,18 @@ func (e *exposition) render(d *daemonView, views []runView) {
 }
 
 // renderExposition is the whole exposition in one buffer.
-func renderExposition(d *daemonView, views []runView) []byte {
+func renderExposition(d *daemonView, proc *processView, views []runView) []byte {
 	var e exposition
-	e.render(d, views)
+	e.render(d, proc, views)
 	return e.buf
 }
 
 // serveMetrics answers one scrape: both /metrics handlers end here. The
 // body streams through one chunk, so a scrape's memory does not grow with
 // its body.
-func serveMetrics(w http.ResponseWriter, d *daemonView, views []runView) {
+func serveMetrics(w http.ResponseWriter, d *daemonView, proc *processView, views []runView) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := exposition{w: w, buf: make([]byte, 0, chunkSize)}
-	e.render(d, views)
+	e.render(d, proc, views)
 	e.flush()
 }

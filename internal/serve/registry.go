@@ -431,13 +431,12 @@ func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request
 	for _, r := range runs {
 		views = append(views, r.metricsView())
 	}
-	serveMetrics(w, &d, views)
+	serveMetrics(w, &d, readProcess(), views)
 }
 
-// daemon is the registry's own rows of an aggregate scrape of runs, and
-// the runtime block.
+// daemon is the registry's own rows of an aggregate scrape of runs.
 func (g *Registry) daemon(runs []*Run) daemonView {
-	return daemonView{proc: readProcess(), runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used(),
+	return daemonView{runs: takeCensus(runs), poolTotal: g.pool.Total(), poolUsed: g.pool.Used(),
 		routes: g.routes, streams: g.streams.Load(), panics: g.panics.Load(),
 		subscribers: g.subscribers.Load(), sseDropped: g.sseDropped.Load()}
 }

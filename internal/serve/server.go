@@ -280,11 +280,11 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // handleMetrics serves the run and the Go runtime block of the process
 // it runs in: the single-run server's /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveMetrics(w, &daemonView{single: true, proc: readProcess()}, []runView{s.metrics()})
+	serveMetrics(w, nil, readProcess(), []runView{s.metrics()})
 }
 
 // handleRunMetrics serves the run alone: a registry run's
 // /runs/{id}/metrics, whose process is the daemon's.
 func (s *Server) handleRunMetrics(w http.ResponseWriter, r *http.Request) {
-	serveMetrics(w, nil, []runView{s.metrics()})
+	serveMetrics(w, nil, nil, []runView{s.metrics()})
 }

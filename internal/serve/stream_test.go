@@ -96,7 +96,7 @@ func TestStreamedScrapeEqualsBuffered(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		d := g.daemon(runs)
-		want := renderExposition(&d, views)
+		want := renderExposition(&d, fixedProcess(), views)
 		if len(want) < 16*32<<10 {
 			t.Fatalf("the aggregate exposition is %d bytes: too small to span many chunks", len(want))
 		}
@@ -104,6 +104,6 @@ func TestStreamedScrapeEqualsBuffered(t *testing.T) {
 	}
 	for i, r := range runs {
 		sameExposition(t, "GET /runs/"+r.ID+"/metrics", scrape(t, g, "/runs/"+r.ID+"/metrics"),
-			renderExposition(nil, views[i:i+1]))
+			renderExposition(nil, nil, views[i:i+1]))
 	}
 }
