@@ -20,7 +20,6 @@ import (
 
 	repex "repro"
 	"repro/internal/analysis"
-	"repro/internal/respace"
 )
 
 // misSpaced is the broken ladder: gaps of 3 K, then a cliff.
@@ -47,17 +46,21 @@ func run(withRespace bool) (*repex.FeedbackTrigger, analysis.Stats, []repex.Resp
 		Seed:            17,
 	}
 	spec.Bus = repex.NewBus()
-	col := analysis.New(analysis.ConfigFromSpec(spec))
+	// The collector's windows are as deep as the controller's, so the
+	// planner refits from the acceptance the controller steers on.
+	cfg := analysis.ConfigFromSpec(spec)
+	cfg.WindowEvents = tr.WindowEvents
+	col := analysis.New(cfg)
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
 	sub := spec.Bus.Subscribe(4096)
 	if withRespace {
 		// AfterSteps counts consecutive saturated controller steps
-		// before the grid moves; the planner reads the same collector
-		// the statistics below come from.
+		// before the grid moves; the planner is the same collector the
+		// statistics below come from.
 		spec.Respace = &repex.RespaceSpec{
 			AfterSteps: 8,
 			MaxRefits:  2,
-			Planner:    respace.NewPlanner(col),
+			Planner:    col,
 		}
 	}
 	machine := repex.Small(2, 8)

@@ -24,11 +24,13 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/jsonx"
+	"repro/internal/respace"
 	"repro/internal/ring"
 	"repro/internal/task"
 )
@@ -44,14 +46,11 @@ type Config struct {
 	TraceLen int
 	// WindowEvents is the rolling-window depth of the per-pair
 	// acceptance statistics: the last WindowEvents outcomes of each
-	// neighbour pair (default DefaultWindowEvents). Cumulative ratios
+	// neighbour pair (default core.DefaultWindowEvents). Cumulative ratios
 	// answer "how did the run go"; windowed ratios answer "how is it
 	// going right now" — the signal a feedback trigger consumes.
 	WindowEvents int
 }
-
-// DefaultWindowEvents is the default rolling-window depth per pair.
-const DefaultWindowEvents = 64
 
 // ConfigFromSpec derives the collector configuration from a simulation
 // spec.
@@ -184,7 +183,7 @@ func New(cfg Config) *Collector {
 		cfg.TraceLen = 64
 	}
 	if cfg.WindowEvents <= 0 {
-		cfg.WindowEvents = DefaultWindowEvents
+		cfg.WindowEvents = core.DefaultWindowEvents
 	}
 	c := &Collector{cfg: cfg}
 	c.st = state{
@@ -233,7 +232,7 @@ func RunBuffer(spec *core.Spec) int {
 	segments := spec.Replicas() * spec.Cycles * (len(spec.Dims) + 1)
 	retries := spec.MaxRetries
 	if retries <= 0 {
-		retries = 3 // core's default
+		retries = core.DefaultMaxRetries
 	}
 	n := segments*(2+retries) + 4096
 	if n > 1<<20 {
@@ -519,6 +518,63 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 		s.BusDropped = c.sub.Dropped()
 	}
 	return s
+}
+
+// PlanRespace implements core.RespacePlanner: it re-fits dimension dim's
+// ladder (respace.Refit) from the per-pair acceptance this collector
+// measured. It prefers each pair's rolling window (the same signal the
+// feedback controller steers on) and falls back to the cumulative
+// counts; either way every gap must have at least one measured attempt,
+// otherwise there is no profile to fit and ok is false. A proposal that
+// moves no rung (an already flat profile) is no proposal either — the
+// dispatcher would only churn state applying it. A nil collector and a
+// ladder of fewer than three rungs propose nothing.
+func (c *Collector) PlanRespace(dim int, current []float64) ([]float64, bool) {
+	if c == nil || len(current) < 3 {
+		return nil, false
+	}
+	c.Sync()
+	c.mu.Lock()
+	ratios, ok := c.pairRatios(dim, len(current)-1)
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	next, err := respace.Refit(current, ratios)
+	if err != nil || slices.Equal(next, current) {
+		return nil, false
+	}
+	return next, true
+}
+
+// pairRatios reads dimension dim's want per-pair acceptance ratios from
+// the rolling windows, or from the cumulative counts when some window is
+// empty. The caller holds c.mu.
+func (c *Collector) pairRatios(dim, want int) ([]float64, bool) {
+	if dim < 0 || dim >= len(c.st.Pairs) || len(c.st.Pairs[dim]) != want {
+		return nil, false
+	}
+	win := make([]PairStat, want)
+	for i := range win {
+		win[i] = windowStat(&c.st.PairWindows[dim][i])
+	}
+	if out, ok := ratios(win); ok {
+		return out, true
+	}
+	return ratios(c.st.Pairs[dim])
+}
+
+// ratios is each pair's acceptance ratio; ok is false when some pair has
+// no attempt.
+func ratios(pairs []PairStat) ([]float64, bool) {
+	out := make([]float64, len(pairs))
+	for i, ps := range pairs {
+		if ps.Attempted == 0 {
+			return nil, false
+		}
+		out[i] = ps.Ratio()
+	}
+	return out, true
 }
 
 func cloneHistogram(h Histogram) Histogram {

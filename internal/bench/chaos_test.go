@@ -13,7 +13,6 @@ import (
 	"repro/internal/engines"
 	"repro/internal/exchange"
 	"repro/internal/pilot"
-	"repro/internal/respace"
 )
 
 // shippedParams loads a committed simulation/resource pair through
@@ -190,7 +189,7 @@ func respaceChaosParams(t *testing.T, chaos *pilot.ChaosPlan) (RunParams, **core
 	spec.Bus = core.NewBus()
 	col := analysis.New(analysis.ConfigFromSpec(spec))
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
-	spec.Respace = &core.RespaceSpec{AfterSteps: 2, MaxRefits: 2, Planner: respace.NewPlanner(col)}
+	spec.Respace = &core.RespaceSpec{AfterSteps: 2, MaxRefits: 2, Planner: col}
 	simPtr := new(*core.Simulation)
 	return RunParams{
 		Spec:          spec,
@@ -219,7 +218,7 @@ func TestChaosDuringRespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quietHist := (*quietSim).RespaceHistory()
+	quietHist := respacings(*quietSim)
 	if len(quietHist) == 0 {
 		t.Fatal("quiet run never respaced; the chaos overlap has nothing to target")
 	}
@@ -235,7 +234,7 @@ func TestChaosDuringRespace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, (*simPtr).RespaceHistory()
+		return rep, respacings(*simPtr)
 	}
 	a, histA := run()
 	if a.Dropped != 0 {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/respace"
 )
 
 // respaceSmallParams loads the committed respace walkthrough config
@@ -25,10 +24,16 @@ func respaceSmallParams(t *testing.T) (RunParams, **core.Simulation) {
 	spec.Bus = core.NewBus()
 	col := analysis.New(analysis.ConfigFromSpec(spec))
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
-	spec.Respace.Planner = respace.NewPlanner(col)
+	spec.Respace.Planner = col
 	simPtr := new(*core.Simulation)
 	p.OnStart = func(s *core.Simulation) { *simPtr = s }
 	return p, simPtr
+}
+
+// respacings is a finished simulation's refit history.
+func respacings(s *core.Simulation) []core.RespaceRecord {
+	_, hist := s.Respacing()
+	return hist
 }
 
 // TestRespaceSmallGolden locks the committed respace walkthrough to its
@@ -44,7 +49,7 @@ func TestRespaceSmallGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, (*simPtr).RespaceHistory()
+		return rep, respacings(*simPtr)
 	}
 	a, histA := run()
 	if a.Dropped != 0 {

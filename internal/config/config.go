@@ -186,24 +186,7 @@ type Resource struct {
 	// spot-style preemption notices, elastic resizes — at fixed virtual
 	// times, making lossy-resource runs bit-reproducible. See
 	// docs/resources.md for the semantics of each kind.
-	Chaos []ChaosEvent `json:"chaos,omitempty"`
-}
-
-// ChaosEvent is the JSON shape of one scripted resource fault.
-type ChaosEvent struct {
-	// AtSec is the virtual fire time in seconds from run start.
-	AtSec float64 `json:"at_sec"`
-	// Pilot is the routing slot the fault targets (0, the only slot,
-	// under a single pilot).
-	Pilot int `json:"pilot,omitempty"`
-	// Kind is "node-loss", "preempt" or "resize".
-	Kind string `json:"kind"`
-	// Cores is the core count removed by "node-loss" or the signed
-	// delta applied by "resize".
-	Cores int `json:"cores,omitempty"`
-	// NoticeSec is the preemption notice window in seconds ("preempt");
-	// omitted, it inherits the resource's preempt_notice_sec.
-	NoticeSec float64 `json:"notice_sec,omitempty"`
+	Chaos []pilot.ChaosEvent `json:"chaos,omitempty"`
 }
 
 // PilotSpec is the pilot request parsed from a resource file.
@@ -355,12 +338,6 @@ func (s *Simulation) ToSpec() (*core.Spec, error) {
 		if s.Trigger != "feedback" {
 			return nil, fmt.Errorf("config: respace is enabled but trigger is %q; ladder respacing requires \"trigger\": \"feedback\"",
 				spec.TriggerName())
-		}
-		if s.Respace.AfterSteps < 0 {
-			return nil, fmt.Errorf("config: respace after_steps must be non-negative, got %d", s.Respace.AfterSteps)
-		}
-		if s.Respace.MaxRefits < 0 {
-			return nil, fmt.Errorf("config: respace max_refits must be non-negative, got %d", s.Respace.MaxRefits)
 		}
 		disabled, err := s.Respace.skipDims(spec.Dims)
 		if err != nil {
@@ -590,15 +567,13 @@ func (r *Resource) chaosPlan() (*pilot.ChaosPlan, error) {
 	for _, e := range r.Chaos {
 		if e.Pilot >= slots {
 			return nil, fmt.Errorf("config: chaos event at t=%g targets pilot %d, but only %d pilot slot(s) exist",
-				e.AtSec, e.Pilot, slots)
+				e.At, e.Pilot, slots)
 		}
-		notice := e.NoticeSec
-		if e.Kind == pilot.ChaosPreempt && notice == 0 {
-			notice = r.PreemptNoticeSec
+		// e is a copy: the default lands in the plan, not the script.
+		if e.Kind == pilot.ChaosPreempt && e.Notice == 0 {
+			e.Notice = r.PreemptNoticeSec
 		}
-		plan.Events = append(plan.Events, pilot.ChaosEvent{
-			At: e.AtSec, Pilot: e.Pilot, Kind: e.Kind, Cores: e.Cores, Notice: notice,
-		})
+		plan.Events = append(plan.Events, e)
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("config: %v", err)

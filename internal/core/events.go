@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/task"
 )
 
 // Typed event bus: the dispatcher publishes one record per MD completion,
@@ -92,24 +94,10 @@ const (
 	FaultKindCancelled = "cancelled"
 )
 
-// ResourceEvent mirrors one task.ResourceEvent on the bus: a pilot
-// lifecycle change (launch, node-loss shrink, preemption notice,
-// resize, expiry) drained from an elastic runtime.
-type ResourceEvent struct {
-	At float64
-	// Pilot is the routing slot of the affected pilot (0 on a single
-	// pilot; a failover replacement keeps its slot).
-	Pilot int
-	// Kind is one of the task.Resource* kind strings ("launch",
-	// "shrink", "preempt", "resize", "expire").
-	Kind string
-	// Cores is the pilot's core count after the change; Delta the
-	// signed change.
-	Cores int
-	Delta int
-	// Notice is the preemption notice window in seconds (preempt only).
-	Notice float64
-}
+// ResourceEvent is one task.ResourceEvent on the bus: a pilot lifecycle
+// change (launch, node-loss shrink, preemption notice, resize, expiry)
+// drained from an elastic runtime.
+type ResourceEvent task.ResourceEvent
 
 // When returns the publication time.
 func (e ResourceEvent) When() float64 { return e.At }
@@ -134,7 +122,10 @@ func (e FaultEvent) When() float64 { return e.At }
 
 // RespaceEvent records one online ladder re-fit: a saturated dimension's
 // window values were replaced by the flat-acceptance re-fit at a
-// checkpoint boundary. Consumers must not mutate the value slices.
+// checkpoint boundary. It is the RespaceRecord converted (the fields are
+// the record's, without its JSON tags, so SSE frames keep their
+// capitalised keys) and shares the record's slices: consumers must not
+// mutate them.
 type RespaceEvent struct {
 	At float64
 	// Event is the exchange-event index the refit fired after.

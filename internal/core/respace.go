@@ -13,10 +13,10 @@ import (
 // window values derived from the measured per-pair acceptance profile,
 // swaps the dimension's grid onto the new rungs at a checkpoint
 // boundary, and resets that dimension's controller so it re-warms
-// against the new ladder. The planner lives in internal/respace (it
-// reads the analysis collector); core only defines the interface, the
-// policy knobs and the apply step, keeping the dependency direction
-// core <- analysis intact.
+// against the new ladder. The planner is the analysis collector
+// (analysis.Collector.PlanRespace, fitting with respace.Refit); core only
+// defines the interface, the policy knobs and the apply step, keeping the
+// dependency direction core <- analysis intact.
 
 // RespacePlanner proposes a replacement value ladder for a saturated
 // exchange dimension. PlanRespace receives the dimension index and a
@@ -122,7 +122,8 @@ func (s *Simulation) maybeRespace(fb *FeedbackTrigger, event int) {
 		return
 	}
 	for d := range s.spec.Dims {
-		if rs.disabled(d) || len(s.spec.Dims[d].Values) < 2 || s.refits[d] >= rs.maxRefits() {
+		refits := s.refitCount(d)
+		if rs.disabled(d) || len(s.spec.Dims[d].Values) < 2 || refits >= rs.maxRefits() {
 			continue
 		}
 		st := fb.DimStatus(d)
@@ -134,21 +135,27 @@ func (s *Simulation) maybeRespace(fb *FeedbackTrigger, event int) {
 		if !ok || !respaceSane(old, next) {
 			continue
 		}
-		s.applyRespace(d, next)
+		rec := RespaceRecord{At: s.rt.Now(), Event: event, Dim: d, Refit: refits + 1,
+			Old: old, New: append([]float64(nil), next...)}
+		s.applyRespace(rec)
 		fb.ResetDim(d)
-		s.respaceMu.Lock()
-		s.refits[d]++
-		refit := s.refits[d]
-		s.respacings = append(s.respacings, RespaceRecord{
-			At: s.rt.Now(), Event: event, Dim: d, Refit: refit,
-			Old: old, New: append([]float64(nil), next...),
-		})
-		s.respaceMu.Unlock()
-		publish(s, RespaceEvent{At: s.rt.Now(), Event: event, Dim: d,
-			Refit: refit, Old: old, New: append([]float64(nil), next...)})
+		publish(s, RespaceEvent(rec))
 		s.flushBus()
-		s.recordRespace(d, event, refit)
+		s.recordRespace(d, event, rec.Refit)
 	}
+}
+
+// refitCount is dimension d's applied refits, counted from the history
+// (at most MaxRefits records a dimension). Only the dispatcher goroutine,
+// the history's one writer, calls it, so it reads without respaceMu.
+func (s *Simulation) refitCount(d int) int {
+	n := 0
+	for i := range s.respacings {
+		if s.respacings[i].Dim == d {
+			n++
+		}
+	}
+	return n
 }
 
 // respaceSane verifies a planner proposal preserves the ladder's
@@ -181,19 +188,22 @@ func respaceSane(old, next []float64) bool {
 	return true
 }
 
-// applyRespace swaps dimension dim's window values for next and
-// rebuilds every slot's derived parameters. Slot indices are preserved
-// (the re-fit keeps rung count and order), so each replica stays in its
-// slot and simply receives that slot's new parameters — the
-// nearest-new-rung remap is the identity on slot index. Temperature
-// changes rescale velocities by sqrt(Tnew/Told), the same rule applySwap
-// uses, so engine state stays consistent with its thermostat.
-func (s *Simulation) applyRespace(dim int, next []float64) {
+// applyRespace swaps dimension rec.Dim's window values for rec.New,
+// rebuilds every slot's derived parameters and appends rec to the
+// history, all in one respaceMu section, so a concurrent Respacing never
+// reads a ladder without its record. Slot indices are preserved (the
+// re-fit keeps rung count and order), so each replica stays in its slot
+// and simply receives that slot's new parameters — the nearest-new-rung
+// remap is the identity on slot index. Temperature changes rescale
+// velocities by sqrt(Tnew/Told), the same rule applySwap uses, so engine
+// state stays consistent with its thermostat.
+func (s *Simulation) applyRespace(rec RespaceRecord) {
 	s.respaceMu.Lock()
-	s.spec.Dims[dim].Values = append([]float64(nil), next...)
+	s.spec.Dims[rec.Dim].Values = append([]float64(nil), rec.New...)
 	for slot := range s.slotParams {
 		s.slotParams[slot] = s.paramsForSlot(slot)
 	}
+	s.respacings = append(s.respacings, rec)
 	s.respaceMu.Unlock()
 	for _, r := range s.replicas {
 		oldT := r.Params.TemperatureK
@@ -204,34 +214,18 @@ func (s *Simulation) applyRespace(dim int, next []float64) {
 	}
 }
 
-// LadderValues returns a deep copy of every dimension's current window
-// values. Safe for concurrent use with a running dispatcher (the live
-// HTTP server reads it mid-run, while a refit may be rewriting the
-// grid).
-func (s *Simulation) LadderValues() [][]float64 {
+// Respacing returns a deep copy of every dimension's current window
+// values and a copy of the applied refits in order, read together under
+// one lock: each dimension's ladder is the New of its last record, or
+// its original values when it has none. Safe for concurrent use with a
+// running dispatcher (the live HTTP server reads it mid-run, while a
+// refit may be rewriting the grid).
+func (s *Simulation) Respacing() (ladders [][]float64, history []RespaceRecord) {
 	s.respaceMu.Lock()
 	defer s.respaceMu.Unlock()
-	out := make([][]float64, len(s.spec.Dims))
+	ladders = make([][]float64, len(s.spec.Dims))
 	for d := range s.spec.Dims {
-		out[d] = append([]float64(nil), s.spec.Dims[d].Values...)
+		ladders[d] = append([]float64(nil), s.spec.Dims[d].Values...)
 	}
-	return out
-}
-
-// RespaceHistory returns a copy of the applied refits in order. Safe
-// for concurrent use like LadderValues.
-func (s *Simulation) RespaceHistory() []RespaceRecord {
-	s.respaceMu.Lock()
-	defer s.respaceMu.Unlock()
-	out := make([]RespaceRecord, len(s.respacings))
-	copy(out, s.respacings)
-	return out
-}
-
-// RefitCounts returns the per-dimension applied-refit counts. Safe for
-// concurrent use like LadderValues.
-func (s *Simulation) RefitCounts() []int {
-	s.respaceMu.Lock()
-	defer s.respaceMu.Unlock()
-	return append([]int(nil), s.refits...)
+	return ladders, append([]RespaceRecord(nil), s.respacings...)
 }

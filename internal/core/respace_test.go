@@ -11,7 +11,6 @@ import (
 	"repro/internal/engines"
 	"repro/internal/exchange"
 	"repro/internal/pilot"
-	"repro/internal/respace"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -51,14 +50,25 @@ func mkRespaceRun() (*core.Spec, *core.FeedbackTrigger, *analysis.Collector) {
 	spec.Respace = &core.RespaceSpec{
 		AfterSteps: 2,
 		MaxRefits:  2,
-		Planner:    respace.NewPlanner(col),
+		Planner:    col,
 	}
 	spec.SnapshotEvery = 3
 	return spec, tr, col
 }
 
 // runVirtualSim is runVirtual with the simulation handle kept, so tests
-// can read the respace accessors after the run.
+// can read its Respacing after the run.
+// history is the simulation's refit history; ladders its current grid.
+func history(s *core.Simulation) []core.RespaceRecord {
+	_, h := s.Respacing()
+	return h
+}
+
+func ladders(s *core.Simulation) [][]float64 {
+	l, _ := s.Respacing()
+	return l
+}
+
 func runVirtualSim(t *testing.T, spec *core.Spec, cfg cluster.Config, cores, natoms int) (*core.Report, *core.Simulation) {
 	t.Helper()
 	env := sim.NewEnv()
@@ -101,7 +111,7 @@ func TestRespaceFiresOnSaturatedLadder(t *testing.T) {
 	spec.OnSnapshot = func(sn *core.Snapshot) { snaps = append(snaps, sn) }
 	_, simu := runVirtualSim(t, spec, quietCluster(), 8, 2881)
 
-	hist := simu.RespaceHistory()
+	hist := history(simu)
 	if len(hist) == 0 {
 		t.Fatal("bunched ladder never respaced")
 	}
@@ -130,11 +140,8 @@ func TestRespaceFiresOnSaturatedLadder(t *testing.T) {
 		}
 	}
 	// The simulation's live grid and the record agree.
-	if got := simu.LadderValues()[0]; !reflect.DeepEqual(got, hist[len(hist)-1].New) {
+	if got := ladders(simu)[0]; !reflect.DeepEqual(got, hist[len(hist)-1].New) {
 		t.Fatalf("live ladder %v does not match last refit %v", got, hist[len(hist)-1].New)
-	}
-	if counts := simu.RefitCounts(); counts[0] != len(hist) {
-		t.Fatalf("refit count %d, history has %d records", counts[0], len(hist))
 	}
 	// Snapshots taken at or after the refit carry the refitted grid.
 	carried := false
@@ -184,7 +191,7 @@ func TestRespaceResumeDeterminism(t *testing.T) {
 	}
 	full, fullSim := runVirtualSim(t, spec, quietCluster(), 8, 2881)
 
-	fullHist := fullSim.RespaceHistory()
+	fullHist := history(fullSim)
 	if len(fullHist) == 0 {
 		t.Fatal("full run never respaced; nothing to replay")
 	}
@@ -228,13 +235,13 @@ func TestRespaceResumeDeterminism(t *testing.T) {
 	// event's At) and the resumed environment's clock restarts at zero,
 	// so compare the histories with At masked: same event, same refit
 	// ordinal, same grids is the determinism that matters.
-	if !reflect.DeepEqual(maskAt(resumedSim.RespaceHistory()), maskAt(fullHist)) {
+	if !reflect.DeepEqual(maskAt(history(resumedSim)), maskAt(fullHist)) {
 		t.Fatalf("refit history diverged:\nfull    %+v\nresumed %+v",
-			fullHist, resumedSim.RespaceHistory())
+			fullHist, history(resumedSim))
 	}
-	if !reflect.DeepEqual(resumedSim.LadderValues(), fullSim.LadderValues()) {
+	if !reflect.DeepEqual(ladders(resumedSim), ladders(fullSim)) {
 		t.Fatalf("final ladders diverged:\nfull    %v\nresumed %v",
-			fullSim.LadderValues(), resumedSim.LadderValues())
+			ladders(fullSim), ladders(resumedSim))
 	}
 	ra, na := trFull.Acceptance()
 	rb, nb := trResumed.Acceptance()
@@ -257,7 +264,7 @@ func TestRespaceResumeAfterRefit(t *testing.T) {
 		snaps = append(snaps, sn)
 	}
 	full, fullSim := runVirtualSim(t, spec, quietCluster(), 8, 2881)
-	fullHist := fullSim.RespaceHistory()
+	fullHist := history(fullSim)
 	if len(fullHist) == 0 {
 		t.Fatal("full run never respaced")
 	}
@@ -289,13 +296,13 @@ func TestRespaceResumeAfterRefit(t *testing.T) {
 	if historyFingerprint(resumed.SlotHistory) != historyFingerprint(full.SlotHistory) {
 		t.Fatalf("resumed slot history diverged")
 	}
-	if !reflect.DeepEqual(resumedSim.LadderValues(), fullSim.LadderValues()) {
+	if !reflect.DeepEqual(ladders(resumedSim), ladders(fullSim)) {
 		t.Fatalf("resumed ladder %v, full %v",
-			resumedSim.LadderValues(), fullSim.LadderValues())
+			ladders(resumedSim), ladders(fullSim))
 	}
-	if !reflect.DeepEqual(resumedSim.RespaceHistory(), fullHist) {
+	if !reflect.DeepEqual(history(resumedSim), fullHist) {
 		t.Fatalf("restored refit history diverged:\nfull    %+v\nresumed %+v",
-			fullHist, resumedSim.RespaceHistory())
+			fullHist, history(resumedSim))
 	}
 }
 
@@ -310,7 +317,7 @@ func TestRespaceTraceDeterminism(t *testing.T) {
 		rec := trace.New(0)
 		spec.Tracer = rec
 		_, simu := runVirtualSim(t, spec, quietCluster(), 8, 2881)
-		if len(simu.RespaceHistory()) == 0 {
+		if len(history(simu)) == 0 {
 			t.Fatal("run never respaced; trace carries no respace instants")
 		}
 		out, err := rec.ExportJSON()
@@ -334,10 +341,10 @@ func TestRespaceDisabledDimStaysPut(t *testing.T) {
 	spec, _, _ := mkRespaceRun()
 	spec.Respace.Disabled = []bool{true}
 	_, simu := runVirtualSim(t, spec, quietCluster(), 8, 2881)
-	if hist := simu.RespaceHistory(); len(hist) != 0 {
+	if hist := history(simu); len(hist) != 0 {
 		t.Fatalf("disabled dimension respaced: %+v", hist)
 	}
-	if got := simu.LadderValues()[0]; !reflect.DeepEqual(got, bunchedLadder()) {
+	if got := ladders(simu)[0]; !reflect.DeepEqual(got, bunchedLadder()) {
 		t.Fatalf("disabled dimension's ladder moved: %v", got)
 	}
 }
@@ -349,7 +356,7 @@ func TestRespaceMaxRefitsBudget(t *testing.T) {
 	spec.Respace.MaxRefits = 1
 	spec.Cycles = 24
 	_, simu := runVirtualSim(t, spec, quietCluster(), 8, 2881)
-	if got := simu.RefitCounts()[0]; got > 1 {
+	if got := len(history(simu)); got > 1 {
 		t.Fatalf("refit budget 1, applied %d", got)
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"errors"
 )
 
-// RunState is the lifecycle state of a Simulation: pending → running →
-// {completed, failed, cancelled}. It is readable concurrently with the
-// run through Simulation.State, which is how external observers (status
-// endpoints, run registries) track a run without touching the
-// dispatcher.
+// RunState is the lifecycle state of a run: pending → running →
+// {completed, failed, cancelled}. A run's owner tracks it (serve.Run,
+// which status endpoints and run registries read); RunContext's error
+// says which terminal state a run reached.
 type RunState int32
 
 const (
@@ -54,12 +53,6 @@ func (s RunState) Terminal() bool {
 // distinguishes cancellation from genuine failures.
 var ErrRunCancelled = errors.New("run cancelled")
 
-// State returns the run's lifecycle state. Safe to call from any
-// goroutine at any time.
-func (s *Simulation) State() RunState { return RunState(s.state.Load()) }
-
-func (s *Simulation) setState(st RunState) { s.state.Store(int32(st)) }
-
 // Run executes the simulation under the spec's exchange-trigger policy
 // (derived from the RE pattern when none is set explicitly) and returns
 // the report. It is RunContext with a background (non-cancellable)
@@ -82,7 +75,6 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.setState(RunRunning)
 	// A resumed run back-dates its start by the snapshot's elapsed time,
 	// keeping Makespan and Utilization cumulative over the whole
 	// simulation rather than just the post-resume segment.
@@ -98,13 +90,5 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 		err = newDispatcher(ctx, s, tr).run()
 	}
 	s.report.End = s.rt.Now()
-	switch {
-	case err == nil:
-		s.setState(RunCompleted)
-	case errors.Is(err, ErrRunCancelled):
-		s.setState(RunCancelled)
-	default:
-		s.setState(RunFailed)
-	}
 	return s.report, err
 }

@@ -15,7 +15,8 @@ import (
 
 // runVirtualCtx is runVirtual with a caller-supplied context and no
 // fatal error handling: cancellation tests need the partial report, the
-// final run state and the returned error.
+// final run state (read off the returned error, the way a run's owner
+// records it) and the error itself.
 func runVirtualCtx(t *testing.T, ctx context.Context, spec *core.Spec, cfg cluster.Config, cores, natoms int) (*core.Report, core.RunState, error) {
 	t.Helper()
 	env := sim.NewEnv()
@@ -35,11 +36,15 @@ func runVirtualCtx(t *testing.T, ctx context.Context, spec *core.Spec, cfg clust
 			runErr = err
 			return
 		}
-		if got := simu.State(); got != core.RunPending {
-			t.Errorf("pre-run state %v, want pending", got)
-		}
 		report, runErr = simu.RunContext(ctx)
-		state = simu.State()
+		switch {
+		case runErr == nil:
+			state = core.RunCompleted
+		case errors.Is(runErr, core.ErrRunCancelled):
+			state = core.RunCancelled
+		default:
+			state = core.RunFailed
+		}
 	})
 	env.Run()
 	return report, state, runErr

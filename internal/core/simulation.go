@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/exchange"
 	"repro/internal/md"
@@ -71,15 +70,13 @@ type Simulation struct {
 	tracer *trace.Recorder
 
 	// respaceMu guards the fields a live ladder re-fit rewrites against
-	// concurrent status readers: spec.Dims values, slotParams, the refit
-	// counters and the respacing history. Only the dispatcher goroutine
-	// mutates them; HTTP surfaces read through LadderValues and
-	// RespaceHistory.
+	// concurrent status readers: spec.Dims values, slotParams and the
+	// respacing history. Only the dispatcher goroutine mutates them; HTTP
+	// surfaces read through Respacing.
 	respaceMu sync.Mutex
-	// respacings is the run's refit history (appended by maybeRespace);
-	// refits counts refits per dimension for the MaxRefits budget.
+	// respacings is the run's refit history (appended by applyRespace),
+	// the one record of refits: the MaxRefits budget counts it too.
 	respacings []RespaceRecord
-	refits     []int
 
 	// resumeEvents is the exchange-event counter restored from
 	// Spec.Resume (0 for a fresh run); resumeElapsed is the virtual run
@@ -88,10 +85,6 @@ type Simulation struct {
 	resumeEvents  int
 	resumeElapsed float64
 	resumed       bool
-
-	// state is the run's lifecycle state (RunState), readable
-	// concurrently through State while the dispatcher runs.
-	state atomic.Int32
 
 	report *Report
 }
@@ -109,7 +102,7 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		return nil, fmt.Errorf("core: engine %q cannot resume from a snapshot: it does not restore its own state", engine.Name())
 	}
 	if spec.MaxRetries == 0 {
-		spec.MaxRetries = 3
+		spec.MaxRetries = DefaultMaxRetries
 	}
 	for _, dim := range spec.Dims {
 		if dim.Type == exchange.Umbrella && engine.TorsionIndex(dim.Torsion) < 0 {
@@ -137,7 +130,6 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		s.slotGroups[d] = grid.GroupsAlong(d)
 	}
 	s.dimStride = make([]int, len(spec.Dims))
-	s.refits = make([]int, len(spec.Dims))
 	stride := 1
 	for d := len(spec.Dims) - 1; d >= 0; d-- {
 		s.dimStride[d] = stride
@@ -290,8 +282,7 @@ func (s *Simulation) drainResourceEvents() {
 		if ev.Kind == task.ResourcePreempt {
 			s.report.Preemptions++
 		}
-		publish(s, ResourceEvent{At: ev.At, Pilot: ev.Pilot, Kind: ev.Kind,
-			Cores: ev.Cores, Delta: ev.Delta, Notice: ev.Notice})
+		publish(s, ResourceEvent(ev))
 		s.recordResource(ev)
 	}
 }

@@ -338,9 +338,9 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 	for i, row := range s.report.SlotHistory {
 		sn.SlotHistory[i] = append([]int(nil), row...)
 	}
-	if hist := s.RespaceHistory(); len(hist) > 0 {
+	if ladders, hist := s.Respacing(); len(hist) > 0 {
 		sn.Respacings = hist
-		sn.DimValues = s.LadderValues()
+		sn.DimValues = ladders
 	}
 	return sn, nil
 }
@@ -395,15 +395,13 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 			s.slotParams[slot] = s.paramsForSlot(slot)
 		}
 	}
-	if len(sn.Respacings) > 0 {
-		s.respacings = make([]RespaceRecord, len(sn.Respacings))
-		copy(s.respacings, sn.Respacings)
-		for _, rec := range sn.Respacings {
-			if rec.Dim >= 0 && rec.Dim < len(s.refits) {
-				s.refits[rec.Dim]++
-			}
+	for i, rec := range sn.Respacings {
+		if rec.Dim < 0 || rec.Dim >= len(s.spec.Dims) {
+			return fmt.Errorf("core: snapshot refit %d names dimension %d, spec %q has %d",
+				i, rec.Dim, s.spec.Name, len(s.spec.Dims))
 		}
 	}
+	s.respacings = append([]RespaceRecord(nil), sn.Respacings...)
 	seenSlot := make([]bool, len(s.replicas))
 	seenID := make([]bool, len(s.replicas))
 	for _, rs := range sn.Replicas {

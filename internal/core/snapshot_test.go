@@ -213,6 +213,20 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("snapshot without a slot fingerprint accepted")
 	}
 
+	// A refit record naming a dimension the spec lacks: status readers
+	// count refits per dimension from the history.
+	badRefit := smallTREMD(6, 2)
+	refitted, err := core.DecodeSnapshot(mustEncode(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refitted.Respacings = []core.RespaceRecord{{Dim: 1, Refit: 1}}
+	badRefit.Resume = refitted
+	if _, err := core.New(badRefit, eng(), localexec.New(8)); err == nil ||
+		!strings.Contains(err.Error(), "names dimension 1") {
+		t.Fatalf("refit record on a missing dimension: %v", err)
+	}
+
 	// Wrong simulation: a snapshot from a different run name.
 	renamed := smallTREMD(6, 2)
 	renamed.Name = "some-other-simulation"

@@ -450,6 +450,15 @@ func (t *AdaptiveTrigger) RestoreState(data []byte) error {
 // set point, in the band REMD practice aims exchange ladders at.
 const DefaultTargetAcceptance = 0.3
 
+// DefaultWindowEvents is the default rolling-window depth per neighbour
+// pair: FeedbackTrigger's measurement window and the analysis
+// collector's AcceptanceWindow.
+const DefaultWindowEvents = 64
+
+// DefaultMaxRetries is the relaunch budget per replica that New gives a
+// spec leaving MaxRetries 0.
+const DefaultMaxRetries = 3
+
 // FeedbackTrigger is a window trigger that closes the loop on the
 // quantity REMD is actually judged by: the neighbour-pair acceptance
 // ratio. The dispatcher feeds it every exchange event's outcomes
@@ -513,7 +522,7 @@ type FeedbackTrigger struct {
 	Targets []float64
 	// WindowEvents is the rolling measurement window: the number of
 	// recent neighbour-pair outcomes each dimension's acceptance is
-	// computed over (default 64).
+	// computed over (default DefaultWindowEvents).
 	WindowEvents int
 	// SaturationSteps is the number of consecutive clamp-pinned control
 	// steps after which a dimension raises its saturation diagnostic
@@ -883,7 +892,7 @@ func orDefault[T int | float64](v, def T) T {
 }
 
 func (t *FeedbackTrigger) saturationSteps() int { return orDefault(t.SaturationSteps, 8) }
-func (t *FeedbackTrigger) windowEvents() int    { return orDefault(t.WindowEvents, 64) }
+func (t *FeedbackTrigger) windowEvents() int    { return orDefault(t.WindowEvents, DefaultWindowEvents) }
 
 // clamps bounds the controlled window around the initial one.
 func (t *FeedbackTrigger) clamps() (lo, hi float64) { return t.Initial / 8, t.Initial * 8 }

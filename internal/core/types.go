@@ -161,7 +161,8 @@ type Spec struct {
 	Cycles int
 	// FaultPolicy governs replica failures.
 	FaultPolicy FaultPolicy
-	// MaxRetries bounds relaunch attempts per replica (default 3).
+	// MaxRetries bounds relaunch attempts per replica (0:
+	// DefaultMaxRetries).
 	MaxRetries int
 	// AsyncWindow is the real-time window (seconds) after which ready
 	// replicas transition to the exchange phase (asynchronous pattern).

@@ -8,22 +8,25 @@ import (
 )
 
 // ChaosEvent is one scripted resource fault, pinned to virtual time so
-// a chaos run is exactly as deterministic as a quiet one.
+// a chaos run is exactly as deterministic as a quiet one. Its JSON form
+// is an entry of a resource file's "chaos" script.
 type ChaosEvent struct {
 	// At is the virtual time the fault fires, in seconds from run start.
-	At float64
+	At float64 `json:"at_sec"`
 	// Pilot is the routing slot the fault targets (always 0 under a
 	// single-pilot runtime). The fault applies to whichever pilot
 	// occupies the slot at fire time — after a failover relaunch, the
 	// replacement.
-	Pilot int
+	Pilot int `json:"pilot,omitempty"`
 	// Kind is "node-loss", "preempt" or "resize".
-	Kind string
+	Kind string `json:"kind"`
 	// Cores is the core count removed by "node-loss" or the signed
 	// delta applied by "resize".
-	Cores int
-	// Notice is the preemption notice window in seconds ("preempt").
-	Notice float64
+	Cores int `json:"cores,omitempty"`
+	// Notice is the preemption notice window in seconds ("preempt");
+	// omitted in a resource file, it inherits the resource's
+	// preempt_notice_sec.
+	Notice float64 `json:"notice_sec,omitempty"`
 }
 
 // Chaos event kinds.

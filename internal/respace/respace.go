@@ -2,9 +2,9 @@
 // story: turning the feedback trigger's ladder-saturation diagnostic
 // into action. When a dimension's PI controller reports that its
 // acceptance target is unreachable at any exchange-window length — the
-// ladder spacing itself is wrong — the Planner re-fits that dimension's
-// window values from the measured per-pair acceptance profile held by
-// the analysis collector, and the core dispatcher swaps the grid at a
+// ladder spacing itself is wrong — the analysis collector re-fits that
+// dimension's window values with Refit from the per-pair acceptance
+// profile it measured, and the core dispatcher swaps the grid at a
 // checkpoint boundary (see core.RespaceSpec).
 //
 // The re-fit is the classic flat-acceptance construction: per-pair
@@ -16,16 +16,14 @@
 // get squeezed; gaps that accepted nothing dominate the budget and get
 // subdivided. A profile that is already flat re-fits to itself.
 //
-// The planner is a pure function of the collector's measured history:
-// the same observed events always produce the same proposal, which is
-// what lets a refit replay bit-exactly across checkpoint/resume.
+// Refit is a pure function of its inputs: the same observed events
+// always produce the same proposal, which is what lets a refit replay
+// bit-exactly across checkpoint/resume.
 package respace
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/analysis"
 )
 
 // ratioFloor clamps per-pair acceptance ratios away from 0 and 1 so
@@ -133,68 +131,4 @@ func clampRatio(a float64) float64 {
 		return 1 - ratioFloor
 	}
 	return a
-}
-
-// Planner implements core.RespacePlanner on top of the analysis
-// collector's measured per-pair acceptance statistics.
-type Planner struct {
-	col *analysis.Collector
-}
-
-// NewPlanner wraps a collector; the dispatcher calls PlanRespace when a
-// dimension's saturation diagnostic persists past the configured
-// threshold.
-func NewPlanner(col *analysis.Collector) *Planner { return &Planner{col: col} }
-
-// PlanRespace proposes a re-fitted value ladder for dimension dim. It
-// prefers each pair's rolling acceptance window (the same signal the
-// feedback controller steers on) and falls back to the cumulative
-// ratios; either way every gap must have at least one measured attempt,
-// otherwise there is no profile to fit and ok is false. A proposal that
-// does not move any rung (already flat) also returns false — the
-// dispatcher would only churn state applying it.
-func (p *Planner) PlanRespace(dim int, current []float64) ([]float64, bool) {
-	if p == nil || p.col == nil || len(current) < 3 {
-		return nil, false
-	}
-	stats := p.col.SnapshotLite()
-	ratios, ok := pairRatios(stats.AcceptanceWindow, dim, len(current)-1)
-	if !ok {
-		ratios, ok = pairRatios(stats.Acceptance, dim, len(current)-1)
-	}
-	if !ok {
-		return nil, false
-	}
-	next, err := Refit(current, ratios)
-	if err != nil {
-		return nil, false
-	}
-	moved := false
-	for i := range next {
-		if next[i] != current[i] {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		return nil, false
-	}
-	return next, true
-}
-
-// pairRatios extracts dimension dim's per-pair acceptance ratios from a
-// per-dimension PairStat table, requiring exactly want pairs with at
-// least one attempt each.
-func pairRatios(table [][]analysis.PairStat, dim, want int) ([]float64, bool) {
-	if dim < 0 || dim >= len(table) || len(table[dim]) != want {
-		return nil, false
-	}
-	out := make([]float64, want)
-	for i, ps := range table[dim] {
-		if ps.Attempted == 0 {
-			return nil, false
-		}
-		out[i] = ps.Ratio()
-	}
-	return out, true
 }

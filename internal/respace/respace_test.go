@@ -1,4 +1,4 @@
-package respace
+package respace_test
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/exchange"
+	"repro/internal/respace"
 )
 
 // checkInvariants asserts every property a re-fitted ladder must hold
@@ -78,7 +79,7 @@ func TestRefitInvariantsRandom(t *testing.T) {
 				acceptance[i] = rng.Float64()
 			}
 		}
-		out, err := Refit(values, acceptance)
+		out, err := respace.Refit(values, acceptance)
 		if err != nil {
 			t.Fatalf("trial %d: Refit(%v, %v): %v", trial, values, acceptance, err)
 		}
@@ -94,7 +95,7 @@ func TestRefitFlatProfileIsNoop(t *testing.T) {
 	values := []float64{273, 291, 310, 330, 351, 373}
 	for _, a := range []float64{0, 0.35, 1} {
 		acceptance := []float64{a, a, a, a, a}
-		out, err := Refit(values, acceptance)
+		out, err := respace.Refit(values, acceptance)
 		if err != nil {
 			t.Fatalf("Refit flat %v: %v", a, err)
 		}
@@ -110,7 +111,7 @@ func TestRefitFlatProfileIsNoop(t *testing.T) {
 // re-place; the result is an exact copy whatever the single ratio says.
 func TestRefitTwoRungsIsCopy(t *testing.T) {
 	for _, a := range []float64{0, 0.5, 1} {
-		out, err := Refit([]float64{273, 373}, []float64{a})
+		out, err := respace.Refit([]float64{273, 373}, []float64{a})
 		if err != nil {
 			t.Fatalf("Refit 2-rung: %v", err)
 		}
@@ -126,7 +127,7 @@ func TestRefitTwoRungsIsCopy(t *testing.T) {
 func TestRefitMovesTowardHardGap(t *testing.T) {
 	values := []float64{273, 278, 283, 288, 373}
 	// Easy bunched gaps, then one hard gap at the top.
-	out, err := Refit(values, []float64{0.9, 0.9, 0.9, 0.01})
+	out, err := respace.Refit(values, []float64{0.9, 0.9, 0.9, 0.01})
 	if err != nil {
 		t.Fatalf("Refit: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestRefitRejectsBadInput(t *testing.T) {
 		{"non-monotone", []float64{273, 373, 323}, []float64{0.5, 0.5}},
 	}
 	for _, tc := range cases {
-		if _, err := Refit(tc.values, tc.acceptance); err == nil {
+		if _, err := respace.Refit(tc.values, tc.acceptance); err == nil {
 			t.Errorf("%s: Refit accepted invalid input", tc.name)
 		}
 	}
@@ -162,7 +163,7 @@ func TestRefitRejectsBadInput(t *testing.T) {
 func TestRefitDecreasingMirrorsIncreasing(t *testing.T) {
 	inc := []float64{273, 278, 283, 288, 373}
 	acc := []float64{0.8, 0.7, 0.6, 0.05}
-	upOut, err := Refit(inc, acc)
+	upOut, err := respace.Refit(inc, acc)
 	if err != nil {
 		t.Fatalf("increasing Refit: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestRefitDecreasingMirrorsIncreasing(t *testing.T) {
 	for i := range decAcc {
 		decAcc[i] = acc[n-2-i]
 	}
-	downOut, err := Refit(dec, decAcc)
+	downOut, err := respace.Refit(dec, decAcc)
 	if err != nil {
 		t.Fatalf("decreasing Refit: %v", err)
 	}
@@ -192,12 +193,12 @@ func TestRefitDecreasingMirrorsIncreasing(t *testing.T) {
 func TestRefitDeterministic(t *testing.T) {
 	values := []float64{273, 280, 295, 320, 373}
 	acceptance := []float64{0.95, 0.6, 0.2, 0.02}
-	first, err := Refit(values, acceptance)
+	first, err := respace.Refit(values, acceptance)
 	if err != nil {
 		t.Fatalf("Refit: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := Refit(values, acceptance)
+		again, err := respace.Refit(values, acceptance)
 		if err != nil {
 			t.Fatalf("Refit repeat %d: %v", i, err)
 		}
@@ -233,13 +234,14 @@ func feedEvents(bus *core.Bus, nReplicas int, pairAccept [][]bool) {
 	}
 }
 
-// TestPlannerPlanRespace drives a real collector with synthetic
-// exchange events: a profile with one hard gap yields a proposal that
-// moves rungs; a flat profile yields no proposal; a missing profile
-// (no events) yields no proposal.
+// TestPlannerPlanRespace drives the planner runs use — the analysis
+// collector — with synthetic exchange events: a profile with one hard
+// gap yields a proposal that moves rungs; a flat profile yields no
+// proposal; a missing profile (no events) yields no proposal; nor do a
+// nil collector and a two-rung ladder.
 func TestPlannerPlanRespace(t *testing.T) {
 	ladder := []float64{273, 278, 283, 288, 373}
-	mkCollector := func(pairAccept [][]bool) *Planner {
+	mkCollector := func(pairAccept [][]bool) *analysis.Collector {
 		spec := &core.Spec{
 			Name: "planner-test",
 			Dims: []core.Dimension{{Type: exchange.Temperature, Values: ladder}},
@@ -247,8 +249,10 @@ func TestPlannerPlanRespace(t *testing.T) {
 		}
 		col := analysis.New(analysis.ConfigFromSpec(spec))
 		col.Attach(spec.Bus, analysis.RunBuffer(spec))
-		feedEvents(spec.Bus, len(ladder), pairAccept)
-		return NewPlanner(col)
+		if pairAccept != nil {
+			feedEvents(spec.Bus, len(ladder), pairAccept)
+		}
+		return col
 	}
 
 	rounds := func(accept bool, n int) []bool {
@@ -280,24 +284,20 @@ func TestPlannerPlanRespace(t *testing.T) {
 	})
 
 	t.Run("no measurements proposes nothing", func(t *testing.T) {
-		spec := &core.Spec{
-			Name: "planner-empty",
-			Dims: []core.Dimension{{Type: exchange.Temperature, Values: ladder}},
-			Bus:  core.NewBus(),
-		}
-		col := analysis.New(analysis.ConfigFromSpec(spec))
-		col.Attach(spec.Bus, analysis.RunBuffer(spec))
-		if next, ok := NewPlanner(col).PlanRespace(0, ladder); ok {
+		if next, ok := mkCollector(nil).PlanRespace(0, ladder); ok {
 			t.Fatalf("empty collector produced a proposal: %v", next)
 		}
 	})
 
 	t.Run("nil planner and short ladders propose nothing", func(t *testing.T) {
-		var p *Planner
+		var p *analysis.Collector
 		if _, ok := p.PlanRespace(0, ladder); ok {
-			t.Fatal("nil planner proposed")
+			t.Fatal("nil collector proposed")
 		}
-		if _, ok := NewPlanner(nil).PlanRespace(0, []float64{273, 373}); ok {
+		skewed := mkCollector([][]bool{
+			rounds(true, 8), rounds(true, 8), rounds(true, 8), rounds(false, 8),
+		})
+		if _, ok := skewed.PlanRespace(0, []float64{273, 373}); ok {
 			t.Fatal("2-rung ladder proposed")
 		}
 	})

@@ -13,7 +13,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/respace"
 	"repro/internal/trace"
 )
 
@@ -35,11 +34,15 @@ type Run struct {
 	ID string
 
 	params bench.RunParams
-	col    *analysis.Collector
-	srv    *Server
-	engine string
-	log    *slog.Logger
-	cancel context.CancelFunc
+	// replicas is the spec's replica count, read at assembly: a refit
+	// rewrites spec.Dims under the simulation's lock (keeping every rung
+	// count), so status reads must not walk the dimensions.
+	replicas int
+	col      *analysis.Collector
+	srv      *Server
+	engine   string
+	log      *slog.Logger
+	cancel   context.CancelFunc
 	// finished, when set before Start, runs on the run's goroutine once
 	// the outcome is recorded and before done closes: the registry's pool
 	// release, retention and finish log.
@@ -53,8 +56,8 @@ type Run struct {
 	report *core.Report
 	err    error
 	// sim is the constructed simulation once the run goroutine reaches
-	// OnStart; status surfaces read its respace accessors (which are
-	// themselves mutex-guarded against the dispatcher).
+	// OnStart; status surfaces read its Respacing (itself mutex-guarded
+	// against the dispatcher).
 	sim *core.Simulation
 	// frozen is the run's share of /metrics once the run has ended,
 	// rendered by the first scrape that finds it terminal and kept until
@@ -92,7 +95,7 @@ func NewRun(ctx context.Context, l *config.Launch, served, traced bool, traceEve
 			return nil, fmt.Errorf("%w %s: %v", ErrResume, l.Resume, err)
 		}
 	}
-	r := &Run{params: params, engine: l.Sim.Engine,
+	r := &Run{params: params, replicas: spec.Replicas(), engine: l.Sim.Engine,
 		done: make(chan struct{}), state: core.RunPending}
 
 	if served || l.Checkpoint != "" || spec.Respace != nil {
@@ -120,7 +123,7 @@ func NewRun(ctx context.Context, l *config.Launch, served, traced bool, traceEve
 	// measured per-pair acceptance; ToSpec left the field nil because
 	// the collector did not exist yet.
 	if spec.Respace != nil {
-		spec.Respace.Planner = respace.NewPlanner(r.col)
+		spec.Respace.Planner = r.col
 	}
 	if served || traced {
 		spec.Tracer = trace.New(traceEvents)
@@ -235,7 +238,7 @@ func (r *Run) baseStatusLocked() RunStatus {
 		Engine:          r.engine,
 		Trigger:         spec.TriggerName(),
 		State:           r.state.String(),
-		Replicas:        spec.Replicas(),
+		Replicas:        r.replicas,
 		Cores:           r.params.PilotCores,
 		CyclesTarget:    spec.Cycles,
 		ExchangeWorkers: spec.ExchangeWorkers,
@@ -254,9 +257,13 @@ func (r *Run) baseStatusLocked() RunStatus {
 			MaxRefits:  rs.MaxRefits,
 		}
 		if r.sim != nil {
-			respaceSt.Refits = r.sim.RefitCounts()
-			respaceSt.Ladders = r.sim.LadderValues()
-			respaceSt.History = r.sim.RespaceHistory()
+			// One read: the ladders, the history and the counts derived
+			// from it always describe the same refits.
+			respaceSt.Ladders, respaceSt.History = r.sim.Respacing()
+			respaceSt.Refits = make([]int, len(respaceSt.Ladders))
+			for _, rec := range respaceSt.History {
+				respaceSt.Refits[rec.Dim]++
+			}
 		}
 		st.Respace = respaceSt
 	}

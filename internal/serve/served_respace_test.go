@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -102,4 +103,76 @@ func TestServedRespaceGolden(t *testing.T) {
 		t.Fatal("the run published no respace frame")
 	}
 	checkGolden(t, "testdata/served_respace.golden", got)
+}
+
+// TestRespaceStatusNeverTorn polls Run.Status while feedback runs refit
+// and holds every read to the refit record: the per-dimension refit
+// counts add up to the history's length, and each dimension's ladder is
+// the New of its last record, or its configured ladder when it has none.
+// A refit that published its ladder and its record in two critical
+// sections fails it on some runs (4 in 10 under -race on two vCPUs: the
+// window between the sections is a few instructions wide); under -race
+// it also checks that status reads touch nothing a refit writes.
+func TestRespaceStatusNeverTorn(t *testing.T) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	reads, refitting := 0, 0
+	for i := 0; i < 32; i++ {
+		l := respaceSmallLaunch(t)
+		original := make([][]float64, len(l.Sim.Dimensions))
+		for d, dim := range l.Sim.Dimensions {
+			original[d] = append([]float64(nil), dim.Values...)
+		}
+		r, err := NewRun(context.Background(), l, true, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start(quiet)
+		for done := false; !done; {
+			select {
+			case <-r.Done():
+				done = true
+			default:
+			}
+			rs := r.Status().Respace
+			if rs == nil || rs.Refits == nil {
+				continue
+			}
+			reads++
+			if len(rs.History) > 0 {
+				refitting++
+			}
+			if err := checkRespaceStatus(rs, original); err != nil {
+				t.Fatalf("run %d, read %d: %v", i, reads, err)
+			}
+		}
+		if _, err := r.Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if refitting == 0 {
+		t.Fatalf("none of %d reads saw a refit", reads)
+	}
+}
+
+// checkRespaceStatus is TestRespaceStatusNeverTorn's invariant.
+func checkRespaceStatus(rs *RespaceStatus, original [][]float64) error {
+	total := 0
+	for _, n := range rs.Refits {
+		total += n
+	}
+	if total != len(rs.History) {
+		return fmt.Errorf("refits %v add up to %d, history has %d records", rs.Refits, total, len(rs.History))
+	}
+	for d, ladder := range rs.Ladders {
+		want := original[d]
+		for _, rec := range rs.History {
+			if rec.Dim == d {
+				want = rec.New
+			}
+		}
+		if !slices.Equal(ladder, want) {
+			return fmt.Errorf("dimension %d ladder %v, its refit record says %v", d, ladder, want)
+		}
+	}
+	return nil
 }

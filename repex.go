@@ -153,7 +153,7 @@ type (
 	// RespacePlanner proposes re-fitted ladders for saturated dimensions.
 	RespacePlanner = core.RespacePlanner
 	// RespaceRecord is one applied refit, as reported by
-	// Simulation.RespaceHistory and carried through snapshots.
+	// Simulation.Respacing and carried through snapshots.
 	RespaceRecord = core.RespaceRecord
 	// RespaceEvent is the bus event published when a refit is applied.
 	RespaceEvent = core.RespaceEvent
