@@ -260,6 +260,16 @@ func (c *Collector) Sync() {
 	}
 }
 
+// FinalSync is Sync for a collector whose bus will publish nothing
+// more: it also lets the drain buffer go, so a finished run's collector
+// keeps its statistics and no copy of the records that built them.
+func (c *Collector) FinalSync() {
+	c.Sync()
+	c.mu.Lock()
+	c.scratch = nil
+	c.mu.Unlock()
+}
+
 // Apply feeds one event directly (tests, or callers without a bus); an
 // MDEvent takes the same by-value path as an MD record off the bus.
 func (c *Collector) Apply(ev core.Event) {
@@ -469,8 +479,16 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 		WindowEvents:     c.cfg.WindowEvents,
 		Slots:            make([]int, len(c.st.Walks)),
 	}
+	// The traces are copied into one backing array, each capped at its
+	// own length so an append on one cannot write into the next.
+	var free []int
 	if withTraces {
 		s.Traces = make([][]int, len(c.st.Walks))
+		n := 0
+		for i := range c.st.Walks {
+			n += len(c.st.Walks[i].Trace)
+		}
+		free = make([]int, n)
 	}
 	for k, v := range c.st.Faults {
 		s.Faults[k] = v
@@ -489,8 +507,9 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 	for i := range c.st.Walks {
 		w := &c.st.Walks[i]
 		s.Slots[i] = w.Slot
-		if withTraces {
-			s.Traces[i] = append([]int(nil), w.Trace...)
+		if withTraces && len(w.Trace) > 0 {
+			k := copy(free, w.Trace)
+			s.Traces[i], free = free[:k:k], free[k:]
 		}
 		s.RoundTrips += w.RoundTrips
 		tripEvents += w.TripEvents

@@ -163,7 +163,7 @@ func TestParamsForSlotTSU(t *testing.T) {
 	sim := newTestSim(t, spec, &stubEngine{}, 64)
 	grid := sim.Grid()
 	for slot := 0; slot < grid.Size(); slot++ {
-		coord := grid.Coord(slot)
+		coord := gridCoord(grid.Shape, slot)
 		p := sim.SlotParams(slot)
 		if p.TemperatureK != spec.Dims[0].Values[coord[0]] {
 			t.Fatalf("slot %d temperature %v, want %v", slot, p.TemperatureK, spec.Dims[0].Values[coord[0]])
@@ -405,4 +405,15 @@ func TestCycleRecordAcceptance(t *testing.T) {
 	if (CycleRecord{}).AcceptanceRatio() != 0 {
 		t.Fatal("empty ratio != 0")
 	}
+}
+
+// gridCoord converts a replica ID to multi-indexes over shape, the row-major
+// inverse of exchange.Grid.Index.
+func gridCoord(shape []int, id int) []int {
+	coord := make([]int, len(shape))
+	for d := len(shape) - 1; d >= 0; d-- {
+		coord[d] = id % shape[d]
+		id /= shape[d]
+	}
+	return coord
 }

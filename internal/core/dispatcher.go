@@ -608,6 +608,9 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	// Decisions and swaps, serially in pair order (client side,
 	// negligible cost).
 	wantOut := s.wantsPairOutcomes()
+	if wantOut && len(pairs) > 0 {
+		s.pairScratch = make([]PairOutcome, 0, len(pairs))
+	}
 	for i, pr := range pairs {
 		rec.Attempted++
 		accepted := unis[i] < probs[i]

@@ -200,9 +200,7 @@ func respaceSane(old, next []float64) bool {
 func (s *Simulation) applyRespace(rec RespaceRecord) {
 	s.respaceMu.Lock()
 	s.spec.Dims[rec.Dim].Values = append([]float64(nil), rec.New...)
-	for slot := range s.slotParams {
-		s.slotParams[slot] = s.paramsForSlot(slot)
-	}
+	s.fillSlotParams()
 	s.respacings = append(s.respacings, rec)
 	s.respaceMu.Unlock()
 	for _, r := range s.replicas {

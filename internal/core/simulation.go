@@ -34,7 +34,8 @@ type Simulation struct {
 	dimStride []int
 	// pairScratch accumulates the current exchange event's pair outcomes
 	// for the event bus and the trigger's ExchangeObserver hook (nil
-	// while neither consumer is attached).
+	// while neither consumer is attached). It leaves with the published
+	// ExchangeEvent, so every event gets a fresh one, sized once.
 	pairScratch []PairOutcome
 	// exObs is the running trigger's ExchangeObserver side, set by
 	// newDispatcher for closed-loop policies (nil otherwise).
@@ -122,26 +123,25 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		rng:        rand.New(rand.NewSource(spec.Seed)),
 		tracer:     spec.Tracer,
 	}
-	for slot := 0; slot < n; slot++ {
-		s.slotParams[slot] = s.paramsForSlot(slot)
-	}
-	s.slotGroups = make([][][]int, len(spec.Dims))
-	for d := range spec.Dims {
-		s.slotGroups[d] = grid.GroupsAlong(d)
-	}
 	s.dimStride = make([]int, len(spec.Dims))
 	stride := 1
 	for d := len(spec.Dims) - 1; d >= 0; d-- {
 		s.dimStride[d] = stride
 		stride *= len(spec.Dims[d].Values)
 	}
-	for i := 0; i < n; i++ {
-		r := &Replica{
-			ID:     i,
-			Slot:   i,
-			Params: s.slotParams[i].Clone(),
-			Alive:  true,
-		}
+	s.fillSlotParams()
+	s.slotGroups = make([][][]int, len(spec.Dims))
+	for d := range spec.Dims {
+		s.slotGroups[d] = grid.GroupsAlong(d)
+	}
+	// The replicas and their restraint arrays are carved from one backing
+	// array each: a run allocates them once, not once per replica.
+	reps := make([]Replica, n)
+	free := make([]md.TorsionRestraint, n*s.umbrellaDims())
+	for i := range reps {
+		r := &reps[i]
+		*r = Replica{ID: i, Slot: i, Params: s.slotParams[i], Alive: true}
+		r.Params.Restraints = carve(&free, r.Params.Restraints)
 		engine.InitReplica(r, spec)
 		s.replicas[i] = r
 		s.replicaAt[i] = i
@@ -176,13 +176,38 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	return s, nil
 }
 
-// paramsForSlot derives the thermodynamic parameters of a grid slot.
-func (s *Simulation) paramsForSlot(slot int) md.Params {
-	coord := s.grid.Coord(slot)
+// fillSlotParams derives every slot's thermodynamic parameters from the
+// current dimension values. The slots' restraint arrays are carved from
+// one fresh backing array, so a refit never writes into an array a
+// reader already holds.
+func (s *Simulation) fillSlotParams() {
+	nu := s.umbrellaDims()
+	free := make([]md.TorsionRestraint, len(s.slotParams)*nu)
+	for slot := range s.slotParams {
+		s.slotParams[slot] = s.paramsForSlot(slot, free[:0:nu])
+		free = free[nu:]
+	}
+}
+
+// umbrellaDims counts the umbrella dimensions: the restraints each
+// slot's parameters carry.
+func (s *Simulation) umbrellaDims() int {
+	n := 0
+	for _, dim := range s.spec.Dims {
+		if dim.Type == exchange.Umbrella {
+			n++
+		}
+	}
+	return n
+}
+
+// paramsForSlot derives the thermodynamic parameters of a grid slot,
+// appending its restraints to rs.
+func (s *Simulation) paramsForSlot(slot int, rs []md.TorsionRestraint) md.Params {
 	// 300 K and no salt along the dimensions a run does not exchange.
 	p := md.Params{TemperatureK: 300}
 	for d, dim := range s.spec.Dims {
-		v := dim.Values[coord[d]]
+		v := dim.Values[s.coordAlong(slot, d)]
 		switch dim.Type {
 		case exchange.Temperature:
 			p.TemperatureK = v
@@ -191,14 +216,47 @@ func (s *Simulation) paramsForSlot(slot int) md.Params {
 		case exchange.PH:
 			p.PH = v
 		case exchange.Umbrella:
-			p.Restraints = append(p.Restraints, md.TorsionRestraint{
+			rs = append(rs, md.TorsionRestraint{
 				Dihedral: s.engine.TorsionIndex(dim.Torsion),
 				Center:   v,
 				K:        dim.K,
 			})
 		}
 	}
+	if len(rs) > 0 {
+		p.Restraints = rs
+	}
 	return p
+}
+
+// carve copies row to the front of *free, which must have room for it,
+// advances *free past the copy and returns it. The copy is capped at its
+// own length, so an append to it reallocates rather than writing into
+// the next row carved after it. An empty row copies to nil, as
+// append([]T(nil), row...) does.
+func carve[T any](free *[]T, row []T) []T {
+	if len(row) == 0 {
+		return nil
+	}
+	n := copy(*free, row)
+	out := (*free)[:n:n]
+	*free = (*free)[n:]
+	return out
+}
+
+// cloneRows deep-copies rows into one fresh backing array, each row
+// carved as carve does.
+func cloneRows[T any](rows [][]T) [][]T {
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	free := make([]T, total)
+	out := make([][]T, len(rows))
+	for i, row := range rows {
+		out[i] = carve(&free, row)
+	}
+	return out
 }
 
 // Replicas exposes the replica set (read-mostly; used by analysis).
@@ -355,10 +413,10 @@ func (s *Simulation) applySwap(a, b *Replica) {
 }
 
 // takeSlotParams sets r's parameters to its slot's, copying the
-// restraints into r's own array rather than a fresh clone. Only swaps
-// call it, and they only touch replicas with no segment in flight; an
-// engine that keeps parameters past a call (engines.Real.MDTask) clones
-// them itself.
+// restraints into r's own array rather than a fresh clone. Swaps and a
+// resume call it, and they only touch replicas with no segment in
+// flight; an engine that keeps parameters past a call
+// (engines.Real.MDTask) clones them itself.
 func (s *Simulation) takeSlotParams(r *Replica) {
 	p := s.slotParams[r.Slot]
 	p.Restraints = append(r.Params.Restraints[:0], p.Restraints...)

@@ -307,7 +307,7 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 		RNGDraws:          s.rngDraws,
 		EngineDraws:       -1,
 		Replicas:          make([]ReplicaState, len(s.replicas)),
-		SlotHistory:       make([][]int, len(s.report.SlotHistory)),
+		SlotHistory:       cloneRows(s.report.SlotHistory),
 		SlotRows:          s.report.SlotRows,
 		SlotFingerprint:   s.report.SlotFingerprint,
 		Dropped:           s.report.Dropped,
@@ -324,19 +324,23 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 		}
 		sn.TriggerData = data
 	}
+	// A capture owns its arrays: the replicas' coordinates and the history
+	// rows are each copied into one fresh backing array.
+	nsynth := 0
+	for _, r := range s.replicas {
+		nsynth += len(r.Synth)
+	}
+	free := make([]float64, nsynth)
 	for i, r := range s.replicas {
 		sn.Replicas[i] = ReplicaState{
 			ID:      r.ID,
 			Slot:    r.Slot,
 			Cycle:   r.Cycle,
 			Energy:  r.Energy,
-			Synth:   append([]float64(nil), r.Synth...),
+			Synth:   carve(&free, r.Synth),
 			Alive:   r.Alive,
 			Retries: r.Retries,
 		}
-	}
-	for i, row := range s.report.SlotHistory {
-		sn.SlotHistory[i] = append([]int(nil), row...)
 	}
 	if ladders, hist := s.Respacing(); len(hist) > 0 {
 		sn.Respacings = hist
@@ -391,9 +395,7 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 			}
 			s.spec.Dims[d].Values = append([]float64(nil), vals...)
 		}
-		for slot := range s.slotParams {
-			s.slotParams[slot] = s.paramsForSlot(slot)
-		}
+		s.fillSlotParams()
 	}
 	for i, rec := range sn.Respacings {
 		if rec.Dim < 0 || rec.Dim >= len(s.spec.Dims) {
@@ -419,10 +421,13 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		r.Energy = rs.Energy
 		r.Alive = rs.Alive
 		r.Retries = rs.Retries
-		if len(rs.Synth) > 0 {
+		switch {
+		case len(rs.Synth) == len(r.Synth):
+			copy(r.Synth, rs.Synth) // into the array the engine carved
+		case len(rs.Synth) > 0:
 			r.Synth = append([]float64(nil), rs.Synth...)
 		}
-		r.Params = s.slotParams[r.Slot].Clone()
+		s.takeSlotParams(r)
 		s.replicaAt[r.Slot] = r.ID
 	}
 	// Replay the orchestrator RNG to its snapshot position.
@@ -441,16 +446,14 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 	s.report.Relaunches = sn.Relaunches
 	s.report.MDExecCoreSeconds = sn.MDExecCoreSeconds
 	s.report.ExchangeEvents = sn.Events
-	s.report.SlotHistory = make([][]int, len(sn.SlotHistory))
-	for i, row := range sn.SlotHistory {
-		s.report.SlotHistory[i] = append([]int(nil), row...)
-	}
-	s.report.SlotRows = sn.SlotRows
-	s.report.SlotFingerprint = sn.SlotFingerprint
 	// A resumed history longer than the tail (snapshot taken without one,
 	// or with a larger one) is trimmed so the bound holds from the start.
-	if tail := s.spec.HistoryTail; tail > 0 && len(s.report.SlotHistory) > tail {
-		s.report.SlotHistory = s.report.SlotHistory[len(s.report.SlotHistory)-tail:]
+	rows := sn.SlotHistory
+	if tail := s.spec.HistoryTail; tail > 0 && len(rows) > tail {
+		rows = rows[len(rows)-tail:]
 	}
+	s.report.SlotHistory = cloneRows(rows)
+	s.report.SlotRows = sn.SlotRows
+	s.report.SlotFingerprint = sn.SlotFingerprint
 	return nil
 }

@@ -119,7 +119,7 @@ func virtSpec() *core.Spec {
 func newVirtReplica(v *Virtual, s *core.Spec, slot int) *core.Replica {
 	r := &core.Replica{ID: slot, Slot: slot, Alive: true}
 	grid := s.Grid()
-	coord := grid.Coord(slot)
+	coord := gridCoord(grid.Shape, slot)
 	r.Params = md.Params{TemperatureK: s.Dims[0].Values[coord[0]], SaltM: s.Dims[2].Values[coord[2]]}
 	r.Params.Restraints = []md.TorsionRestraint{{
 		Dihedral: v.TorsionIndex("phi"), Center: s.Dims[1].Values[coord[1]], K: s.Dims[1].K,
@@ -395,4 +395,15 @@ func TestMixDeterministic(t *testing.T) {
 	if mix(1, 2, 3) == mix(3, 2, 1) {
 		t.Fatal("mix ignores order")
 	}
+}
+
+// gridCoord converts a replica ID to multi-indexes over shape, the row-major
+// inverse of exchange.Grid.Index.
+func gridCoord(shape []int, id int) []int {
+	coord := make([]int, len(shape))
+	for d := len(shape) - 1; d >= 0; d-- {
+		coord[d] = id % shape[d]
+		id /= shape[d]
+	}
+	return coord
 }

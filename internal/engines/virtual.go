@@ -47,6 +47,9 @@ type Virtual struct {
 	speOut []*task.Spec
 	// ex holds each dimension's exchange-task spec.
 	ex []task.Spec
+	// synth is the unused rest of the chunk InitReplica carves replicas'
+	// coordinate vectors from: one chunk covers a whole run's replicas.
+	synth []float64
 	// boundSpec is the one simulation spec this engine instance serves,
 	// matching RepEx's one-AMM-per-simulation design; it is captured at
 	// first task preparation and may not change.
@@ -88,11 +91,16 @@ func NewVirtual(name string, cost CostModel, natoms int, seed int64) *Virtual {
 // Name returns the adapter name.
 func (v *Virtual) Name() string { return v.name }
 
-// InitReplica allocates the synthetic coordinate vector:
-// one slot per dimension plus a trailing base-energy fluctuation.
+// InitReplica carves the synthetic coordinate vector, one slot per
+// dimension plus a trailing base-energy fluctuation, from the engine's
+// chunk, capped so an append on it cannot reach its neighbour's.
 func (v *Virtual) InitReplica(r *core.Replica, s *core.Spec) {
 	v.bind(s)
-	r.Synth = make([]float64, len(s.Dims)+1)
+	k := len(s.Dims) + 1
+	if len(v.synth) < k {
+		v.synth = make([]float64, k*replicas(s))
+	}
+	r.Synth, v.synth = v.synth[:k:k], v.synth[k:]
 	v.resample(r, s)
 	r.Energy = v.evalEnergy(r, r.Params, s)
 }
@@ -185,7 +193,7 @@ var (
 func (v *Virtual) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	v.bind(s)
 	if r.ID >= len(v.md) {
-		v.md = append(v.md, make([]task.Spec, r.ID+1-len(v.md))...)
+		v.md = perReplica(v.md, r.ID, s)
 	}
 	inFiles := v.cost.MDInFiles(s.Dims[dim].Type)
 	outFiles := v.cost.MDOutFiles(s.Dims[dim].Type)
@@ -249,7 +257,7 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 	specs := v.speOut[:0]
 	for _, r := range group {
 		if r.ID >= len(v.spe) {
-			v.spe = append(v.spe, make([]task.Spec, r.ID+1-len(v.spe))...)
+			v.spe = perReplica(v.spe, r.ID, s)
 		}
 		sp := &v.spe[r.ID]
 		*sp = task.Spec{
@@ -266,6 +274,22 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 	}
 	v.speOut = specs
 	return specs
+}
+
+// replicas is the spec's replica count, read without building its grid.
+func replicas(s *core.Spec) int {
+	n := 1
+	for _, dim := range s.Dims {
+		n *= len(dim.Values)
+	}
+	return n
+}
+
+// perReplica extends a per-replica spec table to cover replica id, and
+// the whole run at once: one allocation per table, not one per replica.
+func perReplica(specs []task.Spec, id int, s *core.Spec) []task.Spec {
+	n := max(id+1, replicas(s))
+	return append(specs, make([]task.Spec, n-len(specs))...)
 }
 
 // boundSpec is the one simulation spec this engine instance serves.

@@ -186,16 +186,6 @@ func (g Grid) Index(coord []int) int {
 	return id
 }
 
-// Coord converts a replica ID to multi-indexes.
-func (g Grid) Coord(id int) []int {
-	coord := make([]int, len(g.Shape))
-	for d := len(g.Shape) - 1; d >= 0; d-- {
-		coord[d] = id % g.Shape[d]
-		id /= g.Shape[d]
-	}
-	return coord
-}
-
 // GroupsAlong partitions all replica IDs into groups that differ only in
 // their coordinate along dimension d; each group is ordered by that
 // coordinate. Exchanges along dimension d happen within these groups,

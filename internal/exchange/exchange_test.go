@@ -177,8 +177,8 @@ func TestGridIndexCoordRoundTrip(t *testing.T) {
 		t.Fatalf("size = %d, want 384 (the paper's validation grid)", g.Size())
 	}
 	for id := 0; id < g.Size(); id++ {
-		if got := g.Index(g.Coord(id)); got != id {
-			t.Fatalf("round trip failed: %d -> %v -> %d", id, g.Coord(id), got)
+		if got := g.Index(coordOf(g.Shape, id)); got != id {
+			t.Fatalf("round trip failed: %d -> %v -> %d", id, coordOf(g.Shape, id), got)
 		}
 	}
 }
@@ -208,8 +208,8 @@ func TestGroupsAlongPartition(t *testing.T) {
 			all = append(all, grp...)
 			// Within a group only coordinate d varies, in order.
 			for k := 1; k < len(grp); k++ {
-				c0 := g.Coord(grp[k-1])
-				c1 := g.Coord(grp[k])
+				c0 := coordOf(g.Shape, grp[k-1])
+				c1 := coordOf(g.Shape, grp[k])
 				for dd := range c0 {
 					if dd == d {
 						if c1[dd] != c0[dd]+1 {
@@ -307,7 +307,7 @@ func groupsAlongReference(g Grid, d int) [][]int {
 	groups := make(map[string][]int)
 	var order []string
 	for id := 0; id < total; id++ {
-		coord := g.Coord(id)
+		coord := coordOf(g.Shape, id)
 		coord[d] = -1
 		key := ""
 		for _, c := range coord {
@@ -351,4 +351,15 @@ func BenchmarkGroupsAlong(b *testing.B) {
 			}
 		}
 	}
+}
+
+// coordOf converts a replica ID to multi-indexes over shape, the row-major
+// inverse of exchange.Grid.Index.
+func coordOf(shape []int, id int) []int {
+	coord := make([]int, len(shape))
+	for d := len(shape) - 1; d >= 0; d-- {
+		coord[d] = id % shape[d]
+		id /= shape[d]
+	}
+	return coord
 }

@@ -67,6 +67,12 @@ type Runtime struct {
 	// AwaitNext delivered, from its next call on, and the unwatched units
 	// Await and AwaitAll delivered, from their return on.
 	spare []*Unit
+	// fresh is the uncarved rest of the latest unit chunk. A submission
+	// with no spare carves its unit from it; each chunk is as large as
+	// every unit carved before it, so a run allocates a logarithmic
+	// number of chunks, not a unit per task in flight.
+	fresh  []Unit
+	carved int
 	// results is the slice AwaitAll returns, refilled by every call.
 	results []task.Result
 }
@@ -264,8 +270,12 @@ func (r *Runtime) route(s *task.Spec) int {
 	return best
 }
 
+// minUnitChunk is the size of a runtime's first unit chunk.
+const minUnitChunk = 16
+
 // submit routes the task and schedules it on the chosen slot's pilot,
-// in a spare unit when there is one. The result is
+// in a spare unit when there is one and a freshly carved one otherwise.
+// The result is
 // stamped with the slot for the flight recorder; the writes are
 // race-free because the unit's process starts only after the
 // orchestrator yields to the virtual-time kernel.
@@ -278,7 +288,11 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	if n := len(r.spare); n > 0 {
 		u, r.spare = r.spare[n-1], r.spare[:n-1]
 	} else {
-		u = new(Unit)
+		if len(r.fresh) == 0 {
+			r.fresh = make([]Unit, max(minUnitChunk, r.carved))
+		}
+		u, r.fresh = &r.fresh[0], r.fresh[1:]
+		r.carved++
 	}
 	sl.pl.submitInto(u, s)
 	u.rt, u.slot, u.watched = r, i, watched
