@@ -162,20 +162,24 @@ func TestParamsForSlotTSU(t *testing.T) {
 	spec := tsuSpec()
 	sim := newTestSim(t, spec, &stubEngine{}, 64)
 	grid := sim.Grid()
-	for slot := 0; slot < grid.Size(); slot++ {
-		coord := gridCoord(grid.Shape, slot)
-		p := sim.SlotParams(slot)
-		if p.TemperatureK != spec.Dims[0].Values[coord[0]] {
-			t.Fatalf("slot %d temperature %v, want %v", slot, p.TemperatureK, spec.Dims[0].Values[coord[0]])
-		}
-		if p.SaltM != spec.Dims[1].Values[coord[1]] {
-			t.Fatalf("slot %d salt %v", slot, p.SaltM)
-		}
-		if len(p.Restraints) != 1 {
-			t.Fatalf("slot %d has %d restraints, want 1", slot, len(p.Restraints))
-		}
-		if p.Restraints[0].Center != spec.Dims[2].Values[coord[2]] {
-			t.Fatalf("slot %d restraint center %v", slot, p.Restraints[0].Center)
+	for c0 := range grid.Shape[0] {
+		for c1 := range grid.Shape[1] {
+			for c2 := range grid.Shape[2] {
+				slot := grid.Index([]int{c0, c1, c2})
+				p := sim.SlotParams(slot)
+				if p.TemperatureK != spec.Dims[0].Values[c0] {
+					t.Fatalf("slot %d temperature %v, want %v", slot, p.TemperatureK, spec.Dims[0].Values[c0])
+				}
+				if p.SaltM != spec.Dims[1].Values[c1] {
+					t.Fatalf("slot %d salt %v", slot, p.SaltM)
+				}
+				if len(p.Restraints) != 1 {
+					t.Fatalf("slot %d has %d restraints, want 1", slot, len(p.Restraints))
+				}
+				if p.Restraints[0].Center != spec.Dims[2].Values[c2] {
+					t.Fatalf("slot %d restraint center %v", slot, p.Restraints[0].Center)
+				}
+			}
 		}
 	}
 }
@@ -405,15 +409,4 @@ func TestCycleRecordAcceptance(t *testing.T) {
 	if (CycleRecord{}).AcceptanceRatio() != 0 {
 		t.Fatal("empty ratio != 0")
 	}
-}
-
-// gridCoord converts a replica ID to multi-indexes over shape, the row-major
-// inverse of exchange.Grid.Index.
-func gridCoord(shape []int, id int) []int {
-	coord := make([]int, len(shape))
-	for d := len(shape) - 1; d >= 0; d-- {
-		coord[d] = id % shape[d]
-		id /= shape[d]
-	}
-	return coord
 }

@@ -118,11 +118,11 @@ func virtSpec() *core.Spec {
 
 func newVirtReplica(v *Virtual, s *core.Spec, slot int) *core.Replica {
 	r := &core.Replica{ID: slot, Slot: slot, Alive: true}
-	grid := s.Grid()
-	coord := gridCoord(grid.Shape, slot)
-	r.Params = md.Params{TemperatureK: s.Dims[0].Values[coord[0]], SaltM: s.Dims[2].Values[coord[2]]}
+	// virtSpec's grid is 4×4×4, row-major.
+	t, u, salt := slot/16, slot/4%4, slot%4
+	r.Params = md.Params{TemperatureK: s.Dims[0].Values[t], SaltM: s.Dims[2].Values[salt]}
 	r.Params.Restraints = []md.TorsionRestraint{{
-		Dihedral: v.TorsionIndex("phi"), Center: s.Dims[1].Values[coord[1]], K: s.Dims[1].K,
+		Dihedral: v.TorsionIndex("phi"), Center: s.Dims[1].Values[u], K: s.Dims[1].K,
 	}}
 	v.InitReplica(r, s)
 	return r
@@ -238,6 +238,23 @@ func TestVirtualMDTaskInPlace(t *testing.T) {
 	}
 	if other.ReplicaID != 5 || other.Cycle != 0 || other.OutFiles != 4 || other.Label() != "md-r005-c00" {
 		t.Errorf("replica 5's spec changed: %+v", *other)
+	}
+}
+
+// TestVirtualInitReplicaCarvesCapped: InitReplica carves every replica's
+// coordinates from one chunk, each capped at its own length, so an
+// append on one replica's Synth cannot write into the next replica's.
+func TestVirtualInitReplicaCarvesCapped(t *testing.T) {
+	s := virtSpec()
+	v := NewAmberVirtual(2881, 1)
+	r0, r1 := newVirtReplica(v, s, 0), newVirtReplica(v, s, 1)
+	if len(r0.Synth) != len(s.Dims)+1 || cap(r0.Synth) != len(r0.Synth) {
+		t.Fatalf("Synth len %d cap %d, want both %d", len(r0.Synth), cap(r0.Synth), len(s.Dims)+1)
+	}
+	next := r1.Synth[0]
+	_ = append(r0.Synth, 42)
+	if r1.Synth[0] != next {
+		t.Error("appending to replica 0's Synth wrote into replica 1's")
 	}
 }
 
@@ -395,15 +412,4 @@ func TestMixDeterministic(t *testing.T) {
 	if mix(1, 2, 3) == mix(3, 2, 1) {
 		t.Fatal("mix ignores order")
 	}
-}
-
-// gridCoord converts a replica ID to multi-indexes over shape, the row-major
-// inverse of exchange.Grid.Index.
-func gridCoord(shape []int, id int) []int {
-	coord := make([]int, len(shape))
-	for d := len(shape) - 1; d >= 0; d-- {
-		coord[d] = id % shape[d]
-		id /= shape[d]
-	}
-	return coord
 }

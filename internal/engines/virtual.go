@@ -98,7 +98,7 @@ func (v *Virtual) InitReplica(r *core.Replica, s *core.Spec) {
 	v.bind(s)
 	k := len(s.Dims) + 1
 	if len(v.synth) < k {
-		v.synth = make([]float64, k*replicas(s))
+		v.synth = make([]float64, k*s.Replicas())
 	}
 	r.Synth, v.synth = v.synth[:k:k], v.synth[k:]
 	v.resample(r, s)
@@ -276,19 +276,10 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 	return specs
 }
 
-// replicas is the spec's replica count, read without building its grid.
-func replicas(s *core.Spec) int {
-	n := 1
-	for _, dim := range s.Dims {
-		n *= len(dim.Values)
-	}
-	return n
-}
-
 // perReplica extends a per-replica spec table to cover replica id, and
 // the whole run at once: one allocation per table, not one per replica.
 func perReplica(specs []task.Spec, id int, s *core.Spec) []task.Spec {
-	n := max(id+1, replicas(s))
+	n := max(id+1, s.Replicas())
 	return append(specs, make([]task.Spec, n-len(specs))...)
 }
 
