@@ -47,8 +47,8 @@ type Run struct {
 	// the outcome is recorded and before done closes: the registry's pool
 	// release, retention and finish log.
 	finished func(state core.RunState, err error)
-	// done closes when the run goroutine has finished and report/err
-	// carry the outcome.
+	// done closes when report/err carry the outcome; the run goroutine
+	// then only drains the collector a last time.
 	done chan struct{}
 
 	mu     sync.Mutex
@@ -319,11 +319,14 @@ func (r *Run) finish(report *core.Report, err error) {
 		r.sim = nil
 	}
 	r.mu.Unlock()
-	if r.col != nil {
-		r.col.FinalSync()
-	}
 	if r.finished != nil {
 		r.finished(state, err)
 	}
 	close(r.done)
+	// The collector's last drain comes after done closes: a stream's done
+	// frame does not wait on it, and the first read of the finished run
+	// would have drained the same records anyway.
+	if r.col != nil {
+		r.col.FinalSync()
+	}
 }
