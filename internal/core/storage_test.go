@@ -53,7 +53,7 @@ func newRunMallocs(t *testing.T, n int) uint64 {
 // run, not per replica: the replicas, their restraint and coordinate
 // arrays and the pilot units come from a few backing arrays, so sixteen
 // times the replicas adds only the logarithmic growth of those arrays
-// and the kernel's queues: ~110 objects here. Allocating a unit, a
+// and the kernel's queues: ~120 objects here. Allocating a unit, a
 // replica and its arrays each on their own read 1 190 at 256 replicas
 // and 16 665 at 4 096.
 func TestRunAllocationsDoNotScaleWithReplicas(t *testing.T) {

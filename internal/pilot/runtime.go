@@ -68,9 +68,12 @@ type Runtime struct {
 	// Await and AwaitAll delivered, from their return on.
 	spare []*Unit
 	// fresh is the uncarved rest of the latest unit chunk. A submission
-	// with no spare carves its unit from it; each chunk is as large as
+	// with no spare carves its unit from it; each chunk is a quarter of
 	// every unit carved before it, so a run allocates a logarithmic
-	// number of chunks, not a unit per task in flight.
+	// number of chunks, not a unit per task in flight, and leaves at most
+	// a fifth of its units uncarved. (A run's peak is often a few units
+	// past a round replica count, where doubling would leave nearly half
+	// its units unused for as long as the runtime lives.)
 	fresh  []Unit
 	carved int
 	// results is the slice AwaitAll returns, refilled by every call.
@@ -270,14 +273,13 @@ func (r *Runtime) route(s *task.Spec) int {
 	return best
 }
 
-// minUnitChunk is the size of a runtime's first unit chunk.
+// minUnitChunk is the size of a runtime's smallest unit chunk.
 const minUnitChunk = 16
 
 // submit routes the task and schedules it on the chosen slot's pilot,
 // in a spare unit when there is one and a freshly carved one otherwise.
-// The result is
-// stamped with the slot for the flight recorder; the writes are
-// race-free because the unit's process starts only after the
+// The result is stamped with the slot for the flight recorder; the
+// writes are race-free because the unit's process starts only after the
 // orchestrator yields to the virtual-time kernel.
 func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	i := r.route(s)
@@ -289,7 +291,7 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 		u, r.spare = r.spare[n-1], r.spare[:n-1]
 	} else {
 		if len(r.fresh) == 0 {
-			r.fresh = make([]Unit, max(minUnitChunk, r.carved))
+			r.fresh = make([]Unit, max(minUnitChunk, r.carved/4))
 		}
 		u, r.fresh = &r.fresh[0], r.fresh[1:]
 		r.carved++

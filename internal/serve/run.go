@@ -55,14 +55,10 @@ type Run struct {
 	state  core.RunState
 	report *core.Report
 	err    error
-	// sim is the constructed simulation from OnStart until the run
-	// finishes; status surfaces read its Respacing (itself mutex-guarded
-	// against the dispatcher). finish keeps that view's final reading in
-	// ladders and refits and drops sim, so a finished run holds none of
-	// the kernel, pilot runtime, units and replicas behind it.
-	sim     *core.Simulation
-	ladders [][]float64
-	refits  []core.RespaceRecord
+	// sim is the constructed simulation once the run goroutine reaches
+	// OnStart; status surfaces read its Respacing (itself mutex-guarded
+	// against the dispatcher).
+	sim *core.Simulation
 	// frozen is the run's share of /metrics once the run has ended,
 	// rendered by the first scrape that finds it terminal and kept until
 	// the registry evicts the run (metricsView).
@@ -260,14 +256,10 @@ func (r *Run) baseStatusLocked() RunStatus {
 			AfterSteps: rs.AfterSteps,
 			MaxRefits:  rs.MaxRefits,
 		}
-		ladders, refits := r.ladders, r.refits
 		if r.sim != nil {
 			// One read: the ladders, the history and the counts derived
 			// from it always describe the same refits.
-			ladders, refits = r.sim.Respacing()
-		}
-		if ladders != nil {
-			respaceSt.Ladders, respaceSt.History = ladders, refits
+			respaceSt.Ladders, respaceSt.History = r.sim.Respacing()
 			respaceSt.Refits = make([]int, len(respaceSt.Ladders))
 			for _, rec := range respaceSt.History {
 				respaceSt.Refits[rec.Dim]++
@@ -314,10 +306,6 @@ func (r *Run) finish(report *core.Report, err error) {
 	}
 	r.mu.Lock()
 	r.report, r.err, r.state = report, err, state
-	if r.sim != nil {
-		r.ladders, r.refits = r.sim.Respacing()
-		r.sim = nil
-	}
 	r.mu.Unlock()
 	if r.finished != nil {
 		r.finished(state, err)
