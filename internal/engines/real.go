@@ -28,8 +28,33 @@ type Real struct {
 
 	seed int64
 
-	mu    sync.Mutex
-	trajs map[int]*md.Trajectory // keyed by slot (window)
+	// segs holds each replica's segment, indexed by replica ID. The first
+	// InitReplica or MDTask sizes it, and every per-replica array, for
+	// the run (newRun); an engine serves one run.
+	segs []segment
+
+	mu sync.Mutex
+	// trajs holds each slot's (window's) samples, indexed by slot.
+	trajs []md.Trajectory
+}
+
+// segment is one replica's state and everything its MD segments reuse:
+// the spec MDTask rewrites in place (the dispatcher asks for a replica's
+// next segment only after it has taken the previous one's result), the
+// Run closure built once, the integrator with its scratch and random
+// source (reseeded per segment), the parameters a segment runs under, in
+// an array of its own, and its samples before they join the slot's.
+type segment struct {
+	state   md.State
+	spec    task.Spec
+	run     func() error
+	integ   md.LangevinBAOAB
+	st      *md.State
+	prm     md.Params
+	slot    int
+	seed    int64
+	steps   int
+	samples md.Trajectory
 }
 
 // The Langevin integrator's constants: the time step and the friction
@@ -39,7 +64,7 @@ const (
 	langevinGamma float64 = 5.0   // 1/ps
 )
 
-// NewReal wraps a molecular system. The base state is cloned per
+// NewReal wraps a molecular system. The base state is copied per
 // replica. Flavor labels the adapter (Name is "<flavor>-real") and must
 // be "amber" or "namd".
 func NewReal(flavor string, sys *md.System, base *md.State, seed int64) (*Real, error) {
@@ -52,7 +77,6 @@ func NewReal(flavor string, sys *md.System, base *md.State, seed int64) (*Real, 
 		base:        base,
 		SampleEvery: 25,
 		seed:        seed,
-		trajs:       map[int]*md.Trajectory{},
 	}, nil
 }
 
@@ -71,44 +95,99 @@ func (e *Real) Name() string { return e.name }
 // System exposes the wrapped molecular system.
 func (e *Real) System() *md.System { return e.sys }
 
-// InitReplica clones the base state, relaxes it briefly and draws
-// Maxwell-Boltzmann velocities at the replica's window temperature.
+// InitReplica gives the replica a copy of the base state, relaxes it
+// briefly and draws Maxwell-Boltzmann velocities at the replica's window
+// temperature, from the random source its segments reuse.
 func (e *Real) InitReplica(r *core.Replica, s *core.Spec) {
-	r.State = e.base.Clone()
+	sg := e.segment(r.ID, s)
+	copy(sg.state.Pos, e.base.Pos)
+	copy(sg.state.Vel, e.base.Vel)
+	r.State = &sg.state
 	md.Minimize(e.sys, r.State, r.Params, 200, 1e-2)
-	rng := newRNG(e.seed, int64(r.ID))
-	md.InitVelocities(e.sys, r.State, r.Params.TemperatureK, rng)
+	sg.integ.RNG.Seed(mix(e.seed, int64(r.ID)))
+	md.InitVelocities(e.sys, r.State, r.Params.TemperatureK, sg.integ.RNG)
 	r.Energy = e.sys.Energy(r.State, r.Params).Potential()
 }
 
-// MDTask builds a real MD segment task: the replica's parameters and
-// the spec's step count go to the integrator as they are.
+// MDTask describes a real MD segment: the replica's own spec, rewritten
+// in place. The replica's parameters and the spec's step count go to the
+// integrator as they are; the parameters are copied, because a swap may
+// rewrite the replica's while the segment runs.
 func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
-	// Capture everything the worker goroutine needs; the orchestrator
-	// does not touch the replica until the task completes.
-	st := r.State
-	prm := r.Params.Clone()
-	slot := r.Slot
-	seed := mix(e.seed, int64(r.ID), int64(r.Cycle))
-	steps := s.StepsPerCycle
-	return &task.Spec{
+	sg := e.segment(r.ID, s)
+	rs := append(sg.prm.Restraints[:0], r.Params.Restraints...)
+	sg.prm = r.Params
+	sg.prm.Restraints = rs
+	sg.st = r.State
+	sg.slot = r.Slot
+	sg.seed = mix(e.seed, int64(r.ID), int64(r.Cycle))
+	sg.steps = s.StepsPerCycle
+	sg.spec = task.Spec{
 		Kind:      task.MD,
 		ReplicaID: r.ID,
 		Cycle:     r.Cycle,
 		Cores:     s.CoresPerReplica,
 		CanFail:   true,
-		Run: func() error {
-			integ := md.NewLangevin(langevinDt, langevinGamma, seed)
-			tr := md.RunSegment(e.sys, st, prm, integ, steps, e.SampleEvery)
-			e.mu.Lock()
-			if e.trajs[slot] == nil {
-				e.trajs[slot] = &md.Trajectory{}
-			}
-			e.trajs[slot].Append(tr)
-			e.mu.Unlock()
-			return nil
-		},
+		Run:       sg.run,
 	}
+	return &sg.spec
+}
+
+// runSegment integrates one segment on the worker that runs its task,
+// and appends its samples to its slot's.
+func (e *Real) runSegment(sg *segment) {
+	sg.integ.RNG.Seed(sg.seed)
+	md.RunSegment(&sg.samples, e.sys, sg.st, sg.prm, &sg.integ, sg.steps, e.SampleEvery)
+	e.mu.Lock()
+	e.trajs[sg.slot].Append(sg.samples)
+	e.mu.Unlock()
+}
+
+// segment returns replica id's segment, sizing the run's tables first.
+func (e *Real) segment(id int, s *core.Spec) *segment {
+	if e.segs == nil {
+		e.newRun(s)
+	}
+	return &e.segs[id]
+}
+
+// newRun sizes the per-run tables: a segment per replica, with its state,
+// and a trajectory per slot with room for every sample a barrier run
+// takes there (Cycles segments per dimension; a slot that takes more
+// grows by append). The states' vectors come from one backing array and
+// every series from another, each carved with a full-slice cap, so an
+// append on one cannot write into its neighbour.
+func (e *Real) newRun(s *core.Spec) {
+	n, na := s.Replicas(), e.sys.Top.N()
+	per := 1
+	if e.SampleEvery > 0 {
+		per = (s.StepsPerCycle + e.SampleEvery - 1) / e.SampleEvery
+	}
+	run := per * s.Cycles * len(s.Dims)
+	vecs := make([]md.Vec3, 2*n*na)
+	floats := make([]float64, 4*n*(per+run))
+	series := func(k int) md.Trajectory {
+		b := floats[: 4*k : 4*k]
+		floats = floats[4*k:]
+		return md.Trajectory{Phi: b[0:0:k], Psi: b[k : k : 2*k], Potential: b[2*k : 2*k : 3*k], Kinetic: b[3*k : 3*k : 4*k]}
+	}
+	e.segs = make([]segment, n)
+	trajs := make([]md.Trajectory, n)
+	for i := range e.segs {
+		sg := &e.segs[i]
+		sg.state = md.State{Pos: vecs[0:na:na], Vel: vecs[na : 2*na : 2*na]}
+		vecs = vecs[2*na:]
+		sg.integ = md.LangevinBAOAB{Dt: langevinDt, Gamma: langevinGamma, RNG: rand.New(rand.NewSource(0))}
+		sg.run = func() error {
+			e.runSegment(sg)
+			return nil
+		}
+		sg.samples = series(per)
+		trajs[i] = series(run)
+	}
+	e.mu.Lock()
+	e.trajs = trajs
+	e.mu.Unlock()
 }
 
 // ExchangeTask for the real engine is client-side work of negligible
@@ -144,14 +223,23 @@ func (e *Real) PrepOverhead(nTasks, ndims int) float64 { return 0 }
 func (e *Real) WindowTrajectory(slot int) *md.Trajectory {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.trajs[slot]
+	if slot < 0 || slot >= len(e.trajs) || e.trajs[slot].Steps == 0 {
+		return nil
+	}
+	return &e.trajs[slot]
 }
 
 // WindowCount reports how many windows have collected samples.
 func (e *Real) WindowCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.trajs)
+	n := 0
+	for i := range e.trajs {
+		if e.trajs[i].Steps > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 var _ core.Engine = (*Real)(nil)
@@ -198,5 +286,3 @@ func mix(parts ...int64) int64 {
 	}
 	return h
 }
-
-func newRNG(seed, stream int64) *rand.Rand { return rand.New(rand.NewSource(mix(seed, stream))) }

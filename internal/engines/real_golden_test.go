@@ -126,3 +126,81 @@ func TestRealRunGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRealSegmentAllocatesNothing: once a replica has run a segment, its
+// next segments (the task MDTask describes and the task's Run) allocate
+// nothing. An integrator, random source, sample buffer, spec or Run
+// closure built per segment, or parameters cloned per segment, fail it.
+func TestRealSegmentAllocatesNothing(t *testing.T) {
+	top, st := md.BuildAlanineDipeptide()
+	sys := md.MustNewSystem(top, md.Box{}, 0)
+	e := MustNewReal("amber", sys, st, 3)
+	spec := &core.Spec{
+		Name: "real-allocs",
+		Dims: []core.Dimension{
+			{Type: exchange.Temperature, Values: []float64{290, 310}},
+			{Type: exchange.Umbrella, Values: core.UniformWindows(2), Torsion: "phi", K: core.UmbrellaK002},
+		},
+		Pattern:         core.PatternSynchronous,
+		CoresPerReplica: 1,
+		StepsPerCycle:   30,
+		Cycles:          50,
+	}
+	r := &core.Replica{ID: 1, Slot: 1, Alive: true, Params: md.Params{TemperatureK: 310,
+		Restraints: []md.TorsionRestraint{{Dihedral: top.FindDihedral("phi"), Center: 1, K: core.UmbrellaK002}}}}
+	e.InitReplica(r, spec)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := e.MDTask(r, spec, 0).Run(); err != nil {
+			t.Fatal(err)
+		}
+		r.Cycle++
+	})
+	if allocs != 0 {
+		t.Errorf("a real segment allocates %v objects, want 0", allocs)
+	}
+	if tr := e.WindowTrajectory(1); tr == nil || tr.Steps != 21*30 || len(tr.Potential) != 21*2 {
+		t.Fatalf("window 1 trajectory %+v, want 21 segments of 30 steps, 2 samples each", tr)
+	}
+}
+
+// TestRealRunAllocationsPerSegment: a whole real run, through core and
+// localexec, allocates per run and per exchange round, not per segment.
+// Runs of 2 and 10 cycles on 16 replicas differ by 256 segments; their
+// allocations must differ by less than half an object per segment. A
+// runtime that allocates a handle, channel or goroutine closure per task
+// fails it, as does an engine that allocates per segment.
+func TestRealRunAllocationsPerSegment(t *testing.T) {
+	top, st := md.BuildAlanineDipeptide()
+	sys := md.MustNewSystem(top, md.Box{}, 0)
+	md.Minimize(sys, st, md.Params{TemperatureK: 300}, 200, 1e-2)
+	run := func(cycles int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			spec := &core.Spec{
+				Name: "real-scaling",
+				Dims: []core.Dimension{
+					{Type: exchange.Temperature, Values: core.GeometricTemperatures(280, 360, 4)},
+					{Type: exchange.Umbrella, Values: core.UniformWindows(4), Torsion: "phi", K: core.UmbrellaK002},
+				},
+				Pattern:         core.PatternSynchronous,
+				CoresPerReplica: 1,
+				StepsPerCycle:   50,
+				Cycles:          cycles,
+				Seed:            1,
+			}
+			simu, err := core.New(spec, MustNewReal("amber", sys, st, 1), localexec.New(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := simu.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := run(2), run(10)
+	segments := float64(16 * 2 * (10 - 2))
+	if per := (long - short) / segments; per >= 0.5 {
+		t.Errorf("%v objects for 2 cycles, %v for 10: %.2f a segment, want under 0.5", short, long, per)
+	} else {
+		t.Logf("%v objects for 2 cycles, %v for 10: %.3f a segment", short, long, per)
+	}
+}

@@ -11,6 +11,7 @@ package localexec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,21 +19,37 @@ import (
 )
 
 // Runtime executes tasks on local goroutines.
+//
+// A task runs on a worker goroutine: a submission starts a worker while
+// fewer than Cores run, and a worker takes queued tasks in submission
+// order, waits for more while any task runs, and exits once the runtime
+// is idle, so an idle runtime holds no goroutine. Handles are reused, as task.Runtime's
+// contract allows: an unwatched handle once Await returns it, a watched
+// one at the AwaitNext after the one that delivered it. A steady stream
+// of tasks therefore allocates nothing per task.
 type Runtime struct {
 	start time.Time
 	cores int
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	inUse int
+	mu sync.Mutex
+	// cond wakes a worker when cores free up and an Await caller when a
+	// task finishes.
+	cond    *sync.Cond
+	inUse   int // cores held by running tasks
+	running int
+	// queue holds the submitted tasks no worker has started, in
+	// submission order.
+	queue   []*handle
+	workers int
+	// free holds dead handles for the next submissions.
+	free []*handle
+	// stream holds watched completions not yet delivered by AwaitNext,
+	// in completion order; delivered is the slice the last AwaitNext
+	// returned. The two swap at each delivery.
+	stream, delivered []task.Handle
 
 	// notify wakes the AwaitNext waiter on any task completion.
 	notifyCh chan struct{}
-
-	// stream holds watched completions not yet delivered by AwaitNext,
-	// in completion order.
-	streamMu sync.Mutex
-	stream   []task.Handle
 
 	overhead float64
 }
@@ -54,48 +71,37 @@ func (r *Runtime) Now() float64 { return time.Since(r.start).Seconds() }
 // Cores returns the core budget.
 func (r *Runtime) Cores() int { return r.cores }
 
+// handle is one submitted task; its fields are guarded by rt.mu.
 type handle struct {
-	mu   sync.Mutex
-	done bool
-	res  task.Result
-	ch   chan struct{}
+	rt        *Runtime
+	spec      *task.Spec
+	cores     int
+	watched   bool
+	submitted float64
+	done      bool
+	// spare is set while the handle is on the free list.
+	spare bool
+	res   task.Result
 }
 
 func (h *handle) Done() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.rt.mu.Lock()
+	defer h.rt.mu.Unlock()
 	return h.done
 }
 
 func (h *handle) Result() task.Result {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.rt.mu.Lock()
+	defer h.rt.mu.Unlock()
 	return h.res
 }
 
-func (h *handle) complete(res task.Result) {
-	h.mu.Lock()
-	h.done = true
-	h.res = res
-	h.mu.Unlock()
-	close(h.ch)
-}
-
-// acquire takes n core slots, blocking while the pool is exhausted.
-func (r *Runtime) acquire(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.inUse+n > r.cores {
-		r.cond.Wait()
+// release puts a dead handle on the free list; called with r.mu held.
+func (r *Runtime) release(h *handle) {
+	if !h.spare {
+		h.spare = true
+		r.free = append(r.free, h)
 	}
-	r.inUse += n
-}
-
-func (r *Runtime) release(n int) {
-	r.mu.Lock()
-	r.inUse -= n
-	r.mu.Unlock()
-	r.cond.Broadcast()
 }
 
 // poke wakes the AwaitNext waiter.
@@ -123,13 +129,44 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 		// 16-core MPI task, it just runs it slower.
 		cores = r.cores
 	}
-	h := &handle{ch: make(chan struct{})}
 	submitted := r.Now()
-	go func() {
-		r.acquire(cores)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var h *handle
+	if n := len(r.free); n > 0 {
+		h, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		h = new(handle)
+	}
+	*h = handle{rt: r, spec: s, cores: cores, watched: watched, submitted: submitted}
+	r.queue = append(r.queue, h)
+	if r.workers < r.cores {
+		r.workers++
+		go r.work()
+	}
+	return h
+}
+
+// work runs queued tasks, each time the first one in submission order
+// whose cores are free, until the runtime is idle: nothing queued and
+// nothing running.
+func (r *Runtime) work() {
+	r.mu.Lock()
+	for len(r.queue) > 0 || r.running > 0 {
+		i := slices.IndexFunc(r.queue, func(h *handle) bool { return r.inUse+h.cores <= r.cores })
+		if i < 0 {
+			r.cond.Wait()
+			continue
+		}
+		h := r.queue[i]
+		r.queue = slices.Delete(r.queue, i, i+1)
+		r.inUse += h.cores
+		r.running++
+		r.mu.Unlock()
+
 		execStart := r.Now()
 		var err error
-		if s.Run != nil {
+		if s := h.spec; s.Run != nil {
 			err = s.Run()
 		} else if s.Duration > 0 {
 			// No real work attached: emulate the duration so that
@@ -137,30 +174,42 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 			time.Sleep(time.Duration(s.Duration * float64(time.Second)))
 		}
 		execEnd := r.Now()
-		r.release(cores)
-		h.complete(task.Result{
-			Spec:      s,
-			Submitted: submitted,
+
+		r.mu.Lock()
+		r.inUse -= h.cores
+		r.running--
+		h.done = true
+		h.res = task.Result{
+			Spec:      h.spec,
+			Submitted: h.submitted,
 			Finished:  execEnd,
-			CoreWait:  execStart - submitted,
+			CoreWait:  execStart - h.submitted,
 			Exec:      execEnd - execStart,
 			Err:       err,
-		})
-		if watched {
-			r.streamMu.Lock()
-			r.stream = append(r.stream, h)
-			r.streamMu.Unlock()
 		}
-		r.poke()
-	}()
-	return h
+		if h.watched {
+			r.stream = append(r.stream, h)
+			r.poke()
+		}
+		r.cond.Broadcast()
+	}
+	r.workers--
+	r.mu.Unlock()
 }
 
 // Await blocks until the task finishes.
 func (r *Runtime) Await(h task.Handle) task.Result {
 	hh := h.(*handle)
-	<-hh.ch
-	return hh.Result()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !hh.done {
+		r.cond.Wait()
+	}
+	if !hh.watched {
+		// A watched handle is still due on the stream; AwaitNext frees it.
+		r.release(hh)
+	}
+	return hh.res
 }
 
 // AwaitAll blocks until every handle finishes.
@@ -176,15 +225,22 @@ func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
 // delivery or the absolute deadline (in runtime seconds) passes, and
 // drains the stream in completion order.
 func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
+	r.mu.Lock()
+	// The handles the last call delivered are dead now.
+	for _, h := range r.delivered {
+		r.release(h.(*handle))
+	}
+	r.delivered = r.delivered[:0]
+	r.mu.Unlock()
 	for {
-		r.streamMu.Lock()
+		r.mu.Lock()
 		if len(r.stream) > 0 {
-			out := r.stream
-			r.stream = nil
-			r.streamMu.Unlock()
+			r.stream, r.delivered = r.delivered, r.stream
+			out := r.delivered
+			r.mu.Unlock()
 			return out
 		}
-		r.streamMu.Unlock()
+		r.mu.Unlock()
 		if math.IsInf(deadline, 1) {
 			<-r.notifyCh
 			continue

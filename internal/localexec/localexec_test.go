@@ -2,6 +2,7 @@ package localexec
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,5 +187,72 @@ func TestOverheadAccumulatesWithoutSleeping(t *testing.T) {
 func TestDefaultsToOneCore(t *testing.T) {
 	if New(0).Cores() != 1 || New(-3).Cores() != 1 {
 		t.Fatal("non-positive core count did not default to 1")
+	}
+}
+
+// TestDeliveredHandleLivesUntilNextAwaitNext: a handle AwaitNext delivered
+// keeps its task's result until the next AwaitNext, whatever is
+// submitted meanwhile; only then may a submission reuse it. An unwatched
+// handle is reused once Await returns.
+func TestDeliveredHandleLivesUntilNextAwaitNext(t *testing.T) {
+	rt := New(1)
+	named := func(name string) *task.Spec {
+		return &task.Spec{Name: name, Cores: 1, Run: func() error { return nil }}
+	}
+	a := rt.SubmitWatched(named("a"))
+	if got := rt.AwaitNext(math.Inf(1)); len(got) != 1 || got[0] != a {
+		t.Fatalf("delivered %v, want [a]", got)
+	}
+	b := rt.SubmitWatched(named("b"))
+	if b == a {
+		t.Fatal("a delivered handle was reused before the next AwaitNext")
+	}
+	if name := a.Result().Spec.Name; name != "a" {
+		t.Fatalf("delivered handle reads task %q, want a", name)
+	}
+	if got := rt.AwaitNext(math.Inf(1)); len(got) != 1 || got[0] != b {
+		t.Fatalf("delivered %v, want [b]", got)
+	}
+	c := rt.Submit(named("c"))
+	if c != a {
+		t.Fatal("a handle dead since the last AwaitNext was not reused")
+	}
+	if res := rt.Await(c); res.Spec.Name != "c" {
+		t.Fatalf("reused handle reads task %q, want c", res.Spec.Name)
+	}
+	if d := rt.Submit(named("d")); d != c {
+		t.Fatal("an awaited handle was not reused")
+	} else {
+		rt.Await(d)
+	}
+}
+
+// TestSteadyStreamAllocatesNothing: a closed loop that resubmits each
+// delivered task, with more tasks than cores, allocates nothing per task:
+// handles are reused, the stream is double-buffered and the workers stay
+// up while work is queued.
+func TestSteadyStreamAllocatesNothing(t *testing.T) {
+	rt := New(2)
+	spec := &task.Spec{Name: "w", Cores: 1, Run: func() error {
+		time.Sleep(100 * time.Microsecond)
+		return nil
+	}}
+	const inFlight = 4
+	for i := 0; i < inFlight; i++ {
+		rt.SubmitWatched(spec)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, h := range rt.AwaitNext(math.Inf(1)) {
+			if h.Result().Err != nil {
+				t.Fatal(h.Result().Err)
+			}
+			rt.SubmitWatched(spec)
+		}
+	})
+	for n := 0; n < inFlight; {
+		n += len(rt.AwaitNext(math.Inf(1)))
+	}
+	if allocs > 0.05 {
+		t.Errorf("%v allocations per delivery, want none", allocs)
 	}
 }

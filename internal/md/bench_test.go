@@ -6,7 +6,10 @@ import "testing"
 // force evaluation, and per integration step — so that
 // LangevinStep ÷ MDForce on the same system reads as "force calls per
 // step": what the integrator adds on top of the one evaluation a step
-// needs (BENCH_md.json bounds it below 1.5).
+// needs (BENCH_md.json bounds it below 1.5). BenchmarkRunSegment reports
+// the same unit for a sampled segment, so RunSegment ÷ LangevinStep
+// reads as what sampling adds on top of integrating; it is not gated
+// (TestSegmentEvaluatesOnceAStep counts the evaluations instead).
 
 func BenchmarkMDForce(b *testing.B) {
 	systems := []struct {
@@ -53,6 +56,26 @@ func BenchmarkLangevinStep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			integ.Step(sys, st, prm, steps)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps*top.N()), "ns/atom")
+	})
+}
+
+// BenchmarkRunSegment is a real engine's segment: 2000 steps sampled
+// every 25, into a reused trajectory.
+func BenchmarkRunSegment(b *testing.B) {
+	b.Run("dipeptide", func(b *testing.B) {
+		top, st := BuildAlanineDipeptide()
+		sys := MustNewSystem(top, Box{}, 0)
+		prm := Params{TemperatureK: 300}
+		Minimize(sys, st, prm, 200, 1e-2)
+		integ := NewLangevin(0.001, 5, 1)
+		var tr Trajectory
+		const steps, every = 2000, 25
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			RunSegment(&tr, sys, st, prm, integ, steps, every)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps*top.N()), "ns/atom")
 	})

@@ -87,6 +87,9 @@ type State struct {
 	// dihedral's angle and gradient here, and restraintForces reads the
 	// restrained ones back instead of computing them a second time.
 	torsions []torsion
+	// evals counts the force evaluations made on this state, so a test
+	// can hold a segment to one evaluation a step.
+	evals int
 }
 
 // NewState allocates a zeroed state for n atoms.
@@ -182,6 +185,7 @@ func (s *System) EnergyForces(st *State, prm Params, f []Vec3) Energy {
 	if len(st.Pos) != n {
 		panic(fmt.Sprintf("md: state has %d positions for %d atoms", len(st.Pos), n))
 	}
+	st.evals++
 	if f != nil {
 		for i := range f {
 			f[i] = Vec3{}

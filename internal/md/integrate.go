@@ -7,9 +7,29 @@ import (
 )
 
 // Integrator advances a state in time under a system and parameters.
+// A segment is one Begin and any number of Advance calls. Begin evaluates
+// the forces once; after that every step costs exactly one evaluation,
+// and Advance returns that evaluation's energy, so a caller that samples
+// the potential between calls needs no evaluation of its own.
 type Integrator interface {
-	// Step advances the state by n time steps.
-	Step(sys *System, st *State, prm Params, n int)
+	// Begin binds the integrator to st under sys and prm and evaluates
+	// the forces there. Forces are never carried over from an earlier
+	// segment: between two segments an exchange may have swapped the
+	// parameters, so anything that changes st or prm from outside needs
+	// a new Begin.
+	Begin(sys *System, st *State, prm Params)
+	// Advance advances the bound state by n time steps and returns the
+	// potential energy of the state it ends on.
+	Advance(n int) Energy
+}
+
+// segment is what Begin binds and Advance reads: the system, the state,
+// the parameters, and the energy of the last force evaluation.
+type segment struct {
+	sys *System
+	st  *State
+	prm Params
+	e   Energy
 }
 
 // VelocityVerlet is the symplectic NVE integrator, used mainly for
@@ -19,17 +39,23 @@ type VelocityVerlet struct {
 	Dt float64
 	// scratch force buffers
 	f []Vec3
+	segment
 }
 
-// Step advances n velocity-Verlet steps. The forces are evaluated on
-// entry, never carried over from an earlier call: between two calls the
-// parameters may have been exchanged or the state rescaled.
-func (vv *VelocityVerlet) Step(sys *System, st *State, prm Params, n int) {
+// Begin binds the integrator and evaluates the forces on entry.
+func (vv *VelocityVerlet) Begin(sys *System, st *State, prm Params) {
 	na := sys.Top.N()
 	if len(vv.f) != na {
 		vv.f = make([]Vec3, na)
 	}
-	sys.EnergyForces(st, prm, vv.f)
+	vv.segment = segment{sys: sys, st: st, prm: prm}
+	vv.e = sys.EnergyForces(st, prm, vv.f)
+}
+
+// Advance advances n velocity-Verlet steps.
+func (vv *VelocityVerlet) Advance(n int) Energy {
+	sys, st := vv.sys, vv.st
+	na := len(vv.f)
 	dt := vv.Dt
 	for step := 0; step < n; step++ {
 		for i := 0; i < na; i++ {
@@ -38,13 +64,20 @@ func (vv *VelocityVerlet) Step(sys *System, st *State, prm Params, n int) {
 			st.Vel[i] = st.Vel[i].Add(a.Scale(0.5 * dt))
 			st.Pos[i] = st.Pos[i].Add(st.Vel[i].Scale(dt))
 		}
-		sys.EnergyForces(st, prm, vv.f)
+		vv.e = sys.EnergyForces(st, vv.prm, vv.f)
 		for i := 0; i < na; i++ {
 			m := sys.Top.Atoms[i].Mass
 			a := vv.f[i].Scale(AccelFactor / m)
 			st.Vel[i] = st.Vel[i].Add(a.Scale(0.5 * dt))
 		}
 	}
+	return vv.e
+}
+
+// Step advances n velocity-Verlet steps as a segment of its own.
+func (vv *VelocityVerlet) Step(sys *System, st *State, prm Params, n int) {
+	vv.Begin(sys, st, prm)
+	vv.Advance(n)
 }
 
 // LangevinBAOAB is the BAOAB splitting of Langevin dynamics
@@ -60,9 +93,12 @@ type LangevinBAOAB struct {
 	RNG *rand.Rand
 
 	// scratch is one allocation of 2·N entries: the forces, then per
-	// atom the two mass-dependent constants of a Step call (X the
+	// atom the two mass-dependent constants of a segment (X the
 	// half-kick factor, Y the noise amplitude).
 	scratch []Vec3
+	// c1 is the segment's velocity damping per step, exp(-Gamma·Dt).
+	c1 float64
+	segment
 }
 
 // NewLangevin returns a BAOAB integrator with the given step, friction
@@ -71,8 +107,9 @@ func NewLangevin(dt, gamma float64, seed int64) *LangevinBAOAB {
 	return &LangevinBAOAB{Dt: dt, Gamma: gamma, RNG: rand.New(rand.NewSource(seed))}
 }
 
-// Step advances n BAOAB steps at the temperature in prm.
-func (lg *LangevinBAOAB) Step(sys *System, st *State, prm Params, n int) {
+// Begin binds the integrator at the temperature in prm and evaluates the
+// forces on entry.
+func (lg *LangevinBAOAB) Begin(sys *System, st *State, prm Params) {
 	if lg.RNG == nil {
 		panic("md: LangevinBAOAB requires an RNG")
 	}
@@ -83,16 +120,25 @@ func (lg *LangevinBAOAB) Step(sys *System, st *State, prm Params, n int) {
 	if len(lg.scratch) != 2*na {
 		lg.scratch = make([]Vec3, 2*na)
 	}
-	f, consts := lg.scratch[:na], lg.scratch[na:]
-	sys.EnergyForces(st, prm, f)
+	lg.segment = segment{sys: sys, st: st, prm: prm}
+	lg.e = sys.EnergyForces(st, prm, lg.scratch[:na])
 	dt := lg.Dt
-	c1 := math.Exp(-lg.Gamma * dt)
-	c2 := math.Sqrt(1 - c1*c1)
+	lg.c1 = math.Exp(-lg.Gamma * dt)
+	c2 := math.Sqrt(1 - lg.c1*lg.c1)
 	kT := KB * prm.TemperatureK
+	consts := lg.scratch[na:]
 	for i := range consts {
 		m := sys.Top.Atoms[i].Mass
 		consts[i] = Vec3{X: 0.5 * dt * AccelFactor / m, Y: c2 * math.Sqrt(kT*AccelFactor/m)}
 	}
+}
+
+// Advance advances n BAOAB steps.
+func (lg *LangevinBAOAB) Advance(n int) Energy {
+	sys, st, prm := lg.sys, lg.st, lg.prm
+	na := len(lg.scratch) / 2
+	f, consts := lg.scratch[:na], lg.scratch[na:]
+	dt, c1 := lg.Dt, lg.c1
 	pos, vel := st.Pos[:na], st.Vel[:na]
 	for step := 0; step < n; step++ {
 		// B, A, O, A touch one atom at a time, so they run as one pass;
@@ -114,11 +160,19 @@ func (lg *LangevinBAOAB) Step(sys *System, st *State, prm Params, n int) {
 			vel[i] = v
 		}
 		// B: half kick with fresh forces.
-		sys.EnergyForces(st, prm, f)
+		lg.e = sys.EnergyForces(st, prm, f)
 		for i := range vel {
 			vel[i] = vel[i].Add(f[i].Scale(consts[i].X))
 		}
 	}
+	return lg.e
+}
+
+// Step advances n BAOAB steps at the temperature in prm, as a segment of
+// its own.
+func (lg *LangevinBAOAB) Step(sys *System, st *State, prm Params, n int) {
+	lg.Begin(sys, st, prm)
+	lg.Advance(n)
 }
 
 // InitVelocities draws Maxwell-Boltzmann velocities at temperature tK and

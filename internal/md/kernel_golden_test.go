@@ -130,7 +130,8 @@ func kernelFingerprint(sc kernelScenario) string {
 		h.energy(sys.Energy(st, prm))
 	})
 	segment := stage(func(h bitHash) {
-		tr := RunSegment(sys, st, prm, NewLangevin(0.001, 5, 43), 120, 25)
+		var tr Trajectory
+		RunSegment(&tr, sys, st, prm, NewLangevin(0.001, 5, 43), 120, 25)
 		for _, s := range [][]float64{tr.Phi, tr.Psi, tr.Potential, tr.Kinetic} {
 			h.f(float64(len(s)))
 			for _, x := range s {

@@ -67,6 +67,8 @@ func TestKernelAllocations(t *testing.T) {
 	check("LangevinBAOAB.Step", 0, func() { lg.Step(sys, st, prm, 10) })
 	vv := &VelocityVerlet{Dt: 0.0005}
 	check("VelocityVerlet.Step", 0, func() { vv.Step(sys, st, prm, 10) })
+	var tr Trajectory
+	check("RunSegment, reused trajectory", 0, func() { RunSegment(&tr, sys, st, prm, lg, 60, 25) })
 
 	// Forces, trial state, and the trial state's two scratch slices.
 	const minimizeAllocs = 5
@@ -96,7 +98,7 @@ func TestSharedSystemConcurrentReplicas(t *testing.T) {
 		p.PH = 3 + float64(r)
 		p.Restraints[0].Center = Rad(-180 + 45*float64(r))
 		InitVelocities(sys, st, p.TemperatureK, rand.New(rand.NewSource(int64(r))))
-		RunSegment(sys, st, p, NewLangevin(0.001, 5, int64(100+r)), 300, 50)
+		RunSegment(&Trajectory{}, sys, st, p, NewLangevin(0.001, 5, int64(100+r)), 300, 50)
 		return st
 	}
 	var alone [replicas]*State

@@ -419,7 +419,8 @@ func TestRunSegmentSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	InitVelocities(sys, st, 300, rng)
 	lg := NewLangevin(0.001, 5.0, 6)
-	tr := RunSegment(sys, st, prm, lg, 100, 10)
+	var tr Trajectory
+	RunSegment(&tr, sys, st, prm, lg, 100, 10)
 	if tr.Steps != 100 {
 		t.Fatalf("steps = %d, want 100", tr.Steps)
 	}
@@ -493,7 +494,8 @@ func TestUmbrellaPullsTorsionTowardCenter(t *testing.T) {
 	InitVelocities(sys, st, 300, rng)
 	lg := NewLangevin(0.001, 5.0, 13)
 	lg.Step(sys, st, prm, 1000)
-	tr := RunSegment(sys, st, prm, lg, 3000, 10)
+	var tr Trajectory
+	RunSegment(&tr, sys, st, prm, lg, 3000, 10)
 	// Circular mean of phi samples.
 	var sx, sy float64
 	for _, a := range tr.Phi {

@@ -24,32 +24,29 @@ func (t *Trajectory) Append(o Trajectory) {
 
 // RunSegment advances the state by steps integration steps under prm,
 // sampling observables every sampleEvery steps (sampleEvery <= 0 samples
-// only the final frame). This is the "MD phase" primitive the
-// replica-exchange core invokes between exchange attempts.
-func RunSegment(sys *System, st *State, prm Params, integ Integrator, steps, sampleEvery int) Trajectory {
-	tr := Trajectory{Steps: steps}
+// only the final frame), and makes tr those samples, reusing tr's arrays.
+// This is the "MD phase" primitive the replica-exchange core invokes
+// between exchange attempts.
+//
+// The segment is one integrator pass: steps+1 force evaluations, the one
+// on entry and one a step. A sample's potential is the energy of the
+// evaluation that ended its step, the same bits a separate evaluation
+// of the state would give.
+func RunSegment(tr *Trajectory, sys *System, st *State, prm Params, integ Integrator, steps, sampleEvery int) {
+	*tr = Trajectory{Phi: tr.Phi[:0], Psi: tr.Psi[:0], Potential: tr.Potential[:0], Kinetic: tr.Kinetic[:0], Steps: steps}
 	if steps <= 0 {
-		return tr
+		return
 	}
 	if sampleEvery <= 0 {
 		sampleEvery = steps
 	}
 	phiIdx := sys.Top.FindDihedral("phi")
 	psiIdx := sys.Top.FindDihedral("psi")
-	// One allocation holds all four series; each is capped at its
-	// quarter so a later append to one cannot reach into the next.
-	samples := (steps + sampleEvery - 1) / sampleEvery
-	buf := make([]float64, 4*samples)
-	tr.Potential = buf[0:0:samples]
-	tr.Kinetic = buf[samples : samples : 2*samples]
-	if phiIdx >= 0 {
-		tr.Phi = buf[2*samples : 2*samples : 3*samples]
-	}
-	if psiIdx >= 0 {
-		tr.Psi = buf[3*samples : 3*samples : 4*samples]
-	}
-	sample := func() {
-		e := sys.Energy(st, prm)
+	integ.Begin(sys, st, prm)
+	for done := 0; done < steps; {
+		chunk := min(sampleEvery, steps-done)
+		e := integ.Advance(chunk)
+		done += chunk
 		tr.Potential = append(tr.Potential, e.Potential())
 		tr.Kinetic = append(tr.Kinetic, sys.KineticEnergy(st))
 		if phiIdx >= 0 {
@@ -59,15 +56,4 @@ func RunSegment(sys *System, st *State, prm Params, integ Integrator, steps, sam
 			tr.Psi = append(tr.Psi, sys.DihedralAngle(st, psiIdx))
 		}
 	}
-	done := 0
-	for done < steps {
-		chunk := sampleEvery
-		if done+chunk > steps {
-			chunk = steps - done
-		}
-		integ.Step(sys, st, prm, chunk)
-		done += chunk
-		sample()
-	}
-	return tr
 }
