@@ -416,7 +416,7 @@ func (s *Simulation) applySwap(a, b *Replica) {
 // restraints into r's own array rather than a fresh clone. Swaps and a
 // resume call it, and they only touch replicas with no segment in
 // flight; an engine that keeps parameters past a call
-// (engines.Real.MDTask) clones them itself.
+// (engines.Real.MDTask) copies them into an array of its own.
 func (s *Simulation) takeSlotParams(r *Replica) {
 	p := s.slotParams[r.Slot]
 	p.Restraints = append(r.Params.Restraints[:0], p.Restraints...)

@@ -164,11 +164,12 @@ func TestRealSegmentAllocatesNothing(t *testing.T) {
 }
 
 // TestRealRunAllocationsPerSegment: a whole real run, through core and
-// localexec, allocates per run and per exchange round, not per segment.
-// Runs of 2 and 10 cycles on 16 replicas differ by 256 segments; their
-// allocations must differ by less than half an object per segment. A
-// runtime that allocates a handle, channel or goroutine closure per task
-// fails it, as does an engine that allocates per segment.
+// localexec, allocates per run and per exchange round, and per segment
+// only the goroutine its task runs on. Runs of 2 and 10 cycles on 16
+// replicas differ by 256 segments; their allocations must differ by less
+// than one and a half objects per segment. A runtime that allocates a
+// handle or channel per task fails it, as does an engine that allocates
+// per segment.
 func TestRealRunAllocationsPerSegment(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
@@ -198,8 +199,8 @@ func TestRealRunAllocationsPerSegment(t *testing.T) {
 	}
 	short, long := run(2), run(10)
 	segments := float64(16 * 2 * (10 - 2))
-	if per := (long - short) / segments; per >= 0.5 {
-		t.Errorf("%v objects for 2 cycles, %v for 10: %.2f a segment, want under 0.5", short, long, per)
+	if per := (long - short) / segments; per >= 1.5 {
+		t.Errorf("%v objects for 2 cycles, %v for 10: %.2f a segment, want under 1.5", short, long, per)
 	} else {
 		t.Logf("%v objects for 2 cycles, %v for 10: %.3f a segment", short, long, per)
 	}

@@ -11,45 +11,35 @@ package localexec
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/task"
 )
 
-// Runtime executes tasks on local goroutines.
-//
-// A task runs on a worker goroutine: a submission starts a worker while
-// fewer than Cores run, and a worker takes queued tasks in submission
-// order, waits for more while any task runs, and exits once the runtime
-// is idle, so an idle runtime holds no goroutine. Handles are reused, as task.Runtime's
-// contract allows: an unwatched handle once Await returns it, a watched
-// one at the AwaitNext after the one that delivered it. A steady stream
-// of tasks therefore allocates nothing per task.
+// Runtime executes tasks on local goroutines, one a task. Handles are
+// reused, as task.Runtime's contract allows: an unwatched handle once
+// Await returns it, a watched one at the AwaitNext after the one that
+// delivered it. The goroutine is the one allocation a task costs.
 type Runtime struct {
 	start time.Time
 	cores int
 
-	mu sync.Mutex
-	// cond wakes a worker when cores free up and an Await caller when a
-	// task finishes.
-	cond    *sync.Cond
-	inUse   int // cores held by running tasks
-	running int
-	// queue holds the submitted tasks no worker has started, in
-	// submission order.
-	queue   []*handle
-	workers int
-	// free holds dead handles for the next submissions.
-	free []*handle
+	mu    sync.Mutex
+	cond  *sync.Cond
+	inUse int
+
+	// notify wakes the AwaitNext waiter on any task completion.
+	notifyCh chan struct{}
+
+	// streamMu guards the completion stream and the free handles.
+	streamMu sync.Mutex
 	// stream holds watched completions not yet delivered by AwaitNext,
 	// in completion order; delivered is the slice the last AwaitNext
 	// returned. The two swap at each delivery.
 	stream, delivered []task.Handle
-
-	// notify wakes the AwaitNext waiter on any task completion.
-	notifyCh chan struct{}
+	// free holds dead handles for the next submissions.
+	free []*handle
 
 	overhead float64
 }
@@ -71,37 +61,81 @@ func (r *Runtime) Now() float64 { return time.Since(r.start).Seconds() }
 // Cores returns the core budget.
 func (r *Runtime) Cores() int { return r.cores }
 
-// handle is one submitted task; its fields are guarded by rt.mu.
 type handle struct {
-	rt        *Runtime
-	spec      *task.Spec
-	cores     int
-	watched   bool
-	submitted float64
-	done      bool
-	// spare is set while the handle is on the free list.
+	mu   sync.Mutex
+	done bool
+	res  task.Result
+	// ch holds one token once the task is done.
+	ch      chan struct{}
+	watched bool
+	// spare is set while the handle is on the free list (under streamMu).
 	spare bool
-	res   task.Result
 }
 
 func (h *handle) Done() bool {
-	h.rt.mu.Lock()
-	defer h.rt.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.done
 }
 
 func (h *handle) Result() task.Result {
-	h.rt.mu.Lock()
-	defer h.rt.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.res
 }
 
-// release puts a dead handle on the free list; called with r.mu held.
-func (r *Runtime) release(h *handle) {
+func (h *handle) complete(res task.Result) {
+	h.mu.Lock()
+	h.done = true
+	h.res = res
+	h.mu.Unlock()
+	h.ch <- struct{}{}
+}
+
+// newHandle takes a dead handle off the free list, or makes one.
+func (r *Runtime) newHandle(watched bool) *handle {
+	r.streamMu.Lock()
+	defer r.streamMu.Unlock()
+	n := len(r.free)
+	if n == 0 {
+		return &handle{ch: make(chan struct{}, 1), watched: watched}
+	}
+	h := r.free[n-1]
+	r.free = r.free[:n-1]
+	select {
+	case <-h.ch:
+	default:
+	}
+	h.mu.Lock()
+	h.done, h.res = false, task.Result{}
+	h.mu.Unlock()
+	h.watched, h.spare = watched, false
+	return h
+}
+
+// recycle puts a dead handle on the free list; called with streamMu held.
+func (r *Runtime) recycle(h *handle) {
 	if !h.spare {
 		h.spare = true
 		r.free = append(r.free, h)
 	}
+}
+
+// acquire takes n core slots, blocking while the pool is exhausted.
+func (r *Runtime) acquire(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.inUse+n > r.cores {
+		r.cond.Wait()
+	}
+	r.inUse += n
+}
+
+func (r *Runtime) release(n int) {
+	r.mu.Lock()
+	r.inUse -= n
+	r.mu.Unlock()
+	r.cond.Broadcast()
 }
 
 // poke wakes the AwaitNext waiter.
@@ -129,44 +163,13 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 		// 16-core MPI task, it just runs it slower.
 		cores = r.cores
 	}
+	h := r.newHandle(watched)
 	submitted := r.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var h *handle
-	if n := len(r.free); n > 0 {
-		h, r.free = r.free[n-1], r.free[:n-1]
-	} else {
-		h = new(handle)
-	}
-	*h = handle{rt: r, spec: s, cores: cores, watched: watched, submitted: submitted}
-	r.queue = append(r.queue, h)
-	if r.workers < r.cores {
-		r.workers++
-		go r.work()
-	}
-	return h
-}
-
-// work runs queued tasks, each time the first one in submission order
-// whose cores are free, until the runtime is idle: nothing queued and
-// nothing running.
-func (r *Runtime) work() {
-	r.mu.Lock()
-	for len(r.queue) > 0 || r.running > 0 {
-		i := slices.IndexFunc(r.queue, func(h *handle) bool { return r.inUse+h.cores <= r.cores })
-		if i < 0 {
-			r.cond.Wait()
-			continue
-		}
-		h := r.queue[i]
-		r.queue = slices.Delete(r.queue, i, i+1)
-		r.inUse += h.cores
-		r.running++
-		r.mu.Unlock()
-
+	go func() {
+		r.acquire(cores)
 		execStart := r.Now()
 		var err error
-		if s := h.spec; s.Run != nil {
+		if s.Run != nil {
 			err = s.Run()
 		} else if s.Duration > 0 {
 			// No real work attached: emulate the duration so that
@@ -174,42 +177,38 @@ func (r *Runtime) work() {
 			time.Sleep(time.Duration(s.Duration * float64(time.Second)))
 		}
 		execEnd := r.Now()
-
-		r.mu.Lock()
-		r.inUse -= h.cores
-		r.running--
-		h.done = true
-		h.res = task.Result{
-			Spec:      h.spec,
-			Submitted: h.submitted,
+		r.release(cores)
+		h.complete(task.Result{
+			Spec:      s,
+			Submitted: submitted,
 			Finished:  execEnd,
-			CoreWait:  execStart - h.submitted,
+			CoreWait:  execStart - submitted,
 			Exec:      execEnd - execStart,
 			Err:       err,
-		}
-		if h.watched {
+		})
+		if watched {
+			r.streamMu.Lock()
 			r.stream = append(r.stream, h)
-			r.poke()
+			r.streamMu.Unlock()
 		}
-		r.cond.Broadcast()
-	}
-	r.workers--
-	r.mu.Unlock()
+		r.poke()
+	}()
+	return h
 }
 
 // Await blocks until the task finishes.
 func (r *Runtime) Await(h task.Handle) task.Result {
 	hh := h.(*handle)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !hh.done {
-		r.cond.Wait()
-	}
+	<-hh.ch
+	hh.ch <- struct{}{}
+	res := hh.Result()
 	if !hh.watched {
 		// A watched handle is still due on the stream; AwaitNext frees it.
-		r.release(hh)
+		r.streamMu.Lock()
+		r.recycle(hh)
+		r.streamMu.Unlock()
 	}
-	return hh.res
+	return res
 }
 
 // AwaitAll blocks until every handle finishes.
@@ -225,22 +224,22 @@ func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
 // delivery or the absolute deadline (in runtime seconds) passes, and
 // drains the stream in completion order.
 func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
-	r.mu.Lock()
+	r.streamMu.Lock()
 	// The handles the last call delivered are dead now.
 	for _, h := range r.delivered {
-		r.release(h.(*handle))
+		r.recycle(h.(*handle))
 	}
 	r.delivered = r.delivered[:0]
-	r.mu.Unlock()
+	r.streamMu.Unlock()
 	for {
-		r.mu.Lock()
+		r.streamMu.Lock()
 		if len(r.stream) > 0 {
 			r.stream, r.delivered = r.delivered, r.stream
 			out := r.delivered
-			r.mu.Unlock()
+			r.streamMu.Unlock()
 			return out
 		}
-		r.mu.Unlock()
+		r.streamMu.Unlock()
 		if math.IsInf(deadline, 1) {
 			<-r.notifyCh
 			continue

@@ -3,6 +3,7 @@ package localexec
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,32 +228,40 @@ func TestDeliveredHandleLivesUntilNextAwaitNext(t *testing.T) {
 	}
 }
 
-// TestSteadyStreamAllocatesNothing: a closed loop that resubmits each
-// delivered task, with more tasks than cores, allocates nothing per task:
-// handles are reused, the stream is double-buffered and the workers stay
-// up while work is queued.
-func TestSteadyStreamAllocatesNothing(t *testing.T) {
+// TestSteadyStreamAllocatesAGoroutineATask: a closed loop that resubmits
+// each delivered task allocates only the goroutine each task runs on:
+// handles are reused and the stream is double-buffered. A handle or
+// channel made per task, or a stream slice made per delivery, fails it.
+func TestSteadyStreamAllocatesAGoroutineATask(t *testing.T) {
 	rt := New(2)
-	spec := &task.Spec{Name: "w", Cores: 1, Run: func() error {
-		time.Sleep(100 * time.Microsecond)
-		return nil
-	}}
-	const inFlight = 4
+	spec := &task.Spec{Name: "w", Cores: 1, Run: func() error { return nil }}
+	const inFlight, warm, tasks = 4, 200, 4000
 	for i := 0; i < inFlight; i++ {
 		rt.SubmitWatched(spec)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		for _, h := range rt.AwaitNext(math.Inf(1)) {
-			if h.Result().Err != nil {
-				t.Fatal(h.Result().Err)
+	n := 0
+	resubmit := func(limit int) {
+		for n < limit {
+			for _, h := range rt.AwaitNext(math.Inf(1)) {
+				if err := h.Result().Err; err != nil {
+					t.Fatal(err)
+				}
+				rt.SubmitWatched(spec)
+				n++
 			}
-			rt.SubmitWatched(spec)
 		}
-	})
-	for n := 0; n < inFlight; {
-		n += len(rt.AwaitNext(math.Inf(1)))
 	}
-	if allocs > 0.05 {
-		t.Errorf("%v allocations per delivery, want none", allocs)
+	resubmit(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resubmit(warm + tasks)
+	runtime.ReadMemStats(&after)
+	for left := inFlight; left > 0; {
+		left -= len(rt.AwaitNext(math.Inf(1)))
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(n-warm)
+	t.Logf("%.3f allocations a task", per)
+	if per > 1.1 {
+		t.Errorf("%.2f allocations a task, want the goroutine's one", per)
 	}
 }
