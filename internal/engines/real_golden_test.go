@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,5 +204,49 @@ func TestRealRunAllocationsPerSegment(t *testing.T) {
 		t.Errorf("%v objects for 2 cycles, %v for 10: %.2f a segment, want under 1.5", short, long, per)
 	} else {
 		t.Logf("%v objects for 2 cycles, %v for 10: %.3f a segment", short, long, per)
+	}
+}
+
+// TestRealWindowsOwnTheirArrays: a window that takes more samples than
+// its room in the run's backing array grows by append into an array of
+// its own; its neighbour's samples do not move. A carve without its cap
+// lets the overflow write into the next window.
+func TestRealWindowsOwnTheirArrays(t *testing.T) {
+	top, st := md.BuildAlanineDipeptide()
+	sys := md.MustNewSystem(top, md.Box{}, 0)
+	e := MustNewReal("amber", sys, st, 5)
+	spec := &core.Spec{
+		Name:            "real-windows",
+		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},
+		Pattern:         core.PatternSynchronous,
+		CoresPerReplica: 1,
+		StepsPerCycle:   50,
+		Cycles:          1,
+	}
+	rs := []*core.Replica{
+		{ID: 0, Slot: 0, Alive: true, Params: md.Params{TemperatureK: 290}},
+		{ID: 1, Slot: 1, Alive: true, Params: md.Params{TemperatureK: 310}},
+	}
+	for _, r := range rs {
+		e.InitReplica(r, spec)
+	}
+	if err := e.MDTask(rs[1], spec, 0).Run(); err != nil {
+		t.Fatal(err)
+	}
+	w1 := e.WindowTrajectory(1)
+	want := [][]float64{slices.Clone(w1.Phi), slices.Clone(w1.Psi), slices.Clone(w1.Potential), slices.Clone(w1.Kinetic)}
+	for c := 0; c < 4; c++ {
+		if err := e.MDTask(rs[0], spec, 0).Run(); err != nil {
+			t.Fatal(err)
+		}
+		rs[0].Cycle++
+	}
+	if w0 := e.WindowTrajectory(0); w0.Steps != 4*50 || len(w0.Phi) != 4*2 || len(w0.Kinetic) != 4*2 {
+		t.Fatalf("window 0 holds %d steps, %d/%d samples, want 200 steps, 8 samples", w0.Steps, len(w0.Phi), len(w0.Kinetic))
+	}
+	for i, got := range [][]float64{w1.Phi, w1.Psi, w1.Potential, w1.Kinetic} {
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("window 1 series %d moved when window 0 outgrew its room: %v, was %v", i, got, want[i])
+		}
 	}
 }
