@@ -209,44 +209,48 @@ func TestRealRunAllocationsPerSegment(t *testing.T) {
 
 // TestRealWindowsOwnTheirArrays: a window that takes more samples than
 // its room in the run's backing array grows by append into an array of
-// its own; its neighbour's samples do not move. A carve without its cap
-// lets the overflow write into the next window.
+// its own, and no sample moves: the same segments, run where every
+// window has room, leave the same series. A carve without its cap lets
+// the overflow write into the next series or the next window.
 func TestRealWindowsOwnTheirArrays(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
-	e := MustNewReal("amber", sys, st, 5)
-	spec := &core.Spec{
-		Name:            "real-windows",
-		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},
-		Pattern:         core.PatternSynchronous,
-		CoresPerReplica: 1,
-		StepsPerCycle:   50,
-		Cycles:          1,
-	}
-	rs := []*core.Replica{
-		{ID: 0, Slot: 0, Alive: true, Params: md.Params{TemperatureK: 290}},
-		{ID: 1, Slot: 1, Alive: true, Params: md.Params{TemperatureK: 310}},
-	}
-	for _, r := range rs {
-		e.InitReplica(r, spec)
-	}
-	if err := e.MDTask(rs[1], spec, 0).Run(); err != nil {
-		t.Fatal(err)
-	}
-	w1 := e.WindowTrajectory(1)
-	want := [][]float64{slices.Clone(w1.Phi), slices.Clone(w1.Psi), slices.Clone(w1.Potential), slices.Clone(w1.Kinetic)}
-	for c := 0; c < 4; c++ {
-		if err := e.MDTask(rs[0], spec, 0).Run(); err != nil {
-			t.Fatal(err)
+	windows := func(cycles int) [2]md.Trajectory {
+		e := MustNewReal("amber", sys, st, 5)
+		spec := &core.Spec{
+			Name:            "real-windows",
+			Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},
+			Pattern:         core.PatternSynchronous,
+			CoresPerReplica: 1,
+			StepsPerCycle:   50,
+			Cycles:          cycles,
 		}
-		rs[0].Cycle++
-	}
-	if w0 := e.WindowTrajectory(0); w0.Steps != 4*50 || len(w0.Phi) != 4*2 || len(w0.Kinetic) != 4*2 {
-		t.Fatalf("window 0 holds %d steps, %d/%d samples, want 200 steps, 8 samples", w0.Steps, len(w0.Phi), len(w0.Kinetic))
-	}
-	for i, got := range [][]float64{w1.Phi, w1.Psi, w1.Potential, w1.Kinetic} {
-		if !slices.Equal(got, want[i]) {
-			t.Fatalf("window 1 series %d moved when window 0 outgrew its room: %v, was %v", i, got, want[i])
+		rs := []*core.Replica{
+			{ID: 0, Slot: 0, Alive: true, Params: md.Params{TemperatureK: 290}},
+			{ID: 1, Slot: 1, Alive: true, Params: md.Params{TemperatureK: 310}},
 		}
+		for _, r := range rs {
+			e.InitReplica(r, spec)
+		}
+		// Window 1 fills first, then window 0 takes four segments.
+		for _, r := range []*core.Replica{rs[1], rs[0], rs[0], rs[0], rs[0]} {
+			if err := e.MDTask(r, spec, 0).Run(); err != nil {
+				t.Fatal(err)
+			}
+			r.Cycle++
+		}
+		return [2]md.Trajectory{*e.WindowTrajectory(0), *e.WindowTrajectory(1)}
+	}
+	tight, roomy := windows(1), windows(4)
+	for w := range tight {
+		got, want := tight[w], roomy[w]
+		for i, pair := range [][2][]float64{{got.Phi, want.Phi}, {got.Psi, want.Psi}, {got.Potential, want.Potential}, {got.Kinetic, want.Kinetic}} {
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Errorf("window %d series %d: %v after outgrowing its room, %v with room", w, i, pair[0], pair[1])
+			}
+		}
+	}
+	if n := len(tight[0].Kinetic); n != 8 {
+		t.Fatalf("window 0 holds %d samples, want 8", n)
 	}
 }
