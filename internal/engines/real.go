@@ -38,18 +38,18 @@ type Real struct {
 	trajs []md.Trajectory
 }
 
-// segment is one replica's state and everything its MD segments reuse:
-// the spec MDTask rewrites in place (the dispatcher asks for a replica's
-// next segment only after it has taken the previous one's result), the
-// Run closure built once, the integrator with its scratch and random
-// source (reseeded per segment), the parameters a segment runs under, in
-// an array of its own, and its samples before they join the slot's.
+// segment is one replica's state (InitReplica points the replica at it)
+// and everything its MD segments reuse: the spec MDTask rewrites in place
+// (the dispatcher asks for a replica's next segment only after it has
+// taken the previous one's result), the Run closure built once, the
+// integrator with its scratch and random source (reseeded per segment),
+// the parameters a segment runs under, in an array of its own, and its
+// samples before they join the slot's.
 type segment struct {
 	state   md.State
 	spec    task.Spec
 	run     func() error
 	integ   md.LangevinBAOAB
-	st      *md.State
 	prm     md.Params
 	slot    int
 	seed    int64
@@ -118,7 +118,6 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	rs := append(sg.prm.Restraints[:0], r.Params.Restraints...)
 	sg.prm = r.Params
 	sg.prm.Restraints = rs
-	sg.st = r.State
 	sg.slot = r.Slot
 	sg.seed = mix(e.seed, int64(r.ID), int64(r.Cycle))
 	sg.steps = s.StepsPerCycle
@@ -137,7 +136,7 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 // and appends its samples to its slot's.
 func (e *Real) runSegment(sg *segment) {
 	sg.integ.RNG.Seed(sg.seed)
-	md.RunSegment(&sg.samples, e.sys, sg.st, sg.prm, &sg.integ, sg.steps, e.SampleEvery)
+	md.RunSegment(&sg.samples, e.sys, &sg.state, sg.prm, &sg.integ, sg.steps, e.SampleEvery)
 	e.mu.Lock()
 	e.trajs[sg.slot].Append(sg.samples)
 	e.mu.Unlock()
