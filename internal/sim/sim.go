@@ -13,16 +13,19 @@
 //
 //   - A goroutine process (Env.Go, Env.GoAt) runs ordinary blocking code:
 //     Sleep, Signal.Wait, Resource.Acquire, Completion.Await park the
-//     process and switch back to the kernel. The body is a coroutine of
-//     the goroutine that runs the kernel (iter.Pull; see handoff, which
-//     falls back to a goroutine behind a channel pair on a toolchain
-//     before go1.23), so at any instant either the kernel or exactly one
-//     process is active, a wakeup is two coroutine switches on one thread,
-//     and a panic in a body surfaces from Env.Run. Use it for the few
-//     long-lived processes whose logic reads best as straight-line code
-//     (an orchestrator, a watchdog, a fault driver).
+//     process. The body is a coroutine of the goroutine that runs the
+//     kernel (iter.Pull; see handoff, which falls back to a goroutine
+//     behind a channel pair on a toolchain before go1.23), so at any
+//     instant either the kernel or exactly one process is active, and a
+//     panic in a body surfaces from Env.Run. A parked process runs the
+//     kernel's loop itself (Proc.Park): it steps stepped processes inline
+//     and returns from Park at its own wakeup, so the only switches are
+//     from one goroutine process to another, two coroutine switches on
+//     one thread through RunUntil. Use it for the few long-lived
+//     processes whose logic reads best as straight-line code (an
+//     orchestrator, a watchdog, a fault driver).
 //
-//   - A stepped process (Env.Spawn) has no goroutine: the kernel calls its
+//   - A stepped process (Env.Spawn) has no goroutine: the loop calls its
 //     Stepper inline on every wakeup, and the stepper registers its next
 //     wakeup with the non-blocking forms (Proc.WakeIn, Delay.Wake,
 //     Signal.Enrol, Completion.Enrol, Resource.Request), reads the outcome
@@ -70,11 +73,17 @@ type Env struct {
 	free  []int32
 	nlive int
 	trace func(t float64, msg string)
+	// limit is the bound of the RunUntil in progress (-Inf while none is),
+	// up to which a parked goroutine process drives the queue itself. due
+	// is the goroutine process it popped and handed back to RunUntil to
+	// resume; nil outside that hand-over.
+	limit float64
+	due   *Proc
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{delays: make([]Delay, 0, maxDelays)}
+	return &Env{delays: make([]Delay, 0, maxDelays), limit: math.Inf(-1)}
 }
 
 // Now returns the current virtual time in seconds.
@@ -378,13 +387,33 @@ func (e *Env) Run() { e.RunUntil(math.Inf(1)) }
 // the last event's time if none do; it never moves backwards, so a t
 // already in the past runs nothing and leaves the clock alone.
 func (e *Env) RunUntil(t float64) {
+	defer func(outer float64) { e.limit, e.due = outer, nil }(e.limit)
+	e.limit = t
 	for {
-		ev, ok := e.next(t)
-		if !ok {
-			if t > e.now && e.Pending() > 0 {
-				e.now = t
+		p := e.due
+		e.due = nil
+		if p == nil {
+			if p = e.advance(t); p == nil {
+				break
 			}
-			return
+		}
+		p.resume()
+	}
+	if t > e.now && e.Pending() > 0 {
+		e.now = t
+	}
+}
+
+// advance runs wakeups with timestamps <= limit until one is a goroutine
+// process's, and returns that process with the clock at its wakeup; nil
+// if none is left. Stale wakeups are dropped and stepped processes are
+// stepped inline, on the stack of whoever calls: RunUntil, or a parked
+// goroutine process driving the queue (Park).
+func (e *Env) advance(limit float64) *Proc {
+	for {
+		ev, ok := e.next(limit)
+		if !ok {
+			return nil
 		}
 		p := e.slots[ev.slot].p
 		if p == nil || ev.gen != p.gen {
@@ -395,11 +424,10 @@ func (e *Env) RunUntil(t float64) {
 			e.trace(e.now, p.Name())
 		}
 		p.gen++
-		if p.stepper != nil {
-			p.stepper.Step(p)
-			continue
+		if p.stepper == nil {
+			return p
 		}
-		p.resume()
+		p.stepper.Step(p)
 	}
 }
 
@@ -415,13 +443,25 @@ func (e *Env) Pending() int {
 // Live reports the number of live (spawned, not finished) processes.
 func (e *Env) Live() int { return e.nlive }
 
-// Park yields control to the kernel until the process's next wakeup. It
-// is the blocking half of every blocking form: register a wakeup with a
-// non-blocking form, then Park. Goroutine processes only.
+// Park suspends the process until its next wakeup. It is the blocking
+// half of every blocking form: register a wakeup with a non-blocking
+// form, then Park. Goroutine processes only.
+//
+// The parked process runs the kernel's loop itself, up to the bound of
+// the RunUntil in progress: stepped processes are stepped inline, and its
+// own wakeup returns from Park without a switch. Only another goroutine
+// process's wakeup, or the end of the slice, switches back to RunUntil,
+// which resumes that process (Env.due) or returns.
 func (p *Proc) Park() {
 	if p.stepper != nil {
 		panic("sim: blocking call from stepped process " + p.Name())
 	}
+	e := p.env
+	q := e.advance(e.limit)
+	if q == p {
+		return
+	}
+	e.due = q
 	p.park()
 }
 

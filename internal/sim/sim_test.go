@@ -1046,6 +1046,47 @@ func TestPropertyFifoMatchesSlice(t *testing.T) {
 	}
 }
 
+// A goroutine process parked on a signal drives the queue itself: the
+// steppers that fire the signal are stepped on its stack and its own
+// wakeup returns from Park, so awaiting a thousand completions costs a
+// handful of coroutine switches, not two per completion.
+func TestParkedProcessDrivesSteppers(t *testing.T) {
+	const n = 1000
+	e := NewEnv()
+	arrivals := NewSignal(e)
+	queued, got := 0, 0
+	for i := 0; i < n; i++ {
+		d := 1 + float64(i)/n
+		spawn(e, "unit", func(p *Proc, wake int) {
+			if wake == 0 {
+				p.WakeIn(d)
+				return
+			}
+			queued++
+			arrivals.Broadcast()
+			p.Exit()
+		})
+	}
+	w := e.Go("awaiter", func(p *Proc) {
+		for got < n {
+			for queued == 0 {
+				arrivals.Wait(p)
+			}
+			got += queued
+			queued = 0
+		}
+	})
+	resumes := 0
+	w.CountResumes(&resumes)
+	e.Run()
+	if got != n {
+		t.Fatalf("awaiter saw %d completions, want %d", got, n)
+	}
+	if resumes > 4 {
+		t.Fatalf("%d coroutine resumes to await %d completions, want at most a handful", resumes, n)
+	}
+}
+
 // benchProcs is the number of concurrently sleeping processes in the
 // kernel benchmarks; each sleeps b.N/benchProcs times, so ns/op is the
 // cost of one wakeup.
@@ -1081,6 +1122,43 @@ func BenchmarkSimStepped(b *testing.B) {
 			p.WakeIn(d)
 		})
 	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSimAwaiter is the orchestrator's shape: one goroutine process
+// awaits the completions of benchProcs stepped processes, each queued and
+// broadcast on one signal, as pilot.Runtime.AwaitNext does. ns/op is the
+// cost of one completion, the stepper's wakeup and the awaiter's.
+func BenchmarkSimAwaiter(b *testing.B) {
+	e := NewEnv()
+	arrivals := NewSignal(e)
+	queued := 0
+	for i := 0; i < benchProcs; i++ {
+		d := 1 + float64(i)/benchProcs
+		left := b.N / benchProcs
+		spawn(e, "unit", func(p *Proc, wake int) {
+			if wake > 0 {
+				queued++
+				arrivals.Broadcast()
+			}
+			if left == 0 {
+				p.Exit()
+				return
+			}
+			left--
+			p.WakeIn(d)
+		})
+	}
+	e.Go("awaiter", func(p *Proc) {
+		for got := 0; got < b.N/benchProcs*benchProcs; {
+			for queued == 0 {
+				arrivals.Wait(p)
+			}
+			got += queued
+			queued = 0
+		}
+	})
 	b.ResetTimer()
 	e.Run()
 }
