@@ -91,70 +91,6 @@ func TestAwaitAllOrder(t *testing.T) {
 	}
 }
 
-func TestAwaitNextDeliversInCompletionOrder(t *testing.T) {
-	rt := New(4)
-	slow := rt.SubmitWatched(&task.Spec{Name: "slow", Cores: 1, Run: func() error {
-		time.Sleep(300 * time.Millisecond)
-		return nil
-	}})
-	fast := rt.SubmitWatched(&task.Spec{Name: "fast", Cores: 1, Run: func() error {
-		time.Sleep(10 * time.Millisecond)
-		return nil
-	}})
-	var got []task.Handle
-	for len(got) < 2 {
-		hs := rt.AwaitNext(rt.Now() + 5.0)
-		if len(hs) == 0 {
-			t.Fatal("AwaitNext timed out with completions outstanding")
-		}
-		got = append(got, hs...)
-	}
-	if got[0] != fast || got[1] != slow {
-		t.Fatal("completions not delivered fast-first")
-	}
-	if got[0].Result().Spec.Name != "fast" {
-		t.Fatal("wrong result on delivered handle")
-	}
-}
-
-func TestAwaitNextDeliversExactlyOnce(t *testing.T) {
-	rt := New(4)
-	for i := 0; i < 5; i++ {
-		rt.SubmitWatched(&task.Spec{Name: "w", Cores: 1, Run: func() error { return nil }})
-	}
-	seen := map[task.Handle]bool{}
-	total := 0
-	for total < 5 {
-		for _, h := range rt.AwaitNext(rt.Now() + 5.0) {
-			if seen[h] {
-				t.Fatal("completion delivered twice")
-			}
-			seen[h] = true
-			total++
-		}
-	}
-	if extra := rt.AwaitNext(rt.Now() + 0.02); len(extra) != 0 {
-		t.Fatalf("drained stream delivered %d more handles", len(extra))
-	}
-}
-
-func TestAwaitNextDeadline(t *testing.T) {
-	rt := New(4)
-	h := rt.SubmitWatched(&task.Spec{Name: "slow", Cores: 1, Run: func() error {
-		time.Sleep(200 * time.Millisecond)
-		return nil
-	}})
-	start := time.Now()
-	done := rt.AwaitNext(rt.Now() + 0.05)
-	if len(done) != 0 {
-		t.Fatalf("done set %v, want empty at deadline", done)
-	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("deadline overshoot: %v", elapsed)
-	}
-	rt.Await(h)
-}
-
 func TestUnwatchedTasksStayOffStream(t *testing.T) {
 	rt := New(4)
 	h := rt.Submit(&task.Spec{Name: "plain", Cores: 1, Run: func() error { return nil }})
@@ -188,43 +124,6 @@ func TestOverheadAccumulatesWithoutSleeping(t *testing.T) {
 func TestDefaultsToOneCore(t *testing.T) {
 	if New(0).Cores() != 1 || New(-3).Cores() != 1 {
 		t.Fatal("non-positive core count did not default to 1")
-	}
-}
-
-// TestDeliveredHandleLivesUntilNextAwaitNext: a handle AwaitNext delivered
-// keeps its task's result until the next AwaitNext, whatever is
-// submitted meanwhile; only then may a submission reuse it. An unwatched
-// handle is reused once Await returns.
-func TestDeliveredHandleLivesUntilNextAwaitNext(t *testing.T) {
-	rt := New(1)
-	named := func(name string) *task.Spec {
-		return &task.Spec{Name: name, Cores: 1, Run: func() error { return nil }}
-	}
-	a := rt.SubmitWatched(named("a"))
-	if got := rt.AwaitNext(math.Inf(1)); len(got) != 1 || got[0] != a {
-		t.Fatalf("delivered %v, want [a]", got)
-	}
-	b := rt.SubmitWatched(named("b"))
-	if b == a {
-		t.Fatal("a delivered handle was reused before the next AwaitNext")
-	}
-	if name := a.Result().Spec.Name; name != "a" {
-		t.Fatalf("delivered handle reads task %q, want a", name)
-	}
-	if got := rt.AwaitNext(math.Inf(1)); len(got) != 1 || got[0] != b {
-		t.Fatalf("delivered %v, want [b]", got)
-	}
-	c := rt.Submit(named("c"))
-	if c != a {
-		t.Fatal("a handle dead since the last AwaitNext was not reused")
-	}
-	if res := rt.Await(c); res.Spec.Name != "c" {
-		t.Fatalf("reused handle reads task %q, want c", res.Spec.Name)
-	}
-	if d := rt.Submit(named("d")); d != c {
-		t.Fatal("an awaited handle was not reused")
-	} else {
-		rt.Await(d)
 	}
 }
 

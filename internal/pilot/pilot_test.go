@@ -254,40 +254,6 @@ func TestRuntimeAwaitAll(t *testing.T) {
 	}
 }
 
-func TestRuntimeAwaitNext(t *testing.T) {
-	e := sim.NewEnv()
-	cfg := quietConfig()
-	cfg.QueueWait = 0
-	cfg.LaunchGap = 0
-	cfg.LaunchLatency = 0
-	cl := cluster.MustNew(e, cfg, 1)
-	pl, _ := Launch(cl, Description{Cores: 16})
-	var first, timedOut, last []task.Handle
-	var fast, slow task.Handle
-	e.Go("orchestrator", func(p *sim.Proc) {
-		rt := NewRuntime(pl, p)
-		slow = rt.SubmitWatched(&task.Spec{Name: "slow", Cores: 1, Duration: 100})
-		fast = rt.SubmitWatched(&task.Spec{Name: "fast", Cores: 1, Duration: 2})
-		// A delivery is valid until the next AwaitNext: keep a copy.
-		first = append(first, rt.AwaitNext(rt.Now()+50)...)
-		timedOut = rt.AwaitNext(rt.Now() + 10) // slow still running
-		last = rt.AwaitNext(rt.Now() + 1000)
-	})
-	e.Run()
-	if len(first) != 1 || first[0] != fast {
-		t.Fatalf("first delivery %v, want the fast unit", first)
-	}
-	if len(timedOut) != 0 {
-		t.Fatalf("delivery before slow completion: %v, want timeout", timedOut)
-	}
-	if len(last) != 1 || last[0] != slow {
-		t.Fatalf("last delivery %v, want the slow unit", last)
-	}
-	if last[0].Result().Spec.Name != "slow" {
-		t.Fatal("wrong result on delivered handle")
-	}
-}
-
 func TestRuntimeOverheadAdvancesClock(t *testing.T) {
 	e := sim.NewEnv()
 	cl := cluster.MustNew(e, quietConfig(), 1)
