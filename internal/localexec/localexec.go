@@ -25,21 +25,22 @@ type Runtime struct {
 	start time.Time
 	cores int
 
+	// mu guards the cores in use, every handle's outcome, the completion
+	// stream, the free handles and the alarm. cond is broadcast when a
+	// task ends and when the alarm rings; core, Await and AwaitNext
+	// waiters all wait on it.
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond
 	inUse int
-
-	// notify wakes the AwaitNext waiter on any task completion.
-	notifyCh chan struct{}
-
-	// streamMu guards the completion stream and the free handles.
-	streamMu sync.Mutex
 	// stream holds watched completions not yet delivered by AwaitNext,
 	// in completion order; delivered is the slice the last AwaitNext
 	// returned. The two swap at each delivery.
 	stream, delivered []task.Handle
 	// free holds dead handles for the next submissions.
 	free []*handle
+	// alarm wakes an AwaitNext at its finite deadline: each wait re-arms
+	// it, and it broadcasts under mu.
+	alarm *time.Timer
 
 	overhead float64
 }
@@ -50,8 +51,8 @@ func New(cores int) *Runtime {
 	if cores <= 0 {
 		cores = 1
 	}
-	r := &Runtime{start: time.Now(), cores: cores, notifyCh: make(chan struct{}, 1)}
-	r.cond = sync.NewCond(&r.mu)
+	r := &Runtime{start: time.Now(), cores: cores}
+	r.cond.L = &r.mu
 	return r
 }
 
@@ -61,88 +62,33 @@ func (r *Runtime) Now() float64 { return time.Since(r.start).Seconds() }
 // Cores returns the core budget.
 func (r *Runtime) Cores() int { return r.cores }
 
+// handle is a task's outcome, guarded by its runtime's mu.
 type handle struct {
-	mu   sync.Mutex
-	done bool
-	res  task.Result
-	// ch holds one token once the task is done.
-	ch      chan struct{}
+	rt      *Runtime
+	done    bool
+	res     task.Result
 	watched bool
-	// spare is set while the handle is on the free list (under streamMu).
+	// spare is set while the handle is on the free list.
 	spare bool
 }
 
 func (h *handle) Done() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.rt.mu.Lock()
+	defer h.rt.mu.Unlock()
 	return h.done
 }
 
 func (h *handle) Result() task.Result {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.rt.mu.Lock()
+	defer h.rt.mu.Unlock()
 	return h.res
 }
 
-func (h *handle) complete(res task.Result) {
-	h.mu.Lock()
-	h.done = true
-	h.res = res
-	h.mu.Unlock()
-	h.ch <- struct{}{}
-}
-
-// newHandle takes a dead handle off the free list, or makes one.
-func (r *Runtime) newHandle(watched bool) *handle {
-	r.streamMu.Lock()
-	defer r.streamMu.Unlock()
-	n := len(r.free)
-	if n == 0 {
-		return &handle{ch: make(chan struct{}, 1), watched: watched}
-	}
-	h := r.free[n-1]
-	r.free = r.free[:n-1]
-	select {
-	case <-h.ch:
-	default:
-	}
-	h.mu.Lock()
-	h.done, h.res = false, task.Result{}
-	h.mu.Unlock()
-	h.watched, h.spare = watched, false
-	return h
-}
-
-// recycle puts a dead handle on the free list; called with streamMu held.
+// recycle puts a dead handle on the free list; called with mu held.
 func (r *Runtime) recycle(h *handle) {
 	if !h.spare {
 		h.spare = true
 		r.free = append(r.free, h)
-	}
-}
-
-// acquire takes n core slots, blocking while the pool is exhausted.
-func (r *Runtime) acquire(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.inUse+n > r.cores {
-		r.cond.Wait()
-	}
-	r.inUse += n
-}
-
-func (r *Runtime) release(n int) {
-	r.mu.Lock()
-	r.inUse -= n
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// poke wakes the AwaitNext waiter.
-func (r *Runtime) poke() {
-	select {
-	case r.notifyCh <- struct{}{}:
-	default:
 	}
 }
 
@@ -157,16 +103,26 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 	if err := s.Validate(); err != nil {
 		panic(fmt.Sprintf("localexec: invalid task spec: %v", err))
 	}
-	cores := s.Cores
-	if cores > r.cores {
-		// Clamp rather than deadlock: a real laptop cannot refuse a
-		// 16-core MPI task, it just runs it slower.
-		cores = r.cores
+	// Clamp rather than deadlock: a real laptop cannot refuse a 16-core
+	// MPI task, it just runs it slower.
+	cores := min(s.Cores, r.cores)
+	r.mu.Lock()
+	var h *handle
+	if n := len(r.free); n > 0 {
+		h, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		h = new(handle)
 	}
-	h := r.newHandle(watched)
+	*h = handle{rt: r, watched: watched}
+	r.mu.Unlock()
 	submitted := r.Now()
 	go func() {
-		r.acquire(cores)
+		r.mu.Lock()
+		for r.inUse+cores > r.cores {
+			r.cond.Wait()
+		}
+		r.inUse += cores
+		r.mu.Unlock()
 		execStart := r.Now()
 		var err error
 		if s.Run != nil {
@@ -177,21 +133,22 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 			time.Sleep(time.Duration(s.Duration * float64(time.Second)))
 		}
 		execEnd := r.Now()
-		r.release(cores)
-		h.complete(task.Result{
+		r.mu.Lock()
+		r.inUse -= cores
+		h.done = true
+		h.res = task.Result{
 			Spec:      s,
 			Submitted: submitted,
 			Finished:  execEnd,
 			CoreWait:  execStart - submitted,
 			Exec:      execEnd - execStart,
 			Err:       err,
-		})
-		if watched {
-			r.streamMu.Lock()
-			r.stream = append(r.stream, h)
-			r.streamMu.Unlock()
 		}
-		r.poke()
+		if watched {
+			r.stream = append(r.stream, h)
+		}
+		r.cond.Broadcast()
+		r.mu.Unlock()
 	}()
 	return h
 }
@@ -199,16 +156,16 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 // Await blocks until the task finishes.
 func (r *Runtime) Await(h task.Handle) task.Result {
 	hh := h.(*handle)
-	<-hh.ch
-	hh.ch <- struct{}{}
-	res := hh.Result()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !hh.done {
+		r.cond.Wait()
+	}
 	if !hh.watched {
 		// A watched handle is still due on the stream; AwaitNext frees it.
-		r.streamMu.Lock()
 		r.recycle(hh)
-		r.streamMu.Unlock()
 	}
-	return res
+	return hh.res
 }
 
 // AwaitAll blocks until every handle finishes.
@@ -224,39 +181,40 @@ func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
 // delivery or the absolute deadline (in runtime seconds) passes, and
 // drains the stream in completion order.
 func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
-	r.streamMu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	// The handles the last call delivered are dead now.
 	for _, h := range r.delivered {
 		r.recycle(h.(*handle))
 	}
 	r.delivered = r.delivered[:0]
-	r.streamMu.Unlock()
-	for {
-		r.streamMu.Lock()
-		if len(r.stream) > 0 {
-			r.stream, r.delivered = r.delivered, r.stream
-			out := r.delivered
-			r.streamMu.Unlock()
-			return out
+	for len(r.stream) == 0 {
+		if !math.IsInf(deadline, 1) {
+			remain := deadline - r.Now()
+			if remain <= 0 {
+				return nil
+			}
+			r.ring(time.Duration(remain * float64(time.Second)))
 		}
-		r.streamMu.Unlock()
-		if math.IsInf(deadline, 1) {
-			<-r.notifyCh
-			continue
-		}
-		remain := deadline - r.Now()
-		if remain <= 0 {
-			return nil
-		}
-		timer := time.NewTimer(time.Duration(remain * float64(time.Second)))
-		select {
-		case <-r.notifyCh:
-			timer.Stop()
-		case <-timer.C:
-			// Deadline hit: one final drain attempt happens at the top of
-			// the loop before the remain <= 0 return.
-		}
+		r.cond.Wait()
 	}
+	r.stream, r.delivered = r.delivered, r.stream
+	return r.delivered
+}
+
+// ring arms the alarm to broadcast after d; called with mu held. The
+// callback takes mu too, so its broadcast cannot fall between arming the
+// alarm and waiting.
+func (r *Runtime) ring(d time.Duration) {
+	if r.alarm == nil {
+		r.alarm = time.AfterFunc(d, func() {
+			r.mu.Lock()
+			r.cond.Broadcast()
+			r.mu.Unlock()
+		})
+		return
+	}
+	r.alarm.Reset(d)
 }
 
 // SleepUntil blocks until the wall clock reaches runtime second t.

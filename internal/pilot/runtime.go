@@ -56,13 +56,12 @@ type Runtime struct {
 	// events (the drain-then-expire of a preempted pilot) are drained.
 	retired []retiredPilot
 
-	// The completion stream: finished watched units queue here, in
-	// virtual-time completion order, until AwaitNext drains them.
-	arrivals *sim.Signal
-	queue    []*Unit
-	// delivered is the slice AwaitNext last returned; the next call moves
-	// its units to spare and refills it.
-	delivered []task.Handle
+	// The completion stream: stream holds finished watched units not yet
+	// delivered by AwaitNext, in virtual-time completion order; delivered
+	// is the slice the last AwaitNext returned, whose units the next call
+	// moves to spare. The two swap at each delivery.
+	arrivals          *sim.Signal
+	stream, delivered []task.Handle
 	// spare holds finished units for submissions to reuse: the units
 	// AwaitNext delivered, from its next call on, and the unwatched units
 	// Await and AwaitAll delivered, from their return on.
@@ -322,7 +321,7 @@ func (r *Runtime) unitDone(u *Unit) {
 		}
 	}
 	if u.watched {
-		r.queue = append(r.queue, u)
+		r.stream = append(r.stream, u)
 		r.arrivals.Broadcast()
 	}
 }
@@ -369,7 +368,7 @@ func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
 		r.spare = append(r.spare, h.(*Unit))
 	}
 	r.delivered = r.delivered[:0]
-	for len(r.queue) == 0 {
+	for len(r.stream) == 0 {
 		if math.IsInf(deadline, 1) {
 			r.arrivals.Wait(r.proc)
 			continue
@@ -380,10 +379,7 @@ func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
 		}
 		r.arrivals.WaitTimeout(r.proc, remain)
 	}
-	for _, u := range r.queue {
-		r.delivered = append(r.delivered, u)
-	}
-	r.queue = r.queue[:0]
+	r.stream, r.delivered = r.delivered, r.stream
 	return r.delivered
 }
 
