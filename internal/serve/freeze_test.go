@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -110,6 +111,36 @@ func TestFreezeReadsStateBeforeSnapshot(t *testing.T) {
 	}
 	sameExposition(t, "the scrape after the run ended", maskLive(get()),
 		maskLive(renderExposition(nil, fixedProcess(), []runView{r.srv.view()})))
+}
+
+// TestStatusOfARunEndingMidView: a run that ends between the collector
+// snapshot of a /status view and that view's status read is served
+// terminal with the event it published last, not with the counters of
+// the snapshot taken before it ended.
+func TestStatusOfARunEndingMidView(t *testing.T) {
+	r, err := NewRun(context.Background(), smallLaunch(t, "late", 2), true, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end sync.Once
+	r.srv.status = func() RunStatus {
+		end.Do(func() {
+			r.Spec().Bus.PublishBatch([]core.Event{core.MDEvent{Replica: 0, Cycle: 1, Exec: 1}})
+			r.mu.Lock()
+			r.state = core.RunCompleted
+			r.mu.Unlock()
+		})
+		return r.baseStatus()
+	}
+	rec := httptest.NewRecorder()
+	r.Server().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+	var st RunStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "completed" || st.MDSegments != 1 {
+		t.Fatalf("/status read %s with %d MD segments, want completed with 1", st.State, st.MDSegments)
+	}
 }
 
 // parseSamples reads a Prometheus text body into its series' values;

@@ -240,7 +240,15 @@ func (s *Server) viewWith(status func() RunStatus) runView {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.view().st)
+	st := s.view().st
+	switch st.State {
+	case core.RunCompleted.String(), core.RunFailed.String(), core.RunCancelled.String():
+		// The run may have ended after the view's snapshot, whose counters
+		// then miss its last events: take the view again, its snapshot now
+		// after the terminal read.
+		st = s.view().st
+	}
+	writeJSON(w, st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

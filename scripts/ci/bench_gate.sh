@@ -46,7 +46,12 @@
 # processes cycling three fixed sleeps under 4096 parked timers, through
 # the heap and through Delay.Wake) are gated the same way, against
 # BENCH_sim.json: a wakeup through a delay queue must cost at most half of
-# one through the heap (0.18-0.25 when the gate was set).
+# one through the heap (0.18-0.25 when the gate was set). The same stream
+# times the orchestrator's shape (BenchmarkSimAwaiter: one goroutine
+# process awaiting the completions of 64 stepped ones) against the steppers
+# alone (BenchmarkSimStepped): a parked process steps them inline and
+# switches only at its own wakeup, so the ratio stays near 1.3; a Park
+# that always switches back to RunUntil reads about 2.7.
 #
 # The aggregate /metrics scrape (internal/serve, BenchmarkAggregateScrape:
 # sixteen finished 1024-window runs, rendered live from their collectors
@@ -80,7 +85,7 @@ for _ in 1 2 3 4 5; do
     -benchtime 200ms -json ./internal/md | tee -a BENCH_md_samples.json
   go test -run '^$' -bench 'BenchmarkSnapshotCodec$' \
     -benchtime 20x -json . | tee -a BENCH_snapshot_samples.json
-  go test -run '^$' -bench 'BenchmarkSimResident$' \
+  go test -run '^$' -bench 'BenchmarkSimResident$|BenchmarkSimStepped$|BenchmarkSimAwaiter$' \
     -benchtime 2000000x -json ./internal/sim | tee -a BENCH_sim_samples.json
   go test -run '^$' -bench 'BenchmarkAggregateScrape$' \
     -benchtime 40x -json ./internal/serve | tee -a BENCH_serve_samples.json
