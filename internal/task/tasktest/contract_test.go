@@ -168,12 +168,12 @@ var contract = []struct {
 			t.Errorf("delivered %v, want [b]", names(got))
 			return
 		}
-		c := rt.SubmitWatched(sleeper("c", 0.01))
+		c := rt.Submit(sleeper("c", 0.01))
 		if c != a {
 			t.Error("a handle dead since the last AwaitNext was not reused")
 		}
-		if got := names(rt.AwaitNext(math.Inf(1))); len(got) != 1 || got[0] != "c" {
-			t.Errorf("reused handle delivered %v, want [c]", got)
+		if res := rt.Await(c); res.Spec.Name != "c" {
+			t.Errorf("reused handle reads task %q, want c", res.Spec.Name)
 		}
 	}},
 	{"AwaitedHandleIsReused", func(t *testing.T, rt task.Runtime) {
