@@ -91,6 +91,53 @@ func TestAwaitAllOrder(t *testing.T) {
 	}
 }
 
+func TestAwaitNextDeliversInCompletionOrder(t *testing.T) {
+	rt := New(4)
+	slow := rt.SubmitWatched(&task.Spec{Name: "slow", Cores: 1, Run: func() error {
+		time.Sleep(300 * time.Millisecond)
+		return nil
+	}})
+	fast := rt.SubmitWatched(&task.Spec{Name: "fast", Cores: 1, Run: func() error {
+		time.Sleep(10 * time.Millisecond)
+		return nil
+	}})
+	var got []task.Handle
+	for len(got) < 2 {
+		hs := rt.AwaitNext(rt.Now() + 5.0)
+		if len(hs) == 0 {
+			t.Fatal("AwaitNext timed out with completions outstanding")
+		}
+		got = append(got, hs...)
+	}
+	if got[0] != fast || got[1] != slow {
+		t.Fatal("completions not delivered fast-first")
+	}
+	if got[0].Result().Spec.Name != "fast" {
+		t.Fatal("wrong result on delivered handle")
+	}
+}
+
+func TestAwaitNextDeliversExactlyOnce(t *testing.T) {
+	rt := New(4)
+	for i := 0; i < 5; i++ {
+		rt.SubmitWatched(&task.Spec{Name: "w", Cores: 1, Run: func() error { return nil }})
+	}
+	seen := map[task.Handle]bool{}
+	total := 0
+	for total < 5 {
+		for _, h := range rt.AwaitNext(rt.Now() + 5.0) {
+			if seen[h] {
+				t.Fatal("completion delivered twice")
+			}
+			seen[h] = true
+			total++
+		}
+	}
+	if extra := rt.AwaitNext(rt.Now() + 0.02); len(extra) != 0 {
+		t.Fatalf("drained stream delivered %d more handles", len(extra))
+	}
+}
+
 func TestUnwatchedTasksStayOffStream(t *testing.T) {
 	rt := New(4)
 	h := rt.Submit(&task.Spec{Name: "plain", Cores: 1, Run: func() error { return nil }})
