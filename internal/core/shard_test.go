@@ -1,7 +1,11 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -68,6 +72,67 @@ func TestShardedExchangeEquivalence(t *testing.T) {
 	}
 }
 
+// largeExchangeCases are runs whose exchange events carry 511-512 pairs
+// each: a 1-D T barrier run, a 1-D U barrier run (CrossEnergy on every
+// pair) and a count-triggered run exchanging among ready subsets of
+// 1024 of its 2048 replicas (Mode II on 1024 cores).
+func largeExchangeCases() []struct {
+	name  string
+	spec  *core.Spec
+	cores int
+} {
+	umbrella := &core.Spec{
+		Name:            "u-remd",
+		Dims:            []core.Dimension{{Type: exchange.Umbrella, Values: core.UniformWindows(1024), Torsion: "phi", K: core.UmbrellaK002}},
+		Pattern:         core.PatternSynchronous,
+		CoresPerReplica: 1,
+		StepsPerCycle:   6000,
+		Cycles:          4,
+		Seed:            11,
+	}
+	count := smallTREMD(2048, 3)
+	count.Pattern = core.PatternAsynchronous
+	count.Trigger = core.NewCountTrigger(1024)
+	return []struct {
+		name  string
+		spec  *core.Spec
+		cores int
+	}{
+		{"t1024-barrier", smallTREMD(1024, 4), 1024},
+		{"u1024-barrier", umbrella, 1024},
+		{"t2048-count1024", count, 1024},
+	}
+}
+
+// TestLargeExchangeGolden pins the slot fingerprint, history rows and
+// acceptance counts of largeExchangeCases against
+// testdata/exchange_large.golden, written when these events' pair
+// probabilities were evaluated on a worker pool. It is never
+// regenerated: a mismatch means the exchange phase moved an RNG draw or
+// let a swap reach another pair's probability — fix the code.
+func TestLargeExchangeGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, tc := range largeExchangeCases() {
+		rep := runVirtual(t, tc.spec, quietCluster(), tc.cores, 2881)
+		if rep.SlotFingerprint != historyFingerprint(rep.SlotHistory) {
+			t.Fatalf("%s: rolling fingerprint %#x does not match history %#x",
+				tc.name, rep.SlotFingerprint, historyFingerprint(rep.SlotHistory))
+		}
+		att, acc := sumExchanges(rep)
+		fmt.Fprintf(&got, "%s fingerprint=%#x rows=%d attempted=%d accepted=%d\n",
+			tc.name, rep.SlotFingerprint, rep.SlotRows, att, acc)
+	}
+	if *update {
+		if err := os.WriteFile(filepath.Join("testdata", "exchange_large.golden"), got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want := readPinned(t, "exchange_large.golden"); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("large exchange runs moved off testdata/exchange_large.golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
 // TestShardedExchangeAsyncEquivalence covers the non-aligned dispatcher
 // path: count-triggered exchanges over ready subsets must also be
 // worker-count invariant (ragged group sizes, gap pairs and per-event
@@ -81,6 +146,10 @@ func TestShardedExchangeAsyncEquivalence(t *testing.T) {
 		return runVirtual(t, spec, quietCluster(), 6, 2881)
 	}
 	ref := run(1)
+	if ref.SlotFingerprint != 0x2adeb1544a735910 || ref.ExchangeEvents != 11 || ref.Makespan() != 1149.4820737979665 {
+		t.Fatalf("fingerprint %#x, %d events, makespan %v; golden 0x2adeb1544a735910, 11 events, makespan 1149.4820737979665",
+			ref.SlotFingerprint, ref.ExchangeEvents, ref.Makespan())
+	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
 		rep := run(workers)
 		if rep.SlotFingerprint != ref.SlotFingerprint {

@@ -12,7 +12,10 @@ import (
 	"repro/internal/core"
 )
 
-var updateTriggerState = flag.Bool("update", false, "rewrite testdata/trigger_state.golden from the current EncodeState of both stateful triggers")
+// update rewrites the testdata goldens of the tests -run selects
+// (testdata/trigger_state.golden, testdata/exchange_large.golden); never
+// pass it without -run.
+var update = flag.Bool("update", false, "rewrite the testdata goldens of the tests -run selects")
 
 // testdata/trigger_state.golden holds the EncodeState bytes of the two
 // stateful triggers, one "name<TAB>state" line a case, as written by
@@ -125,7 +128,7 @@ func TestTriggerStateGolden(t *testing.T) {
 		states[c.name] = data
 		fmt.Fprintf(&got, "%s\t%s\n", c.name, data)
 	}
-	if *updateTriggerState {
+	if *update {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
