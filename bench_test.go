@@ -8,7 +8,6 @@ package repex
 
 import (
 	"encoding/json"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -18,10 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engines"
-	"repro/internal/md"
-	"repro/internal/pilot"
 	"repro/internal/ring"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -201,7 +197,7 @@ func BenchmarkAblationAsyncWindow(b *testing.B) {
 // bytes and allocations divided by the number of MD completions. The
 // memory columns make scratch-reuse regressions (per-event grouping or
 // exchange-phase allocations) visible without a profiler.
-func benchDispatcher(b *testing.B, replicas, exchangeWorkers int, machine cluster.Config, trigger func() Trigger) {
+func benchDispatcher(b *testing.B, replicas int, machine cluster.Config, trigger func() Trigger) {
 	b.Helper()
 	completions := 0
 	var before, after runtime.MemStats
@@ -210,7 +206,6 @@ func benchDispatcher(b *testing.B, replicas, exchangeWorkers int, machine cluste
 	for i := 0; i < b.N; i++ {
 		spec := ablationSpec(replicas, 2, PatternAsynchronous, 100)
 		spec.Trigger = trigger()
-		spec.ExchangeWorkers = exchangeWorkers
 		machine.ExecJitter = 0.05
 		rep, err := RunVirtual(spec, machine, replicas, AmberSander, 2881, int64(i+1))
 		if err != nil {
@@ -240,10 +235,7 @@ func benchDispatcher(b *testing.B, replicas, exchangeWorkers int, machine cluste
 // ratio below a bound so super-linear growth in the hot loop fails CI).
 // The whole stack runs in virtual time, so wall time divided by the
 // number of MD completions tracks the orchestrator's per-event overhead
-// across the perf trajectory. The 4096/serialex leg is the
-// sharded-exchange control: identical workload with the exchange-phase
-// worker pool forced serial (exchange_workers = 1), so the sharding
-// speedup is the barrier-leg delta against it.
+// across the perf trajectory.
 func BenchmarkDispatcher(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -256,13 +248,10 @@ func BenchmarkDispatcher(b *testing.B) {
 	for _, replicas := range []int{64, 256, 1024, 4096} {
 		for _, tc := range cases {
 			b.Run(itoa(replicas)+"/"+tc.name, func(b *testing.B) {
-				benchDispatcher(b, replicas, 0, SuperMIC(), tc.trigger)
+				benchDispatcher(b, replicas, SuperMIC(), tc.trigger)
 			})
 		}
 	}
-	b.Run("4096/serialex", func(b *testing.B) {
-		benchDispatcher(b, 4096, 1, SuperMIC(), func() Trigger { return NewBarrierTrigger() })
-	})
 }
 
 // BenchmarkDispatcher64K is the Stampede-scale leg: 65536 virtual
@@ -271,103 +260,8 @@ func BenchmarkDispatcher(b *testing.B) {
 // per-completion cost below twice the 4096-replica leg's.
 func BenchmarkDispatcher64K(b *testing.B) {
 	b.Run("65536/barrier", func(b *testing.B) {
-		benchDispatcher(b, 65536, 0, Stampede(), func() Trigger { return NewBarrierTrigger() })
+		benchDispatcher(b, 65536, Stampede(), func() Trigger { return NewBarrierTrigger() })
 	})
-	b.Run("65536/serialex", func(b *testing.B) {
-		benchDispatcher(b, 65536, 1, Stampede(), func() Trigger { return NewBarrierTrigger() })
-	})
-}
-
-// heavyCrossEngine wraps the virtual sander cost model with an
-// artificially expensive CrossEnergy: a spin loop standing in for a
-// real engine's single-point energy evaluation (the virtual model's own
-// cross energies are a few nanoseconds of arithmetic, far too cheap for
-// exchange-phase parallelism to matter). The loop's result is scaled to
-// 1e-300 — far below one ulp of the O(100 kcal/mol) synthetic energies,
-// so adding it rounds away exactly and every exchange decision stays
-// bit-identical to the unwrapped engine, while the compiler cannot
-// elide the work.
-type heavyCrossEngine struct {
-	*engines.Virtual
-	spin int
-}
-
-func (e *heavyCrossEngine) CrossEnergy(r *core.Replica, under md.Params) float64 {
-	base := e.Virtual.CrossEnergy(r, under)
-	x := 1.0
-	for i := 1; i <= e.spin; i++ {
-		x = math.Sqrt(x*float64(i) + 2)
-	}
-	return base + x*1e-300
-}
-
-// benchExchangeSharding runs a 4096-window U-REMD workload (Hamiltonian
-// exchange: two CrossEnergy calls per candidate pair) on the heavy
-// cross-energy engine, with the exchange worker pool sized
-// automatically (workers=0) or forced serial (workers=1).
-func benchExchangeSharding(b *testing.B, workers int) {
-	b.Helper()
-	const windows = 4096
-	completions := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := &Spec{
-			Name:            "shardbench",
-			Dims:            []Dimension{{Type: Umbrella, Values: UniformWindows(windows), Torsion: "phi", K: UmbrellaK002}},
-			Pattern:         PatternSynchronous,
-			CoresPerReplica: 1,
-			StepsPerCycle:   1000,
-			Cycles:          2,
-			Seed:            int64(i + 1),
-			ExchangeWorkers: workers,
-		}
-		env := sim.NewEnv()
-		cl := cluster.MustNew(env, SuperMIC(), int64(i+1))
-		pl, err := pilot.Launch(cl, pilot.Description{Cores: windows})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := &heavyCrossEngine{Virtual: engines.NewAmberVirtual(2881, spec.Seed), spin: 8192}
-		var rep *Report
-		env.Go("emm", func(p *sim.Proc) {
-			rt := pilot.NewRuntime(pl, p)
-			simu, err := core.New(spec, eng, rt)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			rep, err = simu.Run()
-			if err != nil {
-				b.Error(err)
-			}
-		})
-		env.Run()
-		if rep == nil || rep.ExchangeEvents == 0 {
-			b.Fatal("no exchange events fired")
-		}
-		for _, rec := range rep.Records {
-			completions += rec.MD.Tasks
-		}
-	}
-	b.StopTimer()
-	if completions > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(completions), "ns/completion")
-	}
-}
-
-// BenchmarkExchangeSharding isolates the tentpole win of the sharded
-// exchange evaluator. BenchmarkDispatcher's serialex control shows the
-// dispatcher legs are insensitive to sharding — the virtual cost
-// model's pair math is nanoseconds against ~20µs of per-completion
-// machinery, and temperature exchange never calls CrossEnergy at all.
-// This benchmark supplies the workload sharding exists for: Hamiltonian
-// (umbrella) exchange with an expensive cross-energy function. The
-// sharded/serial ratio is gated in BENCH_baseline.json; both legs
-// produce bit-identical exchange decisions (see heavyCrossEngine and
-// TestShardedExchangeEquivalence).
-func BenchmarkExchangeSharding(b *testing.B) {
-	b.Run("4096/sharded", func(b *testing.B) { benchExchangeSharding(b, 0) })
-	b.Run("4096/serial", func(b *testing.B) { benchExchangeSharding(b, 1) })
 }
 
 // BenchmarkDispatcherBus measures the same per-completion dispatcher

@@ -55,11 +55,6 @@ type Simulation struct {
 	FaultPolicy     string  `json:"fault_policy,omitempty"` // drop | relaunch
 	AsyncWindowSec  float64 `json:"async_window_sec,omitempty"`
 	AsyncMinReady   int     `json:"async_min_ready,omitempty"`
-	// ExchangeWorkers bounds the worker pool the exchange phase shards
-	// its pair-probability evaluation across: 0 (default) sizes it from
-	// the host's GOMAXPROCS, 1 forces the serial path. Results are
-	// bit-identical for every setting.
-	ExchangeWorkers int `json:"exchange_workers,omitempty"`
 	// HistoryTail bounds the retained slot-assignment history to the
 	// newest N exchange events (0 keeps everything). The report's
 	// SlotRows count and rolling SlotFingerprint always describe the
@@ -248,7 +243,6 @@ func (s *Simulation) ToSpec() (*core.Spec, error) {
 		Cycles:          s.Cycles,
 		AsyncWindow:     s.AsyncWindowSec,
 		AsyncMinReady:   s.AsyncMinReady,
-		ExchangeWorkers: s.ExchangeWorkers,
 		HistoryTail:     s.HistoryTail,
 		Seed:            s.Seed,
 	}

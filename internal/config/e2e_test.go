@@ -1,6 +1,7 @@
 package config_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,7 +27,13 @@ func readConfig(t *testing.T, name string) []byte {
 
 func launchConfig(t *testing.T, simName, resName string) bench.RunParams {
 	t.Helper()
-	simFile, err := config.ParseSimulation(readConfig(t, simName))
+	return launchData(t, readConfig(t, simName), resName)
+}
+
+// launchData is launchConfig over a simulation file's bytes.
+func launchData(t *testing.T, simData []byte, resName string) bench.RunParams {
+	t.Helper()
+	simFile, err := config.ParseSimulation(simData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +68,18 @@ func TestShippedTSUConfig(t *testing.T) {
 	d := rep.Decompose()
 	if d.TMD < 400 || d.TMD > 440 {
 		t.Fatalf("3-dim cycle MD %v, want ~3x139.6", d.TMD)
+	}
+
+	// A file that still carries the retired "exchange_workers" key parses
+	// (encoding/json ignores it) and runs the same run.
+	legacy := bytes.Replace(readConfig(t, "tsu_supermic.json"), []byte("{"), []byte(`{"exchange_workers": 4, `), 1)
+	got, err := bench.Run(launchData(t, legacy, "supermic_144.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SlotFingerprint != rep.SlotFingerprint || got.SlotRows != rep.SlotRows || got.Makespan() != rep.Makespan() {
+		t.Fatalf("with exchange_workers: fingerprint %#x rows %d makespan %v; without: %#x %d %v",
+			got.SlotFingerprint, got.SlotRows, got.Makespan(), rep.SlotFingerprint, rep.SlotRows, rep.Makespan())
 	}
 }
 

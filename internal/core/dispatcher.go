@@ -522,15 +522,11 @@ func (d *dispatcher) cancel() error {
 // exchange and simply keep simulating. sweep seeds the alternating
 // neighbour pairing.
 //
-// The Metropolis sweep is sharded: the per-pair uniforms are pre-drawn
-// serially in pair order (preserving the serial RNG stream exactly), the
-// read-only acceptance-probability math fans out across the bounded
-// worker pool (evalPairProbs), and decisions plus swaps are applied
-// serially in pair order afterwards. Pairs are disjoint — a replica
-// belongs to exactly one group along d and to at most one pair per sweep
-// — so no pair's probability depends on another pair's swap, and the
-// result is bit-identical to the fully serial phase for any
-// Spec.ExchangeWorkers setting.
+// The Metropolis sweep is one serial pass in pair order: each pair
+// draws its uniform, computes its acceptance probability, decides and
+// swaps. Pairs are disjoint — a replica belongs to exactly one group
+// along d and to at most one pair per sweep — so no swap reaches
+// another pair's probability.
 func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *CycleRecord) {
 	in := s.inScratch
 	for _, r := range participants {
@@ -590,30 +586,15 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 
 	pairStart := s.rt.Now()
 	a0 := rec.Accepted
-
-	// Pre-draw one uniform per pair serially, in pair order: the RNG
-	// stream is independent of the worker count, which is what keeps the
-	// sharded evaluation below bit-identical to the serial path.
-	probs := floatScratch(s.exProbs, len(pairs))
-	unis := floatScratch(s.exUnis, len(pairs))
-	s.exProbs, s.exUnis = probs, unis
-	s.rngDraws += int64(len(pairs))
-	for i := range unis {
-		unis[i] = s.rng.Float64()
-	}
-
-	// Metropolis probabilities: the read-only energy math, sharded.
-	s.evalPairProbs(d, pairs, probs)
-
-	// Decisions and swaps, serially in pair order (client side,
-	// negligible cost).
 	wantOut := s.wantsPairOutcomes()
 	if wantOut && len(pairs) > 0 {
 		s.pairScratch = make([]PairOutcome, 0, len(pairs))
 	}
-	for i, pr := range pairs {
+	s.rngDraws += int64(len(pairs))
+	for _, pr := range pairs {
 		rec.Attempted++
-		accepted := unis[i] < probs[i]
+		u := s.rng.Float64()
+		accepted := u < s.pairProbability(d, s.replicas[pr.I], s.replicas[pr.J])
 		if wantOut {
 			// Captured before applySwap: Lo/Hi are the partners'
 			// window indices along d at decision time.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,14 +13,11 @@ import (
 	"repro/internal/exchange"
 )
 
-// TestShardedExchangeEquivalence is the acceptance test for the sharded
-// exchange phase: the run must be bit-identical — same slot history
-// fingerprint, same acceptance counts, same virtual makespan — whether
-// the pair probabilities are evaluated serially or fanned across a
-// worker pool. The golden fingerprints pin the serial seed behaviour,
-// so a sharding change that reorders RNG draws or lets a swap leak into
-// another pair's energy evaluation fails against the same constants the
-// barrier golden test uses.
+// TestShardedExchangeEquivalence pins the exchange phase against the
+// constants the barrier golden test uses: same slot history
+// fingerprint, rolling and recomputed, and one history row an event. A
+// change that reorders RNG draws or lets a swap leak into another
+// pair's energy evaluation fails here.
 func TestShardedExchangeEquivalence(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -32,41 +28,18 @@ func TestShardedExchangeEquivalence(t *testing.T) {
 		{"tremd", goldenTREMDSpec, 8, 0xc1c22324216858e1},
 		{"tsu", goldenTSUSpec, 36, 0x161a1d589ae87673},
 	}
-	workerSettings := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			type outcome struct {
-				fp                  uint64
-				attempted, accepted int
-				makespan            float64
+			rep := runVirtual(t, tc.spec(), cluster.SuperMIC(), tc.cores, 2881)
+			if rep.SlotFingerprint != historyFingerprint(rep.SlotHistory) {
+				t.Fatalf("rolling fingerprint %#x does not match history %#x",
+					rep.SlotFingerprint, historyFingerprint(rep.SlotHistory))
 			}
-			var ref outcome
-			for i, workers := range workerSettings {
-				spec := tc.spec()
-				spec.ExchangeWorkers = workers
-				rep := runVirtual(t, spec, cluster.SuperMIC(), tc.cores, 2881)
-				att, acc := sumExchanges(rep)
-				got := outcome{rep.SlotFingerprint, att, acc, rep.Makespan()}
-				if rep.SlotFingerprint != historyFingerprint(rep.SlotHistory) {
-					t.Fatalf("workers=%d: rolling fingerprint %#x does not match history %#x",
-						workers, rep.SlotFingerprint, historyFingerprint(rep.SlotHistory))
-				}
-				if rep.SlotFingerprint != tc.fingerprint {
-					t.Fatalf("workers=%d: fingerprint %#x, golden %#x",
-						workers, rep.SlotFingerprint, tc.fingerprint)
-				}
-				if rep.SlotRows != len(rep.SlotHistory) {
-					t.Fatalf("workers=%d: SlotRows %d, history has %d rows",
-						workers, rep.SlotRows, len(rep.SlotHistory))
-				}
-				if i == 0 {
-					ref = got
-					continue
-				}
-				if got != ref {
-					t.Fatalf("workers=%d diverged from workers=%d: %+v vs %+v",
-						workers, workerSettings[0], got, ref)
-				}
+			if rep.SlotFingerprint != tc.fingerprint {
+				t.Fatalf("fingerprint %#x, golden %#x", rep.SlotFingerprint, tc.fingerprint)
+			}
+			if rep.SlotRows != len(rep.SlotHistory) {
+				t.Fatalf("SlotRows %d, history has %d rows", rep.SlotRows, len(rep.SlotHistory))
 			}
 		})
 	}
@@ -134,50 +107,34 @@ func TestLargeExchangeGolden(t *testing.T) {
 }
 
 // TestShardedExchangeAsyncEquivalence covers the non-aligned dispatcher
-// path: count-triggered exchanges over ready subsets must also be
-// worker-count invariant (ragged group sizes, gap pairs and per-event
-// dimension rotation all exercise the flat pair indexing).
+// path: count-triggered exchanges over ready subsets (ragged group
+// sizes, gap pairs and per-event dimension rotation all exercise the
+// flat pair indexing) against constants pinned while a worker pool
+// evaluated the pair probabilities.
 func TestShardedExchangeAsyncEquivalence(t *testing.T) {
-	run := func(workers int) *core.Report {
-		spec := smallTREMD(12, 4)
-		spec.Pattern = core.PatternAsynchronous
-		spec.Trigger = core.NewCountTrigger(4)
-		spec.ExchangeWorkers = workers
-		return runVirtual(t, spec, quietCluster(), 6, 2881)
-	}
-	ref := run(1)
-	if ref.SlotFingerprint != 0x2adeb1544a735910 || ref.ExchangeEvents != 11 || ref.Makespan() != 1149.4820737979665 {
+	spec := smallTREMD(12, 4)
+	spec.Pattern = core.PatternAsynchronous
+	spec.Trigger = core.NewCountTrigger(4)
+	rep := runVirtual(t, spec, quietCluster(), 6, 2881)
+	if rep.SlotFingerprint != 0x2adeb1544a735910 || rep.ExchangeEvents != 11 || rep.Makespan() != 1149.4820737979665 {
 		t.Fatalf("fingerprint %#x, %d events, makespan %v; golden 0x2adeb1544a735910, 11 events, makespan 1149.4820737979665",
-			ref.SlotFingerprint, ref.ExchangeEvents, ref.Makespan())
-	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		rep := run(workers)
-		if rep.SlotFingerprint != ref.SlotFingerprint {
-			t.Fatalf("workers=%d: fingerprint %#x, serial %#x",
-				workers, rep.SlotFingerprint, ref.SlotFingerprint)
-		}
-		if rep.ExchangeEvents != ref.ExchangeEvents || rep.Makespan() != ref.Makespan() {
-			t.Fatalf("workers=%d: %d events makespan %v, serial %d events makespan %v",
-				workers, rep.ExchangeEvents, rep.Makespan(), ref.ExchangeEvents, ref.Makespan())
-		}
+			rep.SlotFingerprint, rep.ExchangeEvents, rep.Makespan())
 	}
 }
 
-// TestShardedExchangeResumeEquivalence kills a serial run at its first
-// snapshot and resumes it with a sharded exchange phase: the resumed
-// run must land on the uninterrupted serial run's fingerprint, proving
-// the worker pool changes neither the RNG stream nor the swap order
-// across a checkpoint boundary.
+// TestShardedExchangeResumeEquivalence kills a run at its first
+// snapshot and resumes it: the resumed run must land on the
+// uninterrupted run's fingerprint, rows and history, so the exchange
+// phase's RNG stream and swap order carry across a checkpoint boundary.
 func TestShardedExchangeResumeEquivalence(t *testing.T) {
-	mkSpec := func(workers int) *core.Spec {
+	mkSpec := func() *core.Spec {
 		s := smallTREMD(8, 4)
 		s.Name = "shard-ckpt"
-		s.ExchangeWorkers = workers
 		return s
 	}
 
 	var snaps []*core.Snapshot
-	spec := mkSpec(1)
+	spec := mkSpec()
 	spec.SnapshotEvery = 2
 	spec.OnSnapshot = func(sn *core.Snapshot) { snaps = append(snaps, sn) }
 	full := runVirtual(t, spec, quietCluster(), 8, 2881)
@@ -189,20 +146,19 @@ func TestShardedExchangeResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumedSpec := mkSpec(4)
+	resumedSpec := mkSpec()
 	resumedSpec.Resume = snap
 	resumed := runVirtual(t, resumedSpec, quietCluster(), 8, 2881)
 
 	if resumed.SlotFingerprint != full.SlotFingerprint {
-		t.Fatalf("sharded resume fingerprint %#x, serial uninterrupted %#x",
+		t.Fatalf("resumed fingerprint %#x, uninterrupted %#x",
 			resumed.SlotFingerprint, full.SlotFingerprint)
 	}
 	if resumed.SlotRows != full.SlotRows {
-		t.Fatalf("sharded resume rows %d, serial uninterrupted %d",
-			resumed.SlotRows, full.SlotRows)
+		t.Fatalf("resumed rows %d, uninterrupted %d", resumed.SlotRows, full.SlotRows)
 	}
 	if historyFingerprint(resumed.SlotHistory) != historyFingerprint(full.SlotHistory) {
-		t.Fatal("sharded resume slot history diverged from the serial uninterrupted run")
+		t.Fatal("resumed slot history diverged from the uninterrupted run")
 	}
 }
 
@@ -336,11 +292,6 @@ func TestHistoryTailValidation(t *testing.T) {
 	s.HistoryTail = -1
 	if err := s.Validate(); err == nil {
 		t.Fatal("negative history tail accepted")
-	}
-	s = smallTREMD(4, 1)
-	s.ExchangeWorkers = -2
-	if err := s.Validate(); err == nil {
-		t.Fatal("negative exchange workers accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"repro/internal/exchange"
@@ -45,23 +44,15 @@ type Simulation struct {
 	// restore the exact RNG state by replaying the draw count.
 	rngDraws int64
 
-	// exWorkers is the resolved exchange worker-pool bound; exForce marks
-	// an explicit Spec.ExchangeWorkers >= 2, which shards regardless of
-	// event size (the default pool stays serial below a work threshold).
-	exWorkers int
-	exForce   bool
 	// Exchange-phase scratch, reused across events so the hot loop
 	// allocates nothing per exchange: participant membership by replica
 	// ID, the flat group members with their boundary offsets and IDs, the
-	// flat pair list and its probability/uniform arrays, and the
-	// single-point-energy handles.
+	// flat pair list, and the single-point-energy handles.
 	inScratch  []bool
 	exMembers  []*Replica
 	exOff      []int
 	exIDs      []int
 	exPairs    []exchange.Pair
-	exProbs    []float64
-	exUnis     []float64
 	speScratch []task.Handle
 	// busBatch accumulates a collection round's bus records for one
 	// batched Bus.publish call per dispatcher wakeup.
@@ -145,13 +136,6 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		engine.InitReplica(r, spec)
 		s.replicas[i] = r
 		s.replicaAt[i] = i
-	}
-	s.exWorkers = spec.ExchangeWorkers
-	switch {
-	case s.exWorkers <= 0:
-		s.exWorkers = runtime.GOMAXPROCS(0)
-	case s.exWorkers >= 2:
-		s.exForce = true
 	}
 	s.inScratch = make([]bool, n)
 	mode := ModeI
@@ -492,59 +476,4 @@ func (s *Simulation) collectGroups(d int, keep []bool, minSize int) ([]*Replica,
 	off = append(off, len(members))
 	s.exMembers, s.exOff = members, off
 	return members, off
-}
-
-// minPairsPerWorker gates the default exchange worker pool: below this
-// many pairs per worker the goroutine fan-out costs more than the
-// acceptance math it parallelizes, so small events stay serial. An
-// explicit Spec.ExchangeWorkers >= 2 bypasses the gate.
-const minPairsPerWorker = 256
-
-// evalPairProbs fills probs[i] with the Metropolis acceptance
-// probability of pairs[i] along dimension d, fanning the energy math
-// across the bounded worker pool when the event is large enough (or
-// sharding is forced). Probability evaluation is read-only over disjoint
-// replica pairs — pairProbability touches only the pair's two replicas,
-// and Engine.CrossEnergy implementations are pure — so the result is
-// bit-identical to the serial loop for any worker count.
-func (s *Simulation) evalPairProbs(d int, pairs []exchange.Pair, probs []float64) {
-	workers := s.exWorkers
-	if !s.exForce && workers > len(pairs)/minPairsPerWorker {
-		workers = len(pairs) / minPairsPerWorker
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		for i, pr := range pairs {
-			probs[i] = s.pairProbability(d, s.replicas[pr.I], s.replicas[pr.J])
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for lo := 0; lo < len(pairs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				pr := pairs[i]
-				probs[i] = s.pairProbability(d, s.replicas[pr.I], s.replicas[pr.J])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// floatScratch returns a length-n slice, reusing s's backing when it is
-// large enough.
-func floatScratch(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

@@ -213,16 +213,10 @@ type Spec struct {
 	// tracer cannot change simulation results — the slot history is
 	// bit-identical with and without it (test-enforced).
 	Tracer *trace.Recorder
-	// ExchangeWorkers bounds the worker pool that shards each exchange
-	// event's pair evaluation (the Metropolis acceptance-probability
-	// math). 0, the default, uses GOMAXPROCS with a work-size gate so
-	// small events stay on the serial path; 1 forces serial evaluation;
-	// an explicit value >= 2 always shards (tests use this to exercise
-	// the parallel path on small ladders). Results are bit-identical for
-	// every setting: the per-pair uniforms are pre-drawn serially in pair
-	// order, so the RNG stream — and with it every accept/reject
-	// decision, slot-history fingerprint and resumed run — does not
-	// depend on the worker count.
+	// ExchangeWorkers is ignored: the exchange phase is one serial pass.
+	//
+	// Deprecated: nothing reads it; it stays only for callers that still
+	// set it, and goes with them.
 	ExchangeWorkers int
 	// HistoryTail, when positive, bounds Report.SlotHistory to the most
 	// recent HistoryTail rows; older rows are folded into the rolling
@@ -333,9 +327,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Pattern == PatternAsynchronous && s.Trigger == nil && s.AsyncWindow <= 0 {
 		return fmt.Errorf("spec %q: asynchronous pattern requires a positive AsyncWindow", s.Name)
-	}
-	if s.ExchangeWorkers < 0 {
-		return fmt.Errorf("spec %q: negative exchange workers %d", s.Name, s.ExchangeWorkers)
 	}
 	if s.HistoryTail < 0 {
 		return fmt.Errorf("spec %q: negative history tail %d", s.Name, s.HistoryTail)

@@ -114,32 +114,92 @@ func TestFreezeReadsStateBeforeSnapshot(t *testing.T) {
 }
 
 // TestStatusOfARunEndingMidView: a run that ends between the collector
-// snapshot of a /status view and that view's status read is served
-// terminal with the event it published last, not with the counters of
-// the snapshot taken before it ended.
+// snapshot of a view and that view's status read is served terminal
+// with the events it published last, not with the counters of the
+// snapshot taken before it ended — by every reader of a run's status:
+// the run's /status and /healthz (cmd/repex), Run.Status (the launch
+// and cancel bodies), and the registry's GET /runs, GET /runs/{id}/status
+// and GET /status.
 func TestStatusOfARunEndingMidView(t *testing.T) {
-	r, err := NewRun(context.Background(), smallLaunch(t, "late", 2), true, false, 0)
-	if err != nil {
-		t.Fatal(err)
+	// late builds a run that publishes one MD segment and one exchange
+	// event and ends inside its first status read, and a registry that
+	// lists it as r1 without starting it.
+	late := func(t *testing.T) (*Run, *Registry) {
+		r, err := NewRun(context.Background(), smallLaunch(t, "late", 2), true, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var end sync.Once
+		r.srv.status = func() RunStatus {
+			end.Do(func() {
+				r.Spec().Bus.PublishBatch([]core.Event{
+					core.MDEvent{Replica: 0, Cycle: 1, Exec: 1},
+					core.ExchangeEvent{Cycle: 1},
+				})
+				r.mu.Lock()
+				r.state = core.RunCompleted
+				r.mu.Unlock()
+			})
+			return r.baseStatus()
+		}
+		g := NewRegistry(0, 0)
+		r.ID = "r1"
+		g.runs = append(g.runs, r)
+		return r, g
 	}
-	var end sync.Once
-	r.srv.status = func() RunStatus {
-		end.Do(func() {
-			r.Spec().Bus.PublishBatch([]core.Event{core.MDEvent{Replica: 0, Cycle: 1, Exec: 1}})
-			r.mu.Lock()
-			r.state = core.RunCompleted
-			r.mu.Unlock()
+	get := func(t *testing.T, h http.Handler, path string, v any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	only := func(t *testing.T, runs []RunStatus) RunStatus {
+		if len(runs) != 1 {
+			t.Fatalf("listed %d runs, want 1", len(runs))
+		}
+		return runs[0]
+	}
+	routes := []struct {
+		name string
+		read func(t *testing.T, r *Run, g *Registry) RunStatus
+		// noMD marks a body without an MD segment count.
+		noMD bool
+	}{
+		{name: "run /status", read: func(t *testing.T, r *Run, _ *Registry) (st RunStatus) {
+			get(t, r.Server().Handler(), "/status", &st)
+			return st
+		}},
+		{name: "run /healthz", noMD: true, read: func(t *testing.T, r *Run, _ *Registry) (st RunStatus) {
+			get(t, r.Server().Handler(), "/healthz", &st)
+			return st
+		}},
+		{name: "Run.Status", read: func(t *testing.T, r *Run, _ *Registry) RunStatus { return r.Status() }},
+		{name: "registry /runs", read: func(t *testing.T, _ *Run, g *Registry) RunStatus {
+			var list []RunStatus
+			get(t, g.Handler(), "/runs", &list)
+			return only(t, list)
+		}},
+		{name: "registry /runs/{id}/status", read: func(t *testing.T, _ *Run, g *Registry) (st RunStatus) {
+			get(t, g.Handler(), "/runs/r1/status", &st)
+			return st
+		}},
+		{name: "registry /status", read: func(t *testing.T, _ *Run, g *Registry) RunStatus {
+			var ds DaemonStatus
+			get(t, g.Handler(), "/status", &ds)
+			return only(t, ds.Runs)
+		}},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			r, g := late(t)
+			st := rt.read(t, r, g)
+			if st.State != "completed" || st.ExchangeEvents != 1 || (st.MDSegments != 1 && !rt.noMD) {
+				t.Fatalf("%s read %s with %d MD segments and %d exchange events, want completed with 1 and 1",
+					rt.name, st.State, st.MDSegments, st.ExchangeEvents)
+			}
 		})
-		return r.baseStatus()
-	}
-	rec := httptest.NewRecorder()
-	r.Server().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	var st RunStatus
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "completed" || st.MDSegments != 1 {
-		t.Fatalf("/status read %s with %d MD segments, want completed with 1", st.State, st.MDSegments)
 	}
 }
 

@@ -233,17 +233,16 @@ func (r *Run) baseStatus() RunStatus {
 func (r *Run) baseStatusLocked() RunStatus {
 	spec := r.params.Spec
 	st := RunStatus{
-		ID:              r.ID,
-		Name:            spec.Name,
-		Engine:          r.engine,
-		Trigger:         spec.TriggerName(),
-		State:           r.state.String(),
-		Replicas:        r.replicas,
-		Cores:           r.params.PilotCores,
-		CyclesTarget:    spec.Cycles,
-		ExchangeWorkers: spec.ExchangeWorkers,
-		HistoryTail:     spec.HistoryTail,
-		BusPublished:    spec.Bus.Published(),
+		ID:           r.ID,
+		Name:         spec.Name,
+		Engine:       r.engine,
+		Trigger:      spec.TriggerName(),
+		State:        r.state.String(),
+		Replicas:     r.replicas,
+		Cores:        r.params.PilotCores,
+		CyclesTarget: spec.Cycles,
+		HistoryTail:  spec.HistoryTail,
+		BusPublished: spec.Bus.Published(),
 	}
 	if fb, ok := spec.Trigger.(*core.FeedbackTrigger); ok {
 		// ControllerStatus is mutex-guarded inside the trigger, so the
@@ -281,7 +280,9 @@ func (r *Run) Status() RunStatus { return r.srv.view().st }
 // the run is active; once it has ended, its share of every family,
 // rendered once under mu and copied by every later scrape. The state is
 // read terminal before the collector snapshot is taken, so the frozen
-// share holds every event the run published.
+// share holds every event the run published. A live scrape takes one
+// view and no second one: a run that ends under it is rendered as that
+// view read it, and frozen, complete, by the next scrape.
 func (r *Run) metricsView() runView {
 	r.mu.Lock()
 	if r.frozen == nil && r.state.Terminal() {
@@ -291,7 +292,7 @@ func (r *Run) metricsView() runView {
 	fr := r.frozen
 	r.mu.Unlock()
 	if fr == nil {
-		return r.srv.view()
+		return r.srv.viewWith(r.srv.status)
 	}
 	return runView{run: r.srv.runLabel, frozen: fr}
 }

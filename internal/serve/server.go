@@ -58,12 +58,8 @@ type RunStatus struct {
 	Cores    int    `json:"cores"`
 	// CyclesTarget is the configured cycle budget.
 	CyclesTarget int `json:"cycles_target"`
-	// ExchangeWorkers and HistoryTail echo the run's scaling
-	// configuration: the exchange-phase worker-pool bound (0 =
-	// GOMAXPROCS-sized) and the retained slot-history rows (0 =
-	// unbounded).
-	ExchangeWorkers int `json:"exchange_workers"`
-	HistoryTail     int `json:"history_tail"`
+	// HistoryTail echoes the retained slot-history rows (0 = unbounded).
+	HistoryTail int `json:"history_tail"`
 	// ExchangeEvents and MDSegments mirror the collector's counters.
 	ExchangeEvents int `json:"exchange_events"`
 	MDSegments     int `json:"md_segments"`
@@ -211,8 +207,18 @@ func (s *Server) snapshot(withTraces bool) analysis.Stats {
 
 // view is the run at one instant — the caller's status merged with the
 // counters of a single collector snapshot, under the run's label — which
-// /status, /healthz and /metrics all render from.
-func (s *Server) view() runView { return s.viewWith(s.status) }
+// /status, /healthz, Run.Status and a live /metrics all render from. A
+// view that reads a terminal state is taken again: the run may have
+// ended after its snapshot, whose counters then miss its last events,
+// and the second snapshot follows the terminal read.
+func (s *Server) view() runView {
+	v := s.viewWith(s.status)
+	switch v.st.State {
+	case core.RunCompleted.String(), core.RunFailed.String(), core.RunCancelled.String():
+		v = s.viewWith(s.status)
+	}
+	return v
+}
 
 // viewWith is view with the status read from status, after the snapshot.
 func (s *Server) viewWith(status func() RunStatus) runView {
@@ -240,15 +246,7 @@ func (s *Server) viewWith(status func() RunStatus) runView {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := s.view().st
-	switch st.State {
-	case core.RunCompleted.String(), core.RunFailed.String(), core.RunCancelled.String():
-		// The run may have ended after the view's snapshot, whose counters
-		// then miss its last events: take the view again, its snapshot now
-		// after the terminal read.
-		st = s.view().st
-	}
-	writeJSON(w, st)
+	writeJSON(w, s.view().st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -25,8 +25,8 @@
 # runner class and per toolchain.)
 # Iteration counts keep each sample tens of milliseconds long: the small
 # legs at 40x, the scaling legs (1024/4096 replicas) at 8x, the
-# 65536-replica barrier leg at 1x. The sharded-exchange pair keeps every
-# CPU (its worker pool is what it measures) at 2x.
+# 65536-replica barrier leg at 1x. (The exchange phase is one serial
+# pass; there is no exchange worker pool left to time.)
 #
 # The internal/md legs (force evaluation and Langevin step, ns/atom) go
 # to their own stream and their own baseline, BENCH_md.json: a baseline
@@ -79,8 +79,6 @@ for _ in 1 2 3 4 5; do
     -benchtime 8x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -bench 'BenchmarkDispatcher64K$/^65536$/^barrier$' \
     -benchtime 1x -json . | tee -a BENCH_dispatcher.json
-  go test -run '^$' -bench 'BenchmarkExchangeSharding$' \
-    -benchtime 2x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -cpu 1 -bench 'BenchmarkMDForce$|BenchmarkLangevinStep$' \
     -benchtime 200ms -json ./internal/md | tee -a BENCH_md_samples.json
   go test -run '^$' -bench 'BenchmarkSnapshotCodec$' \

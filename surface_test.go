@@ -138,9 +138,10 @@ func walkProgramFiles(t *testing.T, visit func(path string, file *ast.File)) {
 // must each be something a caller sets; unsetFields lists the fields no
 // program code sets, with the reason each stays exported.
 var (
-	optionStructs = map[string]bool{"engines.Virtual": true, "engines.Real": true, "analysis.Config": true}
+	optionStructs = map[string]bool{"engines.Virtual": true, "engines.Real": true, "analysis.Config": true, "core.Spec": true}
 	unsetFields   = map[string]string{
-		"analysis.Config.TraceLen": "the restore-trim tests size the slot-trace tail with it",
+		"analysis.Config.TraceLen":  "the restore-trim tests size the slot-trace tail with it",
+		"core.Spec.ExchangeWorkers": "inert since the exchange phase became one serial pass; only benchmark/wrap_test.go still sets it, and the next revision of the benchmark deletes both",
 	}
 )
 
