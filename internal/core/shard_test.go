@@ -45,15 +45,16 @@ func TestShardedExchangeEquivalence(t *testing.T) {
 	}
 }
 
-// largeExchangeCases are runs whose exchange events carry 511-512 pairs
-// each: a 1-D T barrier run, a 1-D U barrier run (CrossEnergy on every
-// pair) and a count-triggered run exchanging among ready subsets of
-// 1024 of its 2048 replicas (Mode II on 1024 cores).
-func largeExchangeCases() []struct {
-	name  string
-	spec  *core.Spec
-	cores int
-} {
+// TestLargeExchangeGolden pins runs whose exchange events carry 511-512
+// pairs each — a 1-D T barrier run, a 1-D U barrier run (CrossEnergy on
+// every pair) and a count-triggered run exchanging among ready subsets
+// of 1024 of its 2048 replicas (Mode II on 1024 cores) — against
+// testdata/exchange_large.golden: slot fingerprint, history rows and
+// acceptance counts, written when these events' pair probabilities
+// were evaluated on a worker pool. It is never regenerated: a mismatch
+// means the exchange phase moved an RNG draw or let a swap reach
+// another pair's probability — fix the code.
+func TestLargeExchangeGolden(t *testing.T) {
 	umbrella := &core.Spec{
 		Name:            "u-remd",
 		Dims:            []core.Dimension{{Type: exchange.Umbrella, Values: core.UniformWindows(1024), Torsion: "phi", K: core.UmbrellaK002}},
@@ -66,27 +67,17 @@ func largeExchangeCases() []struct {
 	count := smallTREMD(2048, 3)
 	count.Pattern = core.PatternAsynchronous
 	count.Trigger = core.NewCountTrigger(1024)
-	return []struct {
-		name  string
-		spec  *core.Spec
-		cores int
+	cases := []struct {
+		name string
+		spec *core.Spec
 	}{
-		{"t1024-barrier", smallTREMD(1024, 4), 1024},
-		{"u1024-barrier", umbrella, 1024},
-		{"t2048-count1024", count, 1024},
+		{"t1024-barrier", smallTREMD(1024, 4)},
+		{"u1024-barrier", umbrella},
+		{"t2048-count1024", count},
 	}
-}
-
-// TestLargeExchangeGolden pins the slot fingerprint, history rows and
-// acceptance counts of largeExchangeCases against
-// testdata/exchange_large.golden, written when these events' pair
-// probabilities were evaluated on a worker pool. It is never
-// regenerated: a mismatch means the exchange phase moved an RNG draw or
-// let a swap reach another pair's probability — fix the code.
-func TestLargeExchangeGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, tc := range largeExchangeCases() {
-		rep := runVirtual(t, tc.spec, quietCluster(), tc.cores, 2881)
+	for _, tc := range cases {
+		rep := runVirtual(t, tc.spec, quietCluster(), 1024, 2881)
 		if rep.SlotFingerprint != historyFingerprint(rep.SlotHistory) {
 			t.Fatalf("%s: rolling fingerprint %#x does not match history %#x",
 				tc.name, rep.SlotFingerprint, historyFingerprint(rep.SlotHistory))
