@@ -140,9 +140,13 @@ type Cluster struct {
 	env   *sim.Env
 	cfg   Config
 	cores *sim.Resource
-	mds   *sim.Resource // metadata server, capacity 1
-	meta  *sim.Delay    // one metadata operation
-	rng   *rand.Rand
+	// The metadata server serves one operation at a time, FIFO, each
+	// taking MetaLatency: an operation's turn is known when it is asked
+	// for, so it is booked, not queued. mdsFree is when the operations
+	// booked so far are done.
+	mdsFree float64
+	meta    *sim.Delay // one metadata operation
+	rng     *rand.Rand
 
 	filesStaged   int
 	bytesStaged   int64
@@ -159,7 +163,6 @@ func New(env *sim.Env, cfg Config, seed int64) (*Cluster, error) {
 		env:   env,
 		cfg:   cfg,
 		cores: sim.NewResource(env, cfg.TotalCores()),
-		mds:   sim.NewResource(env, 1),
 		meta:  env.Delay(cfg.FS.MetaLatency),
 		rng:   rand.New(rand.NewSource(seed)),
 	}, nil
@@ -280,19 +283,10 @@ type Staging struct {
 	c      *Cluster
 	nfiles int
 	bytes  int64
-	left   int // metadata operations not yet started
+	left   int // metadata operations not yet booked
 	start  float64
-	state  stagingState
+	moving bool // the transfer is booked
 }
-
-type stagingState uint8
-
-const (
-	stagingNext     stagingState = iota // start the next metadata op or the transfer
-	stagingQueued                       // waiting for the metadata server
-	stagingMeta                         // holding the metadata server for MetaLatency
-	stagingTransfer                     // transfer under way
-)
 
 // Begin arms s for nfiles metadata operations and bytes of transfer
 // starting now. Nothing happens until the first Step.
@@ -303,43 +297,41 @@ func (s *Staging) Begin(c *Cluster, nfiles int, bytes int64) {
 
 // Step advances the operation as far as it can go at the current virtual
 // time on behalf of p. It reports true once staging is complete;
-// otherwise it has registered p's next wakeup (a metadata-server grant or
-// a timer) and must be called again when p wakes.
+// otherwise it has registered p's next wakeup, the end of its next
+// metadata operation or of the transfer, and must be called again when p
+// wakes.
 func (s *Staging) Step(p *sim.Proc) (done bool) {
 	c := s.c
-	for {
-		switch s.state {
-		case stagingNext:
-			if s.left > 0 {
-				s.left--
-				s.state = stagingQueued
-				c.mds.Request(p, 1, false)
-				continue
-			}
-			s.state = stagingTransfer
-			if s.bytes > 0 {
-				// Tasks move a handful of distinct byte volumes, so each
-				// transfer time is a constant with a sleep queue of its
-				// own (past the kernel's cap on those, the heap).
-				c.env.Delay(float64(s.bytes) / c.cfg.FS.Bandwidth).Wake(p)
-				return false
-			}
-		case stagingQueued:
-			if !p.Granted() {
-				return false
-			}
-			s.state = stagingMeta
-			c.meta.Wake(p)
+	if s.left > 0 {
+		s.left--
+		end := max(c.env.Now(), c.mdsFree) + c.meta.Len()
+		c.mdsFree = end
+		if s.left > 0 || s.bytes == 0 {
+			c.meta.WakeAt(p, end)
 			return false
-		case stagingMeta:
-			c.mds.Release(1)
-			s.state = stagingNext
-		case stagingTransfer:
-			c.filesStaged += s.nfiles
-			c.bytesStaged += s.bytes
-			return true
 		}
+		// The transfer starts as the last operation ends: one wakeup, at
+		// the transfer's end.
+		q := s.transfer()
+		q.WakeAt(p, end+q.Len())
+		return false
 	}
+	if s.bytes > 0 && !s.moving {
+		s.transfer().Wake(p)
+		return false
+	}
+	c.filesStaged += s.nfiles
+	c.bytesStaged += s.bytes
+	return true
+}
+
+// transfer marks the transfer booked and returns its sleep. Tasks move a
+// handful of distinct byte volumes, so each transfer time is a constant
+// with a sleep queue of its own (past the kernel's cap on those, the
+// heap).
+func (s *Staging) transfer() *sim.Delay {
+	s.moving = true
+	return s.c.env.Delay(float64(s.bytes) / s.c.cfg.FS.Bandwidth)
 }
 
 // Elapsed returns the virtual time since Begin; after Step reported done

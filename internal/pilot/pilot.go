@@ -112,19 +112,22 @@ type Description struct {
 
 // Pilot is a live pilot job.
 type Pilot struct {
-	env      *sim.Env
-	cl       *cluster.Cluster
-	cfg      cluster.Config
-	desc     Description
-	cores    *sim.Resource
-	launcher *sim.Resource
-	active   *sim.Completion
-	alloc    *cluster.Allocation
-	// The launcher's sleeps: the hold of a unit that got its cores at once,
-	// of one that waited for them (wave penalty), and the launch latency.
-	gap     *sim.Delay
-	gapWave *sim.Delay
-	latency *sim.Delay
+	env    *sim.Env
+	cl     *cluster.Cluster
+	cfg    cluster.Config
+	desc   Description
+	cores  *sim.Resource
+	active *sim.Completion
+	alloc  *cluster.Allocation
+	// The agent's launcher serves one unit at a time, FIFO, for a fixed
+	// hold: gap for a unit that got its cores at once, gapWave for one
+	// that waited for them (wave penalty). A unit's turn is known when it
+	// asks, so it is booked, not queued: launcherFree is when the units
+	// booked so far have left the launcher. Each then sleeps the launch
+	// latency.
+	gap, gapWave float64
+	launcherFree float64
+	latency      *sim.Delay
 	// expiry fires when the pilot terminates (walltime, preemption
 	// deadline or full node loss); nil for unbounded pilots that were
 	// never preempted.
@@ -182,9 +185,8 @@ type Unit struct {
 	proc    sim.Proc
 	phase   unitPhase
 	staging cluster.Staging
-	mark    float64    // start of the interval being measured (t0, t1, t2 in turn)
-	gap     *sim.Delay // this unit's launcher hold time
-	failing bool       // fault injection chose this unit: it dies at half its duration
+	mark    float64 // start of the interval being measured (t0, t1, t2 in turn)
+	failing bool    // fault injection chose this unit: it dies at half its duration
 
 	// older/newer link the pilot's list of units holding cores.
 	older, newer *Unit
@@ -222,9 +224,8 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 		desc:     desc,
 		curCores: desc.Cores,
 		cores:    sim.NewResource(env, desc.Cores),
-		launcher: sim.NewResource(env, 1),
-		gap:      env.Delay(cfg.LaunchGap),
-		gapWave:  env.Delay(cfg.LaunchGap + cfg.WavePenalty),
+		gap:      max(cfg.LaunchGap, 0),
+		gapWave:  max(cfg.LaunchGap+cfg.WavePenalty, 0),
 		latency:  env.Delay(cfg.LaunchLatency),
 		active:   sim.NewCompletion(env),
 		expiry:   sim.NewCompletion(env),
@@ -517,14 +518,12 @@ func (pl *Pilot) releaseUnit(u *Unit) {
 type unitPhase uint8
 
 const (
-	unitAwaitPilot  unitPhase = iota // from submission until the pilot is active
-	unitStagingIn                    // STAGING_IN under way
-	unitAwaitCores                   // SCHEDULING: queued for cores
-	unitAwaitLaunch                  // queued for the agent's serialized launcher
-	unitLaunchGap                    // holding the launcher for the gap
-	unitLaunchDelay                  // fixed launch latency
-	unitExecuting                    // EXECUTING: timer racing the interrupt latch
-	unitStagingOut                   // STAGING_OUT under way
+	unitAwaitPilot unitPhase = iota // from submission until the pilot is active
+	unitStagingIn                   // STAGING_IN under way
+	unitAwaitCores                  // SCHEDULING: queued for cores
+	unitLaunching                   // booked launcher turn, then fixed launch latency
+	unitExecuting                   // EXECUTING: timer racing the interrupt latch
+	unitStagingOut                  // STAGING_OUT under way
 )
 
 // unitStepper is Unit as the kernel sees it, keeping the stepper methods
@@ -609,31 +608,20 @@ func (u *Unit) step(p *sim.Proc) {
 			// the paper's Figure 11b efficiency dip in Mode II and the
 			// uptick once cores = replicas.
 			u.mark = p.Now()
-			u.gap = pl.gap
+			gap := pl.gap
 			if u.res.CoreWait > 1e-9 && u.spec.Kind == task.MD {
 				// Only the main MD workload is affected: the issue was
 				// with re-scheduling the wide MPI task waves of the
 				// simulation phase, not the short bookkeeping tasks.
-				u.gap = pl.gapWave
+				gap = pl.gapWave
 			}
-			u.phase = unitAwaitLaunch
-			pl.launcher.Request(p, 1, false)
-
-		case unitAwaitLaunch:
-			if !p.Granted() {
-				return
-			}
-			u.phase = unitLaunchGap
-			u.gap.Wake(p)
+			end := max(u.mark, pl.launcherFree) + gap
+			pl.launcherFree = end
+			u.phase = unitLaunching
+			pl.latency.WakeAt(p, end+pl.latency.Len())
 			return
 
-		case unitLaunchGap:
-			pl.launcher.Release(1)
-			u.phase = unitLaunchDelay
-			pl.latency.Wake(p)
-			return
-
-		case unitLaunchDelay:
+		case unitLaunching:
 			u.res.Launch = p.Now() - u.mark
 			if err := pl.killErr(u); err != nil {
 				pl.releaseUnit(u)

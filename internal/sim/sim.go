@@ -28,7 +28,8 @@
 //   - A stepped process (Env.Spawn) has no goroutine: the loop calls its
 //     Stepper inline on every wakeup, and the stepper registers its next
 //     wakeup with the non-blocking forms (Proc.WakeIn, Delay.Wake,
-//     Signal.Enrol, Completion.Enrol, Resource.Request), reads the outcome
+//     Delay.WakeAt, Signal.Enrol, Completion.Enrol, Resource.Request),
+//     reads the outcome
 //     flags (Proc.Notified, Granted, Aborted) on the wakeup after, and ends
 //     with Proc.Exit. The Proc lives in caller-owned storage, so a process
 //     and all its state are one allocation. Use it where there are many
@@ -280,6 +281,12 @@ const maxDelays = 16
 // wakeups of one d are scheduled already sorted and wait in a FIFO:
 // nothing to sift, however many events the heap holds. It is for a model
 // constant many processes sleep for; a varying sleep belongs to WakeIn.
+//
+// WakeAt books a wakeup at a time computed from the length, such as the
+// end of a turn at a FIFO server with a fixed service time: one server's
+// turns end in order, so their wakeups share the FIFO too. A wakeup that
+// would sort before the FIFO's tail (another server's turn, on the same
+// length) goes through the heap instead, so the order stays the heap's.
 type Delay struct {
 	env     *Env
 	d       float64
@@ -305,12 +312,21 @@ func (e *Env) Delay(d float64) *Delay {
 	return &e.delays[len(e.delays)-1]
 }
 
+// Len returns the sleep's length in virtual seconds: the d it was
+// obtained with, zero for a negative one.
+func (q *Delay) Len() float64 { return q.d }
+
 // Wake schedules a wakeup of p the Delay's length from now and returns.
 // The wakeup is dropped if anything else wakes the process first.
-func (q *Delay) Wake(p *Proc) {
+func (q *Delay) Wake(p *Proc) { q.WakeAt(p, q.env.now+q.d) }
+
+// WakeAt schedules a wakeup of p at virtual time t (now if t is in the
+// past) and returns: on the FIFO while t is not before its tail, through
+// the heap otherwise. The wakeup is dropped if anything else wakes the
+// process first.
+func (q *Delay) WakeAt(p *Proc, t float64) {
 	e := q.env
-	t := e.now + q.d
-	if t <= e.now || q.viaHeap {
+	if t <= e.now || q.viaHeap || q.q.len() > 0 && t < q.q.items[len(q.q.items)-1].t {
 		e.schedule(p, t)
 		return
 	}
