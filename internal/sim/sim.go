@@ -29,12 +29,11 @@
 //     Stepper inline on every wakeup, and the stepper registers its next
 //     wakeup with the non-blocking forms (Proc.WakeIn, Delay.Wake,
 //     Delay.WakeAt, Signal.Enrol, Completion.Enrol, Resource.Request),
-//     reads the outcome
-//     flags (Proc.Notified, Granted, Aborted) on the wakeup after, and ends
-//     with Proc.Exit. The Proc lives in caller-owned storage, so a process
-//     and all its state are one allocation. Use it where there are many
-//     short-lived processes (one per compute unit); a wakeup is a method
-//     call.
+//     reads the outcome flags (Proc.Notified, Granted, Aborted) on the
+//     wakeup after, and ends with Proc.Exit. The Proc lives in
+//     caller-owned storage, so a process and all its state are one
+//     allocation. Use it where there are many short-lived processes (one
+//     per compute unit); a wakeup is a method call.
 //
 // The blocking forms are "register with the non-blocking form, then park
 // until flagged", so queueing, grant, abort and broadcast logic exists
@@ -275,6 +274,10 @@ func (e *Env) next(limit float64) (event, bool) {
 // schedules through the heap.
 const maxDelays = 16
 
+// delayQueueRoom is the number of wakeups a delay queue has room for
+// before its first growth.
+const delayQueueRoom = 64
+
 // Delay is a sleep of one fixed length: Wake(p) is p.WakeIn(d) for the d
 // it was obtained with, in the same (t, seq) order, but outside the heap.
 // The clock never goes back and now+d rounds monotonically in now, so the
@@ -308,7 +311,10 @@ func (e *Env) Delay(d float64) *Delay {
 	if len(e.delays) == cap(e.delays) {
 		return &Delay{env: e, d: d, viaHeap: true}
 	}
-	e.delays = append(e.delays, Delay{env: e, d: d})
+	// Every process waiting on a booked server holds a wakeup here, so the
+	// queue starts with room for delayQueueRoom of them rather than
+	// growing there from one.
+	e.delays = append(e.delays, Delay{env: e, d: d, q: fifo[event]{items: make([]event, 0, delayQueueRoom)}})
 	return &e.delays[len(e.delays)-1]
 }
 
