@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -37,6 +38,50 @@ func TestDelayIsOnePerLengthUpToTheCap(t *testing.T) {
 	e.Run()
 	if !slices.Equal(at, []float64{0.75, 1.25, 2}) {
 		t.Fatalf("woke at %v, want [0.75 1.25 2]", at)
+	}
+}
+
+// Two FIFO servers with fixed service times book their turns on one
+// Delay: each server's turns end in order, but the two interleave out of
+// order. WakeAt keeps the in-order bookings on the queue, sends the rest
+// through the heap, and wakes everyone in the (t, schedule order) that
+// WakeIn gives for the same times, ties across the two containers
+// included.
+func TestDelayWakeAtKeepsHeapOrderAcrossServers(t *testing.T) {
+	type wake struct {
+		t    float64
+		name string
+	}
+	run := func(book func(q *sim.Delay, p *sim.Proc, t float64)) ([]wake, int) {
+		e := sim.NewEnv()
+		q := e.Delay(0.5)
+		free := [2]float64{0, 0.5}
+		service := [2]float64{1, 0.25}
+		var got []wake
+		for i := 0; i < 8; i++ {
+			s, name := i%2, fmt.Sprintf("p%d", i)
+			e.Go(name, func(p *sim.Proc) {
+				end := max(p.Now(), free[s]) + service[s]
+				free[s] = end
+				book(q, p, end+q.Len())
+				p.Park()
+				got = append(got, wake{p.Now(), name})
+			})
+		}
+		e.RunUntil(0)
+		heap := e.HeapLen()
+		e.Run()
+		return got, heap
+	}
+	got, heap := run(func(q *sim.Delay, p *sim.Proc, t float64) { q.WakeAt(p, t) })
+	want, _ := run(func(_ *sim.Delay, p *sim.Proc, t float64) { p.WakeIn(t - p.Now()) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("WakeAt woke %v, WakeIn %v", got, want)
+	}
+	// Server 0's turns end at 1.5, 2.5, 3.5, 4.5 and go first each time;
+	// server 1's (1.25, 1.5, 1.75, 2) each sort before the queue's tail.
+	if heap != 4 {
+		t.Fatalf("%d bookings in the heap, want server 1's 4", heap)
 	}
 }
 

@@ -8,6 +8,9 @@ const MaxDelays = maxDelays
 // Delays reports how many delay queues next scans.
 func (e *Env) Delays() int { return len(e.delays) }
 
+// HeapLen reports how many events wait in the heap.
+func (e *Env) HeapLen() int { return len(e.events) }
+
 // CountResumes wraps the goroutine process p's resume so that *n counts
 // the coroutine switches into its body.
 func (p *Proc) CountResumes(n *int) {
