@@ -68,9 +68,9 @@ func main() {
 			report.Makespan())
 	}
 
-	ratio, outcomes := feedback.Acceptance()
-	fmt.Printf("\nfeedback controller: measured %.1f%% over its last %d outcomes, ", 100*ratio, outcomes)
-	fmt.Printf("exchange window settled at %.1fs\n", feedback.Window())
+	ctl := feedback.ControllerStatus()[0]
+	fmt.Printf("\nfeedback controller: measured %.1f%% over its last %d outcomes, ", 100*ctl.Measured, ctl.Outcomes)
+	fmt.Printf("exchange window settled at %.1fs\n", ctl.Window)
 	fmt.Println("\nbarrier/window/adaptive schedule exchanges blind to the quantity REMD")
 	fmt.Println("is judged by; the feedback policy closes the loop on the acceptance")
 	fmt.Println("ratio itself, holding it near the target without retuning the window")

@@ -161,7 +161,7 @@ func newTestSim(t *testing.T, spec *Spec, eng Engine, cores int) *Simulation {
 func TestParamsForSlotTSU(t *testing.T) {
 	spec := tsuSpec()
 	sim := newTestSim(t, spec, &stubEngine{}, 64)
-	grid := sim.Grid()
+	grid := sim.grid
 	for c0 := range grid.Shape[0] {
 		for c1 := range grid.Shape[1] {
 			for c2 := range grid.Shape[2] {
@@ -187,13 +187,13 @@ func TestParamsForSlotTSU(t *testing.T) {
 func TestModeDetection(t *testing.T) {
 	spec := tremdSpec(8)
 	simI := newTestSim(t, spec, &stubEngine{}, 8)
-	if simI.Report().Mode != ModeI {
-		t.Fatalf("8 cores / 8 replicas: mode %v, want I", simI.Report().Mode)
+	if simI.report.Mode != ModeI {
+		t.Fatalf("8 cores / 8 replicas: mode %v, want I", simI.report.Mode)
 	}
 	spec2 := tremdSpec(8)
 	simII := newTestSim(t, spec2, &stubEngine{}, 4)
-	if simII.Report().Mode != ModeII {
-		t.Fatalf("4 cores / 8 replicas: mode %v, want II", simII.Report().Mode)
+	if simII.report.Mode != ModeII {
+		t.Fatalf("4 cores / 8 replicas: mode %v, want II", simII.report.Mode)
 	}
 }
 
@@ -214,40 +214,29 @@ func TestApplySwapExchangesSlotsAndParams(t *testing.T) {
 	}
 }
 
-func TestApplySwapRescalesVelocities(t *testing.T) {
-	spec := tremdSpec(2)
-	sim := newTestSim(t, spec, &stubEngine{}, 4)
-	a, b := sim.replicas[0], sim.replicas[1]
-	a.State = md.NewState(2)
-	b.State = md.NewState(2)
-	a.State.Vel[0] = md.Vec3{X: 1}
-	b.State.Vel[0] = md.Vec3{X: 1}
-	ta, tb := a.Params.TemperatureK, b.Params.TemperatureK
-	sim.applySwap(a, b)
-	wantA := math.Sqrt(tb / ta)
-	if math.Abs(a.State.Vel[0].X-wantA) > 1e-12 {
-		t.Fatalf("replica a velocity scale %v, want %v", a.State.Vel[0].X, wantA)
-	}
-	wantB := math.Sqrt(ta / tb)
-	if math.Abs(b.State.Vel[0].X-wantB) > 1e-12 {
-		t.Fatalf("replica b velocity scale %v, want %v", b.State.Vel[0].X, wantB)
-	}
-}
-
 func TestLiveGroupsSkipDeadReplicas(t *testing.T) {
 	spec := tsuSpec()
 	sim := newTestSim(t, spec, &stubEngine{}, 64)
 	sim.replicas[0].Alive = false
 	sim.replicas[7].Alive = false
+	keep := make([]bool, len(sim.replicas))
+	for i := range keep {
+		keep[i] = true
+	}
 	for d := 0; d < 3; d++ {
-		members, off := sim.collectGroups(d, nil, 1)
+		members, off := sim.collectGroups(d, keep)
 		for _, r := range members {
 			if !r.Alive {
 				t.Fatal("dead replica in live group")
 			}
 		}
-		if total := off[len(off)-1]; total != len(members) || total != sim.Grid().Size()-2 {
-			t.Fatalf("dim %d live group total %d, want %d", d, total, sim.Grid().Size()-2)
+		for g := 0; g+1 < len(off); g++ {
+			if off[g+1]-off[g] < 2 {
+				t.Fatalf("dim %d group %d has %d members, want at least 2", d, g, off[g+1]-off[g])
+			}
+		}
+		if total := off[len(off)-1]; total != len(members) || total != sim.grid.Size()-2 {
+			t.Fatalf("dim %d live group total %d, want %d", d, total, sim.grid.Size()-2)
 		}
 	}
 }

@@ -534,7 +534,7 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 			in[r.ID] = true
 		}
 	}
-	members, off := s.collectGroups(d, in, 2)
+	members, off := s.collectGroups(d, in)
 	for _, r := range participants {
 		in[r.ID] = false
 	}

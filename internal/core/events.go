@@ -19,12 +19,11 @@ import (
 // dispatcher's batch to the consumer, so an observed completion costs no
 // allocation.
 
-// Event is one record published on the Bus: MDEvent, ExchangeEvent or
-// FaultEvent.
-type Event interface {
-	// When is the virtual runtime time the event was published at.
-	When() float64
-}
+// Event is one record published on the Bus: MDEvent, ExchangeEvent,
+// ResourceEvent, FaultEvent or RespaceEvent. The marker method is
+// unexported, so no type outside this package is an Event unless it
+// embeds one of these.
+type Event interface{ busEvent() }
 
 // MDEvent records one finally-processed MD segment (a successful
 // completion, or a terminal failure that exhausted its retry budget).
@@ -41,8 +40,7 @@ type MDEvent struct {
 	Failed bool
 }
 
-// When returns the publication time.
-func (e MDEvent) When() float64 { return e.At }
+func (MDEvent) busEvent() {}
 
 // PairOutcome is one attempted exchange between ladder neighbours along
 // the event's dimension.
@@ -76,8 +74,7 @@ type ExchangeEvent struct {
 	MDWall, EXWall float64
 }
 
-// When returns the publication time.
-func (e ExchangeEvent) When() float64 { return e.At }
+func (ExchangeEvent) busEvent() {}
 
 // Fault-event kinds.
 const (
@@ -99,8 +96,7 @@ const (
 // drained from an elastic runtime.
 type ResourceEvent task.ResourceEvent
 
-// When returns the publication time.
-func (e ResourceEvent) When() float64 { return e.At }
+func (ResourceEvent) busEvent() {}
 
 // FaultEvent records one fault-handling action.
 type FaultEvent struct {
@@ -117,8 +113,7 @@ type FaultEvent struct {
 	Exec float64
 }
 
-// When returns the publication time.
-func (e FaultEvent) When() float64 { return e.At }
+func (FaultEvent) busEvent() {}
 
 // RespaceEvent records one online ladder re-fit: a saturated dimension's
 // window values were replaced by the flat-acceptance re-fit at a
@@ -139,8 +134,7 @@ type RespaceEvent struct {
 	New []float64
 }
 
-// When returns the publication time.
-func (e RespaceEvent) When() float64 { return e.At }
+func (RespaceEvent) busEvent() {}
 
 // Bus fans events out to subscribers. The zero value is not usable; use
 // NewBus. A nil *Bus is a valid "disabled" bus for Spec.Bus.

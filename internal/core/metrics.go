@@ -164,18 +164,34 @@ func (r *Report) Makespan() float64 { return r.End - r.Start }
 // sub-cycles summed), the quantity plotted throughout the paper's
 // evaluation ("average of 4 simulation cycles").
 func (r *Report) AvgCycleTime() float64 {
+	return r.perCycleMean(func(rec *CycleRecord) float64 { return rec.Wall })
+}
+
+// perCycleMean returns the mean over cycles of the per-cycle sum of
+// part. It folds in record order — each cycle's sum as its records come,
+// then the sums in the order their cycles first appear — so the float
+// additions, and the result's bits, are the same on every call.
+func (r *Report) perCycleMean(part func(rec *CycleRecord) float64) float64 {
 	if len(r.Records) == 0 {
 		return 0
 	}
-	byCycle := map[int]float64{}
-	for _, rec := range r.Records {
-		byCycle[rec.Cycle] += rec.Wall
+	index := map[int]int{} // cycle -> its position in sums
+	var sums []float64
+	for i := range r.Records {
+		rec := &r.Records[i]
+		k, ok := index[rec.Cycle]
+		if !ok {
+			k = len(sums)
+			index[rec.Cycle] = k
+			sums = append(sums, 0)
+		}
+		sums[k] += part(rec)
 	}
 	sum := 0.0
-	for _, w := range byCycle {
+	for _, w := range sums {
 		sum += w
 	}
-	return sum / float64(len(byCycle))
+	return sum / float64(len(sums))
 }
 
 // Decomposition holds per-cycle averages of the Eq. 1 components.
@@ -213,18 +229,7 @@ func (r *Report) Decompose() Decomposition {
 // batched waves, which is what the paper's strong-scaling Figure 10
 // plots as "MD-times".
 func (r *Report) AvgMDWall() float64 {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	byCycle := map[int]float64{}
-	for _, rec := range r.Records {
-		byCycle[rec.Cycle] += rec.MD.Wall
-	}
-	sum := 0.0
-	for _, w := range byCycle {
-		sum += w
-	}
-	return sum / float64(len(byCycle))
+	return r.perCycleMean(func(rec *CycleRecord) float64 { return rec.MD.Wall })
 }
 
 // DimDecompose averages TMD and TEX per cycle for a single dimension

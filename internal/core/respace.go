@@ -194,9 +194,8 @@ func respaceSane(old, next []float64) bool {
 // reads a ladder without its record. Slot indices are preserved (the
 // re-fit keeps rung count and order), so each replica stays in its slot
 // and simply receives that slot's new parameters — the nearest-new-rung
-// remap is the identity on slot index. Temperature changes rescale
-// velocities by sqrt(Tnew/Told), the same rule applySwap uses, so engine
-// state stays consistent with its thermostat.
+// remap is the identity on slot index. A temperature change reaches an
+// engine's velocities as a swap's does: at the replica's next segment.
 func (s *Simulation) applyRespace(rec RespaceRecord) {
 	s.respaceMu.Lock()
 	s.spec.Dims[rec.Dim].Values = append([]float64(nil), rec.New...)
@@ -204,11 +203,7 @@ func (s *Simulation) applyRespace(rec RespaceRecord) {
 	s.respacings = append(s.respacings, rec)
 	s.respaceMu.Unlock()
 	for _, r := range s.replicas {
-		oldT := r.Params.TemperatureK
 		r.Params = s.slotParams[r.Slot].Clone()
-		if oldT > 0 {
-			rescaleVelocities(r, oldT)
-		}
 	}
 }
 

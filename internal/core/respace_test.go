@@ -243,10 +243,11 @@ func TestRespaceResumeDeterminism(t *testing.T) {
 		t.Fatalf("final ladders diverged:\nfull    %v\nresumed %v",
 			ladders(fullSim), ladders(resumedSim))
 	}
-	ra, na := trFull.Acceptance()
-	rb, nb := trResumed.Acceptance()
-	if ra != rb || na != nb {
-		t.Fatalf("controller measurement diverged: full %v/%d, resumed %v/%d", ra, na, rb, nb)
+	sf, sr := trFull.ControllerStatus(), trResumed.ControllerStatus()
+	for d := range sf {
+		if len(sr) != len(sf) || sf[d].Measured != sr[d].Measured || sf[d].Outcomes != sr[d].Outcomes {
+			t.Fatalf("controller measurement diverged:\nfull    %+v\nresumed %+v", sf, sr)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -246,12 +245,6 @@ func cloneRows[T any](rows [][]T) [][]T {
 // Replicas exposes the replica set (read-mostly; used by analysis).
 func (s *Simulation) Replicas() []*Replica { return s.replicas }
 
-// Report returns the accumulating run report.
-func (s *Simulation) Report() *Report { return s.report }
-
-// Grid returns the replica grid.
-func (s *Simulation) Grid() exchange.Grid { return s.grid }
-
 // SlotParams returns the fixed parameters of a slot.
 func (s *Simulation) SlotParams(slot int) md.Params { return s.slotParams[slot] }
 
@@ -384,16 +377,14 @@ func (s *Simulation) pairProbability(d int, a, b *Replica) float64 {
 }
 
 // applySwap exchanges the grid slots (and hence parameters) of two
-// replicas, rescaling velocities where the temperature changed.
+// replicas. An engine that keeps velocities rescales them to the new
+// temperature when it builds the replica's next segment.
 func (s *Simulation) applySwap(a, b *Replica) {
-	oldTa, oldTb := a.Params.TemperatureK, b.Params.TemperatureK
 	a.Slot, b.Slot = b.Slot, a.Slot
 	s.replicaAt[a.Slot] = a.ID
 	s.replicaAt[b.Slot] = b.ID
 	s.takeSlotParams(a)
 	s.takeSlotParams(b)
-	rescaleVelocities(a, oldTa)
-	rescaleVelocities(b, oldTb)
 }
 
 // takeSlotParams sets r's parameters to its slot's, copying the
@@ -405,19 +396,6 @@ func (s *Simulation) takeSlotParams(r *Replica) {
 	p := s.slotParams[r.Slot]
 	p.Restraints = append(r.Params.Restraints[:0], p.Restraints...)
 	r.Params = p
-}
-
-// rescaleVelocities applies the standard T-REMD velocity rescaling,
-// sqrt(Tnew/Told), to a real-engine replica whose temperature just moved
-// from oldT.
-func rescaleVelocities(r *Replica, oldT float64) {
-	if r.State == nil || r.Params.TemperatureK == oldT {
-		return
-	}
-	scale := math.Sqrt(r.Params.TemperatureK / oldT)
-	for i := range r.State.Vel {
-		r.State.Vel[i] = r.State.Vel[i].Scale(scale)
-	}
 }
 
 // snapshotSlots records the replicas' current slot assignment: the row
@@ -451,23 +429,23 @@ func (s *Simulation) snapshotSlots() {
 }
 
 // collectGroups fills the exchange-group scratch for dimension d with
-// the alive replicas for which keep (indexed by replica ID) is true —
-// nil keeps every alive replica — dropping groups smaller than minSize.
-// It returns the flat member slice and the group boundary offsets:
-// group i is members[off[i]:off[i+1]]. Both returned slices alias
-// per-simulation scratch and are valid until the next call.
-func (s *Simulation) collectGroups(d int, keep []bool, minSize int) ([]*Replica, []int) {
+// the alive replicas for which keep (indexed by replica ID) is true,
+// dropping groups of fewer than two, which cannot exchange. It returns
+// the flat member slice and the group boundary offsets: group i is
+// members[off[i]:off[i+1]]. Both returned slices alias per-simulation
+// scratch and are valid until the next call.
+func (s *Simulation) collectGroups(d int, keep []bool) ([]*Replica, []int) {
 	members := s.exMembers[:0]
 	off := s.exOff[:0]
 	for _, slots := range s.slotGroups[d] {
 		start := len(members)
 		for _, slot := range slots {
 			r := s.replicas[s.replicaAt[slot]]
-			if r.Alive && (keep == nil || keep[r.ID]) {
+			if r.Alive && keep[r.ID] {
 				members = append(members, r)
 			}
 		}
-		if len(members)-start >= minSize {
+		if len(members)-start >= 2 {
 			off = append(off, start)
 		} else {
 			members = members[:start]

@@ -69,9 +69,10 @@ func (s *Simulation) recordSPE(dim, event, tasks int, start float64) {
 }
 
 // recordPairs emits the Metropolis pair-sweep sub-span of one exchange
-// phase: uniform pre-draw, sharded probability evaluation, serial
-// decisions and swaps. The sweep consumes no virtual time, so the span
-// is usually an instant marking where in the phase it happened.
+// phase: one serial pass in pair order, each pair drawing its uniform,
+// computing its probability, deciding and swapping. The sweep consumes
+// no virtual time, so the span is usually an instant marking where in
+// the phase it happened.
 func (s *Simulation) recordPairs(dim, event, pairs, accepted int, start float64) {
 	s.tracer.Record(trace.Span{
 		Kind:     trace.KindPairs,

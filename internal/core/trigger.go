@@ -773,37 +773,8 @@ func (t *FeedbackTrigger) controlStep(d int, dd *feedbackDim) {
 	dd.cur = next
 }
 
-// Acceptance returns the measured rolling acceptance ratio pooled over
-// every dimension's ring and the number of outcomes it covers. For
-// per-dimension measurements see ControllerStatus.
-func (t *FeedbackTrigger) Acceptance() (ratio float64, outcomes int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	acc, n := 0, 0
-	for i := range t.dims {
-		acc += t.dims[i].win.Accepted
-		n += t.dims[i].win.N
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(acc) / float64(n), n
-}
-
-// Window returns the window length the next Reset would open for
-// dimension 0 (the only dimension of a 1-D ladder). For other
-// dimensions see WindowFor.
-func (t *FeedbackTrigger) Window() float64 { return t.WindowFor(0) }
-
-// WindowFor returns the window length the next Reset would open for
-// the given exchange dimension.
-func (t *FeedbackTrigger) WindowFor(d int) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.windowFor(d)
-}
-
-// windowFor is WindowFor with mu held.
+// windowFor returns the window length the next Reset would open for
+// exchange dimension d; callers hold mu.
 func (t *FeedbackTrigger) windowFor(d int) float64 {
 	dd := t.dim(d)
 	if dd.active {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -25,7 +27,7 @@ func neighbourEvent(accepted ...bool) core.ExchangeEvent {
 // WindowEvents the measured ratio lands exactly on 0.5.
 func feedFill(t *core.FeedbackTrigger) {
 	for i := 0; ; i++ {
-		if _, n := t.Acceptance(); n >= t.WindowEvents {
+		if t.DimStatus(0).Outcomes >= t.WindowEvents {
 			return
 		}
 		t.ObserveExchange(neighbourEvent(i%2 == 0))
@@ -47,16 +49,16 @@ func TestFeedbackControllerConvergence(t *testing.T) {
 	lo, hi := 100.0/8, 100.0*8
 
 	feedFill(tr)
-	if w := tr.Window(); w != 100 {
+	if w := tr.DimStatus(0).Window; w != 100 {
 		t.Fatalf("fresh controller window %v, want the 100s initial", w)
 	}
 
 	// Starve it: all-rejected windows must widen the window every event
 	// until it parks at the upper clamp.
-	prev := tr.Window()
+	prev := tr.DimStatus(0).Window
 	for i := 0; i < 40; i++ {
 		tr.ObserveExchange(neighbourEvent(false, false))
-		w := tr.Window()
+		w := tr.DimStatus(0).Window
 		if w < lo-1e-9 || w > hi+1e-9 {
 			t.Fatalf("window %v escaped clamps [%v, %v]", w, lo, hi)
 		}
@@ -73,17 +75,44 @@ func TestFeedbackControllerConvergence(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		tr.ObserveExchange(neighbourEvent(true, true))
 	}
-	if w := tr.Window(); w != lo {
+	if w := tr.DimStatus(0).Window; w != lo {
 		t.Fatalf("window settled at %v under persistent acceptance, want lower clamp %v", w, lo)
 	}
 
 	// Hysteresis: holding exactly the target leaves the window alone.
-	at := tr.Window()
+	at := tr.DimStatus(0).Window
 	for i := 0; i < 16; i++ {
 		tr.ObserveExchange(neighbourEvent(true, false))
 	}
-	if w := tr.Window(); w != at {
+	if w := tr.DimStatus(0).Window; w != at {
 		t.Fatalf("window moved (%v -> %v) while measured acceptance equals the target", at, w)
+	}
+}
+
+// TestFeedbackReadersLeaveStateAlone: no exported reader changes the
+// bytes EncodeState writes, on a fresh controller or a warmed one, and
+// for dimensions it has not observed.
+func TestFeedbackReadersLeaveStateAlone(t *testing.T) {
+	tr := core.NewFeedbackTrigger(100)
+	tr.WindowEvents = 8
+	for _, warm := range []bool{false, true} {
+		if warm {
+			feedFill(tr)
+		}
+		before, err := tr.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = tr.Validate()
+		_ = tr.Name()
+		_ = tr.ControllerStatus()
+		for _, d := range []int{-1, 0, 1, 5} {
+			_ = tr.DimStatus(d)
+			_ = tr.Deadline(core.TriggerState{Dim: d})
+		}
+		if after, _ := tr.EncodeState(); !bytes.Equal(after, before) {
+			t.Fatalf("warm=%v: reading the controller changed its state:\nbefore %s\nafter  %s", warm, before, after)
+		}
 	}
 }
 
@@ -98,10 +127,10 @@ func TestFeedbackIgnoresGapPairs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tr.ObserveExchange(gap)
 	}
-	if _, n := tr.Acceptance(); n != 0 {
+	if n := tr.DimStatus(0).Outcomes; n != 0 {
 		t.Fatalf("gap pairs entered the measurement window: %d outcomes", n)
 	}
-	if w := tr.Window(); w != 100 {
+	if w := tr.DimStatus(0).Window; w != 100 {
 		t.Fatalf("gap-only events moved the window to %v", w)
 	}
 
@@ -110,11 +139,11 @@ func TestFeedbackIgnoresGapPairs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr.ObserveExchange(neighbourEvent(false))
 	}
-	at := tr.Window()
+	at := tr.DimStatus(0).Window
 	for i := 0; i < 50; i++ {
 		tr.ObserveExchange(gap)
 	}
-	if w := tr.Window(); w != at {
+	if w := tr.DimStatus(0).Window; w != at {
 		t.Fatalf("stale measurement kept pushing the window (%v -> %v)", at, w)
 	}
 }
@@ -140,19 +169,14 @@ func TestFeedbackStateRoundTrip(t *testing.T) {
 	if err := b.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	ra, na := a.Acceptance()
-	rb, nb := b.Acceptance()
-	if ra != rb || na != nb {
-		t.Fatalf("restored measurement %v/%d, want %v/%d", rb, nb, ra, na)
-	}
-	if a.Window() != b.Window() {
-		t.Fatalf("restored window %v, want %v", b.Window(), a.Window())
+	if sa, sb := a.DimStatus(0), b.DimStatus(0); sa != sb {
+		t.Fatalf("restored controller %+v, want %+v", sb, sa)
 	}
 	next := neighbourEvent(true, false, false)
 	a.ObserveExchange(next)
 	b.ObserveExchange(next)
-	if a.Window() != b.Window() {
-		t.Fatalf("controllers diverged after one event: %v vs %v", b.Window(), a.Window())
+	if wa, wb := a.DimStatus(0).Window, b.DimStatus(0).Window; wa != wb {
+		t.Fatalf("controllers diverged after one event: %v vs %v", wb, wa)
 	}
 
 	if err := b.RestoreState([]byte("{")); err == nil {
@@ -255,14 +279,8 @@ func TestFeedbackResumeDeterminism(t *testing.T) {
 			full.SlotHistory, resumed.SlotHistory)
 	}
 	// The controllers themselves must land in the same state.
-	ra, na := trFull.Acceptance()
-	rb, nb := trResumed.Acceptance()
-	if ra != rb || na != nb {
-		t.Fatalf("controller measurement diverged: full %v/%d, resumed %v/%d", ra, na, rb, nb)
-	}
-	if trFull.Window() != trResumed.Window() {
-		t.Fatalf("controlled window diverged: full %v, resumed %v",
-			trFull.Window(), trResumed.Window())
+	if sf, sr := trFull.ControllerStatus(), trResumed.ControllerStatus(); !reflect.DeepEqual(sf, sr) {
+		t.Fatalf("controller state diverged:\nfull    %+v\nresumed %+v", sf, sr)
 	}
 }
 
@@ -294,7 +312,7 @@ func TestFeedbackHoldsTargetAcceptance(t *testing.T) {
 	cfg.FailureProb = 0
 	runVirtual(t, spec, cfg, 12, 2881)
 
-	if _, n := tr.Acceptance(); n < tr.WindowEvents {
+	if n := tr.DimStatus(0).Outcomes; n < tr.WindowEvents {
 		t.Fatalf("controller never warmed up: %d outcomes", n)
 	}
 	st := col.Snapshot()
@@ -303,7 +321,7 @@ func TestFeedbackHoldsTargetAcceptance(t *testing.T) {
 		t.Fatalf("rolling neighbour acceptance %.3f, want within ±0.05 of %.2f", got, target)
 	}
 	// The controlled window must have settled inside its clamps.
-	if w := tr.Window(); w < 100.0/8-1e-9 || w > 100.0*8+1e-9 {
+	if w := tr.DimStatus(0).Window; w < 100.0/8-1e-9 || w > 100.0*8+1e-9 {
 		t.Fatalf("controlled window %v outside clamps", w)
 	}
 }
@@ -345,16 +363,16 @@ func TestFeedbackPerDimIndependence(t *testing.T) {
 	if !st[0].Active || !st[1].Active {
 		t.Fatalf("controllers not active after fill: %+v", st)
 	}
-	w0, w1 := tr.WindowFor(0), tr.WindowFor(1)
+	w0, w1 := st[0].Window, st[1].Window
 
 	// Starve dim 0 only.
 	for i := 0; i < 20; i++ {
 		tr.ObserveExchange(dimEvent(0, false, false))
 	}
-	if got := tr.WindowFor(0); got <= w0 {
+	if got := tr.DimStatus(0).Window; got <= w0 {
 		t.Fatalf("dim-0 window %v did not widen from %v under rejection", got, w0)
 	}
-	if got := tr.WindowFor(1); got != w1 {
+	if got := tr.DimStatus(1).Window; got != w1 {
 		t.Fatalf("dim-1 window moved (%v -> %v) while only dim 0 was starved", w1, got)
 	}
 
@@ -363,9 +381,9 @@ func TestFeedbackPerDimIndependence(t *testing.T) {
 	d0 := tr.Deadline(core.TriggerState{Dim: 0})
 	tr.Reset(core.TriggerState{Now: 1000, Dim: 1})
 	d1 := tr.Deadline(core.TriggerState{Dim: 1})
-	if d0-1000 != tr.WindowFor(0) || d1-1000 != tr.WindowFor(1) {
+	if d0-1000 != tr.DimStatus(0).Window || d1-1000 != tr.DimStatus(1).Window {
 		t.Fatalf("Reset ignored the upcoming dimension: deadlines %v/%v, windows %v/%v",
-			d0-1000, d1-1000, tr.WindowFor(0), tr.WindowFor(1))
+			d0-1000, d1-1000, tr.DimStatus(0).Window, tr.DimStatus(1).Window)
 	}
 }
 
@@ -386,7 +404,7 @@ func TestFeedbackSaturationDiagnostic(t *testing.T) {
 	var windows []float64
 	for i := 0; i < 40; i++ {
 		tr.ObserveExchange(dimEvent(0, false, false))
-		windows = append(windows, tr.WindowFor(0))
+		windows = append(windows, tr.DimStatus(0).Window)
 	}
 	st := tr.ControllerStatus()[0]
 	if !st.Saturated {
@@ -496,7 +514,7 @@ func TestFeedbackPerDimStateRoundTrip(t *testing.T) {
 		ev := dimEvent(d, true, false, false)
 		a.ObserveExchange(ev)
 		b.ObserveExchange(ev)
-		if a.WindowFor(d) != b.WindowFor(d) {
+		if a.DimStatus(d).Window != b.DimStatus(d).Window {
 			t.Fatalf("dim %d diverged after one post-restore event", d)
 		}
 	}

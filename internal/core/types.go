@@ -356,9 +356,6 @@ type Replica struct {
 	// Params are the current thermodynamic parameters (derived from
 	// Slot).
 	Params md.Params
-	// State is the molecular state for real-execution engines; nil for
-	// virtual engines.
-	State *md.State
 	// Synth are per-dimension pseudo-coordinates maintained by virtual
 	// engines to produce realistic exchange statistics.
 	Synth []float64

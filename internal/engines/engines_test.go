@@ -3,6 +3,7 @@ package engines
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -327,6 +328,46 @@ func TestRealEngineFlavors(t *testing.T) {
 	}
 }
 
+// TestMDTaskRescalesVelocities: when a replica's temperature moved since
+// its last segment (an exchange swapped it, or a respacing refitted its
+// rung), MDTask rescales its velocities by sqrt(Tnew/Told) before the
+// next segment; at an unchanged temperature it leaves them alone.
+func TestMDTaskRescalesVelocities(t *testing.T) {
+	top, st := md.BuildAlanineDipeptide()
+	e := MustNewReal("amber", md.MustNewSystem(top, md.Box{}, 0), st, 42)
+	spec := &core.Spec{
+		Name:            "rescale",
+		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},
+		Pattern:         core.PatternSynchronous,
+		CoresPerReplica: 1,
+		StepsPerCycle:   10,
+		Cycles:          1,
+	}
+	a := &core.Replica{ID: 0, Slot: 0, Alive: true, Params: md.Params{TemperatureK: 290}}
+	b := &core.Replica{ID: 1, Slot: 1, Alive: true, Params: md.Params{TemperatureK: 310}}
+	for _, r := range []*core.Replica{a, b} {
+		e.InitReplica(r, spec)
+		e.MDTask(r, spec, 0)
+	}
+	check := func(r *core.Replica, before []md.Vec3, scale float64) {
+		t.Helper()
+		for i, v := range e.segs[r.ID].state.Vel {
+			if want := before[i].Scale(scale); v != want {
+				t.Fatalf("replica %d atom %d velocity %v, want %v (scale %v)", r.ID, i, v, want, scale)
+			}
+		}
+	}
+	va, vb := slices.Clone(e.segs[0].state.Vel), slices.Clone(e.segs[1].state.Vel)
+	a.Params, b.Params = b.Params, a.Params
+	e.MDTask(a, spec, 0)
+	e.MDTask(b, spec, 0)
+	check(a, va, math.Sqrt(310.0/290))
+	check(b, vb, math.Sqrt(290.0/310))
+	va = slices.Clone(e.segs[0].state.Vel)
+	e.MDTask(a, spec, 0)
+	check(a, va, 1)
+}
+
 func TestRealEngineMDTaskRuns(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
@@ -344,8 +385,8 @@ func TestRealEngineMDTaskRuns(t *testing.T) {
 	}
 	r := &core.Replica{ID: 0, Slot: 0, Alive: true, Params: md.Params{TemperatureK: 290}}
 	e.InitReplica(r, spec)
-	if r.State == nil {
-		t.Fatal("InitReplica did not attach a state")
+	if len(e.segs[r.ID].state.Pos) != top.N() {
+		t.Fatal("InitReplica did not size the replica's state")
 	}
 	ts := e.MDTask(r, spec, 0)
 	if ts.Run == nil {

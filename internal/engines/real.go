@@ -2,6 +2,7 @@ package engines
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -38,8 +39,8 @@ type Real struct {
 	trajs []md.Trajectory
 }
 
-// segment is one replica's state (InitReplica points the replica at it)
-// and everything its MD segments reuse: the spec MDTask rewrites in place
+// segment is one replica's state (positions and velocities, which only
+// the engine reads and writes) and everything its MD segments reuse: the spec MDTask rewrites in place
 // (the dispatcher asks for a replica's next segment only after it has
 // taken the previous one's result), the Run closure built once, the
 // integrator with its scratch and random source (reseeded per segment),
@@ -100,21 +101,30 @@ func (e *Real) System() *md.System { return e.sys }
 // temperature, from the random source its segments reuse.
 func (e *Real) InitReplica(r *core.Replica, s *core.Spec) {
 	sg := e.segment(r.ID, s)
-	copy(sg.state.Pos, e.base.Pos)
-	copy(sg.state.Vel, e.base.Vel)
-	r.State = &sg.state
-	md.Minimize(e.sys, r.State, r.Params, 200, 1e-2)
+	st := &sg.state
+	copy(st.Pos, e.base.Pos)
+	copy(st.Vel, e.base.Vel)
+	md.Minimize(e.sys, st, r.Params, 200, 1e-2)
 	sg.integ.RNG.Seed(mix(e.seed, int64(r.ID)))
-	md.InitVelocities(e.sys, r.State, r.Params.TemperatureK, sg.integ.RNG)
-	r.Energy = e.sys.Energy(r.State, r.Params).Potential()
+	md.InitVelocities(e.sys, st, r.Params.TemperatureK, sg.integ.RNG)
+	r.Energy = e.sys.Energy(st, r.Params).Potential()
 }
 
 // MDTask describes a real MD segment: the replica's own spec, rewritten
 // in place. The replica's parameters and the spec's step count go to the
 // integrator as they are; the parameters are copied, because a swap may
-// rewrite the replica's while the segment runs.
+// rewrite the replica's while the segment runs. If an exchange or a
+// respacing moved the replica's temperature since its last segment, the
+// velocities are first rescaled by sqrt(Tnew/Told), the standard T-REMD
+// rule.
 func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	sg := e.segment(r.ID, s)
+	if told, tnew := sg.prm.TemperatureK, r.Params.TemperatureK; told > 0 && tnew != told {
+		scale := math.Sqrt(tnew / told)
+		for i := range sg.state.Vel {
+			sg.state.Vel[i] = sg.state.Vel[i].Scale(scale)
+		}
+	}
 	rs := append(sg.prm.Restraints[:0], r.Params.Restraints...)
 	sg.prm = r.Params
 	sg.prm.Restraints = rs
@@ -201,13 +211,13 @@ func (e *Real) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec) []
 
 // OwnEnergy evaluates the replica's current potential energy.
 func (e *Real) OwnEnergy(r *core.Replica) float64 {
-	return e.sys.Energy(r.State, r.Params).Potential()
+	return e.sys.Energy(&e.segs[r.ID].state, r.Params).Potential()
 }
 
 // CrossEnergy evaluates the replica's coordinates under foreign
 // parameters (the Hamiltonian-exchange single-point energy).
 func (e *Real) CrossEnergy(r *core.Replica, under md.Params) float64 {
-	return e.sys.Energy(r.State, under).Potential()
+	return e.sys.Energy(&e.segs[r.ID].state, under).Potential()
 }
 
 // TorsionIndex resolves a labelled torsion in the real topology, -1 for

@@ -67,8 +67,9 @@ func realRunFingerprint(t *testing.T) []string {
 	var lines []string
 	for _, r := range simu.Replicas() {
 		f(r.Energy)
-		for i := range r.State.Pos {
-			p, v := r.State.Pos[i], r.State.Vel[i]
+		st := &eng.segs[r.ID].state
+		for i := range st.Pos {
+			p, v := st.Pos[i], st.Vel[i]
 			f(p.X)
 			f(p.Y)
 			f(p.Z)

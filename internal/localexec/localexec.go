@@ -41,8 +41,6 @@ type Runtime struct {
 	// alarm wakes an AwaitNext at its finite deadline: each wait re-arms
 	// it, and it broadcasts under mu.
 	alarm *time.Timer
-
-	overhead float64
 }
 
 // New returns a runtime with the given core budget. A non-positive value
@@ -224,14 +222,8 @@ func (r *Runtime) SleepUntil(t float64) {
 	}
 }
 
-// Overhead records client-side overhead; it does not sleep in wall time.
-func (r *Runtime) Overhead(d float64) {
-	if d > 0 {
-		r.overhead += d
-	}
-}
-
-// OverheadTotal returns accumulated client-side overhead.
-func (r *Runtime) OverheadTotal() float64 { return r.overhead }
+// Overhead does nothing: a wall-clock runtime's client-side overhead is
+// already on its clock, so it neither sleeps nor records it.
+func (r *Runtime) Overhead(float64) {}
 
 var _ task.Runtime = (*Runtime)(nil)

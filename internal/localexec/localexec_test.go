@@ -156,15 +156,12 @@ func TestDurationEmulationWithoutRun(t *testing.T) {
 	}
 }
 
-func TestOverheadAccumulatesWithoutSleeping(t *testing.T) {
+func TestOverheadDoesNotSleep(t *testing.T) {
 	rt := New(1)
 	start := time.Now()
 	rt.Overhead(100)
 	if time.Since(start) > time.Second {
 		t.Fatal("Overhead slept in wall time")
-	}
-	if rt.OverheadTotal() != 100 {
-		t.Fatalf("overhead total %v, want 100", rt.OverheadTotal())
 	}
 }
 

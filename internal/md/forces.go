@@ -97,14 +97,6 @@ func NewState(n int) *State {
 	return &State{Pos: make([]Vec3, n), Vel: make([]Vec3, n)}
 }
 
-// Clone returns a deep copy of the state.
-func (s *State) Clone() *State {
-	c := NewState(len(s.Pos))
-	copy(c.Pos, s.Pos)
-	copy(c.Vel, s.Vel)
-	return c
-}
-
 // Energy is the decomposition of the potential energy in kcal/mol.
 type Energy struct {
 	Bond      float64

@@ -74,12 +74,6 @@ func (vv *VelocityVerlet) Advance(n int) Energy {
 	return vv.e
 }
 
-// Step advances n velocity-Verlet steps as a segment of its own.
-func (vv *VelocityVerlet) Step(sys *System, st *State, prm Params, n int) {
-	vv.Begin(sys, st, prm)
-	vv.Advance(n)
-}
-
 // LangevinBAOAB is the BAOAB splitting of Langevin dynamics
 // (Leimkuhler & Matthews), a high-quality canonical sampler. The
 // thermostat temperature comes from the replica Params, which is what

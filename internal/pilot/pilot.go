@@ -393,10 +393,6 @@ func (pl *Pilot) Resize(delta int) int {
 // still runs in-flight units but refuses new submissions.
 func (pl *Pilot) Draining() bool { return pl.draining && !pl.expired }
 
-// Active returns the completion fired when the pilot's allocation becomes
-// active (after the batch queue wait).
-func (pl *Pilot) Active() *sim.Completion { return pl.active }
-
 // Cores returns the pilot's *current* core count: the launched size
 // minus node losses and shrinks, plus elastic grows (0 once expired).
 // The launch Description's Cores keeps the nominal launched size.

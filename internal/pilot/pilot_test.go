@@ -43,12 +43,18 @@ func TestPilotBecomesActiveAfterQueueWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var at float64
+	e.Go("watch", func(p *sim.Proc) {
+		if pl.active.Await(p) == nil {
+			at = p.Now()
+		}
+	})
 	e.Run()
-	if !pl.Active().Done() || pl.Active().Err() != nil {
+	if !pl.active.Done() || pl.active.Err() != nil {
 		t.Fatal("pilot did not become active")
 	}
-	if got := pl.Active().At(); got != 10 {
-		t.Fatalf("active at %v, want 10 (queue wait)", got)
+	if at != 10 {
+		t.Fatalf("active at %v, want 10 (queue wait)", at)
 	}
 }
 

@@ -177,9 +177,6 @@ func (g *Registry) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{"ok": true, "active_runs": c.active(), "runs": counts})
 }
 
-// Pool exposes the shared admission pool (nil when unbounded).
-func (g *Registry) Pool() *pilot.Pool { return g.pool }
-
 // Launch starts one run from a validated launch request. All fallible
 // setup happens in NewRun before admission, so a rejected or failed
 // launch never consumes pool cores. Registry runs are always served, so

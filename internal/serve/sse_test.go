@@ -16,10 +16,9 @@ import (
 	"repro/internal/core"
 )
 
-// otherEvent is a bus event of no type the stream names.
-type otherEvent struct{ At float64 }
-
-func (e otherEvent) When() float64 { return e.At }
+// otherEvent is a bus event of no type the stream names: it carries the
+// closed set's marker through an embedded MDEvent.
+type otherEvent struct{ core.MDEvent }
 
 // TestSSEFrames: one stream's frame writes each bus event as
 // "event: <name>\ndata: <json.Marshal of the event>\n\n", named by its
@@ -39,7 +38,7 @@ func TestSSEFrames(t *testing.T) {
 		{"respace", core.RespaceEvent{At: 4, Event: 9, Dim: 0, Refit: 1, Old: []float64{300, 310}, New: []float64{300, 305.5}}},
 		{"resource", core.ResourceEvent{At: 5, Pilot: 1, Kind: "preempt", Cores: 8, Delta: -8, Notice: 120}},
 		{"", core.MDEvent{Exec: math.NaN()}},
-		{"event", otherEvent{At: 6}},
+		{"event", otherEvent{core.MDEvent{At: 6}}},
 	}
 	var got, want bytes.Buffer
 	var f sseFrame

@@ -636,9 +636,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, capacity: capacity}
 }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.used }
 
@@ -789,7 +786,6 @@ type Completion struct {
 	sig  Signal
 	done bool
 	err  error
-	at   float64
 }
 
 // NewCompletion returns an unfired completion bound to env.
@@ -808,9 +804,6 @@ func (c *Completion) Done() bool { return c.done }
 // Err returns the error recorded at completion (nil before completion).
 func (c *Completion) Err() error { return c.err }
 
-// At returns the virtual time the completion fired (0 before).
-func (c *Completion) At() float64 { return c.at }
-
 // Complete fires the completion, waking all waiters. Completing twice
 // panics: it indicates a lifecycle bug in the caller.
 func (c *Completion) Complete(err error) {
@@ -819,7 +812,6 @@ func (c *Completion) Complete(err error) {
 	}
 	c.done = true
 	c.err = err
-	c.at = c.sig.env.now
 	c.sig.Broadcast()
 }
 

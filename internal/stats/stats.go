@@ -74,9 +74,6 @@ func (h *Hist2D) Add(x, y, w float64) {
 	h.total += w
 }
 
-// Total returns the accumulated weight.
-func (h *Hist2D) Total() float64 { return h.total }
-
 // BinCenter returns the angle at the centre of bin i.
 func (h *Hist2D) BinCenter(i int) float64 {
 	return -math.Pi + (float64(i)+0.5)*2*math.Pi/float64(h.Bins)
@@ -119,19 +116,6 @@ func FromHist(h *Hist2D, tK float64) *FES {
 		}
 	}
 	return &FES{Bins: h.Bins, F: f}
-}
-
-// Min returns the minimum free energy (0 after shifting) and its bin.
-func (s *FES) Min() (f float64, i, j int) {
-	f = math.Inf(1)
-	for a := range s.F {
-		for b := range s.F[a] {
-			if s.F[a][b] < f {
-				f, i, j = s.F[a][b], a, b
-			}
-		}
-	}
-	return f, i, j
 }
 
 // MaxFinite returns the largest finite free energy.

@@ -31,8 +31,8 @@ func TestHist2DBinning(t *testing.T) {
 	if h.Counts[3][3] != 2 {
 		t.Fatalf("last bin count %v", h.Counts[3][3])
 	}
-	if h.Total() != 3 {
-		t.Fatalf("total %v, want 3", h.Total())
+	if h.total != 3 {
+		t.Fatalf("total %v, want 3", h.total)
 	}
 }
 

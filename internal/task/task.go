@@ -184,9 +184,6 @@ type Result struct {
 // Failed reports whether the task failed.
 func (r Result) Failed() bool { return r.Err != nil }
 
-// Total returns Finished - Submitted.
-func (r Result) Total() float64 { return r.Finished - r.Submitted }
-
 // Handle is a pending task.
 type Handle interface {
 	// Done reports whether the task has finished (successfully or not).

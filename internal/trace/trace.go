@@ -36,8 +36,8 @@ const (
 	// phase (salt dimensions).
 	KindSPE
 	// KindPairs is the Metropolis pair sweep inside an exchange phase:
-	// pre-drawn uniforms, sharded probability evaluation, serial
-	// decisions and swaps.
+	// one serial pass in pair order, each pair drawing its uniform,
+	// computing its probability, deciding and swapping.
 	KindPairs
 	// KindCheckpoint is one snapshot capture and delivery.
 	KindCheckpoint

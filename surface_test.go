@@ -1,20 +1,28 @@
 package repex
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // unreached lists the exported functions and methods under internal/
-// that no program code names, each with the reason it stays: it is how
+// that no program code reaches, each with the reason it stays: it is how
 // the tests observe or set up behaviour that the program does reach.
-// Anything else unreferenced is deleted, not listed.
+// Anything else unreached is deleted, not listed.
 var unreached = map[string]string{
 	"cluster.Cluster.CoresInUse":         "pilot and cluster tests check that expiry, node loss and release hand back every machine core",
 	"config.ParseResource":               "benchmark/'s tests and the config and chaos-plan tests parse a resource block through it",
@@ -23,25 +31,29 @@ var unreached = map[string]string{
 	"core.Simulation.SlotParams":         "tests read the parameters a slot was built with (pH ladder, umbrella centres)",
 	"engines.Real.WindowCount":           "the real-engine test counts the windows an MD task sampled",
 	"exchange.AcceptanceRatio":           "TestSweepRespectsProbabilities measures Sweep's decisions through it",
+	"localexec.handle.Done":              "task.Handle's Done: TestRuntimeContract (internal/task/tasktest) and benchmark/nullrt_test.go check a delivered handle through it",
 	"md.Box.Volume":                      "TestBuildLJFluid checks the built density",
 	"md.BuildSolvatedDipeptide":          "fixture of kernel.golden and the periodic-system tests",
 	"md.BuildTitratableDipeptide":        "fixture of kernel.golden and the titration tests",
 	"md.MustNewSystem":                   "fixture constructor of the md and engines tests",
 	"md.PhiPsiIndices":                   "md tests locate the dipeptide's torsions with it",
 	"md.System.Excluded":                 "compile tests check the compiled exclusion table",
-	"md.System.Is14":                     "compile tests check the compiled 1-4 table",
 	"md.System.InstantaneousTemperature": "the thermostat tests' observer",
+	"md.System.Is14":                     "compile tests check the compiled 1-4 table",
 	"pilot.Pilot.BusyCoreSeconds":        "observer pinned by lifecycle.golden",
 	"pilot.Pilot.CoresInUse":             "pilot tests check that failed and finished units release their cores",
 	"pilot.Pilot.UnitsExpired":           "observer pinned by lifecycle.golden and runtime.golden",
 	"pilot.Runtime.InFlightCores":        "the multi-pilot churn test's routing invariant",
 	"pilot.Runtime.RecentLoad":           "the multi-pilot churn test's routing invariant",
+	"pilot.Unit.Done":                    "task.Handle's Done: TestRuntimeContract and the pilot lifecycle tests check a finished unit through it",
+	"pilot.Unit.State":                   "lifecycle.golden hashes every unit's final state through it",
 	"sim.Env.Live":                       "kernel tests check that every process ended",
 	"sim.Env.SetTrace":                   "records the wake order order.golden and delay_order.golden pin",
 	"sim.Proc.Notified":                  "kernel tests tell a wake-up from a timeout",
 	"sim.Resource.Available":             "resource tests' observer",
 	"sim.Resource.PeakInUse":             "resource tests' observer",
 	"sim.Resource.QueueLen":              "resource tests' observer",
+	"sim.Signal.Signal":                  "order.golden, delay_order.golden and mixed_order.golden pin the wake order of processes it wakes one at a time",
 	"sim.Signal.Waiters":                 "signal tests' observer",
 	"stats.FromHist":                     "the direct Boltzmann inversion the WHAM tests compare against",
 	"stats.Std":                          "the WHAM test bounds the surface's deviation from its reference with it",
@@ -49,88 +61,74 @@ var unreached = map[string]string{
 }
 
 // TestExportedSurfaceIsReached fails when an exported top-level function
-// or method under internal/ is named nowhere outside _test.go files in
-// the root module, cmd/, examples/ and benchmark/: everything exported is
-// something the program does. Matching is by bare name, so it
-// under-reports (a Name method is reached if any Name is called) and
-// never over-reports; method names in an interface declaration count as
-// references to the methods that satisfy it.
+// or method under internal/ is reached by no non-test code of the root
+// module or of benchmark/: everything exported is something the program
+// does. Identifiers are resolved by type, so a method is reached only by
+// a use of that method. A call through an interface (or a type
+// parameter's constraint) reaches the method, own or promoted, of every
+// program type that implements the interface; methods the standard
+// library calls through its own interfaces are stdInterfaceMethods.
 func TestExportedSurfaceIsReached(t *testing.T) {
-	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> bare name
-	used := map[string]bool{}
-	walkProgramFiles(t, func(path string, file *ast.File) {
-		own := map[*ast.Ident]bool{}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			own[fn.Name] = true
-			if !fn.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
-				continue
-			}
-			key := file.Name.Name + "."
-			if fn.Recv != nil {
-				key += receiverName(fn.Recv.List[0].Type) + "."
-			}
-			declared[key+fn.Name.Name] = fn.Name.Name
+	prog := loadProgram(t)
+	declared := map[*types.Func]string{} // -> "pkg.Func" or "pkg.Type.Method"
+	for _, obj := range prog.info.Defs {
+		fn, ok := obj.(*types.Func)
+		if !ok || !fn.Exported() || !strings.HasPrefix(fn.Pkg().Path(), "repro/internal/") {
+			continue
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				used[id.Name] = true
+		key := fn.Pkg().Name() + "."
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if types.IsInterface(recv.Type()) {
+				continue
 			}
-			return true
-		})
-	})
+			key += namedOf(recv.Type()).Obj().Name() + "."
+		}
+		declared[fn] = key + fn.Name()
+	}
+	reached := map[*types.Func]bool{}
+	for _, obj := range prog.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil || !types.IsInterface(recv.Type()) {
+			reached[fn.Origin()] = true
+			continue
+		}
+		iface := recv.Type().Underlying().(*types.Interface)
+		for _, named := range prog.named {
+			for _, typ := range []types.Type{named, types.NewPointer(named)} {
+				if !types.Implements(typ, iface) {
+					continue
+				}
+				if m, _, _ := types.LookupFieldOrMethod(typ, false, fn.Pkg(), fn.Name()); m != nil {
+					reached[m.(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+	byKey := map[string]*types.Func{}
 	var keys []string
-	for key := range declared {
+	for fn, key := range declared {
+		byKey[key] = fn
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
+		fn := byKey[key]
 		_, listed := unreached[key]
-		switch reached := used[declared[key]] || stdInterfaceMethods[declared[key]]; {
-		case !reached && !listed:
-			t.Errorf("%s is exported and named by no program code: delete it, or list it in unreached with its reason", key)
-		case reached && listed:
-			t.Errorf("%s is listed in unreached but program code names it: drop the entry", key)
+		switch isReached := reached[fn] || stdInterfaceMethods[fn.Name()]; {
+		case !isReached && !listed:
+			t.Errorf("%s is exported and reached by no program code: delete it, or list it in unreached with its reason", key)
+		case isReached && listed:
+			t.Errorf("%s is listed in unreached but program code reaches it: drop the entry", key)
 		}
 	}
 	for key := range unreached {
-		if _, ok := declared[key]; !ok {
+		if byKey[key] == nil {
 			t.Errorf("%s is listed in unreached but no longer declared: drop the entry", key)
 		}
-	}
-}
-
-// walkProgramFiles parses every non-test Go file of the root module,
-// cmd/, examples/ and benchmark/ and hands it to visit with its
-// slash-separated path.
-func walkProgramFiles(t *testing.T, visit func(path string, file *ast.File)) {
-	t.Helper()
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		visit(filepath.ToSlash(path), file)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -138,7 +136,7 @@ func walkProgramFiles(t *testing.T, visit func(path string, file *ast.File)) {
 // must each be something a caller sets; unsetFields lists the fields no
 // program code sets, with the reason each stays exported.
 var (
-	optionStructs = map[string]bool{"engines.Virtual": true, "engines.Real": true, "analysis.Config": true, "core.Spec": true}
+	optionStructs = []string{"engines.Virtual", "engines.Real", "analysis.Config", "core.Spec"}
 	unsetFields   = map[string]string{
 		"analysis.Config.TraceLen":  "the restore-trim tests size the slot-trace tail with it",
 		"core.Spec.ExchangeWorkers": "inert since the exchange phase became one serial pass; only benchmark/wrap_test.go still sets it, and the next revision of the benchmark deletes both",
@@ -146,90 +144,65 @@ var (
 )
 
 // TestExportedOptionFieldsAreSet fails when an exported field of an
-// option struct is assigned by no non-test file other than the one that
-// declares it: an option with one value in use is a constant. A
-// composite literal counts for the struct its type names; an assignment
-// x.F = v counts for every field named F, so the rule under-reports and
-// never over-reports.
+// option struct is set by no non-test file other than the one that
+// declares it: an option with one value in use is a constant. A field is
+// set by a keyed composite literal or by an assignment to it, each
+// resolved by type.
 func TestExportedOptionFieldsAreSet(t *testing.T) {
-	fields := map[string]string{}         // "pkg.Type.Field" -> declaring file
-	setIn := map[string]map[string]bool{} // "pkg.Type.Field" or ".Field" -> files assigning it
-	set := func(key, path string) {
-		if setIn[key] == nil {
-			setIn[key] = map[string]bool{}
+	prog := loadProgram(t)
+	setIn := map[*types.Var]map[string]bool{} // field -> files setting it
+	set := func(id *ast.Ident, file string) {
+		if v, ok := prog.info.Uses[id].(*types.Var); ok && v.IsField() {
+			if setIn[v] == nil {
+				setIn[v] = map[string]bool{}
+			}
+			setIn[v][file] = true
 		}
-		setIn[key][path] = true
 	}
-	walkProgramFiles(t, func(path string, file *ast.File) {
+	for _, file := range prog.files {
+		path := prog.fset.Position(file.Package).Filename
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := x.Type.(*ast.StructType)
-				if name := file.Name.Name + "." + x.Name.Name; ok && optionStructs[name] {
-					for _, f := range st.Fields.List {
-						for _, id := range f.Names {
-							if id.IsExported() {
-								fields[name+"."+id.Name] = path
-							}
-						}
-					}
-				}
-			case *ast.CompositeLit:
-				name := ""
-				switch typ := x.Type.(type) {
-				case *ast.Ident:
-					name = file.Name.Name + "." + typ.Name
-				case *ast.SelectorExpr:
-					if pkg, ok := typ.X.(*ast.Ident); ok {
-						name = pkg.Name + "." + typ.Sel.Name
-					}
-				}
-				for _, elt := range x.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							set(name+"."+id.Name, path)
-						}
-					}
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					set(id, path)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range x.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set("."+sel.Sel.Name, path)
+						set(sel.Sel, path)
 					}
 				}
 			}
 			return true
 		})
-	})
-	if len(fields) == 0 {
-		t.Fatal("found no option struct: the walk or optionStructs is stale")
 	}
-	setElsewhere := func(key, declaring string) bool {
-		for path := range setIn[key] {
-			if path != declaring {
-				return true
+	fields := map[string]bool{}
+	for _, name := range optionStructs {
+		st := prog.lookup(t, name).Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !f.Exported() {
+				continue
 			}
-		}
-		return false
-	}
-	var keys []string
-	for key := range fields {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		file := fields[key]
-		isSet := setElsewhere(key, file) || setElsewhere(key[strings.LastIndex(key, "."):], file)
-		_, listed := unsetFields[key]
-		switch {
-		case !isSet && !listed:
-			t.Errorf("%s is exported and set by no program code outside %s: make it a constant, or list it in unsetFields with its reason", key, file)
-		case isSet && listed:
-			t.Errorf("%s is listed in unsetFields but program code sets it: drop the entry", key)
+			key := name + "." + f.Name()
+			fields[key] = true
+			declaring := prog.fset.Position(f.Pos()).Filename
+			isSet := false
+			for path := range setIn[f] {
+				isSet = isSet || path != declaring
+			}
+			_, listed := unsetFields[key]
+			switch {
+			case !isSet && !listed:
+				t.Errorf("%s is exported and set by no program code outside %s: make it a constant, or list it in unsetFields with its reason", key, prog.rel(declaring))
+			case isSet && listed:
+				t.Errorf("%s is listed in unsetFields but program code sets it: drop the entry", key)
+			}
 		}
 	}
 	for key := range unsetFields {
-		if _, ok := fields[key]; !ok {
+		if !fields[key] {
 			t.Errorf("%s is listed in unsetFields but no longer declared: drop the entry", key)
 		}
 	}
@@ -244,21 +217,147 @@ var stdInterfaceMethods = map[string]bool{
 	"Write": true, "MarshalJSON": true, "UnmarshalJSON": true,
 }
 
-// receiverName returns the type name of a method receiver, without its
-// pointer and type parameters.
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// program is the type-checked non-test code of the root module and of
+// benchmark/, with one Info over all of it.
+type program struct {
+	fset  *token.FileSet
+	root  string
+	pkgs  map[string]*types.Package // by import path
+	files []*ast.File
+	info  *types.Info
+	named []*types.Named // every non-generic, non-interface package-level type
+}
+
+var loadOnce = sync.OnceValues(load)
+
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	prog, err := loadOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// load lists the packages of both modules with `go list`, parses their
+// non-test files and type-checks them from source, importing the
+// standard library from export data.
+func load() (*program, error) {
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	type listed struct {
+		ImportPath, Dir string
+		GoFiles         []string
+	}
+	sources := map[string]listed{}
+	for _, dir := range []string{".", "benchmark"} {
+		cmd := exec.Command("go", "list", "-e", "-json=ImportPath,Dir,GoFiles", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list in %s: %v", dir, err)
+		}
+		for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
+			var p listed
+			if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				return nil, err
+			}
+			if len(p.GoFiles) > 0 {
+				sources[p.ImportPath] = p
+			}
 		}
 	}
+	prog := &program{
+		fset: token.NewFileSet(),
+		root: root,
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	std := importer.Default()
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if _, ours := sources[path]; ours {
+			return check(path)
+		}
+		return std.Import(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		if pkg, ok := prog.pkgs[path]; ok {
+			return pkg, nil
+		}
+		src := sources[path]
+		var files []*ast.File
+		for _, name := range src.GoFiles {
+			file, err := parser.ParseFile(prog.fset, filepath.Join(src.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, file)
+		}
+		pkg, err := conf.Check(path, prog.fset, files, prog.info)
+		if err != nil {
+			return nil, err
+		}
+		prog.pkgs[path] = pkg
+		prog.files = append(prog.files, files...)
+		return pkg, nil
+	}
+	paths := make([]string, 0, len(sources))
+	for path := range sources {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		pkg, err := check(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams() == nil && !types.IsInterface(named) {
+				prog.named = append(prog.named, named)
+			}
+		}
+	}
+	return prog, nil
+}
+
+// lookup returns the named type "pkg.Type" of a package under internal/.
+func (p *program) lookup(t *testing.T, name string) *types.Named {
+	t.Helper()
+	pkg, typ, _ := strings.Cut(name, ".")
+	if p.pkgs["repro/internal/"+pkg] != nil {
+		if tn, ok := p.pkgs["repro/internal/"+pkg].Scope().Lookup(typ).(*types.TypeName); ok {
+			return tn.Type().(*types.Named)
+		}
+	}
+	t.Fatalf("no type %s: optionStructs is stale", name)
+	return nil
+}
+
+// rel returns a file's slash-separated path relative to the module root.
+func (p *program) rel(path string) string {
+	if r, err := filepath.Rel(p.root, path); err == nil {
+		return filepath.ToSlash(r)
+	}
+	return path
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// namedOf returns a method receiver's named type, without its pointer.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
 }
