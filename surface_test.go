@@ -1,6 +1,7 @@
 package repex
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,7 +71,7 @@ var unreached = map[string]string{
 // library calls through its own interfaces are stdInterfaceMethods.
 func TestExportedSurfaceIsReached(t *testing.T) {
 	prog := loadProgram(t)
-	declared := map[*types.Func]string{} // -> "pkg.Func" or "pkg.Type.Method"
+	declared := map[string]*types.Func{} // "pkg.Func" or "pkg.Type.Method" -> its object
 	for _, obj := range prog.info.Defs {
 		fn, ok := obj.(*types.Func)
 		if !ok || !fn.Exported() || !strings.HasPrefix(fn.Pkg().Path(), "repro/internal/") {
@@ -83,7 +84,7 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 			}
 			key += namedOf(recv.Type()).Obj().Name() + "."
 		}
-		declared[fn] = key + fn.Name()
+		declared[key+fn.Name()] = fn
 	}
 	reached := map[*types.Func]bool{}
 	for _, obj := range prog.info.Uses {
@@ -108,15 +109,13 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 			}
 		}
 	}
-	byKey := map[string]*types.Func{}
-	var keys []string
-	for fn, key := range declared {
-		byKey[key] = fn
+	keys := make([]string, 0, len(declared))
+	for key := range declared {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		fn := byKey[key]
+		fn := declared[key]
 		_, listed := unreached[key]
 		switch isReached := reached[fn] || stdInterfaceMethods[fn.Name()]; {
 		case !isReached && !listed:
@@ -126,7 +125,7 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 		}
 	}
 	for key := range unreached {
-		if byKey[key] == nil {
+		if declared[key] == nil {
 			t.Errorf("%s is listed in unreached but no longer declared: drop the entry", key)
 		}
 	}
@@ -259,7 +258,7 @@ func load() (*program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("go list in %s: %v", dir, err)
 		}
-		for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 			var p listed
 			if err := dec.Decode(&p); errors.Is(err, io.EOF) {
 				break
