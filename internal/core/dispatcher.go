@@ -170,26 +170,27 @@ func (d *dispatcher) run() error {
 	s.drainResourceEvents() // pilot launch events precede the first round
 	s.flushBus()
 	tr.Reset(d.state())
+	c := &s.clock
+	c.lap(phaseSetup)
+	defer c.split() // whatever the loop left untimed, an error return's too
 
 	for d.pending > 0 || d.done > 0 || len(d.ready) > 0 {
 		st := d.state()
-		switch tr.Decide(st) {
+		switch dec := tr.Decide(st); dec {
 		case TriggerWait:
 			if d.pending == 0 {
 				return fmt.Errorf("core: trigger %q stalled with no MD task outstanding", tr.Name())
 			}
 			d.noopFires = 0
-			for _, h := range s.rt.AwaitNext(tr.Deadline(st)) {
-				if err := d.complete(h); err != nil {
-					return err
-				}
+			if err := d.wait(tr.Deadline(st)); err != nil {
+				return err
 			}
-			s.drainResourceEvents()
-			s.flushBus() // queued bus events go out once per wakeup
-		case TriggerFireAtDeadline:
-			s.rt.SleepUntil(tr.Deadline(st))
-			fallthrough
-		case TriggerFire:
+		case TriggerFireAtDeadline, TriggerFire:
+			c.split()
+			if dec == TriggerFireAtDeadline {
+				s.rt.SleepUntil(tr.Deadline(st))
+				c.lap(phaseAwait)
+			}
 			if err := d.closeRound(); err != nil {
 				return err
 			}
@@ -198,12 +199,47 @@ func (d *dispatcher) run() error {
 	return nil
 }
 
+// wait is one wakeup of the loop: the completions the runtime delivers
+// by deadline are processed, then the resource events and bus records
+// they queued go out. The loop clock times it as LoopPhases describes.
+func (d *dispatcher) wait(deadline float64) error {
+	s, c := d.s, &d.s.clock
+	sampled := c.wakeups%loopSample == 0
+	c.wakeups++
+	if sampled {
+		c.split()
+	}
+	hs := s.rt.AwaitNext(deadline)
+	timed := sampled
+	if sampled {
+		c.sample(phaseAwait)
+	} else if len(hs) >= loopSample {
+		c.split()
+		timed = true
+	}
+	for _, h := range hs {
+		if err := d.complete(h); err != nil {
+			return err
+		}
+	}
+	s.drainResourceEvents()
+	s.flushBus() // queued bus events go out once per wakeup
+	switch {
+	case sampled:
+		c.sample(phaseComplete)
+	case timed:
+		c.lap(phaseComplete)
+	}
+	return nil
+}
+
 // closeRound acts on a fire decision: the exchange event when anything
 // can exchange, then budgeted replicas go back to MD and the policy
 // opens its next collection round.
 func (d *dispatcher) closeRound() error {
-	s := d.s
+	s, c := d.s, &d.s.clock
 	s.drainResourceEvents()
+	c.lap(phasePublish)
 	// A non-aligned fire with fewer than two ready replicas is a no-op:
 	// nothing can exchange, and the round — with its MD wall span — keeps
 	// accumulating.
@@ -221,6 +257,7 @@ func (d *dispatcher) closeRound() error {
 	resubmitted := d.resubmit(from)
 	d.ready, d.readyB = d.ready[:0], 0
 	d.tr.Reset(d.state())
+	c.lap(phaseDecide)
 	if fired || resubmitted > 0 {
 		d.noopFires = 0
 		return nil
@@ -427,7 +464,7 @@ func (d *dispatcher) relaunch(f *mdFlight) bool {
 // round), counts MD wall as the collection span since the round start
 // and its wall is the exchange phase alone.
 func (d *dispatcher) fire() error {
-	s := d.s
+	s, c := d.s, &d.s.clock
 	cycle, participants, mdOrigin := d.event, d.ready, d.roundT0
 	if d.aligned {
 		cycle, participants, mdOrigin = d.event/d.ndims, s.replicas, d.mdStart
@@ -442,6 +479,7 @@ func (d *dispatcher) fire() error {
 		}
 		d.done = 0
 	}
+	c.lap(phaseComplete)
 	exStart := s.rt.Now()
 	rec.MD.Wall = exStart - mdOrigin
 	if !s.spec.DisableExchange {
@@ -450,6 +488,7 @@ func (d *dispatcher) fire() error {
 		rec.EX.Wall = s.rt.Now() - exStart
 		s.recordExchange(d.event, d.dim, exStart, &rec)
 	}
+	c.lap(phaseExchange)
 	rec.Wall = rec.EX.Wall
 	if d.aligned {
 		rec.Wall = s.rt.Now() - d.roundT0
@@ -459,6 +498,7 @@ func (d *dispatcher) fire() error {
 	s.snapshotSlots()
 	s.publishExchange(d.event, cycle, d.dim, &rec)
 	s.recordController(d.fb, d.dim, d.event)
+	c.lap(phasePublish)
 	if d.aligned && d.alive < 2 {
 		return fmt.Errorf("core: fewer than two replicas alive after cycle %d", cycle)
 	}
@@ -468,7 +508,10 @@ func (d *dispatcher) fire() error {
 	// Respace before the boundary's snapshot so a refit and the
 	// checkpoint that persists it land atomically.
 	s.maybeRespace(d.fb, d.event)
-	if err := d.maybeSnapshot(); err != nil {
+	c.lap(phaseRespace)
+	err := d.maybeSnapshot()
+	c.lap(phaseSnapshot)
+	if err != nil {
 		return err
 	}
 	// Cancellation is honoured only at fired boundaries: after a no-op

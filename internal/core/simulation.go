@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/md"
@@ -77,12 +78,17 @@ type Simulation struct {
 	resumeElapsed float64
 	resumed       bool
 
+	// clock is the run's wall clock by loop phase (LoopSeconds): it never
+	// reaches the virtual clock, the report or a snapshot.
+	clock loopClock
+
 	report *Report
 }
 
 // New validates the spec and builds the replica set with initial
 // parameters; replica i starts in slot i.
 func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
+	born := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,6 +119,7 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		rng:        rand.New(rand.NewSource(spec.Seed)),
 		tracer:     spec.Tracer,
 	}
+	s.clock.mark = born
 	s.dimStride = make([]int, len(spec.Dims))
 	stride := 1
 	for d := len(spec.Dims) - 1; d >= 0; d-- {

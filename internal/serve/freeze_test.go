@@ -359,3 +359,28 @@ func BenchmarkAggregateScrape(b *testing.B) {
 		})
 	}
 }
+
+// A served run renders its loop clock on /metrics, one counter a phase,
+// and keeps it off /status: wall clock is not run state.
+func TestLoopClockServed(t *testing.T) {
+	r, err := NewRun(context.Background(), smallLaunch(t, "clocked", 2), true, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	<-r.Done()
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		r.Server().Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Body.String()
+	}
+	body := get("/metrics")
+	for _, phase := range core.LoopPhases {
+		if line := fmt.Sprintf("\nrepex_loop_seconds_total{phase=%q} ", phase); !strings.Contains(body, line) {
+			t.Errorf("/metrics has no%s line", line)
+		}
+	}
+	if st := get("/status"); strings.Contains(st, "loop") {
+		t.Errorf("/status carries the loop clock:\n%s", st)
+	}
+}

@@ -126,6 +126,7 @@ func hasFeedback(v *runView) bool { return len(v.st.Feedback) > 0 }
 func hasRespace(v *runView) bool  { return v.st.Respace != nil }
 func hasPilots(v *runView) bool   { return len(v.stats.PilotCores) > 0 }
 func hasTrace(v *runView) bool    { return v.st.TraceCapacity > 0 }
+func hasLoop(v *runView) bool     { return v.st.Loop != nil }
 
 func cumulative(v *runView) [][]analysis.PairStat { return v.stats.Acceptance }
 func rolling(v *runView) [][]analysis.PairStat    { return v.stats.AcceptanceWindow }
@@ -235,6 +236,15 @@ var families = []family{
 	counter("repex_bus_dropped_total", "Events the collector lost to ring overflow.", func(v *runView) uint64 { return v.stats.BusDropped }),
 	counter("repex_trace_spans_total", "Spans recorded by the flight recorder.", func(v *runView) uint64 { return v.st.TraceSpans }).when(hasTrace),
 	counter("repex_trace_dropped_total", "Spans evicted from the flight-recorder ring.", func(v *runView) uint64 { return v.st.TraceDropped }).when(hasTrace),
+	{name: "repex_loop_seconds_total", help: "Wall time of the run's dispatcher loop by phase.", typ: "counter", on: hasLoop,
+		emit: func(e *exposition, v *runView) {
+			if v.st.Loop == nil {
+				return
+			}
+			for i, x := range v.st.Loop {
+				e.sample("", float(x), label{"phase", text(core.LoopPhases[i])})
+			}
+		}},
 
 	processRow("go_goroutines", "Goroutines that currently exist.", "gauge", func(p *processView) value { return count(p.goroutines) }),
 	processRow("go_gomaxprocs", "GOMAXPROCS: threads that may run Go code at once.", "gauge", func(p *processView) value { return count(p.gomaxprocs) }),

@@ -266,6 +266,10 @@ func (r *Run) baseStatusLocked() RunStatus {
 		}
 		st.Respace = respaceSt
 	}
+	if r.sim != nil {
+		loop := r.sim.LoopSeconds()
+		st.Loop = &loop
+	}
 	if r.err != nil && !errors.Is(r.err, core.ErrRunCancelled) {
 		st.Error = r.err.Error()
 	}

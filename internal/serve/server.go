@@ -84,6 +84,10 @@ type RunStatus struct {
 	TraceCapacity int    `json:"trace_capacity,omitempty"`
 	TraceSpans    uint64 `json:"trace_spans,omitempty"`
 	TraceDropped  uint64 `json:"trace_dropped,omitempty"`
+	// Loop is the run's wall clock by dispatcher phase, nil before the
+	// run starts (and for runs not served by a Run). Wall clock is not
+	// run state, so /status leaves it out; /metrics renders it.
+	Loop *core.LoopSeconds `json:"-"`
 	// Error carries the failure message when State is "failed".
 	Error string `json:"error,omitempty"`
 }
