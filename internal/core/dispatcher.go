@@ -77,6 +77,11 @@ type dispatcher struct {
 	// its controller state rides in every snapshot and is handed back on
 	// resume.
 	stateful StatefulTrigger
+	// batch is the runtime's BatchAwaiter side when the barrier can use
+	// it (nil otherwise): an aligned policy that observes no latencies
+	// acts on nothing until the round's last completion, bar a failure's
+	// relaunch and the resource events the runtime wakes it for.
+	batch task.BatchAwaiter
 	// fb is the policy as a FeedbackTrigger (nil otherwise): feedback
 	// policies get a controller-decision span after each fire and drive
 	// ladder respacing.
@@ -139,6 +144,9 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 	d.latObs, _ = tr.(LatencyObserver)
 	d.stateful, _ = tr.(StatefulTrigger)
 	d.fb, _ = tr.(*FeedbackTrigger)
+	if d.aligned && d.latObs == nil {
+		d.batch, _ = s.rt.(task.BatchAwaiter)
+	}
 	return d
 }
 
@@ -204,12 +212,17 @@ func (d *dispatcher) run() error {
 // they queued go out. The loop clock times it as LoopPhases describes.
 func (d *dispatcher) wait(deadline float64) error {
 	s, c := d.s, &d.s.clock
-	sampled := c.wakeups%loopSample == 0
+	sampled := d.batch != nil || c.wakeups%loopSample == 0
 	c.wakeups++
 	if sampled {
 		c.split()
 	}
-	hs := s.rt.AwaitNext(deadline)
+	var hs []task.Handle
+	if d.batch != nil {
+		hs = d.batch.AwaitBatch(d.pending, deadline)
+	} else {
+		hs = s.rt.AwaitNext(deadline)
+	}
 	timed := sampled
 	if sampled {
 		c.sample(phaseAwait)

@@ -1,6 +1,8 @@
 package pilot
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -141,4 +143,72 @@ func TestMultiRuntimeRejectsForeignEnv(t *testing.T) {
 	})
 	e1.Run()
 	e2.Run()
+}
+
+// A unit routed to a pilot that is gone fails at its first step, queued
+// behind the submissions of the same instant: every one of them is
+// routed by the in-flight width of those before it, as if none had
+// failed yet, so four units over two dead slots split two and two.
+func TestDeadSlotsRouteBeforeUnitsFail(t *testing.T) {
+	twoClusterSetup(t, 8, 8, func(m *Runtime) {
+		m.SleepUntil(1) // both pilots are active
+		m.PilotAt(0).Preempt(0)
+		m.PilotAt(1).Preempt(0)
+		var hs []task.Handle
+		for i := 0; i < 4; i++ {
+			hs = append(hs, m.Submit(&task.Spec{Name: "u", Cores: 1, Duration: 10}))
+		}
+		for i, res := range m.AwaitAll(hs) {
+			if !errors.Is(res.Err, ErrPilotPreempted) || res.Finished != 1 {
+				t.Errorf("unit %d: %v at %g, want %v at 1", i, res.Err, res.Finished, ErrPilotPreempted)
+			}
+		}
+		if got := m.Routed(); got[0] != 2 || got[1] != 2 {
+			t.Errorf("routed %v, want [2 2]", got)
+		}
+	})
+}
+
+// AwaitBatch returns once n watched completions are pending, at its
+// deadline, or at once for a failed one, and lends its handles only until the orchestrator next
+// blocks: a submission before that carves a fresh unit, one after it
+// reuses a delivered unit.
+func TestAwaitBatchDeliversAtTheNth(t *testing.T) {
+	twoClusterSetup(t, 8, 8, func(m *Runtime) {
+		submit := func(d float64) task.Handle {
+			return m.SubmitWatched(&task.Spec{Name: "u", Cores: 1, Duration: d})
+		}
+		for _, d := range []float64{30, 10, 20} {
+			submit(d)
+		}
+		m.SleepUntil(1)
+		m.DrainResourceEvents() // buffered events would deliver the first completion early
+		hs := m.AwaitBatch(3, math.Inf(1))
+		if len(hs) != 3 || m.Now() < 30 {
+			t.Fatalf("AwaitBatch(3) delivered %d at %g, want 3 at the last finish (> 30)", len(hs), m.Now())
+		}
+		delivered := map[task.Handle]bool{}
+		for _, h := range hs {
+			delivered[h] = true
+		}
+		if h := submit(10); delivered[h] {
+			t.Fatal("a submission before the next blocking call reused a delivered handle")
+		}
+		m.Overhead(1)
+		if h := submit(100); !delivered[h] {
+			t.Fatal("a submission after the next blocking call carved a fresh unit with spares at hand")
+		}
+		deadline := m.Now() + 50
+		hs = m.AwaitBatch(2, deadline)
+		if len(hs) != 1 || hs[0].Result().Spec.Duration != 10 || m.Now() != deadline {
+			t.Fatalf("AwaitBatch(2) by %g delivered %d at %g, want the 10 s unit at the deadline", deadline, len(hs), m.Now())
+		}
+		killed := m.Now()
+		m.PilotAt(0).Preempt(0)
+		m.PilotAt(1).Preempt(0)
+		hs = m.AwaitBatch(5, math.Inf(1))
+		if len(hs) != 1 || !hs[0].Result().Failed() || m.Now() != killed {
+			t.Fatalf("AwaitBatch(5) delivered %d at %g, want the killed unit at %g", len(hs), m.Now(), killed)
+		}
+	})
 }

@@ -420,15 +420,21 @@ func (pl *Pilot) UnitsExpired() int { return pl.unitsExpired }
 // immediately; the unit runs through its lifecycle as resources permit.
 // A unit wider than the pilot ever was is a caller bug and panics; one
 // merely wider than the pilot is now fails with ErrNoCapacity.
-func (pl *Pilot) SubmitUnit(spec *task.Spec) *Unit { return pl.submitInto(new(Unit), spec) }
+func (pl *Pilot) SubmitUnit(spec *task.Spec) *Unit {
+	u := new(Unit)
+	pl.submitInto(u, spec)
+	pl.start(u)
+	return u
+}
 
-// submitInto is SubmitUnit on caller-supplied storage, which may be a
-// delivered unit: u is reset whole — both latches, the embedded process,
-// the lifecycle scratch. A finished unit leaves nothing else behind in
-// the kernel: Proc.Exit moved its slot to a new generation, so its
-// pending execution timer is dropped as stale, and the one waiter it can
-// have left is its own in the interrupt latch, which the reset clears.
-func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) *Unit {
+// submitInto readies caller-supplied storage, which may be a delivered
+// unit, for a submission that start then runs: u is reset whole — both
+// latches, the embedded process, the lifecycle scratch. A finished unit
+// leaves nothing else behind in the kernel: Proc.Exit moved its slot to
+// a new generation, so its pending execution timer is dropped as stale,
+// and the one waiter it can have left is its own in the interrupt latch,
+// which the reset clears.
+func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("pilot: invalid task spec: %v", err))
 	}
@@ -442,8 +448,21 @@ func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) *Unit {
 	u.res.Spec = spec
 	u.res.Submitted = pl.env.Now()
 	pl.unitsSubmitted++
-	pl.env.Spawn(&u.proc, (*unitStepper)(u))
-	return u
+}
+
+// start runs a submitted unit's lifecycle. On a pilot that is live or
+// still in its queue wait, the first step is taken at once (it books the
+// unit's first metadata operation, or enrols on the pilot's activation):
+// a wakeup saved per unit. On a pilot that is gone or draining, the
+// first step fails the unit, and it stays queued behind the instant's
+// other wakeups: taken inline, the failure would settle the slot's
+// in-flight width before the submissions after it are routed.
+func (pl *Pilot) start(u *Unit) {
+	if pl.expired || pl.draining || pl.active.Done() && pl.active.Err() != nil {
+		pl.env.Spawn(&u.proc, (*unitStepper)(u))
+		return
+	}
+	pl.env.Start(&u.proc, (*unitStepper)(u))
 }
 
 // failUnit completes a unit as FAILED with the given error and ends its

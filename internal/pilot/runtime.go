@@ -62,6 +62,12 @@ type Runtime struct {
 	// moves to spare. The two swap at each delivery.
 	arrivals          *sim.Signal
 	stream, delivered []task.Handle
+	// batch is the number of pending completions AwaitBatch waits for;
+	// 0 outside it, where every watched completion wakes the caller. lent
+	// marks delivered as AwaitBatch's: its units become spares at the
+	// next call that blocks, not only at the next AwaitNext.
+	batch int
+	lent  bool
 	// spare holds finished units for submissions to reuse: the units
 	// AwaitNext delivered, from its next call on, and the unwatched units
 	// Await and AwaitAll delivered, from their return on.
@@ -183,7 +189,8 @@ func (r *Runtime) InFlightCores() []int {
 }
 
 // RecentLoad returns slot i's decayed completed-work estimate in
-// core-width units (for tests and balance inspection).
+// core-width units (for tests and balance inspection); zero on a single
+// slot, which keeps none.
 func (r *Runtime) RecentLoad(i int) float64 { return r.decayedRecent(&r.slots[i]) }
 
 // decayedRecent folds the elapsed-time decay into the slot's completed
@@ -245,13 +252,16 @@ func (r *Runtime) route(s *task.Spec) int {
 		if s.Cores > pl.desc.Cores && s.Cores > pl.Cores() {
 			continue
 		}
-		capacity := pl.Cores()
-		if capacity <= 0 {
-			capacity = pl.desc.Cores
-		}
-		load := (float64(sl.inflight) + r.decayedRecent(sl) + float64(s.Cores)) / float64(capacity)
-		if pl == home {
-			load -= r.affinityBonus
+		load := 0.0 // a single slot has nothing to weigh
+		if len(r.slots) > 1 {
+			capacity := pl.Cores()
+			if capacity <= 0 {
+				capacity = pl.desc.Cores
+			}
+			load = (float64(sl.inflight) + r.decayedRecent(sl) + float64(s.Cores)) / float64(capacity)
+			if pl == home {
+				load -= r.affinityBonus
+			}
 		}
 		if bestAny < 0 || load < bestAnyLoad {
 			bestAny, bestAnyLoad = i, load
@@ -275,11 +285,11 @@ func (r *Runtime) route(s *task.Spec) int {
 // minUnitChunk is the size of a runtime's smallest unit chunk.
 const minUnitChunk = 16
 
-// submit routes the task and schedules it on the chosen slot's pilot,
-// in a spare unit when there is one and a freshly carved one otherwise.
-// The result is stamped with the slot for the flight recorder; the
-// writes are race-free because the unit's process starts only after the
-// orchestrator yields to the virtual-time kernel.
+// submit routes the task and starts it on the chosen slot's pilot, in a
+// spare unit when there is one and a freshly carved one otherwise. The
+// unit learns its runtime, slot and delivery before its first step,
+// which may finish it, and its result is stamped with the slot for the
+// flight recorder.
 func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	i := r.route(s)
 	sl := &r.slots[i]
@@ -298,6 +308,7 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	sl.pl.submitInto(u, s)
 	u.rt, u.slot, u.watched = r, i, watched
 	u.res.Pilot = i
+	sl.pl.start(u)
 	return u
 }
 
@@ -305,11 +316,13 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 // FAILED: it settles the slot's in-flight width, feeds the decayed
 // completed-work estimate, remembers the replica's last home for staging
 // affinity (successful runs only — a killed unit left no usable outputs
-// behind) and queues a watched unit for delivery.
+// behind; a single slot, every task's only route, keeps neither) and
+// queues a watched unit for delivery, waking the caller unless an
+// AwaitBatch can let it sleep on (see there).
 func (r *Runtime) unitDone(u *Unit) {
 	sl := &r.slots[u.slot]
 	sl.inflight -= u.spec.Cores
-	if u.res.Err == nil {
+	if u.res.Err == nil && len(r.slots) > 1 {
 		sl.recent = r.decayedRecent(sl) + float64(u.spec.Cores)
 		if id := u.spec.ReplicaID; id >= 0 {
 			if id >= len(r.home) {
@@ -322,8 +335,26 @@ func (r *Runtime) unitDone(u *Unit) {
 	}
 	if u.watched {
 		r.stream = append(r.stream, u)
-		r.arrivals.Broadcast()
+		if len(r.stream) >= r.batch || u.res.Err != nil || r.eventsBuffered() {
+			r.arrivals.Broadcast()
+		}
 	}
+}
+
+// eventsBuffered reports whether a pilot, current or retired, holds
+// resource events DrainResourceEvents has not taken yet.
+func (r *Runtime) eventsBuffered() bool {
+	for i := range r.slots {
+		if len(r.slots[i].pl.events) > 0 {
+			return true
+		}
+	}
+	for _, o := range r.retired {
+		if len(o.pl.events) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Submit schedules a task on the least-loaded slot that fits it.
@@ -337,6 +368,9 @@ func (r *Runtime) SubmitWatched(s *task.Spec) task.Handle { return r.submit(s, t
 // result. An unwatched unit this runtime routed becomes a spare: the
 // handle is dead once Await returns.
 func (r *Runtime) Await(h task.Handle) task.Result {
+	if r.lent {
+		r.reclaim()
+	}
 	u := h.(*Unit)
 	u.done.Await(r.proc)
 	if u.rt == r && !u.watched {
@@ -364,10 +398,7 @@ func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
 // order. The returned slice is the runtime's own buffer and the units in
 // it become spares at the next call: both are valid until then.
 func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
-	for _, h := range r.delivered {
-		r.spare = append(r.spare, h.(*Unit))
-	}
-	r.delivered = r.delivered[:0]
+	r.reclaim()
 	for len(r.stream) == 0 {
 		if math.IsInf(deadline, 1) {
 			r.arrivals.Wait(r.proc)
@@ -383,8 +414,40 @@ func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
 	return r.delivered
 }
 
+// AwaitBatch is AwaitNext that lets the orchestrator sleep until n
+// watched completions are pending (task.BatchAwaiter). Two kinds of
+// completion wake it earlier, at their own time, as AwaitNext would: a
+// failed one, which the caller may relaunch then, and one that finds a
+// pilot's resource events buffered, which the caller would have drained
+// at that wakeup, before any fault a later completion brings. The
+// delivered units become spares at the runtime's next blocking call
+// (this one, AwaitNext, Await, AwaitAll, Overhead or SleepUntil), so a
+// barrier's resubmission reuses the round it just collected.
+func (r *Runtime) AwaitBatch(n int, deadline float64) []task.Handle {
+	// The stream fills to n here: room for all of it at once, not a
+	// doubling at a time.
+	r.stream = slices.Grow(r.stream, max(n-len(r.stream), 0))
+	r.batch = n
+	hs := r.AwaitNext(deadline)
+	r.batch, r.lent = 0, true
+	return hs
+}
+
+// reclaim makes the delivered units spares: at every AwaitNext, and at
+// any blocking call after an AwaitBatch.
+func (r *Runtime) reclaim() {
+	for _, h := range r.delivered {
+		r.spare = append(r.spare, h.(*Unit))
+	}
+	r.delivered = r.delivered[:0]
+	r.lent = false
+}
+
 // SleepUntil blocks the orchestrator until virtual time t.
 func (r *Runtime) SleepUntil(t float64) {
+	if r.lent {
+		r.reclaim()
+	}
 	if d := t - r.proc.Now(); d > 0 {
 		r.proc.Sleep(d)
 	}
@@ -392,6 +455,9 @@ func (r *Runtime) SleepUntil(t float64) {
 
 // Overhead charges client-side (RepEx) overhead to the virtual clock.
 func (r *Runtime) Overhead(d float64) {
+	if r.lent {
+		r.reclaim()
+	}
 	if d <= 0 {
 		return
 	}
@@ -438,4 +504,5 @@ func stamped(ev []task.ResourceEvent, slot int) []task.ResourceEvent {
 var (
 	_ task.Runtime          = (*Runtime)(nil)
 	_ task.ResourceReporter = (*Runtime)(nil)
+	_ task.BatchAwaiter     = (*Runtime)(nil)
 )

@@ -47,20 +47,21 @@ func roundWakeups(t *testing.T, cores, units int) map[int]int {
 	return hist
 }
 
-// A unit wakes once at submission, once per metadata operation in (the
-// last one's wakeup is the end of the transfer), once at the end of its
-// launch latency, once when its execution ends and once per metadata
-// operation out: 1 + 3 + 1 + 1 + 2 = 8 with three files in and two out,
-// however many units contend for the metadata server and the launcher.
-// A unit that waits for cores (Mode II) wakes once more, at the grant.
+// A unit takes its first step at submission, inline (sim.Env.Start), so
+// it wakes once per metadata operation in (the last one's wakeup is the
+// end of the transfer), once at the end of its launch latency, once when
+// its execution ends and once per metadata operation out: 3 + 1 + 1 + 2
+// = 7 with three files in and two out, however many units contend for
+// the metadata server and the launcher. A unit that waits for cores
+// (Mode II) wakes once more, at the grant.
 func TestUnitWakeupCounts(t *testing.T) {
 	cases := []struct {
 		name         string
 		cores, units int
 		want         map[int]int // wakeups -> units
 	}{
-		{"mode1-barrier", 64, 64, map[int]int{8: 64}},
-		{"mode2", 16, 64, map[int]int{8: 16, 9: 48}},
+		{"mode1-barrier", 64, 64, map[int]int{7: 64}},
+		{"mode2", 16, 64, map[int]int{7: 16, 8: 48}},
 	}
 	for _, tc := range cases {
 		if got := roundWakeups(t, tc.cores, tc.units); !maps.Equal(got, tc.want) {
@@ -69,14 +70,15 @@ func TestUnitWakeupCounts(t *testing.T) {
 	}
 }
 
-// On virt_t4096_barrier's shape (1-D T-REMD, barrier, Mode I, 5 % exec
-// jitter on SuperMIC), at an eighth of its rungs, the kernel wakes at most
-// 8.5 times an MD completion: seven for the unit, about one for the
-// orchestrator, and the exchange phase spread over the round.
-func TestBarrierKernelEventsPerCompletion(t *testing.T) {
-	const rungs, cycles = 512, 3
+// barrierRun runs virt_t4096_barrier's shape (1-D T-REMD, barrier, Mode
+// I, 5 % exec jitter on SuperMIC) at the given size, with the machine's
+// failure rate scaled by failures, and returns the kernel events, the
+// orchestrator's wakeups and the MD completions.
+func barrierRun(t *testing.T, rungs, cycles int, failures float64) (events, wakeups, completions int) {
+	t.Helper()
 	machine := cluster.SuperMIC()
 	machine.ExecJitter = 0.05
+	machine.FailureProb *= failures
 	spec := &core.Spec{
 		Name:            "t-remd",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: core.GeometricTemperatures(273, 373, rungs)}},
@@ -92,8 +94,12 @@ func TestBarrierKernelEventsPerCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := 0
-	e.SetTrace(func(float64, string) { events++ })
+	e.SetTrace(func(_ float64, name string) {
+		events++
+		if name == "emm" {
+			wakeups++
+		}
+	})
 	var rep *core.Report
 	e.Go("emm", func(p *sim.Proc) {
 		simu, err := core.New(spec, engines.NewAmberVirtual(2881, 3), NewRuntime(pl, p))
@@ -109,16 +115,43 @@ func TestBarrierKernelEventsPerCompletion(t *testing.T) {
 	if rep == nil {
 		t.FailNow()
 	}
-	completions := 0
 	for _, r := range rep.Records {
 		completions += r.MD.Tasks
 	}
 	if completions != rungs*cycles {
 		t.Fatalf("%d MD completions, want %d", completions, rungs*cycles)
 	}
-	perCompletion := float64(events) / float64(completions)
-	if perCompletion > 8.5 {
-		t.Fatalf("%.2f kernel events an MD completion, want at most 8.5", perCompletion)
+	return events, wakeups, completions
+}
+
+// On virt_t4096_barrier's shape, at an eighth of its rungs and at full
+// size, the kernel wakes at most 6.5 times an MD completion: six for the
+// unit (its first step is taken at submission), and the exchange phase
+// and the orchestrator's few wakeups a round spread over the round.
+func TestBarrierKernelEventsPerCompletion(t *testing.T) {
+	for _, size := range []struct{ rungs, cycles int }{{512, 3}, {4096, 12}} {
+		events, _, completions := barrierRun(t, size.rungs, size.cycles, 1)
+		perCompletion := float64(events) / float64(completions)
+		if perCompletion > 6.5 {
+			t.Fatalf("%d x %d: %.2f kernel events an MD completion, want at most 6.5", size.rungs, size.cycles, perCompletion)
+		}
+		t.Logf("%d x %d: %.3f kernel events an MD completion (%d over %d)", size.rungs, size.cycles, perCompletion, events, completions)
 	}
-	t.Logf("%.3f kernel events an MD completion (%d over %d)", perCompletion, events, completions)
+}
+
+// Without failures the orchestrator wakes a fixed number of times a
+// barrier round, whatever the replica count: the round's last completion
+// (pilot.Runtime.AwaitBatch), its preparation overheads and the exchange
+// task, not once per MD completion.
+func TestBarrierOrchestratorWakeupsPerRound(t *testing.T) {
+	const cycles = 3
+	perRound := map[int]float64{}
+	for _, rungs := range []int{512, 4096} {
+		_, wakeups, _ := barrierRun(t, rungs, cycles, 0)
+		perRound[rungs] = float64(wakeups) / cycles
+	}
+	if perRound[512] != perRound[4096] || perRound[512] > 6 {
+		t.Fatalf("orchestrator wakeups a round: %v, want the same at both sizes, at most 6", perRound)
+	}
+	t.Logf("orchestrator wakeups a round: %v", perRound)
 }

@@ -25,12 +25,13 @@
 //     processes whose logic reads best as straight-line code (an
 //     orchestrator, a watchdog, a fault driver).
 //
-//   - A stepped process (Env.Spawn) has no goroutine: the loop calls its
-//     Stepper inline on every wakeup, and the stepper registers its next
-//     wakeup with the non-blocking forms (Proc.WakeIn, Delay.Wake,
-//     Delay.WakeAt, Signal.Enrol, Completion.Enrol, Resource.Request),
-//     reads the outcome flags (Proc.Notified, Granted, Aborted) on the
-//     wakeup after, and ends with Proc.Exit. The Proc lives in
+//   - A stepped process (Env.Spawn, Env.Start) has no goroutine: the
+//     loop calls its Stepper inline on every wakeup, and the stepper
+//     registers its next wakeup with the non-blocking forms (Proc.WakeIn,
+//     Delay.Wake, Delay.WakeAt, Signal.Enrol, Completion.Enrol,
+//     Resource.Request), reads the outcome flags (Proc.Notified, Granted,
+//     Aborted) on the wakeup after, and ends with Proc.Exit. Start takes
+//     the first step at once, Spawn queues it for now. The Proc lives in
 //     caller-owned storage, so a process and all its state are one
 //     allocation. Use it where there are many short-lived processes (one
 //     per compute unit); a wakeup is a method call.
@@ -374,6 +375,43 @@ func (e *Env) Spawn(p *Proc, s Stepper) {
 	*p = Proc{env: e, stepper: s}
 	e.admit(p)
 	e.schedule(p, e.now)
+}
+
+// Start starts a stepped process on caller-owned storage p like Spawn,
+// and saves Spawn's kernel event when it can. If no wakeup is due at the
+// current instant, Spawn's queued first step would be the next thing to
+// run, so s.Step(p) runs now, inline, before Start returns, with no
+// event and no trace call; otherwise the first step is queued, as Spawn
+// queues it. An inline step sees what a queued one would, and its
+// wakeups sort where a queued step's would, provided it schedules
+// nothing for the current instant, and the caller, before it yields to
+// the kernel, neither touches what the step reads or writes nor
+// schedules a wakeup for an instant the step schedules one for (the
+// step's would sort first; a queued step's sort last).
+func (e *Env) Start(p *Proc, s Stepper) {
+	if !e.quiet() {
+		e.Spawn(p, s)
+		return
+	}
+	*p = Proc{env: e, stepper: s}
+	e.admit(p)
+	p.gen++
+	s.Step(p)
+}
+
+// quiet reports whether no wakeup is due at the current instant: the
+// lane is empty, and the heap's and every delay queue's earliest event
+// are later.
+func (e *Env) quiet() bool {
+	if e.lane.len() > 0 || len(e.events) > 0 && e.events[0].t <= e.now {
+		return false
+	}
+	for i := range e.delays {
+		if q := &e.delays[i].q; q.len() > 0 && q.items[q.head].t <= e.now {
+			return false
+		}
+	}
+	return true
 }
 
 // admit gives a new process a slot in the process table.

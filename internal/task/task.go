@@ -244,6 +244,20 @@ type Runtime interface {
 	SleepUntil(t float64)
 }
 
+// BatchAwaiter is an optional Runtime extension for a caller with
+// nothing to do about a completion until n of them are pending, like the
+// synchronous pattern's barrier. AwaitBatch is AwaitNext that returns
+// once n watched completions are pending delivery (or the deadline
+// passes), and earlier only where the runtime's caller must act at a
+// completion's own time; what that is, the runtime says. Its handles
+// live shorter than AwaitNext's: the runtime may reuse them once the
+// caller next blocks on it (AwaitNext, AwaitBatch, Await, AwaitAll,
+// Overhead or SleepUntil), so the caller copies every Result before. A
+// runtime without it delivers completions one AwaitNext at a time.
+type BatchAwaiter interface {
+	AwaitBatch(n int, deadline float64) []Handle
+}
+
 // RunAll is a convenience that submits all specs and awaits all results.
 // The slice is AwaitAll's: it may be a buffer the runtime reuses at its
 // next AwaitAll, and so at the next RunAll on the same runtime. A caller
