@@ -436,6 +436,7 @@ func (r *Runtime) AwaitBatch(n int, deadline float64) []task.Handle {
 // reclaim makes the delivered units spares: at every AwaitNext, and at
 // any blocking call after an AwaitBatch.
 func (r *Runtime) reclaim() {
+	r.spare = slices.Grow(r.spare, len(r.delivered))
 	for _, h := range r.delivered {
 		r.spare = append(r.spare, h.(*Unit))
 	}
