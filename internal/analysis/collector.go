@@ -602,6 +602,53 @@ func cloneHistogram(h Histogram) Histogram {
 	return h
 }
 
+// The layouts of the collector state, matching the struct tags
+// (TestLayoutsMatchTags). A ring's or a walk's zero fields are left
+// out, as format 2 always left them out.
+var (
+	pairLayout = jsonx.NewLayout(
+		jsonx.Uint64("attempted", func(p *PairStat) *uint64 { return &p.Attempted }),
+		jsonx.Uint64("accepted", func(p *PairStat) *uint64 { return &p.Accepted }),
+	)
+	ringLayout = jsonx.NewLayout(
+		jsonx.At("outcomes", func(b *ring.Bool) *[]bool { return &b.Outcomes }, jsonx.Bools).OmitEmpty(),
+		jsonx.Int("head", func(b *ring.Bool) *int { return &b.Head }).OmitEmpty(),
+		jsonx.Int("n", func(b *ring.Bool) *int { return &b.N }).OmitEmpty(),
+		jsonx.Int("accepted", func(b *ring.Bool) *int { return &b.Accepted }).OmitEmpty(),
+	)
+	walkLayout = jsonx.NewLayout(
+		jsonx.Int("slot", func(k *walk) *int { return &k.Slot }),
+		jsonx.Int("start_end", func(k *walk) *int { return &k.StartEnd }),
+		jsonx.Int("start_at", func(k *walk) *int { return &k.StartAt }),
+		jsonx.Bool("armed", func(k *walk) *bool { return &k.Armed }).OmitEmpty(),
+		jsonx.Bool("seen_bottom", func(k *walk) *bool { return &k.SeenBottom }).OmitEmpty(),
+		jsonx.Bool("seen_top", func(k *walk) *bool { return &k.SeenTop }).OmitEmpty(),
+		jsonx.Int("round_trips", func(k *walk) *int { return &k.RoundTrips }).OmitEmpty(),
+		jsonx.Int("trip_events", func(k *walk) *int { return &k.TripEvents }).OmitEmpty(),
+		jsonx.At("trace", func(k *walk) *[]int { return &k.Trace }, jsonx.Ints).OmitEmpty(),
+	)
+	histogramLayout = jsonx.NewLayout(
+		jsonx.At("bounds", func(h *Histogram) *[]float64 { return &h.Bounds }, jsonx.Floats),
+		jsonx.At("counts", func(h *Histogram) *[]uint64 { return &h.Counts }, jsonx.Uint64s),
+		jsonx.Float("sum", func(h *Histogram) *float64 { return &h.Sum }),
+		jsonx.Uint64("count", func(h *Histogram) *uint64 { return &h.Count }),
+	)
+	stateLayout = jsonx.NewLayout(
+		jsonx.Int("events", func(st *state) *int { return &st.Events }),
+		jsonx.Int("md_segments", func(st *state) *int { return &st.MDSegments }),
+		jsonx.Int("md_failures", func(st *state) *int { return &st.MDFailures }),
+		jsonx.At("faults", func(st *state) *map[string]uint64 { return &st.Faults }, jsonx.Counts),
+		jsonx.At("pairs", func(st *state) *[][]PairStat { return &st.Pairs }, jsonx.Grid(jsonx.Object(pairLayout), false)),
+		jsonx.At("pair_windows", func(st *state) *[][]ring.Bool { return &st.PairWindows },
+			jsonx.Grid(jsonx.Object(ringLayout), true)).OmitEmpty(),
+		jsonx.At("walks", func(st *state) *[]walk { return &st.Walks }, jsonx.Array(jsonx.Object(walkLayout), true)),
+		jsonx.At("md_exec", func(st *state) *Histogram { return &st.MDExec }, jsonx.Object(histogramLayout)),
+		jsonx.At("exchange_overhead", func(st *state) *Histogram { return &st.ExchangeOvh }, jsonx.Object(histogramLayout)),
+		jsonx.Uint64("resource_events", func(st *state) *uint64 { return &st.ResourceEvents }).OmitEmpty(),
+		jsonx.Uint64("preemptions", func(st *state) *uint64 { return &st.Preemptions }).OmitEmpty(),
+	)
+)
+
 // EncodeState syncs and serializes the full collector state for
 // embedding in a core.Snapshot (the Analysis field): compact JSON, one
 // line per walk, fault kinds in sorted order, so equal states encode to
@@ -610,121 +657,11 @@ func (c *Collector) EncodeState() ([]byte, error) {
 	c.Sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := &c.st
-	w := &jsonx.Writer{Buf: make([]byte, 0, 4096+len(st.Walks)*(128+6*c.cfg.TraceLen))}
-	w.Raw("{")
-	w.Key("events").Int(st.Events)
-	w.Key("md_segments").Int(st.MDSegments)
-	w.Key("md_failures").Int(st.MDFailures)
-	w.Key("faults")
-	if st.Faults == nil {
-		w.Raw("null")
-	} else {
-		kinds := make([]string, 0, len(st.Faults))
-		for k := range st.Faults {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		w.Raw("{")
-		for i, k := range kinds {
-			if i > 0 {
-				w.Raw(",")
-			}
-			w.String(k) // a kind restored from a checkpoint can be any string
-			w.Raw(":")
-			w.Uint64(st.Faults[k])
-		}
-		w.Raw("}")
-	}
-	w.Key("pairs")
-	jsonx.WriteArray(w, st.Pairs, false, func(w *jsonx.Writer, row []PairStat) {
-		jsonx.WriteArray(w, row, false, func(w *jsonx.Writer, p PairStat) {
-			w.Raw("{")
-			w.Key("attempted").Uint64(p.Attempted)
-			w.Key("accepted").Uint64(p.Accepted)
-			w.Raw("}")
-		})
-	})
-	if len(st.PairWindows) > 0 {
-		w.Key("pair_windows")
-		jsonx.WriteArray(w, st.PairWindows, true, func(w *jsonx.Writer, row []ring.Bool) {
-			jsonx.WriteArray(w, row, false, writeRing)
-		})
-	}
-	w.Key("walks")
-	jsonx.WriteArray(w, st.Walks, true, writeWalk)
-	w.Key("md_exec")
-	writeHistogram(w, &st.MDExec)
-	w.Key("exchange_overhead")
-	writeHistogram(w, &st.ExchangeOvh)
-	if st.ResourceEvents != 0 {
-		w.Key("resource_events").Uint64(st.ResourceEvents)
-	}
-	if st.Preemptions != 0 {
-		w.Key("preemptions").Uint64(st.Preemptions)
-	}
-	w.Raw("}")
-	if err := w.Err(); err != nil {
+	buf, err := stateLayout.Encode(make([]byte, 0, 4096+len(c.st.Walks)*(128+6*c.cfg.TraceLen)), &c.st)
+	if err != nil {
 		return nil, fmt.Errorf("analysis: encoding collector state: %v", err)
 	}
-	return w.Buf, nil
-}
-
-// The writers below leave out what format 2 has always left out: a
-// ring's or a walk's zero fields.
-
-func writeRing(w *jsonx.Writer, r ring.Bool) {
-	w.Raw("{")
-	if len(r.Outcomes) > 0 {
-		w.Key("outcomes")
-		jsonx.WriteArray(w, r.Outcomes, false, (*jsonx.Writer).Bool)
-	}
-	if r.Head != 0 {
-		w.Key("head").Int(r.Head)
-	}
-	if r.N != 0 {
-		w.Key("n").Int(r.N)
-	}
-	if r.Accepted != 0 {
-		w.Key("accepted").Int(r.Accepted)
-	}
-	w.Raw("}")
-}
-
-func writeWalk(w *jsonx.Writer, k walk) {
-	w.Raw("{")
-	w.Key("slot").Int(k.Slot)
-	w.Key("start_end").Int(k.StartEnd)
-	w.Key("start_at").Int(k.StartAt)
-	if k.Armed {
-		w.Key("armed").Bool(true)
-	}
-	if k.SeenBottom {
-		w.Key("seen_bottom").Bool(true)
-	}
-	if k.SeenTop {
-		w.Key("seen_top").Bool(true)
-	}
-	if k.RoundTrips != 0 {
-		w.Key("round_trips").Int(k.RoundTrips)
-	}
-	if k.TripEvents != 0 {
-		w.Key("trip_events").Int(k.TripEvents)
-	}
-	if len(k.Trace) > 0 {
-		w.Key("trace").Ints(k.Trace)
-	}
-	w.Raw("}")
-}
-
-func writeHistogram(w *jsonx.Writer, h *Histogram) {
-	w.Raw("{")
-	w.Key("bounds").Floats(h.Bounds)
-	w.Key("counts")
-	jsonx.WriteArray(w, h.Counts, false, (*jsonx.Writer).Uint64)
-	w.Key("sum").Float(h.Sum)
-	w.Key("count").Uint64(h.Count)
-	w.Raw("}")
+	return buf, nil
 }
 
 // SeedResume aligns a fresh collector with a resumed simulation whose
@@ -836,128 +773,8 @@ func (c *Collector) Restore(data []byte) error {
 // histogram vectors are cut from one shared array per element type,
 // each without spare capacity: applyExchange appends to a trace.
 func decodeState(data []byte) (st state, err error) {
-	var (
-		ints   []int
-		bools  []bool
-		floats []float64
-		counts []uint64
-		pairs  []PairStat
-		rings  []ring.Bool
-		rows   [][]PairStat
-		wins   [][]ring.Bool
-		walks  []walk
-	)
-	histogram := func(r *jsonx.Reader) (h Histogram) {
-		for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-			switch string(k) {
-			case "bounds":
-				h.Bounds = r.Floats(&floats)
-			case "counts":
-				h.Counts = jsonx.ReadArray(r, &counts, (*jsonx.Reader).Uint64)
-			case "sum":
-				h.Sum = r.Float()
-			case "count":
-				h.Count = r.Uint64()
-			default:
-				r.Skip()
-			}
-		}
-		return h
-	}
-	r := jsonx.NewReader(data)
-	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		switch string(k) {
-		case "events":
-			st.Events = r.Int()
-		case "md_segments":
-			st.MDSegments = r.Int()
-		case "md_failures":
-			st.MDFailures = r.Int()
-		case "faults":
-			if r.Null() {
-				break
-			}
-			st.Faults = map[string]uint64{}
-			for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-				st.Faults[string(k)] = r.Uint64()
-			}
-		case "pairs":
-			st.Pairs = jsonx.ReadArray(r, &rows, func(r *jsonx.Reader) []PairStat {
-				return jsonx.ReadArray(r, &pairs, func(r *jsonx.Reader) (p PairStat) {
-					for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-						switch string(k) {
-						case "attempted":
-							p.Attempted = r.Uint64()
-						case "accepted":
-							p.Accepted = r.Uint64()
-						default:
-							r.Skip()
-						}
-					}
-					return p
-				})
-			})
-		case "pair_windows":
-			st.PairWindows = jsonx.ReadArray(r, &wins, func(r *jsonx.Reader) []ring.Bool {
-				return jsonx.ReadArray(r, &rings, func(r *jsonx.Reader) (b ring.Bool) {
-					for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-						switch string(k) {
-						case "outcomes":
-							b.Outcomes = jsonx.ReadArray(r, &bools, (*jsonx.Reader).Bool)
-						case "head":
-							b.Head = r.Int()
-						case "n":
-							b.N = r.Int()
-						case "accepted":
-							b.Accepted = r.Int()
-						default:
-							r.Skip()
-						}
-					}
-					return b
-				})
-			})
-		case "walks":
-			st.Walks = jsonx.ReadArray(r, &walks, func(r *jsonx.Reader) (w walk) {
-				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-					switch string(k) {
-					case "slot":
-						w.Slot = r.Int()
-					case "start_end":
-						w.StartEnd = r.Int()
-					case "start_at":
-						w.StartAt = r.Int()
-					case "armed":
-						w.Armed = r.Bool()
-					case "seen_bottom":
-						w.SeenBottom = r.Bool()
-					case "seen_top":
-						w.SeenTop = r.Bool()
-					case "round_trips":
-						w.RoundTrips = r.Int()
-					case "trip_events":
-						w.TripEvents = r.Int()
-					case "trace":
-						w.Trace = r.Ints(&ints)
-					default:
-						r.Skip()
-					}
-				}
-				return w
-			})
-		case "md_exec":
-			st.MDExec = histogram(r)
-		case "exchange_overhead":
-			st.ExchangeOvh = histogram(r)
-		case "resource_events":
-			st.ResourceEvents = r.Uint64()
-		case "preemptions":
-			st.Preemptions = r.Uint64()
-		default:
-			r.Skip()
-		}
-	}
-	return st, r.End()
+	_, err = stateLayout.Decode(data, &st)
+	return st, err
 }
 
 // WeightedRatio returns the attempt-weighted mean acceptance ratio over

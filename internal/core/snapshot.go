@@ -104,6 +104,51 @@ type ReplayableEngine interface {
 	ReplayRNG(n int64)
 }
 
+// The format-2 layouts: each record's fields in the order Encode writes
+// them, matching the struct tags (TestLayoutsMatchTags).
+var (
+	replicaLayout = jsonx.NewLayout(
+		jsonx.Int("id", func(rs *ReplicaState) *int { return &rs.ID }),
+		jsonx.Int("slot", func(rs *ReplicaState) *int { return &rs.Slot }),
+		jsonx.Int("cycle", func(rs *ReplicaState) *int { return &rs.Cycle }),
+		jsonx.Float("energy", func(rs *ReplicaState) *float64 { return &rs.Energy }),
+		jsonx.At("synth", func(rs *ReplicaState) *[]float64 { return &rs.Synth }, jsonx.Floats).OmitEmpty(),
+		jsonx.Bool("alive", func(rs *ReplicaState) *bool { return &rs.Alive }),
+		jsonx.Int("retries", func(rs *ReplicaState) *int { return &rs.Retries }),
+	)
+	respaceLayout = jsonx.NewLayout(
+		jsonx.Float("at", func(rec *RespaceRecord) *float64 { return &rec.At }),
+		jsonx.Int("event", func(rec *RespaceRecord) *int { return &rec.Event }),
+		jsonx.Int("dim", func(rec *RespaceRecord) *int { return &rec.Dim }),
+		jsonx.Int("refit", func(rec *RespaceRecord) *int { return &rec.Refit }),
+		jsonx.At("old", func(rec *RespaceRecord) *[]float64 { return &rec.Old }, jsonx.Floats),
+		jsonx.At("new", func(rec *RespaceRecord) *[]float64 { return &rec.New }, jsonx.Floats),
+	)
+	snapshotLayout = jsonx.NewLayout(
+		jsonx.Int("version", func(sn *Snapshot) *int { return &sn.Version }),
+		jsonx.String("name", func(sn *Snapshot) *string { return &sn.Name }),
+		jsonx.String("trigger", func(sn *Snapshot) *string { return &sn.Trigger }),
+		jsonx.At("trigger_data", func(sn *Snapshot) *json.RawMessage { return &sn.TriggerData }, jsonx.Blob).OmitEmpty(),
+		jsonx.Int("events", func(sn *Snapshot) *int { return &sn.Events }),
+		jsonx.Float("elapsed", func(sn *Snapshot) *float64 { return &sn.Elapsed }),
+		jsonx.Int64("rng_draws", func(sn *Snapshot) *int64 { return &sn.RNGDraws }),
+		jsonx.Int64("engine_draws", func(sn *Snapshot) *int64 { return &sn.EngineDraws }),
+		jsonx.At("replicas", func(sn *Snapshot) *[]ReplicaState { return &sn.Replicas },
+			jsonx.Array(jsonx.Object(replicaLayout), true)),
+		jsonx.At("slot_history", func(sn *Snapshot) *[][]int { return &sn.SlotHistory }, jsonx.Array(jsonx.Ints, true)),
+		jsonx.Int("slot_rows", func(sn *Snapshot) *int { return &sn.SlotRows }).OmitEmpty(),
+		jsonx.Uint64("slot_fingerprint", func(sn *Snapshot) *uint64 { return &sn.SlotFingerprint }).OmitEmpty(),
+		jsonx.Int("dropped", func(sn *Snapshot) *int { return &sn.Dropped }),
+		jsonx.Int("relaunches", func(sn *Snapshot) *int { return &sn.Relaunches }),
+		jsonx.Float("md_exec_core_seconds", func(sn *Snapshot) *float64 { return &sn.MDExecCoreSeconds }),
+		jsonx.At("analysis", func(sn *Snapshot) *json.RawMessage { return &sn.Analysis }, jsonx.Blob).OmitEmpty(),
+		jsonx.At("dim_values", func(sn *Snapshot) *[][]float64 { return &sn.DimValues },
+			jsonx.Array(jsonx.Floats, false)).OmitEmpty(),
+		jsonx.At("respacings", func(sn *Snapshot) *[]RespaceRecord { return &sn.Respacings },
+			jsonx.Array(jsonx.Object(respaceLayout), true)).OmitEmpty(),
+	)
+)
+
 // Encode serializes the snapshot as format-2 JSON: compact, with one
 // line per replica and per slot-history row. It fails on a NaN or
 // infinite float (energies, synthetic coordinates, ladder values) and
@@ -112,70 +157,11 @@ type ReplayableEngine interface {
 // encoding/json reads it back to the same value.
 func (sn *Snapshot) Encode() ([]byte, error) {
 	size := 1024 + len(sn.TriggerData) + len(sn.Analysis) + (128+6*len(sn.SlotHistory))*len(sn.Replicas)
-	w := &jsonx.Writer{Buf: make([]byte, 0, size)}
-	w.Raw("{")
-	w.Key("version").Int(sn.Version)
-	w.Key("name").String(sn.Name)
-	w.Key("trigger").String(sn.Trigger)
-	if len(sn.TriggerData) > 0 {
-		w.Key("trigger_data").Blob(sn.TriggerData)
-	}
-	w.Key("events").Int(sn.Events)
-	w.Key("elapsed").Float(sn.Elapsed)
-	w.Key("rng_draws").Int64(sn.RNGDraws)
-	w.Key("engine_draws").Int64(sn.EngineDraws)
-	w.Key("replicas")
-	jsonx.WriteArray(w, sn.Replicas, true, writeReplica)
-	w.Key("slot_history")
-	jsonx.WriteArray(w, sn.SlotHistory, true, (*jsonx.Writer).Ints)
-	if sn.SlotRows != 0 {
-		w.Key("slot_rows").Int(sn.SlotRows)
-	}
-	if sn.SlotFingerprint != 0 {
-		w.Key("slot_fingerprint").Uint64(sn.SlotFingerprint)
-	}
-	w.Key("dropped").Int(sn.Dropped)
-	w.Key("relaunches").Int(sn.Relaunches)
-	w.Key("md_exec_core_seconds").Float(sn.MDExecCoreSeconds)
-	if len(sn.Analysis) > 0 {
-		w.Key("analysis").Blob(sn.Analysis)
-	}
-	if len(sn.DimValues) > 0 {
-		w.Key("dim_values")
-		jsonx.WriteArray(w, sn.DimValues, false, (*jsonx.Writer).Floats)
-	}
-	if len(sn.Respacings) > 0 {
-		w.Key("respacings")
-		jsonx.WriteArray(w, sn.Respacings, true, func(w *jsonx.Writer, rec RespaceRecord) {
-			w.Raw("{")
-			w.Key("at").Float(rec.At)
-			w.Key("event").Int(rec.Event)
-			w.Key("dim").Int(rec.Dim)
-			w.Key("refit").Int(rec.Refit)
-			w.Key("old").Floats(rec.Old)
-			w.Key("new").Floats(rec.New)
-			w.Raw("}")
-		})
-	}
-	w.Raw("}\n")
-	if err := w.Err(); err != nil {
+	buf, err := snapshotLayout.Encode(make([]byte, 0, size), sn)
+	if err != nil {
 		return nil, fmt.Errorf("core: encoding snapshot: %v", err)
 	}
-	return w.Buf, nil
-}
-
-func writeReplica(w *jsonx.Writer, rs ReplicaState) {
-	w.Raw("{")
-	w.Key("id").Int(rs.ID)
-	w.Key("slot").Int(rs.Slot)
-	w.Key("cycle").Int(rs.Cycle)
-	w.Key("energy").Float(rs.Energy)
-	if len(rs.Synth) > 0 {
-		w.Key("synth").Floats(rs.Synth)
-	}
-	w.Key("alive").Bool(rs.Alive)
-	w.Key("retries").Int(rs.Retries)
-	w.Raw("}")
+	return append(buf, '\n'), nil
 }
 
 // DecodeSnapshot parses a snapshot produced by Encode, by this build or
@@ -188,100 +174,7 @@ func writeReplica(w *jsonx.Writer, rs ReplicaState) {
 // spare capacity.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn := new(Snapshot)
-	var (
-		ints   []int
-		floats []float64
-		rows   [][]int
-		reps   []ReplicaState
-		grids  [][]float64
-		recs   []RespaceRecord
-	)
-	r := jsonx.NewReader(data)
-	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		switch string(k) {
-		case "version":
-			sn.Version = r.Int()
-		case "name":
-			sn.Name = r.String()
-		case "trigger":
-			sn.Trigger = r.String()
-		case "trigger_data":
-			sn.TriggerData = append(sn.TriggerData, r.Raw()...)
-		case "events":
-			sn.Events = r.Int()
-		case "elapsed":
-			sn.Elapsed = r.Float()
-		case "rng_draws":
-			sn.RNGDraws = r.Int64()
-		case "engine_draws":
-			sn.EngineDraws = r.Int64()
-		case "replicas":
-			sn.Replicas = jsonx.ReadArray(r, &reps, func(r *jsonx.Reader) (rs ReplicaState) {
-				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-					switch string(k) {
-					case "id":
-						rs.ID = r.Int()
-					case "slot":
-						rs.Slot = r.Int()
-					case "cycle":
-						rs.Cycle = r.Int()
-					case "energy":
-						rs.Energy = r.Float()
-					case "synth":
-						rs.Synth = r.Floats(&floats)
-					case "alive":
-						rs.Alive = r.Bool()
-					case "retries":
-						rs.Retries = r.Int()
-					default:
-						r.Skip()
-					}
-				}
-				return rs
-			})
-		case "slot_history":
-			sn.SlotHistory = jsonx.ReadArray(r, &rows, func(r *jsonx.Reader) []int { return r.Ints(&ints) })
-		case "slot_rows":
-			sn.SlotRows = r.Int()
-		case "slot_fingerprint":
-			sn.SlotFingerprint = r.Uint64()
-		case "dropped":
-			sn.Dropped = r.Int()
-		case "relaunches":
-			sn.Relaunches = r.Int()
-		case "md_exec_core_seconds":
-			sn.MDExecCoreSeconds = r.Float()
-		case "analysis":
-			sn.Analysis = append(sn.Analysis, r.Raw()...)
-		case "dim_values":
-			sn.DimValues = jsonx.ReadArray(r, &grids, func(r *jsonx.Reader) []float64 { return r.Floats(&floats) })
-		case "respacings":
-			sn.Respacings = jsonx.ReadArray(r, &recs, func(r *jsonx.Reader) (rec RespaceRecord) {
-				for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-					switch string(k) {
-					case "at":
-						rec.At = r.Float()
-					case "event":
-						rec.Event = r.Int()
-					case "dim":
-						rec.Dim = r.Int()
-					case "refit":
-						rec.Refit = r.Int()
-					case "old":
-						rec.Old = r.Floats(&floats)
-					case "new":
-						rec.New = r.Floats(&floats)
-					default:
-						r.Skip()
-					}
-				}
-				return rec
-			})
-		default:
-			r.Skip()
-		}
-	}
-	if err := r.End(); err != nil {
+	if _, err := snapshotLayout.Decode(data, sn); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %v", err)
 	}
 	if sn.Version != SnapshotVersion {

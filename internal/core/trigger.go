@@ -310,29 +310,6 @@ func (e *execStats) add(x float64) {
 	e.m2 += d * (x - e.mean)
 }
 
-// encode writes the accumulator as three fields under the given keys.
-func (e *execStats) encode(w *jsonx.Writer, n, mean, m2 string) {
-	w.Key(n).Int(e.n)
-	w.Key(mean).Float(e.mean)
-	w.Key(m2).Float(e.m2)
-}
-
-// decode reads key's value when key is one of the three encode wrote,
-// and reports whether it was.
-func (e *execStats) decode(r *jsonx.Reader, key, n, mean, m2 string) bool {
-	switch key {
-	case n:
-		e.n = r.Int()
-	case mean:
-		e.mean = r.Float()
-	case m2:
-		e.m2 = r.Float()
-	default:
-		return false
-	}
-	return true
-}
-
 // check rejects a restored accumulator that no sequence of add calls
 // leaves behind (its window would be NaN).
 func (e *execStats) check() error {
@@ -412,34 +389,30 @@ func (t *AdaptiveTrigger) window() float64 {
 // Reset opens the next window at the adapted length.
 func (t *AdaptiveTrigger) Reset(st TriggerState) { t.windowEnd = st.Now + t.window() }
 
+// adaptiveLayout is the adaptive trigger's state: its dispersion
+// estimate.
+var adaptiveLayout = jsonx.NewLayout(
+	jsonx.Int("n", func(t *AdaptiveTrigger) *int { return &t.stats.n }),
+	jsonx.Float("mean", func(t *AdaptiveTrigger) *float64 { return &t.stats.mean }),
+	jsonx.Float("m2", func(t *AdaptiveTrigger) *float64 { return &t.stats.m2 }),
+)
+
 // EncodeState serializes the dispersion estimate (StatefulTrigger), so
 // a resumed adaptive run reopens its window at the adapted length
 // instead of falling back to Initial.
-func (t *AdaptiveTrigger) EncodeState() ([]byte, error) {
-	w := &jsonx.Writer{}
-	w.Raw("{")
-	t.stats.encode(w, "n", "mean", "m2")
-	w.Raw("}")
-	return w.Buf, w.Err()
-}
+func (t *AdaptiveTrigger) EncodeState() ([]byte, error) { return adaptiveLayout.Encode(nil, t) }
 
 // RestoreState replaces the dispersion estimate with one produced by
-// EncodeState (StatefulTrigger).
+// EncodeState (StatefulTrigger). Unknown keys are skipped.
 func (t *AdaptiveTrigger) RestoreState(data []byte) error {
-	var st execStats
-	r := jsonx.NewReader(data)
-	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		if !st.decode(r, string(k), "n", "mean", "m2") {
-			r.Skip()
-		}
-	}
-	if err := r.End(); err != nil {
+	var read AdaptiveTrigger
+	if _, err := adaptiveLayout.Decode(data, &read); err != nil {
 		return fmt.Errorf("core: decoding adaptive trigger state: %v", err)
 	}
-	if err := st.check(); err != nil {
+	if err := read.stats.check(); err != nil {
 		return fmt.Errorf("core: adaptive trigger %v", err)
 	}
-	t.stats = st
+	t.stats = read.stats
 	return nil
 }
 
@@ -883,120 +856,79 @@ func (t *FeedbackTrigger) Reset(st TriggerState) {
 	t.mu.Unlock()
 }
 
+// The feedback trigger's state: one controller a dimension, then the
+// shared warm-up estimate. A dimension's zero fields are left out,
+// except the override: its -1 is "follow the base MinReady" and its 0 a
+// setting. Its measurement ring is written oldest first and read back
+// as a plain list, which RestoreState re-rings.
+var (
+	feedbackDimLayout = jsonx.NewLayout(
+		jsonx.Custom("outcomes",
+			func(w *jsonx.Writer, dd *feedbackDim) {
+				jsonx.WriteArray(w, dd.win.Linear(), false, (*jsonx.Writer).Bool)
+			},
+			func(r *jsonx.Reader, dd *feedbackDim) {
+				dd.win.Outcomes = jsonx.ReadArray(r, new([]bool), (*jsonx.Reader).Bool)
+			},
+			func(dd *feedbackDim) bool { return dd.win.N == 0 }).OmitEmpty(),
+		jsonx.Float("cur", func(dd *feedbackDim) *float64 { return &dd.cur }).OmitEmpty(),
+		jsonx.Bool("active", func(dd *feedbackDim) *bool { return &dd.active }).OmitEmpty(),
+		jsonx.Float("integ", func(dd *feedbackDim) *float64 { return &dd.integ }).OmitEmpty(),
+		jsonx.Int("sat_run", func(dd *feedbackDim) *int { return &dd.satRun }).OmitEmpty(),
+		jsonx.Bool("saturated", func(dd *feedbackDim) *bool { return &dd.saturated }).OmitEmpty(),
+		jsonx.Int("min_ready_override", func(dd *feedbackDim) *int { return &dd.minReadyOverride }),
+	)
+	feedbackLayout = jsonx.NewLayout(
+		jsonx.At("dims", func(t *FeedbackTrigger) *[]feedbackDim { return &t.dims },
+			jsonx.Array(jsonx.Object(feedbackDimLayout), false)).OmitEmpty(),
+		jsonx.Int("warm_n", func(t *FeedbackTrigger) *int { return &t.warm.n }),
+		jsonx.Float("warm_mean", func(t *FeedbackTrigger) *float64 { return &t.warm.mean }),
+		jsonx.Float("warm_m2", func(t *FeedbackTrigger) *float64 { return &t.warm.m2 }),
+	)
+)
+
 // EncodeState serializes the controller state (StatefulTrigger).
 func (t *FeedbackTrigger) EncodeState() ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := &jsonx.Writer{}
-	w.Raw("{")
-	if len(t.dims) > 0 {
-		w.Key("dims")
-		jsonx.WriteArray(w, t.dims, false, writeFeedbackDim)
-	}
-	t.warm.encode(w, "warm_n", "warm_mean", "warm_m2")
-	w.Raw("}")
-	return w.Buf, w.Err()
-}
-
-// writeFeedbackDim writes one dimension's controller state, the
-// measurement ring oldest first. Zero fields are left out, except the
-// override: its -1 is "follow the base MinReady" and its 0 a setting.
-func writeFeedbackDim(w *jsonx.Writer, dd feedbackDim) {
-	w.Raw("{")
-	if dd.win.N > 0 {
-		w.Key("outcomes")
-		jsonx.WriteArray(w, dd.win.Linear(), false, (*jsonx.Writer).Bool)
-	}
-	if dd.cur != 0 {
-		w.Key("cur").Float(dd.cur)
-	}
-	if dd.active {
-		w.Key("active").Bool(true)
-	}
-	if dd.integ != 0 {
-		w.Key("integ").Float(dd.integ)
-	}
-	if dd.satRun != 0 {
-		w.Key("sat_run").Int(dd.satRun)
-	}
-	if dd.saturated {
-		w.Key("saturated").Bool(true)
-	}
-	w.Key("min_ready_override").Int(dd.minReadyOverride)
-	w.Raw("}")
-}
-
-// readDim reads what writeFeedbackDim wrote, dropping outcomes beyond
-// this trigger's WindowEvents oldest-first; unknown takes a key that is
-// not part of the layout.
-func (t *FeedbackTrigger) readDim(r *jsonx.Reader, unknown *string) (dd feedbackDim) {
-	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		switch string(k) {
-		case "outcomes":
-			for more := !r.Null() && r.FirstElem(); more; more = r.NextElem() {
-				dd.win.Push(r.Bool(), t.windowEvents())
-			}
-		case "cur":
-			dd.cur = r.Float()
-		case "active":
-			dd.active = r.Bool()
-		case "integ":
-			dd.integ = r.Float()
-		case "sat_run":
-			dd.satRun = r.Int()
-		case "saturated":
-			dd.saturated = r.Bool()
-		case "min_ready_override":
-			dd.minReadyOverride = r.Int()
-		default:
-			*unknown = string(k)
-			r.Skip()
-		}
-	}
-	return dd
+	return feedbackLayout.Encode(nil, t)
 }
 
 // RestoreState replaces the controller state with one produced by
-// EncodeState (StatefulTrigger).
+// EncodeState (StatefulTrigger), dropping outcomes beyond this
+// trigger's WindowEvents oldest-first.
 func (t *FeedbackTrigger) RestoreState(data []byte) error {
-	// The controllers are built aside and swapped in only on success, so
+	// The controllers are read aside and swapped in only on success, so
 	// a caller that handles the error keeps a consistent trigger instead
 	// of a half-restored one.
-	var (
-		dims    []feedbackDim
-		warm    execStats
-		unknown string
-	)
-	r := jsonx.NewReader(data)
-	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
-		if string(k) == "dims" {
-			dims = jsonx.ReadArray(r, &dims, func(r *jsonx.Reader) feedbackDim { return t.readDim(r, &unknown) })
-		} else if !warm.decode(r, string(k), "warm_n", "warm_mean", "warm_m2") {
-			unknown = string(k)
-			r.Skip()
-		}
-	}
-	if err := r.End(); err != nil {
+	var read FeedbackTrigger
+	unknown, err := feedbackLayout.Decode(data, &read)
+	if err != nil {
 		return fmt.Errorf("core: decoding feedback trigger state: %v", err)
 	}
 	// Strict: state with fields this build does not know (the
 	// single-controller layout of snapshot format 1) is an error, never a
 	// silently empty controller.
-	if unknown != "" {
+	if unknown != nil {
 		return fmt.Errorf("core: decoding feedback trigger state: unknown field %q", unknown)
 	}
-	if err := warm.check(); err != nil {
+	if err := read.warm.check(); err != nil {
 		return fmt.Errorf("core: feedback trigger warm-up %v", err)
 	}
-	for d := range dims {
-		if dd := &dims[d]; dd.active && dd.cur <= 0 {
+	for d := range read.dims {
+		if dd := &read.dims[d]; dd.active && dd.cur <= 0 {
 			return fmt.Errorf("core: feedback trigger state for dimension %d is active with window %g", d, dd.cur)
 		} else if dd.minReadyOverride < -1 {
 			return fmt.Errorf("core: feedback trigger state for dimension %d has min-ready override %d", d, dd.minReadyOverride)
 		}
+		outcomes := read.dims[d].win.Outcomes
+		read.dims[d].win = ring.Bool{}
+		for _, v := range outcomes {
+			read.dims[d].win.Push(v, t.windowEvents())
+		}
 	}
 	t.mu.Lock()
-	t.dims, t.warm = dims, warm
+	t.dims, t.warm = read.dims, read.warm
 	t.mu.Unlock()
 	return nil
 }

@@ -127,20 +127,25 @@ func (w *Writer) Floats(v []float64) { WriteArray(w, v, false, (*Writer).Float) 
 // WriteArray writes v as an array, on one line or (rows) one line an
 // element; a nil slice is written as null.
 func WriteArray[T any](w *Writer, v []T, rows bool, elem func(*Writer, T)) {
+	writeArray(w, v, rows, func(w *Writer, p *T) { elem(w, *p) })
+}
+
+// writeArray is WriteArray with each element passed by address.
+func writeArray[T any](w *Writer, v []T, rows bool, elem func(*Writer, *T)) {
 	if v == nil {
 		w.Raw("null")
 		return
 	}
 	rows = rows && len(v) > 0
 	w.Buf = append(w.Buf, '[')
-	for i, e := range v {
+	for i := range v {
 		if i > 0 {
 			w.Buf = append(w.Buf, ',')
 		}
 		if rows {
 			w.Buf = append(w.Buf, '\n')
 		}
-		elem(w, e)
+		elem(w, &v[i])
 	}
 	if rows {
 		w.Buf = append(w.Buf, '\n')
@@ -159,9 +164,18 @@ type Reader struct {
 	pos  int
 	err  error
 	// keys holds the keys seen so far in every open object, innermost
-	// last; marks the index each open object's keys start at.
+	// last; marks[:depth] the index each open object's keys start at.
 	keys  [][]byte
-	marks []int
+	marks [MaxDepth]int
+	depth int
+	// The arrays of scalars a Layout reads share one backing array per
+	// element type (the Ints, Floats, Bools and Uint64s kinds), and
+	// unknown keeps the first key no layout declared.
+	ints    []int
+	floats  []float64
+	bools   []bool
+	uints   []uint64
+	unknown []byte
 }
 
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
@@ -225,17 +239,21 @@ func (r *Reader) Bool() bool {
 
 // push opens one level of nesting whose keys start here.
 func (r *Reader) push() bool {
-	if len(r.marks) >= MaxDepth {
+	if r.depth == MaxDepth {
 		r.fail("nesting deeper than %d", MaxDepth)
 		return false
 	}
-	r.marks = append(r.marks, len(r.keys))
+	if r.keys == nil {
+		r.keys = make([][]byte, 0, 32) // a checkpoint's open objects hold fewer
+	}
+	r.marks[r.depth] = len(r.keys)
+	r.depth++
 	return true
 }
 
 func (r *Reader) pop() {
-	r.keys = r.keys[:r.marks[len(r.marks)-1]]
-	r.marks = r.marks[:len(r.marks)-1]
+	r.depth--
+	r.keys = r.keys[:r.marks[r.depth]]
 }
 
 // FirstKey opens an object and returns its first key; false for an
@@ -278,7 +296,7 @@ func (r *Reader) key() ([]byte, bool) {
 		r.fail("expected a key and a colon")
 		return nil, false
 	}
-	for _, seen := range r.keys[r.marks[len(r.marks)-1]:] {
+	for _, seen := range r.keys[r.marks[r.depth-1]:] {
 		if string(seen) == string(k) {
 			r.fail("duplicate key %q", k)
 			return nil, false
@@ -313,12 +331,19 @@ func (r *Reader) NextElem() bool {
 // that share a backing array cannot grow into each other. Null reads as
 // nil, [] as empty.
 func ReadArray[T any](r *Reader, backing *[]T, elem func(*Reader) T) []T {
+	return readArray(r, backing, func(r *Reader, p *T) { *p = elem(r) })
+}
+
+// readArray is ReadArray with each element read in place.
+func readArray[T any](r *Reader, backing *[]T, elem func(*Reader, *T)) []T {
 	if r.Null() {
 		return nil
 	}
 	start := len(*backing)
+	var zero T
 	for ok := r.FirstElem(); ok; ok = r.NextElem() {
-		*backing = append(*backing, elem(r))
+		*backing = append(*backing, zero)
+		elem(r, &(*backing)[len(*backing)-1])
 	}
 	return tail(*backing, start)
 }

@@ -32,6 +32,7 @@ var unreached = map[string]string{
 	"core.Simulation.SlotParams":         "tests read the parameters a slot was built with (pH ladder, umbrella centres)",
 	"engines.Real.WindowCount":           "the real-engine test counts the windows an MD task sampled",
 	"exchange.AcceptanceRatio":           "TestSweepRespectsProbabilities measures Sweep's decisions through it",
+	"jsonx.Layout.CheckTags":             "the layout tests hold each tagged checkpoint record's layout to its json tags, encoding/json's view of the same record",
 	"localexec.handle.Done":              "task.Handle's Done: TestRuntimeContract (internal/task/tasktest) and benchmark/nullrt_test.go check a delivered handle through it",
 	"md.Box.Volume":                      "TestBuildLJFluid checks the built density",
 	"md.BuildSolvatedDipeptide":          "fixture of kernel.golden and the periodic-system tests",
