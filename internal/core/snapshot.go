@@ -269,6 +269,10 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		return fmt.Errorf("core: snapshot has %d replicas, spec %q has %d",
 			len(sn.Replicas), s.spec.Name, len(s.replicas))
 	}
+	if sn.Events < 0 {
+		// newDispatcher resumes the dimension cycle at Events.
+		return fmt.Errorf("core: snapshot of %q has %d exchange events", sn.Name, sn.Events)
+	}
 	if sn.SlotFingerprint == 0 {
 		// Even an event-0 snapshot carries the FNV offset basis.
 		return fmt.Errorf("core: snapshot of %q carries no slot fingerprint", sn.Name)
@@ -309,17 +313,16 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		}
 		seenSlot[rs.Slot] = true
 		r := s.replicas[rs.ID]
+		if len(rs.Synth) != len(r.Synth) {
+			return fmt.Errorf("core: snapshot replica %d has %d coordinates, engine %q carves %d",
+				rs.ID, len(rs.Synth), s.engine.Name(), len(r.Synth))
+		}
+		copy(r.Synth, rs.Synth) // into the array the engine carved
 		r.Slot = rs.Slot
 		r.Cycle = rs.Cycle
 		r.Energy = rs.Energy
 		r.Alive = rs.Alive
 		r.Retries = rs.Retries
-		switch {
-		case len(rs.Synth) == len(r.Synth):
-			copy(r.Synth, rs.Synth) // into the array the engine carved
-		case len(rs.Synth) > 0:
-			r.Synth = append([]float64(nil), rs.Synth...)
-		}
 		s.takeSlotParams(r)
 		s.replicaAt[r.Slot] = r.ID
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/localexec"
 )
 
@@ -136,9 +137,9 @@ func TestResumeValidation(t *testing.T) {
 	runVirtual(t, spec, quietCluster(), 6, 2881)
 	snap := snaps[0]
 
-	eng := func() *replayRNGEngine {
-		return &replayRNGEngine{rngEngine: rngEngine{rng: rand.New(rand.NewSource(5))}}
-	}
+	// The engine the snapshot was taken with, carving the same
+	// coordinates a replica.
+	eng := func() core.Engine { return engines.NewAmberVirtual(2881, spec.Seed+2) }
 
 	// An engine that cannot restore its own state is refused by name.
 	plain := smallTREMD(6, 2)
@@ -227,6 +228,26 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("refit record on a missing dimension: %v", err)
 	}
 
+	// Impossible counters, each of which the run would otherwise panic
+	// on: a negative event count (the dimension it resumes at) and a
+	// replica with fewer coordinates than the engine carves.
+	for name, corrupt := range map[string]func(*core.Snapshot){
+		"negative events": func(sn *core.Snapshot) { sn.Events = -1 },
+		"short synth":     func(sn *core.Snapshot) { sn.Replicas[2].Synth = sn.Replicas[2].Synth[:1] },
+		"no synth":        func(sn *core.Snapshot) { sn.Replicas[0].Synth = nil },
+	} {
+		bad, err := core.DecodeSnapshot(mustEncode(t, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(bad)
+		resumed := smallTREMD(6, 2)
+		resumed.Resume = bad
+		if _, err := core.New(resumed, eng(), localexec.New(8)); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+
 	// Wrong simulation: a snapshot from a different run name.
 	renamed := smallTREMD(6, 2)
 	renamed.Name = "some-other-simulation"
@@ -252,26 +273,5 @@ func TestSnapshotsDisabledByDefault(t *testing.T) {
 	runVirtual(t, spec, quietCluster(), 4, 2881)
 	if called {
 		t.Fatal("snapshot captured without SnapshotEvery")
-	}
-}
-
-// replayRNGEngine is rngEngine with its draws counted and replayed from
-// its seed, so New lets it resume.
-type replayRNGEngine struct {
-	rngEngine
-	draws int64
-}
-
-func (e *replayRNGEngine) OwnEnergy(r *core.Replica) float64 {
-	e.draws++
-	return e.rngEngine.OwnEnergy(r)
-}
-
-func (e *replayRNGEngine) RNGDraws() int64 { return e.draws }
-
-func (e *replayRNGEngine) ReplayRNG(n int64) {
-	e.rng = rand.New(rand.NewSource(5))
-	for e.draws = 0; e.draws < n; e.draws++ {
-		e.rng.NormFloat64()
 	}
 }
