@@ -14,7 +14,6 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
 	"log"
 
 	"repro/internal/cluster"
@@ -77,16 +76,6 @@ func run(sp *core.Spec, walltime float64) (*core.Report, []*core.Snapshot, int) 
 	return report, snaps, rt.Relaunched()
 }
 
-func fingerprint(history [][]int) uint64 {
-	f := fnv.New64a()
-	for _, row := range history {
-		for _, s := range row {
-			fmt.Fprintf(f, "%d,", s)
-		}
-	}
-	return f.Sum64()
-}
-
 func main() {
 	// Part 1: pilot walltime failover. One MD segment is ~140 virtual
 	// seconds; a 250 s walltime kills the pilot inside the second
@@ -116,11 +105,13 @@ func main() {
 	fmt.Println("— checkpoint/restart —")
 	fmt.Printf("snapshot: %d bytes at exchange event %d (trigger %q)\n",
 		len(data), snap.Events, snap.Trigger)
+	// SlotFingerprint commits to every slot-history row of the run,
+	// those before the snapshot included.
 	fmt.Printf("uninterrupted history: %d rows, fingerprint %#x\n",
-		len(full.SlotHistory), fingerprint(full.SlotHistory))
+		len(full.SlotHistory), full.SlotFingerprint)
 	fmt.Printf("resumed history:       %d rows, fingerprint %#x\n",
-		len(resumed.SlotHistory), fingerprint(resumed.SlotHistory))
-	if fingerprint(full.SlotHistory) == fingerprint(resumed.SlotHistory) {
+		len(resumed.SlotHistory), resumed.SlotFingerprint)
+	if full.SlotFingerprint == resumed.SlotFingerprint {
 		fmt.Println("resume is bit-exact: the killed run lost no science")
 	} else {
 		log.Fatal("resumed run diverged")

@@ -129,8 +129,8 @@ type Pilot struct {
 	launcherFree float64
 	latency      *sim.Delay
 	// expiry fires when the pilot terminates (walltime, preemption
-	// deadline or full node loss); nil for unbounded pilots that were
-	// never preempted.
+	// deadline or full node loss); Launch builds it, and only expire
+	// completes it, once.
 	expiry  *sim.Completion
 	expired bool
 	// expireErr records why the pilot ended (ErrPilotExpired,
@@ -281,9 +281,7 @@ func (pl *Pilot) expire(err error) {
 	}
 	pl.expired = true
 	pl.expireErr = err
-	if pl.expiry != nil && !pl.expiry.Done() {
-		pl.expiry.Complete(err)
-	}
+	pl.expiry.Complete(err)
 	for u := pl.oldest; u != nil; u = u.newer {
 		if !u.interrupt.Done() {
 			u.interrupt.Complete(err)
