@@ -603,8 +603,7 @@ func cloneHistogram(h Histogram) Histogram {
 }
 
 // The layouts of the collector state, matching the struct tags
-// (TestLayoutsMatchTags). A ring's or a walk's zero fields are left
-// out, as format 2 always left them out.
+// (TestLayoutsMatchTags).
 var (
 	pairLayout = jsonx.NewLayout(
 		jsonx.Uint64("attempted", func(p *PairStat) *uint64 { return &p.Attempted }),

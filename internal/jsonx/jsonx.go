@@ -1,15 +1,20 @@
-// Package jsonx is the hand-written JSON codec under the checkpoint
-// path: an append-based Writer and a strict pull Reader that
-// core.Snapshot and analysis.Collector build their fixed layouts from,
-// without reflection. It reads and writes what encoding/json reads and
-// writes for the same types, and is stricter than encoding/json on
-// input: object keys match exactly (no case folding), a key repeated
-// within one object is an error, null stands only for an object, an
-// array or a raw value, integers are written without fraction or
-// exponent and fit their type, and nesting is capped at MaxDepth.
-// Strings that are not plain ASCII — a few names in a checkpoint — go
-// through encoding/json's own quoting, so escapes and invalid UTF-8
-// follow the rules the files already written follow.
+// Package jsonx is the JSON codec under the checkpoint path: an
+// append-based Writer, a strict pull Reader, and Layout, which declares
+// a record's fields once — key, accessor, kind, omit-when-empty — and
+// drives both from that one list. Every checkpoint record (core.Snapshot
+// and its parts, the analysis collector's state, the stateful triggers'
+// controller state) is a Layout. Only Layout.CheckTags, which tests
+// call, uses reflection.
+//
+// It reads and writes what encoding/json reads and writes for the same
+// types, and is stricter than encoding/json on input: object keys match
+// exactly (no case folding), a key repeated within one object is an
+// error, null stands only for an object, an array or a raw value,
+// integers are written without fraction or exponent and fit their type,
+// and nesting is capped at MaxDepth. Strings that are not plain ASCII —
+// a few names in a checkpoint — go through encoding/json's own quoting,
+// so escapes and invalid UTF-8 follow the rules the files already
+// written follow.
 package jsonx
 
 import (

@@ -10,9 +10,10 @@ import (
 )
 
 // Layout is the JSON layout of one record type T, declared once as a
-// list of fields and interpreted both ways: Write walks the list in
-// order, Read dispatches each key it meets to its field. Build a layout
-// once, at package init; using one allocates nothing per record.
+// list of fields and interpreted both ways: the writer walks the list
+// in order, the reader dispatches each key it meets to its field.
+// Build a layout once, at package init; using one allocates nothing
+// per record.
 type Layout[T any] struct {
 	fields []Field[T]
 }
@@ -115,8 +116,8 @@ func (f Field[T]) OmitEmpty() Field[T] {
 	return f
 }
 
-// Write writes v as an object of the layout's fields, in order.
-func (l *Layout[T]) Write(w *Writer, v *T) {
+// write writes v as an object of the layout's fields, in order.
+func (l *Layout[T]) write(w *Writer, v *T) {
 	w.Buf = append(w.Buf, '{')
 	for i := range l.fields {
 		f := &l.fields[i]
@@ -125,10 +126,10 @@ func (l *Layout[T]) Write(w *Writer, v *T) {
 	w.Buf = append(w.Buf, '}')
 }
 
-// Read reads an object into v, key by key; null leaves v as it is. A
+// read reads an object into v, key by key; null leaves v as it is. A
 // key the layout does not declare is skipped, and the first such key of
 // the document is kept for Decode to return.
-func (l *Layout[T]) Read(r *Reader, v *T) {
+func (l *Layout[T]) read(r *Reader, v *T) {
 	next := 0
 	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
 		i := l.index(k, next)
@@ -145,7 +146,7 @@ func (l *Layout[T]) Read(r *Reader, v *T) {
 }
 
 // index finds key k, trying the field after the last one first: keys
-// usually come in the order Write puts them.
+// usually come in the order they are written in.
 func (l *Layout[T]) index(k []byte, next int) int {
 	if next < len(l.fields) && l.fields[next].key == string(k) {
 		return next
@@ -162,7 +163,7 @@ func (l *Layout[T]) index(k []byte, next int) int {
 // form.
 func (l *Layout[T]) Encode(buf []byte, v *T) ([]byte, error) {
 	w := &Writer{Buf: buf}
-	l.Write(w, v)
+	l.write(w, v)
 	return w.Buf, w.Err()
 }
 
@@ -171,7 +172,7 @@ func (l *Layout[T]) Encode(buf []byte, v *T) ([]byte, error) {
 // caller decides whether that is an error.
 func (l *Layout[T]) Decode(data []byte, v *T) (unknown []byte, err error) {
 	r := NewReader(data)
-	l.Read(r, v)
+	l.read(r, v)
 	return r.unknown, r.End()
 }
 
@@ -210,7 +211,7 @@ func (l *Layout[T]) CheckTags() error {
 
 // Object is a record of layout l.
 func Object[T any](l *Layout[T]) Kind[T] {
-	return Kind[T]{write: l.Write, read: l.Read, empty: func(*T) bool { return false }}
+	return Kind[T]{write: l.write, read: l.read, empty: func(*T) bool { return false }}
 }
 
 // Array is an array of k, on one line or (rows) one line an element;
