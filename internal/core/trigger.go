@@ -916,15 +916,17 @@ func (t *FeedbackTrigger) RestoreState(data []byte) error {
 		return fmt.Errorf("core: feedback trigger warm-up %v", err)
 	}
 	for d := range read.dims {
-		if dd := &read.dims[d]; dd.active && dd.cur <= 0 {
+		dd := &read.dims[d]
+		if dd.active && dd.cur <= 0 {
 			return fmt.Errorf("core: feedback trigger state for dimension %d is active with window %g", d, dd.cur)
-		} else if dd.minReadyOverride < -1 {
+		}
+		if dd.minReadyOverride < -1 {
 			return fmt.Errorf("core: feedback trigger state for dimension %d has min-ready override %d", d, dd.minReadyOverride)
 		}
-		outcomes := read.dims[d].win.Outcomes
-		read.dims[d].win = ring.Bool{}
+		outcomes := dd.win.Outcomes
+		dd.win = ring.Bool{}
 		for _, v := range outcomes {
-			read.dims[d].win.Push(v, t.windowEvents())
+			dd.win.Push(v, t.windowEvents())
 		}
 	}
 	t.mu.Lock()
