@@ -138,6 +138,57 @@ func TestRunBadResumeFailsFast(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBadCheckpointBeforeResuming: a -resume file that
+// decodes but that the run cannot continue from is refused before
+// anything runs — main exits 1 on the error — and before the
+// "resuming" line, which would claim a resume that never happens.
+func TestRunRefusesBadCheckpointBeforeResuming(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if _, err := runChaos(t, context.Background(), "", good); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*core.Snapshot){
+		"other trigger":         func(sn *core.Snapshot) { sn.Trigger = "count" },
+		"skipped engine replay": func(sn *core.Snapshot) { sn.EngineDraws = -1 },
+	} {
+		sn, err := core.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(sn)
+		enc, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(bad, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.CreateTemp(dir, "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = out
+		r, err := run(context.Background(), shipped("chaos_sim_small.json"), shipped("chaos_small.json"),
+			bad, "", 1, "", "")
+		os.Stdout = stdout
+		printed, _ := os.ReadFile(out.Name())
+		out.Close()
+		if err == nil || r != nil || !errors.Is(err, serve.ErrResume) {
+			t.Errorf("%s: run %v, err %v; want a resume error and no run", name, r != nil, err)
+		}
+		if strings.Contains(string(printed), "resuming") {
+			t.Errorf("%s: printed %q before refusing", name, printed)
+		}
+	}
+}
+
 // TestRunRejectsReplicaWiderThanPilot: a configuration whose replicas
 // fit no pilot is an error naming both widths (main prints it and exits
 // 1), not a panic inside the runtime.

@@ -191,6 +191,45 @@ func TestFig10Shapes(t *testing.T) {
 	}
 }
 
+// TestFig11Shapes checks Figure 11's two curves at the paper's scale
+// (full rows, ~0.3 s): weak-scaling efficiency falls with every step
+// and stays above 50 % (it reads 100 -> 57.8 %); strong-scaling
+// efficiency falls until its last point, where cores = replicas, and
+// rises there — Mode II gives way to Mode I, and the wave-scheduling
+// penalty goes (50.6 -> 54.1 % at 1 728 cores). The quick rows show no
+// uptick (91.4 -> 85.4 % at 216 cores), so this test runs the full ones.
+func TestFig11Shapes(t *testing.T) {
+	rows, _, err := Fig11EfficiencyTSU(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var weak, strong []float64
+	for _, r := range rows {
+		if r.StrEff == 0 {
+			weak = append(weak, r.WeakEff)
+		} else {
+			strong = append(strong, r.StrEff)
+		}
+	}
+	if len(weak) < 3 || len(strong) < 3 {
+		t.Fatalf("%d weak and %d strong points, want at least 3 each", len(weak), len(strong))
+	}
+	for i := 1; i < len(weak); i++ {
+		if weak[i] >= weak[i-1] || weak[i] <= 50 {
+			t.Fatalf("weak efficiency %v: must fall strictly and stay above 50%%", weak)
+		}
+	}
+	last := len(strong) - 1
+	for i := 1; i < last; i++ {
+		if strong[i] >= strong[i-1] {
+			t.Fatalf("strong efficiency %v: must fall until cores = replicas", strong)
+		}
+	}
+	if strong[last] <= strong[last-1] {
+		t.Fatalf("strong efficiency %v: no uptick at cores = replicas (Mode II -> I)", strong)
+	}
+}
+
 func TestFig12Shapes(t *testing.T) {
 	rows, _, err := Fig12MultiCore(true)
 	if err != nil {

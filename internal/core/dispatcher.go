@@ -74,8 +74,8 @@ type dispatcher struct {
 	// than the raw per-attempt exec time Observe sees.
 	latObs LatencyObserver
 	// stateful is the policy's StatefulTrigger side (nil without one):
-	// its controller state rides in every snapshot and is handed back on
-	// resume.
+	// its controller state rides in every snapshot, and New hands it
+	// back on resume.
 	stateful StatefulTrigger
 	// batch is the runtime's BatchAwaiter side when the barrier can use
 	// it (nil otherwise): an aligned policy that observes no latencies
@@ -125,8 +125,8 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 		ndims:     len(s.spec.Dims),
 		segBudget: s.spec.Cycles,
 		flights:   make([]mdFlight, len(s.replicas)),
-		event:     s.resumeEvents,
-		dim:       s.resumeEvents % len(s.spec.Dims),
+		event:     s.report.ExchangeEvents,
+		dim:       s.report.ExchangeEvents % len(s.spec.Dims),
 	}
 	if d.aligned {
 		d.segBudget *= d.ndims
@@ -155,19 +155,12 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 // so every observable stop point has the shape of a periodic snapshot).
 func (d *dispatcher) run() error {
 	s, tr := d.s, d.tr
-	if s.resumed && s.spec.Resume.Trigger != "" && s.spec.Resume.Trigger != tr.Name() {
-		return fmt.Errorf("core: snapshot was taken under trigger %q, resuming under %q",
-			s.spec.Resume.Trigger, tr.Name())
-	}
 	// Queued bus events are flushed once per dispatcher wakeup; the
 	// deferred flush covers error returns mid-round. Resource events are
 	// drained first (LIFO), so pilot lifecycle changes buffered by an
 	// elastic runtime reach the bus even on error paths.
 	defer s.flushBus()
 	defer s.drainResourceEvents()
-	if err := d.restoreTrigger(); err != nil {
-		return err
-	}
 	// A context cancelled before the run starts stops at event 0 — the
 	// same boundary semantics, with nothing in flight yet.
 	if d.ctx.Err() != nil {
@@ -284,21 +277,6 @@ func (d *dispatcher) closeRound() error {
 	d.noopFires++
 	d.lastFireAt = s.rt.Now()
 	return nil
-}
-
-// restoreTrigger hands a resumed run's serialized controller state back
-// to a stateful policy, so it makes the same trigger decisions as the
-// uninterrupted run.
-func (d *dispatcher) restoreTrigger() error {
-	resume := d.s.spec.Resume
-	if !d.s.resumed || len(resume.TriggerData) == 0 {
-		return nil
-	}
-	if d.stateful == nil {
-		return fmt.Errorf("core: snapshot carries %q trigger state, but the policy cannot restore it",
-			resume.Trigger)
-	}
-	return d.stateful.RestoreState(resume.TriggerData)
 }
 
 // state is the bookkeeping snapshot the policy is consulted with.

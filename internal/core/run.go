@@ -75,20 +75,19 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// A resumed run back-dates its start by the snapshot's elapsed time,
-	// keeping Makespan and Utilization cumulative over the whole
-	// simulation rather than just the post-resume segment.
-	s.report.Start = s.rt.Now() - s.resumeElapsed
-	tr, err := s.spec.triggerPolicy()
-	if err == nil {
-		s.report.Trigger = tr.Name()
-		// The pattern is a property of the policy, whichever knob chose it.
-		s.report.Pattern = PatternAsynchronous
-		if tr.Aligned() {
-			s.report.Pattern = PatternSynchronous
-		}
-		err = newDispatcher(ctx, s, tr).run()
+	// Start holds minus a resumed run's elapsed time (applySnapshot), so
+	// the run back-dates its start by it, keeping Makespan and
+	// Utilization cumulative over the whole simulation rather than just
+	// the post-resume segment.
+	s.report.Start += s.rt.Now()
+	tr := s.spec.triggerPolicy()
+	s.report.Trigger = tr.Name()
+	// The pattern is a property of the policy, whichever knob chose it.
+	s.report.Pattern = PatternAsynchronous
+	if tr.Aligned() {
+		s.report.Pattern = PatternSynchronous
 	}
+	err := newDispatcher(ctx, s, tr).run()
 	s.report.End = s.rt.Now()
 	return s.report, err
 }

@@ -70,14 +70,6 @@ type Simulation struct {
 	// the one record of refits: the MaxRefits budget counts it too.
 	respacings []RespaceRecord
 
-	// resumeEvents is the exchange-event counter restored from
-	// Spec.Resume (0 for a fresh run); resumeElapsed is the virtual run
-	// time consumed before the snapshot, and resumed marks a restored
-	// run.
-	resumeEvents  int
-	resumeElapsed float64
-	resumed       bool
-
 	// clock is the run's wall clock by loop phase (LoopSeconds): it never
 	// reaches the virtual clock, the report or a snapshot.
 	clock loopClock
@@ -91,12 +83,6 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	born := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if _, ok := engine.(ReplayableEngine); spec.Resume != nil && !ok {
-		// A snapshot carries no molecular state: such an engine would
-		// restart every replica from fresh coordinates under the
-		// snapshot's slots.
-		return nil, fmt.Errorf("core: engine %q cannot resume from a snapshot: it does not restore its own state", engine.Name())
 	}
 	if spec.MaxRetries == 0 {
 		spec.MaxRetries = DefaultMaxRetries
@@ -158,9 +144,17 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		Cycles:          spec.Cycles,
 		SlotFingerprint: fnv64Offset,
 	}
-	if spec.Resume != nil {
-		if err := s.applySnapshot(spec.Resume); err != nil {
+	if sn := spec.Resume; sn != nil {
+		if err := checkResume(spec, engine, len(s.replicas[0].Synth)); err != nil {
 			return nil, err
+		}
+		s.applySnapshot(sn)
+		// A stateful policy takes its controller state back, so the
+		// resumed run makes the uninterrupted run's trigger decisions.
+		if st, ok := spec.Trigger.(StatefulTrigger); ok && len(sn.TriggerData) > 0 {
+			if err := st.RestoreState(sn.TriggerData); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return s, nil

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/jsonx"
 )
@@ -30,7 +29,7 @@ type Snapshot struct {
 	// TriggerData is the serialized controller state of a
 	// StatefulTrigger policy (e.g. FeedbackTrigger's rolling outcome
 	// window and controlled window length); empty for stateless
-	// policies. Restored by the dispatcher so resumed runs make the same
+	// policies. Restored by New so resumed runs make the same
 	// trigger decisions as the uninterrupted run.
 	TriggerData json.RawMessage `json:"trigger_data,omitempty"`
 	// Events is the number of exchange events fired before the snapshot.
@@ -258,65 +257,146 @@ func (d *dispatcher) maybeSnapshot() error {
 	return nil
 }
 
-// applySnapshot restores replica and RNG state from a checkpoint; called
-// from New after the fresh replica set is built.
-func (s *Simulation) applySnapshot(sn *Snapshot) error {
-	if sn.Name != s.spec.Name {
-		return fmt.Errorf("core: snapshot belongs to simulation %q, resuming %q",
-			sn.Name, s.spec.Name)
+// CheckResume refuses spec.Resume, with the error New would return,
+// when spec and engine cannot continue from it. It builds no
+// simulation: it initialises probe replicas on engine, one after
+// another in one Replica, to learn what a replica carries and what
+// initialising the replica set draws, so engine must be a fresh
+// instance that will not run. spec must be valid (Spec.Validate), as
+// config.ToSpec's are. A spec without a snapshot passes.
+func CheckResume(spec *Spec, engine Engine) error {
+	if spec.Resume == nil {
+		return nil
 	}
-	if len(sn.Replicas) != len(s.replicas) {
-		return fmt.Errorf("core: snapshot has %d replicas, spec %q has %d",
-			len(sn.Replicas), s.spec.Name, len(s.replicas))
+	var probe Replica
+	for id := range spec.Replicas() {
+		probe = Replica{ID: id}
+		engine.InitReplica(&probe, spec)
 	}
-	if sn.Events < 0 {
-		// newDispatcher resumes the dimension cycle at Events.
-		return fmt.Errorf("core: snapshot of %q has %d exchange events", sn.Name, sn.Events)
+	return checkResume(spec, engine, len(probe.Synth))
+}
+
+// checkResume holds every refusal of a decoded snapshot spec.Resume: New
+// runs it before restoring one, and CheckResume before a launch is
+// admitted. engine has just initialised the replica set, carving coords
+// synthetic coordinates a replica.
+func checkResume(spec *Spec, engine Engine, coords int) error {
+	sn := spec.Resume
+	if _, ok := engine.(ReplayableEngine); !ok {
+		// A snapshot carries no molecular state: such an engine would
+		// restart every replica from fresh coordinates under the
+		// snapshot's slots.
+		return fmt.Errorf("core: engine %q cannot resume from a snapshot: it does not restore its own state", engine.Name())
+	}
+	if sn.Name != spec.Name {
+		return fmt.Errorf("core: snapshot belongs to simulation %q, resuming %q", sn.Name, spec.Name)
+	}
+	n := spec.Replicas()
+	if len(sn.Replicas) != n {
+		return fmt.Errorf("core: snapshot has %d replicas, spec %q has %d", len(sn.Replicas), spec.Name, n)
+	}
+	tr := spec.triggerPolicy()
+	if sn.Trigger != "" && sn.Trigger != tr.Name() {
+		return fmt.Errorf("core: snapshot was taken under trigger %q, resuming under %q", sn.Trigger, tr.Name())
+	}
+	if _, ok := tr.(StatefulTrigger); len(sn.TriggerData) > 0 && !ok {
+		return fmt.Errorf("core: snapshot carries %q trigger state, but the policy cannot restore it", sn.Trigger)
+	}
+	// A replica's segment budget bounds the counters. An exchange pair
+	// draws one uniform and takes two completed segments, and a fired
+	// event takes at least one pair's worth; the engine draws for each
+	// replica once at initialisation and once a completed segment.
+	budget := int64(spec.Cycles)
+	if tr.Aligned() {
+		budget *= int64(len(spec.Dims))
+	}
+	pairs := int64(n) * budget / 2
+	if sn.Events < 0 || int64(sn.Events) > pairs {
+		return fmt.Errorf("core: snapshot of %q has %d exchange events, outside [0, %d]", sn.Name, sn.Events, pairs)
+	}
+	if sn.RNGDraws < 0 || sn.RNGDraws > pairs {
+		return fmt.Errorf("core: snapshot of %q has %d exchange draws, outside [0, %d]", sn.Name, sn.RNGDraws, pairs)
+	}
+	if most := engine.(ReplayableEngine).RNGDraws() * (1 + budget); sn.EngineDraws < 0 || sn.EngineDraws > most {
+		return fmt.Errorf("core: snapshot of %q has %d engine draws, outside [0, %d]", sn.Name, sn.EngineDraws, most)
 	}
 	if sn.SlotFingerprint == 0 {
 		// Even an event-0 snapshot carries the FNV offset basis.
 		return fmt.Errorf("core: snapshot of %q carries no slot fingerprint", sn.Name)
 	}
-	// Restore a respaced grid before replica parameters are cloned from
+	if len(sn.DimValues) > 0 && len(sn.DimValues) != len(spec.Dims) {
+		return fmt.Errorf("core: snapshot carries %d dimension grids, spec %q has %d",
+			len(sn.DimValues), spec.Name, len(spec.Dims))
+	}
+	for d, vals := range sn.DimValues {
+		if len(vals) != len(spec.Dims[d].Values) {
+			return fmt.Errorf("core: snapshot dimension %d has %d windows, spec %q has %d",
+				d, len(vals), spec.Name, len(spec.Dims[d].Values))
+		}
+	}
+	for i, rec := range sn.Respacings {
+		if rec.Dim < 0 || rec.Dim >= len(spec.Dims) {
+			return fmt.Errorf("core: snapshot refit %d names dimension %d, spec %q has %d",
+				i, rec.Dim, spec.Name, len(spec.Dims))
+		}
+	}
+	// The history tail: a row an event, each a slot per replica, the
+	// last one (past event 0) the slots restored.
+	if sn.SlotRows != sn.Events || sn.SlotRows > 0 && len(sn.SlotHistory) == 0 {
+		return fmt.Errorf("core: snapshot of %q records %d slot-history rows (%d retained) for %d exchange events",
+			sn.Name, sn.SlotRows, len(sn.SlotHistory), sn.Events)
+	}
+	var last []int
+	for i, row := range sn.SlotHistory {
+		if len(row) != n {
+			return fmt.Errorf("core: snapshot slot-history row %d has %d slots, spec %q has %d",
+				i, len(row), spec.Name, n)
+		}
+		last = row
+	}
+	seenSlot := make([]bool, n)
+	seenID := make([]bool, n)
+	for _, rs := range sn.Replicas {
+		if rs.ID < 0 || rs.ID >= n || seenID[rs.ID] {
+			return fmt.Errorf("core: snapshot replica ID %d out of range or duplicated", rs.ID)
+		}
+		seenID[rs.ID] = true
+		if rs.Slot < 0 || rs.Slot >= n || seenSlot[rs.Slot] {
+			return fmt.Errorf("core: snapshot slots are not a permutation (slot %d)", rs.Slot)
+		}
+		seenSlot[rs.Slot] = true
+		if len(rs.Synth) != coords {
+			return fmt.Errorf("core: snapshot replica %d has %d coordinates, engine %q carves %d",
+				rs.ID, len(rs.Synth), engine.Name(), coords)
+		}
+		if rs.Cycle < 0 || int64(rs.Cycle) > budget {
+			return fmt.Errorf("core: snapshot replica %d has completed %d segments, outside [0, %d]",
+				rs.ID, rs.Cycle, budget)
+		}
+		if last != nil && last[rs.ID] != rs.Slot {
+			return fmt.Errorf("core: snapshot replica %d is in slot %d, its last slot-history row says %d",
+				rs.ID, rs.Slot, last[rs.ID])
+		}
+	}
+	return nil
+}
+
+// applySnapshot restores replica, RNG and report state from a checkpoint
+// checkResume accepted; called from New after the fresh replica set is
+// built.
+func (s *Simulation) applySnapshot(sn *Snapshot) {
+	// Restore a respaced grid before replica parameters are taken from
 	// slotParams below: the snapshot's values replace the spec's
 	// originals, exactly as applyRespace left them.
 	if len(sn.DimValues) > 0 {
-		if len(sn.DimValues) != len(s.spec.Dims) {
-			return fmt.Errorf("core: snapshot carries %d dimension grids, spec %q has %d",
-				len(sn.DimValues), s.spec.Name, len(s.spec.Dims))
-		}
 		for d, vals := range sn.DimValues {
-			if len(vals) != len(s.spec.Dims[d].Values) {
-				return fmt.Errorf("core: snapshot dimension %d has %d windows, spec %q has %d",
-					d, len(vals), s.spec.Name, len(s.spec.Dims[d].Values))
-			}
 			s.spec.Dims[d].Values = append([]float64(nil), vals...)
 		}
 		s.fillSlotParams()
 	}
-	for i, rec := range sn.Respacings {
-		if rec.Dim < 0 || rec.Dim >= len(s.spec.Dims) {
-			return fmt.Errorf("core: snapshot refit %d names dimension %d, spec %q has %d",
-				i, rec.Dim, s.spec.Name, len(s.spec.Dims))
-		}
-	}
 	s.respacings = append([]RespaceRecord(nil), sn.Respacings...)
-	seenSlot := make([]bool, len(s.replicas))
-	seenID := make([]bool, len(s.replicas))
 	for _, rs := range sn.Replicas {
-		if rs.ID < 0 || rs.ID >= len(s.replicas) || seenID[rs.ID] {
-			return fmt.Errorf("core: snapshot replica ID %d out of range or duplicated", rs.ID)
-		}
-		seenID[rs.ID] = true
-		if rs.Slot < 0 || rs.Slot >= len(s.replicas) || seenSlot[rs.Slot] {
-			return fmt.Errorf("core: snapshot slots are not a permutation (slot %d)", rs.Slot)
-		}
-		seenSlot[rs.Slot] = true
 		r := s.replicas[rs.ID]
-		if len(rs.Synth) != len(r.Synth) {
-			return fmt.Errorf("core: snapshot replica %d has %d coordinates, engine %q carves %d",
-				rs.ID, len(rs.Synth), s.engine.Name(), len(r.Synth))
-		}
 		copy(r.Synth, rs.Synth) // into the array the engine carved
 		r.Slot = rs.Slot
 		r.Cycle = rs.Cycle
@@ -326,22 +406,18 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		s.takeSlotParams(r)
 		s.replicaAt[r.Slot] = r.ID
 	}
-	// Replay the orchestrator RNG to its snapshot position.
-	s.rng = rand.New(rand.NewSource(s.spec.Seed))
+	// Replay both RNGs to their snapshot positions; nothing has drawn
+	// from the orchestrator's since New seeded it.
 	for i := int64(0); i < sn.RNGDraws; i++ {
 		s.rng.Float64()
 	}
 	s.rngDraws = sn.RNGDraws
-	if sn.EngineDraws >= 0 {
-		s.engine.(ReplayableEngine).ReplayRNG(sn.EngineDraws)
-	}
-	s.resumeEvents = sn.Events
-	s.resumeElapsed = sn.Elapsed
-	s.resumed = true
+	s.engine.(ReplayableEngine).ReplayRNG(sn.EngineDraws)
 	s.report.Dropped = sn.Dropped
 	s.report.Relaunches = sn.Relaunches
 	s.report.MDExecCoreSeconds = sn.MDExecCoreSeconds
 	s.report.ExchangeEvents = sn.Events
+	s.report.Start = -sn.Elapsed // RunContext adds the clock
 	// A resumed history longer than the tail (snapshot taken without one,
 	// or with a larger one) is trimmed so the bound holds from the start.
 	rows := sn.SlotHistory
@@ -351,5 +427,4 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 	s.report.SlotHistory = cloneRows(rows)
 	s.report.SlotRows = sn.SlotRows
 	s.report.SlotFingerprint = sn.SlotFingerprint
-	return nil
 }

@@ -161,12 +161,9 @@ func TestResumeValidation(t *testing.T) {
 	mismatch.Pattern = core.PatternAsynchronous
 	mismatch.Trigger = core.NewCountTrigger(2)
 	mismatch.Resume = snap
-	simu, err := core.New(mismatch, eng(), localexec.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := simu.Run(); err == nil {
-		t.Fatal("barrier snapshot resumed under count trigger")
+	if _, err := core.New(mismatch, eng(), localexec.New(8)); err == nil ||
+		!strings.Contains(err.Error(), `taken under trigger "barrier", resuming under "count"`) {
+		t.Fatalf("barrier snapshot resumed under count trigger: %v", err)
 	}
 
 	// Corrupt slots: two replicas in the same slot.
@@ -248,6 +245,62 @@ func TestResumeValidation(t *testing.T) {
 		}
 	}
 
+	// Counters past what the spec's run could reach, and a history tail
+	// that disagrees with the counters or the slots. The spec's six
+	// replicas have a budget of two segments each: at most six pairs,
+	// each drawing one uniform, and one engine draw per replica at
+	// initialisation and per segment. Each corruption leaves the
+	// snapshot's other fields consistent, so its own check refuses it.
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(*core.Snapshot)
+	}{
+		{"events past the budget", "7 exchange events, outside [0, 6]",
+			func(sn *core.Snapshot) { sn.Events, sn.SlotRows = 7, 7 }},
+		{"negative events and rows", "-1 exchange events",
+			func(sn *core.Snapshot) { sn.Events, sn.SlotRows = -1, -1 }},
+		{"rows short of events", "0 slot-history rows (1 retained) for 1 exchange events",
+			func(sn *core.Snapshot) { sn.SlotRows = 0 }},
+		{"short history row", "row 0 has 5 slots",
+			func(sn *core.Snapshot) { sn.SlotHistory[0] = sn.SlotHistory[0][:5] }},
+		{"no history row", "1 slot-history rows (0 retained)",
+			func(sn *core.Snapshot) { sn.SlotHistory = nil }},
+		{"last row off the slots", "its last slot-history row says",
+			func(sn *core.Snapshot) {
+				sn.Replicas[0].Slot, sn.Replicas[1].Slot = sn.Replicas[1].Slot, sn.Replicas[0].Slot
+			}},
+		{"duplicated slot, history agreeing", "not a permutation",
+			func(sn *core.Snapshot) {
+				sn.Replicas[1].Slot = sn.Replicas[0].Slot
+				sn.SlotHistory[0][1] = sn.Replicas[0].Slot
+			}},
+		{"negative exchange draws", "-1 exchange draws",
+			func(sn *core.Snapshot) { sn.RNGDraws = -1 }},
+		{"exchange draws past the pairs", "7 exchange draws, outside [0, 6]",
+			func(sn *core.Snapshot) { sn.RNGDraws = 7 }},
+		{"negative engine draws", "-1 engine draws",
+			func(sn *core.Snapshot) { sn.EngineDraws = -1 }},
+		{"engine draws past the segments", "19 engine draws, outside [0, 18]",
+			func(sn *core.Snapshot) { sn.EngineDraws = 19 }},
+		{"negative cycle", "completed -1 segments",
+			func(sn *core.Snapshot) { sn.Replicas[3].Cycle = -1 }},
+		{"cycle past the budget", "completed 3 segments, outside [0, 2]",
+			func(sn *core.Snapshot) { sn.Replicas[3].Cycle = 3 }},
+		{"trigger state on a stateless policy", "policy cannot restore it",
+			func(sn *core.Snapshot) { sn.TriggerData = []byte(`{}`) }},
+	} {
+		bad, err := core.DecodeSnapshot(mustEncode(t, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(bad)
+		resumed := smallTREMD(6, 2)
+		resumed.Resume = bad
+		if _, err := core.New(resumed, eng(), localexec.New(8)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+
 	// Wrong simulation: a snapshot from a different run name.
 	renamed := smallTREMD(6, 2)
 	renamed.Name = "some-other-simulation"
@@ -257,7 +310,7 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, sn *core.Snapshot) []byte {
+func mustEncode(t testing.TB, sn *core.Snapshot) []byte {
 	t.Helper()
 	data, err := sn.Encode()
 	if err != nil {

@@ -234,32 +234,24 @@ type Spec struct {
 }
 
 // triggerPolicy resolves the exchange-trigger policy: Spec.Trigger when
-// set, otherwise the canonical policy of the RE pattern.
-func (s *Spec) triggerPolicy() (Trigger, error) {
-	if s.Trigger != nil {
-		return s.Trigger, nil
-	}
-	switch s.Pattern {
-	case PatternSynchronous:
-		return NewBarrierTrigger(), nil
-	case PatternAsynchronous:
-		return NewWindowTrigger(s.AsyncWindow, s.AsyncMinReady), nil
+// set, otherwise the canonical policy of the RE pattern (Validate
+// refuses any other pattern).
+func (s *Spec) triggerPolicy() Trigger {
+	switch {
+	case s.Trigger != nil:
+		return s.Trigger
+	case s.Pattern == PatternAsynchronous:
+		return NewWindowTrigger(s.AsyncWindow, s.AsyncMinReady)
 	default:
-		return nil, fmt.Errorf("core: unknown pattern %d", s.Pattern)
+		return NewBarrierTrigger()
 	}
 }
 
 // TriggerName returns the name of the exchange-trigger policy the spec
-// selects — Spec.Trigger when set, otherwise the pattern's canonical
-// policy — or "" for an invalid pattern. Status surfaces use it so the
-// pattern-to-policy mapping lives only in triggerPolicy.
-func (s *Spec) TriggerName() string {
-	tr, err := s.triggerPolicy()
-	if err != nil {
-		return ""
-	}
-	return tr.Name()
-}
+// selects: Spec.Trigger when set, otherwise the pattern's canonical
+// policy. Status surfaces use it so the pattern-to-policy mapping lives
+// only in triggerPolicy.
+func (s *Spec) TriggerName() string { return s.triggerPolicy().Name() }
 
 // Grid returns the replica grid implied by the dimensions.
 func (s *Spec) Grid() exchange.Grid {
@@ -324,6 +316,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.StepsPerCycle <= 0 || s.Cycles <= 0 {
 		return fmt.Errorf("spec %q: steps per cycle and cycles must be positive", s.Name)
+	}
+	if s.Trigger == nil && s.Pattern != PatternSynchronous && s.Pattern != PatternAsynchronous {
+		return fmt.Errorf("spec %q: unknown pattern %d", s.Name, s.Pattern)
 	}
 	if s.Pattern == PatternAsynchronous && s.Trigger == nil && s.AsyncWindow <= 0 {
 		return fmt.Errorf("spec %q: asynchronous pattern requires a positive AsyncWindow", s.Name)

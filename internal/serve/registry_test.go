@@ -602,15 +602,112 @@ func TestRegistryResumesTwoDistinctCheckpoints(t *testing.T) {
 			t.Fatalf("resumed run %s has %d history rows, want %d", id, report.SlotRows, snaps[i].Events+20)
 		}
 	}
-	st, code := postRun(t, ts.URL, launchBody(simBody(names[1], 8, snaps[0].Events+20, seeds[1]), resBody8,
+	code, msg := postRaw(t, ts.URL, launchBody(simBody(names[1], 8, snaps[0].Events+20, seeds[1]), resBody8,
 		fmt.Sprintf(`"resume": %q`, cks[0])))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "belongs to") {
+		t.Fatalf("mismatched resume launch: %d %s, want 400 with a name check", code, msg)
+	}
+}
+
+// postRaw posts a launch body and returns the status code and body.
+func postRaw(t *testing.T, base, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(msg)
+}
+
+// TestRegistryRefusesBadCheckpointAtLaunch: every refusal of a decoded
+// checkpoint is a 400 at POST /runs carrying ErrResume, before the
+// registry admits anything — no run id, no pool cores. A checkpoint
+// whose draw counts would take centuries to replay is refused as
+// promptly as the rest.
+func TestRegistryRefusesBadCheckpointAtLaunch(t *testing.T) {
+	reg, ts := newDaemon(t, 16, 0)
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.ckpt")
+	st, code := postRun(t, ts.URL, launchBody(simBody("checked", 8, 4, 5), resBody8,
+		fmt.Sprintf(`"checkpoint": %q, "checkpoint_every": 2`, good)))
 	if code != http.StatusCreated {
-		t.Fatalf("mismatched resume launch: %d", code)
+		t.Fatalf("checkpointed launch: %d", code)
 	}
-	if st := waitFor(t, ts.URL, st.ID, func(s serve.RunStatus) bool { return terminal(s.State) }, "terminal state"); st.State != "failed" ||
-		!strings.Contains(st.Error, "belongs to") {
-		t.Fatalf("mismatched resume reached %q (%s), want failed with a name check", st.State, st.Error)
+	waitFor(t, ts.URL, st.ID, func(s serve.RunStatus) bool { return s.State == "completed" }, "completion")
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// A sibling holds half the pool while the bad launches arrive.
+	sibling, code := postRun(t, ts.URL, launchBody(simBody("sibling", 8, 400000, 6), resBody8, ""))
+	if code != http.StatusCreated {
+		t.Fatalf("sibling launch: %d", code)
+	}
+	runs, used := len(reg.List()), reg.Pool().Used()
+
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(*core.Snapshot)
+	}{
+		{"other simulation", "belongs to", func(sn *core.Snapshot) { sn.Name = "other" }},
+		{"other trigger", "taken under trigger", func(sn *core.Snapshot) { sn.Trigger = "window" }},
+		{"trigger state", "cannot restore it", func(sn *core.Snapshot) { sn.TriggerData = []byte(`{}`) }},
+		{"replica count", "has 7 replicas", func(sn *core.Snapshot) { sn.Replicas = sn.Replicas[:7] }},
+		{"negative events", "exchange events, outside", func(sn *core.Snapshot) { sn.Events, sn.SlotRows = -1, -1 }},
+		{"events past the budget", "exchange events, outside", func(sn *core.Snapshot) { sn.Events, sn.SlotRows = 1<<40, 1<<40 }},
+		{"exchange draws", "exchange draws, outside", func(sn *core.Snapshot) { sn.RNGDraws = 1 << 62 }},
+		{"engine draws", "engine draws, outside", func(sn *core.Snapshot) { sn.EngineDraws = 1 << 62 }},
+		{"skipped engine replay", "engine draws, outside", func(sn *core.Snapshot) { sn.EngineDraws = -1 }},
+		{"fingerprint", "no slot fingerprint", func(sn *core.Snapshot) { sn.SlotFingerprint = 0 }},
+		{"dimension grids", "dimension grids", func(sn *core.Snapshot) { sn.DimValues = [][]float64{{300}, {310}} }},
+		{"refit dimension", "names dimension", func(sn *core.Snapshot) { sn.Respacings = []core.RespaceRecord{{Dim: 3}} }},
+		{"replica ID", "out of range or duplicated", func(sn *core.Snapshot) { sn.Replicas[1].ID = 0 }},
+		{"duplicated slot", "not a permutation", func(sn *core.Snapshot) {
+			sn.Replicas[1].Slot = sn.Replicas[0].Slot
+			sn.SlotHistory[len(sn.SlotHistory)-1][1] = sn.Replicas[0].Slot
+		}},
+		{"short synth", "coordinates", func(sn *core.Snapshot) { sn.Replicas[2].Synth = sn.Replicas[2].Synth[:1] }},
+		{"cycle", "segments, outside", func(sn *core.Snapshot) { sn.Replicas[2].Cycle = -1 << 40 }},
+		{"rows for events", "slot-history rows (4 retained) for 4 exchange events", func(sn *core.Snapshot) { sn.SlotRows++ }},
+		{"short row", "slots, spec", func(sn *core.Snapshot) { sn.SlotHistory[0] = sn.SlotHistory[0][:3] }},
+		{"last row", "last slot-history row", func(sn *core.Snapshot) {
+			sn.Replicas[0].Slot, sn.Replicas[1].Slot = sn.Replicas[1].Slot, sn.Replicas[0].Slot
+		}},
+	} {
+		sn, err := core.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(sn)
+		bad := filepath.Join(dir, "bad.ckpt")
+		if err := os.WriteFile(bad, mustEncodeSnapshot(t, sn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, msg := postRaw(t, ts.URL, launchBody(simBody("checked", 8, 4, 5), resBody8,
+			fmt.Sprintf(`"resume": %q`, bad)))
+		if code != http.StatusBadRequest || !strings.Contains(msg, serve.ErrResume.Error()) ||
+			!strings.Contains(msg, c.want) || strings.Contains(msg, `"id"`) {
+			t.Errorf("%s: %d %s, want 400 carrying %q and %q", c.name, code, msg, serve.ErrResume, c.want)
+		}
+		if n, u := len(reg.List()), reg.Pool().Used(); n != runs || u != used {
+			t.Errorf("%s: %d runs and %d pool cores after the refusal, want %d and %d", c.name, n, u, runs, used)
+		}
+	}
+	cancelRun(t, ts.URL, sibling.ID)
+}
+
+func mustEncodeSnapshot(t *testing.T, sn *core.Snapshot) []byte {
+	t.Helper()
+	data, err := sn.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // validateExposition checks Prometheus text-format invariants: every

@@ -16,8 +16,9 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrResume wraps every failure to load, decode or restore a launch's
-// resume checkpoint, so front ends can add their own recovery hint.
+// ErrResume wraps every failure to load, decode, check or restore a
+// launch's resume checkpoint, so front ends can add their own recovery
+// hint.
 var ErrResume = errors.New("serve: resume checkpoint")
 
 // errRunPanicked wraps the error of a run whose goroutine recovered a
@@ -91,7 +92,12 @@ func NewRun(ctx context.Context, l *config.Launch, served, traced bool, traceEve
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrResume, err)
 		}
-		if spec.Resume, err = core.DecodeSnapshot(data); err != nil {
+		// Refused here, a bad checkpoint never reaches admission: the
+		// probe engine is a throwaway twin of the one the run builds.
+		if spec.Resume, err = core.DecodeSnapshot(data); err == nil {
+			err = core.CheckResume(spec, params.NewEngine(params.Seed+2))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w %s: %v", ErrResume, l.Resume, err)
 		}
 	}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Fuzz gate: six short coverage-guided lanes over the inputs the
-# daemon takes from outside, 13 s each so the whole gate stays under
-# 90 s. They find shallow panics (the kind a refactor introduces)
-# without holding the build hostage.
+# Fuzz gate: seven short coverage-guided lanes over the inputs the
+# daemon takes from outside, 13 s each; the whole gate takes ~105 s on
+# a 2-core host, builds included.
+# They find shallow panics (the kind a refactor introduces) without
+# holding the build hostage.
 #   FuzzParseLaunch       internal/config    the network-facing launch
 #                         parser, seeded from every committed config file
 #   FuzzResourceChaos     internal/config    a resource block and its
@@ -19,20 +20,29 @@
 #   FuzzAdaptiveRestore                      checkpoint: never panics, a
 #                         failed restore leaves the controller's encoded
 #                         state unchanged, re-encodes to a fixed point
+#   FuzzResume            internal/core      a checkpoint against the run
+#                         it resumes: what CheckResume refuses New
+#                         refuses; what it accepts New restores exactly
+#                         and runs to the end without a panic
 # The checkpoint lanes are seeded from the pinned format-2 files and
-# trigger_state.golden in internal/core/testdata. Crashers land in the
+# trigger_state.golden in internal/core/testdata; FuzzResume also from
+# each pinned run's event-0 checkpoint. Crashers land in the
 # package's testdata/fuzz/ for triage. Minimising a 10 KB interesting
 # input can eat a whole lane (the default budget is 60 s an input), so
-# it is capped.
+# it is capped: at 2 s, and at 50 runs for FuzzResume, where a run of a
+# checkpoint that decodes resumes two small simulations and 2 s caps
+# left both workers minimising for most of the lane (20-60 k execs in
+# 13 s on 2 cores, against ~170 k at 50 runs).
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
 cd "$(repo_root)"
 
-lane() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 13s -fuzzminimizetime 2s; }
+lane() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 13s -fuzzminimizetime "${3:-2s}"; }
 lane ./internal/config/ FuzzParseLaunch
 lane ./internal/config/ FuzzResourceChaos
 lane ./internal/core/ FuzzDecodeSnapshot
 lane ./internal/analysis/ FuzzCollectorRestore
 lane ./internal/core/ FuzzFeedbackRestore
 lane ./internal/core/ FuzzAdaptiveRestore
+lane ./internal/core/ FuzzResume 50x
