@@ -302,10 +302,10 @@ func checkResume(spec *Spec, engine Engine, coords int) error {
 	if _, ok := tr.(StatefulTrigger); len(sn.TriggerData) > 0 && !ok {
 		return fmt.Errorf("core: snapshot carries %q trigger state, but the policy cannot restore it", sn.Trigger)
 	}
-	// A replica's segment budget bounds the counters. An exchange pair
-	// draws one uniform and takes two completed segments, and a fired
-	// event takes at least one pair's worth; the engine draws for each
-	// replica once at initialisation and once a completed segment.
+	// A replica's segment budget bounds the counters: a fired event and
+	// an exchange pair each take at least two completed segments, a pair
+	// draws one uniform, and the engine draws for each replica at
+	// initialisation and once a completed segment.
 	budget := int64(spec.Cycles)
 	if tr.Aligned() {
 		budget *= int64(len(spec.Dims))

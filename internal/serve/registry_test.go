@@ -665,6 +665,7 @@ func TestRegistryRefusesBadCheckpointAtLaunch(t *testing.T) {
 		{"skipped engine replay", "engine draws, outside", func(sn *core.Snapshot) { sn.EngineDraws = -1 }},
 		{"fingerprint", "no slot fingerprint", func(sn *core.Snapshot) { sn.SlotFingerprint = 0 }},
 		{"dimension grids", "dimension grids", func(sn *core.Snapshot) { sn.DimValues = [][]float64{{300}, {310}} }},
+		{"grid windows", "has 2 windows", func(sn *core.Snapshot) { sn.DimValues = [][]float64{{300, 310}} }},
 		{"refit dimension", "names dimension", func(sn *core.Snapshot) { sn.Respacings = []core.RespaceRecord{{Dim: 3}} }},
 		{"replica ID", "out of range or duplicated", func(sn *core.Snapshot) { sn.Replicas[1].ID = 0 }},
 		{"duplicated slot", "not a permutation", func(sn *core.Snapshot) {
