@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -247,6 +248,25 @@ func TestRespaceResumeDeterminism(t *testing.T) {
 	for d := range sf {
 		if len(sr) != len(sf) || sf[d].Measured != sr[d].Measured || sf[d].Outcomes != sr[d].Outcomes {
 			t.Fatalf("controller measurement diverged:\nfull    %+v\nresumed %+v", sf, sr)
+		}
+	}
+	// The window a dimension would open next is pinned apart: dimension
+	// 0 was reset by its refit and is back on the warm-up window, mean +
+	// 2σ of the MD completion latencies, and those differ after a
+	// resume. The segments in flight at the snapshot are discarded and
+	// redone, and a redone segment's latency runs from its submission
+	// on the resumed clock, not from the uninterrupted run's. Both
+	// values are the ones the dispatcher produced while it woke at every
+	// MD completion (150.775 s uninterrupted, 155.428 s resumed); how
+	// the dispatcher waits must move neither.
+	wantWindow := []struct{ full, resumed uint64 }{{0x4062d8ccdf2c46f0, 0x40636dafc81c0b91}}
+	if len(sf) != len(wantWindow) {
+		t.Fatalf("%d controller dimensions, want %d", len(sf), len(wantWindow))
+	}
+	for d, w := range wantWindow {
+		if math.Float64bits(sf[d].Window) != w.full || math.Float64bits(sr[d].Window) != w.resumed {
+			t.Errorf("dimension %d window: uninterrupted %v, resumed %v; want %v and %v", d,
+				sf[d].Window, sr[d].Window, math.Float64frombits(w.full), math.Float64frombits(w.resumed))
 		}
 	}
 }
