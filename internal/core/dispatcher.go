@@ -114,6 +114,11 @@ type dispatcher struct {
 	// resubmitted; lastFireAt is the runtime time of the latest one.
 	noopFires  int
 	lastFireAt float64
+	// waitAt is when the current wait began. A completion it delivers is
+	// stamped max(its finish, waitAt): the time a dispatcher woken by
+	// every completion would have taken it, however late the runtime
+	// delivered it.
+	waitAt float64
 }
 
 func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
@@ -183,7 +188,7 @@ func (d *dispatcher) run() error {
 				return fmt.Errorf("core: trigger %q stalled with no MD task outstanding", tr.Name())
 			}
 			d.noopFires = 0
-			if err := d.wait(tr.Deadline(st)); err != nil {
+			if err := d.wait(st.Now, tr.Deadline(st)); err != nil {
 				return err
 			}
 		case TriggerFireAtDeadline, TriggerFire:
@@ -200,11 +205,13 @@ func (d *dispatcher) run() error {
 	return nil
 }
 
-// wait is one wakeup of the loop: the completions the runtime delivers
-// by deadline are processed, then the resource events and bus records
-// they queued go out. The loop clock times it as LoopPhases describes.
-func (d *dispatcher) wait(deadline float64) error {
+// wait is one wakeup of the loop, begun at now: the completions the
+// runtime delivers by deadline are processed, then the resource events
+// and bus records they queued go out. The loop clock times it as
+// LoopPhases describes.
+func (d *dispatcher) wait(now, deadline float64) error {
 	s, c := d.s, &d.s.clock
+	d.waitAt = now
 	sampled := d.batch != nil || c.wakeups%loopSample == 0
 	c.wakeups++
 	if sampled {
@@ -376,11 +383,12 @@ func (d *dispatcher) complete(h task.Handle) error {
 	if f.res.Failed() && d.relaunch(f) {
 		return nil
 	}
+	at := max(f.res.Finished, d.waitAt)
 	if d.latObs != nil && !f.res.Failed() {
 		// Final completion of this segment: its latency spans back to
 		// the first submission, so fault-driven relaunch delay widens
 		// adaptive windows correctly.
-		d.latObs.ObserveLatency(d.s.rt.Now() - f.start)
+		d.latObs.ObserveLatency(at - f.start)
 	}
 	if d.aligned {
 		// Deferred: the barrier processes the whole batch in submission
@@ -389,7 +397,7 @@ func (d *dispatcher) complete(h task.Handle) error {
 		d.done++
 		return nil
 	}
-	d.absorb(f, &d.mdAccum)
+	d.absorb(f, &d.mdAccum, at)
 	if r := f.r; r.Alive {
 		d.ready = append(d.ready, r)
 		if d.budgeted(r) {
@@ -399,10 +407,11 @@ func (d *dispatcher) complete(h task.Handle) error {
 	return nil
 }
 
-// absorb folds the flight's final MD result into its replica and the
-// given phase record, tracking deaths, and lands the flight.
-func (d *dispatcher) absorb(f *mdFlight, phase *PhaseRecord) {
-	d.s.finishMD(f.r, f.res, phase)
+// absorb folds the flight's final MD result, stamped at, into its
+// replica and the given phase record, tracking deaths, and lands the
+// flight.
+func (d *dispatcher) absorb(f *mdFlight, phase *PhaseRecord, at float64) {
+	d.s.finishMD(f.r, f.res, phase, at)
 	if !f.r.Alive {
 		d.alive--
 	}
@@ -466,7 +475,7 @@ func (d *dispatcher) fire() error {
 	if d.aligned {
 		// The barrier's deferred batch, in submission order.
 		for _, r := range d.next {
-			d.absorb(&d.flights[r.ID], &rec.MD)
+			d.absorb(&d.flights[r.ID], &rec.MD, rec.At)
 		}
 		d.done = 0
 	}

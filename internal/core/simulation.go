@@ -249,27 +249,27 @@ func (s *Simulation) Replicas() []*Replica { return s.replicas }
 // SlotParams returns the fixed parameters of a slot.
 func (s *Simulation) SlotParams(slot int) md.Params { return s.slotParams[slot] }
 
-// finishMD processes one final MD task result: cycle count and energy
-// refresh, or replica death. Relaunchable failures never reach this
-// point — dispatcher.relaunch resubmits them as fresh events — so a
-// result that arrives here failed has exhausted its retry budget (or
-// runs under FaultDrop) and removes the replica.
-func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
+// finishMD processes one final MD task result, stamping its bus records
+// at: cycle count and energy refresh, or replica death. Relaunchable
+// failures never reach this point — dispatcher.relaunch resubmits them
+// as fresh events — so a result that arrives here failed has exhausted
+// its retry budget (or runs under FaultDrop) and removes the replica.
+func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord, at float64) {
 	phase.absorb(res)
 	s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
 	if res.Failed() {
 		r.Alive = false
 		s.report.Dropped++
-		publishMD(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+		publishMD(s, MDEvent{At: at, Replica: r.ID, Cycle: r.Cycle,
 			Exec: res.Exec, Failed: true})
-		publish(s, FaultEvent{At: s.rt.Now(), Replica: r.ID,
+		publish(s, FaultEvent{At: at, Replica: r.ID,
 			Kind: FaultKindDrop, Retries: r.Retries})
 		s.recordFault(r.ID, FaultKindDrop, r.Retries)
 		return
 	}
 	r.Cycle++
 	r.Energy = s.engine.OwnEnergy(r)
-	publishMD(s, MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+	publishMD(s, MDEvent{At: at, Replica: r.ID, Cycle: r.Cycle,
 		Exec: res.Exec})
 }
 
