@@ -77,10 +77,12 @@ type dispatcher struct {
 	// its controller state rides in every snapshot, and New hands it
 	// back on resume.
 	stateful StatefulTrigger
-	// batch is the runtime's BatchAwaiter side when the barrier can use
-	// it (nil otherwise): an aligned policy that observes no latencies
-	// acts on nothing until the round's last completion, bar a failure's
-	// relaunch and the resource events the runtime wakes it for.
+	// need is the policy's BatchedTrigger side, and batch the runtime's
+	// BatchAwaiter side when need is there (both nil otherwise): a wait
+	// then sleeps until as many completions are pending as could change
+	// the decision, bar a failure's relaunch and the resource events the
+	// runtime wakes it for.
+	need  BatchedTrigger
 	batch task.BatchAwaiter
 	// fb is the policy as a FeedbackTrigger (nil otherwise): feedback
 	// policies get a controller-decision span after each fire and drive
@@ -149,7 +151,7 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 	d.latObs, _ = tr.(LatencyObserver)
 	d.stateful, _ = tr.(StatefulTrigger)
 	d.fb, _ = tr.(*FeedbackTrigger)
-	if d.aligned && d.latObs == nil {
+	if d.need, _ = tr.(BatchedTrigger); d.need != nil {
 		d.batch, _ = s.rt.(task.BatchAwaiter)
 	}
 	return d
@@ -188,7 +190,7 @@ func (d *dispatcher) run() error {
 				return fmt.Errorf("core: trigger %q stalled with no MD task outstanding", tr.Name())
 			}
 			d.noopFires = 0
-			if err := d.wait(st.Now, tr.Deadline(st)); err != nil {
+			if err := d.wait(st); err != nil {
 				return err
 			}
 		case TriggerFireAtDeadline, TriggerFire:
@@ -205,21 +207,26 @@ func (d *dispatcher) run() error {
 	return nil
 }
 
-// wait is one wakeup of the loop, begun at now: the completions the
-// runtime delivers by deadline are processed, then the resource events
-// and bus records they queued go out. The loop clock times it as
-// LoopPhases describes.
-func (d *dispatcher) wait(now, deadline float64) error {
+// wait is one wakeup of the loop, begun in state st: the completions
+// the runtime delivers by the policy's deadline are processed, then the
+// resource events and bus records they queued go out. The loop clock
+// times it as LoopPhases describes.
+func (d *dispatcher) wait(st TriggerState) error {
 	s, c := d.s, &d.s.clock
-	d.waitAt = now
-	sampled := d.batch != nil || c.wakeups%loopSample == 0
+	d.waitAt = st.Now
+	deadline := d.tr.Deadline(st)
+	n := 1
+	if d.batch != nil {
+		n = min(max(d.need.Need(st), 1), d.pending)
+	}
+	sampled := n >= loopSample || c.wakeups%loopSample == 0
 	c.wakeups++
 	if sampled {
 		c.split()
 	}
 	var hs []task.Handle
 	if d.batch != nil {
-		hs = d.batch.AwaitBatch(d.pending, deadline)
+		hs = d.batch.AwaitBatch(n, deadline)
 	} else {
 		hs = s.rt.AwaitNext(deadline)
 	}

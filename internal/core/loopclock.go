@@ -22,10 +22,10 @@ import (
 //   - respace: the ladder refit check and any refit.
 //
 // Every fire is timed exactly, and so is the loop as a whole; the rest
-// of the loop is await and complete. A wakeup is timed when the runtime
-// batched it (task.BatchAwaiter), or once in loopSample wakeups, and a
-// wakeup that delivered loopSample completions or more has its complete
-// phase timed from its return. The wall time between timed points is
+// of the loop is await and complete. A wakeup is timed when it waits for
+// loopSample completions or more (a batching runtime, task.BatchAwaiter),
+// or once in loopSample wakeups, and a wakeup that delivered loopSample
+// completions or more has its complete phase timed from its return. The wall time between timed points is
 // split into await and complete in the ratio the sampled wakeups
 // measured, so the phases always add up to the run's wall clock.
 var LoopPhases = [...]string{"setup", "await", "complete", "decide", "exchange", "publish", "snapshot", "respace"}

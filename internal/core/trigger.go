@@ -120,6 +120,22 @@ type StatefulTrigger interface {
 	RestoreState(data []byte) error
 }
 
+// BatchedTrigger is an optional Trigger extension for a policy that can
+// say how many more MD completions could change its decision before its
+// deadline. The dispatcher then lets a batching runtime
+// (task.BatchAwaiter) hold completions back until that many are pending
+// or the deadline passes, bar the ones the runtime delivers at their own
+// time (a failure, or a completion that finds resource events buffered):
+// it wakes about once a round instead of once an MD completion, and
+// decides exactly as often as its decision can change.
+type BatchedTrigger interface {
+	// Need returns how many more completions could change Decide(st)
+	// before Deadline(st). The dispatcher caps it at st.Pending, so a
+	// policy whose decision changes only once nothing is outstanding
+	// returns st.Pending.
+	Need(st TriggerState) int
+}
+
 // ---------------------------------------------------------------------------
 // The two families' shared halves.
 
@@ -180,6 +196,9 @@ func (t *BarrierTrigger) Decide(st TriggerState) TriggerDecision {
 	return TriggerWait
 }
 
+// Need is every outstanding segment (BatchedTrigger).
+func (t *BarrierTrigger) Need(st TriggerState) int { return st.Pending }
+
 // ---------------------------------------------------------------------------
 // WindowTrigger: the asynchronous pattern.
 
@@ -220,6 +239,9 @@ func (t *WindowTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
 
+// Need is windowNeed's (BatchedTrigger).
+func (t *WindowTrigger) Need(st TriggerState) int { return windowNeed(st, t.MinReady) }
+
 // Reset opens the next window.
 func (t *WindowTrigger) Reset(st TriggerState) { t.windowEnd = st.Now + t.Window }
 
@@ -249,6 +271,18 @@ func windowDecision(st TriggerState, windowEnd float64, minReady int) TriggerDec
 	return TriggerWait
 }
 
+// windowNeed is the number of completions that can change
+// windowDecision before the boundary: the early-fire threshold's
+// shortfall when one is set, every outstanding segment otherwise (the
+// last one's completion is the other change, and the dispatcher caps
+// the count there).
+func windowNeed(st TriggerState, minReady int) int {
+	if minReady > 0 {
+		return max(minReady, 2) - st.Ready
+	}
+	return st.Pending
+}
+
 // ---------------------------------------------------------------------------
 // CountTrigger: exchange as soon as N replicas are ready.
 
@@ -276,18 +310,14 @@ func (t *CountTrigger) Aligned() bool { return false }
 // Decide fires at the threshold, or when no MD segment is outstanding
 // (so the tail of a run always drains).
 func (t *CountTrigger) Decide(st TriggerState) TriggerDecision {
-	n := t.Count
-	if n < 2 {
-		n = 2
-	}
-	if st.Ready >= n {
-		return TriggerFire
-	}
-	if st.Pending == 0 {
+	if st.Ready >= max(t.Count, 2) || st.Pending == 0 {
 		return TriggerFire
 	}
 	return TriggerWait
 }
+
+// Need is the threshold's shortfall (BatchedTrigger).
+func (t *CountTrigger) Need(st TriggerState) int { return max(t.Count, 2) - st.Ready }
 
 // ---------------------------------------------------------------------------
 // AdaptiveTrigger: a window that tracks observed MD-time dispersion.
@@ -370,6 +400,9 @@ func (t *AdaptiveTrigger) Name() string { return "adaptive" }
 func (t *AdaptiveTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
+
+// Need is windowNeed's (BatchedTrigger).
+func (t *AdaptiveTrigger) Need(st TriggerState) int { return windowNeed(st, t.MinReady) }
 
 // ObserveLatency folds a completed MD segment's completion latency —
 // including relaunch retries — into the dispersion estimate
@@ -619,10 +652,19 @@ func (t *FeedbackTrigger) Decide(st TriggerState) TriggerDecision {
 	if st.Pending == 0 {
 		return TriggerFire
 	}
+	return windowDecision(st, t.windowEnd, t.minReady(st.Dim))
+}
+
+// Need is windowNeed's against the upcoming dimension's early-fire
+// threshold (BatchedTrigger); Decide's own fire at Pending 0 is the
+// dispatcher's cap.
+func (t *FeedbackTrigger) Need(st TriggerState) int { return windowNeed(st, t.minReady(st.Dim)) }
+
+// minReady is dimension d's effective early-fire threshold.
+func (t *FeedbackTrigger) minReady(d int) int {
 	t.mu.Lock()
-	minReady := t.dim(st.Dim).effectiveMinReady(t.MinReady)
-	t.mu.Unlock()
-	return windowDecision(st, t.windowEnd, minReady)
+	defer t.mu.Unlock()
+	return t.dim(d).effectiveMinReady(t.MinReady)
 }
 
 // effectiveMinReady resolves the second actuator: the saturation

@@ -76,6 +76,20 @@ func TestUnitWakeupCounts(t *testing.T) {
 // orchestrator's wakeups and the MD completions.
 func barrierRun(t *testing.T, rungs, cycles int, failures float64) (events, wakeups, completions int) {
 	t.Helper()
+	events, wakeups, rep := orchestratorRun(t, rungs, cycles, failures, nil)
+	for _, r := range rep.Records {
+		completions += r.MD.Tasks
+	}
+	if completions != rungs*cycles {
+		t.Fatalf("%d MD completions, want %d", completions, rungs*cycles)
+	}
+	return events, wakeups, completions
+}
+
+// orchestratorRun is barrierRun's run under trigger (the barrier when
+// nil), returning its report in place of the completions.
+func orchestratorRun(t *testing.T, rungs, cycles int, failures float64, trigger core.Trigger) (events, wakeups int, rep *core.Report) {
+	t.Helper()
 	machine := cluster.SuperMIC()
 	machine.ExecJitter = 0.05
 	machine.FailureProb *= failures
@@ -87,6 +101,9 @@ func barrierRun(t *testing.T, rungs, cycles int, failures float64) (events, wake
 		StepsPerCycle:   6000,
 		Cycles:          cycles,
 		Seed:            1,
+	}
+	if trigger != nil {
+		spec.Pattern, spec.Trigger = core.PatternAsynchronous, trigger
 	}
 	e := sim.NewEnv()
 	cl := cluster.MustNew(e, machine, 2)
@@ -100,7 +117,6 @@ func barrierRun(t *testing.T, rungs, cycles int, failures float64) (events, wake
 			wakeups++
 		}
 	})
-	var rep *core.Report
 	e.Go("emm", func(p *sim.Proc) {
 		simu, err := core.New(spec, engines.NewAmberVirtual(2881, 3), NewRuntime(pl, p))
 		if err != nil {
@@ -115,13 +131,7 @@ func barrierRun(t *testing.T, rungs, cycles int, failures float64) (events, wake
 	if rep == nil {
 		t.FailNow()
 	}
-	for _, r := range rep.Records {
-		completions += r.MD.Tasks
-	}
-	if completions != rungs*cycles {
-		t.Fatalf("%d MD completions, want %d", completions, rungs*cycles)
-	}
-	return events, wakeups, completions
+	return events, wakeups, rep
 }
 
 // On virt_t4096_barrier's shape, at an eighth of its rungs and at full
@@ -154,4 +164,49 @@ func TestBarrierOrchestratorWakeupsPerRound(t *testing.T) {
 		t.Fatalf("orchestrator wakeups a round: %v, want the same at both sizes, at most 6", perRound)
 	}
 	t.Logf("orchestrator wakeups a round: %v", perRound)
+}
+
+// TestAsyncOrchestratorWakeups bounds the orchestrator's wakeups under
+// the asynchronous triggers on BenchmarkDispatcher's shape (two cycles,
+// a 100 s window, no failures) at 512 and 4 096 rungs. A wait sleeps
+// until as many completions are pending as could change the trigger's
+// decision (core.BatchedTrigger), so a window wakes a few times an
+// exchange event, not once an MD completion. The bounds are this
+// dispatcher's counts; the one that woke at every completion read, as
+// wakeups over events: window 1034/2 and 6105/5, window with MinReady 8
+// 131/39 and 141/49, count(8) 130/39 and 140/49, adaptive 1033/2 and
+// 7264/3, feedback 1033/2 and 4892/8.
+func TestAsyncOrchestratorWakeups(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() core.Trigger
+		// wakeups and events at 512 and at 4096 rungs.
+		want [2][2]int
+	}{
+		{"window", func() core.Trigger { return core.NewWindowTrigger(100, 0) }, [2][2]int{{12, 2}, {19, 5}}},
+		{"window-minready8", func() core.Trigger { return core.NewWindowTrigger(100, 8) }, [2][2]int{{101, 39}, {115, 49}}},
+		{"count8", func() core.Trigger { return core.NewCountTrigger(8) }, [2][2]int{{101, 39}, {115, 49}}},
+		{"adaptive", func() core.Trigger { return core.NewAdaptiveTrigger(100) }, [2][2]int{{11, 2}, {14, 3}}},
+		{"feedback", func() core.Trigger { return core.NewFeedbackTrigger(100) }, [2][2]int{{11, 2}, {28, 8}}},
+	}
+	for _, tc := range cases {
+		for i, rungs := range []int{512, 4096} {
+			_, wakeups, rep := orchestratorRun(t, rungs, 2, 0, tc.mk())
+			completions := 0
+			for _, r := range rep.Records {
+				completions += r.MD.Tasks
+			}
+			want := tc.want[i]
+			if completions != 2*rungs || rep.ExchangeEvents != want[1] {
+				t.Fatalf("%d/%s: %d completions and %d exchange events, want %d and %d",
+					rungs, tc.name, completions, rep.ExchangeEvents, 2*rungs, want[1])
+			}
+			if wakeups > want[0] {
+				t.Errorf("%d/%s: %d orchestrator wakeups for %d exchange events, want at most %d",
+					rungs, tc.name, wakeups, rep.ExchangeEvents, want[0])
+			}
+			t.Logf("%d/%s: %.2f orchestrator wakeups an exchange event (%d over %d)",
+				rungs, tc.name, float64(wakeups)/float64(rep.ExchangeEvents), wakeups, rep.ExchangeEvents)
+		}
+	}
 }
