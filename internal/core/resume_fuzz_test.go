@@ -57,15 +57,21 @@ func pinnedResume(pr pinnedRun, sn *core.Snapshot, ctx context.Context) (out res
 }
 
 // FuzzResume: CheckResume and New agree on every checkpoint, and one
-// they accept resumes. The input is checkpoint bytes; the pinned run
-// whose spec they resume is the one their name picks (the first run's
-// when none matches, which New refuses). Accepted, the snapshot
+// they accept resumes. The input is checkpoint bytes and two integer
+// deltas applied after decoding: dEvents to the exchange-event count
+// and the slot-history row count alike, dRows to the row count alone.
+// The deltas are a field-level mutation beside the byte-level one: the
+// row count must follow the event count, so a negative event count is
+// a two-field edit in bytes and one delta here. The pinned run whose
+// spec they resume is the one the name picks (the first run's when
+// none matches, which New refuses). Accepted, the snapshot
 // restores exactly — a run cancelled before its first boundary hands
 // it back unchanged — and the resumed run finishes without a panic,
 // every slot-history row it records a permutation of the slots. The
 // one exception is trigger state the policy's RestoreState rejects:
 // New fails then, as it should. Seeds: each pinned file, and each
-// pinned run's event-0 checkpoint (a run cancelled before it fired).
+// pinned run's event-0 checkpoint (a run cancelled before it fired),
+// with zero deltas.
 func FuzzResume(f *testing.F) {
 	runs := pinnedRuns()
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -78,18 +84,20 @@ func FuzzResume(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(mustEncode(f, pinned))
+		f.Add(mustEncode(f, pinned), 0, 0)
 		at0 := pinnedResume(pr, nil, cancelled)
 		if !errors.Is(at0.runErr, core.ErrRunCancelled) || len(at0.snaps) != 1 {
 			f.Fatalf("%s: a fresh run cancelled at once: %v, %d checkpoints", pr.file, at0.runErr, len(at0.snaps))
 		}
-		f.Add(mustEncode(f, at0.snaps[0]))
+		f.Add(mustEncode(f, at0.snaps[0]), 0, 0)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, dEvents, dRows int) {
 		sn, err := core.DecodeSnapshot(data)
 		if err != nil {
 			return
 		}
+		sn.Events += dEvents
+		sn.SlotRows += dEvents + dRows
 		pr, ok := byName[sn.Name]
 		if !ok {
 			pr = runs[0]

@@ -29,10 +29,12 @@
 # each pinned run's event-0 checkpoint. Crashers land in the
 # package's testdata/fuzz/ for triage. Minimising a 10 KB interesting
 # input can eat a whole lane (the default budget is 60 s an input), so
-# it is capped: at 2 s, and at 50 runs for FuzzResume, where a run of a
-# checkpoint that decodes resumes two small simulations and 2 s caps
-# left both workers minimising for most of the lane (20-60 k execs in
-# 13 s on 2 cores, against ~170 k at 50 runs).
+# it is capped: at 50 runs for the two lanes that take whole
+# checkpoints, and at 2 s for the rest. Under a 2 s cap both workers
+# spent most of the lane minimising: FuzzResume, where a run of a
+# checkpoint that decodes resumes two small simulations, did 20-60 k
+# execs in 13 s on 2 cores (~170 k at 50 runs), and FuzzDecodeSnapshot
+# did 4-19 k, ending at 0-300 execs/s (110-125 k at 50 runs).
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -41,7 +43,7 @@ cd "$(repo_root)"
 lane() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 13s -fuzzminimizetime "${3:-2s}"; }
 lane ./internal/config/ FuzzParseLaunch
 lane ./internal/config/ FuzzResourceChaos
-lane ./internal/core/ FuzzDecodeSnapshot
+lane ./internal/core/ FuzzDecodeSnapshot 50x
 lane ./internal/analysis/ FuzzCollectorRestore
 lane ./internal/core/ FuzzFeedbackRestore
 lane ./internal/core/ FuzzAdaptiveRestore
