@@ -83,24 +83,10 @@ func TestAsyncFaultsGolden(t *testing.T) {
 			if sub.Dropped() != 0 {
 				t.Fatalf("%s/%s: the subscription dropped %d records", trig.name, shape.name, sub.Dropped())
 			}
-			h := fnv.New64a()
-			kinds := map[string]int{}
-			for _, rec := range recs {
-				if rec.Other == nil {
-					fmt.Fprintf(h, "%+v\n", rec.MD)
-					continue
-				}
-				fmt.Fprintf(h, "%T%+v\n", rec.Other, rec.Other)
-				switch ev := rec.Other.(type) {
-				case core.FaultEvent:
-					kinds[ev.Kind]++
-				case core.ResourceEvent:
-					kinds[ev.Kind]++
-				}
-			}
+			bus, kinds := busDigest(recs)
 			fmt.Fprintf(&got, "%s/%s fingerprint=%#x events=%d relaunches=%d dropped=%d end=%#x records=%d bus=%#x kinds=%v",
 				trig.name, shape.name, rep.SlotFingerprint, rep.ExchangeEvents, rep.Relaunches, rep.Dropped,
-				math.Float64bits(rep.End), len(recs), h.Sum64(), kinds)
+				math.Float64bits(rep.End), len(recs), bus, kinds)
 			if fb, ok := tr.(*core.FeedbackTrigger); ok {
 				_, refits := simu.Respacing()
 				c := fnv.New64a()

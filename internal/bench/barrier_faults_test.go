@@ -74,6 +74,27 @@ func barrierFaultShapes(t *testing.T) []struct {
 	}
 }
 
+// busDigest hashes bus records in publication order, every field with
+// its time stamp, and counts the fault and resource records by kind.
+func busDigest(recs []core.BusRecord) (uint64, map[string]int) {
+	h := fnv.New64a()
+	kinds := map[string]int{}
+	for _, rec := range recs {
+		if rec.Other == nil {
+			fmt.Fprintf(h, "%+v\n", rec.MD)
+			continue
+		}
+		fmt.Fprintf(h, "%T%+v\n", rec.Other, rec.Other)
+		switch ev := rec.Other.(type) {
+		case core.FaultEvent:
+			kinds[ev.Kind]++
+		case core.ResourceEvent:
+			kinds[ev.Kind]++
+		}
+	}
+	return h.Sum64(), kinds
+}
+
 // TestBarrierFaultsGolden pins, for every barrier fault shape, the slot
 // fingerprint, the relaunches and drops, the bits of the run's end time
 // and every bus record in publication order against
@@ -95,24 +116,10 @@ func TestBarrierFaultsGolden(t *testing.T) {
 		if sub.Dropped() != 0 {
 			t.Fatalf("%s: the subscription dropped %d records", shape.name, sub.Dropped())
 		}
-		h := fnv.New64a()
-		kinds := map[string]int{}
-		for _, rec := range recs {
-			if rec.Other == nil {
-				fmt.Fprintf(h, "%+v\n", rec.MD)
-				continue
-			}
-			fmt.Fprintf(h, "%T%+v\n", rec.Other, rec.Other)
-			switch ev := rec.Other.(type) {
-			case core.FaultEvent:
-				kinds[ev.Kind]++
-			case core.ResourceEvent:
-				kinds[ev.Kind]++
-			}
-		}
+		bus, kinds := busDigest(recs)
 		fmt.Fprintf(&got, "%s fingerprint=%#x relaunches=%d dropped=%d end=%#x records=%d bus=%#x kinds=%v\n",
 			shape.name, rep.SlotFingerprint, rep.Relaunches, rep.Dropped, math.Float64bits(rep.End),
-			len(recs), h.Sum64(), kinds)
+			len(recs), bus, kinds)
 	}
 	path := filepath.Join("testdata", "barrier_faults.golden")
 	if *updateBooking {

@@ -126,8 +126,7 @@ type StatefulTrigger interface {
 // (task.BatchAwaiter) hold completions back until that many are pending
 // or the deadline passes, bar the ones the runtime delivers at their own
 // time (a failure, or a completion that finds resource events buffered):
-// it wakes about once a round instead of once an MD completion, and
-// decides exactly as often as its decision can change.
+// it wakes about once a round instead of once an MD completion.
 type BatchedTrigger interface {
 	// Need returns how many more completions could change Decide(st)
 	// before Deadline(st). The dispatcher caps it at st.Pending, so a
