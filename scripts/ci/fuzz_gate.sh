@@ -23,7 +23,8 @@
 #   FuzzResume            internal/core      a checkpoint against the run
 #                         it resumes: what CheckResume refuses New
 #                         refuses; what it accepts New restores exactly
-#                         and runs to the end without a panic
+#                         and runs to the end without a panic (the event
+#                         and row counts are also mutated as fields)
 # The checkpoint lanes are seeded from the pinned format-2 files and
 # trigger_state.golden in internal/core/testdata; FuzzResume also from
 # each pinned run's event-0 checkpoint. Crashers land in the
