@@ -132,11 +132,16 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 		ndims:     len(s.spec.Dims),
 		segBudget: s.spec.Cycles,
 		flights:   make([]mdFlight, len(s.replicas)),
-		event:     s.report.ExchangeEvents,
-		dim:       s.report.ExchangeEvents % len(s.spec.Dims),
+		// A round resubmits, and a collection round readies, at most
+		// every replica.
+		next:  make([]*Replica, 0, len(s.replicas)),
+		event: s.report.ExchangeEvents,
+		dim:   s.report.ExchangeEvents % len(s.spec.Dims),
 	}
 	if d.aligned {
 		d.segBudget *= d.ndims
+	} else {
+		d.ready = make([]*Replica, 0, len(s.replicas))
 	}
 	for _, r := range s.replicas {
 		if r.Alive {

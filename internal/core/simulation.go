@@ -114,9 +114,18 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	}
 	s.fillSlotParams()
 	s.slotGroups = make([][][]int, len(spec.Dims))
+	groups := 0
 	for d := range spec.Dims {
 		s.slotGroups[d] = grid.GroupsAlong(d)
+		groups = max(groups, len(s.slotGroups[d]))
 	}
+	// An exchange event has at most every replica as a member, a boundary
+	// a group and a pair every two members: its scratch is sized for that
+	// once, here, and never grows.
+	s.exMembers = make([]*Replica, 0, n)
+	s.exOff = make([]int, 0, groups+1)
+	s.exIDs = make([]int, 0, n)
+	s.exPairs = make([]exchange.Pair, 0, n/2)
 	// The replicas and their restraint arrays are carved from one backing
 	// array each: a run allocates them once, not once per replica.
 	reps := make([]Replica, n)

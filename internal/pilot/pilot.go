@@ -249,6 +249,9 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 			}
 		}
 	})
+	// Up to a unit a core runs at once, each with a wakeup queued: the
+	// kernel sizes its queues for them now rather than doubling there.
+	env.Reserve(desc.Cores)
 	return pl, nil
 }
 

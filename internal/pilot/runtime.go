@@ -73,12 +73,14 @@ type Runtime struct {
 	// Await and AwaitAll delivered, from their return on.
 	spare []*Unit
 	// fresh is the uncarved rest of the latest unit chunk. A submission
-	// with no spare carves its unit from it; each chunk is a quarter of
-	// every unit carved before it, so a run allocates a logarithmic
-	// number of chunks, not a unit per task in flight, and leaves at most
-	// a fifth of its units uncarved. (A run's peak is often a few units
-	// past a round replica count, where doubling would leave nearly half
-	// its units unused for as long as the runtime lives.)
+	// with no spare carves its unit from it. The first chunk holds a unit
+	// per core of the runtime's pilots, what Execution Mode I keeps in
+	// flight; each later one is a quarter of every unit carved before it,
+	// so a run allocates a logarithmic number of chunks, not a unit per
+	// task in flight, and leaves at most a fifth of its units uncarved.
+	// (A run's peak is often a few units past a round replica count,
+	// where doubling would leave nearly half its units unused for as long
+	// as the runtime lives.)
 	fresh  []Unit
 	carved int
 	// results is the slice AwaitAll returns, refilled by every call.
@@ -300,7 +302,11 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 		u, r.spare = r.spare[n-1], r.spare[:n-1]
 	} else {
 		if len(r.fresh) == 0 {
-			r.fresh = make([]Unit, max(minUnitChunk, r.carved/4))
+			n := r.carved / 4
+			if r.carved == 0 {
+				n = r.Cores()
+			}
+			r.fresh = make([]Unit, max(minUnitChunk, n))
 		}
 		u, r.fresh = &r.fresh[0], r.fresh[1:]
 		r.carved++

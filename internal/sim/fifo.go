@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // fifo is a first-in first-out queue on one backing array: pop advances a
 // head index instead of re-slicing the front away, so a queue that drains
 // (the kernel's same-instant lane does after every instant, a Resource
@@ -13,11 +15,20 @@ type fifo[T any] struct {
 
 func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
-func (q *fifo[T]) push(v T) {
-	if q.head > 0 && len(q.items) == cap(q.items) && q.head >= len(q.items)/2 {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
+// push appends v. A full queue slides its live tail down when that frees
+// half its array; otherwise it grows, to room elements at once while it
+// holds fewer (room is the kernel's reserved process count, see
+// Env.Reserve), and by append's doubling past that.
+func (q *fifo[T]) push(v T, room int) {
+	if len(q.items) == cap(q.items) {
+		switch {
+		case q.head > 0 && q.head >= len(q.items)/2:
+			n := copy(q.items, q.items[q.head:])
+			clear(q.items[n:])
+			q.items, q.head = q.items[:n], 0
+		case room > cap(q.items):
+			q.items = slices.Grow(q.items, room-len(q.items))
+		}
 	}
 	q.items = append(q.items, v)
 }

@@ -51,6 +51,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Env is a discrete-event simulation environment. The zero value is not
@@ -73,6 +74,9 @@ type Env struct {
 	slots []slot
 	free  []int32
 	nlive int
+	// room is the number of live processes the kernel has room for
+	// (Reserve): a queue that outgrows its array grows to it at once.
+	room  int
 	trace func(t float64, msg string)
 	// limit is the bound of the RunUntil in progress (-Inf while none is),
 	// up to which a parked goroutine process drives the queue itself. due
@@ -231,7 +235,7 @@ func (e *Env) schedule(p *Proc, t float64) {
 	ev := event{t: t, seq: e.seq, gen: p.gen, slot: p.slot}
 	if t <= e.now {
 		ev.t = e.now
-		e.lane.push(ev)
+		e.lane.push(ev, e.room)
 		return
 	}
 	e.push(ev)
@@ -338,7 +342,7 @@ func (q *Delay) WakeAt(p *Proc, t float64) {
 		return
 	}
 	e.seq++
-	q.q.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot})
+	q.q.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot}, e.room)
 }
 
 // Go spawns a new goroutine process that starts at the current virtual
@@ -503,6 +507,28 @@ func (e *Env) Pending() int {
 // Live reports the number of live (spawned, not finished) processes.
 func (e *Env) Live() int { return e.nlive }
 
+// Reserve tells the kernel that up to n more processes than are live now
+// may be live at once, each with a wakeup queued: a pilot reserves a unit
+// a core. The process table, its free list, the heap and the same-instant
+// lane get room for them now, and a delay queue, a signal's waiters or a
+// resource's queue that outgrows its array grows to that room at once,
+// not by doubling. Past the room, queues grow as append does.
+func (e *Env) Reserve(n int) {
+	if e.nlive+n <= e.room {
+		return
+	}
+	e.room = e.nlive + n
+	e.slots = reserve(e.slots, e.room)
+	e.free = reserve(e.free, e.room)
+	e.events = reserve(e.events, e.room)
+	e.lane.items = reserve(e.lane.items, e.room)
+}
+
+// reserve returns s with capacity for n elements.
+func reserve[T any](s []T, n int) []T {
+	return slices.Grow(s, max(n-len(s), 0))
+}
+
 // Park suspends the process until its next wakeup. It is the blocking
 // half of every blocking form: register a wakeup with a non-blocking
 // form, then Park. Goroutine processes only.
@@ -575,7 +601,7 @@ func (s *Signal) Enrol(p *Proc) {
 		s.first = w
 		return
 	}
-	s.rest.push(w)
+	s.rest.push(w, s.env.room)
 }
 
 // pop removes and returns the oldest waiter; there must be one.
@@ -721,7 +747,7 @@ func (r *Resource) Request(p *Proc, n int, abortable bool) {
 	case r.TryAcquire(n):
 		p.granted = true
 	default:
-		r.queue.push(resWaiter{p: p, n: n, abortable: abortable})
+		r.queue.push(resWaiter{p: p, n: n, abortable: abortable}, r.env.room)
 	}
 }
 

@@ -1000,7 +1000,7 @@ func TestPropertyFifoMatchesSlice(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5:
-				q.push(next)
+				q.push(next, 0)
 				ref = append(ref, next)
 				next++
 			case op < 9:
@@ -1034,10 +1034,10 @@ func TestPropertyFifoMatchesSlice(t *testing.T) {
 
 	var q fifo[int]
 	for i := 0; i < 3; i++ {
-		q.push(i)
+		q.push(i, 0)
 	}
 	for i := 3; i < 100000; i++ {
-		q.push(i)
+		q.push(i, 0)
 		if got := q.pop(); got != i-3 {
 			t.Fatalf("pop %d, want %d", got, i-3)
 		}
