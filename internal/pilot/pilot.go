@@ -158,36 +158,36 @@ type Pilot struct {
 }
 
 // Unit is a submitted compute unit; it implements task.Handle. A unit is
-// one allocation: it embeds its stepped simulation process, its latches
-// and the scratch its lifecycle carries between wakeups.
+// one allocation: it embeds its stepped simulation process, its latch
+// and the scratch its lifecycle carries between wakeups. What its wakeups
+// read and write comes first; its latch and routing, touched at
+// submission and completion only, last.
 type Unit struct {
-	pl    *Pilot
-	spec  *task.Spec
-	state State
-	res   task.Result
-	done  sim.Completion
-	// interrupt fires to kill this unit mid-flight, carrying the cause
-	// (walltime expiry, preemption deadline, node loss). Waiting on it
-	// with a timeout is the unit's execution sleep: for an unmolested
-	// unit it schedules exactly the one timeout event a plain sleep
-	// would, so elastic pilots cost nothing on the happy path.
-	interrupt sim.Completion
+	// Lifecycle state (see step): the process, where it resumes, and
+	// what it remembers across wakeups.
+	proc    sim.Proc
+	pl      *Pilot
+	spec    *task.Spec
+	phase   unitPhase
+	failing bool // fault injection chose this unit: it dies at half its duration
+	watched bool
+	state   State
+	mark    float64 // start of the interval being measured (t0, t1, t2 in turn)
+	// kill is the cause (walltime expiry, preemption deadline, node loss)
+	// the unit was interrupted with, nil while it was not (see
+	// interrupt). The unit's execution is a plain sleep that a kill cuts
+	// short, so elastic pilots cost nothing on the happy path.
+	kill    error
+	staging cluster.Staging
+	res     task.Result
+
+	done sim.Completion
 	// rt, when set, is the runtime that routed the unit to slot; the
 	// unit's lifecycle reports to it right after reaching DONE or FAILED
 	// (one call per completion: O(1), nothing allocated per unit), and a
 	// watched unit is then delivered on the runtime's completion stream.
-	rt      *Runtime
-	slot    int
-	watched bool
-
-	// Lifecycle state (see step): the process, where it resumes, and
-	// what it remembers across wakeups.
-	proc    sim.Proc
-	phase   unitPhase
-	staging cluster.Staging
-	mark    float64 // start of the interval being measured (t0, t1, t2 in turn)
-	failing bool    // fault injection chose this unit: it dies at half its duration
-
+	rt   *Runtime
+	slot int
 	// older/newer link the pilot's list of units holding cores.
 	older, newer *Unit
 }
@@ -286,9 +286,7 @@ func (pl *Pilot) expire(err error) {
 	pl.expireErr = err
 	pl.expiry.Complete(err)
 	for u := pl.oldest; u != nil; u = u.newer {
-		if !u.interrupt.Done() {
-			u.interrupt.Complete(err)
-		}
+		u.interrupt(err)
 	}
 	if pl.alloc != nil {
 		pl.alloc.Release()
@@ -321,10 +319,10 @@ func (pl *Pilot) LoseCores(n int) int {
 	// release, so track the excess locally.
 	excess := pl.cores.InUse() - pl.curCores
 	for u := pl.newest; u != nil && excess > 0; u = u.older {
-		if u.interrupt.Done() {
+		if u.kill != nil {
 			continue
 		}
-		u.interrupt.Complete(ErrNodeLost)
+		u.interrupt(ErrNodeLost)
 		excess -= u.spec.Cores
 	}
 	pl.alloc.ReleasePartial(n)
@@ -445,7 +443,6 @@ func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) {
 	}
 	*u = Unit{pl: pl, spec: spec, state: StateNew}
 	u.done.Init(pl.env)
-	u.interrupt.Init(pl.env)
 	u.res.Spec = spec
 	u.res.Submitted = pl.env.Now()
 	pl.unitsSubmitted++
@@ -489,11 +486,24 @@ func (pl *Pilot) finishUnit(u *Unit, err error) {
 	u.proc.Exit()
 }
 
+// interrupt kills a unit holding cores with err, unless something killed
+// it first: an executing unit wakes now and fails, a launching one fails
+// when its launch latency ends.
+func (u *Unit) interrupt(err error) {
+	if u.kill != nil {
+		return
+	}
+	u.kill = err
+	if u.phase == unitExecuting {
+		u.proc.WakeIn(0)
+	}
+}
+
 // killErr returns the error a unit holding cores should fail with right
-// now: its own interrupt's cause, the pilot's termination cause, or nil.
+// now: its own kill's cause, the pilot's termination cause, or nil.
 func (pl *Pilot) killErr(u *Unit) error {
-	if u.interrupt.Done() {
-		return u.interrupt.Err()
+	if u.kill != nil {
+		return u.kill
 	}
 	if pl.expired {
 		return pl.expireErr
@@ -644,10 +654,10 @@ func (u *Unit) step(p *sim.Proc) {
 				pl.failUnit(u, err)
 				return
 			}
-			// EXECUTING: sleep d on the unit's own interrupt latch. A
-			// unit chosen by fault injection fails partway through the
-			// run (unless the pilot's termination or a node loss kills
-			// it first).
+			// EXECUTING: sleep d, or until a kill (interrupt). A unit
+			// chosen by fault injection fails partway through the run
+			// (unless the pilot's termination or a node loss kills it
+			// first).
 			u.state = StateExecuting
 			d := pl.cl.ScaleDuration(u.spec.Duration)
 			u.failing = u.spec.CanFail && pl.cl.TaskFails()
@@ -657,22 +667,18 @@ func (u *Unit) step(p *sim.Proc) {
 				u.mark = p.Now()
 			}
 			u.phase = unitExecuting
-			if !u.interrupt.Done() {
+			if u.kill == nil {
 				// Completion.AwaitTimeout's arithmetic, to the bit: the
 				// timer is set for (now+d)-now, which is not d.
 				deadline := p.Now() + d
 				if remain := deadline - p.Now(); remain >= 0 {
-					u.interrupt.Enrol(p)
 					p.WakeIn(remain)
 					return
 				}
 			}
 
 		case unitExecuting:
-			var err error
-			if u.interrupt.Done() {
-				err = u.interrupt.Err()
-			}
+			err := u.kill
 			if u.failing {
 				u.res.Exec = p.Now() - u.mark - u.res.Launch
 				if err == nil {

@@ -14,8 +14,8 @@ func (e *Env) HeapLen() int { return len(e.events) }
 // CountResumes wraps the goroutine process p's resume so that *n counts
 // the coroutine switches into its body.
 func (p *Proc) CountResumes(n *int) {
-	resume := p.resume
-	p.resume = func() { *n++; resume() }
+	resume := p.co.resume
+	p.co.resume = func() { *n++; resume() }
 }
 
 // Idle reports whether no RunUntil is in progress: no bound kept and no

@@ -112,13 +112,13 @@ type Stepper interface {
 // (Env.Go: the blocking methods must be called from the goroutine running
 // the process body) or by a Stepper (Env.Spawn: non-blocking forms only).
 type Proc struct {
-	env  *Env
-	name string
-	// resume and park are the two switches of a goroutine process (see
-	// handoff): the kernel calls resume, the body calls park. Nil for a
-	// stepped one.
-	resume, park func()
-	stepper      Stepper
+	env *Env
+	// co is a goroutine process's name and switches; nil for a stepped
+	// one, which its stepper names. A stepped process lives inside its
+	// stepper (a compute unit, say), so what only goroutine processes use
+	// stays out of it.
+	co      *coroutine
+	stepper Stepper
 	// gen is the wakeup generation; events scheduled for an earlier
 	// generation are stale and are dropped by the kernel. This is what
 	// lets a process wait on "signal OR timeout" without double-resume.
@@ -130,12 +130,27 @@ type Proc struct {
 	notified, granted, aborted bool
 }
 
+// coroutine is what a goroutine process has beside its Proc: its name,
+// and the two switches between its body and the kernel (see handoff):
+// the kernel calls resume, the body calls park.
+type coroutine struct {
+	name         string
+	resume, park func()
+}
+
+// goProc is a goroutine process: its Proc and its coroutine, one
+// allocation.
+type goProc struct {
+	Proc
+	co coroutine
+}
+
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string {
 	if p.stepper != nil {
 		return p.stepper.ProcName()
 	}
-	return p.name
+	return p.co.name
 }
 
 // Env returns the environment the process belongs to.
@@ -362,9 +377,11 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt spawns a goroutine process that starts at absolute virtual time t
 // (clamped to now if in the past).
 func (e *Env) GoAt(name string, t float64, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name}
+	g := &goProc{Proc: Proc{env: e}, co: coroutine{name: name}}
+	p := &g.Proc
+	p.co = &g.co
 	e.admit(p)
-	p.resume, p.park = handoff(func() {
+	p.co.resume, p.co.park = handoff(func() {
 		fn(p)
 		p.Exit()
 	})
@@ -461,7 +478,7 @@ func (e *Env) RunUntil(t float64) {
 				break
 			}
 		}
-		p.resume()
+		p.co.resume()
 	}
 	if t > e.now && e.Pending() > 0 {
 		e.now = t
@@ -548,7 +565,7 @@ func (p *Proc) Park() {
 		return
 	}
 	e.due = q
-	p.park()
+	p.co.park()
 }
 
 // WakeIn schedules a wakeup of the process d virtual seconds from now
