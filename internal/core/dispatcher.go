@@ -25,9 +25,9 @@ import (
 // mdFlight is one replica's in-flight MD segment: the task handle, the
 // dimension the segment was submitted for (relaunches must reuse it even
 // if the dispatcher's current dimension has advanced) and the failure
-// accounting of this segment.
+// accounting of this segment. It is two cache lines, and names its
+// replica by index, not by pointer.
 type mdFlight struct {
-	r *Replica
 	// h is the segment's latest submission; nil once the segment has been
 	// absorbed or discarded.
 	h task.Handle
@@ -35,20 +35,23 @@ type mdFlight struct {
 	// runtime may reuse h once AwaitNext is called again, and the barrier
 	// absorbs results several calls later.
 	res task.Result
-	// dim is the exchange dimension the segment was submitted under.
-	dim int
 	// start is the runtime time of the segment's first submission;
 	// relaunches keep it, so (now - start) at final completion is the
 	// segment's completion latency including every retry.
 	start float64
+	// id is the replica's ID: its index in Simulation.replicas and in the
+	// dispatcher's flights.
+	id int32
+	// dim is the exchange dimension the segment was submitted under.
+	dim int32
 	// infra counts resource-loss resubmissions (pilot walltime expiry)
 	// of this segment; unlike Replica.Retries it is per-segment and does
 	// not consume the replica's fault budget.
-	infra int
+	infra int32
 	// rel counts replica-failure relaunches of this segment, so the
 	// segment's trace span can report how many retries it absorbed
 	// (infra + rel) without decoding the replica's lifetime budget.
-	rel int
+	rel int32
 }
 
 // dispatcher is the state of one run of the core loop: the run's policy
@@ -350,7 +353,7 @@ func (d *dispatcher) submit(rs []*Replica) {
 	d.mdStart = s.rt.Now()
 	for _, r := range rs {
 		f := &d.flights[r.ID]
-		*f = mdFlight{r: r, dim: d.dim, start: d.mdStart}
+		*f = mdFlight{id: int32(r.ID), dim: int32(d.dim), start: d.mdStart}
 		d.launch(f)
 	}
 }
@@ -360,8 +363,9 @@ func (d *dispatcher) submit(rs []*Replica) {
 // replica's ID here, whatever the engine wrote, because take finds the
 // flight through it.
 func (d *dispatcher) launch(f *mdFlight) {
-	spec := d.s.engine.MDTask(f.r, d.s.spec, f.dim)
-	spec.ReplicaID = f.r.ID
+	r := d.s.replicas[f.id]
+	spec := d.s.engine.MDTask(r, d.s.spec, int(f.dim))
+	spec.ReplicaID = r.ID
 	f.h = d.s.rt.SubmitWatched(spec)
 	d.pending++
 }
@@ -410,7 +414,7 @@ func (d *dispatcher) complete(h task.Handle) error {
 		return nil
 	}
 	d.absorb(f, &d.mdAccum, at)
-	if r := f.r; r.Alive {
+	if r := d.s.replicas[f.id]; r.Alive {
 		d.ready = append(d.ready, r)
 		if d.budgeted(r) {
 			d.readyB++
@@ -423,8 +427,9 @@ func (d *dispatcher) complete(h task.Handle) error {
 // replica and the given phase record, tracking deaths, and lands the
 // flight.
 func (d *dispatcher) absorb(f *mdFlight, phase *PhaseRecord, at float64) {
-	d.s.finishMD(f.r, f.res, phase, at)
-	if !f.r.Alive {
+	r := d.s.replicas[f.id]
+	d.s.finishMD(r, f.res, phase, at)
+	if !r.Alive {
 		d.alive--
 	}
 	d.s.recordMD(f)
@@ -439,26 +444,26 @@ func (d *dispatcher) absorb(f *mdFlight, phase *PhaseRecord, at float64) {
 // not the replica's.
 func (d *dispatcher) relaunch(f *mdFlight) bool {
 	s := d.s
-	res := f.res
+	r, res := s.replicas[f.id], f.res
 	kind, retries := "", 0
 	switch {
 	case errors.Is(res.Err, task.ErrResourceLost):
-		if f.infra >= s.spec.MaxRetries {
+		if int(f.infra) >= s.spec.MaxRetries {
 			return false
 		}
 		f.infra++
-		kind, retries = FaultKindResourceLost, f.infra
-	case s.spec.FaultPolicy == FaultRelaunch && f.r.Retries < s.spec.MaxRetries:
-		f.r.Retries++
+		kind, retries = FaultKindResourceLost, int(f.infra)
+	case s.spec.FaultPolicy == FaultRelaunch && r.Retries < s.spec.MaxRetries:
+		r.Retries++
 		f.rel++
-		kind, retries = FaultKindRelaunch, f.r.Retries
+		kind, retries = FaultKindRelaunch, r.Retries
 	default:
 		return false
 	}
 	s.report.Relaunches++
-	publish(s, FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+	publish(s, FaultEvent{At: s.rt.Now(), Replica: r.ID,
 		Kind: kind, Retries: retries, Exec: res.Exec})
-	s.recordFault(f.r.ID, kind, retries)
+	s.recordFault(r.ID, kind, retries)
 	// The failed attempt is charged to the round it happened in.
 	d.mdAccum.absorb(res)
 	s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
@@ -552,9 +557,9 @@ func (d *dispatcher) cancel() error {
 				return err
 			}
 			s.report.CancelledUnits++
-			publish(s, FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+			publish(s, FaultEvent{At: s.rt.Now(), Replica: int(f.id),
 				Kind: FaultKindCancelled})
-			s.recordFault(f.r.ID, FaultKindCancelled, 0)
+			s.recordFault(int(f.id), FaultKindCancelled, 0)
 			f.h = nil
 		}
 	}

@@ -21,22 +21,22 @@ func (s *Simulation) recordMD(f *mdFlight) {
 	if s.tracer == nil {
 		return
 	}
-	res := &f.res
+	res, r := &f.res, s.replicas[f.id]
 	sp := trace.Span{
 		Kind:    trace.KindMD,
 		Start:   f.start,
 		Dur:     res.Finished - f.start,
-		Replica: f.r.ID,
-		Dim:     f.dim,
+		Replica: r.ID,
+		Dim:     int(f.dim),
 		Pilot:   res.Pilot,
-		Retries: f.infra + f.rel,
+		Retries: int(f.infra + f.rel),
 	}
 	if res.Failed() {
 		// finishMD left Cycle at the failed segment's index.
-		sp.Event = f.r.Cycle
+		sp.Event = r.Cycle
 		sp.Label = "failed"
 	} else {
-		sp.Event = f.r.Cycle - 1
+		sp.Event = r.Cycle - 1
 	}
 	s.tracer.Record(sp)
 }
