@@ -84,6 +84,9 @@ type Env struct {
 	// resume; nil outside that hand-over.
 	limit float64
 	due   *Proc
+	// check checks the kernel's invariants under the simcheck build tag;
+	// it is empty otherwise.
+	check checker
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
@@ -247,6 +250,7 @@ func (e *Env) pop() event {
 // generation. Stale events (generation mismatch at pop time) are dropped.
 func (e *Env) schedule(p *Proc, t float64) {
 	e.seq++
+	e.check.scheduled()
 	ev := event{t: t, seq: e.seq, gen: p.gen, slot: p.slot}
 	if t <= e.now {
 		ev.t = e.now
@@ -357,7 +361,22 @@ func (q *Delay) WakeAt(p *Proc, t float64) {
 		return
 	}
 	e.seq++
+	e.check.scheduled()
 	q.q.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot}, e.room)
+}
+
+// Server is a first-in first-out server whose turns are booked, not
+// queued: a turn asked for at now starts once the turns booked before it
+// have ended, so its end is known at once and the process that asked
+// sleeps once, to it (Delay.WakeAt). The zero value is idle.
+type Server struct{ free float64 }
+
+// Book books a turn of d seconds asked for at now and returns its end.
+func (s *Server) Book(now, d float64) float64 {
+	start := max(now, s.free)
+	checkTurn(start, s.free)
+	s.free = start + d
+	return s.free
 }
 
 // Go spawns a new goroutine process that starts at the current virtual
@@ -496,6 +515,7 @@ func (e *Env) advance(limit float64) *Proc {
 		if !ok {
 			return nil
 		}
+		e.check.delivered(e, ev)
 		p := e.slots[ev.slot].p
 		if p == nil || ev.gen != p.gen {
 			continue // stale wakeup: the process moved on, or is gone
