@@ -348,7 +348,9 @@ func (d *dispatcher) submit(rs []*Replica) {
 	}
 	s := d.s
 	p := s.engine.PrepOverhead(len(rs), d.ndims)
+	s.clock.pause()
 	s.rt.Overhead(p)
+	s.clock.resume()
 	d.prep += p
 	d.mdStart = s.rt.Now()
 	for _, r := range rs {
@@ -605,7 +607,9 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 
 	// Client-side preparation of exchange tasks.
 	prep := s.engine.PrepOverhead(nGroups, len(s.spec.Dims))
+	s.clock.pause()
 	s.rt.Overhead(prep)
+	s.clock.resume()
 	rec.RepExOverhead += prep
 
 	// Single-point energy tasks (salt exchange): one per replica, wide
@@ -620,7 +624,10 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	}
 	s.speScratch = spe
 	if len(spe) > 0 {
-		for _, res := range s.rt.AwaitAll(spe) {
+		s.clock.pause()
+		results := s.rt.AwaitAll(spe)
+		s.clock.resume()
+		for _, res := range results {
 			rec.EX.absorb(res)
 		}
 		s.recordSPE(d, sweep, len(spe), speStart)
@@ -628,7 +635,11 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 
 	// The exchange-computation task itself (partner determination).
 	if exSpec := s.engine.ExchangeTask(d, len(members), s.spec); exSpec != nil {
-		rec.EX.absorb(s.rt.Await(s.rt.Submit(exSpec)))
+		h := s.rt.Submit(exSpec)
+		s.clock.pause()
+		res := s.rt.Await(h)
+		s.clock.resume()
+		rec.EX.absorb(res)
 	}
 
 	// Neighbour pair lists, flat across groups in group order — the same

@@ -10,7 +10,9 @@ import (
 //
 //   - setup: core.New through the first MD submission;
 //   - await: waiting in the runtime for completions (the kernel, or the
-//     real MD, runs meanwhile), and a fire-at-deadline's sleep;
+//     real MD, runs meanwhile), a fire-at-deadline's sleep, and the
+//     orchestrator's own sleeps: its preparation overheads and the
+//     exchange tasks' awaits (pause and resume, two clock reads a sleep);
 //   - complete: processing delivered completions, and the barrier's
 //     deferred absorption at its fire;
 //   - decide: a fire's resubmission to MD and the policy's next round;
@@ -61,6 +63,9 @@ type loopClock struct {
 	// complete time of the sampled ones, the ratio split charges by.
 	wakeups int
 	sampled [2]time.Duration
+	// held is wall time read as a sleep began (pause): it belongs to the
+	// phase in progress, and the next lap or split charges it there.
+	held time.Duration
 }
 
 // read returns the wall time since the last read and moves the mark.
@@ -71,8 +76,18 @@ func (c *loopClock) read() time.Duration {
 	return d
 }
 
-// lap charges the wall time since the last read to phase.
-func (c *loopClock) lap(phase int) { c.ns[phase].Add(int64(c.read())) }
+// lap charges the wall time since the last read, and any held, to phase.
+func (c *loopClock) lap(phase int) {
+	c.ns[phase].Add(int64(c.read() + c.held))
+	c.held = 0
+}
+
+// pause and resume bracket one of the orchestrator's own sleeps in the
+// runtime: the wall time before it is held for the phase in progress,
+// and the time inside it, in which the kernel runs everyone else's
+// events, is charged to await.
+func (c *loopClock) pause()  { c.held += c.read() }
+func (c *loopClock) resume() { c.ns[phaseAwait].Add(int64(c.read())) }
 
 // sample charges the wall time since the last read to phase, await or
 // complete, and counts it towards their ratio.
@@ -86,7 +101,8 @@ func (c *loopClock) sample(phase int) {
 // that were not timed, to await and complete in the sampled ratio (all
 // to await before any sample).
 func (c *loopClock) split() {
-	d := c.read()
+	d := c.read() + c.held
+	c.held = 0
 	a := d
 	if total := c.sampled[0] + c.sampled[1]; total > 0 {
 		a = time.Duration(float64(d) * float64(c.sampled[0]) / float64(total))

@@ -41,3 +41,44 @@ func TestLoopClockAddsUpToTheRun(t *testing.T) {
 		t.Logf("%s: %v of %.4f s", sc.name, loop, outer)
 	}
 }
+
+// napRuntime is the tick runtime whose Overhead also spends real wall
+// time, as the kernel does running other processes' events while the
+// orchestrator sleeps.
+type napRuntime struct {
+	*tickRuntime
+	nap  time.Duration
+	naps int
+}
+
+func (r *napRuntime) Overhead(d float64) {
+	r.naps++
+	time.Sleep(r.nap)
+	r.tickRuntime.Overhead(d)
+}
+
+// The orchestrator's own sleeps in the runtime (preparation overheads,
+// the exchange tasks' awaits) are charged to await, not to the phase
+// that sleeps: setup, decide and exchange together read less than half
+// of what the Overhead calls slept, and await reads all of it.
+func TestLoopClockChargesSleepsToAwait(t *testing.T) {
+	for _, sc := range []costScenario{costScenarios[0], costScenarios[2]} {
+		rt := &napRuntime{tickRuntime: sc.runtime(), nap: 2 * time.Millisecond}
+		s, err := New(sc.spec(), newCostEngine(1024), rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		loop := s.LoopSeconds()
+		slept := float64(rt.naps) * rt.nap.Seconds()
+		if loop[phaseAwait] < slept {
+			t.Errorf("%s: await %g s, the %d overheads slept %g s", sc.name, loop[phaseAwait], rt.naps, slept)
+		}
+		if own := loop[phaseSetup] + loop[phaseDecide] + loop[phaseExchange]; own >= slept/2 {
+			t.Errorf("%s: setup, decide and exchange read %g s of the overheads' %g s", sc.name, own, slept)
+		}
+		t.Logf("%s: %d overheads slept %g s: %v", sc.name, rt.naps, slept, loop)
+	}
+}
