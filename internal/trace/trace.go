@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -122,19 +123,35 @@ type Span struct {
 }
 
 // DefaultCapacity is the ring size New uses for capacity <= 0: deep
-// enough for the full timeline of most runs, ~2 MB when full.
+// enough for the full timeline of most runs, ~1.2 MB.
 const DefaultCapacity = 16384
 
 // Recorder is the bounded flight recorder. All methods are safe for
 // concurrent use and safe on a nil receiver (no-ops), so call sites can
 // record unconditionally.
 type Recorder struct {
-	mu       sync.Mutex
-	ring     []Span
+	mu sync.Mutex
+	// ring holds the spans compacted (see record): it is a run's largest
+	// array, allocated whole at New, and holds no pointer for the
+	// collector to scan.
+	ring     []record
 	head     int // oldest retained span
 	n        int // retained spans
 	recorded uint64
 	dropped  uint64
+	// labels are the distinct span labels recorded so far, in order;
+	// a record names its label by index, 0 being "".
+	labels []string
+}
+
+// record is a Span as the ring keeps it: its label an index into
+// Recorder.labels, and its counts and indices (replicas, dimensions,
+// pilots, events, retries, pairs), all far below 2^31, in 32 bits.
+type record struct {
+	start, dur, window, measured                                   float64
+	replica, dim, pilot, event, retries, pairs, accepted, minReady int32
+	label                                                          uint32
+	kind                                                           Kind
 }
 
 // New returns a recorder retaining at most capacity spans
@@ -143,7 +160,7 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{ring: make([]Span, capacity)}
+	return &Recorder{ring: make([]record, capacity), labels: []string{""}}
 }
 
 // Record appends one span, evicting the oldest retained span when the
@@ -153,16 +170,48 @@ func (r *Recorder) Record(sp Span) {
 		return
 	}
 	r.mu.Lock()
+	rec := r.compact(sp)
 	if r.n < len(r.ring) {
-		r.ring[(r.head+r.n)%len(r.ring)] = sp
+		r.ring[(r.head+r.n)%len(r.ring)] = rec
 		r.n++
 	} else {
-		r.ring[r.head] = sp
+		r.ring[r.head] = rec
 		r.head = (r.head + 1) % len(r.ring)
 		r.dropped++
 	}
 	r.recorded++
 	r.mu.Unlock()
+}
+
+// compact returns sp as the ring keeps it, adding its label to the
+// label table if it is new there. Called under r.mu.
+func (r *Recorder) compact(sp Span) record {
+	label := 0
+	if sp.Label != "" {
+		label = slices.Index(r.labels, sp.Label)
+		if label < 0 {
+			label = len(r.labels)
+			r.labels = append(r.labels, sp.Label)
+		}
+	}
+	return record{
+		start: sp.Start, dur: sp.Dur, window: sp.Window, measured: sp.Measured,
+		replica: int32(sp.Replica), dim: int32(sp.Dim), pilot: int32(sp.Pilot),
+		event: int32(sp.Event), retries: int32(sp.Retries), pairs: int32(sp.Pairs),
+		accepted: int32(sp.Accepted), minReady: int32(sp.MinReady),
+		label: uint32(label), kind: sp.Kind,
+	}
+}
+
+// span returns the Span rec was compacted from. Called under r.mu.
+func (r *Recorder) span(rec *record) Span {
+	return Span{
+		Kind: rec.kind, Start: rec.start, Dur: rec.dur,
+		Replica: int(rec.replica), Dim: int(rec.dim), Pilot: int(rec.pilot),
+		Event: int(rec.event), Retries: int(rec.retries), Pairs: int(rec.pairs),
+		Accepted: int(rec.accepted), Window: rec.window, Measured: rec.measured,
+		MinReady: int(rec.minReady), Label: r.labels[rec.label],
+	}
 }
 
 // Snapshot copies the retained spans, oldest first.
@@ -173,8 +222,8 @@ func (r *Recorder) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Span, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.ring[(r.head+i)%len(r.ring)]
+	for i := range out {
+		out[i] = r.span(&r.ring[(r.head+i)%len(r.ring)])
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -177,5 +178,31 @@ func TestKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+// The ring keeps spans compacted, labels by index: a snapshot returns
+// every recorded span field for field, labels included, before and after
+// the ring wraps, and its export is Export's of the same spans.
+func TestSnapshotReturnsRecordedSpans(t *testing.T) {
+	spans := sampleSpans()
+	r := New(len(spans))
+	for _, sp := range spans {
+		r.Record(sp)
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, spans) {
+		t.Fatalf("snapshot %+v, want %+v", got, spans)
+	}
+	r.Record(spans[1])
+	if got, want := r.Snapshot(), append(spans[1:len(spans):len(spans)], spans[1]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after wrapping: snapshot %+v, want %+v", got, want)
+	}
+	got, err := r.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Export(r.Snapshot())
+	if string(got) != string(want) {
+		t.Fatal("ExportJSON differs from Export of the snapshot")
 	}
 }
