@@ -3,6 +3,7 @@ package pilot
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,6 +142,75 @@ func TestBarrierKernelEventsPerCompletion(t *testing.T) {
 		}
 		t.Logf("%d x %d: %.3f kernel events an MD completion (%d over %d)", size.rungs, size.cycles, perCompletion, events, completions)
 	}
+}
+
+// barrierRunAllocs runs virt_t4096_barrier's shape (as orchestratorRun,
+// without the trace hook) at the given size and returns the heap objects
+// and bytes allocated from sim.NewEnv through the end of Run.
+func barrierRunAllocs(t *testing.T, rungs, cycles int) (objects, bytes uint64) {
+	t.Helper()
+	machine := cluster.SuperMIC()
+	machine.ExecJitter = 0.05
+	spec := &core.Spec{
+		Name:            "t-remd",
+		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: core.GeometricTemperatures(273, 373, rungs)}},
+		Pattern:         core.PatternSynchronous,
+		CoresPerReplica: 1,
+		StepsPerCycle:   6000,
+		Cycles:          cycles,
+		Seed:            1,
+	}
+	eng := engines.NewAmberVirtual(2881, 3)
+	var runErr error
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, machine, 2)
+	pl, err := Launch(cl, Description{Cores: rungs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Go("emm", func(p *sim.Proc) {
+		simu, err := core.New(spec, eng, NewRuntime(pl, p))
+		if err != nil {
+			runErr = err
+			return
+		}
+		_, runErr = simu.Run()
+	})
+	e.Run()
+	runtime.ReadMemStats(&m1)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// A 4 096-rung barrier run of 12 cycles on the pilot runtime, from
+// sim.NewEnv through Run, allocates at most 140 heap objects and 4.70 MB:
+// the kernel's queues, the first unit chunk and the dispatcher's
+// scratch are sized once, from the pilot's cores and the replica count,
+// instead of doubling there. The parent of that change read 299-305
+// objects and 7.67 MB (the runtime's own allocations move the object
+// count by a few from run to run, so the least of three runs is
+// checked).
+func TestBarrierRunAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates beside the run")
+	}
+	const maxObjects, maxBytes = 140, 4_700_000
+	barrierRunAllocs(t, 64, 1) // what a process allocates once, outside the count
+	objects, bytes := barrierRunAllocs(t, 4096, 12)
+	for range 2 {
+		o, b := barrierRunAllocs(t, 4096, 12)
+		objects, bytes = min(objects, o), min(bytes, b)
+	}
+	if objects > maxObjects || bytes > maxBytes {
+		t.Fatalf("a 4096 x 12 barrier run allocates %d objects and %d bytes, want at most %d and %d",
+			objects, bytes, maxObjects, maxBytes)
+	}
+	t.Logf("a 4096 x 12 barrier run allocates %d objects and %d bytes (%d a replica)", objects, bytes, bytes/4096)
 }
 
 // Without failures the orchestrator wakes a fixed number of times a
