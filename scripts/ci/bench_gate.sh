@@ -25,8 +25,11 @@
 # runner class and per toolchain.)
 # Iteration counts keep each sample tens of milliseconds long: the small
 # legs at 40x, the scaling legs (1024/4096 replicas) at 8x, the
-# 65536-replica barrier leg at 1x. (The exchange phase is one serial
-# pass; there is no exchange worker pool left to time.)
+# 16384-replica barrier leg at 2x, the 65536-replica one at 1x. The two
+# large barrier legs run on Stampede, and the 16384 one is gated by its
+# ratio to the 4096 leg only, with no absolute median. (The exchange
+# phase is one serial pass; there is no exchange worker pool left to
+# time.)
 #
 # The internal/md legs (force evaluation and Langevin step, ns/atom) go
 # to their own stream and their own baseline, BENCH_md.json: a baseline
@@ -77,6 +80,8 @@ for _ in 1 2 3 4 5; do
     -benchtime 40x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -bench 'BenchmarkDispatcher$/^(1024|4096)$' \
     -benchtime 8x -json . | tee -a BENCH_dispatcher.json
+  go test -run '^$' -bench 'BenchmarkDispatcher$/^16384$/^barrier$' \
+    -benchtime 2x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -bench 'BenchmarkDispatcher64K$/^65536$/^barrier$' \
     -benchtime 1x -json . | tee -a BENCH_dispatcher.json
   go test -run '^$' -cpu 1 -bench 'BenchmarkMDForce$|BenchmarkLangevinStep$' \
