@@ -426,12 +426,11 @@ func (pl *Pilot) SubmitUnit(spec *task.Spec) *Unit {
 }
 
 // submitInto readies caller-supplied storage, which may be a delivered
-// unit, for a submission that start then runs: u is reset whole — both
-// latches, the embedded process, the lifecycle scratch. A finished unit
-// leaves nothing else behind in the kernel: Proc.Exit moved its slot to
-// a new generation, so its pending execution timer is dropped as stale,
-// and the one waiter it can have left is its own in the interrupt latch,
-// which the reset clears.
+// unit, for a submission that start then runs: u is reset whole — its
+// latch and kill cause, the embedded process, the lifecycle scratch. A
+// finished unit leaves nothing else behind in the kernel: Proc.Exit
+// moved its slot to a new generation, so its pending execution timer,
+// and a kill's wakeup its timer beat, are dropped as stale.
 func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("pilot: invalid task spec: %v", err))
@@ -547,7 +546,7 @@ const (
 	unitStagingIn                   // STAGING_IN under way
 	unitAwaitCores                  // SCHEDULING: queued for cores
 	unitLaunching                   // booked launcher turn, then fixed launch latency
-	unitExecuting                   // EXECUTING: timer racing the interrupt latch
+	unitExecuting                   // EXECUTING: timer, cut short by a kill
 	unitStagingOut                  // STAGING_OUT under way
 )
 
