@@ -248,9 +248,6 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 			}
 		}
 	})
-	// Up to a unit a core runs at once, each with a wakeup queued: the
-	// kernel sizes its queues for them now rather than doubling there.
-	env.Reserve(desc.Cores)
 	return pl, nil
 }
 

@@ -73,9 +73,9 @@ type Runtime struct {
 	// Await and AwaitAll delivered, from their return on.
 	spare []*Unit
 	// fresh is the uncarved rest of the latest unit chunk. A submission
-	// with no spare carves its unit from it. The first chunk holds a unit
-	// per core of the runtime's pilots, what Execution Mode I keeps in
-	// flight; each later one is a quarter of every unit carved before it,
+	// with no spare carves its unit from it. The first chunk holds as
+	// many units of the first task's width as the runtime's pilots run at
+	// once, what Execution Mode I keeps in flight; each later one is a quarter of every unit carved before it,
 	// so a run allocates a logarithmic number of chunks, not a unit per
 	// task in flight, and leaves at most a fifth of its units uncarved.
 	// (A run's peak is often a few units past a round replica count,
@@ -304,7 +304,12 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 		if len(r.fresh) == 0 {
 			n := r.carved / 4
 			if r.carved == 0 {
-				n = r.Cores()
+				// As many units of the first task's width as the
+				// runtime's pilots run at once, each with a wakeup
+				// queued: the kernel sizes its queues for them now
+				// rather than doubling there.
+				n = r.Cores() / max(s.Cores, 1)
+				r.proc.Env().Reserve(n)
 			}
 			r.fresh = make([]Unit, max(minUnitChunk, n))
 		}

@@ -145,17 +145,21 @@ func TestBarrierKernelEventsPerCompletion(t *testing.T) {
 }
 
 // barrierRunAllocs runs virt_t4096_barrier's shape (as orchestratorRun,
-// without the trace hook) at the given size and returns the heap objects
+// without the trace hook) at the given size and cores a replica, on a
+// pilot that runs every replica at once, and returns the heap objects
 // and bytes allocated from sim.NewEnv through the end of Run.
-func barrierRunAllocs(t *testing.T, rungs, cycles int) (objects, bytes uint64) {
+func barrierRunAllocs(t *testing.T, rungs, coresPerReplica, cycles int) (objects, bytes uint64) {
 	t.Helper()
 	machine := cluster.SuperMIC()
 	machine.ExecJitter = 0.05
+	for machine.TotalCores() < rungs*coresPerReplica {
+		machine.Nodes *= 2
+	}
 	spec := &core.Spec{
 		Name:            "t-remd",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: core.GeometricTemperatures(273, 373, rungs)}},
 		Pattern:         core.PatternSynchronous,
-		CoresPerReplica: 1,
+		CoresPerReplica: coresPerReplica,
 		StepsPerCycle:   6000,
 		Cycles:          cycles,
 		Seed:            1,
@@ -167,7 +171,7 @@ func barrierRunAllocs(t *testing.T, rungs, cycles int) (objects, bytes uint64) {
 	runtime.ReadMemStats(&m0)
 	e := sim.NewEnv()
 	cl := cluster.MustNew(e, machine, 2)
-	pl, err := Launch(cl, Description{Cores: rungs})
+	pl, err := Launch(cl, Description{Cores: rungs * coresPerReplica})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,27 +194,37 @@ func barrierRunAllocs(t *testing.T, rungs, cycles int) (objects, bytes uint64) {
 // A 4 096-rung barrier run of 12 cycles on the pilot runtime, from
 // sim.NewEnv through Run, allocates at most 140 heap objects and 4.70 MB:
 // the kernel's queues, the first unit chunk and the dispatcher's
-// scratch are sized once, from the pilot's cores and the replica count,
-// instead of doubling there. The parent of that change read 299-305
-// objects and 7.67 MB (the runtime's own allocations move the object
-// count by a few from run to run, so the least of three runs is
-// checked).
+// scratch are sized once, from the replica count and the units the
+// pilot runs at once, instead of doubling there. The parent of that
+// change read 299-305 objects and 7.67 MB (the runtime's own allocations
+// move the object count by a few from run to run, so the least of three
+// runs is checked). A replica's cores do not size anything: a 512-rung
+// run at 64 cores a replica allocates what it does at one core, 0.65 MB;
+// sized a unit a core, it read 17.3 MB.
 func TestBarrierRunAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates beside the run")
 	}
-	const maxObjects, maxBytes = 140, 4_700_000
-	barrierRunAllocs(t, 64, 1) // what a process allocates once, outside the count
-	objects, bytes := barrierRunAllocs(t, 4096, 12)
-	for range 2 {
-		o, b := barrierRunAllocs(t, 4096, 12)
-		objects, bytes = min(objects, o), min(bytes, b)
+	barrierRunAllocs(t, 64, 1, 1) // what a process allocates once, outside the count
+	for _, c := range []struct {
+		rungs, coresPerReplica int
+		maxObjects, maxBytes   uint64
+	}{
+		{4096, 1, 140, 4_700_000},
+		{512, 64, 140, 660_000},
+	} {
+		objects, bytes := barrierRunAllocs(t, c.rungs, c.coresPerReplica, 12)
+		for range 2 {
+			o, b := barrierRunAllocs(t, c.rungs, c.coresPerReplica, 12)
+			objects, bytes = min(objects, o), min(bytes, b)
+		}
+		if objects > c.maxObjects || bytes > c.maxBytes {
+			t.Errorf("a %d x 12 barrier run at %d cores a replica allocates %d objects and %d bytes, want at most %d and %d",
+				c.rungs, c.coresPerReplica, objects, bytes, c.maxObjects, c.maxBytes)
+		}
+		t.Logf("a %d x 12 barrier run at %d cores a replica allocates %d objects and %d bytes (%d a replica)",
+			c.rungs, c.coresPerReplica, objects, bytes, bytes/uint64(c.rungs))
 	}
-	if objects > maxObjects || bytes > maxBytes {
-		t.Fatalf("a 4096 x 12 barrier run allocates %d objects and %d bytes, want at most %d and %d",
-			objects, bytes, maxObjects, maxBytes)
-	}
-	t.Logf("a 4096 x 12 barrier run allocates %d objects and %d bytes (%d a replica)", objects, bytes, bytes/4096)
 }
 
 // Without failures the orchestrator wakes a fixed number of times a

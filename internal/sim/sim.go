@@ -545,11 +545,14 @@ func (e *Env) Pending() int {
 func (e *Env) Live() int { return e.nlive }
 
 // Reserve tells the kernel that up to n more processes than are live now
-// may be live at once, each with a wakeup queued: a pilot reserves a unit
-// a core. The process table, its free list, the heap and the same-instant
-// lane get room for them now, and a delay queue, a signal's waiters or a
+// may be live at once, each with a wakeup queued: a pilot runtime
+// reserves, at its first submission, the units its pilots run at once.
+// The process table, its free list, the heap and the same-instant lane
+// get room for them now, and a delay queue, a signal's waiters or a
 // resource's queue that outgrows its array grows to that room at once,
-// not by doubling. Past the room, queues grow as append does.
+// not by doubling. Past the room, queues grow as append does. The room is
+// the largest of the reservations, each counted from the processes live
+// when it was made: two made back to back do not add up.
 func (e *Env) Reserve(n int) {
 	if e.nlive+n <= e.room {
 		return
