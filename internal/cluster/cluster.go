@@ -142,10 +142,11 @@ type Cluster struct {
 	cores *sim.Resource
 	// The metadata server serves one operation at a time, FIFO, each
 	// taking MetaLatency: an operation's turn is known when it is asked
-	// for, so it is booked, not queued (sim.Server).
-	mds  sim.Server
-	meta *sim.Delay // one metadata operation
-	rng  *rand.Rand
+	// for, so it is booked, not queued. mdsFree is when the operations
+	// booked so far are done.
+	mdsFree float64
+	meta    *sim.Delay // one metadata operation
+	rng     *rand.Rand
 
 	filesStaged   int
 	bytesStaged   int64
@@ -303,7 +304,8 @@ func (s *Staging) Step(p *sim.Proc) (done bool) {
 	c := s.c
 	if s.left > 0 {
 		s.left--
-		end := c.mds.Book(c.env.Now(), c.meta.Len())
+		end := max(c.env.Now(), c.mdsFree) + c.meta.Len()
+		c.mdsFree = end
 		if s.left > 0 || s.bytes == 0 {
 			c.meta.WakeAt(p, end)
 			return false

@@ -122,10 +122,11 @@ type Pilot struct {
 	// The agent's launcher serves one unit at a time, FIFO, for a fixed
 	// hold: gap for a unit that got its cores at once, gapWave for one
 	// that waited for them (wave penalty). A unit's turn is known when it
-	// asks, so it is booked, not queued (sim.Server). Each unit then
-	// sleeps the launch latency.
+	// asks, so it is booked, not queued: launcherFree is when the units
+	// booked so far have left the launcher. Each then sleeps the launch
+	// latency.
 	gap, gapWave float64
-	launcher     sim.Server
+	launcherFree float64
 	latency      *sim.Delay
 	// expiry fires when the pilot terminates (walltime, preemption
 	// deadline or full node loss); Launch builds it, and only expire
@@ -636,7 +637,8 @@ func (u *Unit) step(p *sim.Proc) {
 				// simulation phase, not the short bookkeeping tasks.
 				gap = pl.gapWave
 			}
-			end := pl.launcher.Book(u.mark, gap)
+			end := max(u.mark, pl.launcherFree) + gap
+			pl.launcherFree = end
 			u.phase = unitLaunching
 			pl.latency.WakeAt(p, end+pl.latency.Len())
 			return

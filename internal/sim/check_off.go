@@ -8,4 +8,3 @@ type checker struct{}
 
 func (*checker) scheduled()            {}
 func (*checker) delivered(*Env, event) {}
-func checkTurn(start, free float64)    {}

@@ -6,7 +6,7 @@ import "fmt"
 
 // checker holds what the kernel's invariants are checked against under
 // the simcheck build tag (go test -tags simcheck): every delivered event
-// and every booked turn is checked, and a violation panics.
+// is checked, and a violation panics.
 type checker struct {
 	last   event // the latest event delivered
 	queued int   // events queued and not delivered yet
@@ -36,14 +36,6 @@ func (c *checker) delivered(e *Env, ev event) {
 		if ev.gen == p.gen && (p.dead || p.slot != ev.slot) {
 			violation("slot %d's live event reaches a process that is dead or in slot %d", ev.slot, p.slot)
 		}
-	}
-}
-
-// checkTurn checks that a booked server's turn starts no earlier than
-// its last one ends.
-func checkTurn(start, free float64) {
-	if start < free {
-		violation("a booked turn starts at %g, before the last one ends at %g", start, free)
 	}
 }
 

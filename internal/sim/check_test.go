@@ -58,21 +58,3 @@ func TestInvariantsBite(t *testing.T) {
 		})
 	}
 }
-
-// A booked server's turn never starts before its last one ends: Book
-// keeps it, and checkTurn refuses one that would.
-func TestBookedTurnChecked(t *testing.T) {
-	var s Server
-	if end := s.Book(0, 2); end != 2 {
-		t.Fatalf("first turn ends at %g, want 2", end)
-	}
-	if end := s.Book(1, 2); end != 4 {
-		t.Fatalf("second turn ends at %g, want 4", end)
-	}
-	defer func() {
-		if msg, _ := recover().(string); !strings.HasPrefix(msg, "sim: invariant: ") {
-			t.Fatalf("checkTurn panicked with %q, want an invariant violation", msg)
-		}
-	}()
-	checkTurn(1, s.free)
-}

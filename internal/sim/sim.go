@@ -365,20 +365,6 @@ func (q *Delay) WakeAt(p *Proc, t float64) {
 	q.q.push(event{t: t, seq: e.seq, gen: p.gen, slot: p.slot}, e.room)
 }
 
-// Server is a first-in first-out server whose turns are booked, not
-// queued: a turn asked for at now starts once the turns booked before it
-// have ended, so its end is known at once and the process that asked
-// sleeps once, to it (Delay.WakeAt). The zero value is idle.
-type Server struct{ free float64 }
-
-// Book books a turn of d seconds asked for at now and returns its end.
-func (s *Server) Book(now, d float64) float64 {
-	start := max(now, s.free)
-	checkTurn(start, s.free)
-	s.free = start + d
-	return s.free
-}
-
 // Go spawns a new goroutine process that starts at the current virtual
 // time. It may be called before Run or from inside another process.
 //
