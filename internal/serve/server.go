@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -123,6 +124,10 @@ type Server struct {
 	// metrics is the view /metrics renders: view, or the owning Run's
 	// metricsView.
 	metrics func() runView
+	// mux is the route table, built at its first use (routes): a
+	// registry run is reached through the registry's own routes, so its
+	// Server never builds one.
+	muxOnce sync.Once
 	mux     *http.ServeMux
 	lis     net.Listener
 	srv     *http.Server
@@ -132,18 +137,26 @@ type Server struct {
 // be nil: a nil collector serves empty statistics, a nil status function
 // an empty status.
 func New(col *analysis.Collector, status func() RunStatus) *Server {
-	s := &Server{col: col, status: status, mux: http.NewServeMux()}
+	s := &Server{col: col, status: status}
 	s.metrics = s.view
-	s.mux.HandleFunc("/status", s.handleStatus)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/trace", s.handleTrace)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s
 }
 
+// routes returns the route table, building it on the first call.
+func (s *Server) routes() *http.ServeMux {
+	s.muxOnce.Do(func() {
+		s.mux = http.NewServeMux()
+		s.mux.HandleFunc("/status", s.handleStatus)
+		s.mux.HandleFunc("/stats", s.handleStats)
+		s.mux.HandleFunc("/metrics", s.handleMetrics)
+		s.mux.HandleFunc("/trace", s.handleTrace)
+		s.mux.HandleFunc("/healthz", s.handleHealthz)
+	})
+	return s.mux
+}
+
 // Handler exposes the route table (used by tests and embedders).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.routes() }
 
 // SetRunLabel makes every /metrics line carry run="<id>". The registry
 // sets it so per-run scrapes of runs sharing a dimension layout stay
@@ -157,7 +170,7 @@ func (s *Server) SetTracer(rec *trace.Recorder) { s.tracer = rec }
 // EnablePprof mounts the net/http/pprof handlers under /debug/pprof/.
 // Opt-in only (see the package comment's security note); call before
 // Start.
-func (s *Server) EnablePprof() { mountPprof(s.mux) }
+func (s *Server) EnablePprof() { mountPprof(s.routes()) }
 
 // mountPprof registers the pprof handlers on a non-default mux.
 func mountPprof(mux *http.ServeMux) {
@@ -180,7 +193,7 @@ func (s *Server) Start(addr string) (string, error) {
 	// bound header reads and idle keep-alives: a client trickling bytes
 	// must not pin goroutines and fds on the monitoring port.
 	s.srv = &http.Server{
-		Handler:           s.mux,
+		Handler:           s.routes(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
