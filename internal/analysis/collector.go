@@ -23,9 +23,11 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -675,7 +677,63 @@ var (
 		jsonx.Uint64("resource_events", func(st *state) *uint64 { return &st.ResourceEvents }).OmitEmpty(),
 		jsonx.Uint64("preemptions", func(st *state) *uint64 { return &st.Preemptions }).OmitEmpty(),
 	)
+	pairGrid    = jsonx.Grid(jsonx.Object(pairLayout), false)
+	statsLayout = jsonx.NewLayout(
+		jsonx.Int("events", func(s *Stats) *int { return &s.Events }),
+		jsonx.Int("md_segments", func(s *Stats) *int { return &s.MDSegments }),
+		jsonx.Int("md_failures", func(s *Stats) *int { return &s.MDFailures }),
+		jsonx.At("faults", func(s *Stats) *map[string]uint64 { return &s.Faults }, jsonx.Counts),
+		jsonx.At("acceptance", func(s *Stats) *[][]PairStat { return &s.Acceptance }, pairGrid),
+		jsonx.At("acceptance_window", func(s *Stats) *[][]PairStat { return &s.AcceptanceWindow }, pairGrid),
+		jsonx.Int("window_events", func(s *Stats) *int { return &s.WindowEvents }),
+		jsonx.Int("round_trips", func(s *Stats) *int { return &s.RoundTrips }),
+		jsonx.Float("mean_round_trip_events", func(s *Stats) *float64 { return &s.MeanRoundTripEvents }),
+		jsonx.Float("full_traversal_fraction", func(s *Stats) *float64 { return &s.FullTraversalFraction }),
+		jsonx.At("slots", func(s *Stats) *[]int { return &s.Slots }, jsonx.Ints),
+		jsonx.At("traces", func(s *Stats) *[][]int { return &s.Traces }, jsonx.Array(jsonx.Ints, false)).OmitEmpty(),
+		jsonx.At("md_exec", func(s *Stats) *Histogram { return &s.MDExec }, jsonx.Object(histogramLayout)),
+		jsonx.At("exchange_overhead", func(s *Stats) *Histogram { return &s.ExchangeOverhead }, jsonx.Object(histogramLayout)),
+		jsonx.Uint64("resource_events", func(s *Stats) *uint64 { return &s.ResourceEvents }),
+		jsonx.Uint64("preemptions", func(s *Stats) *uint64 { return &s.Preemptions }),
+		// Stats is written, never read back: the reader skips the map.
+		jsonx.Custom("pilot_cores", writePilotCores, func(r *jsonx.Reader, _ *Stats) { r.Skip() },
+			func(s *Stats) bool { return len(s.PilotCores) == 0 }).OmitEmpty(),
+		jsonx.Uint64("bus_dropped", func(s *Stats) *uint64 { return &s.BusDropped }),
+	)
 )
+
+// writePilotCores writes the cores by routing slot as encoding/json
+// writes a map[int]int: each key as a string, in the order of those
+// strings ("10" before "2").
+func writePilotCores(w *jsonx.Writer, s *Stats) {
+	if s.PilotCores == nil {
+		w.Raw("null")
+		return
+	}
+	slots := make([]int, 0, len(s.PilotCores))
+	for k := range s.PilotCores {
+		slots = append(slots, k)
+	}
+	slices.SortFunc(slots, func(a, b int) int {
+		var x, y [20]byte
+		return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
+	})
+	w.Raw("{")
+	for i, k := range slots {
+		if i > 0 {
+			w.Raw(",")
+		}
+		w.Raw(`"`)
+		w.Int(k)
+		w.Raw(`":`)
+		w.Int(s.PilotCores[k])
+	}
+	w.Raw("}")
+}
+
+// Encode appends s to buf as compact JSON, the bytes encoding/json's
+// Marshal writes for it; it fails on a NaN or infinite value.
+func (s *Stats) Encode(buf []byte) ([]byte, error) { return statsLayout.Encode(buf, s) }
 
 // EncodeState syncs and serializes the full collector state for
 // embedding in a core.Snapshot (the Analysis field): compact JSON, one

@@ -13,6 +13,7 @@ func TestLayoutsMatchTags(t *testing.T) {
 		pairLayout.CheckTags(),
 		histogramLayout.CheckTags(),
 		ringLayout.CheckTags(),
+		statsLayout.CheckTags(),
 	} {
 		if err != nil {
 			t.Error(err)

@@ -158,6 +158,64 @@ func writeArray[T any](w *Writer, v []T, rows bool, elem func(*Writer, *T)) {
 	w.Buf = append(w.Buf, ']')
 }
 
+// Indent appends src, one JSON value with no white space outside its
+// strings (what a Layout writes when no array is written in rows), to
+// dst laid out as encoding/json's Indent lays it out with no prefix:
+// each element and field on a line of its own, indent once more a
+// level, ": " after a key, and an empty object or array kept as {} or
+// []. It is one pass over the bytes, with no scanner to check them, so
+// it is only for text a Writer wrote.
+func Indent(dst, src []byte, indent string) []byte {
+	depth, open := 0, false // open: the last byte opened an object or array
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if open && c != '}' && c != ']' {
+			open = false
+			depth++
+			dst = newline(dst, indent, depth)
+		}
+		switch c {
+		case '"':
+			j := i + 1
+			for j < len(src) && src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			j = min(j, len(src)-1)
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			open = true
+			dst = append(dst, c)
+		case ',':
+			dst = newline(append(dst, c), indent, depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if open {
+				open = false
+			} else {
+				depth--
+				dst = newline(dst, indent, depth)
+			}
+			dst = append(dst, c)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+func newline(dst []byte, indent string, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, indent...)
+	}
+	return dst
+}
+
 // MaxDepth bounds the nesting of a value the Reader skips or captures.
 const MaxDepth = 64
 

@@ -1,6 +1,7 @@
 package jsonx
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -298,4 +299,29 @@ func FuzzValid(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIndentMatchesEncodingJSON: Indent lays compact text out as
+// encoding/json's Indent does with no prefix, strings that hold
+// brackets, commas, colons and escaped quotes included.
+func TestIndentMatchesEncodingJSON(t *testing.T) {
+	for _, v := range []any{
+		0, "s", nil, []int{}, map[string]int{}, []int(nil), []any{[]int{}, map[string]any{}, []int{1}},
+		map[string]any{"a": []any{1, "x,y", map[string]any{"k:}": "]\"{"}}, "b": map[string]any{}, "c": []any{}},
+		[][]int{{1, 2}, nil, {}, {3}}, `back\slash "quoted" <tag> & `, map[string]any{"": ""},
+	} {
+		src, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, indent := range []string{" ", "\t"} {
+			var want bytes.Buffer
+			if err := json.Indent(&want, src, "", indent); err != nil {
+				t.Fatal(err)
+			}
+			if got := Indent([]byte("prefix"), src, indent); string(got) != "prefix"+want.String() {
+				t.Errorf("Indent(%s, %q):\n%s\nencoding/json:\n%s", src, indent, got[len("prefix"):], want.Bytes())
+			}
+		}
+	}
 }

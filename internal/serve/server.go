@@ -35,12 +35,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/jsonx"
 	"repro/internal/trace"
 )
 
@@ -267,7 +269,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.snapshot(true))
+	st := s.snapshot(true)
+	writeStats(w, &st)
 }
 
 // handleTrace streams the flight recorder's current span window as
@@ -293,11 +296,43 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON writes a reply of constant size, indented by encoding/json.
+// A body that grows with the replicas or the completions goes through a
+// jsonx layout instead (writeStats, the event stream's frames).
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	_ = enc.Encode(v)
+}
+
+// statsBufs holds the compact and the indented text of a /stats body
+// between requests.
+var statsBufs = sync.Pool{New: func() any { return new([2][]byte) }}
+
+// writeStats writes st as writeJSON would, byte for byte, through the
+// Stats layout and one indent pass: the body holds every replica's slot
+// and trace. A value with no JSON form writes nothing.
+func writeStats(w http.ResponseWriter, st *analysis.Stats) {
+	w.Header().Set("Content-Type", "application/json")
+	bufs := statsBufs.Get().(*[2][]byte)
+	defer statsBufs.Put(bufs)
+	// A buffer the pool lost to a collection grows once, not by doubling:
+	// ~5 bytes a slot, trace entry and pair counter, and the indented
+	// text within 2.5 times the compact.
+	room := 1024 + 5*len(st.Slots)
+	for _, tr := range st.Traces {
+		room += 5 * len(tr)
+	}
+	for d := range st.Acceptance {
+		room += 80 * len(st.Acceptance[d])
+	}
+	var err error
+	if bufs[0], err = st.Encode(slices.Grow(bufs[0][:0], room)); err != nil {
+		return
+	}
+	bufs[1] = append(jsonx.Indent(slices.Grow(bufs[1][:0], len(bufs[0])*5/2), bufs[0], " "), '\n')
+	_, _ = w.Write(bufs[1])
 }
 
 // handleMetrics serves the run and the Go runtime block of the process
