@@ -167,6 +167,10 @@ func (l *Layout[T]) Encode(buf []byte, v *T) ([]byte, error) {
 	return w.Buf, w.Err()
 }
 
+// Append writes v to w: Encode for a caller that writes many records
+// through one Writer, which Encode would otherwise allocate a record.
+func (l *Layout[T]) Append(w *Writer, v *T) { l.write(w, v) }
+
 // Decode reads data, one record, into v. It returns the first key, at
 // any depth, that no layout declares, nil when there was none; the
 // caller decides whether that is an error.

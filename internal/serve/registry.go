@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/jsonx"
 	"repro/internal/pilot"
 )
 
@@ -467,7 +467,10 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
 	var buf []core.BusRecord
+	// An exchange frame, the largest, holds every replica's slot and up
+	// to one pair a replica: the frame's buffer is sized once for it.
 	var frame sseFrame
+	frame.w.Buf = make([]byte, 0, 256+32*run.replicas)
 	var dropped uint64 // the subscription's drops already counted
 	flush := func() {
 		buf = sub.Drain(buf[:0])
@@ -499,18 +502,78 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// sseFrame renders bus events as server-sent events through one buffer
-// and encoder, reused for a whole stream.
+// The layouts of the event stream's frames, one a bus event type. The
+// events carry no json tags: their keys are the Go field names.
+var (
+	mdLayout = jsonx.NewLayout(
+		jsonx.Float("At", func(e *core.MDEvent) *float64 { return &e.At }),
+		jsonx.Int("Replica", func(e *core.MDEvent) *int { return &e.Replica }),
+		jsonx.Int("Cycle", func(e *core.MDEvent) *int { return &e.Cycle }),
+		jsonx.Float("Exec", func(e *core.MDEvent) *float64 { return &e.Exec }),
+		jsonx.Bool("Failed", func(e *core.MDEvent) *bool { return &e.Failed }),
+	)
+	pairOutcomeLayout = jsonx.NewLayout(
+		jsonx.Int("Lo", func(p *core.PairOutcome) *int { return &p.Lo }),
+		jsonx.Int("Hi", func(p *core.PairOutcome) *int { return &p.Hi }),
+		jsonx.Int("ReplicaI", func(p *core.PairOutcome) *int { return &p.ReplicaI }),
+		jsonx.Int("ReplicaJ", func(p *core.PairOutcome) *int { return &p.ReplicaJ }),
+		jsonx.Bool("Accepted", func(p *core.PairOutcome) *bool { return &p.Accepted }),
+	)
+	exchangeLayout = jsonx.NewLayout(
+		jsonx.Float("At", func(e *core.ExchangeEvent) *float64 { return &e.At }),
+		jsonx.Int("Event", func(e *core.ExchangeEvent) *int { return &e.Event }),
+		jsonx.Int("Cycle", func(e *core.ExchangeEvent) *int { return &e.Cycle }),
+		jsonx.Int("Dim", func(e *core.ExchangeEvent) *int { return &e.Dim }),
+		jsonx.At("Pairs", func(e *core.ExchangeEvent) *[]core.PairOutcome { return &e.Pairs },
+			jsonx.Array(jsonx.Object(pairOutcomeLayout), false)),
+		jsonx.At("Slots", func(e *core.ExchangeEvent) *[]int { return &e.Slots }, jsonx.Ints),
+		jsonx.Float("MDWall", func(e *core.ExchangeEvent) *float64 { return &e.MDWall }),
+		jsonx.Float("EXWall", func(e *core.ExchangeEvent) *float64 { return &e.EXWall }),
+	)
+	faultLayout = jsonx.NewLayout(
+		jsonx.Float("At", func(e *core.FaultEvent) *float64 { return &e.At }),
+		jsonx.Int("Replica", func(e *core.FaultEvent) *int { return &e.Replica }),
+		jsonx.String("Kind", func(e *core.FaultEvent) *string { return &e.Kind }),
+		jsonx.Int("Retries", func(e *core.FaultEvent) *int { return &e.Retries }),
+		jsonx.Float("Exec", func(e *core.FaultEvent) *float64 { return &e.Exec }),
+	)
+	respaceLayout = jsonx.NewLayout(
+		jsonx.Float("At", func(e *core.RespaceEvent) *float64 { return &e.At }),
+		jsonx.Int("Event", func(e *core.RespaceEvent) *int { return &e.Event }),
+		jsonx.Int("Dim", func(e *core.RespaceEvent) *int { return &e.Dim }),
+		jsonx.Int("Refit", func(e *core.RespaceEvent) *int { return &e.Refit }),
+		jsonx.At("Old", func(e *core.RespaceEvent) *[]float64 { return &e.Old }, jsonx.Floats),
+		jsonx.At("New", func(e *core.RespaceEvent) *[]float64 { return &e.New }, jsonx.Floats),
+	)
+	resourceLayout = jsonx.NewLayout(
+		jsonx.Float("At", func(e *core.ResourceEvent) *float64 { return &e.At }),
+		jsonx.Int("Pilot", func(e *core.ResourceEvent) *int { return &e.Pilot }),
+		jsonx.String("Kind", func(e *core.ResourceEvent) *string { return &e.Kind }),
+		jsonx.Int("Cores", func(e *core.ResourceEvent) *int { return &e.Cores }),
+		jsonx.Int("Delta", func(e *core.ResourceEvent) *int { return &e.Delta }),
+		jsonx.Float("Notice", func(e *core.ResourceEvent) *float64 { return &e.Notice }),
+	)
+)
+
+// sseFrame renders bus events as server-sent events through one buffer,
+// reused for a whole stream. A layout takes its record by address, and
+// the address of a local would escape to the heap at every frame, so an
+// event is copied out of its interface into the frame's own field of
+// its type.
 type sseFrame struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	w     jsonx.Writer
+	md    core.MDEvent
+	ex    core.ExchangeEvent
+	fault core.FaultEvent
+	resp  core.RespaceEvent
+	res   core.ResourceEvent
 }
 
 // writeRecord renders one bus record as write renders its event; an MD
 // record is encoded from where it lies, never boxed.
 func (f *sseFrame) writeRecord(w io.Writer, rec *core.BusRecord) {
 	if rec.Other == nil {
-		f.frame(w, "md", &rec.MD)
+		frame(f, w, "md", mdLayout, &rec.MD)
 		return
 	}
 	f.write(w, rec.Other)
@@ -518,40 +581,41 @@ func (f *sseFrame) writeRecord(w io.Writer, rec *core.BusRecord) {
 
 // write renders one bus event as a server-sent event named by its
 // concrete type, "event: <name>\ndata: <JSON>\n\n", and writes it to w;
-// an event JSON cannot encode writes nothing.
+// an event JSON cannot encode writes nothing. The JSON is what
+// encoding/json writes for the event, and an event of a type outside
+// the bus's set goes through encoding/json, named "event".
 func (f *sseFrame) write(w io.Writer, ev core.Event) {
-	name := "event"
-	switch ev.(type) {
+	switch e := ev.(type) {
 	case core.MDEvent:
-		name = "md"
+		f.md = e
+		frame(f, w, "md", mdLayout, &f.md)
 	case core.ExchangeEvent:
-		name = "exchange"
+		f.ex = e
+		frame(f, w, "exchange", exchangeLayout, &f.ex)
 	case core.FaultEvent:
-		name = "fault"
+		f.fault = e
+		frame(f, w, "fault", faultLayout, &f.fault)
 	case core.RespaceEvent:
-		name = "respace"
+		f.resp = e
+		frame(f, w, "respace", respaceLayout, &f.resp)
 	case core.ResourceEvent:
-		name = "resource"
+		f.res = e
+		frame(f, w, "resource", resourceLayout, &f.res)
+	default:
+		if data, err := json.Marshal(ev); err == nil {
+			_, _ = fmt.Fprintf(w, "event: event\ndata: %s\n\n", data)
+		}
 	}
-	f.frame(w, name, ev)
 }
 
 // frame writes "event: <name>\ndata: <JSON of v>\n\n", or nothing when v
 // does not encode.
-func (f *sseFrame) frame(w io.Writer, name string, v any) {
-	if f.enc == nil {
-		f.enc = json.NewEncoder(&f.buf)
+func frame[T any](f *sseFrame, w io.Writer, name string, l *jsonx.Layout[T], v *T) {
+	f.w = jsonx.Writer{Buf: append(append(append(f.w.Buf[:0], "event: "...), name...), "\ndata: "...)}
+	if l.Append(&f.w, v); f.w.Err() == nil {
+		f.w.Raw("\n\n")
+		_, _ = w.Write(f.w.Buf)
 	}
-	f.buf.Reset()
-	f.buf.WriteString("event: ")
-	f.buf.WriteString(name)
-	f.buf.WriteString("\ndata: ")
-	// Encode writes the value and a newline, or nothing on an error.
-	if f.enc.Encode(v) != nil {
-		return
-	}
-	f.buf.WriteByte('\n')
-	_, _ = w.Write(f.buf.Bytes())
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
