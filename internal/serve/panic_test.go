@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -60,13 +59,8 @@ func TestPanickingRunFailsAlone(t *testing.T) {
 	want := finished(alone)
 
 	reg := NewRegistry(16, 0)
-	doomed, err := NewRun(context.Background(), launch("doomed"), true, false, 0)
+	doomed, err := reg.LaunchDoomed(launch("doomed"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	newEngine := doomed.params.NewEngine
-	doomed.params.NewEngine = func(seed int64) core.Engine { return &blowingEngine{Engine: newEngine(seed)} }
-	if err := reg.admit(doomed); err != nil {
 		t.Fatal(err)
 	}
 	healthy, err := reg.Launch(launch("healthy"))

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/serve"
 )
 
@@ -29,6 +30,10 @@ func (w *flushSignal) WriteHeader(int)             {}
 func (w *flushSignal) Write(p []byte) (int, error) { return len(p), nil }
 func (w *flushSignal) Flush()                      { w.once.Do(func() { close(w.attached) }) }
 
+// resWalltime8 is resBody8 with a walltime no soak run reaches: each
+// pilot's watchdog stays parked for the whole run.
+const resWalltime8 = `{"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 8, "walltime_sec": 1e9}`
+
 // heapAfterGC is the live heap once everything unreachable is collected.
 func heapAfterGC() uint64 {
 	runtime.GC()
@@ -44,6 +49,11 @@ func heapAfterGC() uint64 {
 // conserve: every run terminal, no pool core still reserved, the
 // goroutine count back where it started, and the run list and the heap
 // no larger at the end than half-way through.
+//
+// Every eighth run's engine panics in its third round, with its pilot's
+// walltime watchdog parked: the run ends failed, and its kernel's
+// parked processes must be unwound (sim.Env.Close), or each such run
+// leaves a goroutine holding its whole simulation.
 //
 // The registry remembers 256 terminal runs (serve's retainedRuns), so
 // the 300 measured cycles come after as many warm-up cycles of the same
@@ -110,6 +120,7 @@ func TestRegistrySoak(t *testing.T) {
 		}
 	}
 	var heapHalfway uint64
+	var doomed []*serve.Run
 	for i := 0; i < warm+cycles; i++ {
 		if i == warm+cycles/2 {
 			heapHalfway = heapAfterGC()
@@ -119,14 +130,34 @@ func TestRegistrySoak(t *testing.T) {
 		if i%8 == 7 {
 			runCycles = 2
 		}
-		rec := do(http.MethodPost, "/runs",
-			launchBody(simBody(fmt.Sprintf("soak-%d", i), 8, runCycles, int64(i+1)), resBody8, ""))
-		if rec.Code != http.StatusCreated {
-			t.Fatalf("cycle %d: launch: %d %s", i, rec.Code, rec.Body)
-		}
+		sim := simBody(fmt.Sprintf("soak-%d", i), 8, runCycles, int64(i+1))
 		var st serve.RunStatus
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
+		if i%8 == 3 {
+			l, err := config.ParseLaunch([]byte(launchBody(sim, resWalltime8, "")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := reg.LaunchDoomed(l)
+			if err != nil {
+				t.Fatalf("cycle %d: launch: %v", i, err)
+			}
+			// It must reach its third round before the next cycle's
+			// DELETE cancels it.
+			select {
+			case <-run.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatalf("cycle %d: run %s with a panicking engine never ended", i, run.ID)
+			}
+			st.ID = run.ID
+			doomed = append(doomed, run)
+		} else {
+			rec := do(http.MethodPost, "/runs", launchBody(sim, resBody8, ""))
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("cycle %d: launch: %d %s", i, rec.Code, rec.Body)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		// Attach an event stream; even cycles drop it while the run is
@@ -170,6 +201,14 @@ func TestRegistrySoak(t *testing.T) {
 		if !run.State().Terminal() {
 			t.Errorf("run %s ended the soak %s", run.ID, run.State())
 		}
+	}
+	for _, run := range doomed {
+		if _, err := run.Result(); run.State().String() != "failed" || !strings.Contains(fmt.Sprint(err), "engine blew up") {
+			t.Errorf("run %s with a panicking engine ended %s: %v", run.ID, run.State(), err)
+		}
+	}
+	if line := fmt.Sprintf("\nrepexd_run_panics_total %d\n", len(doomed)); !strings.Contains(do(http.MethodGet, "/metrics", "").Body.String(), line) {
+		t.Errorf("the aggregate scrape has no line %q", strings.TrimSpace(line))
 	}
 	if want := fmt.Sprintf("r%d", warm+cycles); prev != want {
 		t.Errorf("last run is %s, want %s: ids count launches, evicted or not", prev, want)

@@ -2,24 +2,35 @@
 
 package sim
 
-// handoff starts body suspended and returns the two switches between it
-// and the kernel: resume, called by the kernel, runs body until it next
-// calls park or returns; park, called from inside body, suspends it until
-// the next resume. Before go1.23 there is no iter.Pull: body gets its own
-// goroutine and each switch is a send and a receive on a channel pair. A
-// panic in body is caught on that goroutine and raised again from resume,
-// so it surfaces in the kernel's goroutine as it does from a coroutine.
-// Delete this file when go.mod's floor reaches 1.23.
-func handoff(body func()) (resume, park func()) {
+// handoff starts body suspended and returns the three switches between
+// it and the kernel: resume, called by the kernel, runs body until it
+// next calls park or returns; park, called from inside body, suspends it
+// until the next resume; stop, called by the kernel while body is parked
+// or has not started, unwinds it (park panics, body's deferred calls
+// run, and the panic ends with body) and does nothing once body has
+// returned. Before go1.23 there is no iter.Pull: body gets its own
+// goroutine and each switch is a send and a receive on a channel pair,
+// and stop closes the kernel's side. A panic in body is caught on that
+// goroutine and raised again from resume, so it surfaces in the kernel's
+// goroutine as it does from a coroutine. Delete this file when go.mod's
+// floor reaches 1.23.
+func handoff(body func()) (resume, park, stop func()) {
 	in, out := make(chan struct{}), make(chan struct{})
 	var panicked any
+	stopped, ended := false, false
 	go func() {
 		defer func() {
-			panicked = recover()
+			if p := recover(); !stopped {
+				panicked = p
+			}
+			ended = true
 			out <- struct{}{}
 		}()
-		<-in // wait until the kernel first resumes us
-		body()
+		// Wait until the kernel first resumes us; a closed channel is a
+		// stop before the start.
+		if _, ok := <-in; ok {
+			body()
+		}
 	}()
 	resume = func() {
 		in <- struct{}{}
@@ -28,5 +39,18 @@ func handoff(body func()) (resume, park func()) {
 			panic(panicked)
 		}
 	}
-	return resume, func() { out <- struct{}{}; <-in }
+	park = func() {
+		out <- struct{}{}
+		if _, ok := <-in; !ok {
+			panic(errUnwound)
+		}
+	}
+	stop = func() {
+		if !ended {
+			stopped = true
+			close(in)
+			<-out
+		}
+	}
+	return resume, park, stop
 }

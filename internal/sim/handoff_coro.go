@@ -4,17 +4,36 @@ package sim
 
 import "iter"
 
-// handoff starts body suspended and returns the two switches between it
-// and the kernel: resume, called by the kernel, runs body until it next
-// calls park or returns; park, called from inside body, suspends it until
-// the next resume. Body runs as a coroutine of whichever goroutine calls
+// handoff starts body suspended and returns the three switches between
+// it and the kernel: resume, called by the kernel, runs body until it
+// next calls park or returns; park, called from inside body, suspends it
+// until the next resume; stop, called by the kernel while body is parked
+// or has not started, unwinds it (park panics, body's deferred calls
+// run, and the panic ends with body) and does nothing once body has
+// returned. Body runs as a coroutine of whichever goroutine calls
 // resume: a switch stays on one thread and never enters the scheduler,
 // and a panic in body surfaces from resume.
-func handoff(body func()) (resume, park func()) {
+func handoff(body func()) (resume, park, stop func()) {
 	var yield func(struct{}) bool
-	next, _ := iter.Pull(func(y func(struct{}) bool) {
+	stopped := false
+	next, stopPull := iter.Pull(func(y func(struct{}) bool) {
+		defer func() {
+			if stopped {
+				recover()
+			}
+		}()
 		yield = y
 		body()
 	})
-	return func() { next() }, func() { yield(struct{}{}) }
+	resume = func() { next() }
+	park = func() {
+		if !yield(struct{}{}) {
+			panic(errUnwound)
+		}
+	}
+	stop = func() {
+		stopped = true
+		stopPull()
+	}
+	return resume, park, stop
 }

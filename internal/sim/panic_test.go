@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+)
 
 // A panic in a goroutine process unwinds through the kernel and out of
 // Run in the caller's goroutine, where it can be recovered; processes that
@@ -89,5 +94,53 @@ func TestRunUntilLeavesEnvIdle(t *testing.T) {
 	e.Run()
 	if !e.Idle() || e.Now() != 4 || e.Live() != 0 {
 		t.Fatalf("after Run: idle %v, clock %v, %d live; want idle at 4 with none left", e.Idle(), e.Now(), e.Live())
+	}
+}
+
+// Close unwinds the goroutine processes a panic out of Run left parked,
+// and the ones not started yet, running their deferred calls and ending
+// their coroutines; a process that ended or panicked is left alone, and
+// a second Close does nothing.
+func TestCloseUnwindsParkedProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv()
+	never := NewSignal(e)
+	var unwound []string
+	park := func(name string) {
+		e.Go(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			never.Wait(p)
+			t.Errorf("%s woke after Close", name)
+		})
+	}
+	park("waiter")
+	e.Go("sleeper", func(p *Proc) {
+		defer func() { unwound = append(unwound, "sleeper") }()
+		p.Sleep(100)
+	})
+	e.GoAt("late", 50, func(p *Proc) { t.Error("a process not started ran its body at Close") })
+	park("waiter-2")
+	e.Go("doomed", func(p *Proc) {
+		defer func() { unwound = append(unwound, "doomed") }()
+		p.Sleep(1)
+		panic("boom")
+	})
+	func() {
+		defer func() { _ = recover() }()
+		e.Run()
+	}()
+	if len(unwound) != 1 || unwound[0] != "doomed" {
+		t.Fatalf("before Close %v unwound, want only the panicked process", unwound)
+	}
+	e.Close()
+	e.Close()
+	if want := []string{"doomed", "waiter", "sleeper", "waiter-2"}; !slices.Equal(unwound, want) {
+		t.Fatalf("deferred calls ran for %v, want %v", unwound, want)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Close, %d before the environment", n, before)
 	}
 }

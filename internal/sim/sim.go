@@ -49,6 +49,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -134,11 +135,11 @@ type Proc struct {
 }
 
 // coroutine is what a goroutine process has beside its Proc: its name,
-// and the two switches between its body and the kernel (see handoff):
-// the kernel calls resume, the body calls park.
+// and the switches between its body and the kernel (see handoff): the
+// kernel calls resume, the body calls park, and Env.Close calls stop.
 type coroutine struct {
-	name         string
-	resume, park func()
+	name               string
+	resume, park, stop func()
 }
 
 // goProc is a goroutine process: its Proc and its coroutine, one
@@ -386,7 +387,7 @@ func (e *Env) GoAt(name string, t float64, fn func(p *Proc)) *Proc {
 	p := &g.Proc
 	p.co = &g.co
 	e.admit(p)
-	p.co.resume, p.co.park = handoff(func() {
+	p.co.resume, p.co.park, p.co.stop = handoff(func() {
 		fn(p)
 		p.Exit()
 	})
@@ -463,6 +464,26 @@ func (p *Proc) Exit() {
 	e.nlive--
 	e.slots[p.slot] = slot{gen: p.gen + 1}
 	e.free = append(e.free, p.slot)
+}
+
+// errUnwound is the panic that unwinds a parked goroutine process when
+// its environment is closed; the process's own switch recovers it.
+var errUnwound = errors.New("sim: process unwound by Env.Close")
+
+// Close unwinds every goroutine process that has not ended, parked at a
+// blocking call or not yet started: each one's deferred calls run and
+// its coroutine ends. A process parked when its environment stops being
+// run (a panic out of Run, or a run abandoned with wakeups queued) would
+// otherwise stay suspended for good, and keep the whole environment
+// reachable with it. Call Close from outside the environment's
+// processes, once it will not be run again; stepped processes hold no
+// coroutine and are left as they are.
+func (e *Env) Close() {
+	for i := 0; i < len(e.slots); i++ {
+		if p := e.slots[i].p; p != nil && p.co != nil {
+			p.co.stop()
+		}
+	}
 }
 
 // Run executes events until none remain.
