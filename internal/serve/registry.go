@@ -467,10 +467,11 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
 	var buf []core.BusRecord
-	// An exchange frame, the largest, holds every replica's slot and up
-	// to one pair a replica: the frame's buffer is sized once for it.
+	// The frames' buffer holds a chunk and one more frame; an exchange
+	// frame, the largest, holds every replica's slot and up to one pair
+	// a replica.
 	var frame sseFrame
-	frame.w.Buf = make([]byte, 0, 256+32*run.replicas)
+	frame.w.Buf = make([]byte, 0, sseChunk+256+32*run.replicas)
 	var dropped uint64 // the subscription's drops already counted
 	flush := func() {
 		buf = sub.Drain(buf[:0])
@@ -478,6 +479,7 @@ func (g *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 			frame.writeRecord(w, &buf[i])
 		}
 		if len(buf) > 0 {
+			frame.send(w)
 			fl.Flush()
 		}
 		if d := sub.Dropped(); d > dropped {
@@ -555,11 +557,16 @@ var (
 	)
 )
 
-// sseFrame renders bus events as server-sent events through one buffer,
-// reused for a whole stream. A layout takes its record by address, and
-// the address of a local would escape to the heap at every frame, so an
-// event is copied out of its interface into the frame's own field of
-// its type.
+// sseChunk is how many bytes of frames a stream gathers before it
+// writes them: the response sends each write of that size as one HTTP
+// chunk, where frame by frame it would send one a 2 KB buffer.
+const sseChunk = 32 << 10
+
+// sseFrame renders bus events as server-sent events into one buffer,
+// reused for a whole stream, that send writes out. A layout takes its
+// record by address, and the address of a local would escape to the
+// heap at every frame, so an event is copied out of its interface into
+// the frame's own field of its type.
 type sseFrame struct {
 	w     jsonx.Writer
 	md    core.MDEvent
@@ -569,53 +576,75 @@ type sseFrame struct {
 	res   core.ResourceEvent
 }
 
-// writeRecord renders one bus record as write renders its event; an MD
+// writeRecord adds one bus record's frame as add adds its event, and
+// writes the frames gathered to w once they pass sseChunk bytes; an MD
 // record is encoded from where it lies, never boxed.
 func (f *sseFrame) writeRecord(w io.Writer, rec *core.BusRecord) {
 	if rec.Other == nil {
-		frame(f, w, "md", mdLayout, &rec.MD)
-		return
+		frame(f, "md", mdLayout, &rec.MD)
+	} else {
+		f.add(rec.Other)
 	}
-	f.write(w, rec.Other)
+	if len(f.w.Buf) >= sseChunk {
+		f.send(w)
+	}
 }
 
-// write renders one bus event as a server-sent event named by its
-// concrete type, "event: <name>\ndata: <JSON>\n\n", and writes it to w;
-// an event JSON cannot encode writes nothing. The JSON is what
-// encoding/json writes for the event, and an event of a type outside
-// the bus's set goes through encoding/json, named "event".
+// write writes one bus event's frame to w.
 func (f *sseFrame) write(w io.Writer, ev core.Event) {
+	f.add(ev)
+	f.send(w)
+}
+
+// send writes the frames gathered to w.
+func (f *sseFrame) send(w io.Writer) {
+	if len(f.w.Buf) > 0 {
+		_, _ = w.Write(f.w.Buf)
+		f.w.Buf = f.w.Buf[:0]
+	}
+}
+
+// add renders one bus event as a server-sent event named by its
+// concrete type, "event: <name>\ndata: <JSON>\n\n"; an event JSON
+// cannot encode adds nothing. The JSON is what encoding/json writes for
+// the event, and an event of a type outside the bus's set goes through
+// encoding/json, named "event".
+func (f *sseFrame) add(ev core.Event) {
 	switch e := ev.(type) {
 	case core.MDEvent:
 		f.md = e
-		frame(f, w, "md", mdLayout, &f.md)
+		frame(f, "md", mdLayout, &f.md)
 	case core.ExchangeEvent:
 		f.ex = e
-		frame(f, w, "exchange", exchangeLayout, &f.ex)
+		frame(f, "exchange", exchangeLayout, &f.ex)
 	case core.FaultEvent:
 		f.fault = e
-		frame(f, w, "fault", faultLayout, &f.fault)
+		frame(f, "fault", faultLayout, &f.fault)
 	case core.RespaceEvent:
 		f.resp = e
-		frame(f, w, "respace", respaceLayout, &f.resp)
+		frame(f, "respace", respaceLayout, &f.resp)
 	case core.ResourceEvent:
 		f.res = e
-		frame(f, w, "resource", resourceLayout, &f.res)
+		frame(f, "resource", resourceLayout, &f.res)
 	default:
 		if data, err := json.Marshal(ev); err == nil {
-			_, _ = fmt.Fprintf(w, "event: event\ndata: %s\n\n", data)
+			f.w.Buf = append(append(append(f.w.Buf, "event: event\ndata: "...), data...), "\n\n"...)
 		}
 	}
 }
 
-// frame writes "event: <name>\ndata: <JSON of v>\n\n", or nothing when v
+// frame adds "event: <name>\ndata: <JSON of v>\n\n", or nothing when v
 // does not encode.
-func frame[T any](f *sseFrame, w io.Writer, name string, l *jsonx.Layout[T], v *T) {
-	f.w = jsonx.Writer{Buf: append(append(append(f.w.Buf[:0], "event: "...), name...), "\ndata: "...)}
-	if l.Append(&f.w, v); f.w.Err() == nil {
-		f.w.Raw("\n\n")
-		_, _ = w.Write(f.w.Buf)
+func frame[T any](f *sseFrame, name string, l *jsonx.Layout[T], v *T) {
+	start := len(f.w.Buf)
+	f.w.Raw("event: ")
+	f.w.Raw(name)
+	f.w.Raw("\ndata: ")
+	if l.Append(&f.w, v); f.w.Err() != nil {
+		f.w = jsonx.Writer{Buf: f.w.Buf[:start]}
+		return
 	}
+	f.w.Raw("\n\n")
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
