@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Fuzz gate: seven short coverage-guided lanes over the inputs the
-# daemon takes from outside, 13 s each; the whole gate takes ~105 s on
-# a 2-core host, builds included.
+# Fuzz gate: eight short coverage-guided lanes over the inputs the
+# daemon takes from outside and the bodies it writes, 13 s each; the
+# whole gate takes ~120 s on a 2-core host, builds included.
 # They find shallow panics (the kind a refactor introduces) without
 # holding the build hostage.
 #   FuzzParseLaunch       internal/config    the network-facing launch
@@ -25,6 +25,12 @@
 #                         refuses; what it accepts New restores exactly
 #                         and runs to the end without a panic (the event
 #                         and row counts are also mutated as fields)
+#   FuzzLayoutJSON        internal/serve     the replica-scaled bodies:
+#                         a /stats body and every bus event type's frame,
+#                         written through their jsonx layouts, equal what
+#                         encoding/json writes for the same fuzzed values
+#                         (nil and empty slices, NaN, negative zero,
+#                         exponents, <, >, & and U+2028 in strings)
 # The checkpoint lanes are seeded from the pinned format-2 files and
 # trigger_state.golden in internal/core/testdata; FuzzResume also from
 # each pinned run's event-0 checkpoint. Crashers land in the
@@ -49,3 +55,4 @@ lane ./internal/analysis/ FuzzCollectorRestore
 lane ./internal/core/ FuzzFeedbackRestore
 lane ./internal/core/ FuzzAdaptiveRestore
 lane ./internal/core/ FuzzResume 50x
+lane ./internal/serve/ FuzzLayoutJSON
