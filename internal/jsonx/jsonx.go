@@ -166,13 +166,14 @@ func writeArray[T any](w *Writer, v []T, rows bool, elem func(*Writer, *T)) {
 // []. It is one pass over the bytes, with no scanner to check them, so
 // it is only for text a Writer wrote.
 func Indent(dst, src []byte, indent string) []byte {
+	nl := []byte{'\n'}      // a line break and the deepest indent yet
 	depth, open := 0, false // open: the last byte opened an object or array
 	for i := 0; i < len(src); i++ {
 		c := src[i]
 		if open && c != '}' && c != ']' {
 			open = false
 			depth++
-			dst = newline(dst, indent, depth)
+			dst, nl = newline(dst, nl, indent, depth)
 		}
 		switch c {
 		case '"':
@@ -190,7 +191,7 @@ func Indent(dst, src []byte, indent string) []byte {
 			open = true
 			dst = append(dst, c)
 		case ',':
-			dst = newline(append(dst, c), indent, depth)
+			dst, nl = newline(append(dst, c), nl, indent, depth)
 		case ':':
 			dst = append(dst, c, ' ')
 		case '}', ']':
@@ -198,22 +199,32 @@ func Indent(dst, src []byte, indent string) []byte {
 				open = false
 			} else {
 				depth--
-				dst = newline(dst, indent, depth)
+				dst, nl = newline(dst, nl, indent, depth)
 			}
 			dst = append(dst, c)
 		default:
+			// A number or a literal, a few bytes: copied byte by byte,
+			// which costs less than a call to copy them.
 			dst = append(dst, c)
+			for ; i+1 < len(src) && !structural[src[i+1]]; i++ {
+				dst = append(dst, src[i+1])
+			}
 		}
 	}
 	return dst
 }
 
-func newline(dst []byte, indent string, depth int) []byte {
-	dst = append(dst, '\n')
-	for ; depth > 0; depth-- {
-		dst = append(dst, indent...)
+// structural marks the bytes Indent acts on.
+var structural = [256]bool{'"': true, '{': true, '}': true, '[': true, ']': true, ',': true, ':': true}
+
+// newline appends a line break and depth indents, cut from nl, which it
+// extends when depth is deeper than any before.
+func newline(dst, nl []byte, indent string, depth int) ([]byte, []byte) {
+	n := 1 + depth*len(indent)
+	for len(nl) < n {
+		nl = append(nl, indent...)
 	}
-	return dst
+	return append(dst, nl[:n]...), nl
 }
 
 // MaxDepth bounds the nesting of a value the Reader skips or captures.

@@ -62,7 +62,11 @@
 # BENCH_serve.json: a scrape of finished runs must cost under 0.15 of one
 # that renders them (0.031-0.045 over ten gate runs when the gate was
 # set, ~1 if finished runs were rendered again). Its medians are
-# rewritten like the kernel's.
+# rewritten like the kernel's. The same stream times one 4096-replica
+# /stats body (BenchmarkRunStats: through the Stats layout and
+# jsonx.Indent, and through encoding/json, the reference): the layout
+# must take under 0.4 of the reference's time (0.18-0.28 over ten runs
+# when the gate was set).
 set -euo pipefail
 # shellcheck source=scripts/ci/lib.sh
 . "$(dirname "$0")/lib.sh"
@@ -90,7 +94,7 @@ for _ in 1 2 3 4 5; do
     -benchtime 20x -json . | tee -a BENCH_snapshot_samples.json
   go test -run '^$' -bench 'BenchmarkSimResident$|BenchmarkSimStepped$|BenchmarkSimAwaiter$' \
     -benchtime 2000000x -json ./internal/sim | tee -a BENCH_sim_samples.json
-  go test -run '^$' -bench 'BenchmarkAggregateScrape$' \
+  go test -run '^$' -bench 'BenchmarkAggregateScrape$|BenchmarkRunStats$' \
     -benchtime 40x -json ./internal/serve | tee -a BENCH_serve_samples.json
 done
 # Every gate reports even when an earlier one fails. benchcheck is built,
