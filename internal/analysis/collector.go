@@ -176,10 +176,10 @@ type Collector struct {
 	// of memory every walk's trace lives in (0 before the first event).
 	traceCap int
 	// slab is what is left of the chunk the pair windows' storage is
-	// carved from, carved and uncarved the windows given storage so far
-	// and those still without (see carveWindow).
-	slab             []bool
-	carved, uncarved int
+	// carved from, and carved counts the windows given storage from it
+	// (see carveWindow).
+	slab   []bool
+	carved int
 }
 
 // New builds a collector for the given configuration. Replica i is
@@ -205,7 +205,6 @@ func New(cfg Config) *Collector {
 		if n > 1 {
 			c.st.Pairs[d] = make([]PairStat, n-1)
 			c.st.PairWindows[d] = make([]ring.Bool, n-1)
-			c.uncarved += n - 1
 		}
 	}
 	for i := range c.st.Walks {
@@ -373,18 +372,21 @@ func (c *Collector) applyExchange(e core.ExchangeEvent) {
 // outcome, WindowEvents long, cut from the collector's slab: the windows
 // of a ladder cost a few allocations, not one each. A new chunk holds
 // as many windows as were carved before it, at least eight and at most
-// as many as are still without storage, so a run that attempts few
+// as many as the ladders have left to carve, so a run that attempts few
 // pairs keeps few windows' worth and one that attempts them all keeps
 // no slack.
 func (c *Collector) carveWindow() []bool {
 	n := c.cfg.WindowEvents
 	if len(c.slab) < n {
-		c.slab = make([]bool, n*max(1, min(max(c.carved, 8), c.uncarved)))
+		pairs := 0
+		for _, ws := range c.st.PairWindows {
+			pairs += len(ws)
+		}
+		c.slab = make([]bool, n*max(1, min(max(c.carved, 8), pairs-c.carved)))
 	}
 	out := c.slab[:n:n]
 	c.slab = c.slab[n:]
 	c.carved++
-	c.uncarved--
 	return out
 }
 
@@ -849,17 +851,8 @@ func (c *Collector) Restore(data []byte) error {
 	if st.Faults == nil {
 		st.Faults = map[string]uint64{}
 	}
-	uncarved := 0
-	for d := range st.PairWindows {
-		for i := range st.PairWindows[d] {
-			if len(st.PairWindows[d][i].Outcomes) == 0 {
-				uncarved++
-			}
-		}
-	}
 	c.mu.Lock()
 	c.st, c.traceCap = st, 0
-	c.slab, c.carved, c.uncarved = nil, 0, uncarved
 	c.mu.Unlock()
 	return nil
 }

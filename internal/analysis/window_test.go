@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
@@ -272,5 +273,46 @@ func TestWeightedRatio(t *testing.T) {
 	}
 	if got := analysis.WeightedRatio(nil); got != 0 {
 		t.Fatalf("empty weighted ratio %v, want 0", got)
+	}
+}
+
+// TestPairWindowsShareFewChunks: a 1 024-rung ladder's pair windows take
+// their storage from a few chunks, not an allocation each, and no two
+// windows share any: each pair's rolling ratio matches its own outcomes.
+func TestPairWindowsShareFewChunks(t *testing.T) {
+	const n, events = 1024, 100
+	col := analysis.New(analysis.Config{DimSizes: []int{n}, Replicas: n, WindowEvents: 16})
+	accepted := func(lo, e int) bool { return (lo*7+e)%(lo%5+2) == 0 }
+	evs := make([]core.Event, events)
+	for e := range evs {
+		ev := core.ExchangeEvent{Event: e}
+		for lo := e % 2; lo+1 < n; lo += 2 {
+			ev.Pairs = append(ev.Pairs, core.PairOutcome{Lo: lo, Hi: lo + 1, Accepted: accepted(lo, e)})
+		}
+		evs[e] = ev
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ev := range evs {
+		col.Apply(ev)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 16 {
+		t.Errorf("%d allocations for the windows of %d pairs, want the 8 chunks", got, n-1)
+	}
+	win := col.Snapshot().AcceptanceWindow[0]
+	for lo := 0; lo+1 < n; lo++ {
+		var want analysis.PairStat
+		for e := events - 1; e >= 0 && want.Attempted < 16; e-- {
+			if e%2 == lo%2 {
+				want.Attempted++
+				if accepted(lo, e) {
+					want.Accepted++
+				}
+			}
+		}
+		if win[lo] != want {
+			t.Fatalf("pair (%d,%d) window %+v, want %+v", lo, lo+1, win[lo], want)
+		}
 	}
 }
