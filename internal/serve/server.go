@@ -318,8 +318,8 @@ func writeStats(w http.ResponseWriter, st *analysis.Stats) {
 	bufs := statsBufs.Get().(*[2][]byte)
 	defer statsBufs.Put(bufs)
 	// A buffer the pool lost to a collection grows once, not by doubling:
-	// ~5 bytes a slot, trace entry and pair counter, and the indented
-	// text within 2.5 times the compact.
+	// ~5 bytes a slot or trace entry and 80 a pair's two counters, and
+	// the indented text within 2.5 times the compact.
 	room := 1024 + 5*len(st.Slots)
 	for _, tr := range st.Traces {
 		room += 5 * len(tr)
