@@ -23,7 +23,6 @@
 package analysis
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -712,23 +711,15 @@ func writePilotCores(w *jsonx.Writer, s *Stats) {
 		w.Raw("null")
 		return
 	}
-	slots := make([]int, 0, len(s.PilotCores))
-	for k := range s.PilotCores {
-		slots = append(slots, k)
+	keys := make([]string, 0, len(s.PilotCores))
+	for slot := range s.PilotCores {
+		keys = append(keys, strconv.Itoa(slot))
 	}
-	slices.SortFunc(slots, func(a, b int) int {
-		var x, y [20]byte
-		return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
-	})
+	sort.Strings(keys)
 	w.Raw("{")
-	for i, k := range slots {
-		if i > 0 {
-			w.Raw(",")
-		}
-		w.Raw(`"`)
-		w.Int(k)
-		w.Raw(`":`)
-		w.Int(s.PilotCores[k])
+	for _, k := range keys {
+		slot, _ := strconv.Atoi(k) // Itoa wrote it
+		w.Key(k).Int(s.PilotCores[slot])
 	}
 	w.Raw("}")
 }

@@ -101,14 +101,22 @@ func (s *fuzzSource) histogram() analysis.Histogram {
 	return analysis.Histogram{Bounds: fuzzSlice(s, s.float), Counts: fuzzSlice(s, s.u64), Sum: s.float(), Count: s.u64()}
 }
 
+// stats reads the maps first, so short inputs reach their key order.
 func (s *fuzzSource) stats() analysis.Stats {
-	st := analysis.Stats{Events: s.int(), MDSegments: s.int(), MDFailures: s.int()}
+	var st analysis.Stats
+	if n := s.length(); n >= 0 {
+		st.PilotCores = map[int]int{}
+		for i := 0; i < n; i++ {
+			st.PilotCores[s.int()] = s.int()
+		}
+	}
 	if n := s.length(); n >= 0 {
 		st.Faults = map[string]uint64{}
 		for i := 0; i < n; i++ {
 			st.Faults[s.str()] = s.u64()
 		}
 	}
+	st.Events, st.MDSegments, st.MDFailures = s.int(), s.int(), s.int()
 	st.Acceptance, st.AcceptanceWindow = s.pairs(), s.pairs()
 	st.WindowEvents, st.RoundTrips = s.int(), s.int()
 	st.MeanRoundTripEvents, st.FullTraversalFraction = s.float(), s.float()
@@ -116,12 +124,6 @@ func (s *fuzzSource) stats() analysis.Stats {
 	st.Traces = fuzzSlice(s, func() []int { return fuzzSlice(s, s.int) })
 	st.MDExec, st.ExchangeOverhead = s.histogram(), s.histogram()
 	st.ResourceEvents, st.Preemptions = s.u64(), s.u64()
-	if n := s.length(); n >= 0 {
-		st.PilotCores = map[int]int{}
-		for i := 0; i < n; i++ {
-			st.PilotCores[s.int()] = s.int()
-		}
-	}
 	st.BusDropped = s.u64()
 	return st
 }
@@ -154,6 +156,9 @@ func FuzzLayoutJSON(f *testing.F) {
 	f.Add([]byte{9, 1, 1, 2, 4, 129, 130, 131, 132, 2, 0, 5, 21, 13, 17, 9, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{3, 3, 3, 0, 0, 0, 0, 0, 0, 1, 129, 1, 45, 1, 13, 1, 17, 1, 21, 1, 25, 1, 29, 1, 33, 1, 37})
 	f.Add(bytes.Repeat([]byte{4, 2, 129, 130, 131, 132, 133}, 40))
+	// Pilot slots 2, 10 and -1, whose string order is not their numeric
+	// order, and fault kinds "<&" and "k\u2029".
+	f.Add([]byte{4, 2, 6, 10, 14, 1, 18, 3, 2, '<', '&', 1, 0, 0, 0, 0, 0, 0, 0, 2, 'k', 200, 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &fuzzSource{data: data}
 		st := s.stats()
