@@ -16,14 +16,16 @@ package sim
 // floor reaches 1.23.
 func handoff(body func()) (resume, park, stop func()) {
 	in, out := make(chan struct{}), make(chan struct{})
-	var panicked any
-	stopped, ended := false, false
+	var co struct {
+		panicked       any
+		stopped, ended bool
+	}
 	go func() {
 		defer func() {
-			if p := recover(); !stopped {
-				panicked = p
+			if p := recover(); !co.stopped {
+				co.panicked = p
 			}
-			ended = true
+			co.ended = true
 			out <- struct{}{}
 		}()
 		// Wait until the kernel first resumes us; a closed channel is a
@@ -35,8 +37,8 @@ func handoff(body func()) (resume, park, stop func()) {
 	resume = func() {
 		in <- struct{}{}
 		<-out
-		if panicked != nil {
-			panic(panicked)
+		if co.panicked != nil {
+			panic(co.panicked)
 		}
 	}
 	park = func() {
@@ -46,8 +48,8 @@ func handoff(body func()) (resume, park, stop func()) {
 		}
 	}
 	stop = func() {
-		if !ended {
-			stopped = true
+		if !co.ended {
+			co.stopped = true
 			close(in)
 			<-out
 		}

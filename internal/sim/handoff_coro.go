@@ -14,26 +14,27 @@ import "iter"
 // resume: a switch stays on one thread and never enters the scheduler,
 // and a panic in body surfaces from resume.
 func handoff(body func()) (resume, park, stop func()) {
-	var yield func(struct{}) bool
-	stopped := false
-	next, stopPull := iter.Pull(func(y func(struct{}) bool) {
+	// One variable shared by body's wrapper and park: iter.Pull's yield,
+	// and whether park is unwinding body for stop.
+	var co struct {
+		yield     func(struct{}) bool
+		unwinding bool
+	}
+	next, stop := iter.Pull(func(y func(struct{}) bool) {
 		defer func() {
-			if stopped {
+			if co.unwinding {
 				recover()
 			}
 		}()
-		yield = y
+		co.yield = y
 		body()
 	})
-	resume = func() { next() }
 	park = func() {
-		if !yield(struct{}{}) {
+		// yield returns false only once stop has been called.
+		if !co.yield(struct{}{}) {
+			co.unwinding = true
 			panic(errUnwound)
 		}
 	}
-	stop = func() {
-		stopped = true
-		stopPull()
-	}
-	return resume, park, stop
+	return func() { next() }, park, stop
 }
