@@ -590,12 +590,6 @@ func (f *sseFrame) writeRecord(w io.Writer, rec *core.BusRecord) {
 	}
 }
 
-// write writes one bus event's frame to w.
-func (f *sseFrame) write(w io.Writer, ev core.Event) {
-	f.add(ev)
-	f.send(w)
-}
-
 // send writes the frames gathered to w.
 func (f *sseFrame) send(w io.Writer) {
 	if len(f.w.Buf) > 0 {

@@ -20,6 +20,12 @@ import (
 // closed set's marker through an embedded MDEvent.
 type otherEvent struct{ core.MDEvent }
 
+// write writes one bus event's frame to w, as a stream would alone.
+func (f *sseFrame) write(w io.Writer, ev core.Event) {
+	f.add(ev)
+	f.send(w)
+}
+
 // TestSSEFrames: one stream's frame writes each bus event as
 // "event: <name>\ndata: <json.Marshal of the event>\n\n", named by its
 // concrete type, and nothing for an event JSON cannot encode.
