@@ -73,7 +73,7 @@ func servedRunAllocs(t *testing.T, runs int) float64 {
 // paid by a warm-up pass first. It read 0.1339-0.1349 when a pair
 // window's storage was one allocation a ladder pair, the per-run Server
 // built a route table it never used, and /stats and the event stream's
-// frames went through encoding/json; 0.0627-0.0644 since. The bound
+// frames went through encoding/json; 0.0621-0.0644 since. The bound
 // leaves some 5 % for the toolchain and the collector's timing.
 func TestServedRunAllocations(t *testing.T) {
 	if raceDetector {
