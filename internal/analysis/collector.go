@@ -253,10 +253,16 @@ func RunBuffer(spec *core.Spec) int {
 func (c *Collector) Sync() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.sync(c.scratch[:0])
+}
+
+// sync drains the subscription onto buf, which Drain takes as the
+// ring's next storage, and applies the records; the caller holds c.mu.
+func (c *Collector) sync(buf []core.BusRecord) {
 	if c.sub == nil {
 		return
 	}
-	c.scratch = c.sub.Drain(c.scratch[:0])
+	c.scratch = c.sub.Drain(buf)
 	for i := range c.scratch {
 		if rec := &c.scratch[i]; rec.Other == nil {
 			c.applyMD(&rec.MD)
@@ -267,13 +273,14 @@ func (c *Collector) Sync() {
 }
 
 // FinalSync is Sync for a collector whose bus will publish nothing
-// more: it also lets the drain buffer go, so a finished run's collector
-// keeps its statistics and no copy of the records that built them.
+// more: it drains onto no buffer, so the ring has none to take, and
+// lets the drained records go, so a finished run's collector keeps its
+// statistics and neither buffer that carried the records.
 func (c *Collector) FinalSync() {
-	c.Sync()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sync(nil)
 	c.scratch = nil
-	c.mu.Unlock()
 }
 
 // Apply feeds one event directly (tests, or callers without a bus); an
@@ -511,8 +518,10 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 		WindowEvents:     c.cfg.WindowEvents,
 		Slots:            make([]int, len(c.st.Walks)),
 	}
-	// The traces are copied into one backing array, each capped at its
-	// own length so an append on one cannot write into the next.
+	// Every row is copied into one backing array of its type, each capped
+	// at its own length so an append on one cannot write into the next:
+	// the traces, both histograms' bounds and counts, and the two pair
+	// rows of each dimension.
 	var free []int
 	if withTraces {
 		s.Traces = make([][]int, len(c.st.Walks))
@@ -525,10 +534,16 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 	for k, v := range c.st.Faults {
 		s.Faults[k] = v
 	}
+	npairs := 0
+	for _, pairs := range c.st.Pairs {
+		npairs += len(pairs)
+	}
+	stats := make([]PairStat, 2*npairs)
 	for d, pairs := range c.st.Pairs {
-		s.Acceptance[d] = append([]PairStat(nil), pairs...)
+		s.Acceptance[d] = carve(&stats, pairs)
 		if len(pairs) > 0 {
-			ws := make([]PairStat, len(pairs))
+			ws := stats[:len(pairs):len(pairs)]
+			stats = stats[len(pairs):]
 			for i := range c.st.PairWindows[d] {
 				ws[i] = windowStat(&c.st.PairWindows[d][i])
 			}
@@ -539,9 +554,8 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 	for i := range c.st.Walks {
 		w := &c.st.Walks[i]
 		s.Slots[i] = w.Slot
-		if withTraces && len(w.Trace) > 0 {
-			k := copy(free, w.Trace)
-			s.Traces[i], free = free[:k:k], free[k:]
+		if withTraces {
+			s.Traces[i] = carve(&free, w.Trace)
 		}
 		s.RoundTrips += w.RoundTrips
 		tripEvents += w.TripEvents
@@ -563,8 +577,12 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 			s.PilotCores[k] = v
 		}
 	}
-	s.MDExec = cloneHistogram(c.st.MDExec)
-	s.ExchangeOverhead = cloneHistogram(c.st.ExchangeOvh)
+	md, ex := c.st.MDExec, c.st.ExchangeOvh
+	bounds := make([]float64, len(md.Bounds)+len(ex.Bounds))
+	counts := make([]uint64, len(md.Counts)+len(ex.Counts))
+	s.MDExec, s.ExchangeOverhead = md, ex
+	s.MDExec.Bounds, s.MDExec.Counts = carve(&bounds, md.Bounds), carve(&counts, md.Counts)
+	s.ExchangeOverhead.Bounds, s.ExchangeOverhead.Counts = carve(&bounds, ex.Bounds), carve(&counts, ex.Counts)
 	if c.sub != nil {
 		s.BusDropped = c.sub.Dropped()
 	}
@@ -628,10 +646,17 @@ func ratios(pairs []PairStat) ([]float64, bool) {
 	return out, true
 }
 
-func cloneHistogram(h Histogram) Histogram {
-	h.Bounds = append([]float64(nil), h.Bounds...)
-	h.Counts = append([]uint64(nil), h.Counts...)
-	return h
+// carve copies row to the front of *free, which must have room for it,
+// advances *free past the copy and returns it, capped at its own length;
+// an empty row copies to nil.
+func carve[T any](free *[]T, row []T) []T {
+	if len(row) == 0 {
+		return nil
+	}
+	n := copy(*free, row)
+	out := (*free)[:n:n]
+	*free = (*free)[n:]
+	return out
 }
 
 // The layouts of the collector state, matching the struct tags

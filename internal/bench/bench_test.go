@@ -267,6 +267,35 @@ func TestFig13Shapes(t *testing.T) {
 	}
 }
 
+// TestFig13FullRows checks the full rows (120 to 960 replicas) for what
+// they share with the paper's "sync ~10 pp above async, roughly flat":
+// sync above async at every size, both within 40-95 %. The gap is not
+// flat here: it reads 8.35, 6.80, 4.37 and 2.28 pp at 120, 240, 480 and
+// 960 replicas, so TestFig13Shapes' 3-25 pp band holds on the quick rows
+// only, and the paper's flat gap only at the small end.
+func TestFig13FullRows(t *testing.T) {
+	rows, _, err := Fig13Utilization(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d full rows, want 4", len(rows))
+	}
+	for _, r := range rows {
+		if r.SyncUtil <= r.AsyncUtil {
+			t.Errorf("sync utilization %v not above async %v at %d replicas",
+				r.SyncUtil, r.AsyncUtil, r.Replicas)
+		}
+		for _, u := range []float64{r.SyncUtil, r.AsyncUtil} {
+			if u < 40 || u > 95 {
+				t.Errorf("utilization %v outside 40-95 %% at %d replicas", u, r.Replicas)
+			}
+		}
+		t.Logf("%d replicas: sync %.2f %%, async %.2f %%, gap %.2f pp",
+			r.Replicas, r.SyncUtil, r.AsyncUtil, r.SyncUtil-r.AsyncUtil)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	pkgs := Table1Packages()
 	if len(pkgs) != 7 {

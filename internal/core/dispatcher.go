@@ -143,6 +143,8 @@ func newDispatcher(ctx context.Context, s *Simulation, tr Trigger) *dispatcher {
 	}
 	if d.aligned {
 		d.segBudget *= d.ndims
+		// A round an event: the events left are fixed by the spec.
+		s.rowsLeft = d.segBudget - d.event
 	} else {
 		d.ready = make([]*Replica, 0, len(s.replicas))
 	}
@@ -659,7 +661,9 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	a0 := rec.Accepted
 	wantOut := s.wantsPairOutcomes()
 	if wantOut && len(pairs) > 0 {
-		s.pairScratch = make([]PairOutcome, 0, len(pairs))
+		// A new chunk holds eight events of this size, or a quarter of
+		// the outcomes carved so far.
+		s.pairScratch = s.outcomes.carve(len(pairs), max(8, s.outcomes.carved/(4*len(pairs))))[:0]
 	}
 	s.rngDraws += int64(len(pairs))
 	for _, pr := range pairs {

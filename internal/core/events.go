@@ -64,10 +64,12 @@ type ExchangeEvent struct {
 	// Cycle and Dim locate the event in the simulation schedule.
 	Cycle int
 	Dim   int
-	// Pairs are the attempted exchanges of this event.
+	// Pairs are the attempted exchanges of this event, in pair order.
+	// Pairs and Slots are read-only views of write-once storage every
+	// subscriber shares: consumers must not mutate them.
 	Pairs []PairOutcome
-	// Slots is the slot per replica ID after the event. The slice is
-	// shared with the report's slot history: consumers must not mutate it.
+	// Slots is the slot per replica ID after the event: the row the
+	// report's slot history and the snapshots share.
 	Slots []int
 	// MDWall and EXWall are the MD-collection and exchange-phase wall
 	// times of the event's record.
@@ -264,14 +266,16 @@ type Subscription struct {
 	limit   int
 	head    int // index of the oldest buffered record
 	n       int // buffered records
+	peak    int // the largest backlog a Drain found
 	dropped uint64
 }
 
 // push buffers one record; the caller holds s.mu.
 func (s *Subscription) push(rec BusRecord) {
 	if s.n == len(s.ring) && s.n < s.limit {
-		// head is 0 here: it moves only once the ring is at its limit.
-		ring := make([]BusRecord, min(max(2*s.n, 64), s.limit))
+		// head is 0 here: it moves only once the ring is at its limit. A
+		// ring grows at once to the largest backlog a drain found.
+		ring := make([]BusRecord, min(max(2*s.n, 64, s.peak), s.limit))
 		copy(ring, s.ring)
 		s.ring = ring
 	}
@@ -285,17 +289,32 @@ func (s *Subscription) push(rec BusRecord) {
 	}
 }
 
-// Drain appends all buffered records to dst in publication order and
-// lets the ring go, so a subscriber that has caught up — a finished
-// run's collector above all — holds no buffer. It is every consumer's
-// one way off the bus.
+// Drain returns every buffered record in publication order, appended
+// to dst, and takes dst's array as the ring's next storage: the caller
+// gives dst up, as it does a delivered slice at the pilot runtime's next
+// AwaitNext. When dst is empty and the ring has not wrapped, the ring
+// itself is returned and dst's array, cleared, becomes the ring, so two
+// buffers trade places drain after drain and a steady consumer
+// allocates nothing. Otherwise (dst holds records, or the ring wrapped
+// after an overflow) the records are copied and the ring let go. A nil
+// dst leaves the subscription no buffer either way, as a finished run's
+// collector wants; the ring regrows with the next backlog. It is every
+// consumer's one way off the bus.
 func (s *Subscription) Drain(dst []BusRecord) []BusRecord {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.peak = max(s.peak, s.n)
+	if len(dst) == 0 && s.head == 0 {
+		out := s.ring[:s.n]
+		dst = dst[:min(cap(dst), s.limit)]
+		clear(dst)
+		s.ring, s.n = dst, 0
+		return out
+	}
 	tail := min(s.n, len(s.ring)-s.head) // buffered before the ring wraps
 	dst = append(dst, s.ring[s.head:s.head+tail]...)
 	dst = append(dst, s.ring[:s.n-tail]...)
 	s.ring, s.head, s.n = nil, 0, 0
-	s.mu.Unlock()
 	return dst
 }
 

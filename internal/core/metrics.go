@@ -143,7 +143,9 @@ type Report struct {
 	// the barrier trigger). It feeds the mixing diagnostics in
 	// internal/stats. When Spec.HistoryTail is positive only the most
 	// recent rows are retained; SlotRows and SlotFingerprint still cover
-	// the full run.
+	// the full run. The rows are read-only views: each is written once,
+	// when its event is recorded, and shared with that event's
+	// ExchangeEvent.Slots and with every snapshot that holds it.
 	SlotHistory [][]int
 	// SlotRows counts every slot-history row ever recorded, including
 	// rows rotated out of SlotHistory by Spec.HistoryTail.

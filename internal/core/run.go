@@ -89,5 +89,9 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	}
 	err := newDispatcher(ctx, s, tr).run()
 	s.report.End = s.rt.Now()
+	// A finished run keeps its report, not the loop's scratch: the pair
+	// outcomes' chunk (its subscribers have what they were sent) and the
+	// bus batch.
+	s.outcomes, s.busBatch = slab[PairOutcome]{}, nil
 	return s.report, err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,9 +34,18 @@ type Simulation struct {
 	dimStride []int
 	// pairScratch accumulates the current exchange event's pair outcomes
 	// for the event bus and the trigger's ExchangeObserver hook (nil
-	// while neither consumer is attached). It leaves with the published
-	// ExchangeEvent, so every event gets a fresh one, sized once.
+	// while neither consumer is attached). It is carved from outcomes,
+	// sized once, and leaves with the published ExchangeEvent.
 	pairScratch []PairOutcome
+	// rows and outcomes are the write-once storage of the slot-history
+	// rows and the pair outcomes (see slab): the report, the bus's
+	// ExchangeEvents and every snapshot share what they hand out.
+	rows     slab[int]
+	outcomes slab[PairOutcome]
+	// rowsLeft is the number of exchange events an aligned run has left
+	// to record (0 when the policy does not fix it), set by
+	// newDispatcher: its slot-history rows are carved at once.
+	rowsLeft int
 	// exObs is the running trigger's ExchangeObserver side, set by
 	// newDispatcher for closed-loop policies (nil otherwise).
 	exObs ExchangeObserver
@@ -126,6 +136,18 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	s.exOff = make([]int, 0, groups+1)
 	s.exIDs = make([]int, 0, n)
 	s.exPairs = make([]exchange.Pair, 0, n/2)
+	// A salt exchange submits one single-point task a member
+	// (Engine.SinglePointTasks), and the bus gets at most a completion a
+	// replica at one wakeup, plus the exchange event at a barrier.
+	for _, dim := range spec.Dims {
+		if dim.Type == exchange.Salt {
+			s.speScratch = make([]task.Handle, 0, n)
+			break
+		}
+	}
+	if spec.Bus != nil {
+		s.busBatch = make([]BusRecord, 0, n+1)
+	}
 	// The replicas and their restraint arrays are carved from one backing
 	// array each: a run allocates them once, not once per replica.
 	reps := make([]Replica, n)
@@ -237,19 +259,33 @@ func carve[T any](free *[]T, row []T) []T {
 	return out
 }
 
-// cloneRows deep-copies rows into one fresh backing array, each row
-// carved as carve does.
-func cloneRows[T any](rows [][]T) [][]T {
-	total := 0
-	for _, row := range rows {
-		total += len(row)
+// slabChunkMax bounds a slab chunk, in elements, unless one row is
+// longer.
+const slabChunkMax = 1 << 20
+
+// slab is write-once storage for the rows a run hands out one after
+// another: each row is cut from the current chunk with a full-slice cap,
+// so an append to it reallocates, and the slab never writes a row again
+// once it has handed it out. Every holder of a row may therefore share
+// it for as long as it likes: a chunk lives as long as any of its rows
+// does.
+type slab[T any] struct {
+	free   []T
+	carved int // elements handed out so far
+}
+
+// carve returns a zeroed row of n elements. When the current chunk
+// cannot hold it, a new one replaces it with room for rows such rows
+// (at least one, and no more than slabChunkMax elements unless one row
+// is longer).
+func (b *slab[T]) carve(n, rows int) []T {
+	if len(b.free) < n {
+		b.free = make([]T, n*max(1, min(rows, slabChunkMax/max(n, 1))))
 	}
-	free := make([]T, total)
-	out := make([][]T, len(rows))
-	for i, row := range rows {
-		out[i] = carve(&free, row)
-	}
-	return out
+	row := b.free[:n:n]
+	b.free = b.free[n:]
+	b.carved += n
+	return row
 }
 
 // Replicas exposes the replica set (read-mostly; used by analysis).
@@ -411,21 +447,31 @@ func (s *Simulation) takeSlotParams(r *Replica) {
 // snapshotSlots records the replicas' current slot assignment: the row
 // is folded into the rolling fingerprint and appended to the report's
 // slot history, which Spec.HistoryTail bounds to the most recent rows.
-// A rotated-out row's backing array is recycled only when no bus is
-// attached — ExchangeEvent.Slots shares the history rows, and a slow
-// subscriber's ring may still reference rotated-out rows.
+// The row is carved from the rows slab and never written again, so
+// ExchangeEvent.Slots, a snapshot and a resumed report share it; a
+// rotated-out row is not recycled but left to whoever still holds it.
 func (s *Simulation) snapshotSlots() {
 	hist := s.report.SlotHistory
 	tail := s.spec.HistoryTail
 	rotate := tail > 0 && len(hist) >= tail
-	var row []int
-	if rotate && s.spec.Bus == nil {
-		row = hist[0][:0]
-	} else {
-		row = make([]int, 0, len(s.replicas))
+	// A new chunk holds what is left of an aligned run's events, or a
+	// quarter of the rows recorded so far and at least eight, and never
+	// more rows than a tail keeps: a bounded history's rows stay within
+	// twice its tail.
+	k := s.rowsLeft
+	if k <= 0 {
+		k = max(8, s.report.SlotRows/4)
 	}
-	for _, r := range s.replicas {
-		row = append(row, r.Slot)
+	if tail > 0 {
+		k = min(k, tail)
+	}
+	row := s.rows.carve(len(s.replicas), k)
+	for i, r := range s.replicas {
+		row[i] = r.Slot
+	}
+	s.rowsLeft = max(s.rowsLeft-1, 0)
+	if !rotate && len(hist) == cap(hist) {
+		hist = slices.Grow(hist, k)
 	}
 	s.report.SlotFingerprint = fnvRow(s.report.SlotFingerprint, row)
 	s.report.SlotRows++

@@ -47,7 +47,10 @@ type Snapshot struct {
 	Replicas []ReplicaState `json:"replicas"`
 	// SlotHistory is the slot assignment after each exchange event so
 	// far — bounded to the most recent rows when Spec.HistoryTail is set
-	// — so a resumed run's report carries the retained history.
+	// — so a resumed run's report carries the retained history. A
+	// capture's rows are the run's own read-only rows (Report.SlotHistory),
+	// and a resumed run shares a snapshot's rows in turn: neither writes
+	// a row, and a caller must not either.
 	SlotHistory [][]int `json:"slot_history"`
 	// SlotRows and SlotFingerprint carry the full-history row count and
 	// rolling fingerprint (see Report), so resume equivalence holds even
@@ -199,7 +202,7 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 		RNGDraws:          s.rngDraws,
 		EngineDraws:       -1,
 		Replicas:          make([]ReplicaState, len(s.replicas)),
-		SlotHistory:       cloneRows(s.report.SlotHistory),
+		SlotHistory:       shareRows(s.report.SlotHistory),
 		SlotRows:          s.report.SlotRows,
 		SlotFingerprint:   s.report.SlotFingerprint,
 		Dropped:           s.report.Dropped,
@@ -216,8 +219,9 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 		}
 		sn.TriggerData = data
 	}
-	// A capture owns its arrays: the replicas' coordinates and the history
-	// rows are each copied into one fresh backing array.
+	// A capture owns its arrays: the replicas' coordinates are copied
+	// into one fresh backing array. The history rows are write-once
+	// (snapshotSlots), so it shares them and copies only their header.
 	nsynth := 0
 	for _, r := range s.replicas {
 		nsynth += len(r.Synth)
@@ -234,9 +238,9 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 			Retries: r.Retries,
 		}
 	}
-	if ladders, hist := s.Respacing(); len(hist) > 0 {
-		sn.Respacings = hist
-		sn.DimValues = ladders
+	// Only the dispatcher refits, so it reads the history unlocked.
+	if len(s.respacings) > 0 {
+		sn.DimValues, sn.Respacings = s.Respacing()
 	}
 	return sn, nil
 }
@@ -381,6 +385,12 @@ func checkResume(spec *Spec, engine Engine, coords int) error {
 	return nil
 }
 
+// shareRows returns a new header over the same rows, never nil: a slot
+// history's rows are read-only views, so a copy of it shares them.
+func shareRows(rows [][]int) [][]int {
+	return append(make([][]int, 0, len(rows)), rows...)
+}
+
 // applySnapshot restores replica, RNG and report state from a checkpoint
 // checkResume accepted; called from New after the fresh replica set is
 // built.
@@ -424,7 +434,7 @@ func (s *Simulation) applySnapshot(sn *Snapshot) {
 	if tail := s.spec.HistoryTail; tail > 0 && len(rows) > tail {
 		rows = rows[len(rows)-tail:]
 	}
-	s.report.SlotHistory = cloneRows(rows)
+	s.report.SlotHistory = shareRows(rows)
 	s.report.SlotRows = sn.SlotRows
 	s.report.SlotFingerprint = sn.SlotFingerprint
 }

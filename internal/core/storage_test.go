@@ -90,13 +90,15 @@ func storageSpec() *core.Spec {
 }
 
 // TestCapturesOwnTheirArrays pins the storage rule of captures: a
-// snapshot and a stats read each own one fresh backing array, carved
-// with full-slice caps, and a resume copies out of the snapshot. It
-// catches a carve without its cap, (*free)[:n] for (*free)[:n:n] in
-// carve or in the collector's trace copy (the append checks); a capture
-// that shares a replica's live Synth (the live check); and an
-// applySnapshot that keeps the snapshot's history rows or Synth arrays
-// (the resume legs).
+// snapshot and a stats read each own one fresh backing array for what
+// the run goes on writing, carved with full-slice caps, and a resume
+// copies the replicas' state out of the snapshot; slot-history rows are
+// written once and shared by all of them. It catches a carve without its
+// cap, (*free)[:n] for (*free)[:n:n] in carve, in the rows slab or in the
+// collector's trace copy (the append checks); a capture that shares a
+// replica's live Synth (the live check); and an applySnapshot that keeps
+// the snapshot's Synth arrays, or a history that writes a row again (the
+// resume legs).
 func TestCapturesOwnTheirArrays(t *testing.T) {
 	var snaps []*core.Snapshot
 	var encoded [][]byte
@@ -160,9 +162,10 @@ func TestCapturesOwnTheirArrays(t *testing.T) {
 
 	// Two resumes from the same in-memory snapshot both end on the
 	// uninterrupted run's fingerprint, and leave the snapshot as it was.
-	// They run bus-free with a history tail, so rotation recycles history
-	// rows in place and the engine resamples Synth in place: a resume
-	// sharing either array with the snapshot rewrites it.
+	// They run bus-free with a history tail, which rotates the history
+	// rows the resume shares with the snapshot, and the engine resamples
+	// Synth in place: a resume sharing Synth with the snapshot, or a
+	// rotation that recycled a row in place, rewrites it.
 	const tail = 2
 	for leg := 1; leg <= 2; leg++ {
 		resumed := storageSpec()

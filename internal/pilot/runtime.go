@@ -397,7 +397,7 @@ func (r *Runtime) Await(h task.Handle) task.Result {
 // returned slice is the runtime's own buffer, valid until the next
 // AwaitAll.
 func (r *Runtime) AwaitAll(hs []task.Handle) []task.Result {
-	r.results = r.results[:0]
+	r.results = slices.Grow(r.results[:0], len(hs))
 	for _, h := range hs {
 		r.results = append(r.results, r.Await(h))
 	}
@@ -422,6 +422,11 @@ func (r *Runtime) AwaitNext(deadline float64) []task.Handle {
 		r.arrivals.WaitTimeout(r.proc, remain)
 	}
 	r.stream, r.delivered = r.delivered, r.stream
+	if cap(r.stream) < cap(r.delivered) {
+		// The buffer swapped in gets the room the other one needed at
+		// once, rather than doubling up to it.
+		r.stream = make([]task.Handle, 0, cap(r.delivered))
+	}
 	return r.delivered
 }
 

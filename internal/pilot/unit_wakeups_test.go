@@ -192,13 +192,14 @@ func barrierRunAllocs(t *testing.T, rungs, coresPerReplica, cycles int) (objects
 }
 
 // A 4 096-rung barrier run of 12 cycles on the pilot runtime, from
-// sim.NewEnv through Run, allocates at most 140 heap objects and 4.70 MB:
+// sim.NewEnv through Run, allocates at most 128 heap objects and 4.70 MB:
 // the kernel's queues, the first unit chunk and the dispatcher's
 // scratch are sized once, from the replica count and the units the
-// pilot runs at once, instead of doubling there. The parent of that
-// change read 299-305 objects and 7.67 MB (the runtime's own allocations
-// move the object count by a few from run to run, so the least of three
-// runs is checked). A replica's cores do not size anything: a 512-rung
+// pilot runs at once, instead of doubling there, and the run's twelve
+// slot-history rows are one chunk. Before the queues were sized it read
+// 299-305 objects and 7.67 MB, and 134-136 objects before the rows were
+// (the runtime's own allocations move the object count by a few from
+// run to run, so the least of three runs is checked). A replica's cores do not size anything: a 512-rung
 // run at 64 cores a replica allocates what it does at one core, 0.65 MB;
 // sized a unit a core, it read 17.3 MB.
 func TestBarrierRunAllocations(t *testing.T) {
@@ -210,8 +211,8 @@ func TestBarrierRunAllocations(t *testing.T) {
 		rungs, coresPerReplica int
 		maxObjects, maxBytes   uint64
 	}{
-		{4096, 1, 140, 4_700_000},
-		{512, 64, 140, 660_000},
+		{4096, 1, 128, 4_700_000},
+		{512, 64, 128, 660_000},
 	} {
 		objects, bytes := barrierRunAllocs(t, c.rungs, c.coresPerReplica, 12)
 		for range 2 {
