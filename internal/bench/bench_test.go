@@ -247,52 +247,44 @@ func TestFig12Shapes(t *testing.T) {
 	}
 }
 
+// TestFig13Shapes checks Figure 13's rows for the paper's "sync ~10 pp
+// above async, roughly flat". On the quick rows (120 and 240 replicas)
+// and the full ones (120 to 960) sync stays above async and both within
+// 40-95 %. Only the quick rows keep the gap within 3-25 pp: the full
+// rows' gap narrows, 8.35, 6.80, 4.37 and 2.28 pp at 120, 240, 480 and
+// 960 replicas, so the paper's flat gap holds at the small end only.
 func TestFig13Shapes(t *testing.T) {
-	rows, _, err := Fig13Utilization(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.SyncUtil <= r.AsyncUtil {
-			t.Fatalf("sync utilization %v not above async %v at %d replicas",
-				r.SyncUtil, r.AsyncUtil, r.Replicas)
-		}
-		if r.SyncUtil < 40 || r.SyncUtil > 95 {
-			t.Fatalf("sync utilization %v outside plausible range", r.SyncUtil)
-		}
-		gap := r.SyncUtil - r.AsyncUtil
-		if gap < 3 || gap > 25 {
-			t.Fatalf("utilization gap %v pp outside the paper's ballpark", gap)
-		}
-	}
-}
-
-// TestFig13FullRows checks the full rows (120 to 960 replicas) for what
-// they share with the paper's "sync ~10 pp above async, roughly flat":
-// sync above async at every size, both within 40-95 %. The gap is not
-// flat here: it reads 8.35, 6.80, 4.37 and 2.28 pp at 120, 240, 480 and
-// 960 replicas, so TestFig13Shapes' 3-25 pp band holds on the quick rows
-// only, and the paper's flat gap only at the small end.
-func TestFig13FullRows(t *testing.T) {
-	rows, _, err := Fig13Utilization(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d full rows, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.SyncUtil <= r.AsyncUtil {
-			t.Errorf("sync utilization %v not above async %v at %d replicas",
-				r.SyncUtil, r.AsyncUtil, r.Replicas)
-		}
-		for _, u := range []float64{r.SyncUtil, r.AsyncUtil} {
-			if u < 40 || u > 95 {
-				t.Errorf("utilization %v outside 40-95 %% at %d replicas", u, r.Replicas)
+	for _, c := range []struct {
+		name           string
+		quick          bool
+		minGap, maxGap float64 // pp
+	}{
+		{"quick", true, 3, 25},
+		{"full", false, 0, 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows, _, err := Fig13Utilization(c.quick)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Logf("%d replicas: sync %.2f %%, async %.2f %%, gap %.2f pp",
-			r.Replicas, r.SyncUtil, r.AsyncUtil, r.SyncUtil-r.AsyncUtil)
+			for _, r := range rows {
+				if r.SyncUtil <= r.AsyncUtil {
+					t.Errorf("sync utilization %v not above async %v at %d replicas",
+						r.SyncUtil, r.AsyncUtil, r.Replicas)
+				}
+				for _, u := range []float64{r.SyncUtil, r.AsyncUtil} {
+					if u < 40 || u > 95 {
+						t.Errorf("utilization %v outside 40-95 %% at %d replicas", u, r.Replicas)
+					}
+				}
+				gap := r.SyncUtil - r.AsyncUtil
+				if gap < c.minGap || gap > c.maxGap {
+					t.Errorf("utilization gap %v pp at %d replicas outside %v-%v pp", gap, r.Replicas, c.minGap, c.maxGap)
+				}
+				t.Logf("%d replicas: sync %.2f %%, async %.2f %%, gap %.2f pp",
+					r.Replicas, r.SyncUtil, r.AsyncUtil, gap)
+			}
+		})
 	}
 }
 

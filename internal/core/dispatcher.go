@@ -184,9 +184,6 @@ func (d *dispatcher) run() error {
 		return d.cancel()
 	}
 	d.roundT0 = s.rt.Now()
-	if sz, ok := s.rt.(task.InFlightSizer); ok {
-		sz.ExpectInFlight(d.alive)
-	}
 	d.resubmit(s.replicas)
 	s.drainResourceEvents() // pilot launch events precede the first round
 	s.flushBus()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/exchange"
@@ -471,15 +472,22 @@ func TestDispatcherAllocsPerCompletion(t *testing.T) {
 }
 
 // TestHistoryTailBoundsRowStorage pins that a bounded history's rows
-// live in chunks of at most its tail: after a window run of many events
-// under a tail of three, the rows slab's chunk has room for fewer than
-// three more rows and the report's header for at most six, so what the
-// run holds of its history stays within twice its tail.
+// live in chunks of at most its tail: at every event of a window run of
+// many events under a tail of three, the rows slab's chunk has room for
+// fewer than three more rows and the report's header for at most six,
+// so what the run holds of its history stays within twice its tail.
 func TestHistoryTailBoundsRowStorage(t *testing.T) {
 	const tail = 3
 	sc := costScenarios[2] // window-tu
 	spec := sc.spec()
 	spec.HistoryTail = tail
+	spec.SnapshotEvery = 1
+	var s *Simulation
+	var free, header int
+	spec.OnSnapshot = func(*Snapshot) {
+		free = max(free, cap(s.rows.free))
+		header = max(header, cap(s.report.SlotHistory))
+	}
 	s, err := New(spec, newCostEngine(1024), sc.runtime())
 	if err != nil {
 		t.Fatal(err)
@@ -491,9 +499,52 @@ func TestHistoryTailBoundsRowStorage(t *testing.T) {
 	if rep.SlotRows < 4*tail {
 		t.Fatalf("%d events: too few to rotate the tail", rep.SlotRows)
 	}
-	n := len(s.replicas)
-	if free := cap(s.rows.free); free >= tail*n || cap(rep.SlotHistory) > 2*tail {
-		t.Errorf("tail %d: the rows slab has room for %d more slots (a row is %d) and the header for %d rows",
-			tail, free, n, cap(rep.SlotHistory))
+	if n := len(s.replicas); free >= tail*n || header > 2*tail {
+		t.Errorf("tail %d: the rows slab had room for %d more slots (a row is %d) and the header for %d rows",
+			tail, free, n, header)
+	}
+}
+
+// TestCancelledRunRetainsFewRows bounds what a long aligned run keeps of
+// its slot history when it is cancelled a few events in, as a served run
+// deleted soon after its launch is: the live heap a 1 024-replica
+// barrier run of 20 000 cycles holds, simulation and partial report,
+// once it was cancelled at its fourth round, against a run of the same
+// shape whose four cycles all ran. Carving the rows for every event the
+// spec leaves at the first one kept an 8 MB chunk and a 480 KB header.
+func TestCancelledRunRetainsFewRows(t *testing.T) {
+	held := func(cycles, cancelAt int) (float64, int) {
+		sc := costScenarios[0] // barrier
+		spec := sc.spec()
+		spec.Cycles = cycles
+		rt := sc.runtime()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rt.cancelAt, rt.cancel = cancelAt, cancel
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapAlloc
+		s, err := New(spec, newCostEngine(1024), rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.RunContext(ctx)
+		if cancelAt > 0 && !errors.Is(err, ErrRunCancelled) || cancelAt == 0 && err != nil {
+			t.Fatalf("%d cycles cancelled at await %d: %v", cycles, cancelAt, err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(s)
+		return float64(ms.HeapAlloc) - float64(base), rep.SlotRows
+	}
+	cancelled, rows := held(20000, 4)
+	finished, want := held(rows, 0)
+	if rows != want {
+		t.Fatalf("the cancelled run recorded %d rows, the finished one %d", rows, want)
+	}
+	t.Logf("a %d-row barrier run keeps %.0f KB cancelled, %.0f KB finished", rows, cancelled/1024, finished/1024)
+	if limit := finished + 64<<10; cancelled > limit {
+		t.Errorf("a barrier run cancelled after %d rows keeps %.0f KB, want at most %.0f KB", rows, cancelled/1024, limit/1024)
 	}
 }

@@ -296,15 +296,20 @@ func (s *Subscription) push(rec BusRecord) {
 // itself is returned and dst's array, cleared, becomes the ring, so two
 // buffers trade places drain after drain and a steady consumer
 // allocates nothing. Otherwise (dst holds records, or the ring wrapped
-// after an overflow) the records are copied and the ring let go. A nil
-// dst leaves the subscription no buffer either way, as a finished run's
-// collector wants; the ring regrows with the next backlog. It is every
-// consumer's one way off the bus.
+// after an overflow) the records are copied and the ring let go; when
+// dst is a slice of the array the ring already is, as when a caller
+// drains through one fixed buffer, they are copied to a new array. A
+// nil dst leaves the subscription no buffer either way, as a finished
+// run's collector wants; the ring regrows with the next backlog. It is
+// every consumer's one way off the bus.
 func (s *Subscription) Drain(dst []BusRecord) []BusRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.peak = max(s.peak, s.n)
-	if len(dst) == 0 && s.head == 0 {
+	if sameArray(dst, s.ring) {
+		// The records are copied out of the ring into a new array.
+		dst = dst[:len(dst):len(dst)]
+	} else if len(dst) == 0 && s.head == 0 {
 		out := s.ring[:s.n]
 		dst = dst[:min(cap(dst), s.limit)]
 		clear(dst)
@@ -316,6 +321,13 @@ func (s *Subscription) Drain(dst []BusRecord) []BusRecord {
 	dst = append(dst, s.ring[:s.n-tail]...)
 	s.ring, s.head, s.n = nil, 0, 0
 	return dst
+}
+
+// sameArray reports whether a and b reach the same last element of
+// capacity, as any two slices of one array do unless one was cut with a
+// capacity limit.
+func sameArray(a, b []BusRecord) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // Dropped returns the number of events this subscriber lost to ring

@@ -43,6 +43,51 @@ func TestBusRingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
+// TestDrainThroughOneBuffer drains a subscription again and again
+// through one fixed buffer, as a caller may: the buffer becomes the ring
+// at one drain and is passed back at the next, so Drain must copy the
+// records out of it rather than hand it back cleared, and the records a
+// drain returned must not change when more are published. Every other
+// round overflows the ring, so it is also drained wrapped.
+func TestDrainThroughOneBuffer(t *testing.T) {
+	bus := core.NewBus()
+	sub := bus.Subscribe(4)
+	buf := make([]core.BusRecord, 0, 16)
+	var got []core.BusRecord
+	var want []int // the replicas got should hold
+	check := func(round int, when string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("round %d %s: drained %d records, want %d", round, when, len(got), len(want))
+		}
+		for i, rec := range got {
+			if rec.MD.Replica != want[i] {
+				t.Fatalf("round %d %s: record %d is replica %d, want %d", round, when, i, rec.MD.Replica, want[i])
+			}
+		}
+	}
+	next := 0
+	for round := 0; round < 8; round++ {
+		published := 3
+		if round%2 == 1 {
+			published = 10
+		}
+		for i := 0; i < published; i++ {
+			bus.PublishBatch([]core.Event{core.MDEvent{Replica: next}})
+			next++
+		}
+		if round > 0 {
+			check(round-1, "after more publications")
+		}
+		got = sub.Drain(buf[:0])
+		want = want[:0]
+		for i := next - min(published, 4); i < next; i++ {
+			want = append(want, i)
+		}
+		check(round, "at the drain")
+	}
+}
+
 // TestStalledSubscriberDoesNotPerturbGoldenRun is the non-blocking
 // guarantee of the event bus: a subscriber that never drains its
 // (tiny) ring must not change the golden BarrierTrigger output in any

@@ -89,9 +89,9 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	}
 	err := newDispatcher(ctx, s, tr).run()
 	s.report.End = s.rt.Now()
-	// A finished run keeps its report, not the loop's scratch: the pair
-	// outcomes' chunk (its subscribers have what they were sent) and the
-	// bus batch.
-	s.outcomes, s.busBatch = slab[PairOutcome]{}, nil
+	// A finished run keeps its report, not the loop's scratch: the rows'
+	// slab (its chunk lives on in the report's rows), the pair outcomes'
+	// chunk (its subscribers have what they were sent) and the bus batch.
+	s.rows, s.outcomes, s.busBatch = slab[int]{}, slab[PairOutcome]{}, nil
 	return s.report, err
 }

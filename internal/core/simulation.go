@@ -44,7 +44,7 @@ type Simulation struct {
 	outcomes slab[PairOutcome]
 	// rowsLeft is the number of exchange events an aligned run has left
 	// to record (0 when the policy does not fix it), set by
-	// newDispatcher: its slot-history rows are carved at once.
+	// newDispatcher: no row chunk is carved past the run's end.
 	rowsLeft int
 	// exObs is the running trigger's ExchangeObserver side, set by
 	// newDispatcher for closed-loop policies (nil otherwise).
@@ -454,16 +454,17 @@ func (s *Simulation) snapshotSlots() {
 	hist := s.report.SlotHistory
 	tail := s.spec.HistoryTail
 	rotate := tail > 0 && len(hist) >= tail
-	// A new chunk holds what is left of an aligned run's events, or a
-	// quarter of the rows recorded so far and at least eight, and never
-	// more rows than a tail keeps: a bounded history's rows stay within
-	// twice its tail.
-	k := s.rowsLeft
-	if k <= 0 {
-		k = max(8, s.report.SlotRows/4)
-	}
+	// A new chunk holds a quarter of the rows recorded so far and at
+	// least eight, so a run that stops early holds little room it never
+	// fills, but never more rows than a tail keeps (a bounded history's
+	// rows stay within twice its tail) or than an aligned run has left
+	// to record (it ends with none to spare).
+	k := max(8, s.report.SlotRows/4)
 	if tail > 0 {
 		k = min(k, tail)
+	}
+	if s.rowsLeft > 0 {
+		k = min(k, s.rowsLeft)
 	}
 	row := s.rows.carve(len(s.replicas), k)
 	for i, r := range s.replicas {

@@ -75,8 +75,7 @@ type Runtime struct {
 	// fresh is the uncarved rest of the latest unit chunk. A submission
 	// with no spare carves its unit from it. The first chunk holds as
 	// many units of the first task's width as the runtime's pilots run at
-	// once, what Execution Mode I keeps in flight, or as inFlight if that
-	// is more; each later one is a quarter of every unit carved before it,
+	// once, what Execution Mode I keeps in flight; each later one is a quarter of every unit carved before it,
 	// so a run allocates a logarithmic number of chunks, not a unit per
 	// task in flight, and leaves at most a fifth of its units uncarved.
 	// (A run's peak is often a few units past a round replica count,
@@ -84,9 +83,6 @@ type Runtime struct {
 	// as the runtime lives.)
 	fresh  []Unit
 	carved int
-	// inFlight is the watched tasks the caller said it keeps in flight
-	// at once (ExpectInFlight), 0 if it did not say.
-	inFlight int
 	// results is the slice AwaitAll returns, refilled by every call.
 	results []task.Result
 }
@@ -309,11 +305,10 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 			n := r.carved / 4
 			if r.carved == 0 {
 				// As many units of the first task's width as the
-				// runtime's pilots run at once, or as its caller keeps
-				// in flight if that is more (Execution Mode II queues
-				// the rest), each with a wakeup queued: the kernel sizes
-				// its queues for them now rather than doubling there.
-				n = max(r.Cores()/max(s.Cores, 1), r.inFlight)
+				// runtime's pilots run at once, each with a wakeup
+				// queued: the kernel sizes its queues for them now
+				// rather than doubling there.
+				n = r.Cores() / max(s.Cores, 1)
 				r.proc.Env().Reserve(n)
 			}
 			r.fresh = make([]Unit, max(minUnitChunk, n))
@@ -372,11 +367,6 @@ func (r *Runtime) eventsBuffered() bool {
 	}
 	return false
 }
-
-// ExpectInFlight sizes the runtime's first unit chunk and the kernel's
-// reservation for at least n units, when called before the first
-// submission (task.InFlightSizer).
-func (r *Runtime) ExpectInFlight(n int) { r.inFlight = n }
 
 // Submit schedules a task on the least-loaded slot that fits it.
 func (r *Runtime) Submit(s *task.Spec) task.Handle { return r.submit(s, false) }

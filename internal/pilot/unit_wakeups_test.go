@@ -196,10 +196,12 @@ func barrierRunAllocs(t *testing.T, rungs, coresPerReplica, cycles int) (objects
 // the kernel's queues, the first unit chunk and the dispatcher's
 // scratch are sized once, from the replica count and the units the
 // pilot runs at once, instead of doubling there, and the run's twelve
-// slot-history rows are one chunk. Before the queues were sized it read
-// 299-305 objects and 7.67 MB, and 134-136 objects before the rows were
-// (the runtime's own allocations move the object count by a few from
-// run to run, so the least of three runs is checked). A replica's cores do not size anything: a 512-rung
+// slot-history rows are two chunks, eight rows and the four left. It
+// reads 122-125 objects (120-122 at 512 rungs). Before the queues were
+// sized it read 299-305 objects and 7.67 MB, and 134-136 objects while
+// every row was allocated on its own (the runtime's own allocations move
+// the object count by a few from run to run, so the least of three runs
+// is checked). A replica's cores do not size anything: a 512-rung
 // run at 64 cores a replica allocates what it does at one core, 0.65 MB;
 // sized a unit a core, it read 17.3 MB.
 func TestBarrierRunAllocations(t *testing.T) {

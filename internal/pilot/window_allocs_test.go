@@ -95,14 +95,12 @@ func windowRunAllocs(t *testing.T, cycles int) (objects, bytes uint64, completio
 // TestWindowRunAllocations bounds the heap objects a checkpointed window
 // run allocates a completion, virt_tsu1024_window_ckpt's uninterrupted
 // half at 36 cycles (the least of three runs, as TestBarrierRunAllocations
-// takes): 341-345 objects over 36 864 completions, 0.0093-0.0094 a
+// takes): 369-372 objects over 36 864 completions, 0.0100-0.0101 a
 // completion, and the bound is that plus about 5 %. It read 604 objects,
 // 0.0164 a completion, while every exchange event allocated its slot row
 // and its pair outcomes, every snapshot copied the slot history and the
-// ladders, the bus ring regrew from 64 records after every drain, the
-// pilot runtime's and the exchange phase's buffers grew by doubling and
-// the kernel reserved room for the 256 units the pilot runs at once, not
-// the 1 024 it holds.
+// ladders, the bus ring regrew from 64 records after every drain and the
+// pilot runtime's and the exchange phase's buffers grew by doubling.
 func TestWindowRunAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates beside the run")
@@ -116,7 +114,7 @@ func TestWindowRunAllocations(t *testing.T) {
 	per := float64(objects) / float64(completions)
 	t.Logf("a 1 024-replica window run of 36 cycles allocates %d objects and %d bytes over %d completions (%.4f objects a completion)",
 		objects, bytes, completions, per)
-	const bound = 0.0098
+	const bound = 0.0106
 	if per > bound {
 		t.Errorf("a 1 024-replica window run allocates %.4f objects a completion, want at most %.4f", per, bound)
 	}

@@ -258,15 +258,6 @@ type BatchAwaiter interface {
 	AwaitBatch(n int, deadline float64) []Handle
 }
 
-// InFlightSizer is an optional Runtime extension for a caller that knows
-// how many watched tasks it keeps in flight at once, as the dispatcher
-// does (one a replica): ExpectInFlight(n), called before the first
-// submission, lets the runtime size what it keeps a task for n of them
-// at once rather than growing there.
-type InFlightSizer interface {
-	ExpectInFlight(n int)
-}
-
 // RunAll is a convenience that submits all specs and awaits all results.
 // The slice is AwaitAll's: it may be a buffer the runtime reuses at its
 // next AwaitAll, and so at the next RunAll on the same runtime. A caller
