@@ -419,8 +419,10 @@ func TestDispatcherPinnedAgainstParent(t *testing.T) {
 
 // costAllocCeil bounds the dispatch's allocations per completed MD
 // segment inside Run (simulation construction excluded), per scenario:
-// the readings (0.0038, 0.0026, 0.0094, 0.0042), plus about 5 %. They
-// read 0.0050, 0.0037, 0.0177 and 0.0063 while every exchange event
+// the readings (0.0038, 0.0027, 0.0094, 0.0042), plus about 5 %; the
+// 16-event barrier-tu-relaunch run carves its rows in two chunks of
+// eight and reads 45 objects, 47 under the race detector. They read
+// 0.0050, 0.0037, 0.0177 and 0.0063 while every exchange event
 // allocated its slot row and its pair outcomes.
 // window-tu has a bus: an MDEvent boxed on its way to it would add one
 // allocation a completion, and growing each event's pair outcomes by
@@ -428,7 +430,7 @@ func TestDispatcherPinnedAgainstParent(t *testing.T) {
 // swaps restraints: a clone per swapped replica would add about 0.15.
 var costAllocCeil = map[string]float64{
 	"barrier":             0.0040,
-	"barrier-tu-relaunch": 0.0028,
+	"barrier-tu-relaunch": 0.0029,
 	"window-tu":           0.0099,
 	"count-drop":          0.0045,
 }

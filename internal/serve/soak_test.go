@@ -223,6 +223,13 @@ func TestRegistrySoak(t *testing.T) {
 			t.Errorf("heap %d KB at cycle %d, %d KB at cycle %d: more than 10%% growth with the run list at its bound",
 				heapHalfway>>10, cycles/2, end>>10, cycles)
 		}
+		// The 256 retained runs and the rest read 44-66 MB; carving a
+		// cancelled run's slot rows for its whole schedule at its first
+		// exchange event read 425-483 MB.
+		const limit = 160 << 20
+		if end > limit {
+			t.Errorf("heap %d KB at cycle %d with %d runs retained, want at most %d KB", end>>10, cycles, retained, limit>>10)
+		}
 	}
 	if used := reg.Pool().Used(); used != 0 {
 		t.Errorf("pool has %d cores reserved after the drain", used)
