@@ -408,13 +408,19 @@ var (
 )
 
 // codecFixture builds the checkpoint of a 16x8x8 run after the given
-// number of exchange events without running it: a snapshot whose slot
-// history is one shuffled permutation per event, and a collector that
-// was fed those events.
+// number of exchange events without running it (codecFixtureOf).
 func codecFixture(events int) (*core.Snapshot, *analysis.Collector) {
-	const replicas = 16 * 8 * 8
+	return codecFixtureOf([]int{16, 8, 8}, events)
+}
+
+// codecFixtureOf builds the checkpoint of a run of the given 3-D shape
+// after the given number of exchange events without running it: a
+// snapshot whose slot history is one shuffled permutation per event,
+// and a collector that was fed those events.
+func codecFixtureOf(shape []int, events int) (*core.Snapshot, *analysis.Collector) {
+	replicas := shape[0] * shape[1] * shape[2]
 	rng := rand.New(rand.NewSource(19))
-	col := analysis.New(analysis.Config{DimSizes: []int{16, 8, 8}, Replicas: replicas})
+	col := analysis.New(analysis.Config{DimSizes: shape, Replicas: replicas})
 	sn := &core.Snapshot{
 		Version: core.SnapshotVersion, Name: "codec-fixture", Trigger: "window",
 		Events: events, Elapsed: 1e4 * rng.Float64(), RNGDraws: 1 << 20, EngineDraws: 1 << 22,
@@ -424,7 +430,7 @@ func codecFixture(events int) (*core.Snapshot, *analysis.Collector) {
 	for e := 0; e < events; e++ {
 		dim := e % 3
 		pairs := make([]core.PairOutcome, 0, 8)
-		for lo := e % 2; lo+1 < []int{16, 8, 8}[dim]; lo += 2 {
+		for lo := e % 2; lo+1 < shape[dim]; lo += 2 {
 			pairs = append(pairs, core.PairOutcome{Lo: lo, Hi: lo + 1, Accepted: rng.Intn(3) == 0})
 		}
 		for i := 0; i < replicas/4; i++ {

@@ -33,6 +33,7 @@ import (
 	"repro/internal/jsonx"
 	"repro/internal/respace"
 	"repro/internal/ring"
+	"repro/internal/slab"
 	"repro/internal/task"
 )
 
@@ -540,7 +541,7 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 	}
 	stats := make([]PairStat, 2*npairs)
 	for d, pairs := range c.st.Pairs {
-		s.Acceptance[d] = carve(&stats, pairs)
+		s.Acceptance[d] = slab.Copy(&stats, pairs)
 		if len(pairs) > 0 {
 			ws := stats[:len(pairs):len(pairs)]
 			stats = stats[len(pairs):]
@@ -555,7 +556,7 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 		w := &c.st.Walks[i]
 		s.Slots[i] = w.Slot
 		if withTraces {
-			s.Traces[i] = carve(&free, w.Trace)
+			s.Traces[i] = slab.Copy(&free, w.Trace)
 		}
 		s.RoundTrips += w.RoundTrips
 		tripEvents += w.TripEvents
@@ -581,8 +582,8 @@ func (c *Collector) snapshot(withTraces bool) Stats {
 	bounds := make([]float64, len(md.Bounds)+len(ex.Bounds))
 	counts := make([]uint64, len(md.Counts)+len(ex.Counts))
 	s.MDExec, s.ExchangeOverhead = md, ex
-	s.MDExec.Bounds, s.MDExec.Counts = carve(&bounds, md.Bounds), carve(&counts, md.Counts)
-	s.ExchangeOverhead.Bounds, s.ExchangeOverhead.Counts = carve(&bounds, ex.Bounds), carve(&counts, ex.Counts)
+	s.MDExec.Bounds, s.MDExec.Counts = slab.Copy(&bounds, md.Bounds), slab.Copy(&counts, md.Counts)
+	s.ExchangeOverhead.Bounds, s.ExchangeOverhead.Counts = slab.Copy(&bounds, ex.Bounds), slab.Copy(&counts, ex.Counts)
 	if c.sub != nil {
 		s.BusDropped = c.sub.Dropped()
 	}
@@ -644,19 +645,6 @@ func ratios(pairs []PairStat) ([]float64, bool) {
 		out[i] = ps.Ratio()
 	}
 	return out, true
-}
-
-// carve copies row to the front of *free, which must have room for it,
-// advances *free past the copy and returns it, capped at its own length;
-// an empty row copies to nil.
-func carve[T any](free *[]T, row []T) []T {
-	if len(row) == 0 {
-		return nil
-	}
-	n := copy(*free, row)
-	out := (*free)[:n:n]
-	*free = (*free)[n:]
-	return out
 }
 
 // The layouts of the collector state, matching the struct tags
@@ -761,7 +749,12 @@ func (c *Collector) EncodeState() ([]byte, error) {
 	c.Sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf, err := stateLayout.Encode(make([]byte, 0, 4096+len(c.st.Walks)*(128+6*c.cfg.TraceLen)), &c.st)
+	// Room for each walk's fields and six bytes a trace entry.
+	size := 4096
+	for i := range c.st.Walks {
+		size += 128 + 6*len(c.st.Walks[i].Trace)
+	}
+	buf, err := stateLayout.Encode(make([]byte, 0, size), &c.st)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: encoding collector state: %v", err)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,33 +44,62 @@ func TestCubeSideFor(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	rows, tbl, err := Fig5Overheads(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(QuickReplicaCounts) {
-		t.Fatalf("rows %d", len(rows))
-	}
-	last := rows[len(rows)-1]
-	first := rows[0]
-	// Data times ordered T < U < S (the paper's file-set ordering).
-	if !(last.TData < last.UData && last.UData < last.SData) {
-		t.Fatalf("data times not ordered T<U<S: %+v", last)
-	}
-	// RP overhead proportional to replicas.
-	if last.RPOver <= 2*first.RPOver {
-		t.Fatalf("RP overhead not growing with replicas: %v -> %v", first.RPOver, last.RPOver)
-	}
-	// RepEx overhead larger for 3D than 1D.
-	if last.RepEx3D <= last.RepEx1D {
-		t.Fatalf("RepEx 3D overhead %v not above 1D %v", last.RepEx3D, last.RepEx1D)
-	}
-	// Data times stay small (paper max 6.3 s even at 1728).
-	if last.SData > 10 {
-		t.Fatalf("S data time %v unreasonably large", last.SData)
-	}
-	if tbl == nil || len(tbl.Rows) != len(rows) {
-		t.Fatal("table out of sync with rows")
+	for _, c := range []struct {
+		name  string
+		quick bool
+	}{
+		{"quick", true},
+		{"full", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows, tbl, err := Fig5Overheads(c.quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != len(counts(c.quick)) {
+				t.Fatalf("rows %d", len(rows))
+			}
+			if tbl == nil || len(tbl.Rows) != len(rows) {
+				t.Fatal("table out of sync with rows")
+			}
+			perReplica := make([]float64, len(rows))
+			for i, r := range rows {
+				// Data times ordered T < U < S (the paper's file-set ordering).
+				if !(r.TData < r.UData && r.UData < r.SData) {
+					t.Errorf("data times not ordered T<U<S: %+v", r)
+				}
+				// RepEx overhead larger for 3D than 1D.
+				if r.RepEx3D <= r.RepEx1D {
+					t.Errorf("RepEx 3D overhead %v not above 1D %v at %d replicas", r.RepEx3D, r.RepEx1D, r.Replicas)
+				}
+				perReplica[i] = r.RPOver / float64(r.Replicas)
+				t.Logf("%d replicas: data T %.2f U %.2f S %.2f s, RP overhead %.4f s a replica",
+					r.Replicas, r.TData, r.UData, r.SData, perReplica[i])
+			}
+			first, last := rows[0], rows[len(rows)-1]
+			if c.quick {
+				// RP overhead grows with replicas; the quick rows are too
+				// few and too small for a proportionality check.
+				if last.RPOver <= 2*first.RPOver {
+					t.Fatalf("RP overhead not growing with replicas: %v -> %v", first.RPOver, last.RPOver)
+				}
+				// Data times stay small (paper max 6.3 s even at 1728).
+				if last.SData > 10 {
+					t.Fatalf("S data time %v unreasonably large", last.SData)
+				}
+				return
+			}
+			// RP overhead proportional to replicas: each row's overhead a
+			// replica within 0.8-1.25x of their median.
+			sorted := slices.Clone(perReplica)
+			slices.Sort(sorted)
+			med := sorted[len(sorted)/2]
+			for i, v := range perReplica {
+				if v < 0.8*med || v > 1.25*med {
+					t.Errorf("RP overhead %.4f s a replica at %d replicas, median %.4f", v, rows[i].Replicas, med)
+				}
+			}
+		})
 	}
 }
 

@@ -663,7 +663,7 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	if wantOut && len(pairs) > 0 {
 		// A new chunk holds eight events of this size, or a quarter of
 		// the outcomes carved so far.
-		s.pairScratch = s.outcomes.carve(len(pairs), max(8, s.outcomes.carved/(4*len(pairs))))[:0]
+		s.pairScratch = s.outcomes.Carve(len(pairs), max(8, s.outcomes.Carved()/(4*len(pairs))))[:0]
 	}
 	s.rngDraws += int64(len(pairs))
 	for _, pr := range pairs {

@@ -487,7 +487,7 @@ func TestHistoryTailBoundsRowStorage(t *testing.T) {
 	var s *Simulation
 	var free, header int
 	spec.OnSnapshot = func(*Snapshot) {
-		free = max(free, cap(s.rows.free))
+		free = max(free, s.rows.Room())
 		header = max(header, cap(s.report.SlotHistory))
 	}
 	s, err := New(spec, newCostEngine(1024), sc.runtime())

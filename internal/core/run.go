@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+
+	"repro/internal/slab"
 )
 
 // RunState is the lifecycle state of a run: pending → running →
@@ -92,6 +94,6 @@ func (s *Simulation) RunContext(ctx context.Context) (*Report, error) {
 	// A finished run keeps its report, not the loop's scratch: the rows'
 	// slab (its chunk lives on in the report's rows), the pair outcomes'
 	// chunk (its subscribers have what they were sent) and the bus batch.
-	s.rows, s.outcomes, s.busBatch = slab[int]{}, slab[PairOutcome]{}, nil
+	s.rows, s.outcomes, s.busBatch = slab.Slab[int]{}, slab.Slab[PairOutcome]{}, nil
 	return s.report, err
 }

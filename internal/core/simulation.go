@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/md"
+	"repro/internal/slab"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -38,10 +39,10 @@ type Simulation struct {
 	// sized once, and leaves with the published ExchangeEvent.
 	pairScratch []PairOutcome
 	// rows and outcomes are the write-once storage of the slot-history
-	// rows and the pair outcomes (see slab): the report, the bus's
-	// ExchangeEvents and every snapshot share what they hand out.
-	rows     slab[int]
-	outcomes slab[PairOutcome]
+	// rows and the pair outcomes: the report, the bus's ExchangeEvents
+	// and every snapshot share what they hand out.
+	rows     slab.Slab[int]
+	outcomes slab.Slab[PairOutcome]
 	// rowsLeft is the number of exchange events an aligned run has left
 	// to record (0 when the policy does not fix it), set by
 	// newDispatcher: no row chunk is carved past the run's end.
@@ -155,7 +156,7 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	for i := range reps {
 		r := &reps[i]
 		*r = Replica{ID: i, Slot: i, Params: s.slotParams[i], Alive: true}
-		r.Params.Restraints = carve(&free, r.Params.Restraints)
+		r.Params.Restraints = slab.Copy(&free, r.Params.Restraints)
 		engine.InitReplica(r, spec)
 		s.replicas[i] = r
 		s.replicaAt[i] = i
@@ -242,50 +243,6 @@ func (s *Simulation) paramsForSlot(slot int, rs []md.TorsionRestraint) md.Params
 		p.Restraints = rs
 	}
 	return p
-}
-
-// carve copies row to the front of *free, which must have room for it,
-// advances *free past the copy and returns it. The copy is capped at its
-// own length, so an append to it reallocates rather than writing into
-// the next row carved after it. An empty row copies to nil, as
-// append([]T(nil), row...) does.
-func carve[T any](free *[]T, row []T) []T {
-	if len(row) == 0 {
-		return nil
-	}
-	n := copy(*free, row)
-	out := (*free)[:n:n]
-	*free = (*free)[n:]
-	return out
-}
-
-// slabChunkMax bounds a slab chunk, in elements, unless one row is
-// longer.
-const slabChunkMax = 1 << 20
-
-// slab is write-once storage for the rows a run hands out one after
-// another: each row is cut from the current chunk with a full-slice cap,
-// so an append to it reallocates, and the slab never writes a row again
-// once it has handed it out. Every holder of a row may therefore share
-// it for as long as it likes: a chunk lives as long as any of its rows
-// does.
-type slab[T any] struct {
-	free   []T
-	carved int // elements handed out so far
-}
-
-// carve returns a zeroed row of n elements. When the current chunk
-// cannot hold it, a new one replaces it with room for rows such rows
-// (at least one, and no more than slabChunkMax elements unless one row
-// is longer).
-func (b *slab[T]) carve(n, rows int) []T {
-	if len(b.free) < n {
-		b.free = make([]T, n*max(1, min(rows, slabChunkMax/max(n, 1))))
-	}
-	row := b.free[:n:n]
-	b.free = b.free[n:]
-	b.carved += n
-	return row
 }
 
 // Replicas exposes the replica set (read-mostly; used by analysis).
@@ -466,7 +423,7 @@ func (s *Simulation) snapshotSlots() {
 	if s.rowsLeft > 0 {
 		k = min(k, s.rowsLeft)
 	}
-	row := s.rows.carve(len(s.replicas), k)
+	row := s.rows.Carve(len(s.replicas), k)
 	for i, r := range s.replicas {
 		row[i] = r.Slot
 	}

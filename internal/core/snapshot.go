@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/jsonx"
+	"repro/internal/slab"
 )
 
 // Snapshot is a serializable checkpoint of a running simulation, taken
@@ -233,7 +234,7 @@ func (d *dispatcher) captureSnapshot() (*Snapshot, error) {
 			Slot:    r.Slot,
 			Cycle:   r.Cycle,
 			Energy:  r.Energy,
-			Synth:   carve(&free, r.Synth),
+			Synth:   slab.Copy(&free, r.Synth),
 			Alive:   r.Alive,
 			Retries: r.Retries,
 		}

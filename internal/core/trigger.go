@@ -909,7 +909,7 @@ var (
 				jsonx.WriteArray(w, dd.win.Linear(), false, (*jsonx.Writer).Bool)
 			},
 			func(r *jsonx.Reader, dd *feedbackDim) {
-				dd.win.Outcomes = jsonx.ReadArray(r, new([]bool), (*jsonx.Reader).Bool)
+				dd.win.Outcomes = r.Bools()
 			},
 			func(dd *feedbackDim) bool { return dd.win.N == 0 }).OmitEmpty(),
 		jsonx.Float("cur", func(dd *feedbackDim) *float64 { return &dd.cur }).OmitEmpty(),

@@ -263,7 +263,13 @@ func (s *Spec) Grid() exchange.Grid {
 }
 
 // Replicas returns the total replica count (product of window counts).
-func (s *Spec) Replicas() int { return s.Grid().Size() }
+func (s *Spec) Replicas() int {
+	n := 1
+	for _, d := range s.Dims {
+		n *= len(d.Values)
+	}
+	return n
+}
 
 // DimCode returns the paper-style dimension string, e.g. "TSU" or "TUU".
 func (s *Spec) DimCode() string {

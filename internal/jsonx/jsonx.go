@@ -18,11 +18,15 @@
 package jsonx
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/slab"
 )
 
 // Writer appends JSON text to Buf: Raw for braces, Key before each
@@ -242,13 +246,13 @@ type Reader struct {
 	keys  [][]byte
 	marks [MaxDepth]int
 	depth int
-	// The arrays of scalars a Layout reads share one backing array per
-	// element type (the Ints, Floats, Bools and Uint64s kinds), and
-	// unknown keeps the first key no layout declared.
-	ints    []int
-	floats  []float64
-	bools   []bool
-	uints   []uint64
+	// The arrays of scalars a document holds are cut from one slab per
+	// element type, each counted before it is read, and unknown keeps
+	// the first key no layout declared.
+	ints    slab.Slab[int]
+	floats  slab.Slab[float64]
+	bools   slab.Slab[bool]
+	uints   slab.Slab[uint64]
 	unknown []byte
 }
 
@@ -400,46 +404,76 @@ func (r *Reader) NextElem() bool {
 	return false
 }
 
-// ReadArray reads an array onto the end of *backing, one elem call an
-// element, and returns what it read with no spare capacity, so rows
-// that share a backing array cannot grow into each other. Null reads as
-// nil, [] as empty.
-func ReadArray[T any](r *Reader, backing *[]T, elem func(*Reader) T) []T {
-	return readArray(r, backing, func(r *Reader, p *T) { *p = elem(r) })
-}
-
-// readArray is ReadArray with each element read in place.
-func readArray[T any](r *Reader, backing *[]T, elem func(*Reader, *T)) []T {
+// readArray reads an array, each element in place, into an array of
+// its own that grows by doubling from sixteen elements, and returns it
+// with no spare capacity. Null reads as nil, [] as empty.
+func readArray[T any](r *Reader, elem func(*Reader, *T)) []T {
 	if r.Null() {
 		return nil
 	}
-	start := len(*backing)
-	var zero T
+	out := []T{}
 	for ok := r.FirstElem(); ok; ok = r.NextElem() {
-		*backing = append(*backing, zero)
-		elem(r, &(*backing)[len(*backing)-1])
+		if len(out) == cap(out) {
+			out = slices.Grow(out, max(16, len(out)))
+		}
+		out = out[:len(out)+1]
+		elem(r, &out[len(out)-1])
 	}
-	return tail(*backing, start)
+	return slices.Clip(out)
 }
 
-// tail cuts the elements from start on out of b, with no capacity to
-// spare; empty, not nil, when there are none.
-func tail[T any](b []T, start int) []T {
-	if b == nil {
-		return []T{}
+// scalarRow carves the row of the array of scalars that opens next from
+// b, counted before it is read: the first ] closes such an array, so
+// its commas and one, or none when only white space comes before it. A
+// chunk holds eight such rows and at least 512 elements, or as many
+// elements as were carved before it. ok is false for a null.
+func scalarRow[T any](r *Reader, b *slab.Slab[T]) (row []T, ok bool) {
+	if r.Null() {
+		return nil, false
 	}
-	return b[start:len(b):len(b)]
+	n := 0
+	if end := bytes.IndexByte(r.data[r.pos:], ']'); end >= 0 {
+		body := r.data[r.pos : r.pos+end]
+		if n = bytes.Count(body, []byte{','}) + 1; n == 1 && len(bytes.Trim(body, "[ \t\n\r")) == 0 {
+			n = 0
+		}
+	}
+	if n == 0 {
+		return []T{}, true
+	}
+	return b.Carve(n, max(8, max(512, b.Carved())/n)), true
 }
 
-// Ints is ReadArray for ints, the bulk of a checkpoint, with the plain
+// put stores v as row's element i. On malformed input the count can
+// fall short of the elements read, and the row grows by append, out of
+// its slab.
+func put[T any](row []T, i int, v T) []T {
+	if i < len(row) {
+		row[i] = v
+		return row
+	}
+	return append(row, v)
+}
+
+// scalars reads an array of scalars into a row carved from b; null
+// reads as nil, [] as empty.
+func scalars[T any](r *Reader, b *slab.Slab[T], elem func(*Reader) T) []T {
+	row, ok := scalarRow(r, b)
+	i := 0
+	for more := ok && r.FirstElem(); more; more = r.NextElem() {
+		row = put(row, i, elem(r))
+		i++
+	}
+	return row[:i:i]
+}
+
+// Ints is scalars for ints, the bulk of a checkpoint, with the plain
 // case by hand: up to nine digits closed by a comma or the bracket.
 // Signs, spaces, longer and malformed numbers go through Int.
-func (r *Reader) Ints(backing *[]int) []int {
-	if r.Null() {
-		return nil
-	}
-	data, b, start := r.data, *backing, len(*backing)
-	for more := r.FirstElem(); more; {
+func (r *Reader) Ints() []int {
+	row, ok := scalarRow(r, &r.ints)
+	data, i := r.data, 0
+	for more := ok && r.FirstElem(); more; i++ {
 		pos, v := r.pos, 0
 		for pos < len(data) && pos-r.pos < 9 && data[pos]-'0' <= 9 {
 			v = v*10 + int(data[pos]-'0')
@@ -453,13 +487,12 @@ func (r *Reader) Ints(backing *[]int) []int {
 			more = data[pos] == ','
 			r.pos = pos + 1
 		}
-		b = append(b, v)
+		row = put(row, i, v)
 	}
-	*backing = b
-	return tail(b, start)
+	return row[:i:i]
 }
 
-func (r *Reader) Floats(backing *[]float64) []float64 { return ReadArray(r, backing, (*Reader).Float) }
+func (r *Reader) Bools() []bool { return scalars(r, &r.bools, (*Reader).Bool) }
 
 // String reads a string; invalid UTF-8 in it becomes U+FFFD.
 func (r *Reader) String() string { return string(r.str()) }

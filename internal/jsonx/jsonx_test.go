@@ -106,8 +106,7 @@ func TestReaderDocument(t *testing.T) {
 		ints, empty []int
 		nullArr     = []int{9}
 		raw         []byte
-		backing     []int
-		rows, rb    [][]int
+		rows        [][]int
 		unknown     int
 	)
 	for k, ok := r.FirstKey(); ok; k, ok = r.NextKey() {
@@ -123,7 +122,7 @@ func TestReaderDocument(t *testing.T) {
 		case "s":
 			s = r.String()
 		case "ints":
-			ints = r.Ints(&backing)
+			ints = r.Ints()
 		case "raw":
 			raw = r.Raw()
 		case "null_obj":
@@ -131,11 +130,11 @@ func TestReaderDocument(t *testing.T) {
 				t.Fatal("null object has a key")
 			}
 		case "null_arr":
-			nullArr = r.Ints(&backing)
+			nullArr = r.Ints()
 		case "empty":
-			empty = ReadArray(r, new([]int), (*Reader).Int)
+			empty = readArray(r, func(r *Reader, p *int) { *p = r.Int() })
 		case "rows":
-			rows = ReadArray(r, &rb, func(r *Reader) []int { return r.Ints(&backing) })
+			rows = readArray(r, func(r *Reader, p *[]int) { *p = r.Ints() })
 		case "id":
 			id = r.Int()
 		default:
@@ -171,15 +170,16 @@ func TestReaderDocument(t *testing.T) {
 	}
 }
 
-// TestIntsMatchesReadArray: the hand-written int loop and the general
-// element loop read the same arrays and fail on the same ones.
+// TestIntsMatchesReadArray: the hand-written int loop, which counts its
+// row first, and the general element loop read the same arrays and fail
+// on the same ones.
 func TestIntsMatchesReadArray(t *testing.T) {
 	for _, in := range []string{`[]`, `[0]`, `[1,2,3]`, `[ 1 , 2 ]`, `[-1,0,-0]`, `[123456789,1234567890,99999999999]`,
 		`[01]`, `[1,]`, `[,1]`, `[1 2]`, `[1.5]`, `[1e3]`, `[9223372036854775807]`, `[9223372036854775808]`,
 		`[-9223372036854775808]`, `[-9223372036854775809]`, `[1`, `[`, `[1,"2"]`, `null`, `[null]`, `[+1]`, `[--1]`, `[1]]`} {
 		fast, slow := NewReader([]byte(in)), NewReader([]byte(in))
-		got := fast.Ints(new([]int))
-		want := ReadArray(slow, new([]int), (*Reader).Int)
+		got := fast.Ints()
+		want := readArray(slow, func(r *Reader, p *int) { *p = r.Int() })
 		if (fast.End() == nil) != (slow.End() == nil) {
 			t.Errorf("%s: Ints err %v, ReadArray err %v", in, fast.End(), slow.End())
 		} else if fast.End() == nil && !reflect.DeepEqual(got, want) {

@@ -222,34 +222,21 @@ func Object[T any](l *Layout[T]) Kind[T] {
 // nil is written as null.
 func Array[E any](k Kind[E], rows bool) Kind[[]E] {
 	return list(func(w *Writer, v []E) { writeArray(w, v, rows, k.write) },
-		func(r *Reader) []E {
-			var backing []E
-			return readArray(r, &backing, k.read)
-		})
+		func(r *Reader) []E { return readArray(r, k.read) })
 }
 
 // Grid is an array of arrays of k, the outer on one line or (rows) one
-// line a row, each row on one line. The rows read share one backing
-// array.
-func Grid[E any](k Kind[E], rows bool) Kind[[][]E] {
-	return list(func(w *Writer, v [][]E) {
-		writeArray(w, v, rows, func(w *Writer, row *[]E) { writeArray(w, *row, false, k.write) })
-	}, func(r *Reader) [][]E {
-		var outer [][]E
-		var inner []E
-		return readArray(r, &outer, func(r *Reader, row *[]E) { *row = readArray(r, &inner, k.read) })
-	})
-}
+// line a row, each row on one line.
+func Grid[E any](k Kind[E], rows bool) Kind[[][]E] { return Array(Array(k, false), rows) }
 
-// The arrays of scalars. Each array of scalars a document holds is
-// read onto one backing array per element type.
+// The arrays of scalars, each row cut from one slab per element type
+// and document.
 var (
-	Ints   = list((*Writer).Ints, func(r *Reader) []int { return r.Ints(&r.ints) })
-	Floats = list((*Writer).Floats, func(r *Reader) []float64 { return r.Floats(&r.floats) })
-	Bools  = list(func(w *Writer, v []bool) { WriteArray(w, v, false, (*Writer).Bool) },
-		func(r *Reader) []bool { return ReadArray(r, &r.bools, (*Reader).Bool) })
+	Ints    = list((*Writer).Ints, (*Reader).Ints)
+	Floats  = list((*Writer).Floats, func(r *Reader) []float64 { return scalars(r, &r.floats, (*Reader).Float) })
+	Bools   = list(func(w *Writer, v []bool) { WriteArray(w, v, false, (*Writer).Bool) }, (*Reader).Bools)
 	Uint64s = list(func(w *Writer, v []uint64) { WriteArray(w, v, false, (*Writer).Uint64) },
-		func(r *Reader) []uint64 { return ReadArray(r, &r.uints, (*Reader).Uint64) })
+		func(r *Reader) []uint64 { return scalars(r, &r.uints, (*Reader).Uint64) })
 	// Blob is a value kept as its JSON text, written as it is after a
 	// check that it is valid.
 	Blob = list(func(w *Writer, v json.RawMessage) { w.Blob(v) },

@@ -396,7 +396,7 @@ type label struct {
 // line shorter than lineRoom (every sample and header line is far
 // shorter) never grows it.
 const (
-	chunkSize = 32 << 10
+	chunkSize = 128 << 10
 	lineRoom  = 1 << 10
 )
 
