@@ -1,8 +1,9 @@
 // Package tasktest checks every task.Runtime in the repository against
 // the one contract task.Runtime's doc states: each watched completion is
 // delivered once, in completion order; AwaitNext honours its deadline;
-// AwaitAll keeps submission order; and a handle lives until it is
-// delivered, then is reused.
+// AwaitAll keeps submission order; a handle lives until it is
+// delivered, then is reused; and tasks are admitted to cores in
+// submission order, a task that does not fit blocking those behind it.
 //
 // Each backend is a harness that runs a check against a fresh runtime, in
 // the context the backend demands of its caller: localexec.Runtime from
@@ -12,6 +13,7 @@
 package tasktest
 
 import (
+	"cmp"
 	"math"
 	"testing"
 	"time"
@@ -23,22 +25,24 @@ import (
 	"repro/internal/task"
 )
 
-// contractCores is every backend's core budget: enough for each check's
-// tasks to run at once, so that durations alone set completion order.
+// contractCores is a backend's core budget unless a check names its
+// own: enough for each check's tasks to run at once, so that durations
+// alone set completion order.
 const contractCores = 4
 
-// A harness runs check against a fresh runtime of one backend. It returns
-// only once check has, or fails the test if check never can: a runtime
-// that loses a wakeup must fail the suite, not hang it.
-type harness func(t *testing.T, check func(rt task.Runtime))
+// A harness runs check against a fresh runtime of one backend with the
+// given core budget. It returns only once check has, or fails the test
+// if check never can: a runtime that loses a wakeup must fail the suite,
+// not hang it.
+type harness func(t *testing.T, cores int, check func(rt task.Runtime))
 
 // localHarness runs check on a wall-clock localexec runtime, with a bound
 // on how long it may block.
-func localHarness(t *testing.T, check func(rt task.Runtime)) {
+func localHarness(t *testing.T, cores int, check func(rt task.Runtime)) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		check(localexec.New(contractCores))
+		check(localexec.New(cores))
 	}()
 	select {
 	case <-done:
@@ -50,13 +54,13 @@ func localHarness(t *testing.T, check func(rt task.Runtime)) {
 // pilotHarness runs check in the orchestrator process of a simulation
 // with one quiet pilot: no queue wait, launch cost, jitter, failures or
 // staging, so a unit finishes its Duration after submission.
-func pilotHarness(t *testing.T, check func(rt task.Runtime)) {
-	cfg := cluster.Small(1, contractCores)
+func pilotHarness(t *testing.T, cores int, check func(rt task.Runtime)) {
+	cfg := cluster.Small(1, cores)
 	cfg.QueueWait, cfg.LaunchGap, cfg.LaunchLatency, cfg.WavePenalty = 0, 0, 0, 0
 	cfg.ExecJitter, cfg.FailureProb, cfg.SpeedFactor = 0, 0, 1
 	cfg.FS.MetaLatency, cfg.FS.Bandwidth = 0, 1e15
 	e := sim.NewEnv()
-	pl, err := pilot.Launch(cluster.MustNew(e, cfg, 1), pilot.Description{Cores: contractCores})
+	pl, err := pilot.Launch(cluster.MustNew(e, cfg, 1), pilot.Description{Cores: cores})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +80,35 @@ func sleeper(name string, d float64) *task.Spec {
 	return &task.Spec{Name: name, Cores: 1, Duration: d}
 }
 
+// started is when a task's execution began on the runtime's clock.
+func started(r task.Result) float64 { return r.Finished - r.StageOut - r.Exec }
+
+// reused checks that fresh, submitted after dead's reuse point, reuses
+// dead's handle, or, on a runtime that poisons dead handles instead
+// (poisons), that reading dead panics.
+func reused(t *testing.T, rt task.Runtime, dead, fresh task.Handle) {
+	t.Helper()
+	if !poisons(rt) {
+		if fresh != dead {
+			t.Error("a dead handle was not reused")
+		}
+		return
+	}
+	if fresh == dead {
+		t.Error("a poisoning runtime reused a dead handle")
+	}
+	if !panics(func() { dead.Result() }) {
+		t.Error("reading a dead handle did not panic")
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 // names lists the task names of handles' results.
 func names(hs []task.Handle) []string {
 	out := make([]string, len(hs))
@@ -86,11 +119,13 @@ func names(hs []task.Handle) []string {
 }
 
 // contract is the suite: every check runs against every backend.
+// A check runs on a runtime of cores cores, contractCores if zero.
 var contract = []struct {
 	name  string
+	cores int
 	check func(t *testing.T, rt task.Runtime)
 }{
-	{"AwaitNextDeliversOnceInCompletionOrder", func(t *testing.T, rt task.Runtime) {
+	{"AwaitNextDeliversOnceInCompletionOrder", 0, func(t *testing.T, rt task.Runtime) {
 		// Submitted slowest first, so completion order reverses it.
 		for _, s := range []*task.Spec{sleeper("c", 0.3), sleeper("b", 0.2), sleeper("a", 0.1)} {
 			rt.SubmitWatched(s)
@@ -121,7 +156,7 @@ var contract = []struct {
 			t.Errorf("drained stream delivered %v more", names(extra))
 		}
 	}},
-	{"AwaitNextDeadline", func(t *testing.T, rt task.Runtime) {
+	{"AwaitNextDeadline", 0, func(t *testing.T, rt task.Runtime) {
 		rt.SubmitWatched(sleeper("slow", 0.3))
 		deadline := rt.Now() + 0.05
 		if done := rt.AwaitNext(deadline); len(done) != 0 {
@@ -138,7 +173,7 @@ var contract = []struct {
 			t.Errorf("after the deadline delivered %v, want [slow]", got)
 		}
 	}},
-	{"AwaitAllKeepsOrder", func(t *testing.T, rt task.Runtime) {
+	{"AwaitAllKeepsOrder", 0, func(t *testing.T, rt task.Runtime) {
 		hs := []task.Handle{rt.Submit(sleeper("a", 0.1)), rt.Submit(sleeper("b", 0.01)), rt.Submit(sleeper("c", 0.05))}
 		res := rt.AwaitAll(hs)
 		if len(res) != 3 || res[0].Spec.Name != "a" || res[1].Spec.Name != "b" || res[2].Spec.Name != "c" {
@@ -150,7 +185,7 @@ var contract = []struct {
 			}
 		}
 	}},
-	{"DeliveredHandleLivesUntilNextAwaitNext", func(t *testing.T, rt task.Runtime) {
+	{"DeliveredHandleLivesUntilNextAwaitNext", 0, func(t *testing.T, rt task.Runtime) {
 		a := rt.SubmitWatched(sleeper("a", 0.01))
 		if got := rt.AwaitNext(math.Inf(1)); len(got) != 1 || got[0] != a {
 			t.Errorf("delivered %v, want [a]", names(got))
@@ -169,27 +204,23 @@ var contract = []struct {
 			return
 		}
 		c := rt.Submit(sleeper("c", 0.01))
-		if c != a {
-			t.Error("a handle dead since the last AwaitNext was not reused")
-		}
+		reused(t, rt, a, c)
 		if res := rt.Await(c); res.Spec.Name != "c" {
 			t.Errorf("reused handle reads task %q, want c", res.Spec.Name)
 		}
 	}},
-	{"AwaitedHandleIsReused", func(t *testing.T, rt task.Runtime) {
+	{"AwaitedHandleIsReused", 0, func(t *testing.T, rt task.Runtime) {
 		a := rt.Submit(sleeper("a", 0.01))
 		if res := rt.Await(a); res.Spec.Name != "a" || res.Err != nil {
 			t.Errorf("Await returned %q, %v; want a, nil", res.Spec.Name, res.Err)
 		}
 		b := rt.Submit(sleeper("b", 0.01))
-		if b != a {
-			t.Error("an awaited unwatched handle was not reused")
-		}
+		reused(t, rt, a, b)
 		if res := rt.Await(b); res.Spec.Name != "b" {
 			t.Errorf("reused handle reads task %q, want b", res.Spec.Name)
 		}
 	}},
-	{"AwaitedWatchedHandleWaitsForDelivery", func(t *testing.T, rt task.Runtime) {
+	{"AwaitedWatchedHandleWaitsForDelivery", 0, func(t *testing.T, rt task.Runtime) {
 		w := rt.SubmitWatched(sleeper("w", 0.01))
 		if res := rt.Await(w); res.Spec.Name != "w" {
 			t.Errorf("Await returned %q, want w", res.Spec.Name)
@@ -204,6 +235,19 @@ var contract = []struct {
 		}
 		rt.Await(o)
 	}},
+	{"CoresAdmitInSubmissionOrder", 2, func(t *testing.T, rt task.Runtime) {
+		// The long task holds one of two cores; the wide one waits for
+		// both, and the narrow one behind it may not take the free core.
+		long, wide, narrow := sleeper("long", 0.2), sleeper("wide", 0.05), sleeper("narrow", 0.05)
+		wide.Cores = 2
+		res := rt.AwaitAll([]task.Handle{rt.Submit(long), rt.Submit(wide), rt.Submit(narrow)})
+		if w, n := started(res[1]), started(res[2]); n < w {
+			t.Errorf("narrow task started at %.3f s, before the wide task queued ahead of it (%.3f s)", n, w)
+		}
+		if w, l := started(res[1]), res[0].Finished; w < l {
+			t.Errorf("wide task started at %.3f s, before the long task freed its core (%.3f s)", w, l)
+		}
+	}},
 }
 
 func TestRuntimeContract(t *testing.T) {
@@ -214,7 +258,7 @@ func TestRuntimeContract(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			for _, c := range contract {
 				t.Run(c.name, func(t *testing.T) {
-					b.run(t, func(rt task.Runtime) { c.check(t, rt) })
+					b.run(t, cmp.Or(c.cores, contractCores), func(rt task.Runtime) { c.check(t, rt) })
 				})
 			}
 		})
