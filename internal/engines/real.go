@@ -152,6 +152,14 @@ func (e *Real) runSegment(sg *segment) {
 	e.mu.Unlock()
 }
 
+// stateGap is the number of unused vectors (192 bytes) between two
+// replicas' states in their backing array. Every step writes a state's
+// positions and velocities, and a FIFO core queue runs replicas 2k and
+// 2k+1 at once: without the gap the tail of one state and the head of
+// the next share a cache line, and the two cores contend for it all
+// segment long.
+const stateGap = 8
+
 // segment returns replica id's segment, sizing the run's tables first.
 func (e *Real) segment(id int, s *core.Spec) *segment {
 	if e.segs == nil {
@@ -165,7 +173,8 @@ func (e *Real) segment(id int, s *core.Spec) *segment {
 // takes there (Cycles segments per dimension; a slot that takes more
 // grows by append). The states' vectors come from one backing array and
 // every series from another, each carved with a full-slice cap, so an
-// append on one cannot write into its neighbour.
+// append on one cannot write into its neighbour. Neighbouring states
+// are stateGap vectors apart.
 func (e *Real) newRun(s *core.Spec) {
 	n, na := s.Replicas(), e.sys.Top.N()
 	per := 1
@@ -173,7 +182,7 @@ func (e *Real) newRun(s *core.Spec) {
 		per = (s.StepsPerCycle + e.SampleEvery - 1) / e.SampleEvery
 	}
 	run := per * s.Cycles * len(s.Dims)
-	vecs := make([]md.Vec3, 2*n*na)
+	vecs := make([]md.Vec3, n*(2*na+stateGap))
 	floats := make([]float64, 4*n*(per+run))
 	series := func(k int) md.Trajectory {
 		b := floats[: 4*k : 4*k]
@@ -185,7 +194,7 @@ func (e *Real) newRun(s *core.Spec) {
 	for i := range e.segs {
 		sg := &e.segs[i]
 		sg.state = md.State{Pos: vecs[0:na:na], Vel: vecs[na : 2*na : 2*na]}
-		vecs = vecs[2*na:]
+		vecs = vecs[min(2*na+stateGap, len(vecs)):]
 		sg.integ = md.LangevinBAOAB{Dt: langevinDt, Gamma: langevinGamma, RNG: rand.New(rand.NewSource(0))}
 		sg.run = func() error {
 			e.runSegment(sg)
