@@ -194,7 +194,7 @@ func (e *Real) newRun(s *core.Spec) {
 	for i := range e.segs {
 		sg := &e.segs[i]
 		sg.state = md.State{Pos: vecs[0:na:na], Vel: vecs[na : 2*na : 2*na]}
-		vecs = vecs[min(2*na+stateGap, len(vecs)):]
+		vecs = vecs[2*na+stateGap:]
 		sg.integ = md.LangevinBAOAB{Dt: langevinDt, Gamma: langevinGamma, RNG: rand.New(rand.NewSource(0))}
 		sg.run = func() error {
 			e.runSegment(sg)

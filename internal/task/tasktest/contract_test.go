@@ -119,12 +119,14 @@ func names(hs []task.Handle) []string {
 }
 
 // contract is the suite: every check runs against every backend.
-// A check runs on a runtime of cores cores, contractCores if zero.
-var contract = []struct {
+// A contractCase runs on a runtime of cores cores, contractCores if zero.
+type contractCase struct {
 	name  string
 	cores int
 	check func(t *testing.T, rt task.Runtime)
-}{
+}
+
+var contract = []contractCase{
 	{"AwaitNextDeliversOnceInCompletionOrder", 0, func(t *testing.T, rt task.Runtime) {
 		// Submitted slowest first, so completion order reverses it.
 		for _, s := range []*task.Spec{sleeper("c", 0.3), sleeper("b", 0.2), sleeper("a", 0.1)} {

@@ -22,11 +22,7 @@ func poisons(rt task.Runtime) bool {
 // on every backend that poisons and passes trivially on one that does
 // not.
 func init() {
-	contract = append(contract, struct {
-		name  string
-		cores int
-		check func(t *testing.T, rt task.Runtime)
-	}{"HandleReadLatePanics", 0, func(t *testing.T, rt task.Runtime) {
+	contract = append(contract, contractCase{"HandleReadLatePanics", 0, func(t *testing.T, rt task.Runtime) {
 		if !poisons(rt) {
 			return
 		}
