@@ -182,7 +182,7 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 // array is full and at least half of it is already admitted, the waiting
 // tasks slide to its front instead of growing it.
 func (r *Runtime) enqueue(h *handle) {
-	if len(r.queue) == cap(r.queue) && 2*r.head >= len(r.queue) && r.head > 0 {
+	if len(r.queue) == cap(r.queue) && 2*r.head >= len(r.queue) {
 		n := copy(r.queue, r.queue[r.head:])
 		clear(r.queue[n:])
 		r.queue, r.head = r.queue[:n], 0

@@ -222,3 +222,48 @@ func TestSteadyStreamAllocatesAGoroutineATask(t *testing.T) {
 		t.Errorf("%.2f allocations a task, want the goroutine's one", per)
 	}
 }
+
+// TestSteadyQueueKeepsOrderAndItsArray: on one core, a queue that never
+// drains (each delivery resubmits one task behind seven waiting ones)
+// runs its tasks in submission order and slides them to the front of its
+// array instead of growing it with every task ever queued.
+func TestSteadyQueueKeepsOrderAndItsArray(t *testing.T) {
+	rt := New(1)
+	gate := make(chan struct{})
+	var ran []int // appended by one task at a time: the runtime has one core
+	spec := func(i int) *task.Spec {
+		return &task.Spec{Name: "q", Cores: 1, Run: func() error {
+			<-gate
+			ran = append(ran, i)
+			return nil
+		}}
+	}
+	const waiting, tasks = 8, 200
+	next := 0
+	for ; next < waiting; next++ {
+		rt.SubmitWatched(spec(next))
+	}
+	room := 0
+	for done := 0; done < tasks; {
+		gate <- struct{}{}
+		hs := rt.AwaitNext(math.Inf(1))
+		done += len(hs)
+		for range hs {
+			if next < tasks {
+				rt.SubmitWatched(spec(next))
+				next++
+			}
+		}
+		rt.mu.Lock()
+		room = max(room, cap(rt.queue))
+		rt.mu.Unlock()
+	}
+	for i, id := range ran {
+		if id != i {
+			t.Fatalf("task %d ran %dth, want submission order", id, i)
+		}
+	}
+	if room > 2*waiting {
+		t.Errorf("the queue's array grew to %d for %d waiting tasks", room, waiting)
+	}
+}

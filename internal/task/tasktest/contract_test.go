@@ -118,7 +118,6 @@ func names(hs []task.Handle) []string {
 	return out
 }
 
-// contract is the suite: every check runs against every backend.
 // A contractCase runs on a runtime of cores cores, contractCores if zero.
 type contractCase struct {
 	name  string
@@ -126,6 +125,7 @@ type contractCase struct {
 	check func(t *testing.T, rt task.Runtime)
 }
 
+// contract is the suite: every check runs against every backend.
 var contract = []contractCase{
 	{"AwaitNextDeliversOnceInCompletionOrder", 0, func(t *testing.T, rt task.Runtime) {
 		// Submitted slowest first, so completion order reverses it.
