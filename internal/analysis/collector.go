@@ -175,11 +175,12 @@ type Collector struct {
 	// traceCap is the per-walk capacity of the trace arena, the one block
 	// of memory every walk's trace lives in (0 before the first event).
 	traceCap int
-	// slab is what is left of the chunk the pair windows' storage is
-	// carved from, and carved counts the windows given storage from it
-	// (see carveWindow).
-	slab   []bool
-	carved int
+	// windows is the storage of the pair windows, cut at each window's
+	// first outcome, WindowEvents long: the windows of a ladder cost a
+	// few allocations, not one each. unwindowed counts the ladders'
+	// pairs not yet given storage, so the last chunk holds no slack.
+	windows    slab.Slab[bool]
+	unwindowed int
 }
 
 // New builds a collector for the given configuration. Replica i is
@@ -205,6 +206,7 @@ func New(cfg Config) *Collector {
 		if n > 1 {
 			c.st.Pairs[d] = make([]PairStat, n-1)
 			c.st.PairWindows[d] = make([]ring.Bool, n-1)
+			c.unwindowed += n - 1
 		}
 	}
 	for i := range c.st.Walks {
@@ -347,7 +349,8 @@ func (c *Collector) applyExchange(e core.ExchangeEvent) {
 			}
 			win := &c.st.PairWindows[e.Dim][p.Lo]
 			if len(win.Outcomes) == 0 {
-				win.Outcomes = c.carveWindow()
+				win.Outcomes = c.windows.Carve(c.cfg.WindowEvents, 8, c.unwindowed)
+				c.unwindowed--
 			}
 			win.Push(p.Accepted, c.cfg.WindowEvents)
 		}
@@ -373,28 +376,6 @@ func (c *Collector) applyExchange(e core.ExchangeEvent) {
 		w.Trace = append(w.Trace, slot)
 		c.touchEndpoint(w, now)
 	}
-}
-
-// carveWindow returns the storage of a pair window at its first
-// outcome, WindowEvents long, cut from the collector's slab: the windows
-// of a ladder cost a few allocations, not one each. A new chunk holds
-// as many windows as were carved before it, at least eight and at most
-// as many as the ladders have left to carve, so a run that attempts few
-// pairs keeps few windows' worth and one that attempts them all keeps
-// no slack.
-func (c *Collector) carveWindow() []bool {
-	n := c.cfg.WindowEvents
-	if len(c.slab) < n {
-		pairs := 0
-		for _, ws := range c.st.PairWindows {
-			pairs += len(ws)
-		}
-		c.slab = make([]bool, n*max(1, min(max(c.carved, 8), pairs-c.carved)))
-	}
-	out := c.slab[:n:n]
-	c.slab = c.slab[n:]
-	c.carved++
-	return out
 }
 
 // growTraces moves every walk's trace into a new arena with room for at

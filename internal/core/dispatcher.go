@@ -661,9 +661,8 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	a0 := rec.Accepted
 	wantOut := s.wantsPairOutcomes()
 	if wantOut && len(pairs) > 0 {
-		// A new chunk holds eight events of this size, or a quarter of
-		// the outcomes carved so far.
-		s.pairScratch = s.outcomes.Carve(len(pairs), max(8, s.outcomes.Carved()/(4*len(pairs))))[:0]
+		// A new chunk holds at least eight events of this size.
+		s.pairScratch = s.outcomes.Carve(len(pairs), 8, 0)[:0]
 	}
 	s.rngDraws += int64(len(pairs))
 	for _, pr := range pairs {

@@ -411,25 +411,20 @@ func (s *Simulation) snapshotSlots() {
 	hist := s.report.SlotHistory
 	tail := s.spec.HistoryTail
 	rotate := tail > 0 && len(hist) >= tail
-	// A new chunk holds a quarter of the rows recorded so far and at
-	// least eight, so a run that stops early holds little room it never
-	// fills, but never more rows than a tail keeps (a bounded history's
-	// rows stay within twice its tail) or than an aligned run has left
-	// to record (it ends with none to spare).
-	k := max(8, s.report.SlotRows/4)
-	if tail > 0 {
-		k = min(k, tail)
+	// A new row chunk holds no more rows than a tail keeps (a bounded
+	// history's rows stay within twice its tail) or than an aligned run
+	// has left to record (it ends with none to spare).
+	left := s.rowsLeft
+	if tail > 0 && (left == 0 || tail < left) {
+		left = tail
 	}
-	if s.rowsLeft > 0 {
-		k = min(k, s.rowsLeft)
-	}
-	row := s.rows.Carve(len(s.replicas), k)
+	row := s.rows.Carve(len(s.replicas), 8, left)
 	for i, r := range s.replicas {
 		row[i] = r.Slot
 	}
 	s.rowsLeft = max(s.rowsLeft-1, 0)
 	if !rotate && len(hist) == cap(hist) {
-		hist = slices.Grow(hist, k)
+		hist = slices.Grow(hist, s.rows.Room()/len(row)+1)
 	}
 	s.report.SlotFingerprint = fnvRow(s.report.SlotFingerprint, row)
 	s.report.SlotRows++

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/md"
+	"repro/internal/slab"
 	"repro/internal/task"
 )
 
@@ -47,9 +48,9 @@ type Virtual struct {
 	speOut []*task.Spec
 	// ex holds each dimension's exchange-task spec.
 	ex []task.Spec
-	// synth is the unused rest of the chunk InitReplica carves replicas'
-	// coordinate vectors from: one chunk covers a whole run's replicas.
-	synth []float64
+	// synth is the storage InitReplica carves replicas' coordinate
+	// vectors from: one chunk covers a whole run's replicas.
+	synth slab.Slab[float64]
 	// boundSpec is the one simulation spec this engine instance serves,
 	// matching RepEx's one-AMM-per-simulation design; it is captured at
 	// first task preparation and may not change.
@@ -96,11 +97,8 @@ func (v *Virtual) Name() string { return v.name }
 // chunk, capped so an append on it cannot reach its neighbour's.
 func (v *Virtual) InitReplica(r *core.Replica, s *core.Spec) {
 	v.bind(s)
-	k := len(s.Dims) + 1
-	if len(v.synth) < k {
-		v.synth = make([]float64, k*s.Replicas())
-	}
-	r.Synth, v.synth = v.synth[:k:k], v.synth[k:]
+	n := s.Replicas()
+	r.Synth = v.synth.Carve(len(s.Dims)+1, n, n)
 	v.resample(r, s)
 	r.Energy = v.evalEnergy(r, r.Params, s)
 }

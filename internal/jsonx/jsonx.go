@@ -425,8 +425,8 @@ func readArray[T any](r *Reader, elem func(*Reader, *T)) []T {
 // scalarRow carves the row of the array of scalars that opens next from
 // b, counted before it is read: the first ] closes such an array, so
 // its commas and one, or none when only white space comes before it. A
-// chunk holds eight such rows and at least 512 elements, or as many
-// elements as were carved before it. ok is false for a null.
+// new chunk holds at least eight such rows and 512 elements. ok is false
+// for a null.
 func scalarRow[T any](r *Reader, b *slab.Slab[T]) (row []T, ok bool) {
 	if r.Null() {
 		return nil, false
@@ -441,7 +441,7 @@ func scalarRow[T any](r *Reader, b *slab.Slab[T]) (row []T, ok bool) {
 	if n == 0 {
 		return []T{}, true
 	}
-	return b.Carve(n, max(8, max(512, b.Carved())/n)), true
+	return b.Carve(n, max(8, 512/n), 0), true
 }
 
 // put stores v as row's element i. On malformed input the count can

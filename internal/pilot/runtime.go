@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/task"
 )
 
@@ -72,17 +73,12 @@ type Runtime struct {
 	// AwaitNext delivered, from its next call on, and the unwatched units
 	// Await and AwaitAll delivered, from their return on.
 	spare []*Unit
-	// fresh is the uncarved rest of the latest unit chunk. A submission
-	// with no spare carves its unit from it. The first chunk holds as
-	// many units of the first task's width as the runtime's pilots run at
-	// once, what Execution Mode I keeps in flight; each later one is a quarter of every unit carved before it,
-	// so a run allocates a logarithmic number of chunks, not a unit per
-	// task in flight, and leaves at most a fifth of its units uncarved.
-	// (A run's peak is often a few units past a round replica count,
-	// where doubling would leave nearly half its units unused for as long
-	// as the runtime lives.)
-	fresh  []Unit
-	carved int
+	// units is the storage of the units no spare could stand in for. A
+	// new chunk holds at least as many units of the submitted task's
+	// width as the runtime's pilots run at once, what Execution Mode I
+	// keeps in flight, so a run allocates a logarithmic number of
+	// chunks, not a unit per task in flight.
+	units slab.Slab[Unit]
 	// results is the slice AwaitAll returns, refilled by every call.
 	results []task.Result
 }
@@ -284,9 +280,6 @@ func (r *Runtime) route(s *task.Spec) int {
 	return best
 }
 
-// minUnitChunk is the size of a runtime's smallest unit chunk.
-const minUnitChunk = 16
-
 // submit routes the task and starts it on the chosen slot's pilot, in a
 // spare unit when there is one and a freshly carved one otherwise. The
 // unit learns its runtime, slot and delivery before its first step,
@@ -301,20 +294,15 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	if n := len(r.spare); n > 0 {
 		u, r.spare = r.spare[n-1], r.spare[:n-1]
 	} else {
-		if len(r.fresh) == 0 {
-			n := r.carved / 4
-			if r.carved == 0 {
-				// As many units of the first task's width as the
-				// runtime's pilots run at once, each with a wakeup
-				// queued: the kernel sizes its queues for them now
-				// rather than doubling there.
-				n = r.Cores() / max(s.Cores, 1)
-				r.proc.Env().Reserve(n)
-			}
-			r.fresh = make([]Unit, max(minUnitChunk, n))
+		least := 0
+		if r.units.Room() == 0 {
+			// A chunk's units may all be live at once, each with a
+			// wakeup queued: the kernel sizes its queues for them now
+			// rather than doubling there.
+			least = r.Cores() / max(s.Cores, 1)
+			r.proc.Env().Reserve(least)
 		}
-		u, r.fresh = &r.fresh[0], r.fresh[1:]
-		r.carved++
+		u = &r.units.Carve(1, least, 0)[0]
 	}
 	sl.pl.submitInto(u, s)
 	u.rt, u.slot, u.watched = r, i, watched

@@ -553,7 +553,7 @@ func (e *Env) Live() int { return e.nlive }
 
 // Reserve tells the kernel that up to n more processes than are live now
 // may be live at once, each with a wakeup queued: a pilot runtime
-// reserves, at its first submission, the units its pilots run at once.
+// reserves, at each new chunk of units, the units its pilots run at once.
 // The process table, its free list, the heap and the same-instant lane
 // get room for them now, and a delay queue, a signal's waiters or a
 // resource's queue that outgrows its array grows to that room at once,

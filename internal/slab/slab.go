@@ -16,11 +16,18 @@ type Slab[T any] struct {
 }
 
 // Carve returns a zeroed row of n elements. When the current chunk
-// cannot hold it, a new one replaces it with room for rows such rows
-// (at least one, and no more than chunkMax elements unless one row is
-// longer).
-func (b *Slab[T]) Carve(n, rows int) []T {
+// cannot hold it, a new one replaces it, and the slab alone sizes it:
+// it holds as many elements as were carved before it, in whole rows, so
+// a slab's chunks double. It holds at least least rows, and at most
+// left rows when left > 0 (the rows the caller has still to carve, so
+// a bounded caller keeps no room it cannot fill), and no more than
+// chunkMax elements unless one row is longer.
+func (b *Slab[T]) Carve(n, least, left int) []T {
 	if len(b.free) < n {
+		rows := max(least, b.carved/max(n, 1))
+		if left > 0 {
+			rows = min(rows, left)
+		}
 		b.free = make([]T, n*max(1, min(rows, chunkMax/max(n, 1))))
 	}
 	row := b.free[:n:n]
@@ -28,9 +35,6 @@ func (b *Slab[T]) Carve(n, rows int) []T {
 	b.carved += n
 	return row
 }
-
-// Carved returns the number of elements handed out so far.
-func (b *Slab[T]) Carved() int { return b.carved }
 
 // Room returns the number of elements the current chunk has left.
 func (b *Slab[T]) Room() int { return len(b.free) }

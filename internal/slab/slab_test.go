@@ -3,25 +3,46 @@ package slab
 import "testing"
 
 // TestCarveCapsRowsAndSizesChunks: a carved row is capped at its own
-// length, so an append to it cannot reach the next row; a chunk holds
-// the rows asked for, a new one replaces it when a row does not fit,
-// and chunkMax bounds a chunk of short rows.
+// length, so an append to it cannot reach the next row, and Carve alone
+// sizes a new chunk: as many elements as were carved before it, in
+// whole rows, at least least rows, at most left rows when left > 0, and
+// at most chunkMax elements unless one row is longer.
 func TestCarveCapsRowsAndSizesChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		carved, n, least, left int
+		chunk                  int // elements in the new chunk
+	}{
+		{"the first chunk holds least rows", 0, 3, 4, 0, 12},
+		{"a chunk doubles with what was carved", 30, 3, 4, 0, 30},
+		{"what was carved rounds down to whole rows", 31, 3, 1, 0, 30},
+		{"least sets the floor", 6, 3, 8, 0, 24},
+		{"left caps a chunk", 30, 3, 4, 2, 6},
+		{"left caps a chunk below least", 0, 3, 8, 3, 9},
+		{"left 0 does not cap", 30, 3, 4, 0, 30},
+		{"a negative left does not cap", 30, 3, 4, -1, 30},
+		{"chunkMax bounds a chunk of short rows", 1 << 30, 1, 1, 0, chunkMax},
+		{"chunkMax rounds down to whole rows", 1 << 30, 3, 1, 0, chunkMax / 3 * 3},
+		{"a row longer than chunkMax gets a chunk of its own", 0, chunkMax + 1, 4, 0, chunkMax + 1},
+	} {
+		b := Slab[byte]{carved: tc.carved}
+		row := b.Carve(tc.n, tc.least, tc.left)
+		if len(row) != tc.n || cap(row) != tc.n {
+			t.Errorf("%s: row %d/%d, want %d/%d", tc.name, len(row), cap(row), tc.n, tc.n)
+		}
+		if got := b.Room() + tc.n; got != tc.chunk {
+			t.Errorf("%s: a chunk of %d elements, want %d", tc.name, got, tc.chunk)
+		}
+		if b.carved != tc.carved+tc.n {
+			t.Errorf("%s: carved %d, want %d", tc.name, b.carved, tc.carved+tc.n)
+		}
+	}
+
 	var b Slab[int]
-	first := b.Carve(3, 4)
-	if len(first) != 3 || cap(first) != 3 || b.Room() != 9 {
-		t.Fatalf("row %d/%d, room %d; want 3/3 and 9", len(first), cap(first), b.Room())
-	}
+	first := b.Carve(3, 4, 0)
 	_ = append(first, 7)
-	if next := b.Carve(3, 4); next[0] != 0 {
-		t.Fatal("an append to one row wrote into the next")
-	}
-	if b.Carve(7, 2); b.Room() != 7 || b.Carved() != 13 {
-		t.Fatalf("room %d, carved %d; want a new chunk of two 7-rows and 13 carved", b.Room(), b.Carved())
-	}
-	var short Slab[byte]
-	if short.Carve(1, 1<<30); short.Room() != chunkMax-1 {
-		t.Fatalf("a chunk of one-element rows has room %d, want %d", short.Room(), chunkMax-1)
+	if next := b.Carve(3, 4, 0); next[0] != 0 || b.Room() != 6 {
+		t.Fatalf("next row %v, room %d: an append to one row wrote into the next, or a row was cut elsewhere", next, b.Room())
 	}
 }
 

@@ -57,7 +57,6 @@ var unreached = map[string]string{
 	"sim.Resource.QueueLen":              "resource tests' observer",
 	"sim.Signal.Signal":                  "order.golden, delay_order.golden and mixed_order.golden pin the wake order of processes it wakes one at a time",
 	"sim.Signal.Waiters":                 "signal tests' observer",
-	"slab.Slab.Room":                     "TestHistoryTailBoundsRowStorage bounds the room a bounded history's row chunk has left",
 	"stats.FromHist":                     "the direct Boltzmann inversion the WHAM tests compare against",
 	"stats.Std":                          "the WHAM test bounds the surface's deviation from its reference with it",
 	"task.RunAll":                        "localexec and pilot tests submit and await a batch through it",
