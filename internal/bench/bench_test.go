@@ -103,32 +103,49 @@ func TestFig5Shapes(t *testing.T) {
 	}
 }
 
+// TestFig6Shapes checks Figure 6's rows on the quick rows and on the
+// paper's full ones (64 to 1 728 replicas, ~0.1 s): MD flat at ~139.6 s
+// for all three exchange types (139.0-139.8 s on the full rows), U close
+// to T, S at least five times T (253.8 against 41.6 s at 1 728
+// replicas), and exchange growing with the replica count.
 func TestFig6Shapes(t *testing.T) {
-	rows, _, err := Fig6Weak1D(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		// MD bars flat at ~139.6 s for all three exchange types.
-		for _, md := range []float64{r.MDT, r.MDU, r.MDS} {
-			if md < 135 || md > 145 {
-				t.Fatalf("MD time %v outside 139.6±5 (replicas %d)", md, r.Replicas)
+	for _, c := range []struct {
+		name  string
+		quick bool
+	}{
+		{"quick", true},
+		{"full", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows, _, err := Fig6Weak1D(c.quick)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// T and U exchange close; S substantially longer.
-		if r.EXU < 0.8*r.EXT || r.EXU > 1.35*r.EXT {
-			t.Fatalf("EX(U) %v not close to EX(T) %v", r.EXU, r.EXT)
-		}
-		if r.EXS < 5*r.EXT {
-			t.Fatalf("EX(S) %v not substantially above EX(T) %v", r.EXS, r.EXT)
-		}
-	}
-	// Exchange grows with replica count.
-	if rows[len(rows)-1].EXT <= rows[0].EXT {
-		t.Fatal("EX(T) not growing with replicas")
-	}
-	if rows[len(rows)-1].EXS <= rows[0].EXS {
-		t.Fatal("EX(S) not growing with replicas")
+			for _, r := range rows {
+				// MD bars flat at ~139.6 s for all three exchange types.
+				for _, md := range []float64{r.MDT, r.MDU, r.MDS} {
+					if md < 135 || md > 145 {
+						t.Fatalf("MD time %v outside 139.6±5 (replicas %d)", md, r.Replicas)
+					}
+				}
+				// T and U exchange close; S substantially longer.
+				if r.EXU < 0.8*r.EXT || r.EXU > 1.35*r.EXT {
+					t.Fatalf("EX(U) %v not close to EX(T) %v", r.EXU, r.EXT)
+				}
+				if r.EXS < 5*r.EXT {
+					t.Fatalf("EX(S) %v not substantially above EX(T) %v", r.EXS, r.EXT)
+				}
+				t.Logf("%d replicas: MD %.1f/%.1f/%.1f s, EX T %.1f U %.1f S %.1f s",
+					r.Replicas, r.MDT, r.MDU, r.MDS, r.EXT, r.EXU, r.EXS)
+			}
+			// Exchange grows with replica count.
+			if rows[len(rows)-1].EXT <= rows[0].EXT {
+				t.Fatal("EX(T) not growing with replicas")
+			}
+			if rows[len(rows)-1].EXS <= rows[0].EXS {
+				t.Fatal("EX(S) not growing with replicas")
+			}
+		})
 	}
 }
 
@@ -170,24 +187,40 @@ func TestFig8Shapes(t *testing.T) {
 	}
 }
 
+// TestFig9Shapes checks Figure 9's rows on the quick rows and on the
+// paper's full ones (~0.1 s): a full TSU cycle's MD at ~495 s (493.9-
+// 494.5 s on the full rows), the salt exchange at least three times the
+// temperature one (294.9 against 51.1 s) and U similar to T.
 func TestFig9Shapes(t *testing.T) {
-	rows, _, err := Fig9WeakTSU(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		// Full-cycle MD across three dimensions: ~495 s on Stampede.
-		if r.MD < 480 || r.MD > 510 {
-			t.Fatalf("TSU MD %v outside ~495±15", r.MD)
-		}
-		// Salt dimension dominates the exchange cost.
-		if r.EXS < 3*r.EXT {
-			t.Fatalf("S exchange %v not dominant over T %v", r.EXS, r.EXT)
-		}
-		// T and U exchanges similar.
-		if r.EXU < 0.7*r.EXT || r.EXU > 1.5*r.EXT {
-			t.Fatalf("U exchange %v not similar to T %v", r.EXU, r.EXT)
-		}
+	for _, c := range []struct {
+		name  string
+		quick bool
+	}{
+		{"quick", true},
+		{"full", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows, _, err := Fig9WeakTSU(c.quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				// Full-cycle MD across three dimensions: ~495 s on Stampede.
+				if r.MD < 480 || r.MD > 510 {
+					t.Fatalf("TSU MD %v outside ~495±15", r.MD)
+				}
+				// Salt dimension dominates the exchange cost.
+				if r.EXS < 3*r.EXT {
+					t.Fatalf("S exchange %v not dominant over T %v", r.EXS, r.EXT)
+				}
+				// T and U exchanges similar.
+				if r.EXU < 0.7*r.EXT || r.EXU > 1.5*r.EXT {
+					t.Fatalf("U exchange %v not similar to T %v", r.EXU, r.EXT)
+				}
+				t.Logf("%d replicas: MD %.1f s, EX T %.1f U %.1f S %.1f s",
+					r.Replicas, r.MD, r.EXT, r.EXU, r.EXS)
+			}
+		})
 	}
 }
 
