@@ -95,10 +95,12 @@ func (v *Virtual) Name() string { return v.name }
 // InitReplica carves the synthetic coordinate vector, one slot per
 // dimension plus a trailing base-energy fluctuation, from the engine's
 // chunk, capped so an append on it cannot reach its neighbour's.
+// Replicas are initialised in ID order, so the replicas from r on are
+// the rows left to carve.
 func (v *Virtual) InitReplica(r *core.Replica, s *core.Spec) {
 	v.bind(s)
-	n := s.Replicas()
-	r.Synth = v.synth.Carve(len(s.Dims)+1, n, n)
+	left := s.Replicas() - r.ID
+	r.Synth = v.synth.Carve(len(s.Dims)+1, left, left)
 	v.resample(r, s)
 	r.Energy = v.evalEnergy(r, r.Params, s)
 }

@@ -296,9 +296,11 @@ func (r *Runtime) submit(s *task.Spec, watched bool) *Unit {
 	} else {
 		least := 0
 		if r.units.Room() == 0 {
-			// A chunk's units may all be live at once, each with a
-			// wakeup queued: the kernel sizes its queues for them now
-			// rather than doubling there.
+			// Every new unit chunk reserves room in the kernel's
+			// queues for one more round of the units of this width
+			// the pilots run at once, each with a wakeup queued, and
+			// holds at least that round. Reserving at every fresh unit
+			// instead grows the queues with each unit that goes live.
 			least = r.Cores() / max(s.Cores, 1)
 			r.proc.Env().Reserve(least)
 		}

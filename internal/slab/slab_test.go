@@ -44,6 +44,11 @@ func TestCarveCapsRowsAndSizesChunks(t *testing.T) {
 	if next := b.Carve(3, 4, 0); next[0] != 0 || b.Room() != 6 {
 		t.Fatalf("next row %v, room %d: an append to one row wrote into the next, or a row was cut elsewhere", next, b.Room())
 	}
+	// A row longer than the room left starts a new chunk: two 7-rows,
+	// least 2, as 6 carved elements make no whole 7-row.
+	if b.Carve(7, 2, 0); b.Room() != 7 || b.carved != 13 {
+		t.Fatalf("after a 7-row with 6 left: room %d, carved %d, want 7 and 13", b.Room(), b.carved)
+	}
 }
 
 func TestCopy(t *testing.T) {
