@@ -117,9 +117,10 @@ func Run(p RunParams) (*core.Report, error) {
 		return nil, err
 	}
 	env := sim.NewEnv()
-	// A panic out of env.Run leaves the other goroutine processes parked
-	// (a pilot's walltime watchdog, the chaos driver); unwinding them on
-	// every exit lets the environment go with the run.
+	// A panic out of env.Run from a stepped process (a unit, a pilot's
+	// timer, the chaos driver) leaves the orchestrator, the run's one
+	// goroutine process, parked; unwinding it on every exit lets the
+	// environment go with the run.
 	defer env.Close()
 	cl, err := cluster.New(env, p.Cluster, p.Seed+1)
 	if err != nil {

@@ -189,27 +189,51 @@ func (c *Cluster) TotalCores() int { return c.cfg.TotalCores() }
 // CoresInUse returns the number of cores currently allocated.
 func (c *Cluster) CoresInUse() int { return c.cores.InUse() }
 
-// Allocation is a granted block of cores, to be released when done.
+// Allocation is a block of cores requested through the batch queue
+// (Allocate), held once Step reports true, and released when done. It is
+// a resumable request so that a stepped process can embed it and drive
+// it across wakeups.
 type Allocation struct {
 	c        *Cluster
 	Cores    int
 	Granted  float64 // virtual time the allocation became active
+	asked    uint8   // 0: armed; 1: in the queue wait; 2: cores requested
 	released bool
 }
 
-// Allocate blocks through the batch queue and returns an active
-// allocation of n cores. It must be called from a simulation process.
-func (c *Cluster) Allocate(p *sim.Proc, n int) (*Allocation, error) {
+// Allocate arms a for n cores of the machine, to be driven by Step from a
+// simulation process. Nothing happens until the first Step.
+func (c *Cluster) Allocate(a *Allocation, n int) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("cluster %s: allocation size must be positive, got %d", c.cfg.Name, n)
+		return fmt.Errorf("cluster %s: allocation size must be positive, got %d", c.cfg.Name, n)
 	}
 	if n > c.TotalCores() {
-		return nil, fmt.Errorf("cluster %s: allocation of %d cores exceeds machine size %d",
+		return fmt.Errorf("cluster %s: allocation of %d cores exceeds machine size %d",
 			c.cfg.Name, n, c.TotalCores())
 	}
-	p.Sleep(c.cfg.QueueWait)
-	c.cores.Acquire(p, n)
-	return &Allocation{c: c, Cores: n, Granted: p.Now()}, nil
+	*a = Allocation{c: c, Cores: n}
+	return nil
+}
+
+// Step advances the request on behalf of p: the batch-queue wait, then
+// the cores, queued FIFO behind earlier requests. It reports true once
+// they are held, with Granted set; otherwise it has registered p's next
+// wakeup and must be called again when p wakes.
+func (a *Allocation) Step(p *sim.Proc) (held bool) {
+	switch a.asked {
+	case 0:
+		a.asked = 1
+		p.WakeIn(a.c.cfg.QueueWait)
+		return false
+	case 1:
+		a.asked = 2
+		a.c.cores.Request(p, a.Cores, false)
+	}
+	if !p.Granted() {
+		return false
+	}
+	a.Granted = p.Now()
+	return true
 }
 
 // Release returns the allocation's cores to the machine.

@@ -47,6 +47,19 @@ func TestTotalCores(t *testing.T) {
 	}
 }
 
+// allocate drives an allocation request of n cores from a goroutine
+// process, parking it between steps.
+func allocate(p *sim.Proc, c *Cluster, n int) (*Allocation, error) {
+	a := new(Allocation)
+	if err := c.Allocate(a, n); err != nil {
+		return nil, err
+	}
+	for !a.Step(p) {
+		p.Park()
+	}
+	return a, nil
+}
+
 func TestAllocateAfterQueueWait(t *testing.T) {
 	e := sim.NewEnv()
 	cfg := Small(4, 8)
@@ -54,7 +67,7 @@ func TestAllocateAfterQueueWait(t *testing.T) {
 	cl := MustNew(e, cfg, 1)
 	var granted float64
 	e.Go("p", func(p *sim.Proc) {
-		a, err := cl.Allocate(p, 16)
+		a, err := allocate(p, cl, 16)
 		if err != nil {
 			t.Errorf("Allocate: %v", err)
 			return
@@ -75,10 +88,10 @@ func TestAllocateTooLarge(t *testing.T) {
 	e := sim.NewEnv()
 	cl := MustNew(e, Small(2, 4), 1)
 	e.Go("p", func(p *sim.Proc) {
-		if _, err := cl.Allocate(p, 9); err == nil {
+		if _, err := allocate(p, cl, 9); err == nil {
 			t.Error("Allocate(9) on 8-core machine succeeded, want error")
 		}
-		if _, err := cl.Allocate(p, 0); err == nil {
+		if _, err := allocate(p, cl, 0); err == nil {
 			t.Error("Allocate(0) succeeded, want error")
 		}
 	})
@@ -93,12 +106,12 @@ func TestAllocationContention(t *testing.T) {
 	cl := MustNew(e, cfg, 1)
 	var second float64
 	e.Go("a", func(p *sim.Proc) {
-		a, _ := cl.Allocate(p, 8)
+		a, _ := allocate(p, cl, 8)
 		p.Sleep(100)
 		a.Release()
 	})
 	e.Go("b", func(p *sim.Proc) {
-		a, _ := cl.Allocate(p, 8)
+		a, _ := allocate(p, cl, 8)
 		second = p.Now()
 		a.Release()
 	})
@@ -112,7 +125,7 @@ func TestDoubleReleaseIsIdempotent(t *testing.T) {
 	e := sim.NewEnv()
 	cl := MustNew(e, Small(2, 4), 1)
 	e.Go("p", func(p *sim.Proc) {
-		a, _ := cl.Allocate(p, 4)
+		a, _ := allocate(p, cl, 4)
 		a.Release()
 		a.Release() // must not panic or double-free
 	})

@@ -1,8 +1,9 @@
 package pilot
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -97,35 +98,57 @@ func (c *ChaosPlan) Drive(env *sim.Env, lookup func(slot int) *Pilot) {
 	if c.Empty() {
 		return
 	}
-	events := append([]ChaosEvent(nil), c.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	env.Go("chaos", func(p *sim.Proc) {
-		for _, e := range events {
-			if d := e.At - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
-			pl := lookup(e.Pilot)
-			if pl == nil {
-				continue
-			}
-			if !pl.active.Done() {
-				// The fault arrived while the pilot sat in the batch
-				// queue; a real node can only fail once held.
-				if pl.active.Await(p) != nil {
-					continue
+	d := &chaosDriver{events: slices.Clone(c.Events), lookup: lookup}
+	slices.SortStableFunc(d.events, func(a, b ChaosEvent) int { return cmp.Compare(a.At, b.At) })
+	env.Spawn(&d.proc, d)
+}
+
+// chaosDriver is the chaos driver's stepped process: next is the event
+// it is at, and pl the pilot the event found in its slot while it waits
+// for that pilot's activation.
+type chaosDriver struct {
+	proc   sim.Proc
+	events []ChaosEvent
+	lookup func(slot int) *Pilot
+	next   int
+	slept  bool // the driver has slept to events[next]'s time
+	pl     *Pilot
+}
+
+func (d *chaosDriver) ProcName() string { return "chaos" }
+
+func (d *chaosDriver) Step(p *sim.Proc) {
+	for ; d.next < len(d.events); d.next, d.slept, d.pl = d.next+1, false, nil {
+		e := &d.events[d.next]
+		if d.pl == nil {
+			if !d.slept {
+				d.slept = true
+				if dt := e.At - p.Now(); dt > 0 {
+					p.WakeIn(dt)
+					return
 				}
 			}
-			if pl.Expired() {
+			if d.pl = d.lookup(e.Pilot); d.pl == nil {
 				continue
 			}
-			switch e.Kind {
-			case ChaosNodeLoss:
-				pl.LoseCores(e.Cores)
-			case ChaosPreempt:
-				pl.Preempt(e.Notice)
-			case ChaosResize:
-				pl.Resize(e.Cores)
+			if !d.pl.active.Done() {
+				// The fault arrived while the pilot sat in the batch
+				// queue; a real node can only fail once held.
+				d.pl.active.Enrol(p)
+				return
 			}
 		}
-	})
+		if d.pl.Expired() {
+			continue
+		}
+		switch e.Kind {
+		case ChaosNodeLoss:
+			d.pl.LoseCores(e.Cores)
+		case ChaosPreempt:
+			d.pl.Preempt(e.Notice)
+		case ChaosResize:
+			d.pl.Resize(e.Cores)
+		}
+	}
+	p.Exit()
 }

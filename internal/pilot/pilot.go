@@ -112,13 +112,20 @@ type Description struct {
 
 // Pilot is a live pilot job.
 type Pilot struct {
-	env    *sim.Env
-	cl     *cluster.Cluster
-	cfg    cluster.Config
-	desc   Description
-	cores  *sim.Resource
-	active *sim.Completion
+	env   *sim.Env
+	cl    *cluster.Cluster
+	cfg   cluster.Config
+	desc  Description
+	cores *sim.Resource
+	// active fires when the allocation is held; alloc points at req from
+	// then on, nil before.
+	active sim.Completion
 	alloc  *cluster.Allocation
+	req    cluster.Allocation
+	// boot is the pilot's bootstrap process: the allocation request,
+	// activation, then the walltime watchdog. notice is the preemption
+	// notice's timer, started by Preempt.
+	boot, notice pilotProc
 	// The agent's launcher serves one unit at a time, FIFO, for a fixed
 	// hold: gap for a unit that got its cores at once, gapWave for one
 	// that waited for them (wave penalty). A unit's turn is known when it
@@ -129,9 +136,8 @@ type Pilot struct {
 	launcherFree float64
 	latency      *sim.Delay
 	// expiry fires when the pilot terminates (walltime, preemption
-	// deadline or full node loss); Launch builds it, and only expire
-	// completes it, once.
-	expiry  *sim.Completion
+	// deadline or full node loss); only expire completes it, once.
+	expiry  sim.Completion
 	expired bool
 	// expireErr records why the pilot ended (ErrPilotExpired,
 	// ErrPilotPreempted or ErrNodeLost).
@@ -209,13 +215,6 @@ func (u *Unit) State() State { return u.state }
 // returned only for impossible descriptions (more cores than the machine
 // has).
 func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
-	if desc.Cores <= 0 {
-		return nil, fmt.Errorf("pilot: core count must be positive, got %d", desc.Cores)
-	}
-	if desc.Cores > cl.TotalCores() {
-		return nil, fmt.Errorf("pilot: %d cores exceed machine %s (%d cores)",
-			desc.Cores, cl.Config().Name, cl.TotalCores())
-	}
 	env, cfg := cl.Env(), cl.Config()
 	pl := &Pilot{
 		env:      env,
@@ -223,32 +222,21 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 		cfg:      cfg,
 		desc:     desc,
 		curCores: desc.Cores,
-		cores:    sim.NewResource(env, desc.Cores),
 		gap:      max(cfg.LaunchGap, 0),
 		gapWave:  max(cfg.LaunchGap+cfg.WavePenalty, 0),
-		latency:  env.Delay(cfg.LaunchLatency),
-		active:   sim.NewCompletion(env),
-		expiry:   sim.NewCompletion(env),
 	}
-	env.Go(fmt.Sprintf("pilot-%s", cl.Config().Name), func(p *sim.Proc) {
-		alloc, err := cl.Allocate(p, desc.Cores)
-		if err != nil {
-			pl.active.Complete(err)
-			return
-		}
-		pl.alloc = alloc
-		pl.record(task.ResourceLaunch, desc.Cores, 0)
-		pl.active.Complete(nil)
-		if desc.Walltime > 0 {
-			// Walltime watchdog: the batch system reclaims the
-			// allocation that many seconds after it became active —
-			// unless preemption or a full node loss terminated the
-			// pilot first (expiry fires, the wait returns early).
-			if !pl.expiry.AwaitTimeout(p, desc.Walltime) {
-				pl.expire(ErrPilotExpired)
-			}
-		}
-	})
+	if err := cl.Allocate(&pl.req, desc.Cores); err != nil {
+		return nil, fmt.Errorf("pilot: %w", err)
+	}
+	pl.cores = sim.NewResource(env, desc.Cores)
+	pl.latency = env.Delay(cfg.LaunchLatency)
+	pl.active.Init(env)
+	pl.expiry.Init(env)
+	// The walltime watchdog: the batch system reclaims the allocation
+	// that many seconds after it became active, unless preemption or a
+	// full node loss terminated the pilot first.
+	pl.boot = pilotProc{pl: pl, d: desc.Walltime, err: ErrPilotExpired}
+	env.Spawn(&pl.boot.proc, &pl.boot)
 	return pl, nil
 }
 
@@ -343,13 +331,75 @@ func (pl *Pilot) Preempt(notice float64) {
 		pl.expire(ErrPilotPreempted)
 		return
 	}
-	pl.env.Go(fmt.Sprintf("pilot-%s-preempt", pl.cl.Config().Name), func(p *sim.Proc) {
-		// Race the notice window against other terminations (walltime);
-		// expire is idempotent, so whichever fires first wins.
-		if !pl.expiry.AwaitTimeout(p, notice) {
-			pl.expire(ErrPilotPreempted)
+	// Race the notice window against other terminations (walltime);
+	// expire is idempotent, so whichever fires first wins.
+	pl.notice = pilotProc{pl: pl, phase: pilotArm, d: notice, err: ErrPilotPreempted}
+	pl.env.Spawn(&pl.notice.proc, &pl.notice)
+}
+
+// pilotProc is one of a pilot's own stepped processes: its bootstrap or
+// its preemption notice. Each ends in a timer raced against the pilot's
+// expiry: d seconds after the timer is armed the pilot expires with err,
+// unless something terminated it first. The bootstrap arms it once the
+// allocation is held, if the pilot has a walltime.
+type pilotProc struct {
+	proc  sim.Proc
+	pl    *Pilot
+	phase pilotPhase
+	d     float64
+	err   error
+}
+
+// pilotPhase is where a pilot process resumes on its next wakeup.
+type pilotPhase uint8
+
+const (
+	pilotQueued pilotPhase = iota // the bootstrap's allocation request under way
+	pilotArm                      // arm the timer
+	pilotTimer                    // the timer raced against expiry
+)
+
+func (s *pilotProc) ProcName() string {
+	if s == &s.pl.notice {
+		return "pilot-" + s.pl.cfg.Name + "-preempt"
+	}
+	return "pilot-" + s.pl.cfg.Name
+}
+
+func (s *pilotProc) Step(p *sim.Proc) {
+	pl := s.pl
+	switch s.phase {
+	case pilotQueued:
+		if !pl.req.Step(p) {
+			return
 		}
-	})
+		pl.alloc = &pl.req
+		pl.record(task.ResourceLaunch, pl.desc.Cores, 0)
+		pl.active.Complete(nil)
+		if s.d <= 0 {
+			break
+		}
+		fallthrough
+	case pilotArm:
+		if pl.expiry.Done() {
+			break
+		}
+		// Completion.AwaitTimeout's arithmetic, to the bit: the timer
+		// is set for (now+d)-now, which is not d.
+		deadline := p.Now() + s.d
+		if remain := deadline - p.Now(); remain >= 0 {
+			s.phase = pilotTimer
+			pl.expiry.Enrol(p)
+			p.WakeIn(remain)
+			return
+		}
+		pl.expire(s.err)
+	case pilotTimer:
+		if !p.Notified() && !pl.expiry.Done() {
+			pl.expire(s.err)
+		}
+	}
+	p.Exit()
 }
 
 // Resize changes the pilot's core count by delta. Growing acquires
@@ -452,7 +502,7 @@ func (pl *Pilot) submitInto(u *Unit, spec *task.Spec) {
 // other wakeups: taken inline, the failure would settle the slot's
 // in-flight width before the submissions after it are routed.
 func (pl *Pilot) start(u *Unit) {
-	if pl.expired || pl.draining || pl.active.Done() && pl.active.Err() != nil {
+	if pl.expired || pl.draining {
 		pl.env.Spawn(&u.proc, (*unitStepper)(u))
 		return
 	}
@@ -571,9 +621,6 @@ func (u *Unit) step(p *sim.Proc) {
 				return
 			}
 			switch {
-			case pl.active.Err() != nil:
-				pl.failUnit(u, pl.active.Err())
-				return
 			case pl.expired:
 				pl.failUnit(u, pl.expireErr)
 				return

@@ -192,14 +192,17 @@ func barrierRunAllocs(t *testing.T, rungs, coresPerReplica, cycles int) (objects
 }
 
 // A 4 096-rung barrier run of 12 cycles on the pilot runtime, from
-// sim.NewEnv through Run, allocates at most 128 heap objects and 4.70 MB:
+// sim.NewEnv through Run, allocates at most 96 heap objects and 4.70 MB:
 // the kernel's queues, the first unit chunk and the dispatcher's
 // scratch are sized once, from the replica count and the units the
 // pilot runs at once, instead of doubling there, and the run's twelve
-// slot-history rows are two chunks, eight rows and the four left. It
-// reads 122-125 objects (120-122 at 512 rungs). Before the queues were
-// sized it read 299-305 objects and 7.67 MB, and 134-136 objects while
-// every row was allocated on its own (the runtime's own allocations move
+// slot-history rows are two chunks, eight rows and the four left; the
+// orchestrator is the one coroutine, and the delay queues' first arrays
+// are one block. It reads 86-87 objects (84 at 512 rungs). Before the
+// queues were sized it read 299-305 objects and 7.67 MB, 134-136 objects
+// while every row was allocated on its own, and 116-118 while the
+// pilot's bootstrap was a coroutine and each delay queue's first array
+// an allocation of its own (the runtime's own allocations move
 // the object count by a few from run to run, so the least of three runs
 // is checked). A replica's cores do not size anything: a 512-rung
 // run at 64 cores a replica allocates what it does at one core, 0.65 MB;
@@ -213,8 +216,8 @@ func TestBarrierRunAllocations(t *testing.T) {
 		rungs, coresPerReplica int
 		maxObjects, maxBytes   uint64
 	}{
-		{4096, 1, 128, 4_700_000},
-		{512, 64, 128, 660_000},
+		{4096, 1, 96, 4_700_000},
+		{512, 64, 96, 660_000},
 	} {
 		objects, bytes := barrierRunAllocs(t, c.rungs, c.coresPerReplica, 12)
 		for range 2 {

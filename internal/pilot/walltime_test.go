@@ -3,6 +3,7 @@ package pilot
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -181,5 +182,38 @@ func TestMultiRuntimeRoutesAroundExpiredPilots(t *testing.T) {
 	}
 	if m.Relaunched() != 1 {
 		t.Fatalf("relaunched %d pilots, want 1", m.Relaunched())
+	}
+}
+
+// TestRunHoldsOneCoroutine: a pilot run with its walltime watchdog
+// armed, a preemption notice pending and a chaos plan waiting for its
+// next fault has four live processes and one coroutine, the
+// orchestrator's: the pilot's bootstrap and notice and the chaos driver
+// are stepped processes. With each of them a goroutine process it read
+// four coroutines.
+func TestRunHoldsOneCoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := sim.NewEnv()
+	cl := cluster.MustNew(e, quietConfig(), 1) // QueueWait 10
+	pl, err := Launch(cl, Description{Cores: 8, Walltime: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &ChaosPlan{Events: []ChaosEvent{{At: 500, Kind: ChaosResize, Cores: -1}}}
+	plan.Drive(e, func(int) *Pilot { return pl })
+	procs, coroutines := 0, 0
+	e.Go("emm", func(p *sim.Proc) {
+		p.Sleep(20) // past activation
+		pl.Preempt(100)
+		p.Sleep(1) // the notice has armed its timer
+		procs, coroutines = e.Live(), runtime.NumGoroutine()-before
+	})
+	e.Run()
+	if procs != 4 || coroutines != 1 {
+		t.Fatalf("%d live processes and %d coroutines, want 4 and 1", procs, coroutines)
+	}
+	if !errors.Is(pl.expireErr, ErrPilotPreempted) || e.Now() != 500 || e.Live() != 0 {
+		t.Fatalf("the run ended at %v with %d live processes, expired by %v; want 500, 0 and the notice",
+			e.Now(), e.Live(), pl.expireErr)
 	}
 }

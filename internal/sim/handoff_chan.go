@@ -2,57 +2,72 @@
 
 package sim
 
-// handoff starts body suspended and returns the three switches between
-// it and the kernel: resume, called by the kernel, runs body until it
-// next calls park or returns; park, called from inside body, suspends it
-// until the next resume; stop, called by the kernel while body is parked
-// or has not started, unwinds it (park panics, body's deferred calls
-// run, and the panic ends with body) and does nothing once body has
-// returned. Before go1.23 there is no iter.Pull: body gets its own
-// goroutine and each switch is a send and a receive on a channel pair,
-// and stop closes the kernel's side. A panic in body is caught on that
-// goroutine and raised again from resume, so it surfaces in the kernel's
-// goroutine as it does from a coroutine. Delete this file when go.mod's
-// floor reaches 1.23.
-func handoff(body func()) (resume, park, stop func()) {
-	in, out := make(chan struct{}), make(chan struct{})
-	var co struct {
-		panicked       any
-		stopped, ended bool
+// coroutine is what a goroutine process needs to switch between its body
+// and the kernel. Before go1.23 there is no iter.Pull: the body gets its
+// own goroutine and each switch is a send and a receive on a channel
+// pair, and stop closes the kernel's side. A panic in the body is caught
+// on that goroutine and raised again from resume, so it surfaces in the
+// kernel's goroutine as it does from a coroutine. Delete this file when
+// go.mod's floor reaches 1.23.
+type coroutine struct {
+	next           func() (struct{}, bool)
+	in, out        chan struct{}
+	panicked       any
+	stopped, ended bool
+}
+
+// start readies the process's body, suspended, on a goroutine of its
+// own.
+func (g *goProc) start() {
+	g.in, g.out = make(chan struct{}), make(chan struct{})
+	go g.body()
+	g.next = func() (struct{}, bool) {
+		g.in <- struct{}{}
+		<-g.out
+		return struct{}{}, !g.ended
 	}
-	go func() {
-		defer func() {
-			if p := recover(); !co.stopped {
-				co.panicked = p
-			}
-			co.ended = true
-			out <- struct{}{}
-		}()
-		// Wait until the kernel first resumes us; a closed channel is a
-		// stop before the start.
-		if _, ok := <-in; ok {
-			body()
+}
+
+// body waits until the kernel first resumes it, runs fn and ends the
+// process; a closed channel is a stop before the start.
+func (g *goProc) body() {
+	defer func() {
+		if p := recover(); !g.stopped {
+			g.panicked = p
 		}
+		g.ended = true
+		g.out <- struct{}{}
 	}()
-	resume = func() {
-		in <- struct{}{}
-		<-out
-		if co.panicked != nil {
-			panic(co.panicked)
-		}
+	if _, ok := <-g.in; ok {
+		g.fn(&g.Proc)
+		g.Exit()
 	}
-	park = func() {
-		out <- struct{}{}
-		if _, ok := <-in; !ok {
-			panic(errUnwound)
-		}
+}
+
+// resume, called by the kernel, runs the body until it next calls park
+// or returns, and raises a panic the body ended with.
+func (g *goProc) resume() {
+	g.next()
+	if g.panicked != nil {
+		panic(g.panicked)
 	}
-	stop = func() {
-		if !co.ended {
-			co.stopped = true
-			close(in)
-			<-out
-		}
+}
+
+// park, called from inside the body, suspends it until the next resume.
+func (g *goProc) park() {
+	g.out <- struct{}{}
+	if _, ok := <-g.in; !ok {
+		panic(errUnwound)
 	}
-	return resume, park, stop
+}
+
+// stop, called by the kernel while the body is parked or has not
+// started, unwinds it (park panics, the body's deferred calls run, and
+// the panic ends with the body) and does nothing once it has returned.
+func (g *goProc) stop() {
+	if !g.ended {
+		g.stopped = true
+		close(g.in)
+		<-g.out
+	}
 }

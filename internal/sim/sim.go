@@ -14,16 +14,16 @@
 //   - A goroutine process (Env.Go, Env.GoAt) runs ordinary blocking code:
 //     Sleep, Signal.Wait, Resource.Acquire, Completion.Await park the
 //     process. The body is a coroutine of the goroutine that runs the
-//     kernel (iter.Pull; see handoff, which falls back to a goroutine
+//     kernel (iter.Pull; see goProc, which falls back to a goroutine
 //     behind a channel pair on a toolchain before go1.23), so at any
 //     instant either the kernel or exactly one process is active, and a
 //     panic in a body surfaces from Env.Run. A parked process runs the
 //     kernel's loop itself (Proc.Park): it steps stepped processes inline
 //     and returns from Park at its own wakeup, so the only switches are
 //     from one goroutine process to another, two coroutine switches on
-//     one thread through RunUntil. Use it for the few long-lived
-//     processes whose logic reads best as straight-line code (an
-//     orchestrator, a watchdog, a fault driver).
+//     one thread through RunUntil. Use it for the one long-lived
+//     process whose logic reads best as straight-line code (a run's
+//     orchestrator) and for user code.
 //
 //   - A stepped process (Env.Spawn, Env.Start) has no goroutine: the
 //     loop calls its Stepper inline on every wakeup, and the stepper
@@ -33,8 +33,9 @@
 //     Aborted) on the wakeup after, and ends with Proc.Exit. Start takes
 //     the first step at once, Spawn queues it for now. The Proc lives in
 //     caller-owned storage, so a process and all its state are one
-//     allocation. Use it where there are many short-lived processes (one
-//     per compute unit); a wakeup is a method call.
+//     allocation. Use it for everything below the orchestrator (a
+//     compute unit, a pilot's bootstrap and timers, a fault driver); a
+//     wakeup is a method call.
 //
 // The blocking forms are "register with the non-blocking form, then park
 // until flagged", so queueing, grant, abort and broadcast logic exists
@@ -66,7 +67,10 @@ type Env struct {
 	lane fifo[event]
 	// delays holds the fixed-length sleep queues (see Delay). It never
 	// grows past the capacity NewEnv gives it: callers point into it.
-	delays []Delay
+	// delayRoom is what is left of the block their first arrays are cut
+	// from.
+	delays    []Delay
+	delayRoom []event
 	seq    int64
 	// slots maps event.slot to the live process occupying it. Events name
 	// their process by slot, not by pointer, so the heap holds no pointers:
@@ -117,11 +121,11 @@ type Stepper interface {
 // the process body) or by a Stepper (Env.Spawn: non-blocking forms only).
 type Proc struct {
 	env *Env
-	// co is a goroutine process's name and switches; nil for a stepped
+	// g is the goroutine process this Proc is part of; nil for a stepped
 	// one, which its stepper names. A stepped process lives inside its
 	// stepper (a compute unit, say), so what only goroutine processes use
 	// stays out of it.
-	co      *coroutine
+	g       *goProc
 	stepper Stepper
 	// gen is the wakeup generation; events scheduled for an earlier
 	// generation are stale and are dropped by the kernel. This is what
@@ -134,19 +138,16 @@ type Proc struct {
 	notified, granted, aborted bool
 }
 
-// coroutine is what a goroutine process has beside its Proc: its name,
-// and the switches between its body and the kernel (see handoff): the
-// kernel calls resume, the body calls park, and Env.Close calls stop.
-type coroutine struct {
-	name               string
-	resume, park, stop func()
-}
-
-// goProc is a goroutine process: its Proc and its coroutine, one
-// allocation.
+// goProc is a goroutine process: its Proc, its name and body, and the
+// coroutine that runs the body, one allocation. The switches between the
+// body and the kernel are its methods (handoff_coro.go; handoff_chan.go
+// before go1.23): the kernel calls resume, the body calls park, and
+// Env.Close calls stop.
 type goProc struct {
 	Proc
-	co coroutine
+	name string
+	fn   func(*Proc)
+	coroutine
 }
 
 // Name returns the process name given at spawn time.
@@ -154,7 +155,7 @@ func (p *Proc) Name() string {
 	if p.stepper != nil {
 		return p.stepper.ProcName()
 	}
-	return p.co.name
+	return p.g.name
 }
 
 // Env returns the environment the process belongs to.
@@ -300,8 +301,15 @@ func (e *Env) next(limit float64) (event, bool) {
 const maxDelays = 16
 
 // delayQueueRoom is the number of wakeups a delay queue has room for
-// before its first growth.
-const delayQueueRoom = 64
+// before its first growth. The first arrays of delayBlock queues are one
+// allocation: a one-dimensional pilot run obtains six lengths (the
+// metadata operation, the launch latency, and the input and output
+// transfers of its MD and exchange tasks), and a run that obtains more
+// takes another block.
+const (
+	delayQueueRoom = 64
+	delayBlock     = 6
+)
 
 // Delay is a sleep of one fixed length: Wake(p) is p.WakeIn(d) for the d
 // it was obtained with, in the same (t, seq) order, but outside the heap.
@@ -338,8 +346,15 @@ func (e *Env) Delay(d float64) *Delay {
 	}
 	// Every process waiting on a booked server holds a wakeup here, so the
 	// queue starts with room for delayQueueRoom of them rather than
-	// growing there from one.
-	e.delays = append(e.delays, Delay{env: e, d: d, q: fifo[event]{items: make([]event, 0, delayQueueRoom)}})
+	// growing there from one. The room is cut, capped, from a block
+	// rather than allocated a queue at a time; a block for all maxDelays
+	// queues would be 32 KB, whoever uses two of them.
+	if len(e.delayRoom) == 0 {
+		e.delayRoom = make([]event, delayBlock*delayQueueRoom)
+	}
+	items := e.delayRoom[:0:delayQueueRoom]
+	e.delayRoom = e.delayRoom[delayQueueRoom:]
+	e.delays = append(e.delays, Delay{env: e, d: d, q: fifo[event]{items: items}})
 	return &e.delays[len(e.delays)-1]
 }
 
@@ -383,14 +398,11 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt spawns a goroutine process that starts at absolute virtual time t
 // (clamped to now if in the past).
 func (e *Env) GoAt(name string, t float64, fn func(p *Proc)) *Proc {
-	g := &goProc{Proc: Proc{env: e}, co: coroutine{name: name}}
+	g := &goProc{Proc: Proc{env: e}, name: name, fn: fn}
 	p := &g.Proc
-	p.co = &g.co
+	p.g = g
 	e.admit(p)
-	p.co.resume, p.co.park, p.co.stop = handoff(func() {
-		fn(p)
-		p.Exit()
-	})
+	g.start()
 	e.schedule(p, t)
 	return p
 }
@@ -480,8 +492,8 @@ var errUnwound = errors.New("sim: process unwound by Env.Close")
 // coroutine and are left as they are.
 func (e *Env) Close() {
 	for i := 0; i < len(e.slots); i++ {
-		if p := e.slots[i].p; p != nil && p.co != nil {
-			p.co.stop()
+		if p := e.slots[i].p; p != nil && p.g != nil {
+			p.g.stop()
 		}
 	}
 }
@@ -504,7 +516,7 @@ func (e *Env) RunUntil(t float64) {
 				break
 			}
 		}
-		p.co.resume()
+		p.g.resume()
 	}
 	if t > e.now && e.Pending() > 0 {
 		e.now = t
@@ -595,7 +607,7 @@ func (p *Proc) Park() {
 		return
 	}
 	e.due = q
-	p.co.park()
+	p.g.park()
 }
 
 // WakeIn schedules a wakeup of the process d virtual seconds from now
@@ -899,13 +911,6 @@ type Completion struct {
 	err  error
 }
 
-// NewCompletion returns an unfired completion bound to env.
-func NewCompletion(env *Env) *Completion {
-	c := new(Completion)
-	c.Init(env)
-	return c
-}
-
 // Init binds a zero Completion (a struct field, say) to env.
 func (c *Completion) Init(env *Env) { c.sig.env = env }
 
@@ -927,7 +932,7 @@ func (c *Completion) Complete(err error) {
 }
 
 // Enrol registers p to be woken when the completion fires and returns
-// (the non-blocking form of Await; add p.WakeIn for AwaitTimeout). The
+// (the non-blocking form of Await; add p.WakeIn for a timeout). The
 // completion must not have fired yet: check Done first.
 func (c *Completion) Enrol(p *Proc) { c.sig.Enrol(p) }
 
@@ -937,23 +942,4 @@ func (c *Completion) Await(p *Proc) error {
 		c.sig.Wait(p)
 	}
 	return c.err
-}
-
-// AwaitTimeout blocks until the completion fires or d seconds pass; it
-// reports whether the completion fired.
-func (c *Completion) AwaitTimeout(p *Proc, d float64) bool {
-	if c.done {
-		return true
-	}
-	deadline := c.sig.env.now + d
-	for !c.done {
-		remain := deadline - c.sig.env.now
-		if remain < 0 {
-			return false
-		}
-		if !c.sig.WaitTimeout(p, remain) && !c.done {
-			return false
-		}
-	}
-	return true
 }
