@@ -71,7 +71,7 @@ type Env struct {
 	// from.
 	delays    []Delay
 	delayRoom []event
-	seq    int64
+	seq       int64
 	// slots maps event.slot to the live process occupying it. Events name
 	// their process by slot, not by pointer, so the heap holds no pointers:
 	// sifting it costs no GC write barriers and the collector never scans
