@@ -11,9 +11,11 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"syscall"
 )
 
@@ -25,51 +27,71 @@ import (
 // file. On error the temp file is removed and the destination is left
 // untouched.
 func WriteAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-")
+	tmp, err := createTemp(path)
 	if err != nil {
 		return fmt.Errorf("ckpt: staging checkpoint %s: %v", path, err)
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("ckpt: writing checkpoint %s: %v", path, err)
-	}
-	// Flush file contents before the rename publishes the name: a crash
-	// between rename and sync must not leave a complete-looking empty
-	// file at the destination.
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("ckpt: syncing checkpoint %s: %v", path, err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return fmt.Errorf("ckpt: checkpoint permissions %s: %v", path, err)
-	}
 	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		tmp = nil
-		return fmt.Errorf("ckpt: closing checkpoint %s: %v", path, err)
+	stage := "writing"
+	if _, err = tmp.Write(data); err == nil {
+		// Flush file contents before the rename publishes the name: a
+		// crash between rename and sync must not leave a
+		// complete-looking empty file at the destination.
+		stage, err = "syncing", tmp.Sync()
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		tmp = nil
-		return fmt.Errorf("ckpt: publishing checkpoint %s: %v", path, err)
+	if err == nil {
+		stage, err = "setting the mode of", tmp.Chmod(0o644)
 	}
-	tmp = nil
+	if cerr := tmp.Close(); err == nil {
+		stage, err = "closing", cerr
+	}
+	if err == nil {
+		stage, err = "publishing", rename(name, path)
+	}
+	if err != nil {
+		os.Remove(name)
+		return fmt.Errorf("ckpt: %s checkpoint %s: %v", stage, path, err)
+	}
 	// A rename is durable only once its directory is synced (ext4, XFS):
 	// until then a crash can lose a checkpoint reported as written.
-	dir = filepath.Clean(dir)
+	dir := filepath.Dir(path)
 	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("ckpt: syncing checkpoint directory %s: %v", dir, err)
 	}
 	return nil
+}
+
+// createTemp creates a new file named path, ".tmp-" and a random
+// number, as os.CreateTemp does with a pattern. It opens the file
+// through syscall and wraps the descriptor, which spares os.OpenFile's
+// stat of it.
+func createTemp(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		var num [10]byte
+		name := path + ".tmp-" + string(strconv.AppendUint(num[:0], uint64(rand.Uint32()), 10))
+		fd, err := syscall.Open(name, syscall.O_RDWR|syscall.O_CREAT|syscall.O_EXCL|syscall.O_CLOEXEC, 0o600)
+		switch {
+		case err == nil:
+			return os.NewFile(uintptr(fd), name), nil
+		case err != syscall.EINTR && (!os.IsExist(err) || try == 10000):
+			return nil, err
+		}
+	}
+}
+
+// rename renames from over to. os.Rename first checks that to is not a
+// directory, which costs a Lstat; the rename fails on one anyway.
+// Windows' syscall.Rename will not replace a file, so there it is
+// os.Rename.
+func rename(from, to string) error {
+	if runtime.GOOS == "windows" {
+		return os.Rename(from, to)
+	}
+	for {
+		if err := syscall.Rename(from, to); err != syscall.EINTR {
+			return err
+		}
+	}
 }
 
 // syncDir syncs directory dir; a variable so a test can watch the call.

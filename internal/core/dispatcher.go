@@ -400,11 +400,13 @@ func (d *dispatcher) complete(h task.Handle) error {
 		return err
 	}
 	d.tr.Observe(f.res)
-	if f.res.Failed() && d.relaunch(f) {
+	// Err, not Failed: a value receiver would copy the result each time.
+	failed := f.res.Err != nil
+	if failed && d.relaunch(f) {
 		return nil
 	}
 	at := max(f.res.Finished, d.waitAt)
-	if d.latObs != nil && !f.res.Failed() {
+	if d.latObs != nil && !failed {
 		// Final completion of this segment: its latency spans back to
 		// the first submission, so fault-driven relaunch delay widens
 		// adaptive windows correctly.

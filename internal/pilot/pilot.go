@@ -177,8 +177,11 @@ type Unit struct {
 	phase   unitPhase
 	failing bool // fault injection chose this unit: it dies at half its duration
 	watched bool
-	state   State
-	mark    float64 // start of the interval being measured (t0, t1, t2 in turn)
+	// dead marks a unit past its reuse point under simcheck, where it is
+	// poisoned instead of reused (see Runtime.recycle).
+	dead  bool
+	state State
+	mark  float64 // start of the interval being measured (t0, t1, t2 in turn)
 	// kill is the cause (walltime expiry, preemption deadline, node loss)
 	// the unit was interrupted with, nil while it was not (see
 	// interrupt). The unit's execution is a plain sleep that a kill cuts
@@ -199,13 +202,26 @@ type Unit struct {
 }
 
 // Done reports whether the unit reached DONE or FAILED.
-func (u *Unit) Done() bool { return u.done.Done() }
+func (u *Unit) Done() bool {
+	u.live()
+	return u.done.Done()
+}
 
 // Name returns the name of the unit's simulation process.
 func (u *Unit) Name() string { return "unit:" + u.spec.Label() }
 
 // Result returns the unit's record; valid once Done is true.
-func (u *Unit) Result() task.Result { return u.res }
+func (u *Unit) Result() task.Result {
+	u.live()
+	return u.res
+}
+
+// live panics, under simcheck, on a unit read past its reuse point.
+func (u *Unit) live() {
+	if poison && u.dead {
+		panic("pilot: unit " + u.spec.Label() + " read past its reuse point")
+	}
+}
 
 // State returns the unit's current lifecycle state.
 func (u *Unit) State() State { return u.state }

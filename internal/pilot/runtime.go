@@ -378,7 +378,7 @@ func (r *Runtime) Await(h task.Handle) task.Result {
 		// Clearing rt marks the unit spare, so a second Await of the same
 		// handle cannot list it twice.
 		u.rt = nil
-		r.spare = append(r.spare, u)
+		r.recycle(u)
 	}
 	return u.res
 }
@@ -444,10 +444,20 @@ func (r *Runtime) AwaitBatch(n int, deadline float64) []task.Handle {
 func (r *Runtime) reclaim() {
 	r.spare = slices.Grow(r.spare, len(r.delivered))
 	for _, h := range r.delivered {
-		r.spare = append(r.spare, h.(*Unit))
+		r.recycle(h.(*Unit))
 	}
 	r.delivered = r.delivered[:0]
 	r.lent = false
+}
+
+// recycle makes a delivered unit a spare or, under simcheck, poisons it:
+// it is never reused, and reading it panics.
+func (r *Runtime) recycle(u *Unit) {
+	if poison {
+		u.dead = true
+		return
+	}
+	r.spare = append(r.spare, u)
 }
 
 // SleepUntil blocks the orchestrator until virtual time t.

@@ -179,6 +179,9 @@ func TestRuntimeSubmitAwaitAllAllocations(t *testing.T) {
 // its Await on, and the reused unit names its new task. Awaiting a handle
 // twice lists its unit once.
 func TestRuntimeReusesDeliveredUnit(t *testing.T) {
+	if poison {
+		t.Skip("under simcheck no unit is reused")
+	}
 	e := sim.NewEnv()
 	cl := cluster.MustNew(e, quietConfig(), 1)
 	pl, _ := Launch(cl, Description{Cores: 4})

@@ -211,6 +211,9 @@ func TestBarrierRunAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates beside the run")
 	}
+	if poison {
+		t.Skip("under simcheck every submission takes a fresh unit")
+	}
 	barrierRunAllocs(t, 64, 1, 1) // what a process allocates once, outside the count
 	for _, c := range []struct {
 		rungs, coresPerReplica int

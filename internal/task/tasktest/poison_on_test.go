@@ -7,15 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/localexec"
+	"repro/internal/pilot"
 	"repro/internal/task"
 )
 
 // poisons reports whether rt poisons its dead handles instead of reusing
-// them: under simcheck, localexec does, and reading a dead handle
-// panics. The pilot backend still reuses its units.
+// them: under simcheck, both backends do, and reading a dead handle
+// panics.
 func poisons(rt task.Runtime) bool {
-	_, ok := rt.(*localexec.Runtime)
-	return ok
+	switch rt.(type) {
+	case *localexec.Runtime, *pilot.Runtime:
+		return true
+	}
+	return false
 }
 
 // The poison check: a handle read past its reuse point panics. It runs
