@@ -117,11 +117,10 @@ type Pilot struct {
 	cfg   cluster.Config
 	desc  Description
 	cores *sim.Resource
-	// active fires when the allocation is held; alloc points at req from
-	// then on, nil before.
+	// alloc is the pilot's machine allocation, requested at launch;
+	// active fires once it is held.
+	alloc  cluster.Allocation
 	active sim.Completion
-	alloc  *cluster.Allocation
-	req    cluster.Allocation
 	// boot is the pilot's bootstrap process: the allocation request,
 	// activation, then the walltime watchdog. notice is the preemption
 	// notice's timer, started by Preempt.
@@ -241,7 +240,7 @@ func Launch(cl *cluster.Cluster, desc Description) (*Pilot, error) {
 		gap:      max(cfg.LaunchGap, 0),
 		gapWave:  max(cfg.LaunchGap+cfg.WavePenalty, 0),
 	}
-	if err := cl.Allocate(&pl.req, desc.Cores); err != nil {
+	if err := cl.Allocate(&pl.alloc, desc.Cores); err != nil {
 		return nil, fmt.Errorf("pilot: %w", err)
 	}
 	pl.cores = sim.NewResource(env, desc.Cores)
@@ -289,7 +288,7 @@ func (pl *Pilot) expire(err error) {
 	for u := pl.oldest; u != nil; u = u.newer {
 		u.interrupt(err)
 	}
-	if pl.alloc != nil {
+	if pl.active.Done() {
 		pl.alloc.Release()
 	}
 	delta := -pl.curCores
@@ -304,7 +303,7 @@ func (pl *Pilot) expire(err error) {
 // Returns the cores actually removed (0 before activation or after
 // expiry).
 func (pl *Pilot) LoseCores(n int) int {
-	if n <= 0 || pl.expired || pl.alloc == nil {
+	if n <= 0 || pl.expired || !pl.active.Done() {
 		return 0
 	}
 	if n >= pl.curCores {
@@ -338,7 +337,7 @@ func (pl *Pilot) LoseCores(n int) int {
 // non-positive notice expires the pilot immediately. No-op before
 // activation, after expiry, or when a notice is already pending.
 func (pl *Pilot) Preempt(notice float64) {
-	if pl.expired || pl.draining || pl.alloc == nil {
+	if pl.expired || pl.draining || !pl.active.Done() {
 		return
 	}
 	pl.draining = true
@@ -386,10 +385,9 @@ func (s *pilotProc) Step(p *sim.Proc) {
 	pl := s.pl
 	switch s.phase {
 	case pilotQueued:
-		if !pl.req.Step(p) {
+		if !pl.alloc.Step(p) {
 			return
 		}
-		pl.alloc = &pl.req
 		pl.record(task.ResourceLaunch, pl.desc.Cores, 0)
 		pl.active.Complete(nil)
 		if s.d <= 0 {
@@ -425,7 +423,7 @@ func (s *pilotProc) Step(p *sim.Proc) {
 // one core (use LoseCores or Preempt to end a pilot). Returns the
 // signed change actually applied.
 func (pl *Pilot) Resize(delta int) int {
-	if delta == 0 || pl.expired || pl.alloc == nil {
+	if delta == 0 || pl.expired || !pl.active.Done() {
 		return 0
 	}
 	if delta > 0 {
