@@ -11,7 +11,7 @@
 # regression is intentional, or when the runner class changes.
 # Four invocations share one stream. The dispatcher legs run on every CPU,
 # like the program: the orchestrator is a coroutine of the goroutine that
-# runs the kernel (internal/sim, handoff), so a wakeup never enters the
+# runs the kernel (internal/sim, goProc), so a wakeup never enters the
 # scheduler and a second P no longer migrates it between threads. They
 # were pinned to -cpu 1 while the hand-off was a channel pair; five
 # interleaved rounds of the 256 / 4096 barrier legs on the 2-vCPU build
