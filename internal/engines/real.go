@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/exchange"
 	"repro/internal/md"
 	"repro/internal/task"
 )
@@ -34,18 +35,30 @@ type Real struct {
 	// the run (newRun); an engine serves one run.
 	segs []segment
 
+	// min is the scratch every InitReplica minimisation reuses, and
+	// minima the replicas it minimised from the base state, one for
+	// each distinct potential (md.System.SamePotential) so far; another
+	// replica of that potential copies their positions. A replica that
+	// has run a segment has left its minimum, so MDTask empties minima.
+	min    md.Minimizer
+	minima []int
+
 	mu sync.Mutex
 	// trajs holds each slot's (window's) samples, indexed by slot.
 	trajs []md.Trajectory
+	// rngs are the random sources no segment holds: a segment takes one
+	// for its run and reseeds it, so which one it takes moves no bit,
+	// and a run makes as many as it runs segments at once.
+	rngs []*rand.Rand
 }
 
 // segment is one replica's state (positions and velocities, which only
-// the engine reads and writes) and everything its MD segments reuse: the spec MDTask rewrites in place
-// (the dispatcher asks for a replica's next segment only after it has
-// taken the previous one's result), the Run closure built once, the
-// integrator with its scratch and random source (reseeded per segment),
-// the parameters a segment runs under, in an array of its own, and its
-// samples before they join the slot's.
+// the engine reads and writes) and everything its MD segments reuse: the
+// spec MDTask rewrites in place (the dispatcher asks for a replica's
+// next segment only after it has taken the previous one's result), the
+// Run closure built once, the integrator with its scratch, the
+// parameters a segment runs under, with a restraint array of their own,
+// and its samples before they join the slot's.
 type segment struct {
 	state   md.State
 	spec    task.Spec
@@ -56,6 +69,11 @@ type segment struct {
 	seed    int64
 	steps   int
 	samples md.Trajectory
+	// The pad keeps this segment's per-step writes (the state's
+	// evaluation count, the integrator's energy, the samples) 128 bytes
+	// from its neighbour's: a cache line and the one an adjacent-line
+	// prefetcher fetches with it.
+	_ [128]byte
 }
 
 // The Langevin integrator's constants: the time step and the friction
@@ -96,38 +114,65 @@ func (e *Real) Name() string { return e.name }
 // System exposes the wrapped molecular system.
 func (e *Real) System() *md.System { return e.sys }
 
-// InitReplica gives the replica a copy of the base state, relaxes it
-// briefly and draws Maxwell-Boltzmann velocities at the replica's window
-// temperature, from the random source its segments reuse.
+// InitReplica gives the replica the base state's positions relaxed
+// briefly under its parameters, and draws Maxwell-Boltzmann velocities
+// at its window temperature. The relaxation depends on the potential
+// alone, so it runs once for each distinct potential, and the other
+// replicas of that potential copy its positions.
 func (e *Real) InitReplica(r *core.Replica, s *core.Spec) {
 	sg := e.segment(r.ID, s)
+	sg.setParams(r.Params)
 	st := &sg.state
-	copy(st.Pos, e.base.Pos)
-	copy(st.Vel, e.base.Vel)
-	md.Minimize(e.sys, st, r.Params, 200, 1e-2)
-	sg.integ.RNG.Seed(mix(e.seed, int64(r.ID)))
-	md.InitVelocities(e.sys, st, r.Params.TemperatureK, sg.integ.RNG)
+	if src := e.minimum(r.Params); src != nil {
+		copy(st.Pos, src)
+	} else {
+		copy(st.Pos, e.base.Pos)
+		e.min.Minimize(e.sys, st, r.Params, 200, 1e-2)
+		e.minima = append(e.minima, r.ID)
+	}
+	rng := e.source()
+	rng.Seed(mix(e.seed, int64(r.ID)))
+	md.InitVelocities(e.sys, st, r.Params.TemperatureK, rng)
+	e.release(rng)
 	r.Energy = e.sys.Energy(st, r.Params).Potential()
+}
+
+// minimum returns the positions InitReplica minimised for prm's
+// potential, nil if it has minimised none.
+func (e *Real) minimum(prm md.Params) []md.Vec3 {
+	for _, id := range e.minima {
+		if sg := &e.segs[id]; e.sys.SamePotential(sg.prm, prm) {
+			return sg.state.Pos
+		}
+	}
+	return nil
+}
+
+// setParams makes prm the parameters the segment runs under, copying
+// the restraints into the segment's own array: a swap may rewrite the
+// replica's while the segment runs.
+func (sg *segment) setParams(prm md.Params) {
+	rs := append(sg.prm.Restraints[:0], prm.Restraints...)
+	sg.prm = prm
+	sg.prm.Restraints = rs
 }
 
 // MDTask describes a real MD segment: the replica's own spec, rewritten
 // in place. The replica's parameters and the spec's step count go to the
-// integrator as they are; the parameters are copied, because a swap may
-// rewrite the replica's while the segment runs. If an exchange or a
-// respacing moved the replica's temperature since its last segment, the
-// velocities are first rescaled by sqrt(Tnew/Told), the standard T-REMD
-// rule.
+// integrator as they are; the parameters are copied (setParams). If an
+// exchange or a respacing moved the replica's temperature since its last
+// segment (or its initialisation), the velocities are first rescaled by
+// sqrt(Tnew/Told), the standard T-REMD rule.
 func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 	sg := e.segment(r.ID, s)
+	e.minima = e.minima[:0]
 	if told, tnew := sg.prm.TemperatureK, r.Params.TemperatureK; told > 0 && tnew != told {
 		scale := math.Sqrt(tnew / told)
 		for i := range sg.state.Vel {
 			sg.state.Vel[i] = sg.state.Vel[i].Scale(scale)
 		}
 	}
-	rs := append(sg.prm.Restraints[:0], r.Params.Restraints...)
-	sg.prm = r.Params
-	sg.prm.Restraints = rs
+	sg.setParams(r.Params)
 	sg.slot = r.Slot
 	sg.seed = mix(e.seed, int64(r.ID), int64(r.Cycle))
 	sg.steps = s.StepsPerCycle
@@ -143,21 +188,49 @@ func (e *Real) MDTask(r *core.Replica, s *core.Spec, dim int) *task.Spec {
 }
 
 // runSegment integrates one segment on the worker that runs its task,
-// and appends its samples to its slot's.
+// with a random source seeded for the segment, and appends its samples
+// to its slot's.
 func (e *Real) runSegment(sg *segment) {
-	sg.integ.RNG.Seed(sg.seed)
+	rng := e.source()
+	rng.Seed(sg.seed)
+	sg.integ.RNG = rng
 	md.RunSegment(&sg.samples, e.sys, &sg.state, sg.prm, &sg.integ, sg.steps, e.SampleEvery)
+	sg.integ.RNG = nil
 	e.mu.Lock()
 	e.trajs[sg.slot].Append(sg.samples)
+	e.rngs = append(e.rngs, rng)
 	e.mu.Unlock()
 }
 
-// stateGap is the number of unused vectors (192 bytes) between two
-// replicas' states in their backing array. Every step writes a state's
-// positions and velocities, and a FIFO core queue runs replicas 2k and
-// 2k+1 at once: without the gap the tail of one state and the head of
-// the next share a cache line, and the two cores contend for it all
-// segment long.
+// source takes a random source off the free list, making one if every
+// source is in use.
+func (e *Real) source() *rand.Rand {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.rngs)
+	if n == 0 {
+		return rand.New(rand.NewSource(0))
+	}
+	rng := e.rngs[n-1]
+	e.rngs = e.rngs[:n-1]
+	return rng
+}
+
+// release puts a source back on the free list.
+func (e *Real) release(rng *rand.Rand) {
+	e.mu.Lock()
+	e.rngs = append(e.rngs, rng)
+	e.mu.Unlock()
+}
+
+// stateGap is the number of unused vectors (192 bytes) after each
+// replica's working set in the run's vector block. Every step writes a
+// replica's positions, velocities and forces, and a FIFO core queue
+// runs replicas 2k and 2k+1 at once: without the gap the tail of one
+// working set and the head of the next share a cache line, and the two
+// cores contend for it all segment long. Every gap between two
+// replicas' per-step writes is at least 128 bytes, a cache line and the
+// one an adjacent-line prefetcher fetches with it.
 const stateGap = 8
 
 // segment returns replica id's segment, sizing the run's tables first.
@@ -168,13 +241,16 @@ func (e *Real) segment(id int, s *core.Spec) *segment {
 	return &e.segs[id]
 }
 
-// newRun sizes the per-run tables: a segment per replica, with its state,
-// and a trajectory per slot with room for every sample a barrier run
-// takes there (Cycles segments per dimension; a slot that takes more
-// grows by append). The states' vectors come from one backing array and
-// every series from another, each carved with a full-slice cap, so an
-// append on one cannot write into its neighbour. Neighbouring states
-// are stateGap vectors apart.
+// newRun sizes the per-run tables: a segment per replica, with its
+// working set, and a trajectory per slot with room for every sample a
+// barrier run takes there (Cycles segments per dimension; a slot that
+// takes more grows by append). A replica's working set is its
+// positions, velocities and integrator scratch (forces, then per-atom
+// constants), carved from one block of vectors stateGap vectors apart,
+// its torsion scratch, carved from one block two entries apart, and its
+// restraint array, carved from a third; every series comes from a
+// fourth. Each carve has a full-slice cap, so an append on one cannot
+// write into its neighbour.
 func (e *Real) newRun(s *core.Spec) {
 	n, na := s.Replicas(), e.sys.Top.N()
 	per := 1
@@ -182,7 +258,15 @@ func (e *Real) newRun(s *core.Spec) {
 		per = (s.StepsPerCycle + e.SampleEvery - 1) / e.SampleEvery
 	}
 	run := per * s.Cycles * len(s.Dims)
-	vecs := make([]md.Vec3, n*(2*na+stateGap))
+	nu := 0
+	for _, d := range s.Dims {
+		if d.Type == exchange.Umbrella {
+			nu++
+		}
+	}
+	vecs := make([]md.Vec3, n*(4*na+stateGap))
+	tors := e.sys.NewTorsionBlock(n, 2)
+	rs := make([]md.TorsionRestraint, n*nu)
 	floats := make([]float64, 4*n*(per+run))
 	series := func(k int) md.Trajectory {
 		b := floats[: 4*k : 4*k]
@@ -190,12 +274,17 @@ func (e *Real) newRun(s *core.Spec) {
 		return md.Trajectory{Phi: b[0:0:k], Psi: b[k : k : 2*k], Potential: b[2*k : 2*k : 3*k], Kinetic: b[3*k : 3*k : 4*k]}
 	}
 	e.segs = make([]segment, n)
+	e.minima = make([]int, 0, n)
 	trajs := make([]md.Trajectory, n)
 	for i := range e.segs {
 		sg := &e.segs[i]
 		sg.state = md.State{Pos: vecs[0:na:na], Vel: vecs[na : 2*na : 2*na]}
-		vecs = vecs[2*na+stateGap:]
-		sg.integ = md.LangevinBAOAB{Dt: langevinDt, Gamma: langevinGamma, RNG: rand.New(rand.NewSource(0))}
+		tors.Carve(&sg.state)
+		sg.integ = md.LangevinBAOAB{Dt: langevinDt, Gamma: langevinGamma}
+		sg.integ.UseScratch(vecs[2*na : 4*na : 4*na])
+		vecs = vecs[4*na+stateGap:]
+		sg.prm.Restraints = rs[0:0:nu]
+		rs = rs[nu:]
 		sg.run = func() error {
 			e.runSegment(sg)
 			return nil

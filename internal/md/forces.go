@@ -3,6 +3,7 @@ package md
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // TorsionRestraint is a harmonic umbrella restraint on a proper torsion:
@@ -67,6 +68,18 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// SamePotential reports whether a and b give every state of s the same
+// potential energy and forces, bit for bit. Salt, pH and restraints
+// enter the energy; the temperature enters it only through titration
+// (a site's self free energy is kT-scaled), so parameter sets that
+// differ in temperature alone match unless s titrates under them.
+func (s *System) SamePotential(a, b Params) bool {
+	if a.SaltM != b.SaltM || a.PH != b.PH || !slices.Equal(a.Restraints, b.Restraints) {
+		return false
+	}
+	return a.TemperatureK == b.TemperatureK || !s.Top.titrates(a)
+}
+
 // Clone returns a deep copy (the restraint slice is copied).
 func (p Params) Clone() Params {
 	q := p
@@ -95,6 +108,31 @@ type State struct {
 // NewState allocates a zeroed state for n atoms.
 func NewState(n int) *State {
 	return &State{Pos: make([]Vec3, n), Vel: make([]Vec3, n)}
+}
+
+// TorsionBlock is caller-owned storage for the torsion scratch of many
+// states of one system: NewTorsionBlock sizes it once and Carve hands
+// out one state's share at a time, so n states cost one allocation
+// between them instead of one each.
+type TorsionBlock struct {
+	free     []torsion
+	per, gap int
+}
+
+// NewTorsionBlock sizes a block for n states of s with gap unused
+// entries (112 bytes each) after every share: every force evaluation
+// writes a state's share, so the gap keeps two states that integrate at
+// once off each other's cache lines.
+func (s *System) NewTorsionBlock(n, gap int) TorsionBlock {
+	per := len(s.Top.Dihedrals)
+	return TorsionBlock{free: make([]torsion, n*(per+gap)), per: per, gap: gap}
+}
+
+// Carve makes the block's next share st's torsion scratch, with a
+// full-slice cap.
+func (b *TorsionBlock) Carve(st *State) {
+	st.torsions = b.free[:b.per:b.per]
+	b.free = b.free[b.per+b.gap:]
 }
 
 // Energy is the decomposition of the potential energy in kcal/mol.

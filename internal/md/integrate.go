@@ -95,6 +95,10 @@ type LangevinBAOAB struct {
 	segment
 }
 
+// UseScratch hands the integrator caller-owned scratch of 2·N vectors
+// for an N-atom system, so Begin allocates none of its own.
+func (lg *LangevinBAOAB) UseScratch(s []Vec3) { lg.scratch = s }
+
 // NewLangevin returns a BAOAB integrator with the given step, friction
 // and seed.
 func NewLangevin(dt, gamma float64, seed int64) *LangevinBAOAB {
@@ -191,10 +195,27 @@ func InitVelocities(sys *System, st *State, tK float64, rng *rand.Rand) {
 // most maxIter iterations or until the maximum force component falls
 // below fTol (kcal/mol/Å). It returns the final potential energy.
 func Minimize(sys *System, st *State, prm Params, maxIter int, fTol float64) float64 {
+	var m Minimizer
+	return m.Minimize(sys, st, prm, maxIter, fTol)
+}
+
+// Minimizer is Minimize with its scratch (the forces and one trial
+// state) kept from call to call, so a caller that minimises many states
+// of one system allocates it once.
+type Minimizer struct {
+	f     []Vec3
+	trial State
+}
+
+// Minimize minimises st as the function Minimize does, bit for bit.
+func (m *Minimizer) Minimize(sys *System, st *State, prm Params, maxIter int, fTol float64) float64 {
 	n := sys.Top.N()
-	f := make([]Vec3, n)
-	// One trial state for every iteration; the energy never reads Vel.
-	trial := &State{Pos: make([]Vec3, n)}
+	if len(m.f) != n {
+		m.f = make([]Vec3, n)
+		// One trial state for every iteration; the energy never reads Vel.
+		m.trial = State{Pos: make([]Vec3, n)}
+	}
+	f, trial := m.f, &m.trial
 	step := 1e-4
 	e := sys.EnergyForces(st, prm, f).Potential()
 	for iter := 0; iter < maxIter; iter++ {

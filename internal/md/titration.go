@@ -56,7 +56,7 @@ func (s TitratableSite) SelfFreeEnergy(pH, tK float64) float64 {
 // sharing one system, so the scratch must never live on shared
 // structure.
 func (s *System) effectiveCharges(prm Params, buf []float64) []float64 {
-	if prm.PH <= 0 || len(s.Top.Titratable) == 0 {
+	if !s.Top.titrates(prm) {
 		return nil
 	}
 	buf = append(buf[:0], s.nb.charge...)
@@ -66,9 +66,13 @@ func (s *System) effectiveCharges(prm Params, buf []float64) []float64 {
 	return buf
 }
 
+// titrates reports whether titration applies under prm: the topology
+// has titratable sites and prm sets a pH (a NaN pH counts as set).
+func (t *Topology) titrates(prm Params) bool { return !(prm.PH <= 0 || len(t.Titratable) == 0) }
+
 // titrationEnergy sums the sites' protonation self free energies.
 func (t *Topology) titrationEnergy(prm Params) float64 {
-	if prm.PH <= 0 || len(t.Titratable) == 0 {
+	if !t.titrates(prm) {
 		return 0
 	}
 	e := 0.0

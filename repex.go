@@ -34,6 +34,7 @@ package repex
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
@@ -244,16 +245,33 @@ func RunLocalWith(spec *Spec, eng Engine, workers int) (*Report, error) {
 // NewDipeptideEngine builds a real-execution engine adapter around the
 // built-in alanine dipeptide model. Flavor is "amber" or "namd", a
 // label: the engine's Name is "<flavor>-real" and nothing else depends
-// on it.
+// on it. Every engine shares one system and minimised base state, built
+// at the first call.
 func NewDipeptideEngine(flavor string, seed int64) (*engines.Real, error) {
-	top, st := md.BuildAlanineDipeptide()
-	sys, err := md.NewSystem(top, md.Box{}, 0)
+	d, err := dipeptide()
 	if err != nil {
 		return nil, err
 	}
-	md.Minimize(sys, st, md.Params{TemperatureK: 300}, 2000, 1e-3)
-	return engines.NewReal(flavor, sys, st, seed)
+	return engines.NewReal(flavor, d.sys, d.base, seed)
 }
+
+// dipeptideModel is the built-in dipeptide's system and its minimised
+// base state. Engines only read both, so one per process serves them all.
+type dipeptideModel struct {
+	sys  *md.System
+	base *md.State
+}
+
+// dipeptide builds the model once per process.
+var dipeptide = sync.OnceValues(func() (dipeptideModel, error) {
+	top, st := md.BuildAlanineDipeptide()
+	sys, err := md.NewSystem(top, md.Box{}, 0)
+	if err != nil {
+		return dipeptideModel{}, err
+	}
+	md.Minimize(sys, st, md.Params{TemperatureK: 300}, 2000, 1e-3)
+	return dipeptideModel{sys: sys, base: st}, nil
+})
 
 // VirtualEngineKind selects a cost-model adapter for virtual runs.
 type VirtualEngineKind string
