@@ -72,12 +72,69 @@ func TestKernelAllocations(t *testing.T) {
 
 	// Forces, trial state, and the trial state's two scratch slices.
 	const minimizeAllocs = 5
+	var m Minimizer
 	for _, iters := range []int{1, 10, 100} {
 		_, start, _ := everyParam(t)
 		check("Minimize", minimizeAllocs, func() {
 			copy(st.Pos, start.Pos)
 			Minimize(sys, st, prm, iters, 0)
 		})
+		check("Minimizer.Minimize, reused", 0, func() {
+			copy(st.Pos, start.Pos)
+			m.Minimize(sys, st, prm, iters, 0)
+		})
+	}
+}
+
+// TestSamePotential: parameter sets share a potential when salt, pH and
+// restraints agree, whatever their temperatures, unless the system
+// titrates under them; and sets that SamePotential matches minimise to
+// the same positions bit for bit.
+func TestSamePotential(t *testing.T) {
+	sys, st, prm := everyParam(t)
+	top, _ := BuildAlanineDipeptide()
+	plain := MustNewSystem(top, Box{}, 0)
+	hot := prm.Clone()
+	hot.TemperatureK = 350
+	noPH := prm.Clone()
+	noPH.PH = 0
+	hotNoPH := noPH.Clone()
+	hotNoPH.TemperatureK = 350
+	moved := prm.Clone()
+	moved.Restraints[0].Center += 0.1
+	salty := prm.Clone()
+	salty.SaltM = 0.5
+	acid := prm.Clone()
+	acid.PH = 4
+	for _, c := range []struct {
+		name string
+		sys  *System
+		a, b Params
+		want bool
+	}{
+		{"same", sys, prm, prm.Clone(), true},
+		{"temperature, titrating", sys, prm, hot, false},
+		{"temperature, no pH", sys, noPH, hotNoPH, true},
+		{"temperature, no titratable sites", plain, prm, hot, true},
+		{"restraint centre", sys, prm, moved, false},
+		{"salt", sys, prm, salty, false},
+		{"pH", sys, prm, acid, false},
+		{"pH, no titratable sites", plain, prm, acid, false},
+	} {
+		if got := c.sys.SamePotential(c.a, c.b); got != c.want {
+			t.Errorf("%s: SamePotential = %v, want %v", c.name, got, c.want)
+		}
+	}
+	minimised := func(p Params) []Vec3 {
+		s := st.Clone()
+		Minimize(sys, s, p, 100, 1e-2)
+		return s.Pos
+	}
+	a, b := minimised(noPH), minimised(hotNoPH)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("atom %d minimised to %v at %g K and %v at %g K", i, a[i], noPH.TemperatureK, b[i], hotNoPH.TemperatureK)
+		}
 	}
 }
 
