@@ -284,7 +284,7 @@ func (pl *Pilot) expire(err error) {
 	}
 	pl.expired = true
 	pl.expireErr = err
-	pl.expiry.Complete(err)
+	pl.expiry.Complete()
 	for u := pl.oldest; u != nil; u = u.newer {
 		u.interrupt(err)
 	}
@@ -389,7 +389,7 @@ func (s *pilotProc) Step(p *sim.Proc) {
 			return
 		}
 		pl.record(task.ResourceLaunch, pl.desc.Cores, 0)
-		pl.active.Complete(nil)
+		pl.active.Complete()
 		if s.d <= 0 {
 			break
 		}
@@ -532,14 +532,14 @@ func (pl *Pilot) failUnit(u *Unit, err error) {
 	if errors.Is(err, task.ErrResourceLost) {
 		pl.unitsExpired++
 	}
-	pl.finishUnit(u, err)
+	pl.finishUnit(u)
 }
 
 // finishUnit stamps the finish time, fires the unit's completion and
 // stream callback, and ends its process.
-func (pl *Pilot) finishUnit(u *Unit, err error) {
+func (pl *Pilot) finishUnit(u *Unit) {
 	u.res.Finished = pl.env.Now()
-	u.done.Complete(err)
+	u.done.Complete()
 	if u.rt != nil {
 		u.rt.unitDone(u)
 	}
@@ -761,7 +761,7 @@ func (u *Unit) step(p *sim.Proc) {
 			u.res.StageOut = u.staging.Elapsed()
 			u.state = StateDone
 			pl.unitsDone++
-			pl.finishUnit(u, nil)
+			pl.finishUnit(u)
 			return
 		}
 	}

@@ -144,7 +144,7 @@ func orderScenario() []string {
 			p.WakeIn(4)
 			return
 		}
-		ready.Complete(nil)
+		ready.Complete()
 		p.Exit()
 	})
 

@@ -902,13 +902,12 @@ func (r *Resource) SetCapacity(n int) {
 // ---------------------------------------------------------------------------
 // Completion: one-shot latch usable as a future.
 
-// Completion is a one-shot event that processes can wait on; it carries an
-// optional error value. It is the DES analogue of a future/promise. It
-// owns its signal, so it can be embedded by value and bound with Init.
+// Completion is a one-shot event that processes can wait on, the DES
+// analogue of a future. It owns its signal, so it can be embedded by
+// value and bound with Init.
 type Completion struct {
 	sig  Signal
 	done bool
-	err  error
 }
 
 // Init binds a zero Completion (a struct field, say) to env.
@@ -917,17 +916,13 @@ func (c *Completion) Init(env *Env) { c.sig.env = env }
 // Done reports whether the completion fired.
 func (c *Completion) Done() bool { return c.done }
 
-// Err returns the error recorded at completion (nil before completion).
-func (c *Completion) Err() error { return c.err }
-
 // Complete fires the completion, waking all waiters. Completing twice
 // panics: it indicates a lifecycle bug in the caller.
-func (c *Completion) Complete(err error) {
+func (c *Completion) Complete() {
 	if c.done {
 		panic("sim: Completion fired twice")
 	}
 	c.done = true
-	c.err = err
 	c.sig.Broadcast()
 }
 
@@ -936,10 +931,9 @@ func (c *Completion) Complete(err error) {
 // completion must not have fired yet: check Done first.
 func (c *Completion) Enrol(p *Proc) { c.sig.Enrol(p) }
 
-// Await blocks until the completion fires and returns its error.
-func (c *Completion) Await(p *Proc) error {
+// Await blocks until the completion fires.
+func (c *Completion) Await(p *Proc) {
 	for !c.done {
 		c.sig.Wait(p)
 	}
-	return c.err
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -362,21 +361,16 @@ func TestResourceBusyIntegral(t *testing.T) {
 func TestCompletionAwait(t *testing.T) {
 	e := NewEnv()
 	c := NewCompletion(e)
-	errBoom := errors.New("boom")
-	var got error
 	var at float64
 	e.Go("waiter", func(p *Proc) {
-		got = c.Await(p)
+		c.Await(p)
 		at = p.Now()
 	})
 	e.Go("worker", func(p *Proc) {
 		p.Sleep(4)
-		c.Complete(errBoom)
+		c.Complete()
 	})
 	e.Run()
-	if got != errBoom {
-		t.Fatalf("err = %v, want boom", got)
-	}
 	if at != 4 {
 		t.Fatalf("completed at %v, want 4", at)
 	}
@@ -386,12 +380,10 @@ func TestCompletionAwaitAlreadyDone(t *testing.T) {
 	e := NewEnv()
 	c := NewCompletion(e)
 	var at float64
-	e.Go("worker", func(p *Proc) { c.Complete(nil) })
+	e.Go("worker", func(p *Proc) { c.Complete() })
 	e.Go("late", func(p *Proc) {
 		p.Sleep(9)
-		if err := c.Await(p); err != nil {
-			t.Errorf("err = %v, want nil", err)
-		}
+		c.Await(p)
 		at = p.Now()
 	})
 	e.Run()
@@ -404,13 +396,13 @@ func TestCompletionDoubleCompletePanics(t *testing.T) {
 	e := NewEnv()
 	c := NewCompletion(e)
 	e.Go("p", func(p *Proc) {
-		c.Complete(nil)
+		c.Complete()
 		defer func() {
 			if recover() == nil {
 				t.Error("double Complete did not panic")
 			}
 		}()
-		c.Complete(nil)
+		c.Complete()
 	})
 	e.Run()
 }
@@ -422,7 +414,7 @@ func TestCompletionAwaitTimeout(t *testing.T) {
 	e.Go("w", func(p *Proc) { ok = c.AwaitTimeout(p, 3) })
 	e.Go("worker", func(p *Proc) {
 		p.Sleep(10)
-		c.Complete(nil)
+		c.Complete()
 	})
 	e.Run()
 	if ok {
@@ -658,21 +650,19 @@ func TestSteppedCompletionEnrol(t *testing.T) {
 	e := NewEnv()
 	var c Completion
 	c.Init(e)
-	boom := errors.New("boom")
-	var got error
-	var at float64
+	at := -1.0
 	spawn(e, "waiter", func(p *Proc, wake int) {
 		if !c.Done() {
 			c.Enrol(p)
 			return
 		}
-		got, at = c.Err(), p.Now()
+		at = p.Now()
 		p.Exit()
 	})
-	e.Go("firer", func(p *Proc) { p.Sleep(4); c.Complete(boom) })
+	e.Go("firer", func(p *Proc) { p.Sleep(4); c.Complete() })
 	e.Run()
-	if got != boom || at != 4 {
-		t.Fatalf("waiter saw err %v at %v, want boom at 4", got, at)
+	if at != 4 {
+		t.Fatalf("waiter saw the completion at %v, want 4", at)
 	}
 }
 

@@ -49,7 +49,6 @@ var unreached = map[string]string{
 	"pilot.Runtime.RecentLoad":           "the multi-pilot churn test's routing invariant",
 	"pilot.Unit.Done":                    "task.Handle's Done: TestRuntimeContract and the pilot lifecycle tests check a finished unit through it",
 	"pilot.Unit.State":                   "lifecycle.golden hashes every unit's final state through it",
-	"sim.Completion.Err":                 "pilot tests check that a pilot's activation carries no error",
 	"sim.Env.Live":                       "kernel tests check that every process ended",
 	"sim.Env.SetTrace":                   "records the wake order order.golden and delay_order.golden pin",
 	"sim.Resource.Available":             "resource tests' observer",
