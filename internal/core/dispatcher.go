@@ -380,6 +380,7 @@ func (d *dispatcher) launch(f *mdFlight) {
 // here, or delivered again after its segment ended) is a runtime fault
 // and fails the run.
 func (d *dispatcher) take(h task.Handle) (*mdFlight, error) {
+	d.checkInvariants()
 	res := h.Result()
 	if res.Spec == nil || uint(res.Spec.ReplicaID) >= uint(len(d.flights)) ||
 		d.flights[res.Spec.ReplicaID].h != h {
@@ -540,6 +541,7 @@ func (d *dispatcher) fire() error {
 	// Cancellation is honoured only at fired boundaries: after a no-op
 	// fire, ready-but-unexchanged replicas would not be reconstructible
 	// from a snapshot, so the run keeps going to the next real event.
+	d.checkInvariants()
 	if d.ctx.Err() != nil {
 		return d.cancel()
 	}
