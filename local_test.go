@@ -1,7 +1,9 @@
 package repex
 
 import (
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -9,20 +11,20 @@ import (
 	"repro/internal/md"
 )
 
-// TestDipeptideEnginesShareAnUntouchedBase: engines built back to back
-// share the process's one dipeptide system and base state, run a spec
-// to the same slots and energies bit for bit, and leave the base state
-// as a fresh build minimises it (an engine that wrote into the shared
-// positions, or evaluated forces on them, would show here or in the
-// second run).
+// TestDipeptideEnginesShareAnUntouchedBase: engines built back to back,
+// and two more running at once, share the process's one dipeptide
+// system and base state, run a spec to the same slots and energies bit
+// for bit, and leave the base state as a fresh build minimises it (an
+// engine that wrote into the shared positions, or evaluated forces on
+// them, would show here, in a later run, or under -race).
 func TestDipeptideEnginesShareAnUntouchedBase(t *testing.T) {
-	run := func() (*core.Simulation, *Report) {
+	run := func() (*core.Simulation, *Report, error) {
 		eng, err := NewDipeptideEngine("amber", 5)
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		if d, _ := dipeptide(); eng.System() != d.sys {
-			t.Fatal("the engine does not share the process's dipeptide system")
+			return nil, nil, errors.New("the engine does not share the process's dipeptide system")
 		}
 		spec := &Spec{
 			Name: "shared-base",
@@ -38,22 +40,36 @@ func TestDipeptideEnginesShareAnUntouchedBase(t *testing.T) {
 		}
 		simu, err := core.New(spec, eng, localexec.New(2))
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		rep, err := simu.Run()
-		if err != nil {
-			t.Fatal(err)
+		return simu, rep, err
+	}
+	sims := make([]*core.Simulation, 4)
+	reps := make([]*Report, 4)
+	errs := make([]error, 4)
+	sims[0], reps[0], errs[0] = run()
+	sims[1], reps[1], errs[1] = run()
+	var wg sync.WaitGroup
+	for k := 2; k < 4; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sims[k], reps[k], errs[k] = run()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < 4; k++ {
+		if reps[k].SlotFingerprint != reps[0].SlotFingerprint {
+			t.Errorf("run %d: slot fingerprint %016x, the first run's %016x", k, reps[k].SlotFingerprint, reps[0].SlotFingerprint)
 		}
-		return simu, rep
-	}
-	s1, r1 := run()
-	s2, r2 := run()
-	if r1.SlotFingerprint != r2.SlotFingerprint {
-		t.Errorf("slot fingerprints %016x and %016x", r1.SlotFingerprint, r2.SlotFingerprint)
-	}
-	for i, a := range s1.Replicas() {
-		if b := s2.Replicas()[i]; math.Float64bits(a.Energy) != math.Float64bits(b.Energy) || a.Slot != b.Slot {
-			t.Errorf("replica %d: energy %v slot %d, then %v slot %d", i, a.Energy, a.Slot, b.Energy, b.Slot)
+		for i, a := range sims[0].Replicas() {
+			if b := sims[k].Replicas()[i]; math.Float64bits(a.Energy) != math.Float64bits(b.Energy) || a.Slot != b.Slot {
+				t.Errorf("run %d replica %d: energy %v slot %d, the first run's %v slot %d", k, i, b.Energy, b.Slot, a.Energy, a.Slot)
+			}
 		}
 	}
 	top, want := md.BuildAlanineDipeptide()
