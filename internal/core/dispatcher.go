@@ -538,10 +538,10 @@ func (d *dispatcher) fire() error {
 	if err != nil {
 		return err
 	}
+	d.checkInvariants()
 	// Cancellation is honoured only at fired boundaries: after a no-op
 	// fire, ready-but-unexchanged replicas would not be reconstructible
 	// from a snapshot, so the run keeps going to the next real event.
-	d.checkInvariants()
 	if d.ctx.Err() != nil {
 		return d.cancel()
 	}
