@@ -30,8 +30,6 @@ func main() {
 	opts := bench.ValidationOptions{
 		TWindows:      *tw,
 		UWindows:      *uw,
-		TLow:          273,
-		THigh:         373,
 		StepsPerCycle: *steps,
 		Cycles:        *cycles,
 		Bins:          *bins,

@@ -88,7 +88,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := setupLogging(*logLevel); err != nil {
+	if err := serve.SetupLogging(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "repex:", err)
 		os.Exit(2)
 	}
@@ -96,18 +96,6 @@ func main() {
 		slog.Error("run failed", "error", err)
 		os.Exit(1)
 	}
-}
-
-// setupLogging installs the process-wide structured logger: key=value
-// text lines on stderr, filtered at the given level.
-func setupLogging(level string) error {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("-log-level %q: want debug, info, warn or error", level)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr,
-		&slog.HandlerOptions{Level: lv})))
-	return nil
 }
 
 // run is a one-run client of the lifecycle object repexd hosts: the two
@@ -171,12 +159,13 @@ func run(ctx context.Context, simPath, resPath, resumePath, ckptPath string, ckp
 		if simFile.Serve != nil && simFile.Serve.Pprof {
 			server.EnablePprof()
 		}
-		addr, err := server.Start(listen)
+		srv, lis, err := serve.Listen(listen, server.Handler())
 		if err != nil {
 			return nil, err
 		}
-		defer server.Close()
-		fmt.Printf("status server listening on http://%s (/status /stats /metrics /healthz /trace)\n", addr)
+		go func() { _ = srv.Serve(lis) }()
+		defer srv.Close()
+		fmt.Printf("status server listening on http://%s (/status /stats /metrics /healthz /trace)\n", lis.Addr())
 	}
 
 	r.Start(slog.Default())

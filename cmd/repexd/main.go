@@ -39,8 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -57,7 +55,7 @@ func main() {
 	maxRuns := flag.Int("max-runs", -1, "concurrently active run bound, 0 unbounded (overrides the config file)")
 	logLevel := flag.String("log-level", "info", "stderr log threshold: debug, info, warn or error")
 	flag.Parse()
-	if err := setupLogging(*logLevel); err != nil {
+	if err := serve.SetupLogging(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "repexd:", err)
 		os.Exit(2)
 	}
@@ -65,18 +63,6 @@ func main() {
 		slog.Error("daemon failed", "error", err)
 		os.Exit(1)
 	}
-}
-
-// setupLogging installs the process-wide structured logger: key=value
-// text lines on stderr, filtered at the given level.
-func setupLogging(level string) error {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("-log-level %q: want debug, info, warn or error", level)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr,
-		&slog.HandlerOptions{Level: lv})))
-	return nil
 }
 
 func run(cfgPath, listen string, totalCores, maxRuns int) error {
@@ -110,14 +96,9 @@ func run(cfgPath, listen string, totalCores, maxRuns int) error {
 		reg.EnablePprof()
 		slog.Warn("pprof endpoints enabled under /debug/pprof/; keep the listener trusted")
 	}
-	lis, err := net.Listen("tcp", d.Listen)
+	srv, lis, err := serve.Listen(d.Listen, reg.Handler())
 	if err != nil {
 		return err
-	}
-	srv := &http.Server{
-		Handler:           reg.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(lis) }()

@@ -58,11 +58,13 @@ func main() {
 	// Port 0 picks a free port. The handlers run concurrently with the
 	// simulation; the Server reads only the collector and the run's
 	// mutex-guarded status.
-	addr, err := run.Server().Start("127.0.0.1:0")
+	srv, lis, err := serve.Listen("127.0.0.1:0", run.Server().Handler())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer run.Server().Close()
+	go func() { _ = srv.Serve(lis) }()
+	defer srv.Close()
+	addr := lis.Addr().String()
 	fmt.Printf("serving on http://%s\n\n", addr)
 
 	// Run in virtual time: weeks of SuperMIC time in milliseconds.

@@ -9,6 +9,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/cluster"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
+	"repro/internal/localexec"
 	"repro/internal/pilot"
 	"repro/internal/sim"
 )
@@ -160,6 +162,19 @@ func Run(p RunParams) (*core.Report, error) {
 		return nil, fmt.Errorf("bench: simulation %q produced no report", p.Spec.Name)
 	}
 	return report, nil
+}
+
+// RunLocal executes the spec with eng on local goroutines, bounded by
+// workers cores (0 or less: GOMAXPROCS). Real MD runs here.
+func RunLocal(spec *core.Spec, eng core.Engine, workers int) (*core.Report, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	simu, err := core.New(spec, eng, localexec.New(workers))
+	if err != nil {
+		return nil, err
+	}
+	return simu.Run()
 }
 
 // pilotCores is slot i's share of the run's cores: PilotCores split

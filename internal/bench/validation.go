@@ -2,13 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
-	"repro/internal/localexec"
-	"repro/internal/md"
 	"repro/internal/stats"
 )
 
@@ -20,8 +17,6 @@ import (
 type ValidationOptions struct {
 	// TWindows, UWindows give the grid (T x U x U).
 	TWindows, UWindows int
-	// TLow, THigh bound the geometric temperature ladder.
-	TLow, THigh float64
 	// StepsPerCycle and Cycles control sampling depth.
 	StepsPerCycle, Cycles int
 	// Bins is the FES grid resolution per axis.
@@ -31,14 +26,16 @@ type ValidationOptions struct {
 	Seed    int64
 }
 
+// The validation's geometric temperature ladder spans the paper's
+// 273-373 K.
+const validationTMin, validationTMax = 273, 373
+
 // DefaultValidationOptions returns a reduced but structurally faithful
 // Figure 4 protocol.
 func DefaultValidationOptions() ValidationOptions {
 	return ValidationOptions{
 		TWindows:      3,
 		UWindows:      6,
-		TLow:          273,
-		THigh:         373,
 		StepsPerCycle: 400,
 		Cycles:        3,
 		Bins:          24,
@@ -64,20 +61,16 @@ func Fig4Validation(opts ValidationOptions) (*ValidationResult, *Table, error) {
 	if opts.TWindows <= 0 || opts.UWindows <= 1 || opts.Bins < 1 {
 		return nil, nil, fmt.Errorf("bench: validation needs >=1 T window, >=2 U windows and >=1 FES bin per axis")
 	}
-	top, st := md.BuildAlanineDipeptide()
-	sys, err := md.NewSystem(top, md.Box{}, 0)
+	eng, err := engines.NewDipeptide("amber", opts.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	prm := md.Params{TemperatureK: 300}
-	md.Minimize(sys, st, prm, 2000, 1e-3)
-	eng := engines.MustNewReal("amber", sys, st, opts.Seed)
 	eng.SampleEvery = 10
 
 	spec := &core.Spec{
 		Name: "fig4-validation",
 		Dims: []core.Dimension{
-			{Type: exchange.Temperature, Values: core.GeometricTemperatures(opts.TLow, opts.THigh, opts.TWindows)},
+			{Type: exchange.Temperature, Values: core.GeometricTemperatures(validationTMin, validationTMax, opts.TWindows)},
 			{Type: exchange.Umbrella, Values: core.UniformWindows(opts.UWindows), Torsion: "phi", K: core.UmbrellaK002},
 			{Type: exchange.Umbrella, Values: core.UniformWindows(opts.UWindows), Torsion: "psi", K: core.UmbrellaK002},
 		},
@@ -87,16 +80,7 @@ func Fig4Validation(opts ValidationOptions) (*ValidationResult, *Table, error) {
 		Cycles:          opts.Cycles,
 		Seed:            opts.Seed,
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rt := localexec.New(workers)
-	simu, err := core.New(spec, eng, rt)
-	if err != nil {
-		return nil, nil, err
-	}
-	report, err := simu.Run()
+	report, err := RunLocal(spec, eng, opts.Workers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -359,63 +359,68 @@ func (s *Simulation) ToSpec() (*core.Spec, error) {
 
 // perDimTargets resolves the per-dimension-code map against the actual
 // exchange dimensions: a code's target applies to every dimension of
-// that type. Unknown codes and out-of-range ratios are configuration
-// errors — a silently ignored target would leave the user believing a
-// ladder is under acceptance control when it is not.
+// that type. Out-of-range ratios are configuration errors, and so are
+// codes dimsOf refuses.
 func (t TargetAcceptance) perDimTargets(dims []core.Dimension) ([]float64, error) {
 	if len(t.PerDim) == 0 {
 		return nil, nil
 	}
 	targets := make([]float64, len(dims))
 	for code, v := range t.PerDim {
-		typ, err := exchange.ParseType(code)
+		idx, err := dimsOf(code, dims, "target_acceptance", "key")
 		if err != nil {
-			return nil, fmt.Errorf("config: target_acceptance key %q is not a dimension code: %v", code, err)
+			return nil, err
 		}
 		if v <= 0 || v >= 1 {
 			return nil, fmt.Errorf("config: target_acceptance[%q] = %g outside (0, 1)", code, v)
 		}
-		matched := false
-		for i, d := range dims {
-			if d.Type == typ {
-				targets[i] = v
-				matched = true
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("config: target_acceptance names dimension code %q, but the simulation has no %s dimension",
-				code, typ)
+		for _, i := range idx {
+			targets[i] = v
 		}
 	}
 	return targets, nil
 }
 
 // skipDims resolves the skip_dims code list against the actual exchange
-// dimensions, mirroring perDimTargets: a code opts out every dimension
-// of its type, and unknown or unmatched codes are configuration errors.
+// dimensions: a code opts out every dimension of its type.
 func (r *RespaceConfig) skipDims(dims []core.Dimension) ([]bool, error) {
 	if len(r.SkipDims) == 0 {
 		return nil, nil
 	}
 	disabled := make([]bool, len(dims))
 	for _, code := range r.SkipDims {
-		typ, err := exchange.ParseType(code)
+		idx, err := dimsOf(code, dims, "respace skip_dims", "entry")
 		if err != nil {
-			return nil, fmt.Errorf("config: respace skip_dims entry %q is not a dimension code: %v", code, err)
+			return nil, err
 		}
-		matched := false
-		for i, d := range dims {
-			if d.Type == typ {
-				disabled[i] = true
-				matched = true
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("config: respace skip_dims names dimension code %q, but the simulation has no %s dimension",
-				code, typ)
+		for _, i := range idx {
+			disabled[i] = true
 		}
 	}
 	return disabled, nil
+}
+
+// dimsOf resolves a dimension code from the file's field (its item
+// names one entry in the errors) to the indices of every dimension of
+// that type. Unknown codes and codes no dimension has are configuration
+// errors: a silently ignored code would leave the user believing a
+// ladder is covered when it is not.
+func dimsOf(code string, dims []core.Dimension, field, item string) ([]int, error) {
+	typ, err := exchange.ParseType(code)
+	if err != nil {
+		return nil, fmt.Errorf("config: %s %s %q is not a dimension code: %v", field, item, code, err)
+	}
+	var idx []int
+	for i, d := range dims {
+		if d.Type == typ {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return nil, fmt.Errorf("config: %s names dimension code %q, but the simulation has no %s dimension",
+			field, code, typ)
+	}
+	return idx, nil
 }
 
 func (d Dim) toDimension() (core.Dimension, error) {
@@ -461,11 +466,10 @@ func (d Dim) toDimension() (core.Dimension, error) {
 	dim := core.Dimension{Type: t, Values: values}
 	if t == exchange.Umbrella {
 		dim.Torsion = d.Torsion
-		k := d.KDeg2
-		if k == 0 {
-			k = 0.02 // the paper's force constant
+		dim.K = core.UmbrellaK002
+		if d.KDeg2 != 0 {
+			dim.K = d.KDeg2 * (180 / 3.141592653589793) * (180 / 3.141592653589793)
 		}
-		dim.K = k * (180 / 3.141592653589793) * (180 / 3.141592653589793)
 	}
 	return dim, nil
 }

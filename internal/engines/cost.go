@@ -39,6 +39,7 @@ const (
 	NAMDSecsPerAtomStep = 2.35e-5
 	// SPESecsPerAtom is the cost of one Amber single-point energy task
 	// (group-file run) including program startup; ~25 s at 2881 atoms.
+	// Every cost model's single-point tasks take it.
 	SPESecsPerAtom = 8.68e-3
 	// SPEWidth is the core width of one single-point task: "at least as
 	// many CPU cores as there are potential exchange partners" — the
@@ -57,8 +58,6 @@ type CostModel struct {
 	// ExchangeSeconds returns the duration of the single
 	// exchange-computation task for a dimension type over n replicas.
 	ExchangeSeconds func(t exchange.Type, n int) float64
-	// SPESeconds returns the duration of one single-point energy task.
-	SPESeconds func(natoms int) float64
 	// Staging volumes per MD task, by exchange type: the paper's
 	// Figure 5 shows data time ordered T < U < S because the file sets
 	// differ per exchange type (restraint files for U, group files for
@@ -78,12 +77,9 @@ func SanderModel() CostModel {
 			return SanderSecsPerAtomStep * float64(natoms) * float64(steps)
 		},
 		ExchangeSeconds: exchangeSecondsAmber,
-		SPESeconds: func(natoms int) float64 {
-			return SPESecsPerAtom * float64(natoms)
-		},
-		MDInFiles:   amberInFiles,
-		MDOutFiles:  amberOutFiles,
-		MDFileBytes: 16 << 10,
+		MDInFiles:       amberInFiles,
+		MDOutFiles:      amberOutFiles,
+		MDFileBytes:     16 << 10,
 	}
 }
 
@@ -106,12 +102,9 @@ func PmemdModel() CostModel {
 			return serial*((1-f)+f/p) + comm
 		},
 		ExchangeSeconds: exchangeSecondsAmber,
-		SPESeconds: func(natoms int) float64 {
-			return SPESecsPerAtom * float64(natoms)
-		},
-		MDInFiles:   amberInFiles,
-		MDOutFiles:  amberOutFiles,
-		MDFileBytes: 16 << 10,
+		MDInFiles:       amberInFiles,
+		MDOutFiles:      amberOutFiles,
+		MDFileBytes:     16 << 10,
 	}
 }
 
@@ -130,9 +123,6 @@ func NAMDModel() CostModel {
 		// linear + square-root model reproduces that shape.
 		ExchangeSeconds: func(t exchange.Type, n int) float64 {
 			return 0.3 + 0.002*float64(n) + 0.6*math.Sqrt(float64(n))
-		},
-		SPESeconds: func(natoms int) float64 {
-			return SPESecsPerAtom * float64(natoms)
 		},
 		MDInFiles:   func(t exchange.Type) int { return 1 },
 		MDOutFiles:  func(t exchange.Type) int { return 3 },

@@ -334,7 +334,7 @@ func TestRealEngineFlavors(t *testing.T) {
 // next segment; at an unchanged temperature it leaves them alone.
 func TestMDTaskRescalesVelocities(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
-	e := MustNewReal("amber", md.MustNewSystem(top, md.Box{}, 0), st, 42)
+	e := mustNewReal("amber", md.MustNewSystem(top, md.Box{}, 0), st, 42)
 	spec := &core.Spec{
 		Name:            "rescale",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},
@@ -373,7 +373,7 @@ func TestRealEngineMDTaskRuns(t *testing.T) {
 	sys := md.MustNewSystem(top, md.Box{}, 0)
 	prm := md.Params{TemperatureK: 300}
 	md.Minimize(sys, st, prm, 500, 1e-2)
-	e := MustNewReal("amber", sys, st, 42)
+	e := mustNewReal("amber", sys, st, 42)
 	spec := &core.Spec{
 		Name:            "real",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},
@@ -418,7 +418,7 @@ func TestRealEngineMDTaskRuns(t *testing.T) {
 func TestRealEngineNAMDInputRoundTrip(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
-	e := MustNewReal("namd", sys, st, 42)
+	e := mustNewReal("namd", sys, st, 42)
 	spec := &core.Spec{
 		Name:            "real-namd",
 		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{300}}},
@@ -437,7 +437,7 @@ func TestRealEngineNAMDInputRoundTrip(t *testing.T) {
 func TestRealEngineTorsionIndex(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
-	e := MustNewReal("amber", sys, st, 1)
+	e := mustNewReal("amber", sys, st, 1)
 	if e.TorsionIndex("phi") != top.FindDihedral("phi") {
 		t.Fatal("torsion index mismatch")
 	}

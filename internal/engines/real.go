@@ -99,14 +99,34 @@ func NewReal(flavor string, sys *md.System, base *md.State, seed int64) (*Real, 
 	}, nil
 }
 
-// MustNewReal is NewReal but panics on error.
-func MustNewReal(flavor string, sys *md.System, base *md.State, seed int64) *Real {
-	e, err := NewReal(flavor, sys, base, seed)
+// NewDipeptide builds a real engine around the built-in alanine
+// dipeptide model. Flavor is as for NewReal. Every engine shares one
+// system and minimised base state, built at the first call.
+func NewDipeptide(flavor string, seed int64) (*Real, error) {
+	d, err := dipeptide()
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return e
+	return NewReal(flavor, d.sys, d.base, seed)
 }
+
+// dipeptideModel is the built-in dipeptide's system and its minimised
+// base state. Engines only read both, so one per process serves them all.
+type dipeptideModel struct {
+	sys  *md.System
+	base *md.State
+}
+
+// dipeptide builds the model once per process.
+var dipeptide = sync.OnceValues(func() (dipeptideModel, error) {
+	top, st := md.BuildAlanineDipeptide()
+	sys, err := md.NewSystem(top, md.Box{}, 0)
+	if err != nil {
+		return dipeptideModel{}, err
+	}
+	md.Minimize(sys, st, md.Params{TemperatureK: 300}, 2000, 1e-3)
+	return dipeptideModel{sys: sys, base: st}, nil
+})
 
 // Name returns the adapter name.
 func (e *Real) Name() string { return e.name }

@@ -32,7 +32,7 @@ func realRunFingerprint(t *testing.T) []string {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
 	md.Minimize(sys, st, md.Params{TemperatureK: 300}, 500, 1e-3)
-	eng := MustNewReal("amber", sys, st, 7)
+	eng := mustNewReal("amber", sys, st, 7)
 	spec := &core.Spec{
 		Name: "real-golden",
 		Dims: []core.Dimension{
@@ -136,7 +136,7 @@ func TestRealRunGolden(t *testing.T) {
 func TestRealSegmentAllocatesNothing(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
-	e := MustNewReal("amber", sys, st, 3)
+	e := mustNewReal("amber", sys, st, 3)
 	spec := &core.Spec{
 		Name: "real-allocs",
 		Dims: []core.Dimension{
@@ -190,7 +190,7 @@ func TestRealRunAllocationsPerSegment(t *testing.T) {
 				Cycles:          cycles,
 				Seed:            1,
 			}
-			simu, err := core.New(spec, MustNewReal("amber", sys, st, 1), localexec.New(2))
+			simu, err := core.New(spec, mustNewReal("amber", sys, st, 1), localexec.New(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestRealWindowsOwnTheirArrays(t *testing.T) {
 	top, st := md.BuildAlanineDipeptide()
 	sys := md.MustNewSystem(top, md.Box{}, 0)
 	windows := func(cycles int) [2]md.Trajectory {
-		e := MustNewReal("amber", sys, st, 5)
+		e := mustNewReal("amber", sys, st, 5)
 		spec := &core.Spec{
 			Name:            "real-windows",
 			Dims:            []core.Dimension{{Type: exchange.Temperature, Values: []float64{290, 310}}},

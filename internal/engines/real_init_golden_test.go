@@ -61,7 +61,7 @@ func realInitFingerprint(t *testing.T) []string {
 		}
 		sys := md.MustNewSystem(top, md.Box{}, 0)
 		md.Minimize(sys, st, md.Params{TemperatureK: 300}, 500, 1e-3)
-		eng := MustNewReal("amber", sys, st, 11)
+		eng := mustNewReal("amber", sys, st, 11)
 		spec := &core.Spec{
 			Name:            "real-init-" + g.name,
 			Dims:            g.dims,

@@ -264,7 +264,7 @@ func (v *Virtual) SinglePointTasks(dim int, group []*core.Replica, s *core.Spec)
 			Kind:      task.SinglePoint,
 			ReplicaID: r.ID,
 			Cores:     width,
-			Duration:  v.cost.SPESeconds(v.natoms),
+			Duration:  SPESecsPerAtom * float64(v.natoms),
 			InFiles:   2,
 			InBytes:   v.cost.MDFileBytes,
 			OutFiles:  1,

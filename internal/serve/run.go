@@ -224,7 +224,7 @@ func (r *Run) Spec() *core.Spec { return r.params.Spec }
 // Collector returns the run's collector, nil for a bus-free run.
 func (r *Run) Collector() *analysis.Collector { return r.col }
 
-// Server returns the run's endpoints; Start a listener on it to serve.
+// Server returns the run's endpoints; Listen serves its Handler.
 func (r *Run) Server() *Server { return r.srv }
 
 // baseStatus is the run's status-source for its Server: the static

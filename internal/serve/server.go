@@ -32,9 +32,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"slices"
 	"strconv"
 	"sync"
@@ -131,8 +133,6 @@ type Server struct {
 	// Server never builds one.
 	muxOnce sync.Once
 	mux     *http.ServeMux
-	lis     net.Listener
-	srv     *http.Server
 }
 
 // New builds a server over a collector and a status source. Either may
@@ -166,12 +166,12 @@ func (s *Server) Handler() http.Handler { return s.routes() }
 func (s *Server) SetRunLabel(id string) { s.runLabel = "{run=" + strconv.Quote(id) }
 
 // SetTracer attaches the run's flight recorder, enabling GET /trace and
-// the repex_trace_* metric counters. Call before Start.
+// the repex_trace_* metric counters. Call before serving.
 func (s *Server) SetTracer(rec *trace.Recorder) { s.tracer = rec }
 
 // EnablePprof mounts the net/http/pprof handlers under /debug/pprof/.
 // Opt-in only (see the package comment's security note); call before
-// Start.
+// serving.
 func (s *Server) EnablePprof() { mountPprof(s.routes()) }
 
 // mountPprof registers the pprof handlers on a non-default mux.
@@ -183,31 +183,34 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// Start listens on addr (host:port; port 0 picks a free one) and serves
-// in a background goroutine. It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
+// Listen binds addr (host:port; port 0 picks a free one) and returns
+// the server for h with the listener it is to serve: the caller runs
+// srv.Serve(lis) and closes srv. The port stays open for the whole
+// (possibly multi-day) run, so the server bounds header reads and idle
+// keep-alives: a client trickling bytes must not pin goroutines and fds
+// on the monitoring port.
+func Listen(addr string, h http.Handler) (*http.Server, net.Listener, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("serve: %v", err)
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
-	s.lis = lis
-	// The port stays open for the whole (possibly multi-day) run, so
-	// bound header reads and idle keep-alives: a client trickling bytes
-	// must not pin goroutines and fds on the monitoring port.
-	s.srv = &http.Server{
-		Handler:           s.routes(),
+	srv := &http.Server{
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	go func() { _ = s.srv.Serve(lis) }()
-	return lis.Addr().String(), nil
+	return srv, lis, nil
 }
 
-// Close stops the listener.
-func (s *Server) Close() error {
-	if s.srv != nil {
-		return s.srv.Close()
+// SetupLogging installs the process-wide structured logger of the
+// commands: key=value text lines on stderr, filtered at the given level.
+func SetupLogging(level string) error {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return fmt.Errorf("-log-level %q: want debug, info, warn or error", level)
 	}
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr,
+		&slog.HandlerOptions{Level: lv})))
 	return nil
 }
 

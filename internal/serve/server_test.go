@@ -2,12 +2,14 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -193,20 +195,32 @@ func TestMetricsEndpointWellFormed(t *testing.T) {
 	}
 }
 
-func TestServerStartAndClose(t *testing.T) {
-	s := serve.New(nil, nil)
-	addr, err := s.Start("127.0.0.1:0")
+// TestListen: the server Listen returns serves the handler on the bound
+// port, bounds a slow client's header read at 10 s and an idle
+// keep-alive at 2 min, and stops on Close.
+func TestListen(t *testing.T) {
+	srv, lis, err := serve.Listen("127.0.0.1:0", serve.New(nil, nil).Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	resp, err := http.Get("http://" + addr + "/status")
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("header timeout %v, idle timeout %v, want 10s and 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(lis) }()
+	resp, err := http.Get("http://" + lis.Addr().String() + "/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("nil-source /status returned %d", resp.StatusCode)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v after Close, want http.ErrServerClosed", err)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/md"
 )
 
 func TestMeanStd(t *testing.T) {
@@ -127,8 +129,8 @@ func mcSample(u0 func(phi, psi float64) float64, w UmbrellaWindow, tK float64, n
 	e := u0(phi, psi) + w.biasAt(phi, psi)
 	var phis, psis []float64
 	for i := 0; i < n*10; i++ {
-		np := wrapPi(phi + (rng.Float64() - 0.5))
-		nq := wrapPi(psi + (rng.Float64() - 0.5))
+		np := md.WrapAngle(phi + (rng.Float64() - 0.5))
+		nq := md.WrapAngle(psi + (rng.Float64() - 0.5))
 		ne := u0(np, nq) + w.biasAt(np, nq)
 		if ne <= e || rng.Float64() < math.Exp(-beta*(ne-e)) {
 			phi, psi, e = np, nq, ne
@@ -173,7 +175,7 @@ func TestWHAMRecoversKnownSurface(t *testing.T) {
 	_, i, j := fes.Min()
 	h := NewHist2D(24)
 	phiMin, psiMin := h.BinCenter(i), h.BinCenter(j)
-	if math.Abs(wrapPi(phiMin-0)) > 0.6 || math.Abs(wrapPi(psiMin-1)) > 0.6 {
+	if math.Abs(md.WrapAngle(phiMin-0)) > 0.6 || math.Abs(md.WrapAngle(psiMin-1)) > 0.6 {
 		t.Fatalf("FES minimum at (%.2f, %.2f), want near (0, 1)", phiMin, psiMin)
 	}
 	// Check relative free energies against u0 on well-sampled bins.

@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/md"
 )
 
 // UmbrellaWindow is the sampled data of one umbrella window: harmonic
@@ -26,24 +28,14 @@ func (w UmbrellaWindow) Samples() int {
 func (w UmbrellaWindow) biasAt(phi, psi float64) float64 {
 	e := 0.0
 	if w.KPhi > 0 {
-		d := wrapPi(phi - w.PhiCenter)
+		d := md.WrapAngle(phi - w.PhiCenter)
 		e += w.KPhi * d * d
 	}
 	if w.KPsi > 0 {
-		d := wrapPi(psi - w.PsiCenter)
+		d := md.WrapAngle(psi - w.PsiCenter)
 		e += w.KPsi * d * d
 	}
 	return e
-}
-
-func wrapPi(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
-	if a <= -math.Pi {
-		a += 2 * math.Pi
-	} else if a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	return a
 }
 
 // WHAM2D computes the unbiased 2D free-energy surface from umbrella

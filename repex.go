@@ -33,16 +33,12 @@ package repex
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
-	"repro/internal/localexec"
-	"repro/internal/md"
 )
 
 // Version identifies this reproduction release.
@@ -231,15 +227,7 @@ func RunLocal(spec *Spec, workers int, seed int64) (*Report, error) {
 // RunLocalWith executes the spec with a caller-supplied engine on local
 // goroutines.
 func RunLocalWith(spec *Spec, eng Engine, workers int) (*Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rt := localexec.New(workers)
-	simu, err := core.New(spec, eng, rt)
-	if err != nil {
-		return nil, err
-	}
-	return simu.Run()
+	return bench.RunLocal(spec, eng, workers)
 }
 
 // NewDipeptideEngine builds a real-execution engine adapter around the
@@ -248,30 +236,8 @@ func RunLocalWith(spec *Spec, eng Engine, workers int) (*Report, error) {
 // on it. Every engine shares one system and minimised base state, built
 // at the first call.
 func NewDipeptideEngine(flavor string, seed int64) (*engines.Real, error) {
-	d, err := dipeptide()
-	if err != nil {
-		return nil, err
-	}
-	return engines.NewReal(flavor, d.sys, d.base, seed)
+	return engines.NewDipeptide(flavor, seed)
 }
-
-// dipeptideModel is the built-in dipeptide's system and its minimised
-// base state. Engines only read both, so one per process serves them all.
-type dipeptideModel struct {
-	sys  *md.System
-	base *md.State
-}
-
-// dipeptide builds the model once per process.
-var dipeptide = sync.OnceValues(func() (dipeptideModel, error) {
-	top, st := md.BuildAlanineDipeptide()
-	sys, err := md.NewSystem(top, md.Box{}, 0)
-	if err != nil {
-		return dipeptideModel{}, err
-	}
-	md.Minimize(sys, st, md.Params{TemperatureK: 300}, 2000, 1e-3)
-	return dipeptideModel{sys: sys, base: st}, nil
-})
 
 // VirtualEngineKind selects a cost-model adapter for virtual runs.
 type VirtualEngineKind string

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -204,6 +205,32 @@ func TestExportedOptionFieldsAreSet(t *testing.T) {
 		if !fields[key] {
 			t.Errorf("%s is listed in unsetFields but no longer declared: drop the entry", key)
 		}
+	}
+}
+
+// TestHTTPServerBuiltOnlyByServe fails when non-test code outside
+// internal/serve builds an http.Server: serve.Listen builds the one the
+// commands and examples serve through, with its slow-client bounds, and
+// a server built anywhere else would serve without them. The type is
+// resolved, so an import alias does not hide one.
+func TestHTTPServerBuiltOnlyByServe(t *testing.T) {
+	prog := loadProgram(t)
+	for _, file := range prog.files {
+		if path.Dir(prog.rel(prog.fset.Position(file.Package).Filename)) == "internal/serve" {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if sel, ok := lit.Type.(*ast.SelectorExpr); ok {
+				if tn, ok := prog.info.Uses[sel.Sel].(*types.TypeName); ok && tn.Pkg().Path() == "net/http" && tn.Name() == "Server" {
+					t.Errorf("%s builds an http.Server: serve through serve.Listen", prog.rel(prog.fset.Position(lit.Pos()).String()))
+				}
+			}
+			return true
+		})
 	}
 }
 
