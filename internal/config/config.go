@@ -254,6 +254,9 @@ func (s *Simulation) ToSpec() (*core.Spec, error) {
 	default:
 		return nil, fmt.Errorf("config: unknown pattern %q (want sync or async)", s.Pattern)
 	}
+	if err := checkGridSize(s.Dimensions); err != nil {
+		return nil, err
+	}
 	// Dimensions are resolved before the trigger: per-dimension feedback
 	// targets are keyed by dimension type code and validated against the
 	// actual grid.
@@ -355,6 +358,35 @@ func (s *Simulation) ToSpec() (*core.Spec, error) {
 		return nil, err
 	}
 	return spec, nil
+}
+
+// maxReplicas caps a simulation's grid: each dimension's window count
+// and their product. It is the largest grid any test or benchmark runs
+// (65 536 replicas, BenchmarkDispatcher64K).
+const maxReplicas = 1 << 16
+
+// checkGridSize refuses a grid above maxReplicas before any ladder or
+// replica is built from it: a count is a size to allocate, and a launch
+// body of a few hundred bytes could otherwise ask for gigabytes. The
+// product counts explicit values too.
+func checkGridSize(dims []Dim) error {
+	grid := 1
+	for i, d := range dims {
+		n := len(d.Values)
+		if n == 0 {
+			n = d.Count
+		}
+		if n <= 0 {
+			continue // toDimension reports it
+		}
+		if n > maxReplicas {
+			return fmt.Errorf("config: dimension %d: %d windows, above the cap of %d replicas", i, n, maxReplicas)
+		}
+		if grid *= n; grid > maxReplicas {
+			return fmt.Errorf("config: the grid through dimension %d has %d replicas, above the cap of %d", i, grid, maxReplicas)
+		}
+	}
+	return nil
 }
 
 // perDimTargets resolves the per-dimension-code map against the actual

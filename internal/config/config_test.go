@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -333,5 +334,37 @@ func TestPerDimTargetAcceptance(t *testing.T) {
 	  "trigger":"barrier","target_acceptance":{"T":0.4}}`
 	if _, err := ParseSimulation([]byte(bad)); err == nil {
 		t.Fatal("per-dim target_acceptance accepted under the barrier trigger")
+	}
+}
+
+// TestGridCap: a grid of exactly maxReplicas parses, by one count or by
+// a product; one replica more is refused naming the cap, whether a
+// count or explicit values make it.
+func TestGridCap(t *testing.T) {
+	values := func(n int) string {
+		v := make([]string, n)
+		for i := range v {
+			v[i] = fmt.Sprint(273 + i)
+		}
+		return "[" + strings.Join(v, ",") + "]"
+	}
+	for _, tc := range []struct {
+		dims string
+		ok   bool
+	}{
+		{`{"type":"T","count":65536,"min":273,"max":373}`, true},
+		{`{"type":"T","count":65537,"min":273,"max":373}`, false},
+		{`{"type":"T","count":256,"min":273,"max":373},{"type":"U","count":256,"torsion":"phi"}`, true},
+		{`{"type":"T","count":256,"min":273,"max":373},{"type":"U","count":257,"torsion":"phi"}`, false},
+		{`{"type":"T","values":` + values(257) + `},{"type":"U","count":256,"torsion":"phi"}`, false},
+	} {
+		_, err := ParseSimulation([]byte(`{"name":"x","dimensions":[` + tc.dims + `],
+		  "cores_per_replica":1,"steps_per_cycle":1,"cycles":1}`))
+		if tc.ok && err != nil {
+			t.Errorf("%.60s: %v", tc.dims, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "above the cap of 65536")) {
+			t.Errorf("%.60s: err = %v, want the cap", tc.dims, err)
+		}
 	}
 }

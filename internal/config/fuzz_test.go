@@ -51,6 +51,8 @@ func FuzzParseLaunch(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"sim":{},"res":{}}`))
 	f.Add([]byte(`{"sim":null,"res":null}`))
+	// 254 bytes that ask for a 16 GiB ladder: the grid cap refuses them.
+	f.Add([]byte(`{"sim": {"name": "sixteen-gib-ask", "dimensions": [{"type": "T", "count": 2147483648, "min": 273, "max": 373}], "cores_per_replica": 1, "steps_per_cycle": 2000, "cycles": 2}, "res": {"machine": "small", "nodes": 1, "cores_per_node": 8, "pilot_cores": 8}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := ParseLaunch(data)
