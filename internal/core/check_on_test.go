@@ -51,6 +51,11 @@ func TestDispatcherInvariantsBite(t *testing.T) {
 			v[1], v[2] = v[2], v[1]
 		}},
 		{"readyB", func() Trigger { return NewCountTrigger(4) }, func(d *dispatcher) { d.readyB++ }},
+		// A flight forgotten: a segment in the air dropped without landing.
+		{"flight", barrier, func(d *dispatcher) {
+			i := slices.IndexFunc(d.flights, func(f mdFlight) bool { return f.h != nil })
+			d.flights[i].h = nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
