@@ -399,15 +399,11 @@ func (t TargetAcceptance) perDimTargets(dims []core.Dimension) ([]float64, error
 	}
 	targets := make([]float64, len(dims))
 	for code, v := range t.PerDim {
-		idx, err := dimsOf(code, dims, "target_acceptance", "key")
-		if err != nil {
+		if err := dimsOf(code, dims, "target_acceptance", "key", func(i int) { targets[i] = v }); err != nil {
 			return nil, err
 		}
 		if v <= 0 || v >= 1 {
 			return nil, fmt.Errorf("config: target_acceptance[%q] = %g outside (0, 1)", code, v)
-		}
-		for _, i := range idx {
-			targets[i] = v
 		}
 	}
 	return targets, nil
@@ -421,38 +417,35 @@ func (r *RespaceConfig) skipDims(dims []core.Dimension) ([]bool, error) {
 	}
 	disabled := make([]bool, len(dims))
 	for _, code := range r.SkipDims {
-		idx, err := dimsOf(code, dims, "respace skip_dims", "entry")
-		if err != nil {
+		if err := dimsOf(code, dims, "respace skip_dims", "entry", func(i int) { disabled[i] = true }); err != nil {
 			return nil, err
-		}
-		for _, i := range idx {
-			disabled[i] = true
 		}
 	}
 	return disabled, nil
 }
 
 // dimsOf resolves a dimension code from the file's field (its item
-// names one entry in the errors) to the indices of every dimension of
-// that type. Unknown codes and codes no dimension has are configuration
-// errors: a silently ignored code would leave the user believing a
-// ladder is covered when it is not.
-func dimsOf(code string, dims []core.Dimension, field, item string) ([]int, error) {
+// names one entry in the errors) and calls set with the index of every
+// dimension of that type. Unknown codes and codes no dimension has are
+// configuration errors: a silently ignored code would leave the user
+// believing a ladder is covered when it is not.
+func dimsOf(code string, dims []core.Dimension, field, item string, set func(i int)) error {
 	typ, err := exchange.ParseType(code)
 	if err != nil {
-		return nil, fmt.Errorf("config: %s %s %q is not a dimension code: %v", field, item, code, err)
+		return fmt.Errorf("config: %s %s %q is not a dimension code: %v", field, item, code, err)
 	}
-	var idx []int
+	matched := false
 	for i, d := range dims {
 		if d.Type == typ {
-			idx = append(idx, i)
+			set(i)
+			matched = true
 		}
 	}
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("config: %s names dimension code %q, but the simulation has no %s dimension",
+	if !matched {
+		return fmt.Errorf("config: %s names dimension code %q, but the simulation has no %s dimension",
 			field, code, typ)
 	}
-	return idx, nil
+	return nil
 }
 
 func (d Dim) toDimension() (core.Dimension, error) {
