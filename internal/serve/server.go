@@ -157,7 +157,7 @@ func (s *Server) routes() *http.ServeMux {
 	return s.mux
 }
 
-// Handler exposes the route table (used by tests and embedders).
+// Handler exposes the route table; Listen serves it.
 func (s *Server) Handler() http.Handler { return s.routes() }
 
 // SetRunLabel makes every /metrics line carry run="<id>". The registry
