@@ -1,7 +1,8 @@
 // Quickstart: a 1D temperature replica-exchange simulation of alanine
 // dipeptide with the real Go MD engine, run locally. This is the
 // smallest complete use of the public API: build a Spec, run it, read
-// the report.
+// the report, and read how well replicas mixed from a collector on the
+// run's event bus.
 package main
 
 import (
@@ -10,7 +11,7 @@ import (
 	"runtime"
 
 	repex "repro"
-	"repro/internal/stats"
+	"repro/internal/analysis"
 )
 
 func main() {
@@ -28,6 +29,9 @@ func main() {
 		Cycles:          4,
 		Seed:            42,
 	}
+	spec.Bus = repex.NewBus()
+	col := analysis.New(analysis.ConfigFromSpec(spec))
+	col.Attach(spec.Bus, analysis.RunBuffer(spec))
 
 	report, err := repex.RunLocal(spec, runtime.NumCPU(), 42)
 	if err != nil {
@@ -42,11 +46,9 @@ func main() {
 			rec.Cycle, rec.Accepted, rec.Attempted)
 	}
 
-	// Mixing diagnostics: how well replicas traverse the ladder.
-	mix, err := stats.AnalyzeMixing(report.SlotHistory, report.Replicas)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ladder mixing: %d round trips, %.0f%% of slots visited, mean displacement %.2f slots/cycle\n",
-		mix.RoundTrips, 100*mix.VisitedFraction, mix.MeanDisplacement)
+	// Ladder mixing: round trips bottom -> top -> bottom (or the
+	// reverse) by the same replica, as cmd/repex reports them.
+	stats := col.Snapshot()
+	fmt.Printf("mixing: %d round trips (mean %.1f events), %.0f%% of replicas traversed the full ladder\n",
+		stats.RoundTrips, stats.MeanRoundTripEvents, 100*stats.FullTraversalFraction)
 }

@@ -132,60 +132,95 @@ func exEvent(event int, slots []int) core.ExchangeEvent {
 }
 
 // TestRoundTripTimesOnHandBuiltTrace drives the round-trip state
-// machine with a fully known walk: replica A does 0 -> 1 -> 2 -> 1 -> 0
-// on a 3-slot ladder, one complete round trip spanning 4 exchange
-// events.
+// machine through fully known walks on a 3-slot ladder, three replicas
+// A, B, C starting in slots 0, 1, 2 (collector time 0). Each step is
+// one exchange event's slot row, indexed by replica. The rows pin the
+// definition: a round trip is one replica going from an end of the
+// ladder to the other and back, timed from its last departure.
 func TestRoundTripTimesOnHandBuiltTrace(t *testing.T) {
-	col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3})
-	// Initial assignment (collector time 0): A=0 B=1 C=2.
-	walkA := [][]int{
-		{1, 0, 2}, // t=1: A leaves bottom
-		{2, 0, 1}, // t=2: A reaches top (armed)
-		{1, 0, 2}, // t=3: coming back
-		{0, 1, 2}, // t=4: A back at bottom -> round trip of 4 events
-	}
-	for e, slots := range walkA {
-		col.Apply(exEvent(e, slots))
-	}
-	st := col.Snapshot()
-	if st.RoundTrips != 1 {
-		t.Fatalf("round trips %d, want 1 (only A completed one)", st.RoundTrips)
-	}
-	if st.MeanRoundTripEvents != 4 {
-		t.Fatalf("mean round-trip %v events, want 4", st.MeanRoundTripEvents)
-	}
-	// A visited both endpoints; B never saw the top, C never the bottom.
-	if want := 1.0 / 3.0; st.FullTraversalFraction != want {
-		t.Fatalf("full-traversal fraction %v, want %v", st.FullTraversalFraction, want)
-	}
-	if st.Slots[0] != 0 || st.Slots[1] != 1 || st.Slots[2] != 2 {
-		t.Fatalf("final slots %v, want [0 1 2]", st.Slots)
-	}
-	if got := st.Traces[0]; !reflect.DeepEqual(got, []int{1, 2, 1, 0}) {
-		t.Fatalf("trace of replica 0 is %v, want [1 2 1 0]", got)
-	}
-}
-
-// TestRoundTripClockRestartsOnUnarmedRevisit pins the "last departure"
-// semantics: lingering at the starting endpoint must not inflate the
-// round-trip time.
-func TestRoundTripClockRestartsOnUnarmedRevisit(t *testing.T) {
-	col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3})
-	steps := [][]int{
-		{0, 1, 2}, // t=1: A lingers at bottom (clock restarts)
-		{0, 1, 2}, // t=2: still lingering (clock restarts)
-		{1, 0, 2}, // t=3
-		{2, 0, 1}, // t=4: top, armed
-		{1, 0, 2}, // t=5
-		{0, 1, 2}, // t=6: round trip measured from t=2, not t=0
-	}
-	for e, slots := range steps {
-		col.Apply(exEvent(e, slots))
-	}
-	st := col.Snapshot()
-	if st.RoundTrips != 1 || st.MeanRoundTripEvents != 4 {
-		t.Fatalf("got %d trips, mean %v events; want 1 trip of 4 events (clock restarts at last departure)",
-			st.RoundTrips, st.MeanRoundTripEvents)
+	for _, tc := range []struct {
+		name  string
+		steps [][]int
+		trips int
+		mean  float64 // mean round-trip time in exchange events
+		full  float64 // fraction of replicas that saw both ends
+	}{
+		{
+			// A does 0 -> 1 -> 2 -> 1 -> 0: one round trip of 4 events.
+			// B never sees the top, C never the bottom.
+			name: "one round trip",
+			steps: [][]int{
+				{1, 0, 2}, // t=1: A leaves bottom
+				{2, 0, 1}, // t=2: A reaches top (armed)
+				{1, 0, 2}, // t=3: coming back
+				{0, 1, 2}, // t=4: A back at bottom
+			},
+			trips: 1, mean: 4, full: 1.0 / 3,
+		},
+		{
+			// Lingering at the starting end must not inflate the
+			// round-trip time: the clock restarts on an unarmed revisit.
+			name: "clock restarts on unarmed revisit",
+			steps: [][]int{
+				{0, 1, 2}, // t=1: A lingers at bottom (clock restarts)
+				{0, 1, 2}, // t=2: still lingering (clock restarts)
+				{1, 0, 2}, // t=3
+				{2, 0, 1}, // t=4: top, armed
+				{1, 0, 2}, // t=5
+				{0, 1, 2}, // t=6: round trip measured from t=2, not t=0
+			},
+			trips: 1, mean: 4, full: 1.0 / 3,
+		},
+		{
+			// Nobody moves: no trips, and no replica sees both ends.
+			name:  "frozen ladder",
+			steps: [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}},
+			trips: 0, mean: 0, full: 0,
+		},
+		{
+			// A climbs 0 -> 1 -> 2 and stays: half a trip counts 0.
+			name:  "half traversal",
+			steps: [][]int{{1, 0, 2}, {2, 0, 1}},
+			trips: 0, mean: 0, full: 1.0 / 3,
+		},
+		{
+			// A climbs 0 -> 2 and C descends 2 -> 0: two halves, but
+			// by two replicas, so no round trip.
+			name:  "opposite crossings",
+			steps: [][]int{{1, 0, 2}, {2, 0, 1}, {2, 1, 0}},
+			trips: 0, mean: 0, full: 2.0 / 3,
+		},
+		{
+			// A goes 0 -> 2 -> 0 -> 2 -> 0: two round trips of 2 events.
+			// C goes 2 -> 0 -> 1 -> 0 -> 1 and B 1 -> 1 -> 2 -> 1 -> 2;
+			// neither gets back to the end it started from.
+			name:  "two round trips",
+			steps: [][]int{{2, 1, 0}, {0, 2, 1}, {2, 1, 0}, {0, 2, 1}},
+			trips: 2, mean: 2, full: 2.0 / 3,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3})
+			traceA := make([]int, 0, len(tc.steps))
+			for e, slots := range tc.steps {
+				col.Apply(exEvent(e, slots))
+				traceA = append(traceA, slots[0])
+			}
+			st := col.Snapshot()
+			if st.RoundTrips != tc.trips || st.MeanRoundTripEvents != tc.mean {
+				t.Fatalf("got %d trips, mean %v events; want %d, mean %v",
+					st.RoundTrips, st.MeanRoundTripEvents, tc.trips, tc.mean)
+			}
+			if st.FullTraversalFraction != tc.full {
+				t.Fatalf("full-traversal fraction %v, want %v", st.FullTraversalFraction, tc.full)
+			}
+			if last := tc.steps[len(tc.steps)-1]; !reflect.DeepEqual(st.Slots, last) {
+				t.Fatalf("final slots %v, want %v", st.Slots, last)
+			}
+			if !reflect.DeepEqual(st.Traces[0], traceA) {
+				t.Fatalf("trace of replica 0 is %v, want %v", st.Traces[0], traceA)
+			}
+		})
 	}
 }
 

@@ -419,10 +419,13 @@ func TestFig4ValidationReduced(t *testing.T) {
 		}
 	}
 	// Exchanges must actually happen in the T dimension (the small real
-	// system has overlapping energy distributions). The U dimensions
-	// use the paper's stiff harmonic windows 90° apart, whose genuine
-	// Metropolis acceptance is ~0 at this reduced window count — see
-	// EXPERIMENTS.md for the discussion.
+	// system has overlapping energy distributions). The U dimensions do
+	// not exchange at this size, and the physics says they should not:
+	// 4 windows a torsion are 90° apart, and at K = UmbrellaK002
+	// (0.02 kcal/mol/deg²) a torsion at its own window's centre costs
+	// K·(π/2)² ≈ 162 kcal/mol under its neighbour's, so a swap is
+	// accepted with probability ~exp(−300 β). This run measures
+	// AcceptT = 0.375 and AcceptU = 0.
 	if res.AcceptT <= 0 {
 		t.Fatal("no temperature exchanges accepted in the real run")
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/pilot"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // runVirtual executes a spec with a virtual engine on a simulated
@@ -289,15 +288,16 @@ func TestMixingDiagnosticsOverRun(t *testing.T) {
 	if len(rep.SlotHistory) != 12 {
 		t.Fatalf("slot history rows %d, want 12", len(rep.SlotHistory))
 	}
-	mix, err := stats.AnalyzeMixing(rep.SlotHistory, rep.Replicas)
-	if err != nil {
-		t.Fatal(err)
+	// Exchanges happen, so replicas must move through the ladder: some
+	// replica gets two or more rungs from its start (replica r starts in
+	// slot r).
+	farthest := 0
+	for _, row := range rep.SlotHistory {
+		for r, slot := range row {
+			farthest = max(farthest, slot-r, r-slot)
+		}
 	}
-	// Exchanges happen, so replicas must move at least a little.
-	if mix.MeanDisplacement <= 0 {
-		t.Fatal("no ladder movement despite accepted exchanges")
-	}
-	if mix.VisitedFraction <= 1.0/8 {
-		t.Fatal("replicas never left their starting slots")
+	if farthest < 2 {
+		t.Fatalf("no replica got farther than %d rung from its start", farthest)
 	}
 }

@@ -140,10 +140,11 @@ type Report struct {
 
 	// SlotHistory records each replica's slot after every exchange event
 	// (row = event, column = replica ID; one event per sub-cycle under
-	// the barrier trigger). It feeds the mixing diagnostics in
-	// internal/stats. When Spec.HistoryTail is positive only the most
-	// recent rows are retained; SlotRows and SlotFingerprint still cover
-	// the full run. The rows are read-only views: each is written once,
+	// the barrier trigger). The ladder-mixing diagnostics (round trips,
+	// full traversals) are analysis.Collector's, which reads the same
+	// rows from each ExchangeEvent. When Spec.HistoryTail is positive
+	// only the most recent rows are retained; SlotRows and
+	// SlotFingerprint still cover the full run. The rows are read-only views: each is written once,
 	// when its event is recorded, and shared with that event's
 	// ExchangeEvent.Slots and with every snapshot that holds it.
 	SlotHistory [][]int
