@@ -133,22 +133,24 @@ func exEvent(event int, slots []int) core.ExchangeEvent {
 
 // TestRoundTripTimesOnHandBuiltTrace drives the round-trip state
 // machine through fully known walks on a 3-slot ladder, three replicas
-// A, B, C starting in slots 0, 1, 2 (collector time 0). Each step is
-// one exchange event's slot row, indexed by replica. The rows pin the
-// definition: a round trip is one replica going from an end of the
-// ladder to the other and back, timed from its last departure.
+// A, B, C starting in slots 0, 1, 2 (collector time 0), unless a row
+// sets a longer ladder. Each step is one exchange event's slot row,
+// indexed by replica. The rows pin the definition: a round trip is one
+// replica going from an end of the ladder to the other and back, timed
+// from its last departure.
 func TestRoundTripTimesOnHandBuiltTrace(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		steps [][]int
-		trips int
-		mean  float64 // mean round-trip time in exchange events
-		full  float64 // fraction of replicas that saw both ends
+		name   string
+		ladder int // slots and replicas; 0 means 3
+		steps  [][]int
+		trips  int
+		mean   float64 // mean round-trip time in exchange events
+		full   float64 // fraction of replicas that saw both ends
 	}{
 		{
 			// A does 0 -> 1 -> 2 -> 1 -> 0: one round trip of 4 events.
 			// B never sees the top, C never the bottom.
-			name: "one round trip",
+			name: "single replica",
 			steps: [][]int{
 				{1, 0, 2}, // t=1: A leaves bottom
 				{2, 0, 1}, // t=2: A reaches top (armed)
@@ -156,6 +158,22 @@ func TestRoundTripTimesOnHandBuiltTrace(t *testing.T) {
 				{0, 1, 2}, // t=4: A back at bottom
 			},
 			trips: 1, mean: 4, full: 1.0 / 3,
+		},
+		{
+			// On a 4-slot ladder A walks 0 -> 3 -> 0 one step at a time:
+			// one round trip of 6 events. D leaves the top and comes back
+			// unarmed; only A sees both ends.
+			name:   "full traversal",
+			ladder: 4,
+			steps: [][]int{
+				{1, 0, 2, 3}, // t=1: A leaves bottom
+				{2, 0, 1, 3}, // t=2
+				{3, 0, 1, 2}, // t=3: A reaches top (armed)
+				{2, 0, 1, 3}, // t=4: coming back
+				{1, 0, 2, 3}, // t=5
+				{0, 1, 2, 3}, // t=6: A back at bottom
+			},
+			trips: 1, mean: 6, full: 1.0 / 4,
 		},
 		{
 			// Lingering at the starting end must not inflate the
@@ -200,7 +218,11 @@ func TestRoundTripTimesOnHandBuiltTrace(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3})
+			n := tc.ladder
+			if n == 0 {
+				n = 3
+			}
+			col := analysis.New(analysis.Config{DimSizes: []int{n}, Replicas: n})
 			traceA := make([]int, 0, len(tc.steps))
 			for e, slots := range tc.steps {
 				col.Apply(exEvent(e, slots))
