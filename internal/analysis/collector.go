@@ -400,6 +400,11 @@ func (c *Collector) growTraces(n int) {
 // observed at its current slot at collector time t.
 func (c *Collector) touchEndpoint(w *walk, t int) {
 	top := c.cfg.Replicas - 1
+	if top == 0 {
+		// A one-slot ladder: slot 0 is both ends, and there is no trip.
+		w.SeenBottom, w.SeenTop = true, true
+		return
+	}
 	var end int
 	switch w.Slot {
 	case 0:
@@ -410,9 +415,6 @@ func (c *Collector) touchEndpoint(w *walk, t int) {
 		w.SeenTop = true
 	default:
 		return
-	}
-	if top == 0 {
-		return // degenerate one-slot ladder
 	}
 	switch {
 	case w.StartEnd == -1:

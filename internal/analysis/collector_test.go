@@ -216,6 +216,14 @@ func TestRoundTripTimesOnHandBuiltTrace(t *testing.T) {
 			steps: [][]int{{2, 1, 0}, {0, 2, 1}, {2, 1, 0}, {0, 2, 1}},
 			trips: 2, mean: 2, full: 2.0 / 3,
 		},
+		{
+			// One slot is both ends: the replica covers the ladder
+			// without moving, and makes no trip.
+			name:   "one slot",
+			ladder: 1,
+			steps:  [][]int{{0}, {0}},
+			trips:  0, mean: 0, full: 1,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.ladder

@@ -27,8 +27,19 @@ func (e *stubEngine) MDTask(r *Replica, s *Spec, dim int) *task.Spec {
 		Run: func() error { return nil }}
 }
 func (e *stubEngine) ExchangeTask(dim, n int, s *Spec) *task.Spec { return nil }
+
+// SinglePointTasks returns a no-op task a group member along a salt
+// dimension, as a real engine's single-point energies are, so a salt
+// exchange submits and awaits them; nothing otherwise.
 func (e *stubEngine) SinglePointTasks(dim int, g []*Replica, s *Spec) []*task.Spec {
-	return nil
+	if s.Dims[dim].Type != exchange.Salt {
+		return nil
+	}
+	specs := make([]*task.Spec, len(g))
+	for i := range specs {
+		specs[i] = &task.Spec{Name: "spe", Kind: task.SinglePoint, Cores: 1, Run: func() error { return nil }}
+	}
+	return specs
 }
 func (e *stubEngine) OwnEnergy(r *Replica) float64 {
 	if e.energyOf != nil {

@@ -31,11 +31,15 @@ var chi2Q999 = [...]float64{10.83, 13.82, 16.27, 18.47, 20.52, 22.46,
 // 1.5 × its degrees of freedom for T and 1.3 × for U (3 of 40 runs over
 // the bound), every second row 1.05 × and 0.86 × (none over).
 //
+// The S case runs each exchange's single-point tasks, one a member,
+// through the runtime's Submit and AwaitAll, whose handles are reused.
+//
 // Pinning sweep to 0 in exchangePhase (the even pairs only, so the
 // chain reaches 4 assignments) or flipping the sign of
-// exchange.AcceptTemperature's exponent fails it. Swapping eAB and eBA
-// in pairProbability does not, and cannot: a Hamiltonian pair shares
-// its temperature, and the swapped Δ is the same sum.
+// exchange.AcceptTemperature's exponent fails it, and taking each cross
+// energy under the replica's own parameters fails U and S. Swapping eAB
+// and eBA in pairProbability does not, and cannot: a Hamiltonian pair
+// shares its temperature, and the swapped Δ is the same sum.
 func TestExchangeStationaryUnderBarrier(t *testing.T) {
 	const n, events = 4, 40000
 	temps := GeometricTemperatures(300, 400, n)
@@ -49,6 +53,16 @@ func TestExchangeStationaryUnderBarrier(t *testing.T) {
 		{1.1, 0.3, 0.0, 0.9},
 		{2.0, 1.2, 0.5, 0.0},
 	}
+	salts := []float64{0.1, 0.2, 0.4, 0.8}
+	// v[k][x] is replica x's configuration under salt k, kcal/mol; the
+	// table is not symmetric.
+	v := [][]float64{
+		{0.0, 0.9, 1.8, 2.2},
+		{0.5, 0.0, 0.7, 1.4},
+		{1.3, 0.2, 0.0, 0.6},
+		{1.6, 1.1, 0.3, 0.0},
+	}
+	saltOf := func(p md.Params) int { return slices.Index(salts, p.SaltM) }
 	windowOf := func(p md.Params) int {
 		for k, c := range windows {
 			if p.Restraints[0].Center == c {
@@ -81,6 +95,18 @@ func TestExchangeStationaryUnderBarrier(t *testing.T) {
 			},
 			beta:   func(int) float64 { return beta300 },
 			energy: func(k, x int) float64 { return u[k][x] },
+		},
+		{
+			// Each salt exchange first submits and awaits a
+			// single-point task a member through the runtime.
+			name: "S",
+			dim:  Dimension{Type: exchange.Salt, Values: salts},
+			eng: &stubEngine{
+				energyOf: func(r *Replica) float64 { return v[r.Slot][r.ID] },
+				crossOf:  func(r *Replica, under md.Params) float64 { return v[saltOf(under)][r.ID] },
+			},
+			beta:   func(int) float64 { return beta300 },
+			energy: func(k, x int) float64 { return v[k][x] },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

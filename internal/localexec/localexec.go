@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/slab"
 	"repro/internal/task"
 )
 
@@ -27,14 +28,24 @@ import (
 // beyond that one start a new goroutine, and a goroutine with nothing
 // admitted exits, so an idle runtime holds none.
 //
-// Handles are reused, as task.Runtime's contract allows: an unwatched
-// handle once Await returns it, a watched one at the AwaitNext after the
-// one that delivered it, and one AwaitBatch delivered at the caller's
-// next blocking call. Under the simcheck build tag no handle is reused,
-// and reading one past its reuse point panics.
+// Starting a goroutine allocates nothing: the admitted handle goes on
+// the starting list and the goroutine runs spawn, a func() bound once in
+// New, which takes it from there (go r.work(h) would allocate its
+// closure). There is no long-lived worker pool: callers build a runtime
+// per run and drop it, and a Runtime has no Close, so parked workers
+// would outlive it.
+//
+// Handles are carved from a slab and reused, as task.Runtime's contract
+// allows: an unwatched handle once Await returns it, a watched one at
+// the AwaitNext after the one that delivered it, and one AwaitBatch
+// delivered at the caller's next blocking call. A handle is on at most
+// one of three lists, queued, starting or free, linked through its one
+// next field. Under the simcheck build tag no handle is reused, and
+// reading one past its reuse point panics.
 type Runtime struct {
 	start time.Time
 	cores int
+	spawn func() // work, bound once
 
 	// mu guards everything below and every handle's state.
 	mu sync.Mutex
@@ -44,10 +55,11 @@ type Runtime struct {
 	// signals it too, so each wait rechecks what it waits for.
 	wake  sync.Cond
 	inUse int
-	// queue holds the tasks waiting for cores, oldest at head; it is
-	// empty, with head 0, whenever nothing waits.
-	queue []*handle
-	head  int
+	// head and tail are the tasks waiting for cores, oldest first; tail
+	// is stale while head is nil. starting holds admitted tasks no
+	// goroutine has taken yet, and free the dead handles.
+	head, tail, starting, free *handle
+	handles                    slab.Slab[handle]
 	// awaiting is the handle an Await waits for; batch is the number of
 	// pending completions a stream wait needs, 0 outside one. A task end
 	// signals wake only when the wait it names is over.
@@ -60,8 +72,6 @@ type Runtime struct {
 	// blocking call, not only at the next delivery.
 	stream, delivered []task.Handle
 	failed, lent      bool
-	// free holds dead handles for the next submissions.
-	free []*handle
 	// alarm wakes a stream wait at its finite deadline: each wait re-arms
 	// it, and it signals under mu.
 	alarm *time.Timer
@@ -75,6 +85,7 @@ func New(cores int) *Runtime {
 	}
 	r := &Runtime{start: time.Now(), cores: cores}
 	r.wake.L = &r.mu
+	r.spawn = r.work
 	return r
 }
 
@@ -95,6 +106,7 @@ type handle struct {
 	submitted float64
 	done      bool
 	res       task.Result
+	next      *handle
 	// spare is set once the handle is dead: on the free list, or, under
 	// simcheck, poisoned.
 	spare bool
@@ -130,7 +142,7 @@ func (r *Runtime) recycle(h *handle) {
 	}
 	h.spare = true
 	if !poison {
-		r.free = append(r.free, h)
+		h.next, r.free = r.free, h
 	}
 }
 
@@ -158,36 +170,33 @@ func (r *Runtime) submit(s *task.Spec, watched bool) task.Handle {
 	}
 	submitted := r.Now()
 	r.mu.Lock()
-	var h *handle
-	if n := len(r.free); n > 0 {
-		h, r.free = r.free[n-1], r.free[:n-1]
+	h := r.free
+	if h != nil {
+		r.free = h.next
 	} else {
-		h = new(handle)
+		h = &r.handles.Carve(1, r.cores, 0)[0]
 	}
 	// Clamp rather than deadlock: a real laptop cannot refuse a 16-core
 	// MPI task, it just runs it slower.
 	*h = handle{rt: r, spec: s, cores: min(s.Cores, r.cores), watched: watched, submitted: submitted}
-	if len(r.queue) > 0 || r.inUse+h.cores > r.cores {
-		r.enqueue(h)
-		r.mu.Unlock()
-		return h
+	switch {
+	case r.head == nil && r.inUse+h.cores <= r.cores:
+		r.inUse += h.cores
+		r.startOne(h)
+	case r.head == nil:
+		r.head, r.tail = h, h
+	default:
+		r.tail.next, r.tail = h, h
 	}
-	r.inUse += h.cores
 	r.mu.Unlock()
-	go r.work(h)
 	return h
 }
 
-// enqueue appends h to the core queue; called with mu held. When the
-// array is full and at least half of it is already admitted, the waiting
-// tasks slide to its front instead of growing it.
-func (r *Runtime) enqueue(h *handle) {
-	if len(r.queue) == cap(r.queue) && 2*r.head >= len(r.queue) {
-		n := copy(r.queue, r.queue[r.head:])
-		clear(r.queue[n:])
-		r.queue, r.head = r.queue[:n], 0
-	}
-	r.queue = append(r.queue, h)
+// startOne puts h, whose cores are taken, on the starting list and starts
+// a goroutine to run it; called with mu held.
+func (r *Runtime) startOne(h *handle) {
+	h.next, r.starting = r.starting, h
+	go r.spawn()
 }
 
 // admit takes the queued tasks that fit, in order, stopping at the first
@@ -196,29 +205,26 @@ func (r *Runtime) enqueue(h *handle) {
 // goroutine for each other one.
 func (r *Runtime) admit() *handle {
 	var next *handle
-	for len(r.queue) > 0 {
-		h := r.queue[r.head]
-		if r.inUse+h.cores > r.cores {
-			break
-		}
+	for h := r.head; h != nil && r.inUse+h.cores <= r.cores; h = r.head {
 		r.inUse += h.cores
-		r.queue[r.head] = nil
-		if r.head++; r.head == len(r.queue) {
-			r.queue, r.head = r.queue[:0], 0
-		}
+		r.head = h.next
 		if next == nil {
 			next = h
 		} else {
-			go r.work(h)
+			r.startOne(h)
 		}
 	}
 	return next
 }
 
-// work runs h, whose cores are already taken, then every task its freed
-// cores admit first, and exits when they admit none.
-func (r *Runtime) work(h *handle) {
+// work takes a task from the starting list and runs it, then every task
+// its freed cores admit first, and exits when they admit none.
+func (r *Runtime) work() {
+	r.mu.Lock()
+	h := r.starting
+	r.starting = h.next
 	for h != nil {
+		r.mu.Unlock()
 		s := h.spec
 		execStart := r.Now()
 		var err error
@@ -243,8 +249,8 @@ func (r *Runtime) work(h *handle) {
 		}
 		r.finished(h)
 		h = r.admit()
-		r.mu.Unlock()
 	}
+	r.mu.Unlock()
 }
 
 // finished queues a watched completion for delivery and signals the

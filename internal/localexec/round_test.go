@@ -46,8 +46,8 @@ func round(rt *Runtime, spec *task.Spec, n int, queued func()) (deliveries int) 
 //     queue is full. A queued task holds no goroutine; a runtime that
 //     parks a goroutine per queued task holds 64.
 //   - deliveries: one AwaitBatch(64) returns the whole round.
-//   - objects a task: the round's worker goroutines, one a core, are
-//     what it allocates; a goroutine or a handle a task is one each.
+//   - objects a task: a warm round allocates nothing; a goroutine start
+//     that allocates its closure, or a handle a task, is one each.
 func TestLocalRoundCosts(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates beside the program")
@@ -92,8 +92,8 @@ func TestLocalRoundCosts(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.Mallocs-before.Mallocs) / (rounds * tasks)
 	t.Logf("%.4f objects a task", per)
-	if per > 4.0/tasks {
-		t.Errorf("%.4f objects allocated a task, want at most 4 a round of %d (a goroutine a core)", per, tasks)
+	if per > 1.0/tasks {
+		t.Errorf("%.4f objects allocated a task, want at most 1 a round of %d", per, tasks)
 	}
 }
 
